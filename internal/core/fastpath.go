@@ -2,11 +2,8 @@ package core
 
 import (
 	"errors"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
-	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
 	"cisgraph/internal/stats"
 )
@@ -25,55 +22,34 @@ import (
 // delayed deletions, which repair their head vertex after the response) is
 // UNSAFE and serializes through the regular batch machinery.
 //
-// Correctness of the group protocol:
+// Routing is one forward pass: each update is normalized against the live
+// topology and judged against the live converged values right before it
+// commits, so it is classified at most twice and routing is O(group).
 //
-//   - Safety is judged against the live converged states. Safe updates do
-//     not write state, so a run of consecutive safe updates cannot
-//     invalidate each other's classification — the whole run commits with
-//     topology writes only.
-//   - Classification also reads topology (to normalize: is this add a
-//     reweight? what stored weight does this del remove?). Two updates in
-//     one un-applied suffix that touch the SAME edge could invalidate each
-//     other that way, so any repeated edge is conservatively marked unsafe;
-//     the batch path normalizes same-edge runs correctly.
-//   - An unsafe update (run) changes state, so every classification after
-//     it is stale: the remaining suffix is re-classified from the live
-//     state before the next run is committed.
-//   - Consecutive unsafe updates commit as ONE call into the batch
+//   - No run pending: a safe update commits at once — it writes no state, so
+//     the next update's judgement reads the same values — and an unsafe one
+//     opens a pending run, which is NOT applied yet.
+//   - Run pending: live topology and values are the pre-run ones. An update
+//     on the same edge as a run member cannot be normalized (the run decides
+//     what that edge will look like), so it joins the run, where the batch
+//     path normalizes same-edge sequences correctly. Any other edge is
+//     untouched by the run, so its live normal form is the one it will
+//     commit against. Judged unsafe against the pre-run values, it joins the
+//     run: the verdict may be stale, but an unsafe verdict is only ever
+//     conservative — the batch machinery re-classifies per query and treats
+//     a useless update as one. Judged safe, the verdict may be stale too and
+//     is never acted on: the run is flushed through the batch machinery
+//     first, and the update is judged once more against the fresh values.
+//   - Consecutive unsafe updates therefore commit as ONE call into the batch
 //     machinery. The engine's converged fixpoint is batch-split independent
-//     (relied on throughout the test suite), so answers after the group
-//     equal the batch path's answers over the same updates.
-//
-// The per-update classification scan is O(Q) state reads with no scratch;
-// groups of at least fpParallelMin updates fan the scans out across the
-// engine's worker pool (inter-update parallelism).
+//     (relied on throughout the test suite), so values after the group equal
+//     the batch path's over the same updates applied one by one.
 
 // FastStats reports how ApplyUpdates routed a group.
 type FastStats struct {
 	Safe   int // updates committed with a topology-only write
 	Unsafe int // updates serialized through the batch machinery
 }
-
-// fpKind is the normalized shape of one update against the live topology.
-type fpKind uint8
-
-const (
-	fpNoop     fpKind = iota // no topology effect (dup add / absent del)
-	fpAdd                    // new edge
-	fpDel                    // remove existing edge (weight w0)
-	fpReweight               // existing edge, different weight (old weight w0)
-	fpConflict               // same edge touched earlier in the suffix
-)
-
-type fpNorm struct {
-	kind fpKind
-	w0   float64
-}
-
-// fpParallelMin is the suffix length below which classification runs serial:
-// the per-update scan is a handful of state reads, so forking the worker
-// pool only pays off for larger groups.
-const fpParallelMin = 16
 
 // ApplyUpdates ingests ups as len(ups) single-update stream positions,
 // routing each through the safe (topology-only) or unsafe (batch machinery)
@@ -82,20 +58,16 @@ const fpParallelMin = 16
 // per-query errors surfaced by unsafe runs (recovered panics); the engine
 // stays consistent either way.
 func (m *MultiCISO) ApplyUpdates(ups []graph.Update) (FastStats, error) {
-	fs, _, err := m.applyUpdatesCore(ups, false)
+	fs, _, err := m.ApplyUpdatesDelta(ups)
 	return fs, err
 }
 
-// ApplyUpdatesDelta is the lean face of ApplyUpdates: identical routing and
-// state transition, but instead of surfacing only errors it reports the
-// queries whose ANSWER changed across the group (merged over every unsafe
-// run — the last value wins), so serving layers pay O(changed) to refresh
-// their snapshots. Safe updates by definition change no answer.
+// ApplyUpdatesDelta is ApplyUpdates for serving layers: besides the routing
+// stats and errors it reports the queries whose ANSWER changed across the
+// group (merged over every unsafe run — the last value wins), so they pay
+// O(changed) to refresh their snapshots. Safe updates by definition change
+// no answer.
 func (m *MultiCISO) ApplyUpdatesDelta(ups []graph.Update) (FastStats, BatchDelta, error) {
-	return m.applyUpdatesCore(ups, true)
-}
-
-func (m *MultiCISO) applyUpdatesCore(ups []graph.Update, lean bool) (FastStats, BatchDelta, error) {
 	var fs FastStats
 	var acc BatchDelta
 	if len(ups) == 0 {
@@ -104,254 +76,132 @@ func (m *MultiCISO) applyUpdatesCore(ups []graph.Update, lean bool) (FastStats, 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var errs []error
-	var changed map[int]algo.Value // lazy: most groups have no unsafe run
-	for len(m.fpSafe) < len(ups) {
-		m.fpSafe = append(m.fpSafe, false)
-		m.fpNorm = append(m.fpNorm, fpNorm{})
-	}
-	base := 0
-	for base < len(ups) {
-		// Classify the remaining suffix against the live state. Results stay
-		// valid through safe commits and go stale at the first unsafe run —
-		// which re-enters this loop and re-classifies what is left.
-		m.classifySuffixLocked(ups[base:])
-		j := base
-		for j < len(ups) && m.fpSafe[j-base] {
-			j++
+	scans, runs := 0, 0
+	run := 0 // ups[run:i] is the pending unsafe run
+	flush := func(end int) {
+		if run == end {
+			return
 		}
-		if j > base {
-			m.applySafeRunLocked(ups[base:j], m.fpNorm[:j-base])
-			fs.Safe += j - base
+		_, d := m.applyBatchCoreLocked(ups[run:end], false)
+		acc.Skipped += d.Skipped
+		acc.Processed += d.Processed
+		acc.Changed = append(acc.Changed, d.Changed...)
+		if d.Err != nil {
+			errs = append(errs, d.Err)
 		}
-		k := j
-		for k < len(ups) && !m.fpSafe[k-base] {
-			k++
-		}
-		if k > j {
-			if lean {
-				_, d := m.applyBatchCoreLocked(ups[j:k], false)
-				acc.Skipped += d.Skipped
-				acc.Processed += d.Processed
-				if d.Err != nil {
-					errs = append(errs, d.Err)
-				}
-				for _, ca := range d.Changed {
-					if changed == nil {
-						changed = make(map[int]algo.Value, len(d.Changed))
-					}
-					changed[ca.Index] = ca.Value
-				}
-			} else {
-				for _, r := range m.applyBatchLocked(ups[j:k]) {
-					if r.Err != nil {
-						errs = append(errs, r.Err)
-					}
-				}
-			}
-			fs.Unsafe += k - j
-		}
-		base = k
+		fs.Unsafe += end - run
+		runs++
 	}
-	m.cnt.Add(stats.CntUpdateSafe, int64(fs.Safe))
-	m.cnt.Add(stats.CntUpdateUnsafe, int64(fs.Unsafe))
-	for i, v := range changed {
-		acc.Changed = append(acc.Changed, ChangedAnswer{Index: i, Value: v})
-	}
-	sort.Slice(acc.Changed, func(a, b int) bool { return acc.Changed[a].Index < acc.Changed[b].Index })
-	err := errors.Join(errs...)
-	acc.Err = err
-	return fs, acc, err
-}
-
-// classifySuffixLocked fills m.fpNorm/m.fpSafe[0:len(sub)] for the
-// un-applied suffix sub. Phase 1 normalizes each update against the live
-// topology serially (map of touched edges — a repeated edge is unsafe by
-// fiat). Phase 2 runs the O(Q) state scans, fanning out across the worker
-// pool when the suffix is long enough for that to pay.
-func (m *MultiCISO) classifySuffixLocked(sub []graph.Update) {
-	norm, safe := m.fpNorm, m.fpSafe
-	if m.fpTouched == nil {
-		m.fpTouched = make(map[uint64]struct{}, len(sub))
-	}
-	touched := m.fpTouched
-	clear(touched)
-	for i, u := range sub {
-		key := uint64(u.From)<<32 | uint64(u.To)
-		if _, dup := touched[key]; dup {
-			norm[i] = fpNorm{kind: fpConflict}
+	for i, u := range ups {
+		if touchesEdge(ups[run:i], u) {
 			continue
 		}
-		touched[key] = struct{}{}
-		w0, present := m.g.HasEdge(u.From, u.To)
-		switch {
-		case u.Del && !present:
-			norm[i] = fpNorm{kind: fpNoop}
-		case u.Del:
-			norm[i] = fpNorm{kind: fpDel, w0: w0}
-		case !present:
-			norm[i] = fpNorm{kind: fpAdd}
-		case w0 == u.W:
-			norm[i] = fpNorm{kind: fpNoop}
-		default:
-			norm[i] = fpNorm{kind: fpReweight, w0: w0}
+		safe := m.classifyLocked(u)
+		scans++
+		if safe && run < i {
+			flush(i)
+			run = i
+			safe = m.classifyLocked(u)
+			scans++
 		}
+		if !safe {
+			continue // opens the run at i, or extends it
+		}
+		m.commitSafeLocked(u)
+		fs.Safe++
+		run = i + 1
 	}
-
-	classifyOne := func(i int) {
-		// A plugin panic during the scan must not take the engine down: the
-		// update is routed unsafe, where the batch machinery's per-query
-		// recovery owns the failure.
-		defer func() {
-			if r := recover(); r != nil {
-				safe[i] = false
+	flush(len(ups))
+	m.cnt.Add(stats.CntUpdateSafe, int64(fs.Safe))
+	m.cnt.Add(stats.CntUpdateUnsafe, int64(fs.Unsafe))
+	m.cnt.Add(stats.CntUpdateClassifyScans, int64(scans))
+	if runs > 1 {
+		// Each run reported in index order; keep every query's last value.
+		slices.SortStableFunc(acc.Changed, func(a, b ChangedAnswer) int { return a.Index - b.Index })
+		last := acc.Changed[:0]
+		for k, ca := range acc.Changed {
+			if k+1 == len(acc.Changed) || acc.Changed[k+1].Index != ca.Index {
+				last = append(last, ca)
 			}
-		}()
-		u := sub[i]
-		switch norm[i].kind {
-		case fpNoop:
-			safe[i] = true
-		case fpAdd:
-			safe[i] = m.addUselessAllLocked(u.From, u.To, u.W)
-		case fpDel:
-			safe[i] = m.delUselessAllLocked(u.From, u.To, norm[i].w0)
-		case fpReweight:
-			// Batch path treats a reweight as del(old) + add(new); both
-			// halves must be useless for every query.
-			safe[i] = m.delUselessAllLocked(u.From, u.To, norm[i].w0) &&
-				m.addUselessAllLocked(u.From, u.To, u.W)
-		default: // fpConflict
-			safe[i] = false
 		}
+		acc.Changed = last
 	}
+	acc.Err = errors.Join(errs...)
+	return fs, acc, acc.Err
+}
 
-	w := m.workers
-	if w > len(sub)/8 {
-		w = len(sub) / 8
-	}
-	if len(sub) < fpParallelMin || w <= 1 {
-		for i := range sub {
-			classifyOne(i)
+// touchesEdge reports whether u updates the same edge as a member of run.
+func touchesEdge(run []graph.Update, u graph.Update) bool {
+	for _, p := range run {
+		if p.From == u.From && p.To == u.To {
+			return true
 		}
-		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for slot := 0; slot < w; slot++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sub) {
-					return
-				}
-				classifyOne(i)
-			}
-		}()
+	return false
+}
+
+// classifyLocked normalizes u against the live topology and judges it
+// against the live converged values. Adding a present edge (at any weight —
+// the first weight stays, as in NormalizeBatch and Dynamic.Apply) and
+// deleting an absent one have no effect and are safe. A plugin panic during
+// the scan routes the update unsafe, where the batch machinery's per-query
+// recovery owns the failure.
+func (m *MultiCISO) classifyLocked(u graph.Update) (safe bool) {
+	defer func() {
+		if recover() != nil {
+			safe = false
+		}
+	}()
+	w0, present := m.g.HasEdge(u.From, u.To)
+	switch {
+	case u.Del != present:
+		return true
+	case u.Del:
+		return m.delUselessAllLocked(u.From, u.To, w0)
+	default:
+		return m.addUselessAllLocked(u.From, u.To, u.W)
 	}
-	wg.Wait()
 }
 
 // addUselessAllLocked reports whether adding edge u→v with weight w is
-// useless (ClassifyAddition) for every registered query. With change-driven
-// evaluation the scan covers one representative per source group instead of
-// every query — values are identical across a group (DESIGN.md §15), so the
-// answer is the same at O(sources) instead of O(Q) cost; suspect queries
-// are scanned individually. WithChangeSkip(false) restores the exhaustive
-// scan, which the differential tests compare against.
+// useless (ClassifyAddition) for every registered query, by scanning m.reps:
+// with change-driven evaluation that is one representative per source group
+// — values are identical across a group (DESIGN.md §15), so the answer is
+// the same at O(sources) instead of O(Q) cost — plus each suspect query.
 func (m *MultiCISO) addUselessAllLocked(u, v graph.VertexID, w float64) bool {
-	a := m.a
-	if !m.skip {
-		for _, st := range m.states {
-			if a.Better(a.Propagate(st.value(u), a.Weight(w)), st.value(v)) {
-				return false
-			}
-		}
-		return true
-	}
-	return m.forEachRepState(func(st *state) bool {
-		return !a.Better(a.Propagate(st.value(u), a.Weight(w)), st.value(v))
-	})
-}
-
-// delUselessAllLocked reports whether deleting edge u→v (stored weight w0)
-// is useless (ClassifyDeletion) for every registered query: the edge
-// supplies no query's state[v]. Delayed deletions count as unsafe — they
-// repair v after the response, which is a state write. Scans one
-// representative per source group like addUselessAllLocked.
-func (m *MultiCISO) delUselessAllLocked(u, v graph.VertexID, w0 float64) bool {
-	a := m.a
-	test := func(st *state) bool {
-		sv := st.value(v)
-		if !algo.Reached(a, sv) {
-			return true
-		}
-		return a.Propagate(st.value(u), a.Weight(w0)) != sv
-	}
-	if !m.skip {
-		for _, st := range m.states {
-			if !test(st) {
-				return false
-			}
-		}
-		return true
-	}
-	return m.forEachRepState(test)
-}
-
-// forEachRepState evaluates pred over one non-suspect representative state
-// per source group, plus every suspect state individually, returning false
-// on the first failure. Safe to call from the fast path's concurrent
-// classification workers: bySource, suspect and the states are read-only
-// while classification runs.
-func (m *MultiCISO) forEachRepState(pred func(*state) bool) bool {
-	for _, members := range m.bySource {
-		rep := -1
-		if m.nSuspect == 0 {
-			rep = members[0]
-		} else {
-			for _, i := range members {
-				if !m.suspect[i] {
-					rep = i
-					break
-				}
-			}
-		}
-		if rep >= 0 && !pred(m.states[rep]) {
+	for _, st := range m.reps {
+		if !addUseless(m.a, st, u, v, w) {
 			return false
-		}
-	}
-	if m.nSuspect > 0 {
-		for i, st := range m.states {
-			if m.suspect[i] && !pred(st) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// applySafeRunLocked commits a run of safe updates with topology writes
-// only, mirroring each update's normalized form. No state, parent, counter
-// or scratch touch — by the safety proof none would change. The epoch still
+// delUselessAllLocked reports whether deleting edge u→v (stored weight w0)
+// is useless (ClassifyDeletion) for every registered query: the edge
+// supplies no query's state[v]. Delayed deletions count as unsafe — they
+// repair v after the response, which is a state write.
+func (m *MultiCISO) delUselessAllLocked(u, v graph.VertexID, w0 float64) bool {
+	for _, st := range m.reps {
+		if !delUseless(m.a, st, u, v, w0) {
+			return false
+		}
+	}
+	return true
+}
+
+// commitSafeLocked commits one safe update with a topology write only (none
+// for a duplicate add or an absent delete). No state, parent, counter or
+// scratch touch — by the safety proof none would change. The epoch still
 // advances: in-flight AddQuery computations snapshot topology, and a NEW
 // source's converged state may depend on edges that are useless for every
 // registered query.
-func (m *MultiCISO) applySafeRunLocked(sub []graph.Update, norm []fpNorm) {
+func (m *MultiCISO) commitSafeLocked(u graph.Update) {
 	changed := false
-	for i, u := range sub {
-		switch norm[i].kind {
-		case fpAdd:
-			m.g.AddEdge(u.From, u.To, u.W)
-			changed = true
-		case fpDel:
-			m.g.RemoveEdge(u.From, u.To)
-			changed = true
-		case fpReweight:
-			m.g.RemoveEdge(u.From, u.To)
-			m.g.AddEdge(u.From, u.To, u.W)
-			changed = true
-		}
+	if u.Del {
+		_, changed = m.g.RemoveEdge(u.From, u.To)
+	} else {
+		changed = m.g.AddEdge(u.From, u.To, u.W)
 	}
 	if changed {
 		m.epoch++

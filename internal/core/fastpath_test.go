@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cisgraph/internal/algo"
@@ -64,9 +66,9 @@ func TestApplyUpdatesMatchesBatchPath(t *testing.T) {
 	}
 }
 
-// TestApplyUpdatesSameEdgeConflict exercises the conservative conflict rule:
-// repeated touches of one edge inside a group must serialize through the
-// batch machinery and still converge to the reference fixpoint.
+// TestApplyUpdatesSameEdgeConflict exercises the pending-run conflict rule:
+// an update on the same edge as a pending unsafe update joins its run, and
+// repeated touches of one edge still converge to the reference fixpoint.
 func TestApplyUpdatesSameEdgeConflict(t *testing.T) {
 	el := graph.Grid("fpconf", 6, 6, 9, 2)
 	qs := []Query{{S: 0, D: 35}, {S: 5, D: 30}}
@@ -212,5 +214,356 @@ func TestApplyUpdatesEdgeCases(t *testing.T) {
 	}
 	if m.g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", m.g.NumEdges())
+	}
+}
+
+// adversarialGroup builds one seeded group aimed at the forward pass's
+// corners: a tree-edge deletion (unsafe) opens and closes the group, and in
+// between come add/del/re-add runs on one edge, same-edge updates directly
+// behind an unsafe deletion, reweights, duplicate adds and absent deletes
+// (noops), and plain churn. Tree edges and presence are read off ref's
+// pre-group state; what they have become by the time they apply is part of
+// the mix.
+func adversarialGroup(rng *rand.Rand, ref *MultiCISO, size int) []graph.Update {
+	g := ref.g
+	n := g.NumVertices()
+	weight := func() float64 { return float64(1 + rng.Intn(16)) }
+	treeDel := func() graph.Update {
+		st := ref.states[rng.Intn(len(ref.states))]
+		for tries := 0; tries < 256; tries++ {
+			v := graph.VertexID(rng.Intn(n))
+			if p := st.parentOf(v); p != graph.NoVertex {
+				w, _ := g.HasEdge(p, v)
+				return graph.Del(p, v, w)
+			}
+		}
+		return graph.Del(0, 1, 1)
+	}
+	present := func() (graph.VertexID, graph.Edge, bool) {
+		for tries := 0; tries < 256; tries++ {
+			u := graph.VertexID(rng.Intn(n))
+			if out := g.Out(u); len(out) > 0 {
+				return u, out[rng.Intn(len(out))], true
+			}
+		}
+		return 0, graph.Edge{}, false
+	}
+	ups := []graph.Update{treeDel()}
+	for len(ups) < size-1 {
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		w := weight()
+		switch rng.Intn(8) {
+		case 0: // one edge three times: in, out, back in at another weight
+			ups = append(ups, graph.Add(u, v, w), graph.Del(u, v, w), graph.Add(u, v, weight()))
+		case 1: // same edge directly behind an unsafe deletion
+			d := treeDel()
+			ups = append(ups, d, graph.Add(d.From, d.To, weight()))
+		case 2: // noops: duplicate add at the stored weight, delete of a (likely) absent edge
+			if pu, e, ok := present(); ok {
+				ups = append(ups, graph.Add(pu, e.To, e.W))
+			}
+			ups = append(ups, graph.Del(u, v, w))
+		case 3: // reweight of a present edge
+			if pu, e, ok := present(); ok {
+				ups = append(ups, graph.Add(pu, e.To, weight()))
+			}
+		case 4:
+			ups = append(ups, treeDel())
+		case 5:
+			if pu, e, ok := present(); ok {
+				ups = append(ups, graph.Del(pu, e.To, e.W))
+			}
+		default:
+			ups = append(ups, graph.Add(u, v, w))
+		}
+	}
+	return append(ups, treeDel())
+}
+
+// sameConvergedState fails unless fast and ref hold the same topology and,
+// for every query, bit-identical converged values at every vertex.
+func sameConvergedState(t *testing.T, where string, fast, ref *MultiCISO) {
+	t.Helper()
+	if fast.g.NumEdges() != ref.g.NumEdges() {
+		t.Fatalf("%s: %d edges, reference %d", where, fast.g.NumEdges(), ref.g.NumEdges())
+	}
+	for u := 0; u < ref.g.NumVertices(); u++ {
+		for _, e := range ref.g.Out(graph.VertexID(u)) {
+			if w, ok := fast.g.HasEdge(graph.VertexID(u), e.To); !ok || w != e.W {
+				t.Fatalf("%s: edge %d->%d = (%v,%v), reference weight %v", where, u, e.To, w, ok, e.W)
+			}
+		}
+	}
+	for i := range ref.states {
+		for v := 0; v < ref.g.NumVertices(); v++ {
+			got, want := fast.states[i].value(graph.VertexID(v)), ref.states[i].value(graph.VertexID(v))
+			if got != want {
+				t.Fatalf("%s: query %v vertex %d: value %v, reference %v", where, ref.queries[i], v, got, want)
+			}
+		}
+	}
+}
+
+// TestForwardPassDifferential is the forward pass's equivalence proof: on
+// seeded adversarial groups, for every algebra and store, ApplyUpdates must
+// leave the topology, every answer and every converged value identical to
+// one ApplyBatch per update.
+func TestForwardPassDifferential(t *testing.T) {
+	for _, a := range algo.All() {
+		for _, kind := range []StoreKind{StoreDense, StoreSparse} {
+			ds := graph.RMAT("fwd", 6, 400, graph.DefaultRMAT, 16, 5)
+			init := graph.FromEdgeList(ds)
+			hubs := init.TopDegreeVertices(2)
+			qs := []Query{{S: hubs[0], D: 7}, {S: hubs[0], D: 21}, {S: hubs[1], D: 40}, {S: 3, D: hubs[1]}}
+			fast := NewMultiCISO(WithStore(kind))
+			fast.Reset(init.Clone(), a, qs)
+			ref := NewMultiCISO(WithStore(kind))
+			ref.Reset(init.Clone(), a, qs)
+			rng := rand.New(rand.NewSource(17))
+			unsafe := 0
+			for gi := 0; gi < 12; gi++ {
+				group := adversarialGroup(rng, ref, 48)
+				fs, err := fast.ApplyUpdates(group)
+				if err != nil {
+					t.Fatalf("%s/%v group %d: %v", a.Name(), kind, gi, err)
+				}
+				if fs.Safe+fs.Unsafe != len(group) {
+					t.Fatalf("%s/%v group %d: routed %d+%d of %d", a.Name(), kind, gi, fs.Safe, fs.Unsafe, len(group))
+				}
+				unsafe += fs.Unsafe
+				for _, up := range group {
+					ref.ApplyBatch([]graph.Update{up})
+				}
+				sameConvergedState(t, a.Name()+"/"+kind.String(), fast, ref)
+			}
+			if unsafe == 0 {
+				t.Fatalf("%s/%v: no update was routed unsafe; the groups test nothing", a.Name(), kind)
+			}
+		}
+	}
+}
+
+// faultAlgo is PPSP whose Propagate panics while broken is set.
+type faultAlgo struct {
+	algo.PPSP
+	broken atomic.Bool
+}
+
+func (f *faultAlgo) Propagate(u algo.Value, w float64) algo.Value {
+	if f.broken.Load() {
+		panic("fastpath_test: injected plugin panic")
+	}
+	return f.PPSP.Propagate(u, w)
+}
+
+// freshReps derives the scan set from the registration list alone: the
+// first non-suspect query of each source in first-registration order, then
+// every suspect query.
+func freshReps(m *MultiCISO) []*state {
+	var reps []*state
+	seen := make(map[graph.VertexID]bool)
+	for _, q := range m.queries {
+		if seen[q.S] {
+			continue
+		}
+		seen[q.S] = true
+		for j, qj := range m.queries {
+			if qj.S == q.S && !m.suspect[j] {
+				reps = append(reps, m.states[j])
+				break
+			}
+		}
+	}
+	for j, st := range m.states {
+		if m.suspect[j] {
+			reps = append(reps, st)
+		}
+	}
+	return reps
+}
+
+func checkReps(t *testing.T, where string, m *MultiCISO) {
+	t.Helper()
+	want := freshReps(m)
+	if len(m.reps) != len(want) {
+		t.Fatalf("%s: %d representatives, a fresh rebuild has %d", where, len(m.reps), len(want))
+	}
+	for i := range want {
+		if m.reps[i] != want[i] {
+			t.Fatalf("%s: representative %d is query %v, a fresh rebuild has %v", where, i, m.reps[i].q, want[i].q)
+		}
+	}
+}
+
+// TestRepresentativesMaintained drives every transition that can change
+// the representative slice — Reset, AddQuery of old and new sources, a
+// plugin failure across a fast-path group whose recoveries fail too (queries
+// turn suspect and join the slice themselves), later recoveries that succeed
+// (healthy again) — and after each one the slice must equal a fresh rebuild,
+// with answers still matching the batch path.
+func TestRepresentativesMaintained(t *testing.T) {
+	ds := graph.RMAT("reps", 6, 400, graph.DefaultRMAT, 16, 9)
+	init := graph.FromEdgeList(ds)
+	hubs := init.TopDegreeVertices(3)
+	fa := &faultAlgo{}
+	m := NewMultiCISO()
+	m.Reset(init.Clone(), fa, []Query{{S: hubs[0], D: 9}, {S: hubs[1], D: 11}, {S: hubs[0], D: 30}})
+	ref := NewMultiCISO()
+	ref.Reset(init.Clone(), algo.PPSP{}, m.Queries())
+	checkReps(t, "after Reset", m)
+
+	m.AddQuery(Query{S: hubs[1], D: 5})
+	m.AddQuery(Query{S: hubs[2], D: 5})
+	ref.AddQuery(Query{S: hubs[1], D: 5})
+	ref.AddQuery(Query{S: hubs[2], D: 5})
+	checkReps(t, "after AddQuery", m)
+
+	rng := rand.New(rand.NewSource(3))
+	apply := func(where string, wantErr bool) {
+		t.Helper()
+		group := adversarialGroup(rng, ref, 24)
+		if _, err := m.ApplyUpdates(group); (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v, want error %v", where, err, wantErr)
+		}
+		for _, up := range group {
+			ref.ApplyBatch([]graph.Update{up})
+		}
+		checkReps(t, where, m)
+	}
+	apply("healthy group", false)
+
+	// The plugin breaks for a whole group: scans and phases panic, and so do
+	// the recovery recomputes, which leaves the processed queries suspect.
+	fa.broken.Store(true)
+	apply("broken group", true)
+	fa.broken.Store(false)
+	if m.nSuspect == 0 {
+		t.Fatal("a group-long plugin failure left no query suspect")
+	}
+	m.AddQuery(Query{S: hubs[0], D: 17}) // joins a group whose members are suspect
+	ref.AddQuery(Query{S: hubs[0], D: 17})
+	checkReps(t, "AddQuery beside suspects", m)
+
+	// A later recovery whose recompute succeeds turns a query healthy again.
+	for i := range m.states {
+		m.mu.Lock()
+		m.repairState(i)
+		m.mu.Unlock()
+		checkReps(t, "after a successful recovery", m)
+	}
+	if m.nSuspect != 0 {
+		t.Fatalf("%d queries still suspect after recovering every one", m.nSuspect)
+	}
+	apply("healthy again", false)
+	got, want := m.Answers(), ref.Answers()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: %v, batch path %v", i, got[i], want[i])
+		}
+	}
+
+	m.Reset(init.Clone(), fa, m.Queries()[:2])
+	checkReps(t, "after second Reset", m)
+}
+
+// TestRepresentativesUnderConcurrentAddQuery registers queries from one
+// goroutine while another streams fast-path groups (run with -race): the
+// slice must come out equal to a fresh rebuild and every answer equal to a
+// cold start on the final topology.
+func TestRepresentativesUnderConcurrentAddQuery(t *testing.T) {
+	ds := graph.RMAT("repsload", 7, 900, graph.DefaultRMAT, 16, 12)
+	w, err := stream.New(ds, stream.Config{LoadFraction: 0.5, AddsPerBatch: 30, DelsPerBatch: 30, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := w.QueryPairs(6)
+	m := NewMultiCISO()
+	m.Reset(w.Initial(), algo.PPSP{}, []Query{{S: pairs[0][0], D: pairs[0][1]}})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for bi := 0; bi < 8; bi++ {
+			if _, err := m.ApplyUpdates(w.NextBatch()); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i, p := range pairs[1:] {
+		m.AddQuery(Query{S: p[0], D: p[1]})
+		m.AddQuery(Query{S: pairs[i][0], D: p[1]}) // an already registered source
+	}
+	wg.Wait()
+	checkReps(t, "after concurrent AddQuery", m)
+	cold := NewMultiCISO()
+	cold.Reset(m.g.Clone(), algo.PPSP{}, m.Queries())
+	got, want := m.Answers(), cold.Answers()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: %v, cold start %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestForwardPassLinearScans is the linearity guard: on a 4,096-update group
+// with at least a tenth of the updates unsafe, the forward pass judges every
+// update at most twice. (Re-classifying the remaining suffix after every
+// unsafe run, as the fast path once did, costs ~25 scans per update here.)
+func TestForwardPassLinearScans(t *testing.T) {
+	ds := graph.RMAT("linear", 10, 16<<10, graph.DefaultRMAT, 16, 21)
+	w, err := stream.New(ds, stream.Config{LoadFraction: 0.5, AddsPerBatch: 2048, DelsPerBatch: 2048, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := w.Initial()
+	var qs []Query
+	for i, s := range init.TopDegreeVertices(4) {
+		qs = append(qs, Query{S: s, D: graph.VertexID(100 + i)})
+	}
+	m := NewMultiCISO()
+	m.Reset(init, algo.PPSP{}, qs)
+	group := w.NextBatch() // adds then deletes, all on distinct edges: any order is valid
+	rand.New(rand.NewSource(21)).Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+	fs, err := m.ApplyUpdates(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(group) != 4096 || fs.Unsafe*10 < len(group) {
+		t.Fatalf("group of %d with %d unsafe updates: need 4096 with at least a tenth unsafe", len(group), fs.Unsafe)
+	}
+	scans := m.Counters().Get(stats.CntUpdateClassifyScans)
+	if scans < int64(fs.Safe) || scans > 2*int64(len(group)) {
+		t.Fatalf("%d classification scans for %d updates (%d safe): want between safe and 2x the group", scans, len(group), fs.Safe)
+	}
+}
+
+// TestApplyUpdatesSafeGroupZeroAlloc pins the safe path's cost model: a group
+// of safe updates is topology writes and slice scans, nothing else.
+func TestApplyUpdatesSafeGroupZeroAlloc(t *testing.T) {
+	g := graph.NewDynamic(64)
+	for v := 0; v < 63; v++ {
+		g.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
+	}
+	m := NewMultiCISO()
+	m.Reset(g, algo.PPSP{}, []Query{{S: 0, D: 63}, {S: 1, D: 40}, {S: 0, D: 12}})
+	var group []graph.Update
+	for v := 0; v < 60; v++ { // a far heavier parallel route in, then out again
+		group = append(group, graph.Add(graph.VertexID(v), graph.VertexID(v+2), 100))
+	}
+	for v := 0; v < 60; v++ {
+		group = append(group, graph.Del(graph.VertexID(v), graph.VertexID(v+2), 100))
+	}
+	m.ApplyUpdatesDelta(group) // the adjacency lists grow once
+	allocs := testing.AllocsPerRun(20, func() {
+		fs, _, err := m.ApplyUpdatesDelta(group)
+		if err != nil || fs.Unsafe != 0 {
+			t.Fatalf("safe group routed %+v, err %v", fs, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("all-safe group allocates %v times per call, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,23 +89,35 @@ type MultiCISO struct {
 	// decides, for the whole source group, whether the batch can touch the
 	// group's converged state at all; if it provably cannot, every member's
 	// per-query phases are skipped and their answers are served unchanged.
-	skip     bool                     // skipping enabled (default; WithChangeSkip)
-	bySource map[graph.VertexID][]int // query indices per source, reg. order
-	suspect  []bool                   // degraded state: never skip, never represent
+	//
+	// The grouping is maintained, never derived on a hot path: groups lists
+	// the source groups in first-registration order, and reps is the state set
+	// the fast path's uselessness scans walk — one non-suspect representative
+	// per group, then every suspect state (with skipping disabled, every
+	// state). Both change only in Reset, installLocked and setSuspectLocked,
+	// so batch and per-update routing range over slices in a fixed order.
+	skip     bool                   // skipping enabled (default; WithChangeSkip)
+	groups   []sourceGroup          // first-registration order
+	groupOf  map[graph.VertexID]int // source → index into groups
+	reps     []*state               // uselessness scan set (see above)
+	suspect  []bool                 // degraded state: never skip, never represent
 	nSuspect int
-	skipSrc  map[graph.VertexID]bool // per-batch skip decision scratch
-	lastSums []ChangeSummary         // last batch's per-source dirty summaries
+	lastSums []ChangeSummary // last batch's per-source dirty summaries
 
 	scs        []*scratch // per-worker-slot scratch, created on demand
 	beforeBufs [][]int64  // reusable per-query pre-batch counter snapshots
 	activeBuf  []int      // reusable processed-query index list
 	errsBuf    []error    // reusable per-active-query error slots
 	preAnsBuf  []algo.Value
+	attachBuf  []dirtyAttach   // reusable per-processed-group recorder list
+	spanBuf    []time.Duration // reusable per-active-query phase-A spans
+}
 
-	// Per-update fast-path scratch (fastpath.go), reused across groups.
-	fpNorm    []fpNorm
-	fpSafe    []bool
-	fpTouched map[uint64]struct{}
+// sourceGroup is the registered queries sharing one source vertex.
+type sourceGroup struct {
+	src     graph.VertexID
+	members []int // query indices, registration order
+	rep     int   // first non-suspect member; -1 while every member is suspect
 }
 
 type baseEntry struct {
@@ -233,21 +246,60 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	m.cnts = make([]*stats.Counters, 0, len(queries))
 	m.ch = make([]classHandles, 0, len(queries))
 	m.beforeBufs = nil
-	m.bySource = make(map[graph.VertexID][]int, len(queries))
+	m.groups = nil
+	m.groupOf = make(map[graph.VertexID]int)
 	m.suspect = make([]bool, len(queries))
 	m.nSuspect = 0
 	m.lastSums = nil
 	for i, q := range queries {
-		m.bySource[q.S] = append(m.bySource[q.S], i)
-	}
-	for _, q := range queries {
 		cnt := stats.NewCounters()
 		st := m.buildStateLocked(q, cnt)
 		m.states = append(m.states, st)
 		m.cnts = append(m.cnts, cnt)
 		m.ch = append(m.ch, newClassHandles(cnt))
+		m.joinGroupLocked(q.S, i)
 	}
+	m.rebuildRepsLocked()
 	m.mergeCounters()
+}
+
+// joinGroupLocked files query i under its source's group, opening the group
+// on the source's first registration.
+func (m *MultiCISO) joinGroupLocked(src graph.VertexID, i int) {
+	gi, ok := m.groupOf[src]
+	if !ok {
+		gi = len(m.groups)
+		m.groupOf[src] = gi
+		m.groups = append(m.groups, sourceGroup{src: src})
+	}
+	m.groups[gi].members = append(m.groups[gi].members, i)
+}
+
+// rebuildRepsLocked re-derives every group's representative and the scan
+// set from the registered states and suspect marks.
+func (m *MultiCISO) rebuildRepsLocked() {
+	m.reps = m.reps[:0]
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		g.rep = -1
+		for _, i := range g.members {
+			if !m.suspect[i] {
+				g.rep = i
+				break
+			}
+		}
+		if m.skip && g.rep >= 0 {
+			m.reps = append(m.reps, m.states[g.rep])
+		}
+	}
+	if m.skip && m.nSuspect == 0 {
+		return
+	}
+	for i, st := range m.states {
+		if !m.skip || m.suspect[i] {
+			m.reps = append(m.reps, st)
+		}
+	}
 }
 
 // buildStateLocked converges a state for q on the live topology (write lock
@@ -361,11 +413,9 @@ func (m *MultiCISO) installLocked(q Query, cnt *stats.Counters, st *state) int {
 	m.cnts = append(m.cnts, cnt)
 	m.ch = append(m.ch, newClassHandles(cnt))
 	m.states = append(m.states, st)
-	if m.bySource == nil {
-		m.bySource = make(map[graph.VertexID][]int)
-	}
-	m.bySource[q.S] = append(m.bySource[q.S], i)
 	m.suspect = append(m.suspect, false)
+	m.joinGroupLocked(q.S, i)
+	m.rebuildRepsLocked()
 	m.cnt.AddAll(cnt) // fold the initial compute into the merged view
 	return i
 }
@@ -383,6 +433,7 @@ func (m *MultiCISO) setSuspectLocked(i int, s bool) {
 	} else {
 		m.nSuspect--
 	}
+	m.rebuildRepsLocked()
 }
 
 // mergeCounters rebuilds the combined view from every query's totals — paid
@@ -514,6 +565,23 @@ func (m *MultiCISO) applyBatchLocked(batch []graph.Update) []Result {
 	return res
 }
 
+// spanClock reads the wall clock only when on; off, every span is zero.
+type spanClock struct{ on bool }
+
+func (c spanClock) now() time.Time {
+	if c.on {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+func (c spanClock) since(t time.Time) time.Duration {
+	if c.on {
+		return time.Since(t)
+	}
+	return 0
+}
+
 // dirtyAttach pins one batch's change summary to the representative state
 // recording it, so the recorder can be detached when the batch ends.
 type dirtyAttach struct {
@@ -531,8 +599,11 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		results = make([]Result, nq)
 	}
 
+	// Only ApplyBatch reports spans, so only it reads the clock.
+	clk := spanClock{on: wantResults}
+
 	// Shared, once: normalization against the pre-batch topology.
-	t0 := time.Now()
+	t0 := clk.now()
 	nb := NormalizeBatch(m.g, batch)
 
 	// Change-driven skip decision, per source group, against the pre-batch
@@ -550,31 +621,28 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	// all members. Suspect (degraded) queries are never skipped and never
 	// represent.
 	active := m.activeBuf[:0]
-	var attach []dirtyAttach
+	attach := m.attachBuf[:0]
 	var scanErrs map[int]error // rep query index → panic recovered in the skip scan
-	m.lastSums = m.lastSums[:0]
+	// Summaries are recorded in place: grown up front so the recorder
+	// pointers handed to the states stay valid, and each slot's vertex buffer
+	// is reused (ChangeSummaries hands out deep copies).
+	m.lastSums = slices.Grow(m.lastSums[:0], len(m.groups))
 	skippedGroups := 0
-	if m.skipSrc == nil {
-		m.skipSrc = make(map[graph.VertexID]bool, len(m.bySource))
-	}
-	clear(m.skipSrc)
-	for src, members := range m.bySource {
-		rep := -1
-		if m.nSuspect == 0 {
-			rep = members[0]
-		} else {
-			for _, i := range members {
-				if !m.suspect[i] {
-					rep = i
-					break
-				}
-			}
-		}
-		if m.skip && rep >= 0 {
-			unaffected, scanErr := m.groupUnaffectedLocked(rep, nb)
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		if m.skip && g.rep >= 0 {
+			unaffected, scanErr := m.groupUnaffectedLocked(g.rep, nb)
 			if unaffected {
-				m.skipSrc[src] = true
 				skippedGroups++
+				// Suspect members of a skipped group still process
+				// individually.
+				if m.nSuspect > 0 {
+					for _, i := range g.members {
+						if m.suspect[i] {
+							active = append(active, i)
+						}
+					}
+				}
 				continue
 			}
 			if scanErr != nil {
@@ -585,35 +653,24 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 				if scanErrs == nil {
 					scanErrs = make(map[int]error, 1)
 				}
-				scanErrs[rep] = scanErr
+				scanErrs[g.rep] = scanErr
 			}
 		}
 		// Processed group: one representative member records the region's
 		// dirty set for the batch's change summaries.
-		ri := rep
+		ri := g.rep
 		if ri < 0 {
-			ri = members[0]
+			ri = g.members[0]
 		}
-		cs := &ChangeSummary{Source: src}
+		k := len(m.lastSums)
+		m.lastSums = m.lastSums[:k+1]
+		cs := &m.lastSums[k]
+		*cs = ChangeSummary{Source: g.src, Vertices: cs.Vertices[:0]}
 		m.states[ri].dirty = cs
 		attach = append(attach, dirtyAttach{st: m.states[ri], cs: cs})
-		if m.nSuspect == 0 {
-			active = append(active, members...)
-		} else {
-			for _, i := range members {
-				active = append(active, i)
-			}
-		}
+		active = append(active, g.members...)
 	}
-	// Suspect members of skipped groups still process individually.
-	if m.nSuspect > 0 {
-		for i := range m.states {
-			if m.suspect[i] && m.skipSrc[m.queries[i].S] {
-				active = append(active, i)
-			}
-		}
-	}
-	m.activeBuf = active
+	m.activeBuf, m.attachBuf = active, attach
 	skipped := nq - len(active)
 
 	// Nested-parallelism policy (DESIGN.md §16): flip the processed states
@@ -678,28 +735,34 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	for i := range attach {
 		attach[i].cs.Epoch = m.epoch
 	}
-	addEvents := append(append([]graph.Update(nil), nb.Adds...), reweightAdds(nb)...)
-	addTopoSpan := time.Since(t0)
+	// A reweight is an addition event at the new weight plus a deletion
+	// event at the old one; nb's slices are this call's own, so the event
+	// lists extend them in place.
+	addEvents, delEvents := nb.Adds, nb.Dels
+	for _, rw := range nb.Reweights {
+		addEvents = append(addEvents, graph.Add(rw.From, rw.To, rw.NewW))
+		delEvents = append(delEvents, graph.Del(rw.From, rw.To, rw.OldW))
+	}
+	addTopoSpan := clk.since(t0)
 
 	// Phase A per processed query on the worker pool (the topology is
 	// read-only from here until the shared deletion pass).
-	addSpans := make([]time.Duration, len(active))
+	addSpans := slices.Grow(m.spanBuf[:0], len(active))[:len(active)]
+	m.spanBuf = addSpans
 	m.forEachQuery(active, errs, func(k, i int) {
-		tq := time.Now()
+		tq := clk.now()
 		for _, up := range addEvents {
 			m.states[i].processAddition(up.From, up.To, up.W)
 		}
-		addSpans[k] = time.Since(tq)
+		addSpans[k] = clk.since(tq)
 	})
 
 	// Shared: deletion topology.
-	t1 := time.Now()
+	t1 := clk.now()
 	for _, up := range nb.Dels {
 		m.g.RemoveEdge(up.From, up.To)
 	}
-	delEvents := append(append([]graph.Update(nil), nb.Dels...), reweightDels(nb)...)
-	delTopoSpan := time.Since(t1)
-	sharedSpan := addTopoSpan + delTopoSpan
+	sharedSpan := addTopoSpan + clk.since(t1)
 
 	// Phases B–D per processed query: classify, prioritise, promote,
 	// answer, delayed.
@@ -707,7 +770,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		st := m.states[i]
 		ch := m.ch[i]
 		onPath := st.sc.onPath
-		tq := time.Now()
+		tq := clk.now()
 		st.keyPath(onPath)
 		var valuable, delayed []pendingDeletion
 		for _, up := range delEvents {
@@ -741,18 +804,17 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		// Every query's response includes the (single) shared topology
 		// span — the batch cannot be answered without it — plus its own
 		// per-query phases.
-		response := sharedSpan + addSpans[k] + time.Since(tq)
+		response := sharedSpan + addSpans[k] + clk.since(tq)
 		for k := range delayed {
 			if !delayed[k].done {
 				st.repairVertex(delayed[k].v)
 			}
 		}
-		converged := sharedSpan + addSpans[k] + time.Since(tq)
 		if wantResults {
 			results[i] = Result{
 				Answer:    st.answer(),
 				Response:  response,
-				Converged: converged,
+				Converged: sharedSpan + addSpans[k] + clk.since(tq),
 				cntSrc:    m.cnts[i],
 				cntDelta:  m.cnts[i].DenseDelta(m.beforeBufs[i]),
 			}
@@ -781,11 +843,9 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 			joinedErrs = append(joinedErrs, err)
 		}
 	}
-	// Detach and finalise the per-source change summaries.
+	// Detach the per-source change recorders.
 	for _, at := range attach {
 		at.st.dirty = nil
-		at.cs.finalize()
-		m.lastSums = append(m.lastSums, *at.cs)
 	}
 	// Fold each processed query's per-batch delta into the merged view.
 	// Every counter movement of this batch — recovery recomputes included —
@@ -856,7 +916,7 @@ func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffect
 	}()
 	a := m.a
 	for _, up := range nb.Adds {
-		if a.Better(a.Propagate(st.value(up.From), a.Weight(up.W)), st.value(up.To)) {
+		if !addUseless(a, st, up.From, up.To, up.W) {
 			return false, nil
 		}
 	}
@@ -869,11 +929,17 @@ func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffect
 		if !delUseless(a, st, rw.From, rw.To, rw.OldW) {
 			return false, nil
 		}
-		if a.Better(a.Propagate(st.value(rw.From), a.Weight(rw.NewW)), st.value(rw.To)) {
+		if !addUseless(a, st, rw.From, rw.To, rw.NewW) {
 			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// addUseless is ClassifyAddition's uselessness test against st's values: the
+// new edge u→v (weight w) does not improve the head.
+func addUseless(a algo.Algorithm, st *state, u, v graph.VertexID, w float64) bool {
+	return !a.Better(a.Propagate(st.value(u), a.Weight(w)), st.value(v))
 }
 
 // delUseless is ClassifyDeletion's uselessness test against st's values: the
@@ -891,11 +957,19 @@ func delUseless(a algo.Algorithm, st *state, u, v graph.VertexID, w0 float64) bo
 // most recently applied batch: one entry per PROCESSED source group listing
 // which vertices of that group's converged region the batch wrote (sorted,
 // deduplicated, Overflow-capped). Sources absent from the slice were proven
-// unaffected — their regions did not change at all. The slice is a copy.
+// unaffected — their regions did not change at all. The result is a deep
+// copy; the engine records raw writes and this read pays for the sort.
 func (m *MultiCISO) ChangeSummaries() []ChangeSummary {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]ChangeSummary(nil), m.lastSums...)
+	out := make([]ChangeSummary, len(m.lastSums))
+	for i, cs := range m.lastSums {
+		cs.Vertices = slices.Clone(cs.Vertices)
+		slices.Sort(cs.Vertices)
+		cs.Vertices = slices.Compact(cs.Vertices)
+		out[i] = cs
+	}
+	return out
 }
 
 // forEachQuery runs f(k, idxs[k]) for every listed query whose errs[k] entry
@@ -989,20 +1063,4 @@ func (m *MultiCISO) repairState(i int) {
 	st.sc.clear()
 	st.fullCompute()
 	ok = true
-}
-
-func reweightAdds(nb NormalizedBatch) []graph.Update {
-	out := make([]graph.Update, 0, len(nb.Reweights))
-	for _, rw := range nb.Reweights {
-		out = append(out, graph.Add(rw.From, rw.To, rw.NewW))
-	}
-	return out
-}
-
-func reweightDels(nb NormalizedBatch) []graph.Update {
-	out := make([]graph.Update, 0, len(nb.Reweights))
-	for _, rw := range nb.Reweights {
-		out = append(out, graph.Del(rw.From, rw.To, rw.OldW))
-	}
-	return out
 }

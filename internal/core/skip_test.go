@@ -182,8 +182,9 @@ func TestApplyBatchDeltaMatchesResults(t *testing.T) {
 	}
 }
 
-// TestApplyUpdatesDeltaMatches pins the lean per-update face against the
-// classic one on a mixed safe/unsafe stream.
+// TestApplyUpdatesDeltaMatches pins the per-update path's delta report on a
+// mixed safe/unsafe stream: routing is deterministic across engines, and the
+// changed set is exactly the answers that moved across the group.
 func TestApplyUpdatesDeltaMatches(t *testing.T) {
 	ds := graph.RMAT("skipfpd", 8, 2000, graph.DefaultRMAT, 16, 80)
 	w, err := stream.New(ds, stream.Config{

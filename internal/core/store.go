@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
@@ -395,9 +394,10 @@ const changeSummaryCap = 512
 type ChangeSummary struct {
 	Source graph.VertexID
 	Epoch  uint64
-	// Vertices lists the touched vertices (sorted, deduplicated after the
-	// batch). Empty with Overflow false means the region provably did not
-	// change.
+	// Vertices lists the touched vertices, sorted and deduplicated as
+	// returned by MultiCISO.ChangeSummaries (the engine's own record is the
+	// raw write sequence). Empty with Overflow false means the region
+	// provably did not change.
 	Vertices []graph.VertexID
 	// Overflow is set when the batch touched more than changeSummaryCap
 	// vertices; Vertices then holds only a prefix of the dirty set.
@@ -406,7 +406,7 @@ type ChangeSummary struct {
 
 // note records a vertex write. Called from the propagation hot path through
 // a nil-checked pointer, so it must stay small; duplicates are tolerated
-// here and squeezed out by finalize.
+// here and squeezed out when the summary is read.
 func (cs *ChangeSummary) note(v graph.VertexID) {
 	if cs.Overflow {
 		return
@@ -422,19 +422,4 @@ func (cs *ChangeSummary) note(v graph.VertexID) {
 func (cs *ChangeSummary) noteAll() {
 	cs.Overflow = true
 	cs.Vertices = cs.Vertices[:0]
-}
-
-// finalize sorts and deduplicates the recorded set (batch end).
-func (cs *ChangeSummary) finalize() {
-	if len(cs.Vertices) < 2 {
-		return
-	}
-	sort.Slice(cs.Vertices, func(i, j int) bool { return cs.Vertices[i] < cs.Vertices[j] })
-	out := cs.Vertices[:1]
-	for _, v := range cs.Vertices[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	cs.Vertices = out
 }

@@ -44,9 +44,10 @@ type applyLatBucket struct {
 	next  int // ring write position once len(ring) == applyLatRing
 }
 
-// applyLatRecorder is the concurrency-safe recorder. All three apply paths
-// (batcher, WAL replay, follower tail) record through it; the per-batch
-// mutex is noise next to an engine apply.
+// applyLatRecorder is the concurrency-safe recorder. Every apply path
+// (batcher, per-update fast path, WAL replay, follower tail) records through
+// it, a fast-path group under its update count; the per-apply mutex is noise
+// next to an engine apply.
 type applyLatRecorder struct {
 	mu      sync.Mutex
 	buckets [applyLatBuckets]applyLatBucket

@@ -242,7 +242,9 @@ func (f *fastPath) commitGroup(entries []*fpEntry) {
 			s.dedup.advance(rec.SID, rec.Seq)
 		}
 		sh.Apply(clean)
+		tEng := time.Now()
 		_, changed, perr := s.pool.ApplyUpdates(clean)
+		s.applyLat.record(len(clean), time.Since(tEng))
 		if perr != nil {
 			s.h.degraded.Inc()
 			s.setLastErr(perr)

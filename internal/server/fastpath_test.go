@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
+	"cisgraph/internal/stats"
 )
 
 // binTestClient is a minimal binary-protocol client for tests: one frame in
@@ -137,6 +140,17 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 		if float64(ans.Value) != float64(want[i]) {
 			t.Fatalf("query %d: served %v, offline %v", i, ans.Value, want[i])
 		}
+	}
+	// Each frame went through alone, so /healthz apply_latency must hold one
+	// engine apply per fast-path group.
+	var hz healthzResponse
+	getJSON(t, client, ts.URL+"/healthz", &hz)
+	var applies uint64
+	for _, b := range hz.ApplyLatency {
+		applies += b.Count
+	}
+	if applies != 6 {
+		t.Fatalf("healthz apply_latency holds %d applies after 6 fast-path groups: %+v", applies, hz.ApplyLatency)
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
@@ -345,6 +359,103 @@ func TestFastPathWALRestore(t *testing.T) {
 	}
 	if err := srv2.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreReplaysFastPathGroups restores from the artefacts a SIGKILL
+// would leave — a checkpoint taken before the stream and a WAL suffix of
+// single-update fast-path records with multi-update JSON batches between
+// them, copied aside while the daemon is still up. The replay (per-update
+// groups for the singles, the batch machinery for the batches) must serve
+// the pre-kill /v1/answers byte for byte.
+func TestRestoreReplaysFastPathGroups(t *testing.T) {
+	w := testWorkload(t)
+	a := testAlgo(t)
+	dir := t.TempDir()
+	cfg := testServerConfig()
+	cfg.WALPath = filepath.Join(dir, "srv.wal")
+	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
+
+	srv, err := New(w.Initial(), a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	for _, p := range w.QueryPairsConnected(4) {
+		postJSON(t, client, ts.URL+"/v1/query", queryRequest{S: p[0], D: p[1]})
+	}
+	if err := srv.writeCheckpoint(); err != nil { // carries the queries; covers no update
+		t.Fatal(err)
+	}
+	bc, closeBin := dialBinary(t, srv)
+	defer closeBin()
+	for i := 0; i < 7; i++ {
+		if i == 3 {
+			postUpdatesHTTP(t, client, ts.URL, w.NextBatch())
+			waitQuiescedSrv(t, srv)
+			continue
+		}
+		if ack := bc.roundTrip(w.NextBatch()); ack.Status != BinStatusOK {
+			t.Fatalf("frame %d: status %d", i, ack.Status)
+		}
+	}
+	rawAnswers := func(url string) []byte {
+		resp, err := http.Get(url + "/v1/answers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	before := rawAnswers(ts.URL)
+
+	// The "kill": everything durable so far, without the drain's checkpoint.
+	killed := t.TempDir()
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path) // path came from walking dir
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(killed, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(killed, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.WALPath = filepath.Join(killed, "srv.wal")
+	cfg.CheckpointPath = filepath.Join(killed, "srv.ckpt")
+	srv2, err := Restore(a, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Drain()
+	if srv2.Applied() != srv.Applied() {
+		t.Fatalf("restored position %d, want %d", srv2.Applied(), srv.Applied())
+	}
+	cnt := srv2.Pool().Counters()
+	if cnt.Get(stats.CntUpdateSafe)+cnt.Get(stats.CntUpdateUnsafe) == 0 {
+		t.Fatal("restore replayed no record through the per-update path")
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	if after := rawAnswers(ts2.URL); !bytes.Equal(before, after) {
+		t.Fatalf("restored /v1/answers differ:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -306,17 +306,41 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// WAL-replayed batches were already sanitized by the pre-crash run;
 	// they go straight through the shadow and the pool.
 	sh := s.shadow.Load()
-	for _, rec := range replay {
-		sh.Apply(rec.Batch)
+	var group []graph.Update
+	for i := 0; i < len(replay); {
+		// Consecutive single-update records — what the per-update fast path
+		// logs — replay as one fast-path group, the routing their original
+		// commit took; multi-update records replay as the batches they were.
+		// Every record stays its own stream position either way.
+		batch, j := replay[i].Batch, i+1
+		single := len(batch) == 1
+		if single {
+			group = append(group[:0], batch[0])
+			for j < len(replay) && len(replay[j].Batch) == 1 && len(group) < cfg.FastGroupMax {
+				group = append(group, replay[j].Batch[0])
+				j++
+			}
+			batch = group
+		}
+		sh.Apply(batch)
 		// Replay precedes serving — no watch subscriber can exist yet, so
 		// the changed set is discarded.
+		var perr error
 		tEng := time.Now()
-		if _, perr := s.pool.ApplyBatch(rec.Batch); perr != nil {
+		if single {
+			_, _, perr = s.pool.ApplyUpdates(batch)
+		} else {
+			_, perr = s.pool.ApplyBatch(batch)
+		}
+		s.applyLat.record(len(batch), time.Since(tEng))
+		if perr != nil {
 			s.setLastErr(perr)
 		}
-		s.applyLat.record(len(rec.Batch), time.Since(tEng))
-		s.applied.Add(1)
-		s.dedup.advance(rec.SID, rec.Seq)
+		for _, rec := range replay[i:j] {
+			s.applied.Add(1)
+			s.dedup.advance(rec.SID, rec.Seq)
+		}
+		i = j
 	}
 	s.edges.Store(int64(sh.NumEdges()))
 	return s, nil

@@ -164,6 +164,10 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, sub *watch.Sub
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// An SSE stream is deliberately unbounded: lift the server-wide
+	// WriteTimeout off this connection only (a transport without deadlines
+	// has none to lift).
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")

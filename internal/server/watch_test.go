@@ -92,6 +92,41 @@ func nextEvent(events <-chan sseEvent, timeout time.Duration) (sseEvent, bool) {
 	}
 }
 
+// An SSE stream must outlive the HTTP server's WriteTimeout (cisgraphd sets
+// one for every other endpoint): a delta committed after the connection's
+// original write deadline has passed still reaches the subscriber.
+func TestWatchSSEOutlivesWriteTimeout(t *testing.T) {
+	g := graph.NewDynamic(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	srv, err := New(g, testAlgo(t), testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	const writeTimeout = 150 * time.Millisecond
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.WriteTimeout = writeTimeout
+	ts.Start()
+	defer ts.Close()
+	client := ts.Client()
+	if resp, body := postJSON(t, client, ts.URL+"/v1/query", queryRequest{S: 0, D: 2}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register query: status %d: %s", resp.StatusCode, body)
+	}
+
+	events, cancel := openWatch(t, client, ts.URL+"/v1/watch")
+	defer cancel()
+	if ev, ok := nextEvent(events, 5*time.Second); !ok || ev.typ != "init" {
+		t.Fatalf("first event = %+v (ok=%v), want init", ev, ok)
+	}
+	time.Sleep(2 * writeTimeout) // the deadline itself is what must pass
+	postUpdatesHTTP(t, client, ts.URL, []graph.Update{graph.Add(0, 2, 0.5)})
+	ev, ok := nextEvent(events, 5*time.Second)
+	if !ok || ev.typ != "delta" {
+		t.Fatalf("event after the write timeout = %+v (ok=%v), want delta", ev, ok)
+	}
+}
+
 // Watch subscribers see an init event, then every subsequent commit that
 // moved an answer, in order; replaying the deltas over the initial answers
 // reproduces the polled /v1/answers state exactly.

@@ -35,6 +35,11 @@ const (
 	// machinery. Both are per-engine, not per-query.
 	CntUpdateSafe   = "update_safe"
 	CntUpdateUnsafe = "update_unsafe"
+	// CntUpdateClassifyScans counts the fast path's routing work: one per
+	// judgement of one update against the representative states. The forward
+	// pass judges an update at most twice, so this stays ≤ 2× the routed
+	// updates — the linearity the tests and the FastPathUnsafeMix row guard.
+	CntUpdateClassifyScans = "update_classify_scans"
 	// CntUpdatePromoted counts delayed deletions promoted to non-delayed
 	// because a key-path change rerouted the query through them.
 	CntUpdatePromoted = "update_promoted"

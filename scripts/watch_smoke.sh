@@ -8,7 +8,8 @@
 # told to resync, the watch metric families must be exported, and a SIGTERM
 # with a live subscriber attached must drain promptly (the shutdown hook ends
 # watch streams; they must not pin the HTTP server to its deadline) while the
-# subscriber receives a clean bye event.
+# subscriber receives a clean bye event — on a stream that has by then been
+# open longer than the daemon's HTTP WriteTimeout, which must not apply to it.
 #
 # Usage: scripts/watch_smoke.sh [workdir]
 set -euo pipefail
@@ -37,9 +38,10 @@ go build -o "$WORK/loadgen" ./cmd/loadgen
 echo "== generate dataset + stream (~1.1k updates across 64 batches)"
 "$WORK/datagen" -gen rmat -scale 9 -out "$WORK/g.bel" -split -batches 64 -seed 7
 
-echo "== start cisgraphd with watch limits"
+echo "== start cisgraphd with watch limits (-request-timeout 1s => HTTP WriteTimeout 6s)"
 "$WORK/cisgraphd" -addr "$ADDR" -file "$WORK/g.bel.initial" \
-    -batch-size 64 -batch-wait 5ms -watch-queue 32 -max-watchers 64 &
+    -batch-size 64 -batch-wait 5ms -watch-queue 32 -max-watchers 64 \
+    -request-timeout 1s &
 DAEMON_PID=$!
 
 echo "== replay with 16 SSE subscribers riding along"
@@ -66,10 +68,10 @@ for fam in cisgraph_watch_subscribers cisgraph_watch_deltas cisgraph_watch_drops
         || { echo "FAIL: $fam missing from /metrics"; exit 1; }
 done
 
-echo "== SIGTERM with a live subscriber: drain must not hang, stream must say bye"
+echo "== SIGTERM with a subscriber older than the WriteTimeout: drain must not hang, stream must say bye"
 curl -fsS -N --max-time 30 "http://$ADDR/v1/watch" >"$WORK/sse_drain.txt" &
 CURL_PID=$!
-sleep 0.5 # let the subscription land before the drain begins
+sleep 7 # outlive the 6s WriteTimeout: the bye below is written after it
 kill -TERM "$DAEMON_PID"
 DEADLINE=$((SECONDS + 15))
 while kill -0 "$DAEMON_PID" 2>/dev/null; do
