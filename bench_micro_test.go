@@ -26,3 +26,5 @@ func BenchmarkParallelPropagation(b *testing.B) { bench.ParallelPropagation(b) }
 
 func BenchmarkMultiQueryScaleQ16Dense(b *testing.B)  { bench.MultiQueryScale(16, core.StoreDense)(b) }
 func BenchmarkMultiQueryScaleQ16Sparse(b *testing.B) { bench.MultiQueryScale(16, core.StoreSparse)(b) }
+
+func BenchmarkBatchRepairQ64S64(b *testing.B) { bench.BatchRepair(64, 64)(b) }

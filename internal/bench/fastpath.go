@@ -79,51 +79,95 @@ const fastPathGroup = 512
 //   - unsafe-frac — share of updates routed through the batch machinery.
 func FastPathUnsafeMix(q, sources int) func(b *testing.B) {
 	return func(b *testing.B) {
-		const scale = 12
-		n := 1 << scale
-		churn := newToggleChurn(graph.RMAT("fpmix", scale, 16*n, graph.DefaultRMAT, 64, 42), 42)
-		g := churn.initial(n)
-		rng := rand.New(rand.NewSource(42))
-		qs := make([]core.Query, 0, q)
-		for _, s := range g.TopDegreeVertices(sources) {
-			var reach []graph.VertexID
-			for v, ok := range graph.ReachableFrom(g, s) {
-				if ok && graph.VertexID(v) != s {
-					reach = append(reach, graph.VertexID(v))
-				}
-			}
-			for i := 0; i < q/sources; i++ {
-				qs = append(qs, core.Query{S: s, D: reach[rng.Intn(len(reach))]})
-			}
-		}
-		m := core.NewMultiCISO()
-		m.Reset(g, algo.PPSP{}, qs)
-		ups := make([]graph.Update, 0, fastPathGroup)
-		for i := 0; i < 8; i++ { // reach the churn's steady state before timing
-			ups = churn.fill(ups[:0], fastPathGroup)
-			if _, _, err := m.ApplyUpdatesDelta(ups); err != nil {
-				b.Fatal(err)
-			}
-		}
-		before := m.Counters().Snapshot()
-		var engine time.Duration
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ups = churn.fill(ups[:0], fastPathGroup)
-			t0 := time.Now()
+		m, churn := churnEngine(q, sources)
+		perUpd := measureChurn(b, m, churn, func(ups []graph.Update) error {
 			_, _, err := m.ApplyUpdatesDelta(ups)
-			engine += time.Since(t0)
-			if err != nil {
-				b.Fatal(err)
+			return err
+		})
+		b.ReportMetric(perUpd(stats.CntUpdateClassifyScans), "scans/upd")
+		b.ReportMetric(perUpd(stats.CntUpdateUnsafe), "unsafe-frac")
+	}
+}
+
+// measureChurn drives m with the churn in groups of fastPathGroup through
+// apply: eight untimed groups to reach the churn's steady state, then b.N
+// timed ones. It reports ns/upd — engine time per update, stream generation
+// excluded — and returns the engine counters' movement per timed update.
+func measureChurn(b *testing.B, m *core.MultiCISO, churn *toggleChurn, apply func([]graph.Update) error) func(name string) float64 {
+	ups := make([]graph.Update, 0, fastPathGroup)
+	for i := 0; i < 8; i++ {
+		ups = churn.fill(ups[:0], fastPathGroup)
+		if err := apply(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := m.Counters().Snapshot()
+	var engine time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ups = churn.fill(ups[:0], fastPathGroup)
+		t0 := time.Now()
+		err := apply(ups)
+		engine += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := m.Counters().Snapshot()
+	upd := float64(b.N * fastPathGroup)
+	b.ReportMetric(float64(engine.Nanoseconds())/upd, "ns/upd")
+	return func(name string) float64 { return float64(after[name]-before[name]) / upd }
+}
+
+// churnEngine arms a MultiCISO with q PPSP queries spread over the `sources`
+// highest-degree vertices of the loaded half of a scale-12 RMAT graph, and
+// returns it with the toggle stream that churns that graph.
+func churnEngine(q, sources int) (*core.MultiCISO, *toggleChurn) {
+	const scale = 12
+	n := 1 << scale
+	churn := newToggleChurn(graph.RMAT("fpmix", scale, 16*n, graph.DefaultRMAT, 64, 42), 42)
+	g := churn.initial(n)
+	rng := rand.New(rand.NewSource(42))
+	qs := make([]core.Query, 0, q)
+	for _, s := range g.TopDegreeVertices(sources) {
+		var reach []graph.VertexID
+		for v, ok := range graph.ReachableFrom(g, s) {
+			if ok && graph.VertexID(v) != s {
+				reach = append(reach, graph.VertexID(v))
 			}
 		}
-		b.StopTimer()
-		after := m.Counters().Snapshot()
-		d := func(name string) float64 { return float64(after[name] - before[name]) }
-		upd := float64(b.N * fastPathGroup)
-		b.ReportMetric(float64(engine.Nanoseconds())/upd, "ns/upd")
-		b.ReportMetric(d(stats.CntUpdateClassifyScans)/upd, "scans/upd")
-		b.ReportMetric(d(stats.CntUpdateUnsafe)/upd, "unsafe-frac")
+		for i := 0; i < q/sources; i++ {
+			qs = append(qs, core.Query{S: s, D: reach[rng.Intn(len(reach))]})
+		}
+	}
+	m := core.NewMultiCISO()
+	m.Reset(g, algo.PPSP{}, qs)
+	return m, churn
+}
+
+// BatchRepair measures the batch machinery's repair kernel
+// (MultiCISO.ApplyBatchDelta, no server around it) where repair dominates:
+// the same churn as FastPathUnsafeMix in bodies of 512, against q queries
+// over `sources` distinct sources, so every body carries tree-edge deletions
+// for most queries. Metrics:
+//
+//   - ns/upd — engine time per update (stream generation excluded);
+//   - relax/upd — ⊕ applications per update, summed over the queries;
+//   - leaf-frac — share of the tagging repairs whose region was the head
+//     vertex alone (repair_leaf / (repair_leaf + repair_region));
+//   - allocs/op — per 512-update body (TestApplyBatchDeltaAllocCeiling pins
+//     the ceiling).
+func BatchRepair(q, sources int) func(b *testing.B) {
+	return func(b *testing.B) {
+		m, churn := churnEngine(q, sources)
+		perUpd := measureChurn(b, m, churn, func(ups []graph.Update) error {
+			return m.ApplyBatchDelta(ups).Err
+		})
+		b.ReportMetric(perUpd(stats.CntRelax), "relax/upd")
+		if leaf, region := perUpd(stats.CntRepairLeaf), perUpd(stats.CntRepairRegion); leaf+region > 0 {
+			b.ReportMetric(leaf/(leaf+region), "leaf-frac")
+		}
 	}
 }

@@ -52,6 +52,7 @@ func Suite() []Case {
 		{Name: "PerUpdateLatency", Bench: PerUpdateLatency},
 		{Name: "FastPathUnsafeMix_Q4_S4", Bench: FastPathUnsafeMix(4, 4)},
 		{Name: "FastPathUnsafeMix_Q128_S16", Bench: FastPathUnsafeMix(128, 16)},
+		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
 		{Name: "ServerAnswers", Bench: ServerAnswers},
 		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16, core.StoreDense)},
 		{Name: "MultiQueryScale_Q16_Sparse", Bench: MultiQueryScale(16, core.StoreSparse)},

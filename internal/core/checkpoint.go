@@ -172,7 +172,6 @@ func LoadCISO(r io.Reader, opts ...CISOOption) (*CISO, error) {
 	g := graph.FromEdgeList(dto.Graph)
 	c := NewCISO(opts...)
 	c.st = newState(g, a, dto.Query, c.cnt)
-	c.onPath = make([]bool, n)
 	c.st.store.LoadState(dto.Val, dto.Parent)
 	// Restore must be internally consistent: every parent edge must exist
 	// and supply its child's value (the invariant every recovery relies on).

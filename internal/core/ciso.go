@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"cisgraph/internal/algo"
@@ -24,16 +25,9 @@ import (
 //  5. processes the delayed deletions to restore full convergence (in
 //     hardware this phase overlaps the next batch's update gathering).
 type CISO struct {
-	st     *state
-	cnt    *stats.Counters
-	onPath []bool
-
-	// Per-update classification counters, pre-resolved once (DESIGN.md §9).
-	hValuable stats.Handle
-	hUseless  stats.Handle
-	hDelayed  stats.Handle
-	hPromoted stats.Handle
-	hAct      stats.Handle
+	st   *state
+	cnt  *stats.Counters
+	norm normalizer
 
 	noDrop bool // ablation: process useless updates too
 	fifo   bool // ablation: no priority scheduling, respond only when converged
@@ -69,15 +63,7 @@ func WithParallelPropagation(workers, frontierMin int) CISOOption {
 
 // NewCISO returns an unarmed CISGraph-O engine; call Reset before use.
 func NewCISO(opts ...CISOOption) *CISO {
-	cnt := stats.NewCounters()
-	c := &CISO{
-		cnt:       cnt,
-		hValuable: cnt.Handle(stats.CntUpdateValuable),
-		hUseless:  cnt.Handle(stats.CntUpdateUseless),
-		hDelayed:  cnt.Handle(stats.CntUpdateDelayed),
-		hPromoted: cnt.Handle(stats.CntUpdatePromoted),
-		hAct:      cnt.Handle(stats.CntActivation),
-	}
+	c := &CISO{cnt: stats.NewCounters()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -104,7 +90,6 @@ func (c *CISO) Reset(g *graph.Dynamic, a algo.Algorithm, q Query) {
 	if c.propWorkers >= 2 {
 		c.st.prop = newParallelPropagator(c.propWorkers, c.parMin)
 	}
-	c.onPath = make([]bool, g.NumVertices())
 	c.st.fullCompute()
 }
 
@@ -117,13 +102,6 @@ const (
 	CntActivationDelayed = "activation_delayed"
 )
 
-// pendingDeletion is a classified deletion awaiting its scheduling slot.
-type pendingDeletion struct {
-	u, v graph.VertexID
-	w    float64
-	done bool
-}
-
 // ApplyBatch implements Engine.
 func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	st := c.st
@@ -133,7 +111,7 @@ func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	// Reduce the batch to net per-edge effects so the phase split below
 	// cannot reorder a same-edge delete+add (a re-weighting) into an edge
 	// loss; see NormalizeBatch.
-	nb := NormalizeBatch(st.g, batch)
+	nb := c.norm.normalize(st.g, batch)
 
 	// Phase A — additions: insert their edges and let the classifier's
 	// ⊕+compare (which is the relaxation itself) feed valuable ones straight
@@ -143,25 +121,25 @@ func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	// converged for a snapshot the deleted edges still belong to.
 	// A re-weighted edge takes its new weight now; its improvement half is
 	// an addition event, its dethroning half a deletion event in phase B.
-	actPhaseStart := c.hAct.Value()
+	hAct := st.h[tAct]
+	actPhaseStart := hAct.Value()
+	addition := func(u, v graph.VertexID, w float64) {
+		if st.processAddition(u, v, w) {
+			st.tally[tValuable]++
+		} else {
+			st.tally[tUseless]++
+		}
+	}
 	for _, up := range nb.Adds {
 		st.g.AddEdge(up.From, up.To, up.W)
-		if st.processAddition(up.From, up.To, up.W) {
-			c.hValuable.Inc()
-		} else {
-			c.hUseless.Inc()
-		}
+		addition(up.From, up.To, up.W)
 	}
 	for _, rw := range nb.Reweights {
 		st.g.RemoveEdge(rw.From, rw.To)
 		st.g.AddEdge(rw.From, rw.To, rw.NewW)
-		if st.processAddition(rw.From, rw.To, rw.NewW) {
-			c.hValuable.Inc()
-		} else {
-			c.hUseless.Inc()
-		}
+		addition(rw.From, rw.To, rw.NewW)
 	}
-	c.cnt.Add(CntActivationAdd, c.hAct.Value()-actPhaseStart)
+	c.cnt.Add(CntActivationAdd, hAct.Value()-actPhaseStart)
 
 	// Phase B — apply the deletion topology, then classify every deletion
 	// event against the post-addition converged states and the global key
@@ -176,76 +154,30 @@ func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	for _, rw := range nb.Reweights {
 		delEvents = append(delEvents, graph.Del(rw.From, rw.To, rw.OldW))
 	}
-	st.keyPath(c.onPath)
-	var valuable, delayed []pendingDeletion
-	for _, up := range delEvents {
-		var class Class
-		if c.noDrop {
-			// Ablation: no classification — treat everything as arriving
-			// work in FIFO order.
-			class = ClassValuable
-		} else {
-			class = ClassifyDeletion(c.st.a, st.val[up.From], st.val[up.To], up.W,
-				st.edgeOnKeyPath(c.onPath, up.From, up.To))
-		}
-		pd := pendingDeletion{u: up.From, v: up.To, w: up.W}
-		switch class {
-		case ClassValuable:
-			c.hValuable.Inc()
-			valuable = append(valuable, pd)
-		case ClassDelayed:
-			c.hDelayed.Inc()
-			delayed = append(delayed, pd)
-		default:
-			c.hUseless.Inc()
-		}
-	}
+	st.classifyDeletions(delEvents, !c.noDrop)
 
-	// Phase C — valuable (non-delayed) deletions, highest priority. Each
-	// processed deletion can reroute the key path, so re-derive it and
-	// promote any pending delayed deletion the new path depends on; the
-	// answer is final only when no valuable work remains.
-	processOne := func(pd *pendingDeletion) {
-		pd.done = true
-		st.repairVertex(pd.v)
-	}
-	actPhaseStart = c.hAct.Value()
+	// Phase C — valuable (non-delayed) deletions, highest priority, with
+	// promotion of the delayed ones a rerouted key path runs through.
+	actPhaseStart = hAct.Value()
 	if c.fifo {
 		// Ablation: arrival order, no early answer.
-		for i := range valuable {
-			processOne(&valuable[i])
+		for _, pd := range st.sc.valuable {
+			st.repairVertex(pd.v)
 		}
-		for i := range delayed {
-			processOne(&delayed[i])
-		}
-		c.cnt.Add(CntActivationDel, c.hAct.Value()-actPhaseStart)
+		st.repairDelayed()
+		c.cnt.Add(CntActivationDel, hAct.Value()-actPhaseStart)
 		total := time.Since(t0)
 		return c.result(before, total, total)
 	}
-	for i := 0; i < len(valuable); i++ {
-		processOne(&valuable[i])
-		st.keyPath(c.onPath)
-		for j := range delayed {
-			pd := &delayed[j]
-			if !pd.done && st.edgeOnKeyPath(c.onPath, pd.u, pd.v) {
-				pd.done = true
-				c.hPromoted.Inc()
-				valuable = append(valuable, *pd)
-			}
-		}
-	}
-	c.cnt.Add(CntActivationDel, c.hAct.Value()-actPhaseStart)
+	st.repairValuable()
+	c.cnt.Add(CntActivationDel, hAct.Value()-actPhaseStart)
 	response := time.Since(t0)
 
 	// Phase D — delayed deletions restore full convergence after the
 	// response (overlapped with update gathering in hardware).
-	actPhaseStart = c.hAct.Value()
-	for i := range delayed {
-		if !delayed[i].done {
-			processOne(&delayed[i])
-		}
-	}
-	c.cnt.Add(CntActivationDelayed, c.hAct.Value()-actPhaseStart)
+	actPhaseStart = hAct.Value()
+	st.repairDelayed()
+	c.cnt.Add(CntActivationDelayed, hAct.Value()-actPhaseStart)
 	return c.result(before, response, time.Since(t0))
 }
 
@@ -271,7 +203,9 @@ func (c *CISO) Counters() *stats.Counters { return c.cnt }
 
 // KeyPath exposes the current global key path (source→…→destination), or
 // nil when the destination is unreached. Examples use it to show the path
-// behind the answer.
+// behind the answer. The slice is the caller's.
 func (c *CISO) KeyPath() []graph.VertexID {
-	return c.st.keyPath(c.onPath)
+	path := slices.Clone(c.st.keyPath())
+	c.st.clearKeyPath()
+	return path
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
 )
@@ -69,46 +71,77 @@ func ClassifyDeletion(a algo.Algorithm, stateU, stateV algo.Value, rawW float64,
 	return ClassDelayed
 }
 
-// keyPath returns the global key path of the query as the parent chain
-// d → … → s in source-to-destination order, or nil when d is unreached.
-// The second return reports per-vertex membership marks written into
-// onPath, which must be N-long; previous marks are cleared.
-func (st *state) keyPath(onPath []bool) []graph.VertexID {
-	for i := range onPath {
-		onPath[i] = false
+// addUseless is ClassifyAddition's uselessness test against st's values: the
+// new edge u→v (weight w) does not improve the head.
+func (st *state) addUseless(u, v graph.VertexID, w float64) bool {
+	return !st.op.better(st.op.extend(st.value(u), w), st.value(v))
+}
+
+// delUseless is ClassifyDeletion's uselessness test against st's values: the
+// deleted edge u→v (stored weight w0) supplies no state — the head is
+// unreached, or the supplier equality fails.
+func (st *state) delUseless(u, v graph.VertexID, w0 float64) bool {
+	sv := st.value(v)
+	return !st.op.reached(sv) || st.op.extend(st.value(u), w0) != sv
+}
+
+// classifyDeletion is ClassifyDeletion against st's values and the key-path
+// marks keyPath last wrote.
+func (st *state) classifyDeletion(u, v graph.VertexID, w0 float64) Class {
+	switch {
+	case st.delUseless(u, v, w0):
+		return ClassUseless
+	case st.edgeOnKeyPath(u, v):
+		return ClassValuable
 	}
-	if !algo.Reached(st.a, st.value(st.q.D)) {
+	return ClassDelayed
+}
+
+// keyPath re-derives the global key path of the query — the parent chain
+// d → … → s, returned in source-to-destination order, nil when d is
+// unreached — and moves the scratch's key-path marks onto it: the previous
+// path's vertices are un-marked, the new one's marked, so a call costs the
+// two path lengths, not O(V). The returned slice is the scratch's buffer and
+// is overwritten by the next call.
+func (st *state) keyPath() []graph.VertexID {
+	sc := st.sc
+	st.clearKeyPath()
+	if !st.op.reached(st.value(st.q.D)) {
 		return nil
 	}
-	var rev []graph.VertexID
-	v := st.q.D
-	for {
-		rev = append(rev, v)
-		onPath[v] = true
+	path := sc.path
+	for v := st.q.D; ; {
+		path = append(path, v)
 		if v == st.q.S {
 			break
 		}
-		p := st.parentOf(v)
-		if p == graph.NoVertex || len(rev) > st.numVertices() {
+		v = st.parentOf(v)
+		if v == graph.NoVertex || len(path) > st.numVertices() {
 			// d reached without a complete chain to s: defensive — should
 			// be impossible under the parent invariant.
-			for i := range onPath {
-				onPath[i] = false
-			}
+			sc.path = path[:0]
 			return nil
 		}
-		v = p
 	}
-	// Reverse to s→…→d order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	slices.Reverse(path) // s→…→d order
+	for _, v := range path {
+		sc.onPath[v] = true
 	}
-	return rev
+	sc.path = path
+	return path
 }
 
-// edgeOnKeyPath reports whether edge u→v lies on the current key path, i.e.
-// v is on the path and u supplies v. onPath must hold the marks produced by
-// keyPath.
-func (st *state) edgeOnKeyPath(onPath []bool, u, v graph.VertexID) bool {
-	return onPath[v] && st.parentOf(v) == u
+// clearKeyPath un-marks the key path, restoring the scratch's
+// between-operations state.
+func (st *state) clearKeyPath() {
+	for _, v := range st.sc.path {
+		st.sc.onPath[v] = false
+	}
+	st.sc.path = st.sc.path[:0]
+}
+
+// edgeOnKeyPath reports whether edge u→v lies on the key path keyPath last
+// derived, i.e. v is on the path and u supplies v.
+func (st *state) edgeOnKeyPath(u, v graph.VertexID) bool {
+	return st.sc.onPath[v] && st.parentOf(v) == u
 }

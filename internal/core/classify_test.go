@@ -91,8 +91,8 @@ func TestKeyPathLine(t *testing.T) {
 	g := lineGraph(1, 2, 3)
 	st := newState(g, algo.PPSP{}, Query{S: 0, D: 3}, stats.NewCounters())
 	st.fullCompute()
-	onPath := make([]bool, 4)
-	path := st.keyPath(onPath)
+	onPath := st.sc.onPath
+	path := st.keyPath()
 	want := []graph.VertexID{0, 1, 2, 3}
 	if len(path) != len(want) {
 		t.Fatalf("path = %v", path)
@@ -107,10 +107,10 @@ func TestKeyPathLine(t *testing.T) {
 			t.Fatalf("vertex %d should be on path", v)
 		}
 	}
-	if !st.edgeOnKeyPath(onPath, 1, 2) {
+	if !st.edgeOnKeyPath(1, 2) {
 		t.Fatal("edge 1→2 is on the key path")
 	}
-	if st.edgeOnKeyPath(onPath, 2, 1) {
+	if st.edgeOnKeyPath(2, 1) {
 		t.Fatal("reverse edge is not on the key path")
 	}
 }
@@ -123,8 +123,8 @@ func TestKeyPathPicksShortestBranch(t *testing.T) {
 	g.AddEdge(2, 3, 5) // long: 0-2-3 = 10
 	st := newState(g, algo.PPSP{}, Query{S: 0, D: 3}, stats.NewCounters())
 	st.fullCompute()
-	onPath := make([]bool, 4)
-	path := st.keyPath(onPath)
+	onPath := st.sc.onPath
+	path := st.keyPath()
 	if len(path) != 3 || path[1] != 1 {
 		t.Fatalf("path = %v, want [0 1 3]", path)
 	}
@@ -138,8 +138,8 @@ func TestKeyPathUnreached(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	st := newState(g, algo.PPSP{}, Query{S: 0, D: 2}, stats.NewCounters())
 	st.fullCompute()
-	onPath := make([]bool, 3)
-	if path := st.keyPath(onPath); path != nil {
+	onPath := st.sc.onPath
+	if path := st.keyPath(); path != nil {
 		t.Fatalf("unreached destination produced path %v", path)
 	}
 	for v, m := range onPath {
@@ -155,12 +155,12 @@ func TestKeyPathClearsOldMarks(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	st := newState(g, algo.PPSP{}, Query{S: 0, D: 2}, stats.NewCounters())
 	st.fullCompute()
-	onPath := make([]bool, 3)
-	st.keyPath(onPath)
+	onPath := st.sc.onPath
+	st.keyPath()
 	// Disconnect and recompute: stale marks must vanish.
 	g.RemoveEdge(0, 1)
 	st.repairVertex(1)
-	if path := st.keyPath(onPath); path != nil {
+	if path := st.keyPath(); path != nil {
 		t.Fatalf("path after disconnect = %v", path)
 	}
 	for v, m := range onPath {

@@ -170,7 +170,7 @@ func (m *MultiCISO) classifyLocked(u graph.Update) (safe bool) {
 // the same at O(sources) instead of O(Q) cost — plus each suspect query.
 func (m *MultiCISO) addUselessAllLocked(u, v graph.VertexID, w float64) bool {
 	for _, st := range m.reps {
-		if !addUseless(m.a, st, u, v, w) {
+		if !st.addUseless(u, v, w) {
 			return false
 		}
 	}
@@ -183,7 +183,7 @@ func (m *MultiCISO) addUselessAllLocked(u, v graph.VertexID, w float64) bool {
 // repair v after the response, which is a state write.
 func (m *MultiCISO) delUselessAllLocked(u, v graph.VertexID, w0 float64) bool {
 	for _, st := range m.reps {
-		if !delUseless(m.a, st, u, v, w0) {
+		if !st.delUseless(u, v, w0) {
 			return false
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +55,6 @@ type MultiCISO struct {
 	queries []Query
 	states  []*state
 	cnts    []*stats.Counters // one per query (keeps parallel runs raceless)
-	ch      []classHandles    // per-query classification handles
 	cnt     *stats.Counters   // merged view, maintained from per-batch deltas
 
 	workers int       // bounded pool width for per-query phases; <=1 is serial
@@ -105,7 +103,9 @@ type MultiCISO struct {
 	lastSums []ChangeSummary // last batch's per-source dirty summaries
 
 	scs        []*scratch // per-worker-slot scratch, created on demand
+	norm       normalizer // reusable batch-normalization working memory
 	beforeBufs [][]int64  // reusable per-query pre-batch counter snapshots
+	deltaBuf   []int64    // reusable per-query counter delta (lean path)
 	activeBuf  []int      // reusable processed-query index list
 	errsBuf    []error    // reusable per-active-query error slots
 	preAnsBuf  []algo.Value
@@ -123,22 +123,6 @@ type sourceGroup struct {
 type baseEntry struct {
 	base  *Baseline
 	epoch uint64
-}
-
-// classHandles pre-resolves the per-deletion-event classification counters
-// of one query (DESIGN.md §9): classification runs per update event per
-// query, so these increments sit squarely on the multi-query hot path.
-type classHandles struct {
-	valuable, delayed, useless, promoted stats.Handle
-}
-
-func newClassHandles(cnt *stats.Counters) classHandles {
-	return classHandles{
-		valuable: cnt.Handle(stats.CntUpdateValuable),
-		delayed:  cnt.Handle(stats.CntUpdateDelayed),
-		useless:  cnt.Handle(stats.CntUpdateUseless),
-		promoted: cnt.Handle(stats.CntUpdatePromoted),
-	}
 }
 
 // MultiOption configures a MultiCISO engine.
@@ -244,7 +228,6 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	m.queries = append([]Query(nil), queries...)
 	m.states = make([]*state, 0, len(queries))
 	m.cnts = make([]*stats.Counters, 0, len(queries))
-	m.ch = make([]classHandles, 0, len(queries))
 	m.beforeBufs = nil
 	m.groups = nil
 	m.groupOf = make(map[graph.VertexID]int)
@@ -256,7 +239,6 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 		st := m.buildStateLocked(q, cnt)
 		m.states = append(m.states, st)
 		m.cnts = append(m.cnts, cnt)
-		m.ch = append(m.ch, newClassHandles(cnt))
 		m.joinGroupLocked(q.S, i)
 	}
 	m.rebuildRepsLocked()
@@ -411,7 +393,6 @@ func (m *MultiCISO) installLocked(q Query, cnt *stats.Counters, st *state) int {
 	i := len(m.queries)
 	m.queries = append(m.queries, q)
 	m.cnts = append(m.cnts, cnt)
-	m.ch = append(m.ch, newClassHandles(cnt))
 	m.states = append(m.states, st)
 	m.suspect = append(m.suspect, false)
 	m.joinGroupLocked(q.S, i)
@@ -604,7 +585,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 
 	// Shared, once: normalization against the pre-batch topology.
 	t0 := clk.now()
-	nb := NormalizeBatch(m.g, batch)
+	nb := m.norm.normalize(m.g, batch)
 
 	// Change-driven skip decision, per source group, against the pre-batch
 	// converged values. Must happen before any topology mutation. Safety
@@ -736,8 +717,8 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		attach[i].cs.Epoch = m.epoch
 	}
 	// A reweight is an addition event at the new weight plus a deletion
-	// event at the old one; nb's slices are this call's own, so the event
-	// lists extend them in place.
+	// event at the old one; nb's slices are the normalizer's buffers, idle
+	// until the next batch, so the event lists extend them in place.
 	addEvents, delEvents := nb.Adds, nb.Dels
 	for _, rw := range nb.Reweights {
 		addEvents = append(addEvents, graph.Add(rw.From, rw.To, rw.NewW))
@@ -751,9 +732,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	m.spanBuf = addSpans
 	m.forEachQuery(active, errs, func(k, i int) {
 		tq := clk.now()
-		for _, up := range addEvents {
-			m.states[i].processAddition(up.From, up.To, up.W)
-		}
+		m.states[i].processAdditions(addEvents)
 		addSpans[k] = clk.since(tq)
 	})
 
@@ -768,48 +747,14 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	// answer, delayed.
 	m.forEachQuery(active, errs, func(k, i int) {
 		st := m.states[i]
-		ch := m.ch[i]
-		onPath := st.sc.onPath
 		tq := clk.now()
-		st.keyPath(onPath)
-		var valuable, delayed []pendingDeletion
-		for _, up := range delEvents {
-			class := ClassifyDeletion(m.a, st.value(up.From), st.value(up.To), up.W,
-				st.edgeOnKeyPath(onPath, up.From, up.To))
-			pd := pendingDeletion{u: up.From, v: up.To, w: up.W}
-			switch class {
-			case ClassValuable:
-				ch.valuable.Inc()
-				valuable = append(valuable, pd)
-			case ClassDelayed:
-				ch.delayed.Inc()
-				delayed = append(delayed, pd)
-			default:
-				ch.useless.Inc()
-			}
-		}
-		for j := 0; j < len(valuable); j++ {
-			valuable[j].done = true
-			st.repairVertex(valuable[j].v)
-			st.keyPath(onPath)
-			for k := range delayed {
-				pd := &delayed[k]
-				if !pd.done && st.edgeOnKeyPath(onPath, pd.u, pd.v) {
-					pd.done = true
-					ch.promoted.Inc()
-					valuable = append(valuable, *pd)
-				}
-			}
-		}
+		st.classifyDeletions(delEvents, true)
+		st.repairValuable()
 		// Every query's response includes the (single) shared topology
 		// span — the batch cannot be answered without it — plus its own
 		// per-query phases.
 		response := sharedSpan + addSpans[k] + clk.since(tq)
-		for k := range delayed {
-			if !delayed[k].done {
-				st.repairVertex(delayed[k].v)
-			}
-		}
+		st.repairDelayed()
 		if wantResults {
 			results[i] = Result{
 				Answer:    st.answer(),
@@ -858,7 +803,8 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		}
 	} else {
 		for _, i := range active {
-			m.cnt.AddDelta(m.cnts[i], m.cnts[i].DenseDelta(m.beforeBufs[i]))
+			m.deltaBuf = m.cnts[i].AppendDenseDelta(m.deltaBuf[:0], m.beforeBufs[i])
+			m.cnt.AddDelta(m.cnts[i], m.deltaBuf)
 		}
 	}
 	if skipped > 0 {
@@ -896,7 +842,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 			delta.Changed = append(delta.Changed, ChangedAnswer{Index: i, Value: m.states[i].answer()})
 		}
 	}
-	sort.Slice(delta.Changed, func(a, b int) bool { return delta.Changed[a].Index < delta.Changed[b].Index })
+	slices.SortFunc(delta.Changed, func(a, b ChangedAnswer) int { return a.Index - b.Index })
 	return nil, delta
 }
 
@@ -914,43 +860,22 @@ func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffect
 			err = fmt.Errorf("multiciso: query %d %v panicked: %v", rep, m.queries[rep], r)
 		}
 	}()
-	a := m.a
 	for _, up := range nb.Adds {
-		if !addUseless(a, st, up.From, up.To, up.W) {
+		if !st.addUseless(up.From, up.To, up.W) {
 			return false, nil
 		}
 	}
 	for _, up := range nb.Dels {
-		if !delUseless(a, st, up.From, up.To, up.W) {
+		if !st.delUseless(up.From, up.To, up.W) {
 			return false, nil
 		}
 	}
 	for _, rw := range nb.Reweights {
-		if !delUseless(a, st, rw.From, rw.To, rw.OldW) {
-			return false, nil
-		}
-		if !addUseless(a, st, rw.From, rw.To, rw.NewW) {
+		if !st.delUseless(rw.From, rw.To, rw.OldW) || !st.addUseless(rw.From, rw.To, rw.NewW) {
 			return false, nil
 		}
 	}
 	return true, nil
-}
-
-// addUseless is ClassifyAddition's uselessness test against st's values: the
-// new edge u→v (weight w) does not improve the head.
-func addUseless(a algo.Algorithm, st *state, u, v graph.VertexID, w float64) bool {
-	return !a.Better(a.Propagate(st.value(u), a.Weight(w)), st.value(v))
-}
-
-// delUseless is ClassifyDeletion's uselessness test against st's values: the
-// deleted edge u→v (stored weight w0) supplies no state — the head is
-// unreached, or the supplier equality fails.
-func delUseless(a algo.Algorithm, st *state, u, v graph.VertexID, w0 float64) bool {
-	sv := st.value(v)
-	if !algo.Reached(a, sv) {
-		return true
-	}
-	return a.Propagate(st.value(u), a.Weight(w0)) != sv
 }
 
 // ChangeSummaries returns the per-source baseline change summaries of the
@@ -998,6 +923,7 @@ func (m *MultiCISO) forEachQuery(idxs []int, errs []error, f func(k, i int)) {
 				errs[k] = fmt.Errorf("multiciso: query %d %v panicked: %v", i, m.queries[i], r)
 				m.scs[slot].clear() // a mid-flight panic leaves marks behind
 			}
+			st.flush() // a panicking phase loses no counts and leaves none behind
 			st.sc = nil
 		}()
 		f(k, i)
@@ -1059,7 +985,10 @@ func (m *MultiCISO) repairState(i int) {
 	m.ensureScratches(1)
 	st := m.states[i]
 	st.sc = m.scs[0]
-	defer func() { st.sc = nil }()
+	defer func() {
+		st.flush()
+		st.sc = nil
+	}()
 	st.sc.clear()
 	st.fullCompute()
 	ok = true

@@ -37,46 +37,60 @@ type Reweight struct {
 // NormalizeBatch computes the net effect of batch against g (which must be
 // the pre-batch topology; it is not modified).
 func NormalizeBatch(g *graph.Dynamic, batch []graph.Update) NormalizedBatch {
-	type track struct {
-		present0, present bool
-		w0, w             float64
-		order             int
+	return new(normalizer).normalize(g, batch)
+}
+
+// normalizer owns NormalizeBatch's working memory, so an engine that
+// normalizes every batch allocates nothing for it at steady state. The
+// batch normalize returns aliases the normalizer until its next call.
+type normalizer struct {
+	idx    map[uint64]int32 // edge key → index into tracks
+	tracks []edgeTrack      // first-touch order
+	out    NormalizedBatch
+}
+
+// edgeTrack simulates one edge's update subsequence.
+type edgeTrack struct {
+	u, v              graph.VertexID
+	present0, present bool
+	w0, w             float64
+}
+
+func (n *normalizer) normalize(g *graph.Dynamic, batch []graph.Update) NormalizedBatch {
+	if n.idx == nil {
+		n.idx = make(map[uint64]int32, len(batch))
 	}
-	touched := make(map[uint64]*track, len(batch))
-	key := func(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
-	var keys []uint64
+	clear(n.idx)
+	tracks := n.tracks[:0]
 	for _, up := range batch {
-		k := key(up.From, up.To)
-		tr, ok := touched[k]
+		k := uint64(up.From)<<32 | uint64(up.To)
+		i, ok := n.idx[k]
 		if !ok {
 			w0, present0 := g.HasEdge(up.From, up.To)
-			tr = &track{present0: present0, present: present0, w0: w0, w: w0}
-			touched[k] = tr
-			keys = append(keys, k)
+			i = int32(len(tracks))
+			n.idx[k] = i
+			tracks = append(tracks, edgeTrack{u: up.From, v: up.To, present0: present0, present: present0, w0: w0, w: w0})
 		}
-		if up.Del {
-			if tr.present {
-				tr.present = false
-			}
+		if tr := &tracks[i]; up.Del {
+			tr.present = false
 		} else if !tr.present {
 			tr.present = true
 			tr.w = up.W
 		}
 	}
-	var out NormalizedBatch
-	for _, k := range keys {
-		tr := touched[k]
-		u := graph.VertexID(k >> 32)
-		v := graph.VertexID(k & 0xffffffff)
+	n.tracks = tracks
+	out := NormalizedBatch{Adds: n.out.Adds[:0], Dels: n.out.Dels[:0], Reweights: n.out.Reweights[:0]}
+	for _, tr := range tracks {
 		switch {
 		case !tr.present0 && tr.present:
-			out.Adds = append(out.Adds, graph.Add(u, v, tr.w))
+			out.Adds = append(out.Adds, graph.Add(tr.u, tr.v, tr.w))
 		case tr.present0 && !tr.present:
-			out.Dels = append(out.Dels, graph.Del(u, v, tr.w0))
+			out.Dels = append(out.Dels, graph.Del(tr.u, tr.v, tr.w0))
 		case tr.present0 && tr.present && tr.w != tr.w0:
-			out.Reweights = append(out.Reweights, Reweight{From: u, To: v, OldW: tr.w0, NewW: tr.w})
+			out.Reweights = append(out.Reweights, Reweight{From: tr.u, To: tr.v, OldW: tr.w0, NewW: tr.w})
 		}
 	}
+	n.out = out
 	return out
 }
 

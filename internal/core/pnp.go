@@ -64,6 +64,7 @@ func (p *PnP) prunedSearch() algo.Value {
 	st.resetAll()
 	st.sc.wl.reset()
 	st.sc.wl.push(p.q.S, st.val[p.q.S])
+	defer st.flush()
 	for st.sc.wl.len() > 0 {
 		v, score := st.sc.wl.pop()
 		if st.val[v] != score {

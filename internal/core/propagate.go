@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cisgraph/internal/algo"
-	"cisgraph/internal/graph"
-)
+import "cisgraph/internal/graph"
 
 // The propagator stage: monotonic best-first propagation (relaxEdge/drain)
 // and KickStarter-style deletion recovery (repairVertex + tagging) over the
@@ -13,35 +10,17 @@ import (
 // v improved (in which case v's new value has been pushed for propagation).
 // The source vertex is pinned and never updated.
 func (st *state) relaxEdge(u, v graph.VertexID, w float64) bool {
-	st.hRelax.Inc()
+	st.tally[tRelax]++
 	if v == st.q.S {
 		return false
 	}
-	if st.val != nil { // dense fast path: direct array access, no interface calls
-		t := st.a.Propagate(st.val[u], st.a.Weight(w))
-		if !st.a.Better(t, st.val[v]) {
-			return false
-		}
-		if st.dirty != nil {
-			st.dirty.note(v)
-		}
-		st.val[v] = t
-		st.parent[v] = u
-		st.hState.Inc()
-		st.hAct.Inc()
-		st.sc.wl.push(v, t)
-		return true
-	}
-	t := st.a.Propagate(st.store.Value(u), st.a.Weight(w))
-	if !st.a.Better(t, st.store.Value(v)) {
+	t := st.op.extend(st.value(u), w)
+	if !st.op.better(t, st.value(v)) {
 		return false
 	}
-	if st.dirty != nil {
-		st.dirty.note(v)
-	}
-	st.store.Set(v, t, u)
-	st.hState.Inc()
-	st.hAct.Inc()
+	st.setVertex(v, t, u)
+	st.tally[tState]++
+	st.tally[tAct]++
 	st.sc.wl.push(v, t)
 	return true
 }
@@ -87,38 +66,34 @@ func (st *state) serialDrain() {
 // reports whether any state changed — note that the relaxation's Better
 // test is exactly Algorithm 1's valuable-addition check.
 func (st *state) processAddition(u, v graph.VertexID, w float64) bool {
-	if st.relaxEdge(u, v, w) {
+	changed := st.relaxEdge(u, v, w)
+	if changed {
 		st.drain()
-		return true
 	}
-	return false
+	st.flush()
+	return changed
 }
 
-// recomputeVertex re-derives v's value from its current in-edges, refreshing
-// val[v] and parent[v]. It returns the recomputed value.
-func (st *state) recomputeVertex(v graph.VertexID) algo.Value {
-	if v == st.q.S {
-		st.setVertex(v, st.a.Source(), graph.NoVertex)
-		return st.a.Source()
+// processAdditions is phase A for a whole batch whose edges are all in the
+// topology already: relax every addition event, then drain once. The
+// fixpoint is the one per-event drains reach — an event relaxed against a
+// tail that improves later is relaxed again when the drain pops that tail.
+func (st *state) processAdditions(adds []graph.Update) {
+	for _, up := range adds {
+		st.relaxEdge(up.From, up.To, up.W)
 	}
-	best := st.a.Init()
-	bestParent := graph.NoVertex
-	for _, e := range st.g.In(v) {
-		st.hRelax.Inc()
-		t := st.a.Propagate(st.value(e.To), st.a.Weight(e.W))
-		if st.a.Better(t, best) {
-			best = t
-			bestParent = e.To
-		}
+	if st.sc.wl.len() > 0 {
+		st.drain()
 	}
-	st.setVertex(v, best, bestParent)
-	return best
+	st.flush()
 }
 
-// repairVertex re-derives v after one of its in-edges was deleted.
+// repairVertex re-derives v after one of its in-edges was deleted, and
+// reports whether v's value changed. DESIGN.md §9.6 has the proofs.
 //
-// A cheap shortcut applies when some live in-edge still supplies exactly
-// the old value and its tail is provably not a dependent of v (adopting a
+// One scan of In(v) yields the best replacement value, its first supplier,
+// and every supplier still offering exactly the old value. When one of the
+// latter is provably not a dependent of v it is adopted in place (adopting a
 // dependent would create a self-supporting island). Two certificates are
 // used, in cost order:
 //
@@ -130,28 +105,27 @@ func (st *state) recomputeVertex(v graph.VertexID) algo.Value {
 //     deletions from degenerating into whole-subtree re-computations.
 //
 // Otherwise the region transitively derived from v is tagged through parent
-// pointers, reset, re-seeded from its unaffected boundary and re-converged —
-// the KickStarter-style tagging overhead the paper attributes to deletions.
-// It reports whether any state changed.
+// pointers — the KickStarter-style tagging overhead the paper attributes to
+// deletions. A region of v alone (a leaf of the dependency tree) is repaired
+// from the scan already made; a larger one is trimmed, seeded and drained.
 func (st *state) repairVertex(v graph.VertexID) bool {
 	if v == st.q.S {
 		return false // the source is pinned
 	}
 	old := st.value(v)
-	if !algo.Reached(st.a, old) {
+	if !st.op.reached(old) {
 		return false // nothing to lose
 	}
-	// One pass derives the best replacement value AND remembers, in in-edge
-	// order, every supplier still offering exactly the old value — the
-	// shortcut's candidates. (Previously the shortcut re-scanned In(v) and
-	// re-paid a ⊕ per edge after this loop had already visited every edge.)
 	cand := st.sc.buf[:0]
-	best := st.a.Init()
+	best, bestParent := st.op.init, graph.NoVertex
 	for _, e := range st.g.In(v) {
-		st.hRelax.Inc()
-		t := st.a.Propagate(st.value(e.To), st.a.Weight(e.W))
-		if st.a.Better(t, best) {
-			best = t
+		if e.To == v {
+			continue // a self-loop supplies nothing
+		}
+		st.tally[tRelax]++
+		t := st.op.extend(st.value(e.To), e.W)
+		if st.op.better(t, best) {
+			best, bestParent = t, e.To
 		}
 		if t == old {
 			cand = append(cand, e.To)
@@ -160,59 +134,86 @@ func (st *state) repairVertex(v graph.VertexID) bool {
 	st.sc.buf = cand
 	if best == old {
 		for _, y := range cand {
-			if st.a.Better(st.value(y), old) || !st.chainPasses(y, v) {
+			if st.op.better(st.value(y), old) || !st.chainPasses(y, v) {
 				st.adoptParent(v, y)
+				st.flush()
 				return false
 			}
 		}
 	}
-	// Full repair with adoption trimming: tag the dependence closure, then
-	// let every region vertex that still derives its exact old value from a
-	// supplier OUTSIDE the region adopt that supplier in place (an outside
-	// vertex's chain provably avoids the whole region — if it passed any
-	// member it would pass v and be a member itself). Only the remaining
-	// broken vertices are reset, re-seeded from the safe boundary and
-	// re-propagated. The region walk runs in dependence (BFS) order, so an
-	// adopted parent is already unmarked when its children are examined and
-	// keeps whole subtrees out of the reset.
-	inSet := st.sc.inSet
 	region := st.tagDependents(v)
-	broken := region[:0:0]
+	if len(region) == 1 {
+		// Leaf: no vertex derives from v, so every in-neighbour's value
+		// stands and (best, bestParent) is v's repaired state. It is no better
+		// than old, so no out-neighbour can improve: nothing to drain.
+		st.tally[tLeaf]++
+		st.sc.inSet[v] = false
+		st.setVertex(v, best, bestParent)
+	} else {
+		st.tally[tRegion]++
+		st.repairRegion(region)
+	}
+	st.flush()
+	return st.value(v) != old
+}
+
+// repairRegion re-converges a tagged region (in dependence, i.e. BFS, order;
+// all of it marked in inSet) with adoption trimming. Every region vertex
+// that still derives its exact old value from a supplier outside the
+// still-marked set adopts that supplier in place and is unmarked (an
+// unmarked vertex's chain provably avoids every marked one — if it passed a
+// member it would pass v and be a member itself), which keeps whole subtrees
+// out of the repair: their root is unmarked before they are examined. The
+// rest are broken: each takes the best value its unmarked suppliers offer as
+// a tentative state and is pushed. That value has seen every supplier but
+// the marked ones — which end up broken (pushed, so the drain relaxes their
+// out-edges) or adopted later, and those relax their edges into the broken
+// set here, before the drain settles the rest.
+func (st *state) repairRegion(region []graph.VertexID) {
+	sc := st.sc
+	inSet := sc.inSet
+	broken, late := sc.broken[:0], sc.late[:0]
 	for _, x := range region {
-		oldX := st.value(x)
-		bestX := st.a.Init()
-		bestParent := graph.NoVertex
+		bestX, bestParent := st.op.init, graph.NoVertex
 		for _, e := range st.g.In(x) {
 			if inSet[e.To] {
 				continue // still-suspect supplier
 			}
-			st.hRelax.Inc()
-			if t := st.a.Propagate(st.value(e.To), st.a.Weight(e.W)); st.a.Better(t, bestX) {
-				bestX = t
-				bestParent = e.To
+			st.tally[tRelax]++
+			if t := st.op.extend(st.value(e.To), e.W); st.op.better(t, bestX) {
+				bestX, bestParent = t, e.To
 			}
 		}
-		if bestX == oldX {
-			st.adoptParent(x, bestParent)
-			inSet[x] = false // adopted: value survives untouched
+		if bestX != st.value(x) {
+			st.setVertex(x, bestX, bestParent)
+			broken = append(broken, x)
 			continue
 		}
-		broken = append(broken, x)
-	}
-	initV := st.a.Init()
-	for _, x := range broken {
-		st.setVertex(x, initV, graph.NoVertex)
-		inSet[x] = false
-	}
-	st.sc.wl.reset()
-	for _, x := range broken {
-		if st.recomputeVertex(x); algo.Reached(st.a, st.value(x)) {
-			st.hAct.Inc()
-			st.sc.wl.push(x, st.value(x))
+		st.adoptParent(x, bestParent)
+		inSet[x] = false // adopted: value survives untouched
+		if len(broken) > 0 {
+			late = append(late, x)
 		}
 	}
+	sc.wl.reset()
+	for _, x := range broken {
+		if val := st.value(x); st.op.reached(val) {
+			st.tally[tAct]++
+			sc.wl.push(x, val)
+		}
+	}
+	for _, u := range late {
+		for _, e := range st.g.Out(u) {
+			if inSet[e.To] {
+				st.relaxEdge(u, e.To, e.W)
+			}
+		}
+	}
+	for _, x := range broken {
+		inSet[x] = false
+	}
+	sc.broken, sc.late = broken[:0], late[:0]
 	st.drain()
-	return st.value(v) != old
 }
 
 // chainPasses reports whether y's parent chain passes through v (i.e. y's
@@ -241,7 +242,7 @@ func (st *state) tagDependents(v graph.VertexID) []graph.VertexID {
 	sc.inSet[v] = true
 	for i := 0; i < len(sc.buf); i++ {
 		x := sc.buf[i]
-		st.hTagged.Inc()
+		st.tally[tTagged]++
 		for _, e := range st.g.Out(x) {
 			if !sc.inSet[e.To] && st.parentOf(e.To) == x {
 				sc.inSet[e.To] = true

@@ -63,11 +63,13 @@ type parClaim struct {
 }
 
 // parWorkerScratch is one worker slot's private relax-phase output. The
-// slices are reused round to round; counters are folded into the shared
-// stats handles once per phase, not per edge.
+// slices are reused round to round; the counts are folded into the state's
+// tallies by the coordinator after the phase barrier.
 type parWorkerScratch struct {
 	claims   []parClaim
 	improved []graph.VertexID
+
+	nRelax, nState, nRetry int64
 }
 
 // parPanic carries a worker goroutine's panic value to the coordinator so
@@ -172,7 +174,7 @@ func (p *parallelPropagator) drain(st *state) {
 	if st.val == nil {
 		// Overlay stores have no CAS cells — materialising a CoW page under
 		// concurrent writers would race — so sparse states drain serially.
-		st.hParFallback.Inc()
+		st.tally[tParFallback]++
 		st.serialDrain()
 		return
 	}
@@ -198,7 +200,7 @@ func (p *parallelPropagator) drain(st *state) {
 		p.parallelRounds(st, ds)
 	}
 	if !escalated {
-		st.hParFallback.Inc()
+		st.tally[tParFallback]++
 	}
 }
 
@@ -219,7 +221,7 @@ func (p *parallelPropagator) parallelRounds(st *state, ds *DenseStore) {
 	plateau := algo.IsPlateau(st.a)
 	for len(ps.pending) >= p.minFrontier {
 		ps.round++
-		st.hParBuckets.Inc()
+		st.tally[tParBuckets]++
 		p.selectBucket(st, ps, plateau)
 
 		// Relax phase: the worker group scales with the frontier; a group of
@@ -242,6 +244,14 @@ func (p *parallelPropagator) parallelRounds(st *state, ds *DenseStore) {
 			p.relaxWorker(st, ds, ps, 0)
 		}()
 		ps.wg.Wait()
+		for i := range ps.workers[:w] {
+			ws := &ps.workers[i]
+			st.tally[tRelax] += ws.nRelax
+			st.tally[tState] += ws.nState
+			st.tally[tAct] += ws.nState
+			st.tally[tCASRetry] += ws.nRetry
+			ws.nRelax, ws.nState, ws.nRetry = 0, 0, 0
+		}
 		if pp := ps.panicked.Swap(nil); pp != nil {
 			// Re-panic only after the barrier: every worker has stopped, so
 			// the recovery path (scratch.clear + full recompute) cannot race
@@ -292,7 +302,7 @@ func (p *parallelPropagator) selectBucket(st *state, ps *parScratch, plateau boo
 		return
 	}
 	keep := ps.pending[:0]
-	if st.a.Better(lo, hi) { // smaller is better
+	if st.op.better(lo, hi) { // smaller is better
 		thr := lo + width
 		for _, v := range ps.pending {
 			if s := st.val[v]; s <= thr {
@@ -348,7 +358,7 @@ func (p *parallelPropagator) relaxWorker(st *state, ds *DenseStore, ps *parScrat
 	ws := &ps.workers[slot]
 	claims := ws.claims[:0]
 	improved := ws.improved[:0]
-	a, g, src := st.a, st.g, st.q.S
+	op, g, src := &st.op, st.g, st.q.S
 	round, frontier := ps.round, ps.frontier
 	var nRelax, nState, nRetry int64
 	for {
@@ -364,9 +374,9 @@ func (p *parallelPropagator) relaxWorker(st *state, ds *DenseStore, ps *parScrat
 				if x == src {
 					continue // the source is pinned
 				}
-				t := a.Propagate(it.score, a.Weight(e.W))
+				t := op.extend(it.score, e.W)
 				cur := ds.loadValue(x)
-				for a.Better(t, cur) {
+				for op.better(t, cur) {
 					if !ds.casSet(x, cur, t) {
 						nRetry++
 						cur = ds.loadValue(x)
@@ -396,16 +406,7 @@ func (p *parallelPropagator) relaxWorker(st *state, ds *DenseStore, ps *parScrat
 	}
 	ws.claims = claims
 	ws.improved = improved
-	if nRelax > 0 {
-		st.hRelax.Add(nRelax)
-	}
-	if nState > 0 {
-		st.hState.Add(nState)
-		st.hAct.Add(nState)
-	}
-	if nRetry > 0 {
-		st.hCASRetry.Add(nRetry)
-	}
+	ws.nRelax, ws.nState, ws.nRetry = nRelax, nState, nRetry
 }
 
 // resolveRound folds the workers' phase output back into the state on the

@@ -20,7 +20,14 @@ type scratch struct {
 	wl     worklist
 	buf    []graph.VertexID // reusable buffer for tagging
 	inSet  []bool           // reusable membership marks, len N, all false between uses
-	onPath []bool           // key-path marks, len N (multi-query phases B–D)
+	onPath []bool           // key-path marks, len N: true exactly on path's vertices
+	path   []graph.VertexID // the key path keyPath last derived, s→…→d
+
+	// Region repair (repairVertex): the vertices the trim pass could not
+	// keep, and those it kept only after the first of them was found.
+	broken, late []graph.VertexID
+	// Phases B–D: the batch's classified deletions awaiting their slot.
+	valuable, delayed []pendingDeletion
 
 	// par holds the parallel propagator's working set (pending set, bucket
 	// frontier, per-worker sub-worklists and claim lists — DESIGN.md §16).
@@ -48,6 +55,7 @@ func (sc *scratch) clear() {
 	for i := range sc.onPath {
 		sc.onPath[i] = false
 	}
+	sc.path = sc.path[:0]
 	if sc.par != nil {
 		sc.par.clear()
 	}
@@ -56,7 +64,8 @@ func (sc *scratch) clear() {
 // bytes returns the scratch's resident size (memory accounting).
 func (sc *scratch) bytes() int64 {
 	b := int64(len(sc.inSet)) + int64(len(sc.onPath)) +
-		int64(cap(sc.buf))*4 + int64(cap(sc.wl.items))*16
+		int64(cap(sc.buf)+cap(sc.path)+cap(sc.broken)+cap(sc.late))*4 +
+		int64(cap(sc.valuable)+cap(sc.delayed))*12 + int64(cap(sc.wl.items))*16
 	if sc.par != nil {
 		b += sc.par.bytes()
 	}
@@ -77,7 +86,7 @@ func (sc *scratch) bytes() int64 {
 // scores are equal, arrival order IS best-first order, and push/pop become
 // pointer bumps.
 type worklist struct {
-	a     algo.Algorithm
+	op    ops // heap order: the algebra's ⊗ through its op-code
 	fifo  bool
 	items []wlItem
 	head  int // FIFO mode: index of the next pop; always 0 in heap mode
@@ -90,7 +99,7 @@ type wlItem struct {
 
 // arm binds the worklist to an algorithm and selects the plateau fast path.
 func (w *worklist) arm(a algo.Algorithm) {
-	w.a = a
+	w.op = resolveOps(a)
 	w.fifo = algo.IsPlateau(a)
 	w.reset()
 }
@@ -144,7 +153,7 @@ func (w *worklist) siftUp(i int) {
 	item := w.items[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !w.a.Better(item.score, w.items[p].score) {
+		if !w.op.better(item.score, w.items[p].score) {
 			break
 		}
 		w.items[i] = w.items[p]
@@ -161,14 +170,80 @@ func (w *worklist) siftDown(i int) {
 		if best >= n {
 			break
 		}
-		if r := best + 1; r < n && w.a.Better(w.items[r].score, w.items[best].score) {
+		if r := best + 1; r < n && w.op.better(w.items[r].score, w.items[best].score) {
 			best = r
 		}
-		if !w.a.Better(w.items[best].score, item.score) {
+		if !w.op.better(w.items[best].score, item.score) {
 			break
 		}
 		w.items[i] = w.items[best]
 		i = best
 	}
 	w.items[i] = item
+}
+
+// pendingDeletion is a classified deletion awaiting its scheduling slot.
+type pendingDeletion struct {
+	u, v graph.VertexID
+	done bool // delayed entries only: promoted and repaired in phase C
+}
+
+// classifyDeletions is phase B for one query: derive the key path and sort
+// the batch's deletion events (their topology change already applied) into
+// the scratch's valuable and delayed lists; useless ones are dropped. With
+// classify off every event is valuable, in arrival order (the no-drop
+// ablation).
+func (st *state) classifyDeletions(dels []graph.Update, classify bool) {
+	sc := st.sc
+	sc.valuable, sc.delayed = sc.valuable[:0], sc.delayed[:0]
+	st.keyPath()
+	for _, up := range dels {
+		class := ClassValuable
+		if classify {
+			class = st.classifyDeletion(up.From, up.To, up.W)
+		}
+		switch class {
+		case ClassValuable:
+			st.tally[tValuable]++
+			sc.valuable = append(sc.valuable, pendingDeletion{u: up.From, v: up.To})
+		case ClassDelayed:
+			st.tally[tDelayed]++
+			sc.delayed = append(sc.delayed, pendingDeletion{u: up.From, v: up.To})
+		default:
+			st.tally[tUseless]++
+		}
+	}
+}
+
+// repairValuable is phase C: repair the valuable deletions, highest priority
+// first in arrival order. Each repair can reroute the key path, so it is
+// re-derived and every pending delayed deletion the new path runs through is
+// promoted (DESIGN.md §3.2); the answer is final when no valuable work
+// remains.
+func (st *state) repairValuable() {
+	sc := st.sc
+	for i := 0; i < len(sc.valuable); i++ {
+		st.repairVertex(sc.valuable[i].v)
+		st.keyPath()
+		for j := range sc.delayed {
+			if pd := &sc.delayed[j]; !pd.done && st.edgeOnKeyPath(pd.u, pd.v) {
+				pd.done = true
+				st.tally[tPromoted]++
+				sc.valuable = append(sc.valuable, *pd)
+			}
+		}
+	}
+}
+
+// repairDelayed is phase D: the delayed deletions still pending restore full
+// convergence after the response. It ends the query's batch: the key-path
+// marks are cleared and the phases' tallies flushed.
+func (st *state) repairDelayed() {
+	for _, pd := range st.sc.delayed {
+		if !pd.done {
+			st.repairVertex(pd.v)
+		}
+	}
+	st.clearKeyPath()
+	st.flush()
 }

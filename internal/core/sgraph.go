@@ -210,6 +210,7 @@ func (s *SGraph) boundedSearch() algo.Value {
 			st.relaxEdge(v, e.To, e.W)
 		}
 	}
+	st.flush()
 	// The witness walk is real, so the answer is the better of the two.
 	return algo.Reduce(s.a, found, bound)
 }

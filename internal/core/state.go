@@ -40,15 +40,16 @@ type state struct {
 	val    []algo.Value
 	parent []graph.VertexID
 
-	cnt *stats.Counters
+	// op is the algebra resolved for the hot paths (ops.go); a is kept for
+	// the cold ones (Source, Name, the invariant audit).
+	op ops
 
-	// Pre-resolved counter handles: the relax/state-update/activation/tagged
-	// increments sit on the per-⊕ hot path, so each must be a single atomic
-	// add (DESIGN.md §9), not a lock + map probe.
-	hRelax  stats.Handle
-	hState  stats.Handle
-	hAct    stats.Handle
-	hTagged stats.Handle
+	// The kernel's counts (relax, state_update, activation, tagged, … — see
+	// tallyNames) sit on the per-⊕ hot path. One goroutine owns a state for
+	// the length of a phase, so they are counted in plain tallies and added to
+	// the pre-resolved atomic cells once per phase, by flush (DESIGN.md §9.3).
+	tally [numTallies]int64
+	h     [numTallies]stats.Handle
 
 	// sc is the execution scratch (worklist + tagging buffers). Single-query
 	// engines own one per state; MultiCISO attaches a per-worker scratch
@@ -60,12 +61,6 @@ type state struct {
 	// engines swap in a parallelPropagator for intra-query parallelism.
 	// MultiCISO flips it per apply under its nested-parallelism policy.
 	prop propagator
-
-	// Parallel-propagation counter handles, resolved eagerly like the hot
-	// ones above (only the parallel propagator touches them).
-	hCASRetry    stats.Handle
-	hParBuckets  stats.Handle
-	hParFallback stats.Handle
 
 	// dirty, when non-nil, records every vertex this state writes into the
 	// batch's per-source change summary (DESIGN.md §15). MultiCISO attaches
@@ -90,25 +85,60 @@ func newState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) 
 // attaches a scratch per execution (MultiCISO).
 func newStateOn(store StateStore, sc *scratch, g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
 	st := &state{
-		g:            g,
-		a:            a,
-		q:            q,
-		store:        store,
-		cnt:          cnt,
-		hRelax:       cnt.Handle(stats.CntRelax),
-		hState:       cnt.Handle(stats.CntStateUpdate),
-		hAct:         cnt.Handle(stats.CntActivation),
-		hTagged:      cnt.Handle(stats.CntTagged),
-		hCASRetry:    cnt.Handle(stats.CntRelaxCASRetries),
-		hParBuckets:  cnt.Handle(stats.CntParallelBuckets),
-		hParFallback: cnt.Handle(stats.CntParallelFallbacks),
-		sc:           sc,
-		prop:         serialProp,
+		g:     g,
+		a:     a,
+		q:     q,
+		store: store,
+		op:    resolveOps(a),
+		sc:    sc,
+		prop:  serialProp,
+	}
+	for i, name := range tallyNames {
+		st.h[i] = cnt.Handle(name)
 	}
 	if ds, ok := store.(*DenseStore); ok {
 		st.val, st.parent = ds.val, ds.parent
 	}
 	return st
+}
+
+// Indices into state.tally.
+const (
+	tRelax = iota
+	tState
+	tAct
+	tTagged
+	tLeaf
+	tRegion
+	tCASRetry
+	tParBuckets
+	tParFallback
+	tValuable
+	tDelayed
+	tUseless
+	tPromoted
+	numTallies
+)
+
+var tallyNames = [numTallies]string{
+	tRelax: stats.CntRelax, tState: stats.CntStateUpdate, tAct: stats.CntActivation,
+	tTagged: stats.CntTagged, tLeaf: stats.CntRepairLeaf, tRegion: stats.CntRepairRegion,
+	tCASRetry: stats.CntRelaxCASRetries, tParBuckets: stats.CntParallelBuckets, tParFallback: stats.CntParallelFallbacks,
+	tValuable: stats.CntUpdateValuable, tDelayed: stats.CntUpdateDelayed, tUseless: stats.CntUpdateUseless,
+	tPromoted: stats.CntUpdatePromoted,
+}
+
+// flush adds the plain tallies to their atomic cells and zeroes them. Every
+// phase exit calls it — processAddition, repairVertex, fullCompute, the
+// engines' own search loops, and forEachQuery's deferred recover — so between
+// public entry points the tallies are zero and Counters() is complete.
+func (st *state) flush() {
+	for i, n := range st.tally {
+		if n != 0 {
+			st.h[i].Add(n)
+			st.tally[i] = 0
+		}
+	}
 }
 
 // value reads vertex v's state through the fast path when dense.
@@ -174,4 +204,5 @@ func (st *state) fullCompute() {
 	st.sc.wl.reset()
 	st.sc.wl.push(st.q.S, st.value(st.q.S))
 	st.drain()
+	st.flush()
 }

@@ -6,6 +6,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +55,12 @@ const (
 	CntUpdateSkipGroups  = "update_skip_groups"
 	// CntTagged counts vertices visited by deletion-recovery tagging.
 	CntTagged = "tagged"
+	// CntRepairLeaf / CntRepairRegion count deletion repairs that had to tag:
+	// Leaf when the tagged region was the head vertex alone (repaired from the
+	// one in-edge scan, DESIGN.md §9.6), Region otherwise. Repairs settled by
+	// the supplier-adoption shortcut count under neither.
+	CntRepairLeaf   = "repair_leaf"
+	CntRepairRegion = "repair_region"
 	// Parallel-propagation counters (DESIGN.md §16). CntRelaxCASRetries
 	// counts lost value-CAS races during parallel relaxation (contention, not
 	// extra semantic work — the retried offer is re-judged against the newer
@@ -280,17 +287,22 @@ func (c *Counters) DenseSnapshot(buf []int64) []int64 {
 // registered after the snapshot diff against zero. The slice is safe to
 // retain (it aliases nothing), so a Result can carry it until the caller
 // decides whether to materialise the named map.
-func (c *Counters) DenseDelta(before []int64) []int64 {
+func (c *Counters) DenseDelta(before []int64) []int64 { return c.AppendDenseDelta(nil, before) }
+
+// AppendDenseDelta is DenseDelta appending to dst: with dst[:0] of a retained
+// buffer, a delta that is folded and forgotten costs no allocation.
+func (c *Counters) AppendDenseDelta(dst, before []int64) []int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]int64, len(c.cells))
+	dst = slices.Grow(dst, len(c.cells))
 	for i, cell := range c.cells {
-		out[i] = cell.Load()
+		d := cell.Load()
 		if i < len(before) {
-			out[i] -= before[i]
+			d -= before[i]
 		}
+		dst = append(dst, d)
 	}
-	return out
+	return dst
 }
 
 // DeltaMap resolves a dense delta (from DenseDelta on this Counters) into a
