@@ -53,7 +53,7 @@ bench-compare:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-## fastpath-smoke: the serve-smoke scenario over the CGBIN/1 binary ingest
+## fastpath-smoke: the serve-smoke scenario over the CGBIN/2 binary ingest
 ## protocol — per-update fast path, group-committed WAL, SIGTERM drain and
 ## checkpoint/WAL resume, verified against an offline engine.
 fastpath-smoke:

@@ -258,12 +258,11 @@ type (
 	Sanitizer = resilience.Sanitizer
 	// SanitizeReport breaks a batch's drops down by reason.
 	SanitizeReport = resilience.Report
-	// WAL is an append-only, checksummed write-ahead log of batches.
-	WAL = resilience.WAL
-	// WALRecord is one replayed log entry (index + batch).
+	// WALRecord is one log entry (index + batch + session tag).
 	WALRecord = resilience.Record
-	// SegmentedWAL is the segment-per-file WAL with checkpoint-coordinated
-	// retention (DESIGN.md §12.1); SegWALOptions tunes it.
+	// SegmentedWAL is the append-only, checksummed write-ahead log: a
+	// directory of segment files with checkpoint-coordinated retention
+	// (DESIGN.md §12.1); SegWALOptions tunes it.
 	SegmentedWAL  = resilience.SegmentedWAL
 	SegWALOptions = resilience.SegWALOptions
 	// FS is the filesystem seam the durability writers run on; FaultFS is
@@ -323,14 +322,9 @@ var (
 	NewSanitizer        = resilience.NewSanitizer
 	ValidateBatch       = resilience.ValidateBatch
 	ParseSanitizePolicy = resilience.ParsePolicy
-	// CreateWAL / OpenWAL / ReplayWAL manage single-file write-ahead logs;
-	// OpenWAL truncates a torn tail before appending.
-	CreateWAL = resilience.CreateWAL
-	OpenWAL   = resilience.OpenWAL
-	ReplayWAL = resilience.ReplayWAL
-	// Segmented WAL (DESIGN.md §12): a directory of fixed-size segments
-	// with checkpoint-coordinated retention. OpenSegmentedWAL migrates a
-	// legacy single-file log in place; ReplaySegmented reads either layout.
+	// Segmented WAL (DESIGN.md §12): CreateSegmentedWAL starts a fresh log,
+	// OpenSegmentedWAL resumes one (truncating a torn tail), and
+	// ReplaySegmented reads every durable record back.
 	CreateSegmentedWAL = resilience.CreateSegmentedWAL
 	OpenSegmentedWAL   = resilience.OpenSegmentedWAL
 	ReplaySegmented    = resilience.ReplaySegmented

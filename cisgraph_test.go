@@ -162,7 +162,7 @@ func TestFacadeResilience(t *testing.T) {
 	walPath := filepath.Join(dir, "s.wal")
 	ckptPath := filepath.Join(dir, "s.ckpt")
 
-	wal, err := cisgraph.CreateWAL(walPath)
+	wal, err := cisgraph.CreateSegmentedWAL(walPath, cisgraph.SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFacadeResilience(t *testing.T) {
 	if err := cisgraph.ValidateBatch(w.Initial(), bad); err == nil {
 		t.Fatal("self-loop accepted by ValidateBatch")
 	}
-	if recs, err := cisgraph.ReplayWAL(walPath); err != nil || len(recs) != 4 {
+	if recs, err := cisgraph.ReplaySegmented(walPath); err != nil || len(recs) != 4 {
 		t.Fatalf("replay: %d records, err %v", len(recs), err)
 	}
 }

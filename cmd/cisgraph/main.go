@@ -52,7 +52,7 @@ func run() error {
 		verbose  = flag.Bool("v", false, "print per-batch counters")
 
 		sanitize   = flag.String("sanitize", "", "validate every batch before it reaches the engine: drop, reject or strict (enables the resilience guard)")
-		walPath    = flag.String("wal", "", "append every sanitized batch to this write-ahead log, fsynced, before applying it (single engine only; enables the resilience guard)")
+		walPath    = flag.String("wal", "", "append every sanitized batch to this segmented write-ahead log directory, fsynced, before applying it (single engine only; enables the resilience guard)")
 		auditEvery = flag.Int("audit-every", 0, "audit the engine's invariants every N batches, rebuilding on corruption (0 disables; enables the resilience guard)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "persist a recovery checkpoint to the -save path every N batches (engine ciso only; enables the resilience guard)")
 	)
@@ -109,7 +109,7 @@ func run() error {
 
 	// Resilience guard: any of the four flags wraps every engine.
 	guarded := *sanitize != "" || *walPath != "" || *auditEvery > 0 || *ckptEvery > 0
-	var wal *resilience.WAL
+	var wal *resilience.SegmentedWAL
 	if guarded {
 		policy := resilience.PolicyDrop
 		if *sanitize != "" {
@@ -121,7 +121,7 @@ func run() error {
 			if len(engines) != 1 {
 				return fmt.Errorf("-wal logs one stream: pick a single engine, not %q", *engName)
 			}
-			if wal, err = resilience.OpenWAL(*walPath); err != nil {
+			if wal, err = resilience.OpenSegmentedWAL(*walPath, resilience.SegWALOptions{}); err != nil {
 				return err
 			}
 			defer wal.Close()
@@ -309,7 +309,7 @@ func makeEngines(name string) ([]core.Engine, []func() core.Engine, error) {
 // or a guard recovery checkpoint (written by -checkpoint-every, which wraps
 // the same payload in a positioned envelope).
 func loadAnyCheckpoint(path string) (*core.CISO, error) {
-	if _, payload, err := resilience.ReadCheckpointFile(path); err == nil {
+	if _, _, payload, err := resilience.ReadCheckpointMeta(path); err == nil {
 		return core.LoadCISO(bytes.NewReader(payload))
 	}
 	return core.LoadCISOFile(path)

@@ -54,7 +54,7 @@ func main() {
 func run() error {
 	var (
 		addr    = flag.String("addr", ":8372", "HTTP listen address")
-		binAddr = flag.String("binary-addr", "", "also serve the binary framed ingest protocol (CGBIN/1) on this TCP address, e.g. :8373 (leader only)")
+		binAddr = flag.String("binary-addr", "", "also serve the binary framed ingest protocol (CGBIN/2) on this TCP address, e.g. :8373 (leader only)")
 		file    = flag.String("file", "", "initial snapshot edge-list file (.el text, .bel binary)")
 		standin = flag.String("standin", "", "serve a generated stand-in dataset instead of -file: OR, LJ or UK")
 		scale   = flag.Int("scale", 10, "stand-in dataset scale (log2 base vertex count)")
@@ -81,7 +81,7 @@ func run() error {
 		walSegment = flag.Int64("wal-segment-bytes", 4<<20, "roll the WAL to a new segment at this size")
 		walRetain  = flag.Int("wal-retain", 0, "keep at least N sealed WAL segments past checkpoint retention")
 		ckptPath   = flag.String("checkpoint", "", "write drain (and periodic) checkpoints to this file")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "also checkpoint every N applied batches (0 = drain only)")
+		ckptEvery  = flag.Int("checkpoint-every", 0, "also checkpoint whenever the stream position crosses a multiple of N (0 = drain only)")
 		resume     = flag.Bool("resume", false, "restore from -checkpoint and replay the -wal suffix before serving")
 
 		follow       = flag.String("follow", "", "run as a read replica of this leader URL (e.g. http://10.0.0.1:8372): bootstrap from its checkpoint, tail its WAL, refuse writes with 421; with -wal the replica is promotable")
@@ -271,7 +271,7 @@ func run() error {
 			return fmt.Errorf("binary listener: %w", err)
 		}
 		go func() {
-			log.Printf("binary ingest (CGBIN/1-2) on %s: per-update fast path with group-committed WAL", *binAddr)
+			log.Printf("binary ingest (CGBIN/2) on %s: per-update fast path with group-committed WAL", *binAddr)
 			if err := srv.ServeBinary(binLn); err != nil {
 				errCh <- fmt.Errorf("binary ingest: %w", err)
 			}

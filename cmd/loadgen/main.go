@@ -11,14 +11,14 @@
 //
 //   - -proto json (default): POST /v1/updates batches; visibility latency is
 //     sampled by timing POST→quiesced on every Nth request.
-//   - -proto binary: the CGBIN/1 framed protocol against -binary-addr, with
-//     -window frames pipelined; every ack carries the commit position after
-//     the frame became durable AND visible, so the ack round trip IS the
-//     per-update visibility latency. With -session (and optionally
-//     -binary-addrs for a failover list) the stream upgrades to CGBIN/2:
-//     every update carries (session, seq) and un-acked updates are replayed
-//     across reconnects — the server dedups, so a leader kill mid-stream
-//     loses nothing and duplicates nothing.
+//   - -proto binary: the CGBIN/2 framed protocol against -binary-addr (or
+//     the -binary-addrs failover list), with -window frames pipelined; every
+//     ack carries the commit position after the frame became durable AND
+//     visible, so the ack round trip IS the per-update visibility latency.
+//     Every update carries (session, seq) — -session, or a fresh random id
+//     per run — and un-acked updates are replayed across reconnects; the
+//     server dedups, so a leader kill mid-stream loses nothing and
+//     duplicates nothing.
 //
 // JSON writes follow 421 write-handoffs: when the target demotes to follower
 // mid-run, the Location header re-points the stream at the new leader and the
@@ -78,10 +78,10 @@ func main() {
 func run() error {
 	var (
 		addr     = flag.String("addr", "http://localhost:8372", "cisgraphd base URL")
-		proto    = flag.String("proto", "json", "ingest protocol: json (POST /v1/updates) or binary (CGBIN/1-2 framed TCP)")
+		proto    = flag.String("proto", "json", "ingest protocol: json (POST /v1/updates) or binary (CGBIN/2 framed TCP)")
 		binAddr  = flag.String("binary-addr", "localhost:8373", "cisgraphd binary ingest address (for -proto binary)")
-		binAddrs = flag.String("binary-addrs", "", "comma-separated failover list of binary ingest addresses (for -proto binary with -session); reconnects cycle through it until a leader acks")
-		session  = flag.Uint64("session", 0, "CGBIN/2 session id (nonzero): stamp every update with (session, seq) and replay un-acked updates across reconnects and leader failover — the server dedups, so each lands exactly once")
+		binAddrs = flag.String("binary-addrs", "", "comma-separated failover list of binary ingest addresses (for -proto binary); reconnects cycle through it until a leader acks")
+		session  = flag.Uint64("session", 0, "CGBIN/2 session id stamped on every update with its seq (0 = a fresh random id per run); un-acked updates replay across reconnects and leader failover — the server dedups, so each lands exactly once")
 		window   = flag.Int("window", 64, "frames in flight on the binary connection (for -proto binary)")
 		trace    = flag.String("trace", "", "batch trace file to replay (datagen -split output); required")
 		initial  = flag.String("initial", "", "initial snapshot edge list (required for -verify and -queries)")
@@ -258,15 +258,17 @@ func run() error {
 	var visLat []time.Duration
 	switch *proto {
 	case "binary":
-		if *session != 0 {
-			addrs := splitAddrs(*binAddrs)
-			if len(addrs) == 0 {
-				addrs = []string{*binAddr}
-			}
-			posted, binDropped, reconnects, visLat, err = replayBinarySession(addrs, *session, uint64(*offset), replay, *postSize, *rate, *window)
-		} else {
-			posted, binDropped, visLat, err = replayBinary(*binAddr, replay, *postSize, *rate, *window)
+		addrs := splitAddrs(*binAddrs)
+		if len(addrs) == 0 {
+			addrs = []string{*binAddr}
 		}
+		sid := *session
+		for sid == 0 {
+			// A fixed id would let a second run over the same -offset window
+			// dedup to nothing; a random one is a fresh session every run.
+			sid = rand.Uint64()
+		}
+		posted, binDropped, reconnects, visLat, err = replayBinarySession(addrs, sid, uint64(*offset), replay, *postSize, *rate, *window)
 		if err != nil {
 			return err
 		}
@@ -676,86 +678,6 @@ func settleWatchers(c *http.Client, addr string, watchers []*watchSub, wait time
 		ws.mu.Unlock()
 	}
 	return checked, agg, nil
-}
-
-// replayBinary streams the replay slice over one CGBIN/1 connection with up
-// to `window` frames in flight, collecting each frame's ack round trip —
-// the per-update visibility latency, since an ack is only sent after the
-// frame's updates are durable and published. Any non-OK ack is fatal: the
-// load generator's stream is clean, so Draining/Degraded/BadFrame all mean
-// the run cannot measure what it set out to.
-func replayBinary(binAddr string, replay []graph.Update, frameSize int, rate float64, window int) (posted, dropped int, visLat []time.Duration, err error) {
-	conn, err := net.Dial("tcp", binAddr)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("binary dial %s: %w", binAddr, err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(server.BinHello)); err != nil {
-		return 0, 0, nil, err
-	}
-	if window < 1 {
-		window = 1
-	}
-
-	type pend struct{ t0 time.Time }
-	pending := make(chan pend, window)
-	ackErr := make(chan error, 1)
-	var accepted, refused atomic.Int64
-	var mu sync.Mutex // guards visLat against the final append after join
-	go func() {
-		br := bufio.NewReader(conn)
-		for p := range pending {
-			ack, err := server.ReadBinAck(br)
-			if err != nil {
-				ackErr <- fmt.Errorf("binary ack: %w", err)
-				return
-			}
-			if ack.Status != server.BinStatusOK {
-				ackErr <- fmt.Errorf("binary ack status %d at position %d", ack.Status, ack.Pos)
-				return
-			}
-			mu.Lock()
-			visLat = append(visLat, time.Since(p.t0))
-			mu.Unlock()
-			accepted.Add(int64(ack.Accepted))
-			refused.Add(int64(ack.Dropped))
-		}
-		ackErr <- nil
-	}()
-
-	start := time.Now()
-	var buf []byte
-	for at := 0; at < len(replay); {
-		end := at + frameSize
-		if end > len(replay) {
-			end = len(replay)
-		}
-		if rate > 0 {
-			due := start.Add(time.Duration(float64(at) / rate * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		// Admission into the window; the ack reader frees slots. Checking
-		// ackErr here keeps a dead reader from deadlocking the send loop.
-		select {
-		case pending <- pend{t0: time.Now()}:
-		case err := <-ackErr:
-			return 0, 0, nil, err
-		}
-		buf = server.AppendBinFrame(buf[:0], replay[at:end])
-		if _, err := conn.Write(buf); err != nil {
-			return 0, 0, nil, fmt.Errorf("binary send %d..%d: %w", at, end, err)
-		}
-		at = end
-	}
-	close(pending)
-	if err := <-ackErr; err != nil {
-		return 0, 0, nil, err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return int(accepted.Load()), int(refused.Load()), visLat, nil
 }
 
 // replayBinarySession is the failover-aware CGBIN/2 client (DESIGN.md §17):
@@ -1243,7 +1165,7 @@ func verifyDurableState(c *http.Client, addr, walDir, ckpt, initial, algoStr str
 		through uint64
 	)
 	if ckpt != "" {
-		covered, payload, err := resilience.ReadCheckpointFile(ckpt)
+		covered, _, payload, err := resilience.ReadCheckpointMeta(ckpt)
 		switch {
 		case err == nil:
 			if g, _, err = server.DecodeCheckpointState(payload); err != nil {

@@ -109,7 +109,7 @@ func ServerIngest(b *testing.B) {
 }
 
 // benchBinary builds the same serving stack as benchDaemon but fronts it
-// with the CGBIN/1 binary ingest listener instead of HTTP, returning a
+// with the CGBIN/2 binary ingest listener instead of HTTP, returning a
 // connected client that has already completed the hello exchange.
 func benchBinary(b *testing.B, queries int) (net.Conn, *bufio.Reader) {
 	b.Helper()
@@ -134,7 +134,7 @@ func benchBinary(b *testing.B, queries int) (net.Conn, *bufio.Reader) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(server.BinHello)); err != nil {
+	if _, err := conn.Write([]byte(server.BinHello2)); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() {
@@ -162,17 +162,15 @@ func benchChunks() (dels, adds []graph.Update) {
 // ServerIngestBinary measures the binary fast path end to end with the same
 // workload as ServerIngest — 64-update delete/re-add chunks against the same
 // topology with one registered query — so the two upd/s numbers compare the
-// JSON batch pipeline against the CGBIN/1 per-update pipeline directly.
+// JSON batch pipeline against the CGBIN/2 per-update pipeline directly.
 // Frames are pipelined: a reader goroutine collects the streamed acks while
 // the send loop keeps the connection full, as a real binary client would.
 func ServerIngestBinary(b *testing.B) {
 	conn, br := benchBinary(b, 1)
 	dels, adds := benchChunks()
 	const chunk = 64
-	frames := [2][]byte{
-		server.AppendBinFrame(nil, dels),
-		server.AppendBinFrame(nil, adds),
-	}
+	chunks := [2][]graph.Update{dels, adds}
+	var frame []byte
 
 	done := make(chan error, 1)
 	go func() {
@@ -192,7 +190,8 @@ func ServerIngestBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(frames[i%2]); err != nil {
+		frame = server.AppendBinFrameSession(frame[:0], 1, uint64(i*chunk)+1, chunks[i%2])
+		if _, err := conn.Write(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,17 +210,16 @@ func ServerIngestBinary(b *testing.B) {
 func PerUpdateLatency(b *testing.B) {
 	conn, br := benchBinary(b, 1)
 	dels, adds := benchChunks()
-	frames := [2][]byte{
-		server.AppendBinFrame(nil, dels[:1]),
-		server.AppendBinFrame(nil, adds[:1]),
-	}
+	ups := [2][]graph.Update{dels[:1], adds[:1]}
+	var frame []byte
 
 	lat := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := conn.Write(frames[i%2]); err != nil {
+		frame = server.AppendBinFrameSession(frame[:0], 1, uint64(i)+1, ups[i%2])
+		if _, err := conn.Write(frame); err != nil {
 			b.Fatal(err)
 		}
 		ack, err := server.ReadBinAck(br)

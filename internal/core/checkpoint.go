@@ -25,7 +25,6 @@ import (
 // all integers little-endian. The checksum turns truncation and bit flips
 // into clean load errors instead of gob decode confusion or silently wrong
 // state; LoadCISO additionally re-verifies the dependency-tree invariant.
-// Version-1 checkpoints (bare gob, no envelope) are still readable.
 
 // checkpointVersion guards against format drift. Version 2 added the
 // checksummed envelope.
@@ -108,48 +107,35 @@ func (c *CISO) SaveFile(path string) error {
 // Truncated or bit-flipped files fail the envelope checksum; files that
 // pass it are still re-verified against the dependency-tree invariant.
 func LoadCISO(r io.Reader, opts ...CISOOption) (*CISO, error) {
-	var dto checkpointDTO
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("checkpoint: read header: %w", err)
+	hdr := make([]byte, 20)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("checkpoint: truncated header: %w", err)
 	}
-	if bytes.Equal(head, checkpointMagic[:]) {
-		hdr := make([]byte, 16)
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, fmt.Errorf("checkpoint: truncated header: %w", err)
-		}
-		version := binary.LittleEndian.Uint32(hdr[0:4])
-		if version != checkpointVersion {
-			return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
-		}
-		plen := binary.LittleEndian.Uint64(hdr[4:12])
-		want := binary.LittleEndian.Uint32(hdr[12:16])
-		const maxPayload = 1 << 32
-		if plen > maxPayload {
-			return nil, fmt.Errorf("checkpoint: implausible payload length %d", plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("checkpoint: truncated payload: %w", err)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, fmt.Errorf("checkpoint: payload checksum mismatch (got %08x, want %08x): file corrupt", got, want)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dto); err != nil {
-			return nil, fmt.Errorf("checkpoint: decode: %w", err)
-		}
-		if dto.Version != checkpointVersion {
-			return nil, fmt.Errorf("checkpoint: envelope/payload version mismatch (%d)", dto.Version)
-		}
-	} else {
-		// Legacy version-1 checkpoint: bare gob stream, no envelope.
-		dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(head), r))
-		if err := dec.Decode(&dto); err != nil {
-			return nil, fmt.Errorf("checkpoint: decode: %w", err)
-		}
-		if dto.Version != 1 {
-			return nil, fmt.Errorf("checkpoint: unsupported version %d", dto.Version)
-		}
+	if !bytes.Equal(hdr[:4], checkpointMagic[:]) {
+		return nil, fmt.Errorf("checkpoint: bad magic %q (want %q)", hdr[:4], checkpointMagic[:])
+	}
+	if version := binary.LittleEndian.Uint32(hdr[4:8]); version != checkpointVersion {
+		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
+	}
+	plen := binary.LittleEndian.Uint64(hdr[8:16])
+	want := binary.LittleEndian.Uint32(hdr[16:20])
+	const maxPayload = 1 << 32
+	if plen > maxPayload {
+		return nil, fmt.Errorf("checkpoint: implausible payload length %d", plen)
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("checkpoint: truncated payload: %w", err)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, fmt.Errorf("checkpoint: payload checksum mismatch (got %08x, want %08x): file corrupt", got, want)
+	}
+	var dto checkpointDTO
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dto); err != nil {
+		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	}
+	if dto.Version != checkpointVersion {
+		return nil, fmt.Errorf("checkpoint: envelope/payload version mismatch (%d)", dto.Version)
 	}
 	a, err := algo.ByName(dto.Algo)
 	if err != nil {

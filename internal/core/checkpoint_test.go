@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -127,31 +126,6 @@ func TestCheckpointRejectsBadVersion(t *testing.T) {
 	bad[4] = 99 // version field, little-endian low byte
 	if _, err := LoadCISO(bytes.NewReader(bad)); err == nil {
 		t.Fatal("future version accepted")
-	}
-}
-
-// TestCheckpointLegacyV1 writes a version-1 checkpoint (bare gob, no
-// envelope) and checks it still loads.
-func TestCheckpointLegacyV1(t *testing.T) {
-	c, _ := armedCISO(t)
-	dto := checkpointDTO{
-		Version: 1,
-		Algo:    c.st.a.Name(),
-		Query:   c.st.q,
-		Graph:   c.st.g.EdgeList("legacy"),
-		Val:     c.st.val,
-		Parent:  c.st.parent,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	r, err := LoadCISO(&buf)
-	if err != nil {
-		t.Fatalf("legacy v1 checkpoint rejected: %v", err)
-	}
-	if r.Answer() != c.Answer() {
-		t.Fatalf("legacy restore answer %v, want %v", r.Answer(), c.Answer())
 	}
 }
 

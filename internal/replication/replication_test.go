@@ -107,7 +107,7 @@ func newTailFixture(t *testing.T) *tailFixture {
 func (f *tailFixture) append(t *testing.T, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		if _, err := f.wal.Append(frameBatch(i)); err != nil {
+		if _, err := f.wal.AppendRecords([]resilience.Record{{Batch: frameBatch(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,7 +46,7 @@ type Guard struct {
 	san     *Sanitizer
 	cnt     *stats.Counters
 
-	wal        *WAL
+	wal        *SegmentedWAL
 	auditEvery int
 	ckptEvery  int
 	ckptPath   string
@@ -91,9 +91,9 @@ func WithCheckpointFile(path string) GuardOption {
 	return func(g *Guard) { g.ckptPath = path }
 }
 
-// WithWAL appends every sanitized batch to w (fsynced) before it is
-// applied. The caller keeps ownership of w (and closes it).
-func WithWAL(w *WAL) GuardOption {
+// WithWAL appends every sanitized batch to w (fsynced) as one record before
+// it is applied. The caller keeps ownership of w (and closes it).
+func WithWAL(w *SegmentedWAL) GuardOption {
 	return func(g *Guard) { g.wal = w }
 }
 
@@ -190,7 +190,7 @@ func (g *Guard) ApplyBatch(batch []graph.Update) core.Result {
 	}
 	var walErr error
 	if g.wal != nil {
-		if _, walErr = g.wal.Append(clean); walErr != nil {
+		if _, walErr = g.wal.AppendRecords([]Record{{Batch: clean}}); walErr != nil {
 			// Durability is lost but availability is preserved: surface the
 			// failure on the result and keep serving.
 			walErr = fmt.Errorf("resilience: wal append failed (batch applied without durability): %w", walErr)
@@ -315,7 +315,7 @@ func (g *Guard) takeCheckpoint() error {
 	g.snapAt = g.batches
 	g.since = g.since[:0]
 	if g.ckptPath != "" {
-		if err := WriteCheckpointFile(g.ckptPath, g.batches, g.snap); err != nil {
+		if err := WriteCheckpointMetaFS(OsFS{}, g.ckptPath, g.batches, 0, g.snap); err != nil {
 			return fmt.Errorf("resilience: %w", err)
 		}
 	}

@@ -12,7 +12,8 @@ import (
 
 // RecoveryConfig names the durable artefacts of a crashed run.
 type RecoveryConfig struct {
-	// WALPath is the write-ahead log the run appended to ("" = none).
+	// WALPath is the segmented write-ahead log directory the run appended to
+	// ("" = none).
 	WALPath string
 	// CheckpointPath is the guard's periodic checkpoint file ("" = none).
 	// An unreadable or corrupt checkpoint is not fatal: recovery falls back
@@ -35,7 +36,7 @@ func Recover(cfg RecoveryConfig) (*core.CISO, uint64, error) {
 	var eng *core.CISO
 	var through uint64
 	if cfg.CheckpointPath != "" {
-		if covered, payload, err := ReadCheckpointFile(cfg.CheckpointPath); err == nil {
+		if covered, _, payload, err := ReadCheckpointMeta(cfg.CheckpointPath); err == nil {
 			if e, err := core.LoadCISO(bytes.NewReader(payload), cfg.Options...); err == nil {
 				eng, through = e, covered
 			}
@@ -53,7 +54,7 @@ func Recover(cfg RecoveryConfig) (*core.CISO, uint64, error) {
 		through = 0
 	}
 	if cfg.WALPath != "" {
-		recs, err := ReplayWAL(cfg.WALPath)
+		recs, err := ReplaySegmented(cfg.WALPath)
 		if err != nil {
 			return nil, 0, fmt.Errorf("resilience: recover: %w", err)
 		}

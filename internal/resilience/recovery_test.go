@@ -54,7 +54,7 @@ func TestKillAndRecover(t *testing.T) {
 	ckptPath := filepath.Join(dir, "guard.ckpt")
 
 	// Phase 1: guarded run over the faulty stream, dies after crashAt batches.
-	wal, err := CreateWAL(walPath)
+	wal, err := CreateSegmentedWAL(walPath, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestKillAndRecover(t *testing.T) {
 	}
 	// CRASH: no Close, no final checkpoint. Simulate a torn append the way a
 	// power cut mid-write would leave it.
-	if f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644); err == nil {
+	if f, err := os.OpenFile(lastSegment(t, walPath), os.O_APPEND|os.O_WRONLY, 0o644); err == nil {
 		f.Write([]byte{7, 0, 0, 0, 0, 0})
 		f.Close()
 	}
@@ -107,7 +107,7 @@ func TestKillAndRecover(t *testing.T) {
 
 	// Phase 3: continue the recovered run — reopen the WAL (torn tail is
 	// truncated), wrap the engine in a fresh guard, keep injecting faults.
-	wal2, err := OpenWAL(walPath)
+	wal2, err := OpenSegmentedWAL(walPath, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestKillAndRecover(t *testing.T) {
 
 	// The WAL now logs the entire stream: a second crash right here could
 	// replay everything.
-	recs, err := ReplayWAL(walPath)
+	recs, err := ReplaySegmented(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "stream.wal")
 
-	wal, err := CreateWAL(walPath)
+	wal, err := CreateSegmentedWAL(walPath, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRecoverCorruptCheckpointFallsBack(t *testing.T) {
 	walPath := filepath.Join(dir, "stream.wal")
 	ckptPath := filepath.Join(dir, "guard.ckpt")
 
-	wal, err := CreateWAL(walPath)
+	wal, err := CreateSegmentedWAL(walPath, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"cisgraph/internal/graph"
 )
 
 // ErrCompacted reports that the requested records were deleted by
@@ -22,10 +20,8 @@ import (
 var ErrCompacted = errors.New("wal: records compacted by retention")
 
 // Segmented write-ahead log: a directory of fixed-size segment files, each
-// named by the index of the first batch it holds. Records use the exact
-// CGWALOG1 record format (uint64 index | uint32 length | uint32 CRC-32 |
-// payload); only the container changed, so the legacy single-file reader
-// and the segment reader share one record scanner.
+// named by the index of the first record it holds. Records use the format
+// in wal.go (uint64 index | uint32 length | uint32 CRC-32 | payload).
 //
 // Why segments: a single unbounded file grows forever and recovery replays
 // it from byte 0. With segments, checkpoint-coordinated retention
@@ -39,54 +35,47 @@ var ErrCompacted = errors.New("wal: records compacted by retention")
 //	<dir>/seg-00000000000000000017.wal   records [17, 31)
 //	<dir>/seg-00000000000000000031.wal   active segment (appends go here)
 //
-// Each segment starts with the 8-byte magic "CGWALOG2", or — once the log
-// carries a nonzero leadership epoch (DESIGN.md §17) — the 16-byte header
-// "CGWALOG3" | uint64 epoch. Readers accept all three generations
-// ("CGWALOG1" covers a legacy single-file log renamed into the directory by
-// the migration shim in OpenSegmentedWAL), so pre-epoch data directories
-// replay without rewriting a byte and read back as epoch 0.
+// Each segment starts with the 16-byte header "CGWALOG3" | uint64 epoch, the
+// leadership epoch (DESIGN.md §17) it was written under; epoch 0 is an
+// ordinary value. Only a file shorter than the header whose bytes are a
+// prefix of one is a torn create; any other header (a foreign file, or a
+// retired CGWALOG1/CGWALOG2 log) is an error naming the file, and its bytes
+// are never touched.
 //
-// Crash anatomy, same redo-log rule as the single-file WAL: a torn or
-// bit-flipped record ends the trustworthy log. Only the *last* segment can
-// legally carry a torn tail (appends only ever run there); OpenSegmentedWAL
-// truncates it away before appending. A failed append additionally marks
+// Crash anatomy, the redo-log rule: a torn or bit-flipped record ends the
+// trustworthy log. Only the *last* segment can legally carry a torn tail
+// (appends only ever run there); OpenSegmentedWAL truncates it away before
+// appending. A failed append additionally marks
 // the segment dirty, and the next append (or Probe) truncates back to the
 // last durable record before writing — a half-written record from a sick
 // disk can never be followed by a good one.
 
-var segHeader = []byte("CGWALOG2")
-var segHeaderV3 = []byte("CGWALOG3")
+var segMagic = []byte("CGWALOG3")
 
-const segHeaderV3Len = 16 // 8-byte magic + uint64 epoch
+const segHeaderLen = 16 // 8-byte magic + uint64 epoch
 
 const segPrefix = "seg-"
 const segSuffix = ".wal"
 
-// segHeaderFor renders the header a new segment gets: the legacy epochless
-// magic at epoch 0 (byte-compatible with pre-epoch readers), the v3 header
-// once the log has been fenced to a nonzero epoch.
-func segHeaderFor(epoch uint64) []byte {
-	if epoch == 0 {
-		return segHeader
-	}
-	hdr := make([]byte, segHeaderV3Len)
-	copy(hdr, segHeaderV3)
-	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
+// segHeader renders the header a new segment gets.
+func segHeader(epoch uint64) []byte {
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr, segMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], epoch)
 	return hdr
 }
 
-// parseSegHeader recognises any segment-header generation, returning the
-// epoch it carries and the header length; ok is false for a torn or foreign
-// header.
-func parseSegHeader(data []byte) (epoch uint64, hdrLen int, ok bool) {
-	if len(data) >= segHeaderV3Len && bytes.Equal(data[:8], segHeaderV3) {
-		return binary.LittleEndian.Uint64(data[8:16]), segHeaderV3Len, true
+// segEpoch parses the header of the segment file at path. torn reports a
+// crash mid-create: fewer bytes than a header, all of them a prefix of one.
+// Anything else that is not a header is an error naming the file.
+func segEpoch(path string, data []byte) (epoch uint64, torn bool, err error) {
+	if len(data) >= segHeaderLen && bytes.Equal(data[:len(segMagic)], segMagic) {
+		return binary.LittleEndian.Uint64(data[len(segMagic):segHeaderLen]), false, nil
 	}
-	if len(data) >= len(segHeader) &&
-		(bytes.Equal(data[:len(segHeader)], segHeader) || bytes.Equal(data[:len(walHeader)], walHeader)) {
-		return 0, len(segHeader), true
+	if len(data) < segHeaderLen && bytes.HasPrefix(segMagic, data[:min(len(data), len(segMagic))]) {
+		return 0, true, nil
 	}
-	return 0, 0, false
+	return 0, false, fmt.Errorf("wal: %s: not a %s segment (foreign file or retired log format)", path, segMagic)
 }
 
 // segName renders the file name of the segment whose first record is idx.
@@ -165,33 +154,25 @@ type SegmentedWAL struct {
 
 	mu     sync.Mutex
 	sealed []segMeta // ascending by first
-	active File      // nil when the last roll/create failed; retried on Append
+	active File      // nil when the last roll/create failed; retried on append
 	first  uint64    // first index of the active segment
-	hdrLen int64     // length of the active segment's header
 	size   int64     // bytes written to the active segment (incl. torn tail)
 	good   int64     // bytes up to the last durable record (truncation target)
 	dirty  bool      // a failed append may have left torn bytes past good
-	next   uint64    // index the next Append will use
+	next   uint64    // index the next appended record gets
 	epoch  uint64    // leadership epoch stamped into new segments
-	closed bool      // Close was called; Append/Probe refuse
+	closed bool      // Close was called; AppendRecords/Probe refuse
+	buf    []byte    // AppendRecords' encode buffer, reused across groups
 }
 
 // OpenSegmentedWAL opens (or creates) the segmented WAL at dir, resuming
-// after a crash: a legacy single-file CGWALOG1 log at the same path is
-// migrated in place (renamed into the new directory as its first segment —
-// the record format is identical), the last segment's torn tail is
-// truncated, and the next index is recovered from the surviving records.
+// after a crash: the last segment's torn tail is truncated, and the next
+// index is recovered from the surviving records.
 func OpenSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 	opt = opt.withDefaults()
 	w := &SegmentedWAL{dir: dir, opt: opt, fs: opt.FS}
-	if err := w.migrateLegacy(); err != nil {
-		return nil, err
-	}
 	if err := w.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := w.adoptMigrating(); err != nil {
-		return nil, err
 	}
 	firsts, err := listSegments(w.fs, dir)
 	if err != nil {
@@ -215,21 +196,10 @@ func OpenSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 }
 
 // CreateSegmentedWAL starts a fresh segmented WAL at dir, removing any
-// previous segments (and a legacy single-file log at the same path) — the
-// directory analogue of CreateWAL's truncate-on-create.
+// previous segments (truncate-on-create).
 func CreateSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 	opt = opt.withDefaults()
 	fsys := opt.FS
-	if st, err := fsys.Stat(dir); err == nil && !st.IsDir() {
-		if err := fsys.Remove(dir); err != nil {
-			return nil, fmt.Errorf("wal: remove legacy file: %w", err)
-		}
-	}
-	if _, err := fsys.Stat(dir + ".migrating"); err == nil {
-		if err := fsys.Remove(dir + ".migrating"); err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -247,50 +217,6 @@ func CreateSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// migrateLegacy converts a legacy single-file CGWALOG1 log at w.dir into
-// the first segment of a directory log. Crash-safe: the file is first
-// renamed aside to <dir>.migrating, and adoptMigrating finishes an
-// interrupted migration on the next open.
-func (w *SegmentedWAL) migrateLegacy() error {
-	st, err := w.fs.Stat(w.dir)
-	if err != nil || st.IsDir() {
-		return nil // absent or already a directory
-	}
-	data, err := w.fs.ReadFile(w.dir)
-	if err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	if len(data) < len(walHeader) || !bytes.Equal(data[:len(walHeader)], walHeader) {
-		return fmt.Errorf("wal: %s: existing file is not a WAL (bad header)", w.dir)
-	}
-	if err := w.fs.Rename(w.dir, w.dir+".migrating"); err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	return nil
-}
-
-// adoptMigrating moves a legacy log parked at <dir>.migrating into the
-// directory as the segment named by its first record index.
-func (w *SegmentedWAL) adoptMigrating() error {
-	park := w.dir + ".migrating"
-	if _, err := w.fs.Stat(park); err != nil {
-		return nil
-	}
-	data, err := w.fs.ReadFile(park)
-	if err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	recs, _ := scanSegmentData(data, nil)
-	var first uint64
-	if len(recs) > 0 {
-		first = recs[0].Index
-	}
-	if err := w.fs.Rename(park, filepath.Join(w.dir, segName(first))); err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	return nil
 }
 
 // listSegments returns the first-record indices of every segment in dir,
@@ -315,40 +241,34 @@ func listSegments(fsys FS, dir string) ([]uint64, error) {
 
 // openActive opens the newest segment for appending: scan its valid record
 // prefix, truncate the torn tail, seek to the end. A segment whose header
-// never made it to disk (crash during roll) is rebuilt empty.
+// never made it to disk (crash during roll) is rebuilt empty; a foreign
+// header fails the open and leaves the file as it is.
 func (w *SegmentedWAL) openActive(first uint64) error {
 	path := filepath.Join(w.dir, segName(first))
 	data, err := w.fs.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var good int64
-	var recs []Record
-	epoch, hdrLen, hdrOK := parseSegHeader(data)
-	if hdrOK {
-		recs, good = scanSegmentData(data, nil)
+	epoch, torn, err := segEpoch(path, data)
+	if err != nil {
+		return err
 	}
+	if torn {
+		// Rebuild under its own name at the newest epoch still on disk (the
+		// last sealed segment's; a lower epoch must never follow a higher one
+		// in the same log).
+		if w.epoch, err = w.sealedEpoch(); err != nil {
+			return err
+		}
+		return w.createSegment(first)
+	}
+	recs, n := scanRecords(data[segHeaderLen:], nil)
+	good := segHeaderLen + n
 	f, err := w.fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if good == 0 {
-		// Torn header: rebuild the segment empty under its own name, at the
-		// newest epoch still on disk (the last sealed segment's; a lower
-		// epoch must never follow a higher one in the same log).
-		epoch = w.sealedEpoch()
-		hdr := segHeaderFor(epoch)
-		hdrLen = len(hdr)
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: truncate torn segment: %w", err)
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: rewrite segment header: %w", err)
-		}
-		good = int64(hdrLen)
-	} else if err := f.Truncate(good); err != nil {
+	if err := f.Truncate(good); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: truncate torn tail: %w", err)
 	}
@@ -357,7 +277,6 @@ func (w *SegmentedWAL) openActive(first uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	w.active, w.first, w.size, w.good = f, first, good, good
-	w.hdrLen = int64(hdrLen)
 	w.epoch = epoch
 	w.next = first
 	if len(recs) > 0 {
@@ -367,18 +286,18 @@ func (w *SegmentedWAL) openActive(first uint64) error {
 }
 
 // sealedEpoch reads the newest sealed segment's header epoch (0 when there
-// are no sealed segments or the header is unreadable). Called with w.mu
-// conventions of open — single-threaded setup.
-func (w *SegmentedWAL) sealedEpoch() uint64 {
+// are no sealed segments). Single-threaded setup, like open.
+func (w *SegmentedWAL) sealedEpoch() (uint64, error) {
 	if len(w.sealed) == 0 {
-		return 0
+		return 0, nil
 	}
-	data, err := w.fs.ReadFile(filepath.Join(w.dir, segName(w.sealed[len(w.sealed)-1].first)))
+	path := filepath.Join(w.dir, segName(w.sealed[len(w.sealed)-1].first))
+	data, err := w.fs.ReadFile(path)
 	if err != nil {
-		return 0
+		return 0, fmt.Errorf("wal: %w", err)
 	}
-	epoch, _, _ := parseSegHeader(data)
-	return epoch
+	epoch, _, err := segEpoch(path, data)
+	return epoch, err
 }
 
 // createSegment starts a new active segment whose first record will be idx,
@@ -388,8 +307,7 @@ func (w *SegmentedWAL) createSegment(idx uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	hdr := segHeaderFor(w.epoch)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(segHeader(w.epoch)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: segment header: %w", err)
 	}
@@ -398,8 +316,7 @@ func (w *SegmentedWAL) createSegment(idx uint64) error {
 		return fmt.Errorf("wal: segment sync: %w", err)
 	}
 	w.active, w.first = f, idx
-	w.hdrLen = int64(len(hdr))
-	w.size, w.good = int64(len(hdr)), int64(len(hdr))
+	w.size, w.good = segHeaderLen, segHeaderLen
 	w.dirty = false
 	w.next = idx
 	return nil
@@ -445,81 +362,20 @@ func (w *SegmentedWAL) repairLocked() error {
 	return nil
 }
 
-// Append encodes batch as the next record, writes and fsyncs it, and
-// returns the record's index — the same contract as WAL.Append, plus
-// segment rolling. On error the log is positionally unchanged: the record
-// is not counted, and torn bytes are truncated away before the next write
-// (or by Probe), so a failed append can never corrupt a later good one.
-func (w *SegmentedWAL) Append(batch []graph.Update) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fmt.Errorf("wal: closed")
-	}
-	if w.active == nil || (w.good >= w.opt.SegmentBytes && w.good > w.hdrLen) {
-		if err := w.roll(); err != nil {
-			return 0, err
-		}
-	}
-	if w.dirty {
-		if err := w.repairLocked(); err != nil {
-			return 0, err
-		}
-	}
-	payload := encodeBatch(batch)
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:8], w.next)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
-	if n, err := w.active.Write(hdr); err != nil {
-		w.size += int64(n)
-		w.dirty = true
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if n, err := w.active.Write(payload); err != nil {
-		w.size += 16 + int64(n)
-		w.dirty = true
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	w.size += 16 + int64(len(payload))
-	if err := w.active.Sync(); err != nil {
-		// The record's durability is unknown; treat it as not appended and
-		// truncate it on the next write.
-		w.dirty = true
-		return 0, fmt.Errorf("wal: sync: %w", err)
-	}
-	w.good = w.size
-	idx := w.next
-	w.next++
-	return idx, nil
-}
-
-// AppendGroup encodes every batch as its own consecutive record — on disk
-// and over replication indistinguishable from len(batches) Append calls —
-// but pays ONE write and ONE fsync for the whole group. This is the
-// per-update fast path's group commit (DESIGN.md §14): each update stays an
-// individually addressable stream position, while the fsync cost amortizes
-// across the group. It returns the first record's index; the group occupies
-// [first, first+len(batches)).
+// AppendRecords encodes each record — batch and session tag (SID/Seq) — as
+// its own consecutive record, on disk and over replication indistinguishable
+// from one append per record, but pays ONE write and ONE fsync for the
+// whole group: every stream position stays individually addressable while
+// the fsync cost amortizes across the group (DESIGN.md §14). Record indices
+// are assigned by the log (rec.Index inputs are ignored). It returns the
+// first record's index; the group occupies [first, first+len(recs)).
 //
-// Atomicity matches Append: on any error no record of the group is counted,
-// and torn bytes are truncated away before the next write, so a failed
-// group can never corrupt a later good one. The group is deliberately not
-// split across a segment roll — the roll decision is taken once, before the
-// group — which keeps a group's records contiguous in one segment (segments
-// may overshoot SegmentBytes by up to one group, same as one large record).
-func (w *SegmentedWAL) AppendGroup(batches [][]graph.Update) (uint64, error) {
-	recs := make([]Record, len(batches))
-	for i, b := range batches {
-		recs[i] = Record{Batch: b}
-	}
-	return w.AppendRecords(recs)
-}
-
-// AppendRecords is AppendGroup over full records: each record's batch AND
-// session tag (SID/Seq) are encoded, so the fast path's exactly-once tags
-// and a follower's inherited tags reach disk byte-identical to the wire.
-// Record indices are assigned by the log (rec.Index inputs are ignored).
+// On any error no record of the group is counted: the log is positionally
+// unchanged, and torn bytes are truncated away before the next write (or by
+// Probe), so a failed group can never corrupt a later good one. The roll
+// decision is taken once, before the group, which keeps a group's records
+// contiguous in one segment (segments may overshoot SegmentBytes by up to
+// one group).
 func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -529,7 +385,7 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	if len(recs) == 0 {
 		return w.next, nil
 	}
-	if w.active == nil || (w.good >= w.opt.SegmentBytes && w.good > w.hdrLen) {
+	if w.active == nil || (w.good >= w.opt.SegmentBytes && w.good > segHeaderLen) {
 		if err := w.roll(); err != nil {
 			return 0, err
 		}
@@ -540,20 +396,21 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 		}
 	}
 	first := w.next
-	var buf []byte
+	buf := w.buf[:0]
 	for i, rec := range recs {
-		payload := encodeBatchTagged(rec.Batch, rec.SID, rec.Seq)
-		var hdr [16]byte
-		binary.LittleEndian.PutUint64(hdr[0:8], first+uint64(i))
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
+		start := len(buf)
+		buf = append(buf, make([]byte, 16)...)
+		buf = appendRecordPayload(buf, rec)
+		payload := buf[start+16:]
+		binary.LittleEndian.PutUint64(buf[start:], first+uint64(i))
+		binary.LittleEndian.PutUint32(buf[start+8:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[start+12:], crc32.ChecksumIEEE(payload))
 	}
+	w.buf = buf
 	if n, err := w.active.Write(buf); err != nil {
 		w.size += int64(n)
 		w.dirty = true
-		return 0, fmt.Errorf("wal: append group: %w", err)
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += int64(len(buf))
 	if err := w.active.Sync(); err != nil {
@@ -720,7 +577,8 @@ func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
 		total    int64
 	)
 	for i := start; i < len(firsts); i++ {
-		data, err := fsys.ReadFile(filepath.Join(dir, segName(firsts[i])))
+		path := filepath.Join(dir, segName(firsts[i]))
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil, ErrCompacted // retention race: segment deleted under us
@@ -731,7 +589,10 @@ func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
 			return nil, fmt.Errorf("wal: segment gap: records [%d,%d) missing before %s",
 				expected, firsts[i], segName(firsts[i]))
 		}
-		recs, off := scanSegmentData(data, nil)
+		recs, off, err := scanSegment(path, data, nil)
+		if err != nil {
+			return nil, err
+		}
 		if len(recs) > 0 && recs[0].Index != firsts[i] {
 			return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
 				segName(firsts[i]), recs[0].Index)
@@ -863,26 +724,24 @@ func (w *SegmentedWAL) Close() error {
 	return err
 }
 
-// scanSegmentData parses one segment's valid record prefix, appending to
-// recs (which carries the contiguity context across segments). Returns the
-// extended slice and the offset where the valid prefix ends; a missing or
-// torn header yields offset 0.
-func scanSegmentData(data []byte, recs []Record) ([]Record, int64) {
-	_, hdrLen, ok := parseSegHeader(data)
-	if !ok {
-		return recs, 0
+// scanSegment parses the valid record prefix of the segment file at path,
+// appending to recs (which carries the contiguity context across segments).
+// Returns the extended slice and the offset where the valid prefix ends (0
+// for a torn header); a foreign header is an error.
+func scanSegment(path string, data []byte, recs []Record) ([]Record, int64, error) {
+	_, torn, err := segEpoch(path, data)
+	if err != nil || torn {
+		return recs, 0, err
 	}
-	recs, n := scanRecords(data[hdrLen:], recs)
-	return recs, int64(hdrLen) + n
+	recs, n := scanRecords(data[segHeaderLen:], recs)
+	return recs, segHeaderLen + n, nil
 }
 
 // ReplaySegmented reads every valid record from the segmented WAL at dir,
-// in index order across segments. The first torn or checksum-failing
-// record ends the replay silently (later segments are untrustworthy too —
-// same redo-log rule as ReplayWAL). For compatibility with pre-segmentation
-// data directories, a legacy single-file CGWALOG1 log at the same path
-// replays transparently, as does one parked mid-migration. A missing path
-// yields no records.
+// in index order across segments. A torn or checksum-failing record in the
+// newest segment ends the replay silently (the crash-recovery contract). A
+// missing path yields no records; anything at the path that is not a
+// directory of CGWALOG3 segments is an error.
 func ReplaySegmented(dir string) ([]Record, error) {
 	return ReplaySegmentedFS(OsFS{}, dir)
 }
@@ -892,16 +751,11 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 	st, err := fsys.Stat(dir)
 	switch {
 	case os.IsNotExist(err):
-		// A crash between the two migration renames parks the legacy log at
-		// <dir>.migrating with <dir> absent; its records are still the log.
-		if _, perr := fsys.Stat(dir + ".migrating"); perr == nil {
-			return replayLegacyFS(fsys, dir+".migrating")
-		}
 		return nil, nil
 	case err != nil:
 		return nil, fmt.Errorf("wal: %w", err)
 	case !st.IsDir():
-		return replayLegacyFS(fsys, dir) // pre-segmentation single file
+		return nil, fmt.Errorf("wal: %s is not a WAL directory", dir)
 	}
 	firsts, err := listSegments(fsys, dir)
 	if err != nil {
@@ -916,7 +770,8 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 	// acked. Fail loudly with the gap range instead.
 	var recs []Record
 	for i, first := range firsts {
-		data, err := fsys.ReadFile(filepath.Join(dir, segName(first)))
+		path := filepath.Join(dir, segName(first))
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
@@ -932,7 +787,9 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 		}
 		before := len(recs)
 		var off int64
-		recs, off = scanSegmentData(data, recs)
+		if recs, off, err = scanSegment(path, data, recs); err != nil {
+			return nil, err
+		}
 		if len(recs) > before && recs[before].Index != first {
 			return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
 				segName(first), recs[before].Index)
@@ -949,21 +806,5 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 			break // torn tail in the newest segment ends the trustworthy log
 		}
 	}
-	return recs, nil
-}
-
-// replayLegacyFS scans a single-file CGWALOG1 log through the seam.
-func replayLegacyFS(fsys FS, path string) ([]Record, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < len(walHeader) || !bytes.Equal(data[:len(walHeader)], walHeader) {
-		return nil, fmt.Errorf("wal: %s: bad header (not a WAL file)", path)
-	}
-	recs, _ := scanRecords(data[len(walHeader):], nil)
 	return recs, nil
 }

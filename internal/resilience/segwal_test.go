@@ -16,14 +16,14 @@ func segBatch(i int) []graph.Update {
 	return []graph.Update{graph.Add(uint32(i), uint32(i+1), float64(i)+0.5)}
 }
 
-// tinySegOpts rolls after every 2 one-update records: header 8 B, each
+// tinySegOpts rolls after every 2 one-update records: header 16 B, each
 // record 16+21 = 37 B, and the roll check fires once good >= 64.
 func tinySegOpts() SegWALOptions { return SegWALOptions{SegmentBytes: 64} }
 
 func appendN(t *testing.T, w *SegmentedWAL, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		idx, err := w.Append(segBatch(i))
+		idx, err := w.AppendRecords([]Record{{Batch: segBatch(i)}})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -208,7 +208,7 @@ func TestSegWALEmptyNewestSegment(t *testing.T) {
 	appendN(t, w, 0, 4) // 0-1 | 2-3
 	w.Close()
 	// Simulate the crash: a rolled segment with only its header on disk.
-	if err := os.WriteFile(filepath.Join(dir, segName(4)), segHeader, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(4)), segHeader(0), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	checkReplay(t, dir, 0, 4)
@@ -224,7 +224,7 @@ func TestSegWALEmptyNewestSegment(t *testing.T) {
 	w2.Close()
 	checkReplay(t, dir, 0, 6)
 
-	// Harsher: the newest segment's header itself is torn (0 of 8 bytes).
+	// Harsher: the newest segment's header itself is torn (0 of 16 bytes).
 	if err := os.WriteFile(filepath.Join(dir, segName(6)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -240,60 +240,7 @@ func TestSegWALEmptyNewestSegment(t *testing.T) {
 	checkReplay(t, dir, 0, 7)
 }
 
-// A legacy single-file CGWALOG1 log replays as-is, and OpenSegmentedWAL
-// migrates it in place into the first segment of a directory log.
-func TestSegWALLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "srv.wal")
-	legacy, err := CreateWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := legacy.Append(segBatch(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy.Close()
-
-	// Read-side shim: the segmented replayer accepts the legacy file.
-	checkReplay(t, path, 0, 3)
-
-	w, err := OpenSegmentedWAL(path, tinySegOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.NextIndex(); got != 3 {
-		t.Fatalf("migrated NextIndex=%d, want 3", got)
-	}
-	appendN(t, w, 3, 3)
-	w.Close()
-	if st, err := os.Stat(path); err != nil || !st.IsDir() {
-		t.Fatalf("migration did not produce a directory: %v", err)
-	}
-	checkReplay(t, path, 0, 6)
-
-	// Crash between the migration renames parks the file at .migrating;
-	// replay still sees it and the next open adopts it.
-	park := filepath.Join(t.TempDir(), "srv2.wal")
-	legacy2, err := CreateWAL(park + ".migrating")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy2.Append(segBatch(0))
-	legacy2.Close()
-	checkReplay(t, park, 0, 1)
-	w2, err := OpenSegmentedWAL(park, tinySegOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w2.NextIndex(); got != 1 {
-		t.Fatalf("adopted NextIndex=%d, want 1", got)
-	}
-	w2.Close()
-}
-
-// CreateSegmentedWAL wipes previous segments (and a legacy file), like
-// CreateWAL's truncate-on-create.
+// CreateSegmentedWAL wipes previous segments (truncate-on-create).
 func TestSegWALCreateWipes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenSegmentedWAL(dir, tinySegOpts())
@@ -315,9 +262,9 @@ func TestSegWALCreateWipes(t *testing.T) {
 	checkReplay(t, dir, 0, 1)
 }
 
-// A fault-injected append (payload write dies after the header write) marks
-// the segment dirty; the next append after the disk heals truncates the
-// torn bytes, so the log stays contiguous and gap-free.
+// A fault-injected append (the record reaches the file but its fsync dies)
+// marks the segment dirty; the next append after the disk heals truncates
+// the unsynced bytes, so the log stays contiguous and gap-free.
 func TestSegWALFaultInjectedAppendRepairs(t *testing.T) {
 	ffs := NewFaultFS(OsFS{})
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -329,11 +276,11 @@ func TestSegWALFaultInjectedAppendRepairs(t *testing.T) {
 	}
 	appendN(t, w, 0, 1)
 
-	// The next append's ops are Write(hdr), Write(payload), Sync: let the
-	// header through, kill the payload — a torn record on disk.
+	// The next append's ops are Write(records), Sync: let the bytes through,
+	// kill the fsync — a record of unknown durability on disk.
 	injected := errors.New("injected EIO")
 	ffs.FailAfterWrites(1, injected)
-	if _, err := w.Append(segBatch(1)); err == nil {
+	if _, err := w.AppendRecords([]Record{{Batch: segBatch(1)}}); err == nil {
 		t.Fatal("append under injection succeeded")
 	}
 	if ffs.FailedOps() == 0 {
@@ -359,15 +306,15 @@ func TestSegWALFaultInjectedAppendRepairs(t *testing.T) {
 func TestCheckpointFaultInjection(t *testing.T) {
 	ffs := NewFaultFS(OsFS{})
 	path := filepath.Join(t.TempDir(), "srv.ckpt")
-	if err := WriteCheckpointFileFS(ffs, path, 7, []byte("good payload")); err != nil {
+	if err := WriteCheckpointMetaFS(ffs, path, 7, 0, []byte("good payload")); err != nil {
 		t.Fatal(err)
 	}
 	ffs.FailWrites(errors.New("injected ENOSPC"))
-	if err := WriteCheckpointFileFS(ffs, path, 8, []byte("newer payload")); err == nil {
+	if err := WriteCheckpointMetaFS(ffs, path, 8, 0, []byte("newer payload")); err == nil {
 		t.Fatal("checkpoint write under injection succeeded")
 	}
 	ffs.Heal()
-	through, payload, err := ReadCheckpointFile(path)
+	through, _, payload, err := ReadCheckpointMeta(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,18 +459,18 @@ func TestSegWALReadFrom(t *testing.T) {
 	}
 }
 
-// groupOf builds a group of n one-update batches encoding indices from..from+n-1.
-func groupOf(from, n int) [][]graph.Update {
-	out := make([][]graph.Update, 0, n)
+// groupOf builds a group of n one-update records encoding indices from..from+n-1.
+func groupOf(from, n int) []Record {
+	out := make([]Record, 0, n)
 	for i := from; i < from+n; i++ {
-		out = append(out, segBatch(i))
+		out = append(out, Record{Batch: segBatch(i)})
 	}
 	return out
 }
 
-// AppendGroup must be on-disk indistinguishable from the same sequence of
-// Append calls — consecutive indices, replayable, interleavable with single
-// appends, tailable with ReadFrom — while paying one write+fsync per group.
+// A group append must be on-disk indistinguishable from the same sequence of
+// one-record appends — consecutive indices, replayable, interleavable with
+// single appends, tailable with ReadFrom — while paying one write+fsync.
 func TestSegWALAppendGroup(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenSegmentedWAL(dir, tinySegOpts())
@@ -531,7 +478,7 @@ func TestSegWALAppendGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 1) // single append first: groups continue its index space
-	first, err := w.AppendGroup(groupOf(1, 5))
+	first, err := w.AppendRecords(groupOf(1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +491,7 @@ func TestSegWALAppendGroup(t *testing.T) {
 	appendN(t, w, 6, 1) // and single appends continue after a group
 
 	// Empty group: positionally a no-op.
-	if first, err = w.AppendGroup(nil); err != nil || first != 7 {
+	if first, err = w.AppendRecords(nil); err != nil || first != 7 {
 		t.Fatalf("empty group: first=%d err=%v", first, err)
 	}
 
@@ -584,14 +531,14 @@ func TestSegWALAppendGroupFaultAtomicity(t *testing.T) {
 	appendN(t, w, 0, 2)
 
 	ffs.FailWrites(errors.New("injected EIO"))
-	if _, err := w.AppendGroup(groupOf(2, 4)); err == nil {
+	if _, err := w.AppendRecords(groupOf(2, 4)); err == nil {
 		t.Fatal("group append under injection succeeded")
 	}
 	if got := w.NextIndex(); got != 2 {
 		t.Fatalf("NextIndex after failed group = %d, want 2", got)
 	}
 	ffs.Heal()
-	first, err := w.AppendGroup(groupOf(2, 4))
+	first, err := w.AppendRecords(groupOf(2, 4))
 	if err != nil {
 		t.Fatalf("group retry after heal: %v", err)
 	}

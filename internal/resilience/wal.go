@@ -5,33 +5,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 
 	"cisgraph/internal/graph"
 )
 
-// Write-ahead log for update batches. Appending a batch before applying it
-// makes the stream durable: after a crash, the surviving state is the latest
+// Write-ahead log records. Appending a batch before applying it makes the
+// stream durable: after a crash, the surviving state is the latest
 // checkpoint plus the WAL suffix, and replaying that suffix reproduces the
-// exact pre-crash engine.
+// exact pre-crash engine. The log itself is the segmented one (segwal.go);
+// this file holds the record codec it, the replication wire and the
+// checkpoint envelope share.
 //
-// File layout (all integers little-endian):
+// Record layout (all integers little-endian):
 //
-//	header  "CGWALOG1" (8 bytes)
 //	record  uint64 index | uint32 payload length | uint32 CRC-32 (IEEE, of
 //	        the payload) | payload
 //	payload uint32 count, then per update: uint8 op (0 add, 1 del) |
-//	        uint32 from | uint32 to | uint64 weight bits (IEEE-754)
+//	        uint32 from | uint32 to | uint64 weight bits (IEEE-754), then the
+//	        optional 20-byte session trailer
 //
-// Records carry consecutive batch indices starting at 0. Every append is
-// fsynced before it returns, so an acknowledged batch survives a crash. A
-// torn or bit-flipped record fails its checksum; readers treat the first
-// bad record as the end of the log (the standard redo-log recovery rule),
-// and OpenWAL truncates such a tail before appending.
-
-var walHeader = []byte("CGWALOG1")
+// Records carry consecutive indices — one per stream position. A torn or
+// bit-flipped record fails its checksum; readers treat the first bad record
+// as the end of the log (the standard redo-log recovery rule).
 
 // maxWALRecord bounds a single record's payload (17 bytes per update plus
 // the count; 1<<28 ≈ 15.8M updates) so a corrupt length field cannot drive
@@ -43,7 +40,7 @@ const maxWALRecord = 1 << 28
 // nonzero, the record's payload ends with a 20-byte "CGSS" trailer binding
 // the batch to a client session id and per-session sequence number, so the
 // exactly-once dedup window can be rebuilt from the log after a crash or a
-// leader failover. SID == 0 means untagged (HTTP batch path, legacy logs).
+// leader failover. SID == 0 means untagged (HTTP batch path).
 type Record struct {
 	Index uint64
 	Batch []graph.Update
@@ -51,134 +48,11 @@ type Record struct {
 	Seq   uint64
 }
 
-// WAL is an append-only write-ahead log of update batches.
-type WAL struct {
-	f    *os.File
-	path string
-	next uint64 // index the next Append will use
-}
-
-// CreateWAL creates (or truncates) a WAL at path.
-func CreateWAL(path string) (*WAL, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(walHeader); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: sync: %w", err)
-	}
-	return &WAL{f: f, path: path}, nil
-}
-
-// OpenWAL opens an existing WAL for appending, creating it when absent. The
-// valid record prefix is scanned to find the next index; a torn or corrupt
-// tail (from a crash mid-append) is truncated away first.
-func OpenWAL(path string) (*WAL, error) {
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return CreateWAL(path)
-	}
-	recs, good, err := scanWAL(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	w := &WAL{f: f, path: path}
-	if len(recs) > 0 {
-		w.next = recs[len(recs)-1].Index + 1
-	}
-	return w, nil
-}
-
-// Append encodes batch as the next record, writes and fsyncs it, and
-// returns the record's index. An empty batch is a valid (empty) record.
-func (w *WAL) Append(batch []graph.Update) (uint64, error) {
-	if w.f == nil {
-		return 0, fmt.Errorf("wal: closed")
-	}
-	payload := encodeBatch(batch)
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:8], w.next)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return 0, fmt.Errorf("wal: sync: %w", err)
-	}
-	idx := w.next
-	w.next++
-	return idx, nil
-}
-
-// NextIndex returns the index the next Append will use (== the number of
-// durable records).
-func (w *WAL) NextIndex() uint64 { return w.next }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Close flushes and closes the log file.
-func (w *WAL) Close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
-
-// ReplayWAL reads every valid record from the log at path, in order. The
-// first torn or checksum-failing record ends the replay silently — that is
-// the crash-recovery contract, not an error. A missing file yields no
-// records; a file without a valid header is an error (it is not a WAL).
-func ReplayWAL(path string) ([]Record, error) {
-	recs, _, err := scanWAL(path)
-	return recs, err
-}
-
-// scanWAL parses the valid record prefix and returns it together with the
-// file offset where the valid prefix ends.
-func scanWAL(path string) ([]Record, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < len(walHeader) || !bytes.Equal(data[:len(walHeader)], walHeader) {
-		return nil, 0, fmt.Errorf("wal: %s: bad header (not a WAL file)", path)
-	}
-	recs, n := scanRecords(data[len(walHeader):], nil)
-	return recs, int64(len(walHeader)) + n, nil
-}
-
-// scanRecords parses the valid record prefix of data (header already
-// stripped), appending to recs — the shared scanner for single-file and
-// segmented logs. recs carries the contiguity context: a record whose index
-// does not follow the previous one ends the scan, as does a torn tail, a
-// checksum failure or an undecodable payload. Returns the extended slice
-// and the number of bytes consumed.
+// scanRecords parses the valid record prefix of data (segment header
+// already stripped), appending to recs. recs carries the contiguity context
+// across segments: a record whose index does not follow the previous one
+// ends the scan, as does a torn tail, a checksum failure or an undecodable
+// payload. Returns the extended slice and the number of bytes consumed.
 func scanRecords(data []byte, recs []Record) ([]Record, int64) {
 	var off int64
 	rest := data
@@ -193,7 +67,7 @@ func scanRecords(data []byte, recs []Record) ([]Record, int64) {
 		if crc32.ChecksumIEEE(payload) != want {
 			break // bit flip: end of trustworthy log
 		}
-		batch, sid, seq, ok := decodeBatchTagged(payload)
+		batch, sid, seq, ok := DecodeRecordPayload(payload)
 		if !ok {
 			break
 		}
@@ -207,73 +81,44 @@ func scanRecords(data []byte, recs []Record) ([]Record, int64) {
 	return recs, off
 }
 
-// EncodeBatchPayload exposes the WAL record payload codec (uint32 count,
-// then 17 bytes per update) for the replication wire protocol: a shipped
-// record is byte-identical to the on-disk one, so followers verify the same
-// CRC the leader fsynced.
-func EncodeBatchPayload(batch []graph.Update) []byte { return encodeBatch(batch) }
-
-// DecodeBatchPayload is the inverse of EncodeBatchPayload; ok is false when
-// the payload is malformed.
-func DecodeBatchPayload(payload []byte) ([]graph.Update, bool) { return decodeBatch(payload) }
-
 // EncodeRecordPayload encodes a record's payload including its session
 // trailer (when tagged), so replication frames stay byte-identical to the
 // on-disk record and followers inherit the dedup tags the leader fsynced.
-func EncodeRecordPayload(rec Record) []byte {
-	return encodeBatchTagged(rec.Batch, rec.SID, rec.Seq)
-}
-
-// DecodeRecordPayload is the inverse of EncodeRecordPayload.
-func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64, ok bool) {
-	return decodeBatchTagged(payload)
-}
+func EncodeRecordPayload(rec Record) []byte { return appendRecordPayload(nil, rec) }
 
 // Session trailer: an optional 20-byte suffix on a record payload binding
 // the batch to an ingest session — magic "CGSS" | uint64 session id |
-// uint64 sequence. The base payload layout (uint32 count + 17 bytes per
-// update) is unchanged, so the count disambiguates: a payload is either
-// exactly 4+17n bytes (untagged) or 4+17n+20 with the trailer magic.
+// uint64 sequence. The count disambiguates: a payload is either exactly
+// 4+17n bytes (untagged) or 4+17n+20 with the trailer magic.
 var sessTrailerMagic = []byte("CGSS")
 
 const sessTrailerSize = 20
 
-func encodeBatch(batch []graph.Update) []byte { return encodeBatchTagged(batch, 0, 0) }
-
-func encodeBatchTagged(batch []graph.Update, sid, seq uint64) []byte {
-	size := 4 + 17*len(batch)
-	if sid != 0 {
-		size += sessTrailerSize
-	}
-	buf := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(batch)))
-	var rec [17]byte
-	for _, up := range batch {
-		rec[0] = 0
+// appendRecordPayload appends rec's payload to buf — the one encoder, so a
+// group append encodes straight into the log's reused write buffer.
+func appendRecordPayload(buf []byte, rec Record) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Batch)))
+	for _, up := range rec.Batch {
+		op := byte(0)
 		if up.Del {
-			rec[0] = 1
+			op = 1
 		}
-		binary.LittleEndian.PutUint32(rec[1:5], up.From)
-		binary.LittleEndian.PutUint32(rec[5:9], up.To)
-		binary.LittleEndian.PutUint64(rec[9:17], math.Float64bits(up.W))
-		buf = append(buf, rec[:]...)
+		buf = append(buf, op)
+		buf = binary.LittleEndian.AppendUint32(buf, up.From)
+		buf = binary.LittleEndian.AppendUint32(buf, up.To)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(up.W))
 	}
-	if sid != 0 {
-		var tr [sessTrailerSize]byte
-		copy(tr[0:4], sessTrailerMagic)
-		binary.LittleEndian.PutUint64(tr[4:12], sid)
-		binary.LittleEndian.PutUint64(tr[12:20], seq)
-		buf = append(buf, tr[:]...)
+	if rec.SID != 0 {
+		buf = append(buf, sessTrailerMagic...)
+		buf = binary.LittleEndian.AppendUint64(buf, rec.SID)
+		buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
 	}
 	return buf
 }
 
-func decodeBatch(payload []byte) ([]graph.Update, bool) {
-	batch, _, _, ok := decodeBatchTagged(payload)
-	return batch, ok
-}
-
-func decodeBatchTagged(payload []byte) (batch []graph.Update, sid, seq uint64, ok bool) {
+// DecodeRecordPayload is the inverse of EncodeRecordPayload; ok is false
+// when the payload is malformed.
+func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64, ok bool) {
 	if len(payload) < 4 {
 		return nil, 0, 0, false
 	}
@@ -307,72 +152,41 @@ func decodeBatchTagged(payload []byte) (batch []graph.Update, sid, seq uint64, o
 	return batch, sid, seq, true
 }
 
-// Guard checkpoint files pair an engine snapshot with the WAL position it
-// covers, in a checksummed envelope:
+// Checkpoint files pair a snapshot with the WAL position it covers and the
+// leadership epoch (DESIGN.md §17) it was written under, in a checksummed
+// envelope:
 //
-//	v1: magic "CGRC" | uint32 version=1 | uint64 through (number of batches
-//	    the snapshot includes — recovery replays WAL records with index ≥
-//	    through) | uint32 payload length | uint32 CRC-32 of the payload |
-//	    payload
-//	v2: magic "CGRC" | uint32 version=2 | uint64 through | uint64 epoch |
-//	    uint32 payload length | uint32 CRC-32 of the payload | payload
-//
-// Version 2 adds the leadership epoch (DESIGN.md §17) so a restarting node
-// recovers the fencing token alongside its state. Readers accept both;
-// a v1 envelope reads back with epoch 0.
-const (
-	guardCkptVersion  = 1
-	guardCkptVersion2 = 2
-)
+//	magic "CGRC" | uint32 version=2 | uint64 through (stream positions the
+//	snapshot includes — recovery replays WAL records with index ≥ through) |
+//	uint64 epoch | uint32 payload length | uint32 CRC-32 of the payload |
+//	payload
+const guardCkptVersion = 2
 
 var guardCkptMagic = []byte("CGRC")
 
-// WriteCheckpointFile atomically persists an engine snapshot covering the
-// first `through` batches: the envelope goes to a temp file in the same
-// directory, is fsynced, and renamed over path, so a crash mid-write never
-// destroys the previous good checkpoint.
-func WriteCheckpointFile(path string, through uint64, payload []byte) error {
-	return WriteCheckpointFileFS(OsFS{}, path, through, payload)
-}
+const guardCkptHeaderLen = 32
 
-// WriteCheckpointFileFS is WriteCheckpointFile through an explicit
-// filesystem seam, so disk-fault handling around checkpointing can be
-// tested with a FaultFS. The temp file is <path>.tmp (single-writer: the
-// callers serialize checkpoints).
-func WriteCheckpointFileFS(fsys FS, path string, through uint64, payload []byte) error {
-	return WriteCheckpointMetaFS(fsys, path, through, 0, payload)
-}
-
-// WriteCheckpointMetaFS persists a checkpoint stamped with the writer's
-// leadership epoch. Epoch 0 writes the legacy v1 envelope (byte-identical
-// to pre-epoch checkpoints); a nonzero epoch writes v2.
+// WriteCheckpointMetaFS atomically persists a snapshot covering the first
+// `through` stream positions, stamped with the writer's epoch: the envelope
+// goes to <path>.tmp, is fsynced, and renamed over path, so a crash
+// mid-write never destroys the previous good checkpoint. Single-writer: the
+// callers serialize checkpoints.
 func WriteCheckpointMetaFS(fsys FS, path string, through, epoch uint64, payload []byte) error {
-	var buf bytes.Buffer
-	buf.Write(guardCkptMagic)
-	if epoch == 0 {
-		hdr := make([]byte, 20)
-		binary.LittleEndian.PutUint32(hdr[0:4], guardCkptVersion)
-		binary.LittleEndian.PutUint64(hdr[4:12], through)
-		binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload))
-		buf.Write(hdr)
-	} else {
-		hdr := make([]byte, 28)
-		binary.LittleEndian.PutUint32(hdr[0:4], guardCkptVersion2)
-		binary.LittleEndian.PutUint64(hdr[4:12], through)
-		binary.LittleEndian.PutUint64(hdr[12:20], epoch)
-		binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[24:28], crc32.ChecksumIEEE(payload))
-		buf.Write(hdr)
-	}
-	buf.Write(payload)
+	buf := make([]byte, guardCkptHeaderLen, guardCkptHeaderLen+len(payload))
+	copy(buf, guardCkptMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], guardCkptVersion)
+	binary.LittleEndian.PutUint64(buf[8:16], through)
+	binary.LittleEndian.PutUint64(buf[16:24], epoch)
+	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[28:32], crc32.ChecksumIEEE(payload))
+	buf = append(buf, payload...)
 
 	tmpPath := path + ".tmp"
 	tmp, err := fsys.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		fsys.Remove(tmpPath)
 		return fmt.Errorf("checkpoint: %w", err)
@@ -393,28 +207,9 @@ func WriteCheckpointMetaFS(fsys FS, path string, through, epoch uint64, payload 
 	return nil
 }
 
-// ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile,
-// returning the covered batch count and the engine snapshot bytes. Any
+// ReadCheckpointMeta loads a checkpoint file and returns its position, the
+// leadership epoch it was written under, and the snapshot bytes. Any
 // truncation or bit flip is a clean error.
-func ReadCheckpointFile(path string) (through uint64, payload []byte, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return DecodeCheckpointBytes(data)
-}
-
-// DecodeCheckpointBytes parses a checkpoint envelope already in memory —
-// the replication bootstrap path ships the leader's checkpoint file over
-// HTTP and the follower validates it here, CRC and all, before trusting a
-// byte of it.
-func DecodeCheckpointBytes(data []byte) (through uint64, payload []byte, err error) {
-	through, _, payload, err = DecodeCheckpointMeta(data)
-	return through, payload, err
-}
-
-// ReadCheckpointMeta loads a checkpoint file and returns its position AND
-// the leadership epoch it was written under (0 for v1 envelopes).
 func ReadCheckpointMeta(path string) (through, epoch uint64, payload []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -423,33 +218,24 @@ func ReadCheckpointMeta(path string) (through, epoch uint64, payload []byte, err
 	return DecodeCheckpointMeta(data)
 }
 
-// DecodeCheckpointMeta is DecodeCheckpointBytes plus the epoch stamp,
-// accepting both v1 (epoch 0) and v2 envelopes.
+// DecodeCheckpointMeta parses a checkpoint envelope already in memory — the
+// replication bootstrap path ships the leader's checkpoint file over HTTP
+// and the follower validates it here, CRC and all, before trusting a byte.
 func DecodeCheckpointMeta(data []byte) (through, epoch uint64, payload []byte, err error) {
-	if len(data) < len(guardCkptMagic)+20 || !bytes.Equal(data[:4], guardCkptMagic) {
+	if len(data) < 8 || !bytes.Equal(data[:4], guardCkptMagic) {
 		return 0, 0, nil, fmt.Errorf("checkpoint: bad header")
 	}
-	var plen, want uint32
-	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
-	case guardCkptVersion:
-		hdr := data[8:24]
-		through = binary.LittleEndian.Uint64(hdr[0:8])
-		plen = binary.LittleEndian.Uint32(hdr[8:12])
-		want = binary.LittleEndian.Uint32(hdr[12:16])
-		payload = data[24:]
-	case guardCkptVersion2:
-		if len(data) < len(guardCkptMagic)+28 {
-			return 0, 0, nil, fmt.Errorf("checkpoint: truncated v2 header")
-		}
-		hdr := data[8:32]
-		through = binary.LittleEndian.Uint64(hdr[0:8])
-		epoch = binary.LittleEndian.Uint64(hdr[8:16])
-		plen = binary.LittleEndian.Uint32(hdr[16:20])
-		want = binary.LittleEndian.Uint32(hdr[20:24])
-		payload = data[32:]
-	default:
-		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d", v)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != guardCkptVersion {
+		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, guardCkptVersion)
 	}
+	if len(data) < guardCkptHeaderLen {
+		return 0, 0, nil, fmt.Errorf("checkpoint: truncated header")
+	}
+	through = binary.LittleEndian.Uint64(data[8:16])
+	epoch = binary.LittleEndian.Uint64(data[16:24])
+	plen := binary.LittleEndian.Uint32(data[24:28])
+	want := binary.LittleEndian.Uint32(data[28:32])
+	payload = data[guardCkptHeaderLen:]
 	if uint64(len(payload)) != uint64(plen) {
 		return 0, 0, nil, fmt.Errorf("checkpoint: truncated (payload %d bytes, header says %d)", len(payload), plen)
 	}

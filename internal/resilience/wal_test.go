@@ -19,32 +19,49 @@ func sampleBatches() [][]graph.Update {
 	}
 }
 
-func writeWAL(t *testing.T, path string, batches [][]graph.Update) {
+// appendBatches appends each batch as one record and checks the indices.
+func appendBatches(t *testing.T, w *SegmentedWAL, batches [][]graph.Update) {
 	t.Helper()
-	w, err := CreateWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range batches {
-		idx, err := w.Append(b)
+	for _, b := range batches {
+		want := w.NextIndex()
+		idx, err := w.AppendRecords([]Record{{Batch: b}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx != uint64(i) {
-			t.Fatalf("append %d got index %d", i, idx)
+		if idx != want {
+			t.Fatalf("append got index %d, want %d", idx, want)
 		}
 	}
+}
+
+func writeWAL(t *testing.T, dir string, batches [][]graph.Update) {
+	t.Helper()
+	w, err := CreateSegmentedWAL(dir, SegWALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendBatches(t, w, batches)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.wal")
-	batches := sampleBatches()
-	writeWAL(t, path, batches)
+// lastSegment returns the path of the newest segment file in dir.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	firsts := segFiles(t, dir)
+	if len(firsts) == 0 {
+		t.Fatalf("%s holds no segment", dir)
+	}
+	return filepath.Join(dir, segName(firsts[len(firsts)-1]))
+}
 
-	recs, err := ReplayWAL(path)
+func TestWALRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "stream.wal")
+	batches := sampleBatches()
+	writeWAL(t, dir, batches)
+
+	recs, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,25 +83,21 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALReopenAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.wal")
+	dir := filepath.Join(t.TempDir(), "stream.wal")
 	batches := sampleBatches()
-	writeWAL(t, path, batches[:2])
+	writeWAL(t, dir, batches[:2])
 
-	w, err := OpenWAL(path)
+	w, err := OpenSegmentedWAL(dir, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.NextIndex() != 2 {
 		t.Fatalf("reopened NextIndex = %d, want 2", w.NextIndex())
 	}
-	for _, b := range batches[2:] {
-		if _, err := w.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendBatches(t, w, batches[2:])
 	w.Close()
 
-	recs, err := ReplayWAL(path)
+	recs, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +107,14 @@ func TestWALReopenAppends(t *testing.T) {
 }
 
 // TestWALTornTail simulates a crash mid-append: garbage after the last good
-// record. Replay must stop at the last good record, and OpenWAL must truncate
-// the tail so appending resumes cleanly.
+// record. Replay must stop at the last good record, and OpenSegmentedWAL must
+// truncate the tail so appending resumes cleanly.
 func TestWALTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.wal")
+	dir := filepath.Join(t.TempDir(), "stream.wal")
 	batches := sampleBatches()
-	writeWAL(t, path, batches)
+	writeWAL(t, dir, batches)
 
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(lastSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestWALTornTail(t *testing.T) {
 	f.Write([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff})
 	f.Close()
 
-	recs, err := ReplayWAL(path)
+	recs, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +130,16 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatalf("torn tail: replayed %d records, want %d", len(recs), len(batches))
 	}
 
-	w, err := OpenWAL(path)
+	w, err := OpenSegmentedWAL(dir, SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.NextIndex() != uint64(len(batches)) {
 		t.Fatalf("NextIndex after torn-tail reopen = %d, want %d", w.NextIndex(), len(batches))
 	}
-	if _, err := w.Append([]graph.Update{graph.Add(1, 3, 1)}); err != nil {
-		t.Fatal(err)
-	}
+	appendBatches(t, w, [][]graph.Update{{graph.Add(1, 3, 1)}})
 	w.Close()
-	recs, err = ReplayWAL(path)
+	recs, err = ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,26 +148,27 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALBitFlip flips one payload byte in the middle of the log; replay must
-// keep everything before the damaged record and nothing after it.
+// TestWALBitFlip flips one payload byte in the first record of the last
+// segment; replay must keep everything before the damaged record and nothing
+// after it.
 func TestWALBitFlip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.wal")
+	dir := filepath.Join(t.TempDir(), "stream.wal")
 	batches := sampleBatches()
-	writeWAL(t, path, batches)
+	writeWAL(t, dir, batches)
 
+	path := lastSegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Record 0 payload starts after the 8-byte file header and the 16-byte
+	// Record 0 payload starts after the segment header and the 16-byte
 	// record header. Flip a byte inside it.
-	off := len(walHeader) + 16 + 5
-	data[off] ^= 0x40
+	data[segHeaderLen+16+5] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	recs, err := ReplayWAL(path)
+	recs, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,18 +177,28 @@ func TestWALBitFlip(t *testing.T) {
 	}
 }
 
+// A non-WAL file at the log path is refused by both the reader and the
+// writer, and left as it was.
 func TestWALRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not-a-wal")
-	if err := os.WriteFile(path, []byte("hello, world: definitely not a log"), 0o644); err != nil {
+	content := []byte("hello, world: definitely not a log")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayWAL(path); err == nil {
+	if _, err := ReplaySegmented(path); err == nil {
 		t.Fatal("replay accepted a non-WAL file")
+	}
+	if w, err := OpenSegmentedWAL(path, SegWALOptions{}); err == nil {
+		w.Close()
+		t.Fatal("open accepted a non-WAL file")
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(content) {
+		t.Fatal("a refused file was modified")
 	}
 }
 
 func TestWALMissingFile(t *testing.T) {
-	recs, err := ReplayWAL(filepath.Join(t.TempDir(), "absent.wal"))
+	recs, err := ReplaySegmented(filepath.Join(t.TempDir(), "absent.wal"))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("missing WAL should replay empty: recs=%v err=%v", recs, err)
 	}
@@ -185,24 +207,24 @@ func TestWALMissingFile(t *testing.T) {
 func TestGuardCheckpointFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "guard.ckpt")
 	payload := []byte("engine snapshot bytes go here")
-	if err := WriteCheckpointFile(path, 42, payload); err != nil {
+	if err := WriteCheckpointMetaFS(OsFS{}, path, 42, 3, payload); err != nil {
 		t.Fatal(err)
 	}
-	through, got, err := ReadCheckpointFile(path)
+	through, epoch, got, err := ReadCheckpointMeta(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if through != 42 || string(got) != string(payload) {
-		t.Fatalf("round trip: through=%d payload=%q", through, got)
+	if through != 42 || epoch != 3 || string(got) != string(payload) {
+		t.Fatalf("round trip: through=%d epoch=%d payload=%q", through, epoch, got)
 	}
 
 	// Overwrite must be atomic and replace the old contents.
-	if err := WriteCheckpointFile(path, 43, []byte("newer")); err != nil {
+	if err := WriteCheckpointMetaFS(OsFS{}, path, 43, 0, []byte("newer")); err != nil {
 		t.Fatal(err)
 	}
-	through, got, _ = ReadCheckpointFile(path)
-	if through != 43 || string(got) != "newer" {
-		t.Fatalf("overwrite: through=%d payload=%q", through, got)
+	through, epoch, got, _ = ReadCheckpointMeta(path)
+	if through != 43 || epoch != 0 || string(got) != "newer" {
+		t.Fatalf("overwrite: through=%d epoch=%d payload=%q", through, epoch, got)
 	}
 	// No stray temp files left behind.
 	ents, _ := os.ReadDir(filepath.Dir(path))
@@ -214,7 +236,7 @@ func TestGuardCheckpointFileRoundTrip(t *testing.T) {
 func TestGuardCheckpointFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "guard.ckpt")
-	if err := WriteCheckpointFile(path, 7, []byte("snapshot payload")); err != nil {
+	if err := WriteCheckpointMetaFS(OsFS{}, path, 7, 0, []byte("snapshot payload")); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -224,14 +246,14 @@ func TestGuardCheckpointFileCorruption(t *testing.T) {
 		bad[len(bad)-3] ^= 0x01
 		p := filepath.Join(dir, "flip.ckpt")
 		os.WriteFile(p, bad, 0o644)
-		if _, _, err := ReadCheckpointFile(p); err == nil {
+		if _, _, _, err := ReadCheckpointMeta(p); err == nil {
 			t.Fatal("bit-flipped checkpoint accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		p := filepath.Join(dir, "trunc.ckpt")
 		os.WriteFile(p, data[:len(data)-5], 0o644)
-		if _, _, err := ReadCheckpointFile(p); err == nil {
+		if _, _, _, err := ReadCheckpointMeta(p); err == nil {
 			t.Fatal("truncated checkpoint accepted")
 		}
 	})
@@ -240,7 +262,7 @@ func TestGuardCheckpointFileCorruption(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[0] = 'X'
 		os.WriteFile(p, bad, 0o644)
-		if _, _, err := ReadCheckpointFile(p); err == nil {
+		if _, _, _, err := ReadCheckpointMeta(p); err == nil {
 			t.Fatal("foreign magic accepted")
 		}
 	})

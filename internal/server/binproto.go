@@ -10,59 +10,57 @@ import (
 	"cisgraph/internal/graph"
 )
 
-// Binary framed ingest protocol (DESIGN.md §14). A persistent TCP connection
-// carries updates to the per-update fast path without the JSON/HTTP tax:
+// Binary framed ingest protocol, CGBIN/2 (DESIGN.md §14, §17). A persistent
+// TCP connection carries updates to the per-update fast path without the
+// JSON/HTTP tax:
 //
-//	client → server   hello: the 8 bytes "CGBIN/1\n"
+//	client → server   hello: the 8 bytes "CGBIN/2\n"
 //	client → server   frames: uint32 payloadLen | uint32 crc32(payload) | payload
 //	server → client   one ack per frame, in frame order:
 //	                  uint64 position | uint32 accepted | uint32 dropped | uint32 status
 //
-// A frame payload is n × 17-byte update records — the exact per-update
-// layout of WAL record payloads (op | src | dst | weight, little-endian), so
-// a frame's updates are re-framed into WAL records without transcoding:
-//
-//	op(1: 0=add, 1=del) | src(4) | dst(4) | weight(8, IEEE-754 bits)
-//
-// Acks stream back as each group commits: position is the global stream
-// position (batches in /v1/answers) after this frame's accepted updates were
-// applied AND made durable — receiving the ack means the updates are visible
-// to /v1/answers readers. Pipelining is the client's choice: it may keep
-// many frames in flight; acks always arrive in frame order.
-//
-// All integers are little-endian, matching the WAL. A malformed frame
-// (oversized, torn length, CRC mismatch) desynchronizes the stream, so the
-// server acks it with BinStatusBadFrame and closes the connection.
-//
-// CGBIN/2 (DESIGN.md §17) adds exactly-once resume across reconnects and
-// leader failover: the hello becomes "CGBIN/2\n" and every frame payload is
-// prefixed with the client's session identity —
+// A frame payload is the client's session identity followed by the updates:
 //
 //	uint64 session id (nonzero) | uint64 seq of the frame's FIRST update |
 //	n × 17-byte update records
 //
-// Updates in a frame are consecutively numbered seq, seq+1, …; the pair is
-// carried into each update's WAL record, so a client that replays un-acked
+// and each update record is the exact per-update layout of WAL record
+// payloads (op | src | dst | weight, little-endian), so a frame's updates
+// are re-framed into WAL records without transcoding:
+//
+//	op(1: 0=add, 1=del) | src(4) | dst(4) | weight(8, IEEE-754 bits)
+//
+// Updates in a frame are consecutively numbered seq, seq+1, …; each becomes
+// one WAL record carrying its (sid, seq), so a client that replays un-acked
 // updates against the same — or a newly promoted — leader can never
 // double-apply one: already-accepted (sid, seq) pairs are skipped (counted
 // in srv_dedup_hits) and acked as accepted, because they are durable.
+//
+// Acks stream back as each group commits: position is the global stream
+// position after this frame's accepted updates were applied AND made
+// durable — receiving the ack means the updates are visible to /v1/answers
+// readers. Pipelining is the client's choice: it may keep many frames in
+// flight; acks always arrive in frame order.
+//
+// All integers are little-endian, matching the WAL. A malformed frame
+// (oversized, torn length, CRC mismatch, session id 0) desynchronizes the
+// stream, so the server acks it with BinStatusBadFrame and closes the
+// connection; any other hello (including the retired "CGBIN/1\n") closes it
+// at once.
 
-// BinHello is the CGBIN/1 connection preamble (untagged frames).
-const BinHello = "CGBIN/1\n"
-
-// BinHello2 is the CGBIN/2 connection preamble (session-tagged frames).
+// BinHello2 is the connection preamble.
 const BinHello2 = "CGBIN/2\n"
 
 // BinUpdateSize is the wire size of one update record.
 const BinUpdateSize = 17
 
-// BinSessionOverhead is the CGBIN/2 per-frame session prefix (sid + seq).
+// BinSessionOverhead is the per-frame session prefix (sid + seq).
 const BinSessionOverhead = 16
 
-// BinMaxFramePayload bounds one frame's record payload (64k updates ≈ 1.1
-// MiB) — the binary counterpart of MaxBodyBytes, and the allocation bound a
-// wire-controlled length field can never exceed (a CGBIN/2 frame may add
-// BinSessionOverhead on top).
+// BinMaxFramePayload bounds one frame's update records (64k updates ≈ 1.1
+// MiB) — the binary counterpart of MaxBodyBytes; with BinSessionOverhead on
+// top it is the allocation bound a wire-controlled length field can never
+// exceed.
 const BinMaxFramePayload = 65536 * BinUpdateSize
 
 // Ack status codes.
@@ -85,30 +83,9 @@ type BinAck struct {
 	Status   uint32 // BinStatus*
 }
 
-// AppendBinFrame appends the framed encoding of ups to buf and returns the
-// extended slice.
-func AppendBinFrame(buf []byte, ups []graph.Update) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, 8)...)
-	for _, up := range ups {
-		var rec [BinUpdateSize]byte
-		if up.Del {
-			rec[0] = 1
-		}
-		binary.LittleEndian.PutUint32(rec[1:5], up.From)
-		binary.LittleEndian.PutUint32(rec[5:9], up.To)
-		binary.LittleEndian.PutUint64(rec[9:17], math.Float64bits(up.W))
-		buf = append(buf, rec[:]...)
-	}
-	payload := buf[start+8:]
-	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// AppendBinFrameSession appends the CGBIN/2 framed encoding of ups — tagged
-// with the client session id and the first update's sequence number — to
-// buf and returns the extended slice.
+// AppendBinFrameSession appends the framed encoding of ups — tagged with the
+// client session id and the first update's sequence number — to buf and
+// returns the extended slice.
 func AppendBinFrameSession(buf []byte, sid, seq uint64, ups []graph.Update) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, 8+BinSessionOverhead)...)
@@ -180,32 +157,13 @@ func readBinHeader(r io.Reader) (plen, wantCRC uint32, err error) {
 	return binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8]), nil
 }
 
-// ReadBinFrame reads one CGBIN/1 frame from r, verifying length and CRC, and
-// appends the decoded updates to ups (pass a reused slice to avoid
-// allocation). A clean EOF before any header byte returns io.EOF; every
-// other failure is a protocol error the caller must treat as fatal for the
-// connection. An oversized or misaligned length field is rejected before
-// any buffer is sized from it.
-func ReadBinFrame(r io.Reader, ups []graph.Update, payloadBuf []byte) ([]graph.Update, []byte, error) {
-	plen, wantCRC, err := readBinHeader(r)
-	if err != nil {
-		return ups, payloadBuf, err
-	}
-	if plen == 0 || plen > BinMaxFramePayload || plen%BinUpdateSize != 0 {
-		return ups, payloadBuf, fmt.Errorf("binproto: bad frame payload length %d", plen)
-	}
-	payload, err := readBinPayload(r, payloadBuf, plen, wantCRC)
-	if err != nil {
-		return ups, payload, err
-	}
-	payloadBuf = payload[:cap(payload)]
-	ups, err = decodeBinUpdates(ups, payload)
-	return ups, payloadBuf, err
-}
-
-// ReadBinFrameSession reads one CGBIN/2 frame: the session prefix (sid,
-// first seq) plus the update records. Contract matches ReadBinFrame; a zero
-// session id is a protocol error (0 is the untagged sentinel).
+// ReadBinFrameSession reads one frame — the session prefix (sid, first seq)
+// plus the update records — verifying length and CRC, and appends the
+// decoded updates to ups (pass reused slices to avoid allocation). A clean
+// EOF before any header byte returns io.EOF; every other failure is a
+// protocol error the caller must treat as fatal for the connection. An
+// oversized or misaligned length field is rejected before any buffer is
+// sized from it; a zero session id (the untagged sentinel) is refused.
 func ReadBinFrameSession(r io.Reader, ups []graph.Update, payloadBuf []byte) ([]graph.Update, []byte, uint64, uint64, error) {
 	plen, wantCRC, err := readBinHeader(r)
 	if err != nil {

@@ -8,53 +8,42 @@ import (
 	"cisgraph/internal/graph"
 )
 
-// FuzzBinFrame throws arbitrary byte streams at the CGBIN decoder — hello
-// selection, len|crc framing, session prefix, record parse — asserting it
-// never panics, never allocates past the protocol bound, and that whatever
-// it accepts re-encodes to a byte-stable frame (decode∘encode is the
-// identity on the decoder's image, NaN weights included).
+// FuzzBinFrame throws arbitrary byte streams at the CGBIN/2 decoder — hello,
+// len|crc framing, session prefix, record parse — asserting it never panics,
+// never allocates past the protocol bound, and that whatever it accepts
+// re-encodes to a byte-stable frame (decode∘encode is the identity on the
+// decoder's image, NaN weights included).
 func FuzzBinFrame(f *testing.F) {
-	okV1 := append([]byte(BinHello), AppendBinFrame(nil, []graph.Update{
+	ok := append([]byte(BinHello2), AppendBinFrameSession(nil, 0xfeed, 42, []graph.Update{
 		graph.Add(1, 2, 3.5), {Arc: graph.Arc{From: 7, To: 9}, Del: true},
 	})...)
-	okV2 := append([]byte(BinHello2), AppendBinFrameSession(nil, 0xfeed, 42, []graph.Update{
+	okOne := append([]byte(BinHello2), AppendBinFrameSession(nil, 1, 0, []graph.Update{
 		graph.Add(0, 1, 1),
 	})...)
-	f.Add(okV1)
-	f.Add(okV2)
-	f.Add(append([]byte(BinHello), okV1[:12]...))                              // torn frame
-	f.Add(append([]byte(BinHello2), AppendBinFrame(nil, nil)...))              // v2 stream, v1-sized (empty) frame
+	f.Add(ok)
+	f.Add(okOne)
+	f.Add(ok[:len(BinHello2)+12])                                              // torn frame
+	f.Add(append([]byte(BinHello2), make([]byte, 8)...))                       // empty frame (no session prefix)
 	f.Add([]byte("CGBIN/9\njunk"))                                             // unknown hello
-	f.Add(append([]byte(BinHello), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))        // oversized length
-	f.Add(append([]byte(BinHello2), okV2[8:]...)[:len(okV2)-3])                // truncated payload
-	bad := append([]byte{}, okV1...)                                           // corrupt one payload byte → CRC
+	f.Add(append([]byte("CGBIN/1\n"), okOne[len(BinHello2):]...))              // retired hello
+	f.Add(append([]byte(BinHello2), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))       // oversized length
+	f.Add(append([]byte(BinHello2), okOne[len(BinHello2):]...)[:len(okOne)-3]) // truncated payload
+	bad := append([]byte{}, ok...)                                             // corrupt one payload byte → CRC
 	bad[len(bad)-1] ^= 0x40
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		var hello [8]byte
-		if _, err := io.ReadFull(r, hello[:]); err != nil {
-			return
-		}
-		v2 := false
-		switch string(hello[:]) {
-		case BinHello:
-		case BinHello2:
-			v2 = true
-		default:
-			return // the server closes unknown hellos before framing starts
+		var hello [len(BinHello2)]byte
+		if _, err := io.ReadFull(r, hello[:]); err != nil || string(hello[:]) != BinHello2 {
+			return // the server closes any other hello before framing starts
 		}
 		var ups []graph.Update
 		var payloadBuf []byte
 		for i := 0; i < 64; i++ {
 			var err error
 			var sid, seq uint64
-			if v2 {
-				ups, payloadBuf, sid, seq, err = ReadBinFrameSession(r, ups[:0], payloadBuf)
-			} else {
-				ups, payloadBuf, err = ReadBinFrame(r, ups[:0], payloadBuf)
-			}
+			ups, payloadBuf, sid, seq, err = ReadBinFrameSession(r, ups[:0], payloadBuf)
 			if err != nil {
 				return // decoder refused; the connection would close
 			}
@@ -62,40 +51,21 @@ func FuzzBinFrame(f *testing.F) {
 			if cap(payloadBuf) > BinMaxFramePayload+BinSessionOverhead {
 				t.Fatalf("payload buffer grew to %d, bound is %d", cap(payloadBuf), BinMaxFramePayload+BinSessionOverhead)
 			}
-			if v2 && sid == 0 {
+			if sid == 0 {
 				t.Fatal("decoder accepted reserved session id 0")
 			}
 			// Round-trip stability: encode what was decoded, decode it again,
 			// re-encode — both encodings must be byte-identical (exact for
 			// every accepted weight bit pattern, NaNs included).
-			var enc1 []byte
-			if v2 {
-				enc1 = AppendBinFrameSession(nil, sid, seq, ups)
-			} else {
-				enc1 = AppendBinFrame(nil, ups)
-			}
-			r2 := bytes.NewReader(enc1)
-			var ups2 []graph.Update
-			var err2 error
-			var sid2, seq2 uint64
-			if v2 {
-				ups2, _, sid2, seq2, err2 = ReadBinFrameSession(r2, nil, nil)
-			} else {
-				ups2, _, err2 = ReadBinFrame(r2, nil, nil)
-			}
+			enc1 := AppendBinFrameSession(nil, sid, seq, ups)
+			ups2, _, sid2, seq2, err2 := ReadBinFrameSession(bytes.NewReader(enc1), nil, nil)
 			if err2 != nil {
 				t.Fatalf("re-decoding an encoded frame failed: %v", err2)
 			}
-			if v2 && (sid2 != sid || seq2 != seq) {
+			if sid2 != sid || seq2 != seq {
 				t.Fatalf("session tag mutated in round trip: (%d,%d) -> (%d,%d)", sid, seq, sid2, seq2)
 			}
-			var enc2 []byte
-			if v2 {
-				enc2 = AppendBinFrameSession(nil, sid2, seq2, ups2)
-			} else {
-				enc2 = AppendBinFrame(nil, ups2)
-			}
-			if !bytes.Equal(enc1, enc2) {
+			if enc2 := AppendBinFrameSession(nil, sid2, seq2, ups2); !bytes.Equal(enc1, enc2) {
 				t.Fatalf("unstable round trip:\n enc1 %x\n enc2 %x", enc1, enc2)
 			}
 		}

@@ -157,7 +157,7 @@ func verifyAgainstDurable(t *testing.T, client *http.Client, base string, a algo
 		qs      []core.Query
 		through uint64
 	)
-	covered, payload, err := resilience.ReadCheckpointFile(ckpt)
+	covered, _, payload, err := resilience.ReadCheckpointMeta(ckpt)
 	switch {
 	case err == nil:
 		if g, qs, err = DecodeCheckpointState(payload); err != nil {

@@ -12,49 +12,38 @@ import (
 	"cisgraph/internal/graph"
 )
 
-// Server checkpoint payload: the authoritative (shadow) topology plus the
-// registered queries. It rides inside the PR 1 checkpoint envelope
-// (resilience.WriteCheckpointFile: atomic temp-file+rename, CRC, covered
-// batch count), so the drain/restart path reuses the exact recovery
-// machinery the offline engines use. Answers are deliberately *not*
-// persisted: on restore every query recomputes from the topology, which is
-// always answer-identical (the engines' cross-agreement guarantee) and
-// keeps the payload small and version-stable.
+// Server checkpoint payload: the authoritative (shadow) topology, the
+// registered queries and the exactly-once session table (DESIGN.md §17). It
+// rides inside the resilience checkpoint envelope (WriteCheckpointMetaFS:
+// atomic temp-file+rename, CRC, covered stream position, epoch). Answers are
+// deliberately *not* persisted: on restore every query recomputes from the
+// topology, which is always answer-identical (the engines' cross-agreement
+// guarantee) and keeps the payload small and version-stable.
 //
 // Layout (little-endian):
 //
-//	header  "CGSRVS1\n" (8 bytes)
+//	header  "CGSRVS2\n" (8 bytes)
 //	uint32  vertex count N
 //	uint64  edge count M
 //	M ×     uint32 from | uint32 to | uint64 weight bits (IEEE-754)
 //	uint32  query count Q
 //	Q ×     uint32 source | uint32 destination
-//
-// Version 2 ("CGSRVS2\n") appends the exactly-once session table
-// (DESIGN.md §17) so a restored or promoted node refuses the same replayed
-// updates the pre-crash leader would have:
-//
-//	uint32  session count S
+//	uint32  session count S (0 when no CGBIN/2 client was ever seen)
 //	S ×     uint64 session id | uint64 highest accepted seq
 //
 // Sessions are written least-recently-advanced first, making the restored
-// table's eviction order identical to the live one. A node with an empty
-// session table writes v1 byte-identically to pre-session deployments;
-// readers accept both.
+// table's eviction order identical to the live one, so a restored or
+// promoted node refuses the same replayed updates the pre-crash leader
+// would have.
 
-var srvStateHeader = []byte("CGSRVS1\n")
-var srvStateHeaderV2 = []byte("CGSRVS2\n")
+var srvStateHeader = []byte("CGSRVS2\n")
 
 // encodeState serializes the shadow topology, query set, and exactly-once
 // session table.
 func encodeState(g *graph.Dynamic, queries []core.Query, sessions []dedupSession) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if len(sessions) == 0 {
-		w.Write(srvStateHeader)
-	} else {
-		w.Write(srvStateHeaderV2)
-	}
+	w.Write(srvStateHeader)
 	var scratch [16]byte
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(g.NumVertices()))
 	w.Write(scratch[:4])
@@ -75,14 +64,12 @@ func encodeState(g *graph.Dynamic, queries []core.Query, sessions []dedupSession
 		binary.LittleEndian.PutUint32(scratch[4:8], q.D)
 		w.Write(scratch[:8])
 	}
-	if len(sessions) > 0 {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(sessions)))
-		w.Write(scratch[:4])
-		for _, s := range sessions {
-			binary.LittleEndian.PutUint64(scratch[0:8], s.SID)
-			binary.LittleEndian.PutUint64(scratch[8:16], s.Seq)
-			w.Write(scratch[:16])
-		}
+	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(sessions)))
+	w.Write(scratch[:4])
+	for _, s := range sessions {
+		binary.LittleEndian.PutUint64(scratch[0:8], s.SID)
+		binary.LittleEndian.PutUint64(scratch[8:16], s.Seq)
+		w.Write(scratch[:16])
 	}
 	w.Flush()
 	return buf.Bytes()
@@ -98,17 +85,15 @@ func DecodeCheckpointState(payload []byte) (*graph.Dynamic, []core.Query, error)
 	return g, queries, err
 }
 
-// decodeState parses a payload written by encodeState, accepting both the
-// v1 (no session table) and v2 layouts.
+// decodeState parses a payload written by encodeState.
 func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, error) {
 	r := bytes.NewReader(payload)
 	header := make([]byte, len(srvStateHeader))
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: bad header")
 	}
-	v2 := bytes.Equal(header, srvStateHeaderV2)
-	if !v2 && !bytes.Equal(header, srvStateHeader) {
-		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: bad header")
+	if !bytes.Equal(header, srvStateHeader) {
+		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: bad header %q (want %q)", header, srvStateHeader)
 	}
 	var scratch [16]byte
 	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
@@ -155,9 +140,6 @@ func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, 
 			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: query %d (%d->%d) out of range N=%d", i, q.S, q.D, n)
 		}
 		queries = append(queries, q)
-	}
-	if !v2 {
-		return g, queries, nil, nil
 	}
 	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: %w", err)

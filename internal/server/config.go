@@ -96,10 +96,11 @@ type Config struct {
 	// Every batch is validated against the server's shadow topology before
 	// any engine sees it.
 	Policy resilience.Policy
-	// WALPath is the segmented write-ahead log directory: every sanitized
-	// batch is appended (and fsynced) there before it is applied ("" disables
-	// durability). A legacy single-file CGWALOG1 log at this path is
-	// migrated in place on open, so pre-segmentation data dirs keep working.
+	// WALPath is the segmented write-ahead log directory ("" disables
+	// durability): every commit appends (and fsyncs) its records there
+	// before applying them — one record per JSON body, one per binary
+	// update, each record one stream position. Anything at this path that is
+	// not a directory of CGWALOG3 segments is refused, never rewritten.
 	WALPath string
 	// WALSegmentBytes rolls the WAL to a new segment at this size (default
 	// 4 MiB). Smaller segments mean finer-grained retention.
@@ -112,8 +113,9 @@ type Config struct {
 	// WAL segments wholly covered by it are deleted, bounding disk usage
 	// and crash-recovery replay length.
 	CheckpointPath string
-	// CheckpointEvery writes a checkpoint every N applied batches (0 = only
-	// at drain). Requires CheckpointPath.
+	// CheckpointEvery writes a checkpoint whenever a commit moves the stream
+	// position across a multiple of N (0 = only at drain). Requires
+	// CheckpointPath.
 	CheckpointEvery int
 	// DiskRetryBase / DiskRetryMax shape the degraded-mode disk retry loop:
 	// after a durable-write failure trips the breaker, the disk is probed

@@ -47,7 +47,7 @@ func newDedupTable(capacity int) *dedupTable {
 }
 
 // dup reports whether (sid, seq) was already accepted. Session id 0 is the
-// untagged sentinel (CGBIN/1, batch path) and never deduplicates.
+// untagged sentinel (the JSON batch path) and never deduplicates.
 func (d *dedupTable) dup(sid, seq uint64) bool {
 	if sid == 0 {
 		return false

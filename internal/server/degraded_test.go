@@ -176,7 +176,7 @@ func TestServerCheckpointFaultTripsBreaker(t *testing.T) {
 	if err := srv.Drain(); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
-	if _, _, err := resilience.ReadCheckpointFile(cfg.CheckpointPath); err != nil {
+	if _, _, _, err := resilience.ReadCheckpointMeta(cfg.CheckpointPath); err != nil {
 		t.Fatalf("no readable checkpoint after heal: %v", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestServerWALRetentionAcrossCheckpoints(t *testing.T) {
 	if err := srv.Drain(); err != nil { // drain checkpoints at the final index
 		t.Fatal(err)
 	}
-	through, _, err := resilience.ReadCheckpointFile(cfg.CheckpointPath)
+	through, _, _, err := resilience.ReadCheckpointMeta(cfg.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestServerWALRetentionAcrossCheckpoints(t *testing.T) {
 // WAL suffix — the same recovery recipe the daemon uses, but through the
 // exported surfaces only.
 func restoreTopology(cfg Config) (*graph.Dynamic, []core.Query, error) {
-	through, payload, err := resilience.ReadCheckpointFile(cfg.CheckpointPath)
+	through, _, payload, err := resilience.ReadCheckpointMeta(cfg.CheckpointPath)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -84,14 +84,13 @@ func TestCheckpointStateSessionRoundTrip(t *testing.T) {
 		t.Fatalf("sessions mutated: %v, want %v", sess2, sessions)
 	}
 
-	// No sessions → the v1 payload, byte-identical: old binaries can read
-	// checkpoints written by a node that never saw a CGBIN/2 client.
-	v2empty := encodeState(g, qs, nil)
-	if !bytes.HasPrefix(v2empty, []byte("CGSRVS1\n")) {
-		t.Fatalf("empty session table did not fall back to v1 (prefix %q)", v2empty[:8])
+	// No sessions → the same CGSRVS2 payload with a zero session count.
+	empty := encodeState(g, qs, nil)
+	if !bytes.HasPrefix(empty, []byte("CGSRVS2\n")) {
+		t.Fatalf("empty session table wrote prefix %q, want CGSRVS2", empty[:8])
 	}
-	if _, _, sessNone, err := decodeState(v2empty); err != nil || len(sessNone) != 0 {
-		t.Fatalf("v1 payload decode: sessions=%v err=%v", sessNone, err)
+	if _, _, sessNone, err := decodeState(empty); err != nil || len(sessNone) != 0 {
+		t.Fatalf("empty-session payload decode: sessions=%v err=%v", sessNone, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -15,8 +14,8 @@ import (
 )
 
 // fpEntry is one admitted frame: its updates, the CGBIN/2 session tag of the
-// first update (sid 0 = untagged CGBIN/1 frame), and the channel its ack is
-// resolved on (buffered 1 — exactly one ack is ever sent).
+// first update, and the channel its ack is resolved on (buffered 1 — exactly
+// one ack is ever sent).
 type fpEntry struct {
 	ups      []graph.Update
 	sid, seq uint64
@@ -33,13 +32,11 @@ type pendingAck struct {
 	acks    []BinAck
 }
 
-// fastPath is the per-update admission pipeline (DESIGN.md §14): binary
+// fastPath is the per-update admission front (DESIGN.md §14): binary
 // connections submit frames here, a single commit goroutine gathers whatever
-// is queued into one group and commits it — sanitize → group WAL append
-// (one record per update, one fsync) → apply (safe/unsafe routed inside the
-// shard engines) → publish → ack. The sanitize→WAL→apply order and the
-// never-apply-un-durable rule are identical to the batch path; the batch
-// window is what's bypassed.
+// is queued into one group, hands it to the commit stage as one record per
+// update (one WAL write and fsync for the group) and resolves the acks. The
+// stage is the batch path's; only the batch window is bypassed.
 type fastPath struct {
 	s    *Server
 	ch   chan *fpEntry
@@ -62,11 +59,10 @@ type fastPath struct {
 	conns map[net.Conn]struct{}
 
 	// Commit-goroutine-private scratch, reused across groups.
-	group  []*fpEntry
-	clean  []graph.Update
-	counts []uint32
-	dups   []uint32
-	wrecs  []resilience.Record
+	group    []*fpEntry
+	recs     []resilience.Record
+	verdicts []verdict
+	acks     []BinAck
 }
 
 func newFastPath(s *Server) *fastPath {
@@ -149,157 +145,82 @@ func (f *fastPath) gather(e *fpEntry) []*fpEntry {
 	return f.group
 }
 
-// commitGroup runs one group through the durability pipeline under the
-// commit lock (serializing against the batch path's applyBatch) and
-// resolves every entry's ack. Each accepted update is its own WAL record
-// and stream position — replica tailing and crash replay see exactly the
-// records a sequence of single-update batches would have produced.
+// commitGroup turns one group into records — one per update, carrying its
+// CGBIN/2 (sid, seq) — commits them, and resolves every entry's ack. Each
+// accepted update is its own WAL record and stream position, so replica
+// tailing and crash replay see exactly the records a sequence of
+// single-update batches would have produced.
 //
-// Exactly-once (DESIGN.md §17): a session-tagged update whose (sid, seq)
-// the dedup table already holds is a client replay of something durable —
-// it is skipped (no new record, no position) but counted in the ack's
-// Accepted, because from the client's perspective it IS accepted. The table
-// advances only after the WAL append succeeds, in commit order, so the live
-// table always matches what a crash replay rebuilds.
+// Exactly-once (DESIGN.md §17): an update whose (sid, seq) the dedup table
+// already holds is a client replay of something durable — the stage skips
+// it (no new record, no position), and the ack counts it in Accepted,
+// because from the client's perspective it IS accepted.
 func (f *fastPath) commitGroup(entries []*fpEntry) {
 	s := f.s
 	defer f.pending.Add(-int64(len(entries)))
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-
-	ackAll := func(status uint32) {
-		pos := s.applied.Load()
-		for _, e := range entries {
-			e.ack <- BinAck{Pos: pos, Dropped: uint32(len(e.ups)), Status: status}
-		}
-	}
-	// A node deposed after these frames were admitted must not commit them:
-	// the client re-sends to the new leader (dedup makes that safe).
-	if s.isFollower() {
-		ackAll(BinStatusNotLeader)
-		return
-	}
-	// Degraded mode: an un-durable update is never applied (DESIGN.md
-	// §12.2); the whole group is refused while the breaker is open.
-	if s.brk.Open() {
-		for _, e := range entries {
-			s.h.dropUpdates.Add(int64(len(e.ups)))
-		}
-		ackAll(BinStatusDegraded)
-		return
-	}
-
-	// Sanitize per update against the shadow + the group's own net effect,
-	// tracking per-entry accept/duplicate counts for the acks. Session tags
-	// ride along into the WAL records.
-	sh := s.shadow.Load()
-	ss := s.san.Stream(sh)
-	clean, counts, dups := f.clean[:0], f.counts[:0], f.dups[:0]
-	recs := f.wrecs[:0]
+	recs := f.recs[:0]
 	for _, e := range entries {
-		acc, dup := uint32(0), uint32(0)
-		for i, up := range e.ups {
-			var sid, seq uint64
-			if e.sid != 0 {
-				sid, seq = e.sid, e.seq+uint64(i)
-				if s.dedup.dup(sid, seq) {
+		for i := range e.ups {
+			recs = append(recs, resilience.Record{Batch: e.ups[i : i+1], SID: e.sid, Seq: e.seq + uint64(i)})
+		}
+	}
+	f.recs = recs
+	if cap(f.verdicts) < len(recs) {
+		f.verdicts = make([]verdict, len(recs))
+	}
+	verdicts := f.verdicts[:len(recs)]
+	res := s.commit(fromClient, recs, verdicts)
+
+	// Acks carry each entry's cumulative commit position; the snapshot is
+	// published, so receiving the ack means the entry's updates are visible
+	// to /v1/answers readers. Duplicates count as accepted (they are
+	// durable) without advancing the position.
+	pos := res.pos - uint64(res.applied)
+	acks := f.acks[:0]
+	var dropped int64
+	for _, e := range entries {
+		n := uint32(len(e.ups))
+		ack := BinAck{Pos: res.pos, Dropped: n, Status: res.status}
+		if res.status == BinStatusOK {
+			var acc, dup uint32
+			for _, v := range verdicts[:n] {
+				switch v {
+				case vApplied:
+					acc++
+				case vDuplicate:
 					dup++
-					s.h.dedupHits.Inc()
-					continue
 				}
 			}
-			if ss.Check(up) == "" {
-				clean = append(clean, up)
-				recs = append(recs, resilience.Record{SID: sid, Seq: seq})
-				acc++
-			} else {
-				s.h.fastDropped.Inc()
-			}
+			pos += uint64(acc)
+			ack = BinAck{Pos: pos, Accepted: acc + dup, Dropped: n - acc - dup, Status: BinStatusOK}
+			dropped += int64(ack.Dropped)
 		}
-		counts = append(counts, acc)
-		dups = append(dups, dup)
+		verdicts = verdicts[n:]
+		acks = append(acks, ack)
 	}
-	f.clean, f.counts, f.dups = clean, counts, dups
-	// Batch slices must point into clean's FINAL backing array — the appends
-	// above may have reallocated it — so they are filled in a second pass.
-	for i := range recs {
-		recs[i].Batch = clean[i : i+1]
-	}
-	f.wrecs = recs
-
-	if len(clean) > 0 {
-		if s.wal != nil {
-			if _, err := s.wal.AppendRecords(recs); err != nil {
-				s.brk.Trip(err)
-				s.setLastErr(fmt.Errorf("server: fastpath wal append failed (group dropped, degraded): %w", err))
-				s.h.dropUpdates.Add(int64(len(clean)))
-				ackAll(BinStatusDegraded)
-				return
-			}
-		}
-		// Durable: the dedup table may now advance (commit order).
-		for _, rec := range recs {
-			s.dedup.advance(rec.SID, rec.Seq)
-		}
-		sh.Apply(clean)
-		tEng := time.Now()
-		_, changed, perr := s.pool.ApplyUpdates(clean)
-		s.applyLat.record(len(clean), time.Since(tEng))
-		if perr != nil {
-			s.h.degraded.Inc()
-			s.setLastErr(perr)
-		}
-		before := s.applied.Load()
-		applied := s.applied.Add(uint64(len(clean)))
-		s.publishWatch(applied, changed)
-		s.edges.Store(int64(sh.NumEdges()))
-		s.h.accepted.Add(int64(len(clean)))
-		s.h.batches.Add(int64(len(clean))) // each update is one stream position
-		s.h.updates.Add(int64(len(clean)))
+	f.acks = acks
+	if res.applied > 0 {
+		s.h.accepted.Add(int64(res.applied))
 		s.h.fastGroups.Inc()
-		s.h.fastUpdates.Add(int64(len(clean)))
-		if n := uint64(s.cfg.CheckpointEvery); n > 0 && applied/n > before/n {
-			if cerr := s.writeCheckpoint(); cerr != nil {
-				s.setLastErr(cerr)
-			}
-		}
+		s.h.fastUpdates.Add(int64(res.applied))
 	}
-
-	// Acks stream back with each entry's cumulative commit position; the
-	// snapshot is published, so receiving the ack means the entry's updates
-	// are visible to /v1/answers readers. Duplicates count as accepted (they
-	// are durable) without advancing the position.
-	pos := s.applied.Load() - uint64(len(clean))
-	if s.cfg.SyncFollowers > 0 && s.wal != nil {
+	s.h.fastDropped.Add(dropped)
+	if res.status == BinStatusOK && s.cfg.SyncFollowers > 0 && s.wal != nil {
 		// Replication-gated acks: hold them until SyncFollowers followers
-		// prove (via their tail positions) that every record in this commit —
-		// including the originals behind any duplicates — is durable off-box.
-		p := &pendingAck{
-			need:    s.wal.NextIndex(),
+		// prove (via their tail positions) that every record up to this
+		// commit — including the originals behind any duplicates — is durable
+		// off-box. Positions are WAL records, so res.pos is the log's next
+		// index.
+		f.syncCh <- &pendingAck{
+			need:    res.pos,
 			expires: time.Now().Add(s.cfg.SyncAckTimeout),
 			entries: append([]*fpEntry(nil), entries...),
-			acks:    make([]BinAck, len(entries)),
+			acks:    append([]BinAck(nil), acks...),
 		}
-		for i, e := range entries {
-			pos += uint64(counts[i])
-			p.acks[i] = BinAck{
-				Pos:      pos,
-				Accepted: counts[i] + dups[i],
-				Dropped:  uint32(len(e.ups)) - counts[i] - dups[i],
-				Status:   BinStatusOK,
-			}
-		}
-		f.syncCh <- p
 		return
 	}
 	for i, e := range entries {
-		pos += uint64(counts[i])
-		e.ack <- BinAck{
-			Pos:      pos,
-			Accepted: counts[i] + dups[i],
-			Dropped:  uint32(len(e.ups)) - counts[i] - dups[i],
-			Status:   BinStatusOK,
-		}
+		e.ack <- acks[i]
 	}
 }
 
@@ -448,17 +369,8 @@ func (f *fastPath) handleConn(c net.Conn) {
 	s.h.binConns.Inc()
 
 	br := bufio.NewReaderSize(c, 64<<10)
-	var hello [len(BinHello)]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		s.h.binBadFrames.Inc()
-		return
-	}
-	var v2 bool
-	switch string(hello[:]) {
-	case BinHello:
-	case BinHello2:
-		v2 = true
-	default:
+	var hello [len(BinHello2)]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil || string(hello[:]) != BinHello2 {
 		s.h.binBadFrames.Inc()
 		return
 	}
@@ -503,12 +415,7 @@ func (f *fastPath) handleConn(c net.Conn) {
 	var sid, seq uint64
 	for {
 		var err error
-		if v2 {
-			ups, payload, sid, seq, err = ReadBinFrameSession(br, ups[:0], payload)
-		} else {
-			ups, payload, err = ReadBinFrame(br, ups[:0], payload)
-			sid, seq = 0, 0
-		}
+		ups, payload, sid, seq, err = ReadBinFrameSession(br, ups[:0], payload)
 		if err != nil {
 			if err != io.EOF {
 				// Malformed frame or torn read: the stream is desynced. Ack

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,14 +21,19 @@ import (
 	"cisgraph/internal/stats"
 )
 
-// binTestClient is a minimal binary-protocol client for tests: one frame in
-// flight at a time unless the test pipelines explicitly.
+// binTestClient is a minimal CGBIN/2 client for tests: one frame in flight
+// at a time unless the test pipelines explicitly. Every connection is its own
+// session, numbering its updates from 1.
 type binTestClient struct {
-	t    *testing.T
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte
+	t        *testing.T
+	conn     net.Conn
+	br       *bufio.Reader
+	buf      []byte
+	sid, seq uint64
 }
+
+// testSessions hands every test connection a distinct session id.
+var testSessions atomic.Uint64
 
 func dialBinary(t *testing.T, srv *Server) (*binTestClient, func()) {
 	t.Helper()
@@ -40,16 +46,17 @@ func dialBinary(t *testing.T, srv *Server) (*binTestClient, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write([]byte(BinHello)); err != nil {
+	if _, err := c.Write([]byte(BinHello2)); err != nil {
 		t.Fatal(err)
 	}
-	cl := &binTestClient{t: t, conn: c, br: bufio.NewReader(c)}
+	cl := &binTestClient{t: t, conn: c, br: bufio.NewReader(c), sid: testSessions.Add(1), seq: 1}
 	return cl, func() { c.Close(); ln.Close() }
 }
 
 func (c *binTestClient) send(ups []graph.Update) {
 	c.t.Helper()
-	c.buf = AppendBinFrame(c.buf[:0], ups)
+	c.buf = AppendBinFrameSession(c.buf[:0], c.sid, c.seq, ups)
+	c.seq += uint64(len(ups))
 	if _, err := c.conn.Write(c.buf); err != nil {
 		c.t.Fatal(err)
 	}

@@ -20,9 +20,8 @@ import (
 // the leader's latest checkpoint (or, when the leader has none yet, from
 // init — which must produce the same initial topology the leader started
 // from), then tails the leader's WAL on a background goroutine, applying
-// each verified batch through the shadow and the pool exactly like the
-// leader's applier. The follower serves reads immediately; Drain stops the
-// tail before flushing.
+// each verified record through the same commit stage as the leader. The
+// follower serves reads immediately; Drain stops the tail before flushing.
 //
 // With cfg.WALPath set the follower is PROMOTABLE (DESIGN.md §17): every
 // replicated record is appended and fsynced to a local WAL BEFORE it is
@@ -167,44 +166,14 @@ func fetchCheckpoint(client *http.Client, leader string) (*graph.Dynamic, []core
 	return g, queries, sessions, through, epoch, nil
 }
 
-// applyReplicated is the follower's single-writer apply path, invoked by
-// the tailer for each verified record in strict index order. Promotable
-// followers append-and-fsync the record to the local WAL FIRST: the next
-// tail request's `from` then proves everything below it durable here, which
-// is exactly what the leader's sync-ack gate relies on.
+// applyReplicated is the follower tail's front, invoked by the tailer for
+// each verified record in strict index order. Through the commit stage a
+// promotable follower appends-and-fsyncs the record to its local WAL BEFORE
+// applying it: the next tail request's `from` then proves everything below
+// it durable here, which is exactly what the leader's sync-ack gate relies
+// on.
 func (s *Server) applyReplicated(rec resilience.Record) error {
-	if want := s.applied.Load(); rec.Index != want {
-		return fmt.Errorf("server: replicated record %d out of order (want %d)", rec.Index, want)
-	}
-	if s.wal != nil {
-		if next := s.wal.NextIndex(); next != rec.Index {
-			return fmt.Errorf("server: local wal at %d desynced from stream record %d", next, rec.Index)
-		}
-		if _, err := s.wal.AppendRecords([]resilience.Record{rec}); err != nil {
-			return fmt.Errorf("server: local wal append: %w", err)
-		}
-	}
-	sh := s.shadow.Load()
-	sh.Apply(rec.Batch)
-	tEng := time.Now()
-	changed, perr := s.pool.ApplyBatch(rec.Batch)
-	s.applyLat.record(len(rec.Batch), time.Since(tEng))
-	if perr != nil {
-		s.h.degraded.Inc()
-		s.setLastErr(perr)
-	}
-	s.dedup.advance(rec.SID, rec.Seq)
-	pos := s.applied.Add(1)
-	s.publishWatch(pos, changed)
-	s.edges.Store(int64(sh.NumEdges()))
-	s.h.batches.Inc()
-	s.h.updates.Add(int64(len(rec.Batch)))
-	if s.wal != nil && s.cfg.CheckpointEvery > 0 && pos%uint64(s.cfg.CheckpointEvery) == 0 {
-		if cerr := s.writeCheckpoint(); cerr != nil {
-			s.setLastErr(cerr)
-		}
-	}
-	return nil
+	return s.commit(fromLeader, []resilience.Record{rec}, nil).err
 }
 
 // rebootstrapFromLeader reloads follower state from the leader's current

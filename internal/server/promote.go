@@ -61,9 +61,9 @@ func (s *Server) onPeerEpoch(peer uint64) {
 	}
 }
 
-// demote turns a deposed leader into a write-refusing follower. The write
-// pipelines observe the flag under the commit lock (applyBatch, commitGroup),
-// so nothing commits after the flip. Locating the new leader — to populate
+// demote turns a deposed leader into a write-refusing follower. The commit
+// stage checks the flag under the commit lock, so no client write commits
+// after the flip. Locating the new leader — to populate
 // 421 Locations — happens asynchronously; until then writes are refused with
 // "leader unknown".
 func (s *Server) demote(peerEpoch uint64) {

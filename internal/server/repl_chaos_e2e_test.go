@@ -245,7 +245,7 @@ func waitFollowerConverged(t *testing.T, client *http.Client, base string, leade
 // through an independent single-engine replay.
 func replayDurableAnswers(t *testing.T, a algo.Algorithm, walDir, ckpt string, leaderBatches uint64, cycle int) ([]core.Query, []algo.Value) {
 	t.Helper()
-	through, payload, err := resilience.ReadCheckpointFile(ckpt)
+	through, _, payload, err := resilience.ReadCheckpointMeta(ckpt)
 	if err != nil {
 		t.Fatalf("cycle %d: checkpoint read: %v", cycle, err)
 	}

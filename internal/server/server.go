@@ -109,11 +109,12 @@ const (
 // Server is the cisgraphd serving core: it owns the shadow topology, the
 // ingestion pipeline and the query pool, and exposes them over HTTP.
 //
-// Concurrency model (single-writer/many-reader): the commit lock admits
-// exactly one writer of the shadow topology and the shard engines at a time
-// — the batcher's applier goroutine (JSON/batch path) and the fast path's
-// commit goroutine (binary/per-update path, DESIGN.md §14) take turns on
-// it; on a follower the tail goroutine is the sole writer. HTTP readers
+// Concurrency model (single-writer/many-reader): every write goes through
+// the one commit stage (commit.go), whose lock admits exactly one writer of
+// the shadow topology and the shard engines at a time — the batcher's
+// applier goroutine (JSON/batch path) and the fast path's commit goroutine
+// (binary/per-update path, DESIGN.md §14) take turns on it; on a follower
+// the tail goroutine is the sole writer. HTTP readers
 // consume the pool's atomic answer snapshot and the server's atomic gauges,
 // so GET paths never contend with commit work. Query registration is the
 // one cross-cutting write; it serializes against the writers per shard,
@@ -129,9 +130,11 @@ type Server struct {
 	brk  *diskBreaker
 	gate inflightGate
 
-	// commitMu serializes the two write pipelines (batch applier and
-	// fast-path commit loop) over the shadow + pool + WAL + position.
+	// commitMu serializes commit (every front) over the shadow + pool + WAL
+	// + position; clean and out are commit's scratch, reused under it.
 	commitMu sync.Mutex
+	clean    []graph.Update
+	out      []resilience.Record
 
 	// shadow is the authoritative topology. It is mutated only by the
 	// single writer (the batcher's applier goroutine on a leader, the tail
@@ -141,14 +144,14 @@ type Server struct {
 	shadow atomic.Pointer[graph.Dynamic]
 
 	// applyLat records engine-side apply latency per batch-size class
-	// (applylat.go); every write pipeline (batcher, WAL replay, follower
-	// tail) feeds it and /healthz reports the percentiles.
+	// (applylat.go); commit feeds it for every front and /healthz reports
+	// the percentiles.
 	applyLat applyLatRecorder
 
 	cnt *stats.Counters
 	h   srvHandles
 
-	applied  atomic.Uint64 // sanitized batches applied (incl. restored)
+	applied  atomic.Uint64 // stream position: WAL records applied (incl. restored)
 	edges    atomic.Int64  // shadow edge count, published after each batch
 	draining atomic.Bool
 	lastErr  atomic.Pointer[string]
@@ -159,12 +162,12 @@ type Server struct {
 	// leader via Promote, and a deposed leader demotes when a peer proves a
 	// higher epoch — so it lives in atomics, not in cfg.
 	epoch        atomic.Uint64
-	followerFlag atomic.Bool             // true while following (refusing writes)
-	curLeader    atomic.Pointer[string]  // current leader base URL ("" when unknown / self)
-	maxPeerEpoch atomic.Uint64           // highest epoch any peer has advertised
-	promoteMu    sync.Mutex              // serializes Promote/demote transitions
-	dedup        *dedupTable             // exactly-once ingest session table
-	marks        *followerMarks          // follower tail positions (sync acks)
+	followerFlag atomic.Bool            // true while following (refusing writes)
+	curLeader    atomic.Pointer[string] // current leader base URL ("" when unknown / self)
+	maxPeerEpoch atomic.Uint64          // highest epoch any peer has advertised
+	promoteMu    sync.Mutex             // serializes Promote/demote transitions
+	dedup        *dedupTable            // exactly-once ingest session table
+	marks        *followerMarks         // follower tail positions (sync acks)
 
 	// Replication (DESIGN.md §13). Leader side: src serves the WAL.
 	// Follower side: tail streams the leader's WAL into the apply path;
@@ -303,46 +306,18 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// The exactly-once session table rebuilds exactly as it was: checkpoint
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
-	// WAL-replayed batches were already sanitized by the pre-crash run;
-	// they go straight through the shadow and the pool.
-	sh := s.shadow.Load()
-	var group []graph.Update
+	// The replay front: the suffix goes through the commit stage in runs —
+	// consecutive single-update records (what the per-update path logs) up
+	// to FastGroupMax, or one multi-update record — so each replays with
+	// the routing its original commit took, one position per record.
 	for i := 0; i < len(replay); {
-		// Consecutive single-update records — what the per-update fast path
-		// logs — replay as one fast-path group, the routing their original
-		// commit took; multi-update records replay as the batches they were.
-		// Every record stays its own stream position either way.
-		batch, j := replay[i].Batch, i+1
-		single := len(batch) == 1
-		if single {
-			group = append(group[:0], batch[0])
-			for j < len(replay) && len(replay[j].Batch) == 1 && len(group) < cfg.FastGroupMax {
-				group = append(group, replay[j].Batch[0])
-				j++
-			}
-			batch = group
+		j := i + 1
+		for len(replay[i].Batch) == 1 && j < len(replay) && j-i < cfg.FastGroupMax && len(replay[j].Batch) == 1 {
+			j++
 		}
-		sh.Apply(batch)
-		// Replay precedes serving — no watch subscriber can exist yet, so
-		// the changed set is discarded.
-		var perr error
-		tEng := time.Now()
-		if single {
-			_, _, perr = s.pool.ApplyUpdates(batch)
-		} else {
-			_, perr = s.pool.ApplyBatch(batch)
-		}
-		s.applyLat.record(len(batch), time.Since(tEng))
-		if perr != nil {
-			s.setLastErr(perr)
-		}
-		for _, rec := range replay[i:j] {
-			s.applied.Add(1)
-			s.dedup.advance(rec.SID, rec.Seq)
-		}
+		s.commit(fromLog, replay[i:j], nil)
 		i = j
 	}
-	s.edges.Store(int64(sh.NumEdges()))
 	return s, nil
 }
 
@@ -484,10 +459,8 @@ func (s *Server) probeDisk() error {
 	return s.cfg.FS.Remove(p)
 }
 
-// applyBatch is the batch-path pipeline stage: sanitize against the shadow,
-// append to the WAL, mutate the shadow, fan out to the pool, and checkpoint
-// on schedule. It runs on the batcher's applier goroutine, holding the
-// commit lock against the fast path's commit loop.
+// applyBatch is the batcher's front: each cut body is one record through
+// the commit stage. It runs on the batcher's applier goroutine.
 func (s *Server) applyBatch(batch []graph.Update, reason CutReason) {
 	switch reason {
 	case CutSize:
@@ -497,68 +470,12 @@ func (s *Server) applyBatch(batch []graph.Update, reason CutReason) {
 	case CutDrain:
 		s.h.cutDrain.Inc()
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	// A node deposed while this batch sat in the queue must not commit it:
-	// followers take writes only from the replication tail.
-	if s.isFollower() {
-		s.h.dropBatches.Inc()
-		s.h.dropUpdates.Add(int64(len(batch)))
-		return
-	}
-	sh := s.shadow.Load()
-	clean, _, err := s.san.Sanitize(sh, batch)
-	if err != nil {
-		// Reject/strict policy refused the whole batch: nothing reaches the
-		// engines; the rejection is visible via metrics and lastError.
-		s.setLastErr(err)
-		return
-	}
-	if len(clean) == 0 {
-		return
-	}
-	// Degraded mode (DESIGN.md §12.2): a batch that cannot be made durable
-	// is never applied. Applying it would desynchronize the served answers
-	// from the durable prefix — after a crash, recovery would replay less
-	// than was served. The batch is dropped (counted), the breaker opens,
-	// and /v1/updates rejects with 503 until a background probe heals.
-	if s.brk.Open() {
-		s.h.dropBatches.Inc()
-		s.h.dropUpdates.Add(int64(len(clean)))
-		return
-	}
-	if s.wal != nil {
-		if _, werr := s.wal.Append(clean); werr != nil {
-			s.brk.Trip(werr)
-			s.setLastErr(fmt.Errorf("server: wal append failed (batch dropped, degraded): %w", werr))
-			s.h.dropBatches.Inc()
-			s.h.dropUpdates.Add(int64(len(clean)))
-			return
-		}
-	}
-	sh.Apply(clean)
-	tEng := time.Now()
-	changed, perr := s.pool.ApplyBatch(clean)
-	s.applyLat.record(len(clean), time.Since(tEng))
-	if perr != nil {
-		s.h.degraded.Inc()
-		s.setLastErr(perr)
-	}
-	applied := s.applied.Add(1)
-	s.publishWatch(applied, changed)
-	s.edges.Store(int64(sh.NumEdges()))
-	s.h.batches.Inc()
-	s.h.updates.Add(int64(len(clean)))
-	if s.cfg.CheckpointEvery > 0 && applied%uint64(s.cfg.CheckpointEvery) == 0 {
-		if cerr := s.writeCheckpoint(); cerr != nil {
-			s.setLastErr(cerr)
-		}
-	}
+	s.commit(fromClient, []resilience.Record{{Batch: batch}}, nil)
 }
 
 // writeCheckpoint persists the shadow topology + query set + exactly-once
-// session table through the PR 1 atomic checkpoint envelope, positioned at
-// the applied batch count and stamped with the leadership epoch.
+// session table through the atomic checkpoint envelope, positioned at the
+// stream position and stamped with the leadership epoch.
 func (s *Server) writeCheckpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
@@ -573,7 +490,7 @@ func (s *Server) writeCheckpoint() error {
 	}
 	s.h.ckpts.Inc()
 	// Checkpoint-coordinated retention: the checkpoint now covers every
-	// batch with index < through, so WAL segments wholly below it are dead
+	// record with index < through, so WAL segments wholly below it are dead
 	// weight — delete them (modulo the WALRetain floor).
 	if s.wal != nil {
 		removed, rerr := s.wal.TruncateThrough(through)
@@ -645,8 +562,9 @@ func (s *Server) Pool() *QueryPool { return s.pool }
 // Counters exposes the server's own counters (ingest, batching, lifecycle).
 func (s *Server) Counters() *stats.Counters { return s.cnt }
 
-// Applied returns the number of sanitized batches applied since the stream
-// began (including batches restored from checkpoint/WAL).
+// Applied returns the stream position: the WAL records applied since the
+// stream began (including those restored from checkpoint/WAL) — one per
+// update on the binary path, one per body on the JSON path.
 func (s *Server) Applied() uint64 { return s.applied.Load() }
 
 func (s *Server) setLastErr(err error) {

@@ -140,7 +140,7 @@ func TestServerEndToEndMatchesOfflineAcrossRestart(t *testing.T) {
 	if err := srv.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, _, err := resilience.ReadCheckpointFile(cfg.CheckpointPath); err != nil {
+	if _, _, _, err := resilience.ReadCheckpointMeta(cfg.CheckpointPath); err != nil {
 		t.Fatalf("drain left no readable checkpoint: %v", err)
 	}
 

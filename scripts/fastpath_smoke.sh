@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Fast-path smoke test: the serve_smoke.sh scenario over the CGBIN/1 binary
+# Fast-path smoke test: the serve_smoke.sh scenario over the CGBIN/2 binary
 # ingest protocol — generate a small dataset, stream it through a live
 # cisgraphd's per-update fast path in two halves with a SIGTERM drain +
 # checkpoint/WAL resume in between, and verify the served answers are
