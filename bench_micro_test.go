@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cisgraph/internal/bench"
-	"cisgraph/internal/core"
 )
 
 func BenchmarkRelaxPath(b *testing.B)        { bench.RelaxPath(b) }
@@ -24,7 +23,6 @@ func BenchmarkApplyBatch(b *testing.B)       { bench.ApplyBatch(b) }
 
 func BenchmarkParallelPropagation(b *testing.B) { bench.ParallelPropagation(b) }
 
-func BenchmarkMultiQueryScaleQ16Dense(b *testing.B)  { bench.MultiQueryScale(16, core.StoreDense)(b) }
-func BenchmarkMultiQueryScaleQ16Sparse(b *testing.B) { bench.MultiQueryScale(16, core.StoreSparse)(b) }
+func BenchmarkMultiQueryScaleQ16Dense(b *testing.B) { bench.MultiQueryScale(16)(b) }
 
 func BenchmarkBatchRepairQ64S64(b *testing.B) { bench.BatchRepair(64, 64)(b) }

@@ -160,15 +160,6 @@ type (
 	MultiCISO = core.MultiCISO
 	// MultiOption configures a MultiCISO core.
 	MultiOption = core.MultiOption
-	// StoreKind selects the per-query state representation (dense arrays
-	// or a sparse copy-on-write overlay over a shared baseline).
-	StoreKind = core.StoreKind
-)
-
-// State-store kinds for MultiCISO (see DESIGN.md §11).
-const (
-	StoreDense  = core.StoreDense
-	StoreSparse = core.StoreSparse
 )
 
 // Contribution levels (Algorithm 1).
@@ -220,12 +211,10 @@ var (
 	NewCISO = core.NewCISO
 	// NewMultiCISO answers several queries over one shared stream.
 	// WithWorkers bounds the per-query worker pool, WithParallelQueries
-	// sizes it to GOMAXPROCS, WithStore picks the state representation.
+	// sizes it to GOMAXPROCS.
 	NewMultiCISO        = core.NewMultiCISO
 	WithWorkers         = core.WithWorkers
 	WithParallelQueries = core.WithParallelQueries
-	WithStore           = core.WithStore
-	ParseStoreKind      = core.ParseStoreKind
 	// WithPropagateWorkers / WithParallelFrontierMin arm bucketed
 	// intra-query parallel propagation (DESIGN.md §16) on a MultiCISO;
 	// WithParallelPropagation is the single-query CISO equivalent. Answers

@@ -65,7 +65,6 @@ func run() error {
 		batchWait = flag.Duration("batch-wait", 25*time.Millisecond, "cut a non-empty batch after this long")
 		queueCap  = flag.Int("queue", 65536, "ingest queue capacity (updates)")
 		onFull    = flag.String("on-full", "reject", "queue-full policy: reject (429) or shed (drop oldest)")
-		timeout   = flag.Duration("timeout", 0, "deprecated alias for -request-timeout")
 		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
 		maxBody   = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
 		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
@@ -73,7 +72,6 @@ func run() error {
 		workers   = flag.Int("workers", 0, "per-shard query worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		propWork  = flag.Int("propagate-workers", 0, "intra-query parallel-propagation worker budget per shard (0/1 = serial drains; answers are identical either way)")
 		parMin    = flag.Int("parallel-frontier-min", 0, "propagation-frontier size that triggers a parallel drain (0 = default 256; needs -propagate-workers >= 2)")
-		storeStr  = flag.String("store", "dense", "per-query state store: dense (flat arrays) or sparse (paged deltas over a shared baseline)")
 		maxQ      = flag.Int("max-queries", 1024, "registered-query admission limit")
 
 		sanitize   = flag.String("sanitize", "drop", "ingestion sanitize policy: drop, reject or strict")
@@ -117,13 +115,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store, err := core.ParseStoreKind(*storeStr)
-	if err != nil {
-		return err
-	}
-	if *timeout > 0 {
-		*reqTO = *timeout // honor the deprecated spelling
-	}
 	cfg := server.Config{
 		BatchMaxSize:        *batchSize,
 		BatchMaxWait:        *batchWait,
@@ -134,7 +125,6 @@ func run() error {
 		MaxInFlight:         *maxInfl,
 		Shards:              *shards,
 		Workers:             *workers,
-		Store:               store,
 		PropagateWorkers:    *propWork,
 		ParallelFrontierMin: *parMin,
 		MaxQueries:          *maxQ,
@@ -278,8 +268,8 @@ func run() error {
 		}()
 	}
 	go func() {
-		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), %d shard(s), %s store",
-			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, *shards, store)
+		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), %d shard(s)",
+			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, *shards)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

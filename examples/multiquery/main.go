@@ -3,8 +3,10 @@
 // future work. All queries share a single topology stream; only the
 // per-query contribution analysis is repeated, on a bounded worker pool
 // (WithParallelQueries sizes it to GOMAXPROCS; WithWorkers sets an explicit
-// bound, and WithStore(StoreSparse) swaps in copy-on-write per-query state
-// for large same-source fleets — see DESIGN.md §11).
+// bound). Queries that share a source also share one cold start: a
+// same-source registration copies the converged state instead of
+// recomputing it (DESIGN.md §11). Here every driver starts somewhere else,
+// so each pays its own.
 //
 // Run with:
 //

@@ -12,8 +12,8 @@ import (
 
 // multiQuerySources is the number of distinct query sources the scaling
 // cases cluster on — the serving-layer pattern (many clients watching a few
-// origins) that the sparse store's per-source baseline sharing and the
-// change-driven source-group skip are both built for.
+// origins) that same-source registration sharing and the change-driven
+// source-group skip are both built for.
 const multiQuerySources = 16
 
 // multiQueryFocusFrac bounds the measured stream to 1/32 of the vertex
@@ -23,10 +23,10 @@ const multiQuerySources = 16
 const multiQueryFocusFrac = 32
 
 // MultiQueryScale measures shared-snapshot multi-query execution at query
-// count q on the given state store, against steady-state bounded-region
-// churn — batches whose updates the converged state has already absorbed, so
-// each is provably useless and the change-driven skip engages the way the
-// paper's workloads see it (most updates affect no query):
+// count q, against steady-state bounded-region churn — batches whose updates
+// the converged state has already absorbed, so each is provably useless and
+// the change-driven skip engages the way the paper's workloads see it (most
+// updates affect no query):
 //
 //   - updates/s — batch throughput across all queries.
 //   - ns/query — per-batch apply cost divided by q, the headline scaling
@@ -37,18 +37,15 @@ const multiQueryFocusFrac = 32
 //     update_skipped_queries counter), evidence the skip actually engaged
 //     rather than the stream being trivially empty.
 //   - state-B/query — resident per-query state footprint
-//     (MultiCISO.StateBytes / q, shared baselines counted once), measured
-//     after a fixed six-batch warm stream so the number is comparable across
-//     runs and query counts rather than a function of b.N.
+//     (MultiCISO.StateBytes / q), measured after a fixed six-batch warm
+//     stream so the number is comparable across runs and query counts
+//     rather than a function of b.N.
 //
-// The q ∈ {16 … 65536} × store grid in the suite is the memory- and
-// compute-scaling experiment of DESIGN.md §11: dense grows at 12·V bytes per
-// query unconditionally (the suite caps dense at q=4096 — 12·8192 B ≈ 96 KiB
-// per query puts q=65536 at ~6 GiB resident, which is the point of the
-// sparse store, not a number worth measuring), while sparse pays one
-// baseline per distinct source plus only the pages each query's
-// post-registration batches actually touch.
-func MultiQueryScale(q int, kind core.StoreKind) func(b *testing.B) {
+// The q ∈ {16, 256, 4096} grid in the suite is the compute-scaling
+// experiment of DESIGN.md §11. State grows at 12·V bytes per query (≈ 96 KiB
+// here), which is why the grid stops at 4096: q=65536 would be ~6 GiB
+// resident.
+func MultiQueryScale(q int) func(b *testing.B) {
 	return func(b *testing.B) {
 		ds := graph.RMAT("mqscale", 13, 16*(1<<13), graph.DefaultRMAT, 64, 42)
 		w, err := stream.New(ds, stream.Config{
@@ -75,7 +72,7 @@ func MultiQueryScale(q int, kind core.StoreKind) func(b *testing.B) {
 		for i := 0; i < 8; i++ {
 			batches = append(batches, w.NextTargetedBatch(focus, 0.95))
 		}
-		m := core.NewMultiCISO(core.WithStore(kind))
+		m := core.NewMultiCISO()
 		m.Reset(w.Initial(), algo.PPSP{}, qs)
 		for _, batch := range warm {
 			m.ApplyBatch(batch)

@@ -54,17 +54,10 @@ func Suite() []Case {
 		{Name: "FastPathUnsafeMix_Q128_S16", Bench: FastPathUnsafeMix(128, 16)},
 		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
 		{Name: "ServerAnswers", Bench: ServerAnswers},
-		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16, core.StoreDense)},
-		{Name: "MultiQueryScale_Q16_Sparse", Bench: MultiQueryScale(16, core.StoreSparse)},
-		{Name: "MultiQueryScale_Q256_Dense", Experiment: true, Bench: MultiQueryScale(256, core.StoreDense)},
-		{Name: "MultiQueryScale_Q256_Sparse", Experiment: true, Bench: MultiQueryScale(256, core.StoreSparse)},
-		{Name: "MultiQueryScale_Q4096_Dense", Experiment: true, Bench: MultiQueryScale(4096, core.StoreDense)},
-		{Name: "MultiQueryScale_Q4096_Sparse", Experiment: true, Bench: MultiQueryScale(4096, core.StoreSparse)},
-		// Dense stops at 4096: 12·V bytes/query makes Q=65536 ~6 GiB resident
-		// (see MultiQueryScale doc) — the sparse store exists so that point on
-		// the curve is reachable at all.
-		{Name: "MultiQueryScale_Q16384_Sparse", Experiment: true, Bench: MultiQueryScale(16384, core.StoreSparse)},
-		{Name: "MultiQueryScale_Q65536_Sparse", Experiment: true, Bench: MultiQueryScale(65536, core.StoreSparse)},
+		// The _Dense suffix keeps the names of earlier BENCH_*.json rows.
+		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16)},
+		{Name: "MultiQueryScale_Q256_Dense", Experiment: true, Bench: MultiQueryScale(256)},
+		{Name: "MultiQueryScale_Q4096_Dense", Experiment: true, Bench: MultiQueryScale(4096)},
 		{Name: "Fig2_UpdateBreakdown", Experiment: true, Bench: Fig2},
 		{Name: "Table4_PPSP", Experiment: true, Bench: Table4PPSP},
 	}

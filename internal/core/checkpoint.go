@@ -49,14 +49,13 @@ func (c *CISO) Save(w io.Writer) error {
 	if c.st == nil {
 		return fmt.Errorf("checkpoint: engine not armed (call Reset first)")
 	}
-	val, parent := c.st.store.CopyState()
 	dto := checkpointDTO{
 		Version: checkpointVersion,
 		Algo:    c.st.a.Name(),
 		Query:   c.st.q,
 		Graph:   c.st.g.EdgeList("checkpoint"),
-		Val:     val,
-		Parent:  parent,
+		Val:     c.st.val,
+		Parent:  c.st.parent,
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&dto); err != nil {
@@ -158,7 +157,7 @@ func LoadCISO(r io.Reader, opts ...CISOOption) (*CISO, error) {
 	g := graph.FromEdgeList(dto.Graph)
 	c := NewCISO(opts...)
 	c.st = newState(g, a, dto.Query, c.cnt)
-	c.st.store.LoadState(dto.Val, dto.Parent)
+	c.st.val, c.st.parent = dto.Val, dto.Parent
 	// Restore must be internally consistent: every parent edge must exist
 	// and supply its child's value (the invariant every recovery relies on).
 	if err := c.st.verifyInvariant(); err != nil {
@@ -200,12 +199,11 @@ func (e *Incremental) CheckInvariants() error {
 // (used by checkpoint restore and the guard audit; tests use their own
 // checker).
 func (st *state) verifyInvariant() error {
-	if st.value(st.q.S) != st.a.Source() {
-		return fmt.Errorf("source state %v != %v", st.value(st.q.S), st.a.Source())
+	if st.val[st.q.S] != st.a.Source() {
+		return fmt.Errorf("source state %v != %v", st.val[st.q.S], st.a.Source())
 	}
-	n := st.numVertices()
-	for v := 0; v < n; v++ {
-		p := st.parentOf(graph.VertexID(v))
+	n := len(st.val)
+	for v, p := range st.parent {
 		if p == graph.NoVertex {
 			continue
 		}
@@ -216,9 +214,9 @@ func (st *state) verifyInvariant() error {
 		if !ok {
 			return fmt.Errorf("vertex %d: parent edge %d->%d missing", v, p, v)
 		}
-		if got := st.a.Propagate(st.value(p), st.a.Weight(w)); got != st.value(graph.VertexID(v)) {
+		if got := st.a.Propagate(st.val[p], st.a.Weight(w)); got != st.val[v] {
 			return fmt.Errorf("vertex %d: value %v unsupported by parent %d (edge gives %v)",
-				v, st.value(graph.VertexID(v)), p, got)
+				v, st.val[v], p, got)
 		}
 	}
 	return nil

@@ -74,15 +74,15 @@ func ClassifyDeletion(a algo.Algorithm, stateU, stateV algo.Value, rawW float64,
 // addUseless is ClassifyAddition's uselessness test against st's values: the
 // new edge u→v (weight w) does not improve the head.
 func (st *state) addUseless(u, v graph.VertexID, w float64) bool {
-	return !st.op.better(st.op.extend(st.value(u), w), st.value(v))
+	return !st.op.better(st.op.extend(st.val[u], w), st.val[v])
 }
 
 // delUseless is ClassifyDeletion's uselessness test against st's values: the
 // deleted edge u→v (stored weight w0) supplies no state — the head is
 // unreached, or the supplier equality fails.
 func (st *state) delUseless(u, v graph.VertexID, w0 float64) bool {
-	sv := st.value(v)
-	return !st.op.reached(sv) || st.op.extend(st.value(u), w0) != sv
+	sv := st.val[v]
+	return !st.op.reached(sv) || st.op.extend(st.val[u], w0) != sv
 }
 
 // classifyDeletion is ClassifyDeletion against st's values and the key-path
@@ -106,7 +106,7 @@ func (st *state) classifyDeletion(u, v graph.VertexID, w0 float64) Class {
 func (st *state) keyPath() []graph.VertexID {
 	sc := st.sc
 	st.clearKeyPath()
-	if !st.op.reached(st.value(st.q.D)) {
+	if !st.op.reached(st.val[st.q.D]) {
 		return nil
 	}
 	path := sc.path
@@ -115,8 +115,8 @@ func (st *state) keyPath() []graph.VertexID {
 		if v == st.q.S {
 			break
 		}
-		v = st.parentOf(v)
-		if v == graph.NoVertex || len(path) > st.numVertices() {
+		v = st.parent[v]
+		if v == graph.NoVertex || len(path) > len(st.val) {
 			// d reached without a complete chain to s: defensive — should
 			// be impossible under the parent invariant.
 			sc.path = path[:0]
@@ -143,5 +143,5 @@ func (st *state) clearKeyPath() {
 // edgeOnKeyPath reports whether edge u→v lies on the key path keyPath last
 // derived, i.e. v is on the path and u supplies v.
 func (st *state) edgeOnKeyPath(u, v graph.VertexID) bool {
-	return st.sc.onPath[v] && st.parentOf(v) == u
+	return st.sc.onPath[v] && st.parent[v] == u
 }

@@ -13,54 +13,50 @@ import (
 )
 
 // TestApplyUpdatesMatchesBatchPath is the fast-path correctness anchor: for
-// every algorithm and store kind, feeding a stream through ApplyUpdates in
-// groups must leave every query's converged answer identical to a reference
-// engine that applies each update as its own batch (the per-update stream
-// semantics the server's position counter promises).
+// every algorithm, feeding a stream through ApplyUpdates in groups must leave
+// every query's converged answer identical to a reference engine that
+// applies each update as its own batch (the per-update stream semantics the
+// server's position counter promises).
 func TestApplyUpdatesMatchesBatchPath(t *testing.T) {
 	for _, a := range algo.All() {
-		for _, kind := range []StoreKind{StoreDense, StoreSparse} {
-			ds := graph.RMAT("fp", 7, 900, graph.DefaultRMAT, 16, 33)
-			w, err := stream.New(ds, stream.Config{
-				LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 33,
-			})
+		ds := graph.RMAT("fp", 7, 900, graph.DefaultRMAT, 16, 33)
+		w, err := stream.New(ds, stream.Config{
+			LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 33,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qs []Query
+		for _, p := range w.QueryPairs(4) {
+			qs = append(qs, Query{S: p[0], D: p[1]})
+		}
+		init := w.Initial()
+		fast := NewMultiCISO(WithParallelQueries())
+		fast.Reset(init.Clone(), a, qs)
+		ref := NewMultiCISO()
+		ref.Reset(init.Clone(), a, qs)
+		for bi := 0; bi < 4; bi++ {
+			group := w.NextBatch()
+			fs, err := fast.ApplyUpdates(group)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s group %d: %v", a.Name(), bi, err)
 			}
-			var qs []Query
-			for _, p := range w.QueryPairs(4) {
-				qs = append(qs, Query{S: p[0], D: p[1]})
+			if fs.Safe+fs.Unsafe != len(group) {
+				t.Fatalf("%s group %d: routed %d+%d of %d updates",
+					a.Name(), bi, fs.Safe, fs.Unsafe, len(group))
 			}
-			init := w.Initial()
-			fast := NewMultiCISO(WithStore(kind), WithParallelQueries())
-			fast.Reset(init.Clone(), a, qs)
-			ref := NewMultiCISO(WithStore(kind))
-			ref.Reset(init.Clone(), a, qs)
-			for bi := 0; bi < 4; bi++ {
-				group := w.NextBatch()
-				fs, err := fast.ApplyUpdates(group)
-				if err != nil {
-					t.Fatalf("%s/%v group %d: %v", a.Name(), kind, bi, err)
+			for _, up := range group {
+				ref.ApplyBatch([]graph.Update{up})
+			}
+			got, want := fast.Answers(), ref.Answers()
+			for i := range qs {
+				if got[i] != want[i] {
+					t.Fatalf("%s group %d query %v: fast=%v ref=%v (safe=%d unsafe=%d)",
+						a.Name(), bi, qs[i], got[i], want[i], fs.Safe, fs.Unsafe)
 				}
-				if fs.Safe+fs.Unsafe != len(group) {
-					t.Fatalf("%s/%v group %d: routed %d+%d of %d updates",
-						a.Name(), kind, bi, fs.Safe, fs.Unsafe, len(group))
-				}
-				for _, up := range group {
-					ref.ApplyBatch([]graph.Update{up})
-				}
-				got, want := fast.Answers(), ref.Answers()
-				for i := range qs {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%v group %d query %v: fast=%v ref=%v (safe=%d unsafe=%d)",
-							a.Name(), kind, bi, qs[i], got[i], want[i], fs.Safe, fs.Unsafe)
-					}
-				}
-				if kind == StoreDense {
-					for i := range qs {
-						checkInvariant(t, fast.states[i])
-					}
-				}
+			}
+			for i := range qs {
+				checkInvariant(t, fast.states[i])
 			}
 		}
 	}
@@ -232,7 +228,7 @@ func adversarialGroup(rng *rand.Rand, ref *MultiCISO, size int) []graph.Update {
 		st := ref.states[rng.Intn(len(ref.states))]
 		for tries := 0; tries < 256; tries++ {
 			v := graph.VertexID(rng.Intn(n))
-			if p := st.parentOf(v); p != graph.NoVertex {
+			if p := st.parent[v]; p != graph.NoVertex {
 				w, _ := g.HasEdge(p, v)
 				return graph.Del(p, v, w)
 			}
@@ -299,7 +295,7 @@ func sameConvergedState(t *testing.T, where string, fast, ref *MultiCISO) {
 	}
 	for i := range ref.states {
 		for v := 0; v < ref.g.NumVertices(); v++ {
-			got, want := fast.states[i].value(graph.VertexID(v)), ref.states[i].value(graph.VertexID(v))
+			got, want := fast.states[i].val[v], ref.states[i].val[v]
 			if got != want {
 				t.Fatalf("%s: query %v vertex %d: value %v, reference %v", where, ref.queries[i], v, got, want)
 			}
@@ -308,40 +304,38 @@ func sameConvergedState(t *testing.T, where string, fast, ref *MultiCISO) {
 }
 
 // TestForwardPassDifferential is the forward pass's equivalence proof: on
-// seeded adversarial groups, for every algebra and store, ApplyUpdates must
-// leave the topology, every answer and every converged value identical to
-// one ApplyBatch per update.
+// seeded adversarial groups, for every algebra, ApplyUpdates must leave the
+// topology, every answer and every converged value identical to one
+// ApplyBatch per update.
 func TestForwardPassDifferential(t *testing.T) {
 	for _, a := range algo.All() {
-		for _, kind := range []StoreKind{StoreDense, StoreSparse} {
-			ds := graph.RMAT("fwd", 6, 400, graph.DefaultRMAT, 16, 5)
-			init := graph.FromEdgeList(ds)
-			hubs := init.TopDegreeVertices(2)
-			qs := []Query{{S: hubs[0], D: 7}, {S: hubs[0], D: 21}, {S: hubs[1], D: 40}, {S: 3, D: hubs[1]}}
-			fast := NewMultiCISO(WithStore(kind))
-			fast.Reset(init.Clone(), a, qs)
-			ref := NewMultiCISO(WithStore(kind))
-			ref.Reset(init.Clone(), a, qs)
-			rng := rand.New(rand.NewSource(17))
-			unsafe := 0
-			for gi := 0; gi < 12; gi++ {
-				group := adversarialGroup(rng, ref, 48)
-				fs, err := fast.ApplyUpdates(group)
-				if err != nil {
-					t.Fatalf("%s/%v group %d: %v", a.Name(), kind, gi, err)
-				}
-				if fs.Safe+fs.Unsafe != len(group) {
-					t.Fatalf("%s/%v group %d: routed %d+%d of %d", a.Name(), kind, gi, fs.Safe, fs.Unsafe, len(group))
-				}
-				unsafe += fs.Unsafe
-				for _, up := range group {
-					ref.ApplyBatch([]graph.Update{up})
-				}
-				sameConvergedState(t, a.Name()+"/"+kind.String(), fast, ref)
+		ds := graph.RMAT("fwd", 6, 400, graph.DefaultRMAT, 16, 5)
+		init := graph.FromEdgeList(ds)
+		hubs := init.TopDegreeVertices(2)
+		qs := []Query{{S: hubs[0], D: 7}, {S: hubs[0], D: 21}, {S: hubs[1], D: 40}, {S: 3, D: hubs[1]}}
+		fast := NewMultiCISO()
+		fast.Reset(init.Clone(), a, qs)
+		ref := NewMultiCISO()
+		ref.Reset(init.Clone(), a, qs)
+		rng := rand.New(rand.NewSource(17))
+		unsafe := 0
+		for gi := 0; gi < 12; gi++ {
+			group := adversarialGroup(rng, ref, 48)
+			fs, err := fast.ApplyUpdates(group)
+			if err != nil {
+				t.Fatalf("%s group %d: %v", a.Name(), gi, err)
 			}
-			if unsafe == 0 {
-				t.Fatalf("%s/%v: no update was routed unsafe; the groups test nothing", a.Name(), kind)
+			if fs.Safe+fs.Unsafe != len(group) {
+				t.Fatalf("%s group %d: routed %d+%d of %d", a.Name(), gi, fs.Safe, fs.Unsafe, len(group))
 			}
+			unsafe += fs.Unsafe
+			for _, up := range group {
+				ref.ApplyBatch([]graph.Update{up})
+			}
+			sameConvergedState(t, a.Name(), fast, ref)
+		}
+		if unsafe == 0 {
+			t.Fatalf("%s: no update was routed unsafe; the groups test nothing", a.Name())
 		}
 	}
 }

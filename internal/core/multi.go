@@ -24,13 +24,12 @@ import (
 // contribution-aware classification itself is inherently per-query because
 // each query converges to different states.
 //
-// Per-query state is a pluggable StateStore (DESIGN.md §11). The default
-// dense store costs O(V) per query; WithStore(StoreSparse) switches to
-// copy-on-write overlays over per-source shared baselines, built for high
-// query counts: queries with the same source converge to the same one-to-all
-// state, so registration is O(1) against an existing baseline and each query
-// pays only for the pages its batches actually touch. Worklist and tagging
-// scratch is per worker slot, not per query, in both configurations.
+// Per-query state is one value and one parent array, O(V) per query
+// (DESIGN.md §11). Queries with the same source converge to the same
+// one-to-all state, so a same-source registration at an unchanged topology
+// copies the arrays of the query cold-started there instead of converging
+// again: Q queries over S sources cost S cold starts. Worklist and tagging
+// scratch is per worker slot, not per query.
 //
 // Answers are bit-identical to independent CISO engines (enforced by
 // tests): the phase logic is the same, with one benign reordering — all
@@ -57,8 +56,7 @@ type MultiCISO struct {
 	cnts    []*stats.Counters // one per query (keeps parallel runs raceless)
 	cnt     *stats.Counters   // merged view, maintained from per-batch deltas
 
-	workers int       // bounded pool width for per-query phases; <=1 is serial
-	kind    StoreKind // per-query state representation
+	workers int // bounded pool width for per-query phases; <=1 is serial
 
 	// Intra-query parallel propagation (DESIGN.md §16). propWorkers is the
 	// total relax-worker budget across the engine (0 = off); parMin the
@@ -71,13 +69,16 @@ type MultiCISO struct {
 	coldPP      propagator
 	parProps    map[int]*parallelPropagator
 
-	// epoch counts topology mutations; a baseline (and an AddQuery compute)
-	// is only valid against the epoch it was built for.
+	// epoch counts topology mutations; an AddQuery compute and a recorded
+	// cold start are only valid against the epoch they were built for.
 	epoch uint64
-	// bases holds the current-epoch converged baseline per query source
-	// (sparse store only). Overlays registered in earlier epochs keep their
-	// (stale but still correct) baselines via their own references.
-	bases map[graph.VertexID]baseEntry
+	// coldStarts holds, per source, the state cold-started at epoch
+	// coldEpoch: the copy source for same-source registrations while the
+	// epoch stands (DESIGN.md §11.3). A query maintained across batches is
+	// never a copy source — its parents may differ from a cold start's on
+	// ties, and the deletion classifier reads parents.
+	coldStarts map[graph.VertexID]*state
+	coldEpoch  uint64
 
 	// Change-driven evaluation (DESIGN.md §15). All registered queries with
 	// the same source converge to the same VALUE array (the unique least
@@ -120,13 +121,16 @@ type sourceGroup struct {
 	rep     int   // first non-suspect member; -1 while every member is suspect
 }
 
-type baseEntry struct {
-	base  *Baseline
-	epoch uint64
-}
-
 // MultiOption configures a MultiCISO engine.
 type MultiOption func(*MultiCISO)
+
+// StoreKind names a per-query state representation. Flat arrays are the only
+// one; the type and StoreDense remain because server.NewQueryPool still takes
+// a kind, which benchmark/stage.go passes as core.StoreDense.
+type StoreKind int
+
+// StoreDense is the flat-array representation.
+const StoreDense StoreKind = 0
 
 // WithWorkers bounds the worker pool that executes per-query phases: n
 // goroutines pull query indices from a shared cursor, so Q queries cost Q/n
@@ -142,9 +146,6 @@ func WithWorkers(n int) MultiOption { return func(m *MultiCISO) { m.workers = n 
 func WithParallelQueries() MultiOption {
 	return func(m *MultiCISO) { m.workers = runtime.GOMAXPROCS(0) }
 }
-
-// WithStore selects the per-query state representation (default StoreDense).
-func WithStore(kind StoreKind) MultiOption { return func(m *MultiCISO) { m.kind = kind } }
 
 // WithChangeSkip toggles change-driven query skipping (default on): per
 // batch, each source group of queries is tested once against one
@@ -212,9 +213,6 @@ func (m *MultiCISO) intraPropLocked(nActive int) propagator {
 // Name identifies the engine.
 func (m *MultiCISO) Name() string { return "MultiCISO" }
 
-// Store reports the configured state-store kind.
-func (m *MultiCISO) Store() StoreKind { return m.kind }
-
 // Reset takes ownership of g, arms every query and runs each query's
 // initial full computation. An empty query list is valid: queries can be
 // registered later with AddQuery.
@@ -223,7 +221,7 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	defer m.mu.Unlock()
 	m.g, m.a = g, a
 	m.epoch++
-	m.bases = make(map[graph.VertexID]baseEntry)
+	m.coldStarts = nil
 	m.scs = nil // vertex count / algorithm may have changed
 	m.queries = append([]Query(nil), queries...)
 	m.states = make([]*state, 0, len(queries))
@@ -285,45 +283,63 @@ func (m *MultiCISO) rebuildRepsLocked() {
 }
 
 // buildStateLocked converges a state for q on the live topology (write lock
-// held). With the sparse store, a same-source query at the current epoch
-// reuses the registered baseline and skips the computation entirely.
+// held): a copy of the source's cold start at this epoch when there is one,
+// otherwise a cold start, recorded for later copies.
 func (m *MultiCISO) buildStateLocked(q Query, cnt *stats.Counters) *state {
-	if m.kind == StoreSparse {
-		if be, ok := m.bases[q.S]; ok && be.epoch == m.epoch {
-			return newStateOn(NewOverlayStore(be.base), nil, m.g, m.a, q, cnt)
-		}
+	if cold := m.coldStartLocked(q.S); cold != nil {
+		return copyState(cold, q, cnt)
 	}
-	st, base := computeState(m.g, m.a, q, cnt, m.kind, m.coldPP)
-	if base != nil {
-		m.bases[q.S] = baseEntry{base: base, epoch: m.epoch}
-	}
+	st := computeState(m.g, m.a, q, cnt, m.coldPP)
+	m.recordColdStartLocked(st)
 	return st
+}
+
+// coldStartLocked returns the state cold-started for src at the current
+// epoch, or nil (read or write lock held).
+func (m *MultiCISO) coldStartLocked(src graph.VertexID) *state {
+	if m.coldEpoch != m.epoch {
+		return nil
+	}
+	return m.coldStarts[src]
+}
+
+// recordColdStartLocked files st, just converged from scratch at the current
+// epoch, as its source's copy source (write lock held).
+func (m *MultiCISO) recordColdStartLocked(st *state) {
+	if m.coldStarts == nil || m.coldEpoch != m.epoch {
+		m.coldStarts = make(map[graph.VertexID]*state)
+		m.coldEpoch = m.epoch
+	}
+	m.coldStarts[st.q.S] = st
 }
 
 // computeState runs the initial full computation for q against g (which must
 // not be mutated during the call — callers either hold the write lock or own
-// a private clone). Dense: the converged store backs the state directly.
-// Sparse: the converged arrays become a shareable baseline and the state is
-// an empty overlay over it. Multi-owned states carry no scratch of their
-// own; forEachQuery attaches a worker slot's scratch per execution. A
-// non-nil prop drains the cold-start convergence through it (intra-query
-// parallel cold starts, DESIGN.md §16) and is detached afterwards — batch
-// applies re-attach per the nested-parallelism policy.
-func computeState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters, kind StoreKind, prop propagator) (*state, *Baseline) {
-	n := g.NumVertices()
-	ds := NewDenseStore(n)
-	st := newStateOn(ds, newScratch(a, n), g, a, q, cnt)
+// a private clone). Multi-owned states carry no scratch of their own;
+// forEachQuery attaches a worker slot's scratch per execution. A non-nil
+// prop drains the cold-start convergence through it (intra-query parallel
+// cold starts, DESIGN.md §16) and is detached afterwards — batch applies
+// re-attach per the nested-parallelism policy.
+func computeState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters, prop propagator) *state {
+	st := newStateOn(newScratch(a, g.NumVertices()), g, a, q, cnt)
 	if prop != nil {
 		st.prop = prop
 	}
 	st.fullCompute()
 	st.prop = serialProp
 	st.sc = nil
-	if kind != StoreSparse {
-		return st, nil
-	}
-	base := NewBaseline(ds.val, ds.parent)
-	return newStateOn(NewOverlayStore(base), nil, g, a, q, cnt), base
+	return st
+}
+
+// copyState binds a state for q over copies of cold's arrays. cold is a
+// same-source cold start at the current epoch, so the copy is exactly what a
+// cold start for q would converge to, parents included: the drain from a
+// source never reads the destination.
+func copyState(cold *state, q Query, cnt *stats.Counters) *state {
+	st := newStateOn(nil, cold.g, cold.a, q, cnt)
+	copy(st.val, cold.val)
+	copy(st.parent, cold.parent)
+	return st
 }
 
 // addQueryRetries bounds how often AddQuery re-computes against a fresh
@@ -337,9 +353,9 @@ const addQueryRetries = 2
 // writer under the concurrency contract — but its O(V+E) computation runs
 // against a topology snapshot with NO lock held; only the final publish
 // takes the write lock (epoch-checked, retried if a batch landed in
-// between). Readers are never stalled behind a registration, and with the
-// sparse store a same-source registration at the current epoch skips the
-// computation entirely.
+// between). Readers are never stalled behind a registration, and a
+// same-source registration at the current epoch copies the source's cold
+// start under the read lock instead of computing.
 func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 	cnt := stats.NewCounters()
 	for attempt := 0; attempt < addQueryRetries; attempt++ {
@@ -348,21 +364,15 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 		a := m.a
 		var st *state
 		var gc *graph.Dynamic
-		if m.kind == StoreSparse {
-			if be, ok := m.bases[q.S]; ok && be.epoch == epoch {
-				// Shared-baseline fast path: the overlay starts exactly at
-				// the already-converged per-source state; nothing to compute.
-				st = newStateOn(NewOverlayStore(be.base), nil, m.g, a, q, cnt)
-			}
-		}
-		if st == nil {
+		if cold := m.coldStartLocked(q.S); cold != nil {
+			st = copyState(cold, q, cnt) // O(V); readers share the read lock
+		} else {
 			gc = m.g.Clone() // arena clone: cheap, and private to this goroutine
 		}
 		m.mu.RUnlock()
 
-		var base *Baseline
-		if st == nil {
-			st, base = computeState(gc, a, q, cnt, m.kind, m.coldPP)
+		if gc != nil {
+			st = computeState(gc, a, q, cnt, m.coldPP)
 		}
 
 		m.mu.Lock()
@@ -371,8 +381,8 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 			continue // a batch landed mid-compute; the snapshot is stale
 		}
 		st.g = m.g // rebind from the clone (same epoch ⇒ identical topology)
-		if base != nil {
-			m.bases[q.S] = baseEntry{base: base, epoch: epoch}
+		if gc != nil {
+			m.recordColdStartLocked(st)
 		}
 		i := m.installLocked(q, cnt, st)
 		ans := st.answer()
@@ -472,25 +482,17 @@ func (m *MultiCISO) Counters() *stats.Counters {
 	return m.cnt
 }
 
-// StateBytes reports the resident bytes of all per-query state: every
-// query's store plus each distinct shared baseline counted once. Scratch is
-// excluded (see ScratchBytes) — it scales with workers, not queries.
+// StateBytes reports the resident bytes of all per-query state: 8 value and
+// 4 parent bytes per vertex per query, plus a fixed per-query header.
+// Scratch is excluded (see ScratchBytes) — it scales with workers, not
+// queries.
 func (m *MultiCISO) StateBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var seen map[*Baseline]bool
+	const headerBytes = 64 // the state's slice headers, approximately
 	var total int64
 	for _, st := range m.states {
-		total += st.store.Bytes()
-		if ov, ok := st.store.(*OverlayStore); ok {
-			if seen == nil {
-				seen = make(map[*Baseline]bool)
-			}
-			if b := ov.BaselineRef(); !seen[b] {
-				seen[b] = true
-				total += b.Bytes()
-			}
-		}
+		total += int64(len(st.val))*12 + headerBytes
 	}
 	return total
 }
@@ -704,7 +706,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 
 	// Shared: topology for the addition phase.
 	if len(nb.Adds)+len(nb.Dels)+len(nb.Reweights) > 0 {
-		m.epoch++ // registered baselines are converged for the old snapshot
+		m.epoch++ // recorded cold starts are converged for the old snapshot
 	}
 	for _, up := range nb.Adds {
 		m.g.AddEdge(up.From, up.To, up.W)
@@ -878,7 +880,7 @@ func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffect
 	return true, nil
 }
 
-// ChangeSummaries returns the per-source baseline change summaries of the
+// ChangeSummaries returns the per-source change summaries of the
 // most recently applied batch: one entry per PROCESSED source group listing
 // which vertices of that group's converged region the batch wrote (sorted,
 // deduplicated, Overflow-capped). Sources absent from the slice were proven

@@ -20,9 +20,9 @@ import (
 // ref and validates par's dependency tree.
 func assertStateMatchesSerial(t *testing.T, label string, ref, par *state) {
 	t.Helper()
-	n := par.numVertices()
+	n := len(par.val)
 	for v := 0; v < n; v++ {
-		if rv, pv := ref.value(graph.VertexID(v)), par.value(graph.VertexID(v)); rv != pv {
+		if rv, pv := ref.val[v], par.val[v]; rv != pv {
 			t.Fatalf("%s: vertex %d: parallel value %v, serial %v", label, v, pv, rv)
 		}
 	}
@@ -33,12 +33,12 @@ func assertStateMatchesSerial(t *testing.T, label string, ref, par *state) {
 	// within n hops — no self-supporting parent cycles.
 	for v := 0; v < n; v++ {
 		x := graph.VertexID(v)
-		if x == par.q.S || !algo.Reached(par.a, par.value(x)) {
+		if x == par.q.S || !algo.Reached(par.a, par.val[x]) {
 			continue
 		}
 		hops := 0
 		for x != par.q.S {
-			x = par.parentOf(x)
+			x = par.parent[x]
 			if x == graph.NoVertex {
 				t.Fatalf("%s: vertex %d: reached but parent chain dead-ends", label, v)
 			}
@@ -112,62 +112,56 @@ func TestParallelDeterministicParents(t *testing.T) {
 			return c
 		}
 		c2, c8 := run(2), run(8)
-		n := c2.st.numVertices()
+		n := len(c2.st.val)
 		for v := 0; v < n; v++ {
 			x := graph.VertexID(v)
-			if c2.st.parentOf(x) != c8.st.parentOf(x) {
+			if c2.st.parent[x] != c8.st.parent[x] {
 				t.Fatalf("%s: vertex %d: parent %d at width 2, %d at width 8",
-					a.Name(), v, c2.st.parentOf(x), c8.st.parentOf(x))
+					a.Name(), v, c2.st.parent[x], c8.st.parent[x])
 			}
 		}
 	}
 }
 
 // TestParallelDifferentialMulti: MultiCISO under the nested-parallelism
-// policy against a serial MultiCISO, both store kinds. The sparse runs
-// exercise the overlay fallback (answers must still match and the fallback
-// counter must fire); the dense runs exercise real bucket rounds.
+// policy against a serial MultiCISO. Answers must match, and real bucket
+// rounds must run.
 func TestParallelDifferentialMulti(t *testing.T) {
-	for _, kind := range []StoreKind{StoreDense, StoreSparse} {
-		for _, a := range algo.All() {
-			ds := graph.RMAT("parmulti", 7, 900, graph.DefaultRMAT, 8, 29)
-			w, _ := stream.New(ds, stream.Config{
-				LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 29,
-			})
-			pairs := w.QueryPairsConnected(3)
-			var queries []Query
-			for _, p := range pairs {
-				queries = append(queries, Query{S: p[0], D: p[1]})
-			}
-			ref := NewMultiCISO(WithStore(kind))
-			par := NewMultiCISO(WithStore(kind), WithWorkers(2),
-				WithPropagateWorkers(4), WithParallelFrontierMin(1))
-			ref.Reset(w.Initial().Clone(), a, queries)
-			par.Reset(w.Initial().Clone(), a, queries)
-			for b := 0; b < 5; b++ {
-				batch := w.NextBatch()
-				ref.ApplyBatch(batch)
-				par.ApplyBatch(batch)
-				want, got := ref.Answers(), par.Answers()
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s/%s batch %d query %d: parallel %v, serial %v",
-							kind, a.Name(), b, i, got[i], want[i])
-					}
+	for _, a := range algo.All() {
+		ds := graph.RMAT("parmulti", 7, 900, graph.DefaultRMAT, 8, 29)
+		w, _ := stream.New(ds, stream.Config{
+			LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 29,
+		})
+		pairs := w.QueryPairsConnected(3)
+		var queries []Query
+		for _, p := range pairs {
+			queries = append(queries, Query{S: p[0], D: p[1]})
+		}
+		ref := NewMultiCISO()
+		par := NewMultiCISO(WithWorkers(2),
+			WithPropagateWorkers(4), WithParallelFrontierMin(1))
+		ref.Reset(w.Initial().Clone(), a, queries)
+		par.Reset(w.Initial().Clone(), a, queries)
+		for b := 0; b < 5; b++ {
+			batch := w.NextBatch()
+			ref.ApplyBatch(batch)
+			par.ApplyBatch(batch)
+			want, got := ref.Answers(), par.Answers()
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s batch %d query %d: parallel %v, serial %v",
+						a.Name(), b, i, got[i], want[i])
 				}
 			}
-			buckets := par.Counters().Get(stats.CntParallelBuckets)
-			fallbacks := par.Counters().Get(stats.CntParallelFallbacks)
-			if kind == StoreSparse && fallbacks <= 0 {
-				t.Fatalf("%s/%s: overlay states must count parallel fallbacks", kind, a.Name())
-			}
-			if kind == StoreDense && buckets <= 0 {
-				t.Fatalf("%s/%s: no parallel bucket rounds ran", kind, a.Name())
-			}
-			if buckets < 0 || fallbacks < 0 {
-				t.Fatalf("%s/%s: negative counters (buckets %d, fallbacks %d)",
-					kind, a.Name(), buckets, fallbacks)
-			}
+		}
+		buckets := par.Counters().Get(stats.CntParallelBuckets)
+		fallbacks := par.Counters().Get(stats.CntParallelFallbacks)
+		if buckets <= 0 {
+			t.Fatalf("%s: no parallel bucket rounds ran", a.Name())
+		}
+		if buckets < 0 || fallbacks < 0 {
+			t.Fatalf("%s: negative counters (buckets %d, fallbacks %d)",
+				a.Name(), buckets, fallbacks)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import "cisgraph/internal/graph"
 
 // The propagator stage: monotonic best-first propagation (relaxEdge/drain)
 // and KickStarter-style deletion recovery (repairVertex + tagging) over the
-// state store, pulling work from the scheduler's worklist.
+// vertex state, pulling work from the scheduler's worklist.
 
 // relaxEdge applies ⊕/⊗ to edge u→v with raw weight w. It returns whether
 // v improved (in which case v's new value has been pushed for propagation).
@@ -14,8 +14,8 @@ func (st *state) relaxEdge(u, v graph.VertexID, w float64) bool {
 	if v == st.q.S {
 		return false
 	}
-	t := st.op.extend(st.value(u), w)
-	if !st.op.better(t, st.value(v)) {
+	t := st.op.extend(st.val[u], w)
+	if !st.op.better(t, st.val[v]) {
 		return false
 	}
 	st.setVertex(v, t, u)
@@ -52,7 +52,7 @@ func (st *state) serialDrain() {
 	wl := &st.sc.wl
 	for wl.len() > 0 {
 		v, score := wl.pop()
-		if st.value(v) != score {
+		if st.val[v] != score {
 			continue // superseded by a better value
 		}
 		for _, e := range st.g.Out(v) {
@@ -112,7 +112,7 @@ func (st *state) repairVertex(v graph.VertexID) bool {
 	if v == st.q.S {
 		return false // the source is pinned
 	}
-	old := st.value(v)
+	old := st.val[v]
 	if !st.op.reached(old) {
 		return false // nothing to lose
 	}
@@ -123,7 +123,7 @@ func (st *state) repairVertex(v graph.VertexID) bool {
 			continue // a self-loop supplies nothing
 		}
 		st.tally[tRelax]++
-		t := st.op.extend(st.value(e.To), e.W)
+		t := st.op.extend(st.val[e.To], e.W)
 		if st.op.better(t, best) {
 			best, bestParent = t, e.To
 		}
@@ -134,7 +134,7 @@ func (st *state) repairVertex(v graph.VertexID) bool {
 	st.sc.buf = cand
 	if best == old {
 		for _, y := range cand {
-			if st.op.better(st.value(y), old) || !st.chainPasses(y, v) {
+			if st.op.better(st.val[y], old) || !st.chainPasses(y, v) {
 				st.adoptParent(v, y)
 				st.flush()
 				return false
@@ -154,7 +154,7 @@ func (st *state) repairVertex(v graph.VertexID) bool {
 		st.repairRegion(region)
 	}
 	st.flush()
-	return st.value(v) != old
+	return st.val[v] != old
 }
 
 // repairRegion re-converges a tagged region (in dependence, i.e. BFS, order;
@@ -180,11 +180,11 @@ func (st *state) repairRegion(region []graph.VertexID) {
 				continue // still-suspect supplier
 			}
 			st.tally[tRelax]++
-			if t := st.op.extend(st.value(e.To), e.W); st.op.better(t, bestX) {
+			if t := st.op.extend(st.val[e.To], e.W); st.op.better(t, bestX) {
 				bestX, bestParent = t, e.To
 			}
 		}
-		if bestX != st.value(x) {
+		if bestX != st.val[x] {
 			st.setVertex(x, bestX, bestParent)
 			broken = append(broken, x)
 			continue
@@ -197,7 +197,7 @@ func (st *state) repairRegion(region []graph.VertexID) {
 	}
 	sc.wl.reset()
 	for _, x := range broken {
-		if val := st.value(x); st.op.reached(val) {
+		if val := st.val[x]; st.op.reached(val) {
 			st.tally[tAct]++
 			sc.wl.push(x, val)
 		}
@@ -220,11 +220,11 @@ func (st *state) repairRegion(region []graph.VertexID) {
 // current value derives from v). The walk is bounded by the vertex count;
 // an anomalous overflow is conservatively treated as "passes".
 func (st *state) chainPasses(y, v graph.VertexID) bool {
-	for hops := 0; hops <= st.numVertices(); hops++ {
+	for hops := 0; hops <= len(st.val); hops++ {
 		if y == v {
 			return true
 		}
-		y = st.parentOf(y)
+		y = st.parent[y]
 		if y == graph.NoVertex {
 			return false
 		}
@@ -244,7 +244,7 @@ func (st *state) tagDependents(v graph.VertexID) []graph.VertexID {
 		x := sc.buf[i]
 		st.tally[tTagged]++
 		for _, e := range st.g.Out(x) {
-			if !sc.inSet[e.To] && st.parentOf(e.To) == x {
+			if !sc.inSet[e.To] && st.parent[e.To] == x {
 				sc.inSet[e.To] = true
 				sc.buf = append(sc.buf, e.To)
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
@@ -17,8 +18,8 @@ import (
 // set; each round selects a deterministic score bucket (delta-stepping for
 // ranked algebras, the whole level for plateau algebras), relaxes the
 // bucket's out-edges across a bounded worker group committing improvements
-// with atomic min-CAS on the dense value cells, then resolves parent
-// pointers sequentially from the workers' claim lists. Determinism contract:
+// with atomic min-CAS on the value cells, then resolves parent pointers
+// sequentially from the workers' claim lists. Determinism contract:
 //
 //   - Values are bit-identical to the serial drain on every algebra. Both
 //     schedules converge to the same least fixpoint of the monotone
@@ -35,9 +36,27 @@ import (
 //     are expansive along ⊕, so a cycle would force a strictly-better-than-
 //     itself score.
 //
-// Overlay stores (CoW page materialisation cannot race) and frontiers below
-// frontierMin fall back to the serial drain; the hybrid escalates and
-// de-escalates as the frontier grows and shrinks within one drain.
+// Frontiers below frontierMin fall back to the serial drain; the hybrid
+// escalates and de-escalates as the frontier grows and shrinks within one
+// drain.
+
+// loadValue atomically reads v's value. Required for every value read that
+// can race with a concurrent casSet — i.e. inside the relax phase. Outside
+// that phase (all writers joined) plain reads of st.val are fine.
+func (st *state) loadValue(v graph.VertexID) algo.Value {
+	return math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(&st.val[v]))))
+}
+
+// casSet atomically replaces v's value old→new, failing if the cell no
+// longer holds old — the commit primitive of the min-CAS protocol. Values
+// are compared as raw float64 bits: the algebras never produce NaN, and
+// every zero they produce is +0, so bit equality is value equality here.
+// Parents are NOT written by casSet — parent choice on ties must be
+// deterministic, so claims carry them to the sequential resolution.
+func (st *state) casSet(v graph.VertexID, old, new algo.Value) bool {
+	return atomic.CompareAndSwapUint64((*uint64)(unsafe.Pointer(&st.val[v])),
+		math.Float64bits(old), math.Float64bits(new))
+}
 
 // DefaultParallelFrontierMin is the frontier size below which parallel
 // coordination costs more than it buys; used when the option is left zero.
@@ -171,14 +190,6 @@ func newParallelPropagator(w, frontierMin int) *parallelPropagator {
 
 // drain runs the hybrid serial/parallel drain to convergence.
 func (p *parallelPropagator) drain(st *state) {
-	if st.val == nil {
-		// Overlay stores have no CAS cells — materialising a CoW page under
-		// concurrent writers would race — so sparse states drain serially.
-		st.tally[tParFallback]++
-		st.serialDrain()
-		return
-	}
-	ds := st.store.(*DenseStore)
 	wl := &st.sc.wl
 	escalated := false
 	for {
@@ -197,7 +208,7 @@ func (p *parallelPropagator) drain(st *state) {
 			break
 		}
 		escalated = true
-		p.parallelRounds(st, ds)
+		p.parallelRounds(st)
 	}
 	if !escalated {
 		st.tally[tParFallback]++
@@ -207,8 +218,8 @@ func (p *parallelPropagator) drain(st *state) {
 // parallelRounds absorbs the worklist into the pending set and runs bucket
 // rounds until the frontier thins back below the threshold, then hands the
 // remainder back to the serial worklist.
-func (p *parallelPropagator) parallelRounds(st *state, ds *DenseStore) {
-	ps := st.sc.ensurePar(st.numVertices(), p.workers)
+func (p *parallelPropagator) parallelRounds(st *state) {
+	ps := st.sc.ensurePar(len(st.val), p.workers)
 	wl := &st.sc.wl
 	for wl.len() > 0 {
 		v, score := wl.pop()
@@ -233,7 +244,7 @@ func (p *parallelPropagator) parallelRounds(st *state, ds *DenseStore) {
 		ps.cursor.Store(0)
 		for i := 1; i < w; i++ {
 			ps.wg.Add(1)
-			go p.relaxWorkerGo(st, ds, ps, i)
+			go p.relaxWorkerGo(st, ps, i)
 		}
 		func() {
 			defer func() {
@@ -241,7 +252,7 @@ func (p *parallelPropagator) parallelRounds(st *state, ds *DenseStore) {
 					ps.panicked.CompareAndSwap(nil, &parPanic{r: r})
 				}
 			}()
-			p.relaxWorker(st, ds, ps, 0)
+			p.relaxWorker(st, ps, 0)
 		}()
 		ps.wg.Wait()
 		for i := range ps.workers[:w] {
@@ -338,14 +349,14 @@ func (p *parallelPropagator) takeAll(st *state, ps *parScratch) {
 // relaxWorkerGo is the spawned-worker wrapper: barrier bookkeeping plus
 // panic capture (a bare panic on a worker goroutine would kill the process
 // instead of reaching the engines' per-query recovery).
-func (p *parallelPropagator) relaxWorkerGo(st *state, ds *DenseStore, ps *parScratch, slot int) {
+func (p *parallelPropagator) relaxWorkerGo(st *state, ps *parScratch, slot int) {
 	defer ps.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			ps.panicked.CompareAndSwap(nil, &parPanic{r: r})
 		}
 	}()
-	p.relaxWorker(st, ds, ps, slot)
+	p.relaxWorker(st, ps, slot)
 }
 
 // relaxWorker relaxes frontier chunks until the cursor runs out. Offers are
@@ -354,7 +365,7 @@ func (p *parallelPropagator) relaxWorkerGo(st *state, ds *DenseStore, ps *parScr
 // frontier and the topology, independent of interleaving. Commits go through
 // the value CAS; parents are NOT written here (claims carry them to the
 // sequential resolution).
-func (p *parallelPropagator) relaxWorker(st *state, ds *DenseStore, ps *parScratch, slot int) {
+func (p *parallelPropagator) relaxWorker(st *state, ps *parScratch, slot int) {
 	ws := &ps.workers[slot]
 	claims := ws.claims[:0]
 	improved := ws.improved[:0]
@@ -375,11 +386,11 @@ func (p *parallelPropagator) relaxWorker(st *state, ds *DenseStore, ps *parScrat
 					continue // the source is pinned
 				}
 				t := op.extend(it.score, e.W)
-				cur := ds.loadValue(x)
+				cur := st.loadValue(x)
 				for op.better(t, cur) {
-					if !ds.casSet(x, cur, t) {
+					if !st.casSet(x, cur, t) {
 						nRetry++
-						cur = ds.loadValue(x)
+						cur = st.loadValue(x)
 						continue
 					}
 					nState++

@@ -1,0 +1,298 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cisgraph/internal/algo"
+	"cisgraph/internal/graph"
+	"cisgraph/internal/stats"
+	"cisgraph/internal/stream"
+)
+
+// sharedSourceQueries builds nq queries clustered on a few distinct sources,
+// so same-source registration sharing is actually exercised.
+func sharedSourceQueries(w *stream.Workload, nq, sources int) []Query {
+	pairs := w.QueryPairs(nq)
+	qs := make([]Query, 0, nq)
+	for i := 0; i < nq; i++ {
+		s, d := pairs[i%sources][0], pairs[i][1]
+		if s == d {
+			d = pairs[i][0]
+		}
+		qs = append(qs, Query{S: s, D: d})
+	}
+	return qs
+}
+
+// sameState fails unless got's values and parents equal want's exactly.
+func sameState(t *testing.T, label string, got, want *state) {
+	t.Helper()
+	for v := range want.val {
+		if got.val[v] != want.val[v] || got.parent[v] != want.parent[v] {
+			t.Fatalf("%s: vertex %d = (%v, parent %d), independent cold start (%v, parent %d)",
+				label, v, got.val[v], got.parent[v], want.val[v], want.parent[v])
+		}
+	}
+}
+
+// TestRegistrationEquivalence pins same-source registration sharing
+// (DESIGN.md §11.3). The reference is one single-query MultiCISO per query,
+// so every reference query cold-starts. The shared engine must hold the
+// reference's exact values and parents after Reset, after every
+// registration and after every batch, and report the same answers and
+// per-query classification counts. Reset over S distinct sources costs
+// exactly S cold starts; a same-epoch registration costs none, and one made
+// after a mutating batch costs exactly one.
+func TestRegistrationEquivalence(t *testing.T) {
+	classNames := []string{stats.CntUpdateValuable, stats.CntUpdateDelayed,
+		stats.CntUpdateUseless, stats.CntUpdatePromoted}
+	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.PPWP{}, algo.Reach{}} {
+		for _, seed := range []int64{3, 17} {
+			ds := graph.RMAT("xreg", 7, 900, graph.DefaultRMAT, 16, seed)
+			w, err := stream.New(ds, stream.Config{
+				LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s seed %d", a.Name(), seed)
+			qs := sharedSourceQueries(w, 8, 3)
+			init := w.Initial()
+			m := NewMultiCISO()
+			m.Reset(init.Clone(), a, qs)
+			var refs []*MultiCISO
+			var coldRelax int64
+			sources := map[graph.VertexID]bool{}
+			for i, q := range qs {
+				ref := NewMultiCISO()
+				ref.Reset(init.Clone(), a, []Query{q})
+				refs = append(refs, ref)
+				if !sources[q.S] {
+					sources[q.S] = true
+					coldRelax += ref.Counters().Get(stats.CntRelax)
+				}
+				sameState(t, fmt.Sprintf("%s: Reset query %d", label, i), m.states[i], ref.states[0])
+			}
+			if got := m.Counters().Get(stats.CntRelax); got != coldRelax {
+				t.Fatalf("%s: Reset of %d queries over %d sources relaxed %d, %d cold starts relax %d",
+					label, len(qs), len(sources), got, len(sources), coldRelax)
+			}
+
+			// Late registrations get an empty reference engine that follows
+			// the stream from the start, so its topology evolves exactly like
+			// m's, and registers its query when m does.
+			late := []Query{{S: qs[0].S, D: qs[1].D}, {S: qs[1].S, D: qs[0].D}, {S: qs[1].S, D: qs[2].D}}
+			pending := make([]*MultiCISO, len(late))
+			for k := range late {
+				pending[k] = NewMultiCISO()
+				pending[k].Reset(init.Clone(), a, nil)
+			}
+			register := func(k int, cold bool) {
+				t.Helper()
+				q, ref := late[k], pending[k]
+				before := m.Counters().Get(stats.CntRelax)
+				i, ans := m.AddQuery(q)
+				_, want := ref.AddQuery(q)
+				refs = append(refs, ref)
+				qs = append(qs, q)
+				where := fmt.Sprintf("%s: AddQuery %d %v", label, i, q)
+				if ans != want {
+					t.Fatalf("%s: answer %v, independent cold start %v", where, ans, want)
+				}
+				sameState(t, where, m.states[i], ref.states[0])
+				wantRelax := int64(0)
+				if cold {
+					wantRelax = ref.Counters().Get(stats.CntRelax)
+				}
+				if got := m.Counters().Get(stats.CntRelax) - before; got != wantRelax {
+					t.Fatalf("%s: relaxed %d, want %d (cold start: %v)", where, got, wantRelax, cold)
+				}
+			}
+			register(0, false) // same epoch as Reset: copies qs[0]'s cold start
+
+			for bi := 0; bi < 4; bi++ {
+				batch := w.NextBatch()
+				epoch := m.epoch
+				rm := m.ApplyBatch(batch)
+				var rr [][]Result
+				for _, ref := range refs {
+					rr = append(rr, ref.ApplyBatch(batch))
+				}
+				for _, ref := range pending {
+					if ref.NumQueries() == 0 {
+						ref.ApplyBatch(batch)
+					}
+				}
+				for i := range qs {
+					where := fmt.Sprintf("%s batch %d query %d", label, bi, i)
+					if rm[i].Answer != rr[i][0].Answer {
+						t.Fatalf("%s: answer %v, reference %v", where, rm[i].Answer, rr[i][0].Answer)
+					}
+					cm, cr := rm[i].Counters(), rr[i][0].Counters()
+					for _, name := range classNames {
+						if cm[name] != cr[name] {
+							t.Fatalf("%s: %s = %d, reference %d", where, name, cm[name], cr[name])
+						}
+					}
+					sameState(t, where, m.states[i], refs[i].states[0])
+				}
+				if bi == 1 {
+					if m.epoch == epoch {
+						t.Fatalf("%s: batch %d did not mutate the topology", label, bi)
+					}
+					// qs[1].S has siblings maintained across two batches; the
+					// first registration must still cold-start, the second
+					// copies it.
+					register(1, true)
+					register(2, false)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiCISOWorkerPoolMatchesSerial pins the bounded-pool execution: any
+// pool width must produce exactly the answers and merged deterministic
+// counters of the serial engine.
+func TestMultiCISOWorkerPoolMatchesSerial(t *testing.T) {
+	ds := graph.RMAT("wpool", 7, 900, graph.DefaultRMAT, 16, 31)
+	w, err := stream.New(ds, stream.Config{
+		LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := sharedSourceQueries(w, 6, 2)
+	init := w.Initial()
+	batches := w.Batches(3)
+
+	serial := NewMultiCISO()
+	serial.Reset(init.Clone(), algo.PPSP{}, qs)
+	want := make([][]Result, len(batches))
+	for bi, batch := range batches {
+		want[bi] = serial.ApplyBatch(batch)
+	}
+	for _, workers := range []int{2, 4} {
+		pooled := NewMultiCISO(WithWorkers(workers))
+		pooled.Reset(init.Clone(), algo.PPSP{}, qs)
+		for bi, batch := range batches {
+			rp := pooled.ApplyBatch(batch)
+			for i := range qs {
+				if rp[i].Answer != want[bi][i].Answer {
+					t.Fatalf("workers=%d batch %d query %d: pooled=%v serial=%v",
+						workers, bi, i, rp[i].Answer, want[bi][i].Answer)
+				}
+			}
+		}
+		if pr, sr := pooled.Counters().Get(stats.CntRelax), serial.Counters().Get(stats.CntRelax); pr != sr {
+			t.Fatalf("workers=%d: relax %d, serial %d", workers, pr, sr)
+		}
+	}
+}
+
+// gateAlgo blocks every Propagate call while armed, signalling the first
+// one — it holds AddQuery's off-lock initial computation open so the test
+// can probe what that computation blocks.
+type gateAlgo struct {
+	algo.Algorithm
+	armed   atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *gateAlgo) Propagate(u algo.Value, w float64) algo.Value {
+	if g.armed.Load() {
+		g.once.Do(func() { close(g.entered) })
+		<-g.gate
+	}
+	return g.Algorithm.Propagate(u, w)
+}
+
+// TestAddQueryDoesNotBlockReaders is the registration-contention test: while
+// AddQuery's O(V+E) initial computation is in flight (held open by gateAlgo),
+// every reader of the concurrency contract must complete — the computation
+// runs against a private topology snapshot with no lock held.
+func TestAddQueryDoesNotBlockReaders(t *testing.T) {
+	ds := graph.RMAT("contention", 8, 2000, graph.DefaultRMAT, 16, 13)
+	w, err := stream.New(ds, stream.Config{
+		LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 20, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := w.QueryPairs(2)
+	ga := &gateAlgo{Algorithm: algo.PPSP{}, entered: make(chan struct{}), gate: make(chan struct{})}
+	var release sync.Once
+	defer release.Do(func() { close(ga.gate) })
+
+	m := NewMultiCISO()
+	m.Reset(w.Initial(), ga, []Query{{S: pairs[0][0], D: pairs[0][1]}})
+	firstAnswer := m.AnswerOf(0)
+	ga.armed.Store(true)
+
+	q := Query{S: pairs[1][0], D: pairs[1][1]}
+	type regResult struct {
+		id  int
+		ans algo.Value
+	}
+	regDone := make(chan regResult, 1)
+	go func() {
+		id, ans := m.AddQuery(q)
+		regDone <- regResult{id, ans}
+	}()
+
+	// Wait until the registration is provably mid-computation.
+	select {
+	case <-ga.entered:
+	case r := <-regDone:
+		t.Fatalf("AddQuery finished without propagating (id=%d): degenerate query pair", r.id)
+	case <-time.After(10 * time.Second):
+		t.Fatal("AddQuery never started propagating")
+	}
+
+	// Every reader must complete while the registration compute is blocked.
+	readsDone := make(chan struct{})
+	go func() {
+		defer close(readsDone)
+		for r := 0; r < 100; r++ {
+			if got := m.AnswerOf(0); got != firstAnswer {
+				t.Errorf("AnswerOf(0) changed during registration: %v != %v", got, firstAnswer)
+				return
+			}
+			if n := m.NumQueries(); n != 1 {
+				t.Errorf("NumQueries = %d during registration, want 1", n)
+				return
+			}
+			_ = m.Answers()
+			_ = m.Queries()
+			m.Counters().Get(stats.CntRelax)
+		}
+	}()
+	select {
+	case <-readsDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("readers stalled behind AddQuery's initial computation")
+	}
+
+	release.Do(func() { close(ga.gate) })
+	var reg regResult
+	select {
+	case reg = <-regDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("AddQuery did not finish after the gate opened")
+	}
+	if reg.id != 1 || m.NumQueries() != 2 {
+		t.Fatalf("registration published id=%d, NumQueries=%d", reg.id, m.NumQueries())
+	}
+	// The off-lock computation must still be correct.
+	single := NewCISO()
+	single.Reset(w.Initial(), algo.PPSP{}, q)
+	if reg.ans != single.Answer() {
+		t.Fatalf("registered answer %v, independent engine %v", reg.ans, single.Answer())
+	}
+}

@@ -16,7 +16,7 @@ import (
 // trim-seeded region repair with its late-adoption relax, the single
 // phase-A drain, and the plain per-state tallies flushed at phase exit.
 
-// kernelConfig is one store × propagator combination of the differential.
+// kernelConfig is one propagator configuration of the differential.
 type kernelConfig struct {
 	name string
 	opts []MultiOption
@@ -25,10 +25,8 @@ type kernelConfig struct {
 func kernelConfigs() []kernelConfig {
 	par := []MultiOption{WithPropagateWorkers(4), WithParallelFrontierMin(1)}
 	return []kernelConfig{
-		{"dense/serial", nil},
-		{"dense/parallel", par},
-		{"sparse/serial", []MultiOption{WithStore(StoreSparse)}},
-		{"sparse/parallel", append([]MultiOption{WithStore(StoreSparse)}, par...)},
+		{"serial", nil},
+		{"parallel", par},
 	}
 }
 
@@ -221,7 +219,7 @@ func TestRepairKernelDifferential(t *testing.T) {
 					}
 					assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, bi), m)
 				}
-				if sh.check != nil && a.Name() == "PPSP" && cfg.name == "dense/serial" {
+				if sh.check != nil && a.Name() == "PPSP" && cfg.name == "serial" {
 					sh.check(t, m.states[0], m.cnts[0].Diff(before))
 				}
 			}

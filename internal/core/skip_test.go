@@ -48,36 +48,34 @@ func encodeAnswers(t *testing.T, rs []Result) []byte {
 // and the skip counter must prove skipping actually engaged.
 func TestChangeSkipDifferential(t *testing.T) {
 	for _, a := range algo.All() {
-		for _, kind := range []StoreKind{StoreDense, StoreSparse} {
-			for _, workers := range []int{1, 4} {
-				ds := graph.RMAT("skipdiff", 8, 2200, graph.DefaultRMAT, 16, 77)
-				w, err := stream.New(ds, stream.Config{
-					LoadFraction: 0.5, AddsPerBatch: 25, DelsPerBatch: 25, Seed: 77,
-				})
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{1, 4} {
+			ds := graph.RMAT("skipdiff", 8, 2200, graph.DefaultRMAT, 16, 77)
+			w, err := stream.New(ds, stream.Config{
+				LoadFraction: 0.5, AddsPerBatch: 25, DelsPerBatch: 25, Seed: 77,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := clusteredQueries(w, 24, 6)
+			init := w.Initial()
+			skip := NewMultiCISO(WithWorkers(workers))
+			skip.Reset(init.Clone(), a, qs)
+			full := NewMultiCISO(WithWorkers(workers), WithChangeSkip(false))
+			full.Reset(init.Clone(), a, qs)
+			for bi := 0; bi < 8; bi++ {
+				batch := w.NextBatch()
+				got := encodeAnswers(t, skip.ApplyBatch(batch))
+				want := encodeAnswers(t, full.ApplyBatch(batch))
+				if string(got) != string(want) {
+					t.Fatalf("%s/w%d batch %d: skip answers %s != full %s",
+						a.Name(), workers, bi, got, want)
 				}
-				qs := clusteredQueries(w, 24, 6)
-				init := w.Initial()
-				skip := NewMultiCISO(WithStore(kind), WithWorkers(workers))
-				skip.Reset(init.Clone(), a, qs)
-				full := NewMultiCISO(WithStore(kind), WithWorkers(workers), WithChangeSkip(false))
-				full.Reset(init.Clone(), a, qs)
-				for bi := 0; bi < 8; bi++ {
-					batch := w.NextBatch()
-					got := encodeAnswers(t, skip.ApplyBatch(batch))
-					want := encodeAnswers(t, full.ApplyBatch(batch))
-					if string(got) != string(want) {
-						t.Fatalf("%s/%s/w%d batch %d: skip answers %s != full %s",
-							a.Name(), kind, workers, bi, got, want)
-					}
-				}
-				if skip.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
-					t.Fatalf("%s/%s/w%d: change-driven skipping never engaged", a.Name(), kind, workers)
-				}
-				if full.Counters().Get(stats.CntUpdateSkipQueries) != 0 {
-					t.Fatalf("%s/%s/w%d: disabled engine skipped queries", a.Name(), kind, workers)
-				}
+			}
+			if skip.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
+				t.Fatalf("%s/w%d: change-driven skipping never engaged", a.Name(), workers)
+			}
+			if full.Counters().Get(stats.CntUpdateSkipQueries) != 0 {
+				t.Fatalf("%s/w%d: disabled engine skipped queries", a.Name(), workers)
 			}
 		}
 	}

@@ -11,11 +11,10 @@ import (
 //
 //   - topology view: g, the shared dynamic graph (read-only inside per-query
 //     phases; mutated only between them by the owning engine);
-//   - state store: store, the per-vertex values and the dependency tree
-//     (parent pointers: which in-neighbor supplies each value) — pluggable,
-//     dense arrays or a sparse overlay over a shared baseline (store.go);
+//   - vertex state: val and parent, one flat slot per vertex — the values
+//     and the dependency tree (which in-neighbor supplies each value);
 //   - classifier: the contribution tests and key-path tracking (classify.go),
-//     reading the store;
+//     reading the vertex state;
 //   - scheduler + propagator: the worklist and the relax/drain/repair
 //     machinery (scheduler.go, propagate.go), working over transient scratch
 //     that can be shared across queries executed on the same worker.
@@ -26,17 +25,13 @@ import (
 // Source() with no parent. This invariant is what makes parent-based
 // deletion tagging exact (DESIGN.md §3.2); tests assert it.
 type state struct {
-	g     *graph.Dynamic
-	a     algo.Algorithm
-	q     Query
-	store StateStore
+	g *graph.Dynamic
+	a algo.Algorithm
+	q Query
 
-	// Dense fast-path aliases: non-nil iff store is a *DenseStore, in which
-	// case they alias its arrays. The propagation hot path (relaxEdge, drain)
-	// branches on them once and then reads/writes the arrays directly — a
-	// predicted nil-check instead of two interface calls per ⊕ — keeping the
-	// single-query engines at their DESIGN.md §9 cost. Sparse stores leave
-	// them nil and every access goes through the StateStore interface.
+	// val[v] is v's value and parent[v] the in-neighbor supplying it
+	// (NoVertex if none). Reads index them directly; writes go through
+	// setVertex/adoptParent so the change summary sees them.
 	val    []algo.Value
 	parent []graph.VertexID
 
@@ -70,34 +65,31 @@ type state struct {
 	dirty *ChangeSummary
 }
 
-// newState builds a dense-store state with its own scratch — the
-// configuration every single-query engine uses.
+// newState builds a state with its own scratch and every vertex unreached —
+// the configuration every single-query engine uses.
 func newState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
-	st := newStateOn(NewDenseStore(g.NumVertices()), newScratch(a, g.NumVertices()), g, a, q, cnt)
+	st := newStateOn(newScratch(a, g.NumVertices()), g, a, q, cnt)
 	st.resetAll()
 	return st
 }
 
-// newStateOn binds a state over an existing store and scratch without
-// touching the store's contents: a store already holding a converged state
-// (an overlay over a shared baseline) stays converged, so the caller can
-// skip resetAll/fullCompute entirely. sc may be nil for states whose owner
-// attaches a scratch per execution (MultiCISO).
-func newStateOn(store StateStore, sc *scratch, g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
+// newStateOn binds a state over freshly allocated, zeroed vertex arrays;
+// the caller resets or copies over them. sc may be nil for states whose
+// owner attaches a scratch per execution (MultiCISO).
+func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
+	n := g.NumVertices()
 	st := &state{
-		g:     g,
-		a:     a,
-		q:     q,
-		store: store,
-		op:    resolveOps(a),
-		sc:    sc,
-		prop:  serialProp,
+		g:      g,
+		a:      a,
+		q:      q,
+		val:    make([]algo.Value, n),
+		parent: make([]graph.VertexID, n),
+		op:     resolveOps(a),
+		sc:     sc,
+		prop:   serialProp,
 	}
 	for i, name := range tallyNames {
 		st.h[i] = cnt.Handle(name)
-	}
-	if ds, ok := store.(*DenseStore); ok {
-		st.val, st.parent = ds.val, ds.parent
 	}
 	return st
 }
@@ -141,33 +133,13 @@ func (st *state) flush() {
 	}
 }
 
-// value reads vertex v's state through the fast path when dense.
-func (st *state) value(v graph.VertexID) algo.Value {
-	if st.val != nil {
-		return st.val[v]
-	}
-	return st.store.Value(v)
-}
-
-// parentOf reads vertex v's dependency-tree parent.
-func (st *state) parentOf(v graph.VertexID) graph.VertexID {
-	if st.parent != nil {
-		return st.parent[v]
-	}
-	return st.store.Parent(v)
-}
-
 // setVertex writes v's value and parent together.
 func (st *state) setVertex(v graph.VertexID, val algo.Value, parent graph.VertexID) {
 	if st.dirty != nil {
 		st.dirty.note(v)
 	}
-	if st.val != nil {
-		st.val[v] = val
-		st.parent[v] = parent
-		return
-	}
-	st.store.Set(v, val, parent)
+	st.val[v] = val
+	st.parent[v] = parent
 }
 
 // adoptParent rewrites only v's parent (supplier adoption during repair).
@@ -175,25 +147,22 @@ func (st *state) adoptParent(v, parent graph.VertexID) {
 	if st.dirty != nil {
 		st.dirty.note(v)
 	}
-	if st.parent != nil {
-		st.parent[v] = parent
-		return
-	}
-	st.store.SetParent(v, parent)
+	st.parent[v] = parent
 }
-
-// numVertices returns the state's vertex count.
-func (st *state) numVertices() int { return st.store.NumVertices() }
 
 // resetAll puts every vertex back to the unreached state with the source
 // pinned.
 func (st *state) resetAll() {
-	st.store.ResetAll(st.a.Init())
-	st.store.Set(st.q.S, st.a.Source(), graph.NoVertex)
+	init := st.a.Init()
+	for i := range st.val {
+		st.val[i] = init
+		st.parent[i] = graph.NoVertex
+	}
+	st.val[st.q.S] = st.a.Source()
 }
 
 // answer returns the current query answer: the destination's state.
-func (st *state) answer() algo.Value { return st.value(st.q.D) }
+func (st *state) answer() algo.Value { return st.val[st.q.D] }
 
 // fullCompute converges from scratch on the current topology.
 func (st *state) fullCompute() {
@@ -202,7 +171,7 @@ func (st *state) fullCompute() {
 	}
 	st.resetAll()
 	st.sc.wl.reset()
-	st.sc.wl.push(st.q.S, st.value(st.q.S))
+	st.sc.wl.push(st.q.S, st.val[st.q.S])
 	st.drain()
 	st.flush()
 }

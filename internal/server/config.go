@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"cisgraph/internal/core"
 	"cisgraph/internal/resilience"
 )
 
@@ -83,12 +82,6 @@ type Config struct {
 	// queries during batch application (core.WithWorkers). Default
 	// GOMAXPROCS; 1 runs a shard's queries serially.
 	Workers int
-	// Store selects the per-query state representation for every shard
-	// engine (core.WithStore): core.StoreDense (default) keeps O(V) flat
-	// arrays per query; core.StoreSparse overlays paged deltas on a shared
-	// converged baseline, collapsing the footprint when many queries share
-	// sources.
-	Store core.StoreKind
 	// MaxQueries caps registered queries across all shards (admission
 	// control; default 1024).
 	MaxQueries int

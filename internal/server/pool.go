@@ -63,18 +63,18 @@ type Snapshot struct {
 
 // NewQueryPool builds a pool of `shards` MultiCISO engines, each owning a
 // clone of g. Queries are registered later with Register. workers bounds
-// each shard's query-processing pool (<=1 runs serially); kind selects the
-// per-query state store shared by every shard engine. skip toggles
+// each shard's query-processing pool (<=1 runs serially); kind is ignored
+// (see core.StoreKind). skip toggles
 // change-driven query skipping in the shard engines (on in production;
 // Config.DisableChangeSkip turns it off for differential testing). Any
 // extra options (e.g. core.WithPropagateWorkers for intra-query parallel
 // propagation) are passed through to every shard engine.
-func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, shards, workers int, kind core.StoreKind, skip bool, extra ...core.MultiOption) *QueryPool {
+func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, shards, workers int, _ core.StoreKind, skip bool, extra ...core.MultiOption) *QueryPool {
 	if shards < 1 {
 		shards = 1
 	}
 	p := &QueryPool{a: a, shards: make([]*poolShard, shards), locals: make([][]int, shards)}
-	opts := []core.MultiOption{core.WithWorkers(workers), core.WithStore(kind), core.WithChangeSkip(skip)}
+	opts := []core.MultiOption{core.WithWorkers(workers), core.WithChangeSkip(skip)}
 	opts = append(opts, extra...)
 	for i := range p.shards {
 		eng := core.NewMultiCISO(opts...)
@@ -275,18 +275,13 @@ func (p *QueryPool) Answers() *Snapshot { return p.snap.Load() }
 func (p *QueryPool) Batches() uint64 { return p.batches.Load() }
 
 // StateBytes sums the resident per-query state footprint across all shard
-// engines (store payloads plus shared sparse baselines, each counted once).
+// engines.
 func (p *QueryPool) StateBytes() int64 {
 	var total int64
 	for _, sh := range p.shards {
 		total += sh.eng.StateBytes()
 	}
 	return total
-}
-
-// Store reports the state-store kind the shard engines were built with.
-func (p *QueryPool) Store() core.StoreKind {
-	return p.shards[0].eng.Store()
 }
 
 // Counters returns a merged copy of every shard's engine counters.

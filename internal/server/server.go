@@ -342,7 +342,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	s := &Server{
 		cfg:  cfg,
 		a:    a,
-		pool: NewQueryPool(g, a, cfg.Shards, cfg.Workers, cfg.Store, !cfg.DisableChangeSkip, poolOpts...),
+		pool: NewQueryPool(g, a, cfg.Shards, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip, poolOpts...),
 		san:  resilience.NewSanitizer(cfg.Policy, cnt),
 		cnt:  cnt,
 		hub:  watch.New(),
@@ -1013,7 +1013,6 @@ type healthzResponse struct {
 	Edges          int64       `json:"edges"`
 	Algorithm      string      `json:"algorithm"`
 	Shards         int         `json:"shards"`
-	Store          string      `json:"store"`
 	StateMB        float64     `json:"state_mb"`
 	WALSegments    int         `json:"wal_segments,omitempty"`
 	WALBytes       int64       `json:"wal_bytes,omitempty"`
@@ -1046,7 +1045,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Edges:        s.edges.Load(),
 		Algorithm:    s.a.Name(),
 		Shards:       s.pool.NumShards(),
-		Store:        s.pool.Store().String(),
 		StateMB:      float64(s.pool.StateBytes()) / (1 << 20),
 		ApplyLatency: s.applyLat.report(),
 		LastError:    s.LastError(),
@@ -1099,9 +1097,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP cisgraph_queries Registered pairwise queries.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_queries gauge\n")
 	fmt.Fprintf(w, "cisgraph_queries %d\n", s.pool.NumQueries())
-	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident per-query state across all shards (store payloads plus shared baselines).\n")
+	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident per-query state across all shards.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_state_bytes gauge\n")
-	fmt.Fprintf(w, "cisgraph_state_bytes{store=%q} %d\n", s.pool.Store(), s.pool.StateBytes())
+	fmt.Fprintf(w, "cisgraph_state_bytes %d\n", s.pool.StateBytes())
 	if s.wal != nil {
 		fmt.Fprintf(w, "# HELP cisgraph_wal_segments Live WAL segment files (sealed + active).\n")
 		fmt.Fprintf(w, "# TYPE cisgraph_wal_segments gauge\n")

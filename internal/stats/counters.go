@@ -66,8 +66,8 @@ const (
 	// extra semantic work — the retried offer is re-judged against the newer
 	// value). CntParallelBuckets counts bucket rounds executed by the
 	// parallel propagator. CntParallelFallbacks counts drains that had a
-	// parallel propagator attached but completed serially (overlay store, or
-	// the frontier never reached the parallel threshold).
+	// parallel propagator attached but completed serially (the frontier
+	// never reached the parallel threshold).
 	CntRelaxCASRetries   = "relax_cas_retries"
 	CntParallelBuckets   = "parallel_buckets"
 	CntParallelFallbacks = "parallel_fallbacks"
