@@ -52,6 +52,9 @@ func main() {
 }
 
 func run() error {
+	// Before anything sizes itself from GOMAXPROCS: admission gets a P of
+	// its own beside the engine's budget (server.SizeProcs says why).
+	engineCPUs := server.SizeProcs()
 	var (
 		addr    = flag.String("addr", ":8372", "HTTP listen address")
 		binAddr = flag.String("binary-addr", "", "also serve the binary framed ingest protocol (CGBIN/2) on this TCP address, e.g. :8373 (leader only)")
@@ -69,7 +72,7 @@ func run() error {
 		maxBody   = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
 		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
 		shards    = flag.Int("shards", 1, "query-pool shards")
-		workers   = flag.Int("workers", 0, "per-shard query worker pool size (0 = GOMAXPROCS, 1 = serial)")
+		workers   = flag.Int("workers", 0, "per-shard query worker pool size (0 = the daemon's CPU budget, 1 = serial)")
 		propWork  = flag.Int("propagate-workers", 0, "intra-query parallel-propagation worker budget per shard (0/1 = serial drains; answers are identical either way)")
 		parMin    = flag.Int("parallel-frontier-min", 0, "propagation-frontier size that triggers a parallel drain (0 = default 256; needs -propagate-workers >= 2)")
 		maxQ      = flag.Int("max-queries", 1024, "registered-query admission limit")
@@ -268,8 +271,8 @@ func run() error {
 		}()
 	}
 	go func() {
-		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), %d shard(s)",
-			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, *shards)
+		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), %d shard(s), CPU budget %d (+1 P for admission)",
+			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, *shards, engineCPUs)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

@@ -3,7 +3,7 @@ package server
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,7 +46,8 @@ type applyLatBucket struct {
 // applyLatRecorder is the concurrency-safe recorder. Every apply path
 // (batcher, per-update fast path, WAL replay, follower tail) records through
 // it, a fast-path group under its update count; the per-apply mutex is noise
-// next to an engine apply.
+// next to an engine apply — as long as report, which the commit stage waits
+// on through it, only copies under it.
 type applyLatRecorder struct {
 	mu      sync.Mutex
 	buckets [applyLatBuckets]applyLatBucket
@@ -73,26 +74,40 @@ func (r *applyLatRecorder) record(n int, d time.Duration) {
 	r.mu.Unlock()
 }
 
-// report renders the non-empty size classes in ascending size order.
+// report renders the non-empty size classes in ascending size order. The
+// rings are copied under the lock and sorted outside it, so a /healthz poll
+// never holds up a commit for the sorts.
 func (r *applyLatRecorder) report() []ApplyLatBucket {
+	type class struct {
+		k      int
+		count  uint64
+		lo, hi int // the class's samples in all[lo:hi]
+	}
+	var classes []class
+	var all []time.Duration
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []ApplyLatBucket
-	scratch := make([]time.Duration, 0, applyLatRing)
 	for k := range r.buckets {
 		b := &r.buckets[k]
 		if b.count == 0 {
 			continue
 		}
-		scratch = append(scratch[:0], b.ring...)
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+		lo := len(all)
+		all = append(all, b.ring...)
+		classes = append(classes, class{k, b.count, lo, len(all)})
+	}
+	r.mu.Unlock()
+
+	var out []ApplyLatBucket
+	for _, c := range classes {
+		sorted := all[c.lo:c.hi]
+		slices.Sort(sorted)
 		out = append(out, ApplyLatBucket{
-			Sizes: fmt.Sprintf("%d-%d", 1<<k, 1<<(k+1)-1),
-			Count: b.count,
-			P50Ms: msOf(latPercentile(scratch, 0.50)),
-			P90Ms: msOf(latPercentile(scratch, 0.90)),
-			P99Ms: msOf(latPercentile(scratch, 0.99)),
-			MaxMs: msOf(scratch[len(scratch)-1]),
+			Sizes: fmt.Sprintf("%d-%d", 1<<c.k, 1<<(c.k+1)-1),
+			Count: c.count,
+			P50Ms: msOf(latPercentile(sorted, 0.50)),
+			P90Ms: msOf(latPercentile(sorted, 0.90)),
+			P99Ms: msOf(latPercentile(sorted, 0.99)),
+			MaxMs: msOf(sorted[len(sorted)-1]),
 		})
 	}
 	return out

@@ -2,6 +2,8 @@ package server
 
 import (
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +39,82 @@ func TestApplyLatRecorder(t *testing.T) {
 	if b.P50Ms < 0.1 {
 		t.Fatalf("p50 %.4fms implies evicted samples were reported", b.P50Ms)
 	}
+}
+
+// TestApplyLatReportBesideRecord: report copies the rings under the lock and
+// sorts outside it, so every class it renders must still come from one
+// consistent snapshot while commits keep recording. Each writer files a fixed,
+// scrambled sample sequence into its own size class, so a rendered Count
+// names exactly which samples the ring held; the percentiles must equal
+// those of a sorted reference of them. Run with -race.
+func TestApplyLatReportBesideRecord(t *testing.T) {
+	sizes := map[string]int{"1-1": 1, "4-7": 6, "64-127": 100, "512-1023": 600}
+	const perWriter = 4 * applyLatRing
+	// sample is the i-th duration recorded into the class of size n: 7919 is
+	// prime, so i ↦ 7919·i mod perWriter permutes the sequence.
+	sample := func(n, i int) time.Duration {
+		return time.Duration(n+(i*7919)%perWriter) * time.Microsecond
+	}
+	var r applyLatRecorder
+	var writers sync.WaitGroup
+	for _, n := range sizes {
+		writers.Add(1)
+		go func(n int) {
+			defer writers.Done()
+			for i := 0; i < perWriter; i++ {
+				r.record(n, sample(n, i))
+			}
+		}(n)
+	}
+	check := func(rep []ApplyLatBucket) {
+		t.Helper()
+		for _, b := range rep {
+			n, ok := sizes[b.Sizes]
+			if !ok {
+				t.Fatalf("unexpected class %q", b.Sizes)
+			}
+			var ref []time.Duration
+			for i := max(0, int(b.Count)-applyLatRing); i < int(b.Count); i++ {
+				ref = append(ref, sample(n, i))
+			}
+			slices.Sort(ref)
+			want := ApplyLatBucket{
+				Sizes: b.Sizes,
+				Count: b.Count,
+				P50Ms: msOf(latPercentile(ref, 0.50)),
+				P90Ms: msOf(latPercentile(ref, 0.90)),
+				P99Ms: msOf(latPercentile(ref, 0.99)),
+				MaxMs: msOf(ref[len(ref)-1]),
+			}
+			if b != want {
+				t.Fatalf("class %s after %d records: got %+v, want %+v", b.Sizes, b.Count, b, want)
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+	reports := 0
+	for running := true; running; reports++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(r.report())
+	}
+	final := r.report()
+	if len(final) != len(sizes) {
+		t.Fatalf("final report has %d classes, want %d", len(final), len(sizes))
+	}
+	for _, b := range final {
+		if b.Count != perWriter {
+			t.Fatalf("class %s counted %d records, want %d", b.Sizes, b.Count, perWriter)
+		}
+	}
+	t.Logf("%d reports checked beside %d records", reports, len(sizes)*perWriter)
 }
 
 // End to end: applied batches must surface engine apply-latency percentiles

@@ -173,9 +173,10 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // parentCommitGroupAllocs is testing.AllocsPerRun of the same steady-state
-// group through fastPath.commitGroup at the parent of the commit-stage
-// change, where the fast path had its own copy of the commit sequence.
-const parentCommitGroupAllocs = 118
+// group through fastPath.commitGroup before acks left their per-frame
+// channels and a one-shard pool stopped spawning a goroutine per commit (118
+// before the fast path shared the commit stage).
+const parentCommitGroupAllocs = 44
 
 // TestFastCommitAllocs guards the shared stage's cost on the fast path: a
 // steady-state 64-update single-session group (32 edges added and deleted
@@ -199,15 +200,15 @@ func TestFastCommitAllocs(t *testing.T) {
 	for _, add := range absentAdds(g, 32) {
 		ups = append(ups, add, graph.Del(add.From, add.To, add.W))
 	}
-	e := &fpEntry{ups: ups, sid: 7, seq: 1, ack: make(chan BinAck, 1)}
+	e := &fpEntry{ups: ups, sid: 7, seq: 1, q: newAckQueue(1)}
 	entries := []*fpEntry{e}
 	run := func() {
 		srv.fp.pending.Add(1)
 		srv.fp.commitGroup(entries)
-		if a := <-e.ack; a.Status != BinStatusOK || a.Accepted != 64 {
-			t.Fatalf("ack %+v", a)
+		if a := e.ack; !e.done || a.Status != BinStatusOK || a.Accepted != 64 {
+			t.Fatalf("ack %+v (resolved %v)", a, e.done)
 		}
-		e.seq += 64
+		e.seq, e.done = e.seq+64, false
 	}
 	for i := 0; i < 20; i++ {
 		run()

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"cisgraph/internal/resilience"
@@ -46,6 +47,42 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 	}
 }
 
+// cpuBudget is the CPU budget SizeProcs recorded; 0 until it is called.
+var cpuBudget atomic.Int64
+
+// SizeProcs gives admission a P of its own beside the engine and returns
+// the CPU budget engine widths are sized from. Call it once, first thing at
+// start-up.
+//
+// The budget is GOMAXPROCS as the process found it: the affinity mask, or
+// the GOMAXPROCS environment variable when set. SizeProcs then runs
+// budget+1 Ps. The reason is the runtime's network poller: a P polls the
+// network only when it runs out of runnable goroutines, and sysmon polls on
+// its own only every 10 ms. With budget Ps all busy in an apply, a POST
+// that merely enqueues is not even runnable until the apply ends, blocks,
+// or is preempted at the 10 ms tick (runtime.Gosched cannot help: the
+// scheduler checks its run queue before the poller). The spare P instead
+// parks its thread in epoll_wait, the kernel wakes it the moment a request
+// arrives, and the handler runs on a thread the OS time-slices with the
+// applier's. Every engine width that defaults from the CPU count — Workers
+// — takes the budget, not GOMAXPROCS, so the engine never occupies the
+// spare P.
+func SizeProcs() (engineCPUs int) {
+	budget := runtime.GOMAXPROCS(0)
+	cpuBudget.Store(int64(budget))
+	runtime.GOMAXPROCS(budget + 1)
+	return budget
+}
+
+// engineBudget is the width engine pools default to: the budget SizeProcs
+// recorded, or GOMAXPROCS in a process that never called it.
+func engineBudget() int {
+	if b := cpuBudget.Load(); b > 0 {
+		return int(b)
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Config tunes the serving layer. The zero value is usable: WithDefaults
 // fills every unset field with the documented default.
 type Config struct {
@@ -75,12 +112,14 @@ type Config struct {
 	// /metrics bypass the gate so operators can always observe the server.
 	MaxInFlight int
 	// Shards is the number of query-pool shards; registered queries are
-	// spread across them and each shard applies batches on its own
-	// goroutine. Default 1.
+	// spread across them and the shards apply each batch in parallel (shard
+	// 0 on the committing goroutine, every other on one of its own).
+	// Default 1.
 	Shards int
 	// Workers bounds the per-shard worker pool that processes a shard's
-	// queries during batch application (core.WithWorkers). Default
-	// GOMAXPROCS; 1 runs a shard's queries serially.
+	// queries during batch application (core.WithWorkers). Default the CPU
+	// budget: the one SizeProcs recorded, else GOMAXPROCS. 1 runs a shard's
+	// queries serially.
 	Workers int
 	// MaxQueries caps registered queries across all shards (admission
 	// control; default 1024).
@@ -248,7 +287,7 @@ func (c Config) WithDefaults() Config {
 		c.Shards = 1
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = engineBudget()
 	}
 	if c.MaxQueries <= 0 {
 		c.MaxQueries = 1024

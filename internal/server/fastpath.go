@@ -14,12 +14,14 @@ import (
 )
 
 // fpEntry is one admitted frame: its updates, the CGBIN/2 session tag of the
-// first update, and the channel its ack is resolved on (buffered 1 — exactly
-// one ack is ever sent).
+// first update, and its place in its connection's ack queue. ack and done are
+// guarded by q.mu; an entry is resolved exactly once.
 type fpEntry struct {
 	ups      []graph.Update
 	sid, seq uint64
-	ack      chan BinAck
+	q        *ackQueue
+	ack      BinAck
+	done     bool
 }
 
 // pendingAck is one group commit whose acks are gated on sync-follower
@@ -63,6 +65,7 @@ type fastPath struct {
 	recs     []resilience.Record
 	verdicts []verdict
 	acks     []BinAck
+	woken    []*ackQueue
 }
 
 func newFastPath(s *Server) *fastPath {
@@ -219,9 +222,7 @@ func (f *fastPath) commitGroup(entries []*fpEntry) {
 		}
 		return
 	}
-	for i, e := range entries {
-		e.ack <- acks[i]
-	}
+	f.woken = resolveGroup(entries, acks, f.woken)
 }
 
 // runSyncResolver releases replication-gated acks. Pending groups form a
@@ -235,24 +236,21 @@ func (f *fastPath) runSyncResolver() {
 	s := f.s
 	defer close(f.syncDone)
 	var queue []*pendingAck
+	var woken []*ackQueue
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	release := func(p *pendingAck) {
-		for i, e := range p.entries {
-			e.ack <- p.acks[i]
-		}
+		woken = resolveGroup(p.entries, p.acks, woken)
 	}
 	degrade := func(p *pendingAck, timedOut bool) {
 		if timedOut {
 			s.h.syncAckTimeouts.Inc()
 		}
-		for _, e := range p.entries {
-			e.ack <- BinAck{
-				Pos:     p.acks[len(p.acks)-1].Pos,
-				Dropped: uint32(len(e.ups)),
-				Status:  BinStatusDegraded,
-			}
+		pos := p.acks[len(p.acks)-1].Pos
+		for i, e := range p.entries {
+			p.acks[i] = BinAck{Pos: pos, Dropped: uint32(len(e.ups)), Status: BinStatusDegraded}
 		}
+		woken = resolveGroup(p.entries, p.acks, woken)
 	}
 	for {
 		k := s.cfg.SyncFollowers
@@ -354,7 +352,7 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 
 // handleConn runs one binary connection: a reader goroutine decodes frames
 // and submits them, a writer goroutine streams acks back in frame order.
-// The bounded ack queue is the per-connection pipeline window.
+// The connection's ackQueue is both the ack order and the pipeline window.
 func (f *fastPath) handleConn(c net.Conn) {
 	s := f.s
 	f.mu.Lock()
@@ -380,34 +378,11 @@ func (f *fastPath) handleConn(c net.Conn) {
 		return
 	}
 
-	ackQ := make(chan *fpEntry, s.cfg.FastPipelineDepth)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	q := newAckQueue(s.cfg.FastPipelineDepth)
+	written := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		bw := bufio.NewWriterSize(c, 16<<10)
-		buf := make([]byte, 0, BinAckSize)
-		for e := range ackQ {
-			a := <-e.ack
-			buf = AppendBinAck(buf[:0], a)
-			if _, err := bw.Write(buf); err != nil {
-				for e := range ackQ {
-					<-e.ack // keep commit-side sends from blocking
-				}
-				return
-			}
-			if len(ackQ) == 0 {
-				// No ack ready behind this one: flush so a stop-and-wait
-				// client sees its ack now, not at the next buffer fill.
-				if err := bw.Flush(); err != nil {
-					for e := range ackQ {
-						<-e.ack
-					}
-					return
-				}
-			}
-		}
-		bw.Flush()
+		defer close(written)
+		q.writeAcks(c)
 	}()
 
 	var ups []graph.Update
@@ -419,29 +394,23 @@ func (f *fastPath) handleConn(c net.Conn) {
 		if err != nil {
 			if err != io.EOF {
 				// Malformed frame or torn read: the stream is desynced. Ack
-				// the failure so the client can tell, then close.
+				// the failure, behind every frame still pending, so the client
+				// can tell; then close.
 				s.h.binBadFrames.Inc()
-				e := &fpEntry{ack: make(chan BinAck, 1)}
-				e.ack <- BinAck{Pos: s.applied.Load(), Status: BinStatusBadFrame}
-				select {
-				case ackQ <- e:
-				default:
-				}
+				e := new(fpEntry)
+				q.admit(e)
+				q.resolve(e, BinAck{Pos: s.applied.Load(), Status: BinStatusBadFrame})
 			}
 			break
 		}
 		s.h.binFrames.Inc()
-		e := &fpEntry{ups: append([]graph.Update(nil), ups...), sid: sid, seq: seq, ack: make(chan BinAck, 1)}
+		e := &fpEntry{ups: append([]graph.Update(nil), ups...), sid: sid, seq: seq}
+		q.admit(e)
 		if !f.submit(e) {
-			e.ack <- BinAck{Pos: s.applied.Load(), Dropped: uint32(len(e.ups)), Status: BinStatusDraining}
-			select {
-			case ackQ <- e:
-			default:
-			}
+			q.resolve(e, BinAck{Pos: s.applied.Load(), Dropped: uint32(len(e.ups)), Status: BinStatusDraining})
 			break
 		}
-		ackQ <- e
 	}
-	close(ackQ)
-	wg.Wait()
+	q.close()
+	<-written
 }

@@ -42,6 +42,13 @@ type QueryPool struct {
 
 	snap    atomic.Pointer[Snapshot]
 	batches atomic.Uint64
+
+	// Per-apply shard results, one slot per shard, and the fan-out's
+	// WaitGroup, reused by every ApplyBatch/ApplyUpdates; only the single
+	// writer touches them.
+	deltas []core.BatchDelta
+	fss    []core.FastStats
+	wg     sync.WaitGroup
 }
 
 type poolShard struct {
@@ -73,7 +80,13 @@ func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, shards, workers int, _ cor
 	if shards < 1 {
 		shards = 1
 	}
-	p := &QueryPool{a: a, shards: make([]*poolShard, shards), locals: make([][]int, shards)}
+	p := &QueryPool{
+		a:      a,
+		shards: make([]*poolShard, shards),
+		locals: make([][]int, shards),
+		deltas: make([]core.BatchDelta, shards),
+		fss:    make([]core.FastStats, shards),
+	}
 	opts := []core.MultiOption{core.WithWorkers(workers), core.WithChangeSkip(skip)}
 	opts = append(opts, extra...)
 	for i := range p.shards {
@@ -169,25 +182,14 @@ func (p *QueryPool) reloadValsLocked() {
 // correct — the degraded query recomputed on the shard's consistent
 // topology — so the batch still counts as applied.
 func (p *QueryPool) ApplyBatch(batch []graph.Update) ([]core.ChangedAnswer, error) {
-	deltas := make([]core.BatchDelta, len(p.shards))
-	var wg sync.WaitGroup
-	for i, sh := range p.shards {
-		wg.Add(1)
-		go func(i int, sh *poolShard) {
-			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			deltas[i] = sh.eng.ApplyBatchDelta(batch)
-		}(i, sh)
-	}
-	wg.Wait()
+	p.applyShards(batch, false)
 	p.batches.Add(1)
 	p.mu.Lock()
-	changed := p.foldDeltasLocked(deltas)
+	changed := p.foldDeltasLocked(p.deltas)
 	p.mu.Unlock()
 	var err error
-	for i := range deltas {
-		err = joinNonNil(err, deltas[i].Err)
+	for i := range p.deltas {
+		err = joinNonNil(err, p.deltas[i].Err)
 	}
 	return changed, err
 }
@@ -200,19 +202,8 @@ func (p *QueryPool) ApplyBatch(batch []graph.Update) ([]core.ChangedAnswer, erro
 // single-update batch. Error semantics match ApplyBatch: degradations
 // join, answers stay correct, the group still counts.
 func (p *QueryPool) ApplyUpdates(ups []graph.Update) (core.FastStats, []core.ChangedAnswer, error) {
-	deltas := make([]core.BatchDelta, len(p.shards))
-	fss := make([]core.FastStats, len(p.shards))
-	var wg sync.WaitGroup
-	for i, sh := range p.shards {
-		wg.Add(1)
-		go func(i int, sh *poolShard) {
-			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			fss[i], deltas[i], _ = sh.eng.ApplyUpdatesDelta(ups)
-		}(i, sh)
-	}
-	wg.Wait()
+	p.applyShards(ups, true)
+	deltas, fss := p.deltas, p.fss
 	p.batches.Add(uint64(len(ups)))
 	p.mu.Lock()
 	changed := p.foldDeltasLocked(deltas)
@@ -230,6 +221,34 @@ func (p *QueryPool) ApplyUpdates(ups []graph.Update) (core.FastStats, []core.Cha
 	}
 	fs.Safe = len(ups) - fs.Unsafe
 	return fs, changed, err
+}
+
+// applyShards runs one commit on every shard — ApplyUpdatesDelta when
+// perUpdate, else ApplyBatchDelta — into p.deltas/p.fss: shard 0 on the
+// calling goroutine, the others on one goroutine each. A one-shard pool (the
+// default) therefore spawns nothing and allocates nothing; a spawn would wake
+// a second thread while the caller parks.
+func (p *QueryPool) applyShards(ups []graph.Update, perUpdate bool) {
+	for i := 1; i < len(p.shards); i++ {
+		p.wg.Add(1)
+		go func(i int) {
+			defer p.wg.Done()
+			p.applyShard(i, ups, perUpdate)
+		}(i)
+	}
+	p.applyShard(0, ups, perUpdate)
+	p.wg.Wait()
+}
+
+func (p *QueryPool) applyShard(i int, ups []graph.Update, perUpdate bool) {
+	sh := p.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if perUpdate {
+		p.fss[i], p.deltas[i], _ = sh.eng.ApplyUpdatesDelta(ups)
+	} else {
+		p.deltas[i] = sh.eng.ApplyBatchDelta(ups)
+	}
 }
 
 // foldDeltasLocked maps each shard's changed local indices to global ids,

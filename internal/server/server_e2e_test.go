@@ -59,8 +59,8 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) *http.Respo
 	return resp
 }
 
-func postUpdatesHTTP(t *testing.T, client *http.Client, base string, batch []graph.Update) {
-	t.Helper()
+// updatesReq is batch as a POST /v1/updates request.
+func updatesReq(batch []graph.Update) updatesRequest {
 	wire := make([]updateJSON, len(batch))
 	for i, u := range batch {
 		op := "add"
@@ -69,7 +69,12 @@ func postUpdatesHTTP(t *testing.T, client *http.Client, base string, batch []gra
 		}
 		wire[i] = updateJSON{Op: op, From: u.From, To: u.To, W: u.W}
 	}
-	resp, body := postJSON(t, client, base+"/v1/updates", updatesRequest{Updates: wire})
+	return updatesRequest{Updates: wire}
+}
+
+func postUpdatesHTTP(t *testing.T, client *http.Client, base string, batch []graph.Update) {
+	t.Helper()
+	resp, body := postJSON(t, client, base+"/v1/updates", updatesReq(batch))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/updates: status %d: %s", resp.StatusCode, body)
 	}
