@@ -221,6 +221,7 @@ func run() error {
 			return err
 		}
 	}
+	var pre []core.Query
 	for _, pair := range strings.Split(*queries, ",") {
 		if pair == "" {
 			continue
@@ -229,8 +230,13 @@ func run() error {
 		if _, err := fmt.Sscanf(pair, "%d:%d", &s, &d); err != nil {
 			return fmt.Errorf("bad -queries entry %q (want s:d): %w", pair, err)
 		}
-		id, ans := srv.Pool().Register(core.Query{S: s, D: d})
-		log.Printf("query %d: Q(%d->%d) initial answer %v", id, s, d, ans)
+		pre = append(pre, core.Query{S: s, D: d})
+	}
+	// One locked pass arms the whole list (on top of any restored queries):
+	// one cold start per distinct source, no topology clone per query.
+	ids, answers := srv.Pool().RegisterAll(pre)
+	for k, q := range pre {
+		log.Printf("query %d: Q(%d->%d) initial answer %v", ids[k], q.S, q.D, answers[k])
 	}
 
 	// Transport-level timeouts bound slow clients (DESIGN.md §12.3): the

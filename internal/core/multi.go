@@ -36,8 +36,9 @@ import (
 // addition edges are inserted before any is relaxed, which converges to the
 // same fixpoint under monotone ⊕.
 //
-// Concurrency contract (relied on by internal/server): Reset, ApplyBatch and
-// AddQuery are writers and serialize on an internal lock; Answers, AnswerOf,
+// Concurrency contract (relied on by internal/server): Reset, ApplyBatch,
+// AddQuery and AddQueries are writers and serialize on an internal lock;
+// Topology's graph has its own single-writer contract; Answers, AnswerOf,
 // Queries, NumQueries and Counters are readers and may be called from any
 // goroutine, including while a writer runs — a reader observes either the
 // pre-batch or the post-batch state, never a torn intermediate. AddQuery
@@ -396,6 +397,47 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 	st := m.buildStateLocked(q, cnt)
 	i := m.installLocked(q, cnt, st)
 	return i, st.answer()
+}
+
+// AddQueries registers qs in order under one write-lock hold: each query is
+// built exactly as AddQuery's write-lock fallback builds it — a copy of its
+// source's cold start at the current epoch, or a cold start on the live
+// topology — so the result equals an AddQuery loop (indices, values,
+// parents, counters) without a topology clone per distinct source. It
+// returns the index of qs[0] (the rest follow consecutively) and the initial
+// answers. Meant for bulk registration where no batch is competing
+// (start-up, restore); readers wait for the whole list.
+func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	first = len(m.queries)
+	answers = make([]algo.Value, len(qs))
+	for k, q := range qs {
+		cnt := stats.NewCounters()
+		st := m.buildStateLocked(q, cnt)
+		m.installLocked(q, cnt, st)
+		answers[k] = st.answer()
+	}
+	return first, answers
+}
+
+// Topology returns the engine's live graph, not a clone (unlike
+// CISO.Topology) — the one topology a serving layer validates against
+// instead of keeping a copy of its own. Contract:
+//
+//   - the graph is mutated only by the engine's writers (ApplyBatch*,
+//     ApplyUpdates*, Reset replaces it), called by a single writer under
+//     whatever lock the caller serializes its writes with;
+//   - that writer may read the graph between its own applies without a
+//     lock — nothing else mutates it;
+//   - every other reader holds a lock that excludes the writer (the
+//     caller's, or this engine's, e.g. via AddQuery's snapshot).
+//
+// NumVertices is fixed for a graph's lifetime and may be read by anyone.
+func (m *MultiCISO) Topology() *graph.Dynamic {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.g
 }
 
 // installLocked appends a converged query state (write lock held).

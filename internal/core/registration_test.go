@@ -155,6 +155,60 @@ func TestRegistrationEquivalence(t *testing.T) {
 	}
 }
 
+// TestAddQueriesMatchesAddQueryLoop pins bulk registration: AddQueries over
+// a list equals an AddQuery loop over it — indices, answers, every query's
+// values and parents, and the merged counters — on an empty and on a
+// non-empty engine, at the Reset epoch and after a mutating batch.
+func TestAddQueriesMatchesAddQueryLoop(t *testing.T) {
+	ds := graph.RMAT("bulkreg", 7, 900, graph.DefaultRMAT, 16, 5)
+	w, err := stream.New(ds, stream.Config{
+		LoadFraction: 0.5, AddsPerBatch: 40, DelsPerBatch: 40, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := sharedSourceQueries(w, 16, 5)
+	init := w.Initial()
+	batch := w.NextBatch()
+	for _, pre := range [][]Query{nil, all[:3]} {
+		loop, bulk := NewMultiCISO(), NewMultiCISO()
+		loop.Reset(init.Clone(), algo.PPSP{}, pre)
+		bulk.Reset(init.Clone(), algo.PPSP{}, pre)
+		same := func(where string) {
+			t.Helper()
+			if len(loop.states) != len(bulk.states) {
+				t.Fatalf("%s: %d queries, loop has %d", where, len(bulk.states), len(loop.states))
+			}
+			for i := range loop.states {
+				sameState(t, fmt.Sprintf("%s query %d", where, i), bulk.states[i], loop.states[i])
+			}
+			ls, bs := loop.Counters().Snapshot(), bulk.Counters().Snapshot()
+			for name, v := range ls {
+				if bs[name] != v {
+					t.Fatalf("%s: counter %s = %d, loop %d", where, name, bs[name], v)
+				}
+			}
+		}
+		register := func(where string, qs []Query) {
+			t.Helper()
+			first, answers := bulk.AddQueries(qs)
+			for k, q := range qs {
+				i, ans := loop.AddQuery(q)
+				if i != first+k || ans != answers[k] {
+					t.Fatalf("%s: query %d %v → (%d, %v), loop (%d, %v)", where, k, q, first+k, answers[k], i, ans)
+				}
+			}
+			same(where)
+		}
+		label := fmt.Sprintf("%d pre-registered", len(pre))
+		register(label+", Reset epoch", all[3:10])
+		loop.ApplyBatch(batch)
+		bulk.ApplyBatch(batch)
+		same(label + ", after the batch")
+		register(label+", post-batch epoch", all[10:])
+	}
+}
+
 // TestMultiCISOWorkerPoolMatchesSerial pins the bounded-pool execution: any
 // pool width must produce exactly the answers and merged deterministic
 // counters of the serial engine.

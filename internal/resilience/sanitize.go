@@ -99,9 +99,21 @@ func (r *Report) drop(reason string) {
 // comparison with NaN is false, so a NaN-weighted edge mis-classifies
 // forever), duplicate additions and deletions of absent edges (both violate
 // the no-parallel-edges batch methodology engines rely on).
+//
+// A Sanitizer runs one validation pass at a time: Sanitize and Stream share
+// its presence overlay and its StreamSanitizer, and each call starts a new
+// pass that ends the previous one. Validating concurrently takes one
+// Sanitizer per goroutine.
 type Sanitizer struct {
 	policy Policy
 	cnt    *stats.Counters
+
+	// overlay is the current pass's edge presence on top of its base
+	// topology: a key present means the pass accepted an update on that
+	// edge, and its value is the edge's presence after it; absent keys read
+	// through to the graph. Reused across passes (cleared, not remade).
+	overlay map[uint64]bool
+	stream  StreamSanitizer
 
 	// Drop-reason counters are incremented per invalid update — a per-update
 	// path under a misbehaving upstream — so each reason's handle is
@@ -154,6 +166,41 @@ func (s *Sanitizer) count(reason string) {
 // Policy returns the configured policy.
 func (s *Sanitizer) Policy() Policy { return s.policy }
 
+// overlayKeep bounds the overlay one pass may hand on to the next: clearing
+// a Go map costs its capacity, not its length, so after a pass that grew it
+// past this many keys the next pass starts on a fresh map instead — one
+// outlier body must not make every later clear expensive.
+const overlayKeep = 4096
+
+// begin starts a validation pass with an empty overlay.
+func (s *Sanitizer) begin() {
+	if s.overlay == nil || len(s.overlay) > overlayKeep {
+		s.overlay = make(map[uint64]bool)
+		return
+	}
+	clear(s.overlay)
+}
+
+// admit validates one update against g plus the pass's overlay, and records
+// an accepted update's effect for the rest of the pass. It returns the
+// drop-reason counter name ("" = accepted); a refused update leaves no
+// trace.
+func (s *Sanitizer) admit(g *graph.Dynamic, n int, up graph.Update) string {
+	k := uint64(up.From)<<32 | uint64(up.To)
+	present := false
+	if int(up.From) < n && int(up.To) < n {
+		var tracked bool
+		if present, tracked = s.overlay[k]; !tracked {
+			_, present = g.HasEdge(up.From, up.To)
+		}
+	}
+	reason := check(up, n, present)
+	if reason == "" {
+		s.overlay[k] = !up.Del
+	}
+	return reason
+}
+
 // check classifies a single update against the tracked edge presence,
 // returning the drop-reason counter name ("" = valid). present reports
 // whether the update's edge currently exists (only consulted for valid
@@ -189,26 +236,14 @@ func check(up graph.Update, n int, present bool) string {
 // reject, the first for strict); the report still carries the counts.
 func (s *Sanitizer) Sanitize(g *graph.Dynamic, batch []graph.Update) ([]graph.Update, Report, error) {
 	var rep Report
+	s.begin()
 	n := g.NumVertices()
-	present := make(map[uint64]bool, len(batch))
-	tracked := make(map[uint64]bool, len(batch))
-	presence := func(u, v graph.VertexID) bool {
-		k := uint64(u)<<32 | uint64(v)
-		if !tracked[k] {
-			_, ok := g.HasEdge(u, v)
-			present[k], tracked[k] = ok, true
-		}
-		return present[k]
-	}
 	clean := batch[:0:0]
 	var errs []error
 	for i, up := range batch {
-		inRange := int(up.From) < n && int(up.To) < n
-		reason := check(up, n, inRange && presence(up.From, up.To))
+		reason := s.admit(g, n, up)
 		if reason == "" {
 			clean = append(clean, up)
-			// The update takes effect for subsequent presence checks.
-			present[uint64(up.From)<<32|uint64(up.To)] = !up.Del
 			continue
 		}
 		rep.drop(reason)
@@ -240,46 +275,30 @@ func (s *Sanitizer) Sanitize(g *graph.Dynamic, batch []graph.Update) ([]graph.Up
 // so the batch-level policies degenerate: an invalid update is always
 // refused individually (and counted), never able to poison neighbours.
 type StreamSanitizer struct {
-	s       *Sanitizer
-	g       *graph.Dynamic
-	n       int
-	present map[uint64]bool
-	tracked map[uint64]bool
+	s *Sanitizer
+	g *graph.Dynamic
+	n int
 }
 
 // Stream starts a per-update validation pass against g's current topology
-// (g must not be mutated until the pass ends).
+// (g must not be mutated until the pass ends). The returned StreamSanitizer
+// is the Sanitizer's own, reused by every pass: it is valid until the next
+// Stream or Sanitize call on the same Sanitizer.
 func (s *Sanitizer) Stream(g *graph.Dynamic) *StreamSanitizer {
-	return &StreamSanitizer{
-		s:       s,
-		g:       g,
-		n:       g.NumVertices(),
-		present: make(map[uint64]bool),
-		tracked: make(map[uint64]bool),
-	}
+	s.begin()
+	s.stream = StreamSanitizer{s: s, g: g, n: g.NumVertices()}
+	return &s.stream
 }
 
 // Check validates one update, returning the drop-reason counter name ("" =
 // accepted). An accepted update takes effect for subsequent presence checks;
 // a refused one is counted on the sanitizer's counters and has no effect.
 func (ss *StreamSanitizer) Check(up graph.Update) string {
-	present := false
-	if int(up.From) < ss.n && int(up.To) < ss.n {
-		k := uint64(up.From)<<32 | uint64(up.To)
-		if !ss.tracked[k] {
-			_, ok := ss.g.HasEdge(up.From, up.To)
-			ss.present[k], ss.tracked[k] = ok, true
-		}
-		present = ss.present[k]
-	}
-	reason := check(up, ss.n, present)
+	reason := ss.s.admit(ss.g, ss.n, up)
 	if reason != "" {
 		ss.s.count(reason)
-		return reason
 	}
-	k := uint64(up.From)<<32 | uint64(up.To)
-	ss.present[k], ss.tracked[k] = !up.Del, true
-	return ""
+	return reason
 }
 
 // ValidateBatch checks batch against g without modifying anything and

@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,6 +222,123 @@ func TestMalformedBatchesThroughEveryEngine(t *testing.T) {
 			if got != want {
 				t.Errorf("%s/%s: answer %v, want %v", a.Name(), e.Name(), got, want)
 			}
+		}
+	}
+}
+
+// pass runs one validation pass over ups on san — per update through Stream
+// when stream is set, as one batch through Sanitize otherwise — and returns
+// the accepted updates.
+func pass(t *testing.T, san *Sanitizer, g *graph.Dynamic, stream bool, ups ...graph.Update) []graph.Update {
+	t.Helper()
+	if !stream {
+		clean, _, _ := san.Sanitize(g, ups)
+		return clean
+	}
+	ss := san.Stream(g)
+	var kept []graph.Update
+	for _, up := range ups {
+		if ss.Check(up) == "" {
+			kept = append(kept, up)
+		}
+	}
+	return kept
+}
+
+// TestSanitizerPassIsolation: a Sanitizer's passes share one reused overlay,
+// and nothing a pass accepted survives into the next — an update accepted
+// but never applied to the graph is judged against the graph again, by
+// either face, whichever face ran before.
+func TestSanitizerPassIsolation(t *testing.T) {
+	g := graph.NewDynamic(8)
+	g.AddEdge(0, 1, 1)
+	add, del := graph.Add(2, 3, 1), graph.Del(0, 1, 1)
+	for _, first := range []bool{true, false} {
+		for _, second := range []bool{true, false} {
+			san := NewSanitizer(PolicyDrop, stats.NewCounters())
+			if got := pass(t, san, g, first, add, del); len(got) != 2 {
+				t.Fatalf("stream=%v pass 1 kept %v, want both", first, got)
+			}
+			// Neither update was applied to g: pass 2 must accept both again
+			// (not refuse them as a duplicate add and an absent delete).
+			if got := pass(t, san, g, second, add, del); len(got) != 2 {
+				t.Fatalf("stream=%v after stream=%v: pass 2 kept %v, want both", second, first, got)
+			}
+		}
+	}
+}
+
+// TestSanitizerRefusalLeavesNoTrace: a refused update changes no presence —
+// later updates on its edge are judged as if it never came — and a pass of
+// refusals leaves the overlay empty, also under reject, where the whole body
+// is refused but the pass still tracked its valid members.
+func TestSanitizerRefusalLeavesNoTrace(t *testing.T) {
+	g := graph.NewDynamic(8)
+	g.AddEdge(0, 1, 1)
+	for _, stream := range []bool{true, false} {
+		san := NewSanitizer(PolicyDrop, stats.NewCounters())
+		got := pass(t, san, g, stream,
+			graph.Add(2, 3, math.NaN()), // refused: bad weight
+			graph.Add(2, 3, 1),          // still absent: accepted
+			graph.Add(0, 1, 2),          // refused: duplicate add
+			graph.Del(0, 1, 1),          // still present: accepted
+			graph.Del(4, 5, 1),          // refused: absent delete
+			graph.Add(4, 5, 1),          // still absent: accepted
+		)
+		want := []graph.Update{graph.Add(2, 3, 1), graph.Del(0, 1, 1), graph.Add(4, 5, 1)}
+		if !slices.Equal(got, want) {
+			t.Fatalf("stream=%v: kept %v, want %v", stream, got, want)
+		}
+		pass(t, san, g, stream, graph.Add(0, 1, 2), graph.Del(6, 7, 1), graph.Add(3, 3, 1), graph.Add(9, 1, 1))
+		if len(san.overlay) != 0 {
+			t.Fatalf("stream=%v: a pass of refusals left %d overlay keys", stream, len(san.overlay))
+		}
+	}
+	rej := NewSanitizer(PolicyReject, nil)
+	if clean, _, err := rej.Sanitize(g, []graph.Update{graph.Add(2, 3, 1), graph.Add(5, 5, 1)}); err == nil || clean != nil {
+		t.Fatalf("reject kept %v (err %v), want the body refused", clean, err)
+	}
+	if clean, _, err := rej.Sanitize(g, []graph.Update{graph.Add(2, 3, 1)}); err != nil || len(clean) != 1 {
+		t.Fatalf("after a rejected body, its valid add is refused (kept %v, err %v)", clean, err)
+	}
+}
+
+// TestSanitizerDropsOutgrownOverlay: a pass may be far larger than the
+// steady state (a 10k-update body); the pass after it still validates
+// correctly, on a fresh map instead of clearing the outgrown one, while a
+// pass within overlayKeep hands its map on.
+func TestSanitizerDropsOutgrownOverlay(t *testing.T) {
+	g := graph.NewDynamic(128)
+	var big []graph.Update
+	for u := 0; u < g.NumVertices() && len(big) < 10_000; u++ {
+		for v := 0; v < g.NumVertices() && len(big) < 10_000; v++ {
+			if u != v {
+				big = append(big, graph.Add(graph.VertexID(u), graph.VertexID(v), 1))
+			}
+		}
+	}
+	mapID := func(m map[uint64]bool) uintptr { return reflect.ValueOf(m).Pointer() }
+	for _, stream := range []bool{true, false} {
+		san := NewSanitizer(PolicyDrop, nil)
+		if got := pass(t, san, g, stream, big[:overlayKeep]...); len(got) != overlayKeep {
+			t.Fatalf("stream=%v: kept %d of %d", stream, len(got), overlayKeep)
+		}
+		kept := mapID(san.overlay)
+		if got := pass(t, san, g, stream, big...); len(got) != len(big) {
+			t.Fatalf("stream=%v: kept %d of %d", stream, len(got), len(big))
+		}
+		if mapID(san.overlay) != kept {
+			t.Fatalf("stream=%v: a pass after one of %d keys did not reuse the map", stream, overlayKeep)
+		}
+		if len(san.overlay) != len(big) {
+			t.Fatalf("stream=%v: overlay holds %d keys after a %d-update pass", stream, len(san.overlay), len(big))
+		}
+		outgrown := mapID(san.overlay)
+		if got := pass(t, san, g, stream, big[0]); len(got) != 1 {
+			t.Fatalf("stream=%v: the pass after a big one refused %v", stream, big[0])
+		}
+		if mapID(san.overlay) == outgrown || len(san.overlay) != 1 {
+			t.Fatalf("stream=%v: the outgrown overlay was kept (%d keys)", stream, len(san.overlay))
 		}
 	}
 }

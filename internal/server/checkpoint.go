@@ -12,7 +12,7 @@ import (
 	"cisgraph/internal/graph"
 )
 
-// Server checkpoint payload: the authoritative (shadow) topology, the
+// Server checkpoint payload: the authoritative topology (the pool's), the
 // registered queries and the exactly-once session table (DESIGN.md §17). It
 // rides inside the resilience checkpoint envelope (WriteCheckpointMetaFS:
 // atomic temp-file+rename, CRC, covered stream position, epoch). Answers are
@@ -38,8 +38,8 @@ import (
 
 var srvStateHeader = []byte("CGSRVS2\n")
 
-// encodeState serializes the shadow topology, query set, and exactly-once
-// session table.
+// encodeState serializes the topology, query set, and exactly-once session
+// table.
 func encodeState(g *graph.Dynamic, queries []core.Query, sessions []dedupSession) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)

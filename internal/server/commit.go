@@ -48,11 +48,13 @@ type commitResult struct {
 // the follower tail and WAL replay. It runs the fixed order once —
 //
 //	fence → breaker → dedup → sanitize → WAL append → dedup advance →
-//	shadow apply → pool apply → position/publish/counters → checkpoint
+//	pool apply → position/publish/counters → checkpoint
 //
 // — branching only on record shape (one multi-update record is sanitized as
 // a batch and applied with pool.ApplyBatch; a run of single-update records
 // is sanitized per update and applied with pool.ApplyUpdates) and on origin.
+// There is one topology: sanitize validates against the pool's own graph,
+// which holds the pre-commit topology until the pool apply mutates it.
 // Every applied record is one stream position, so a position is a WAL record
 // on every path. verdicts, when non-nil, receives each record's fate when
 // client records take the per-update branch (the binary front's acks).
@@ -86,13 +88,14 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	}
 
 	// Dedup and sanitize (client records only) leave the updates to apply in
-	// clean and the records to log in out.
-	sh := s.shadow.Load()
+	// clean and the records to log in out. The commit goroutine is the
+	// topology's only writer, so it reads it here without the shard lock.
+	topo := s.pool.Topology()
 	var clean []graph.Update
 	out := recs
 	switch {
 	case o == fromClient && perUpdate:
-		ss := s.san.Stream(sh)
+		ss := s.san.Stream(topo)
 		clean, out = s.clean[:0], s.out[:0]
 		for i, rec := range recs {
 			v := vDropped
@@ -113,7 +116,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	case o == fromClient:
 		// A batcher body: untagged, so there is nothing to dedup. Reject and
 		// strict policies refuse the whole body.
-		c, _, err := s.san.Sanitize(sh, recs[0].Batch)
+		c, _, err := s.san.Sanitize(topo, recs[0].Batch)
 		if err != nil {
 			s.setLastErr(err)
 		}
@@ -149,7 +152,6 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 		s.dedup.advance(rec.SID, rec.Seq)
 	}
 
-	sh.Apply(clean)
 	tEng := time.Now()
 	var changed []core.ChangedAnswer
 	var perr error
@@ -166,7 +168,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	pos := s.applied.Add(uint64(len(out)))
 	before := pos - uint64(len(out))
 	s.publishWatch(pos, changed)
-	s.edges.Store(int64(sh.NumEdges()))
+	s.edges.Store(int64(topo.NumEdges()))
 	res := commitResult{status: BinStatusOK, pos: pos, applied: len(out)}
 	if o == fromLog {
 		return res
@@ -176,7 +178,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	// The one cadence rule: checkpoint when the position crosses a multiple
 	// of CheckpointEvery.
 	if n := uint64(s.cfg.CheckpointEvery); n > 0 && pos/n > before/n {
-		if cerr := s.writeCheckpoint(); cerr != nil {
+		if cerr := s.writeCheckpointLocked(); cerr != nil {
 			s.setLastErr(cerr)
 		}
 	}

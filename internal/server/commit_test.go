@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
+	"cisgraph/internal/stats"
 )
 
 // absentAdds returns n additions of distinct edges absent from g, so every
@@ -23,10 +25,13 @@ import (
 func absentAdds(g *graph.Dynamic, n int) []graph.Update {
 	var ups []graph.Update
 	nv := uint32(g.NumVertices())
-	for u := uint32(0); u < nv && len(ups) < n; u++ {
-		v := (u*7 + 13) % nv
-		if _, ok := g.HasEdge(u, v); !ok && u != v {
-			ups = append(ups, graph.Add(u, v, 1.5))
+	// Each pass takes at most one edge per source, at a different offset.
+	for pass := uint32(0); pass < nv && len(ups) < n; pass++ {
+		for u := uint32(0); u < nv && len(ups) < n; u++ {
+			v := (u*7 + 13 + 31*pass) % nv
+			if _, ok := g.HasEdge(u, v); !ok && u != v {
+				ups = append(ups, graph.Add(u, v, 1.5))
+			}
 		}
 	}
 	return ups
@@ -172,51 +177,104 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// parentCommitGroupAllocs is testing.AllocsPerRun of the same steady-state
-// group through fastPath.commitGroup before acks left their per-frame
-// channels and a one-shard pool stopped spawning a goroutine per commit (118
-// before the fast path shared the commit stage).
-const parentCommitGroupAllocs = 44
-
-// TestFastCommitAllocs guards the shared stage's cost on the fast path: a
-// steady-state 64-update single-session group (32 edges added and deleted
-// again, so every group is valid and leaves the topology as it found it),
-// WAL on, allocates no more than the fast path's own commit did.
-func TestFastCommitAllocs(t *testing.T) {
-	w := testWorkload(t)
-	g := w.Initial()
-	cfg := testServerConfig()
-	cfg.Shards = 1
-	cfg.WALPath = filepath.Join(t.TempDir(), "srv.wal")
-	srv, err := New(g, testAlgo(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Drain()
-	for _, p := range w.QueryPairsConnected(4) {
-		srv.Pool().Register(core.Query{S: p[0], D: p[1]})
+// safeToggles returns n edges added and deleted again, each leaving a vertex
+// no query source reaches: useless for every query in both directions, so a
+// group of them commits on the fast path's safe branch alone.
+func safeToggles(g *graph.Dynamic, sources []graph.VertexID, n int) []graph.Update {
+	reached := make([]bool, g.NumVertices())
+	stack := append([]graph.VertexID(nil), sources...)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if reached[u] {
+			continue
+		}
+		reached[u] = true
+		for _, e := range g.Out(u) {
+			stack = append(stack, e.To)
+		}
 	}
 	var ups []graph.Update
-	for _, add := range absentAdds(g, 32) {
-		ups = append(ups, add, graph.Del(add.From, add.To, add.W))
-	}
-	e := &fpEntry{ups: ups, sid: 7, seq: 1, q: newAckQueue(1)}
-	entries := []*fpEntry{e}
-	run := func() {
-		srv.fp.pending.Add(1)
-		srv.fp.commitGroup(entries)
-		if a := e.ack; !e.done || a.Status != BinStatusOK || a.Accepted != 64 {
-			t.Fatalf("ack %+v (resolved %v)", a, e.done)
+	for u := range reached {
+		for v := range reached {
+			if len(ups) == 2*n {
+				return ups
+			}
+			if _, ok := g.HasEdge(graph.VertexID(u), graph.VertexID(v)); !reached[u] && u != v && !ok {
+				add := graph.Add(graph.VertexID(u), graph.VertexID(v), 1.5)
+				ups = append(ups, add, graph.Del(add.From, add.To, add.W))
+			}
 		}
-		e.seq, e.done = e.seq+64, false
 	}
-	for i := 0; i < 20; i++ {
-		run()
-	}
-	allocs := testing.AllocsPerRun(200, run)
-	t.Logf("allocs per 64-update group: %.1f (parent %d)", allocs, parentCommitGroupAllocs)
-	if allocs > parentCommitGroupAllocs {
-		t.Fatalf("a 64-update group allocates %.1f objects, more than the parent's %d", allocs, parentCommitGroupAllocs)
+	return ups
+}
+
+// TestFastCommitAllocs guards the shared stage's cost on the fast path:
+// steady-state single-session groups of toggles (edges added and deleted
+// again, so every group is valid and leaves the topology as it found it),
+// WAL on, allocate no more than their ceilings — the counts measured once the
+// sanitizer reused one overlay and the server stopped keeping a second
+// topology. The 64-update group is the historical one: absent edges, a few of
+// them unsafe, 39 allocations before (118 when the fast path still had its
+// own commit). The 512-update group is all safe, so nothing but the stage
+// itself allocates: 27 before, most of it the sanitizer's per-commit maps
+// growing through the group.
+func TestFastCommitAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		n, ceiling int
+		safeOnly   bool
+	}{{64, 25, false}, {512, 1, true}} {
+		t.Run(fmt.Sprintf("%d-update group", tc.n), func(t *testing.T) {
+			w := testWorkload(t)
+			g := w.Initial()
+			cfg := testServerConfig()
+			cfg.Shards = 1
+			cfg.WALPath = filepath.Join(t.TempDir(), "srv.wal")
+			srv, err := New(g, testAlgo(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Drain()
+			var sources []graph.VertexID
+			for _, p := range w.QueryPairsConnected(4) {
+				srv.Pool().Register(core.Query{S: p[0], D: p[1]})
+				sources = append(sources, p[0])
+			}
+			var ups []graph.Update
+			if tc.safeOnly {
+				ups = safeToggles(g, sources, tc.n/2)
+			} else {
+				for _, add := range absentAdds(g, tc.n/2) {
+					ups = append(ups, add, graph.Del(add.From, add.To, add.W))
+				}
+			}
+			if len(ups) != tc.n {
+				t.Fatalf("built a %d-update group, want %d", len(ups), tc.n)
+			}
+			e := &fpEntry{ups: ups, sid: 7, seq: 1, q: newAckQueue(1)}
+			entries := []*fpEntry{e}
+			run := func() {
+				srv.fp.pending.Add(1)
+				srv.fp.commitGroup(entries)
+				if a := e.ack; !e.done || a.Status != BinStatusOK || a.Accepted != uint32(tc.n) {
+					t.Fatalf("ack %+v (resolved %v)", a, e.done)
+				}
+				e.seq, e.done = e.seq+uint64(tc.n), false
+			}
+			for i := 0; i < 20; i++ {
+				run()
+			}
+			allocs := testing.AllocsPerRun(200, run)
+			t.Logf("allocs per %d-update group: %.1f (ceiling %d)", tc.n, allocs, tc.ceiling)
+			if allocs > float64(tc.ceiling) {
+				t.Fatalf("a %d-update group allocates %.1f objects, over its ceiling of %d", tc.n, allocs, tc.ceiling)
+			}
+			if tc.safeOnly {
+				if unsafe := srv.pool.Counters().Get(stats.CntUpdateUnsafe); unsafe != 0 {
+					t.Fatalf("%d updates of the all-safe group routed unsafe", unsafe)
+				}
+			}
+		})
 	}
 }
 

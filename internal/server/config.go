@@ -125,8 +125,8 @@ type Config struct {
 	// control; default 1024).
 	MaxQueries int
 	// Policy is the ingestion sanitize policy (default resilience.PolicyDrop).
-	// Every batch is validated against the server's shadow topology before
-	// any engine sees it.
+	// Every batch is validated against the pool's topology before any
+	// engine applies it.
 	Policy resilience.Policy
 	// WALPath is the segmented write-ahead log directory ("" disables
 	// durability): every commit appends (and fsyncs) its records there

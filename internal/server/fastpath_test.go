@@ -601,8 +601,8 @@ func TestFastPathConcurrentCommit(t *testing.T) {
 	readers.Wait()
 
 	waitQuiescedSrv(t, srv)
-	if srv.edges.Load() != int64(srv.shadow.Load().NumEdges()) {
-		t.Fatal("edge gauge diverged from shadow topology")
+	if srv.edges.Load() != int64(srv.pool.Topology().NumEdges()) {
+		t.Fatal("edge gauge diverged from the topology")
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)

@@ -189,25 +189,28 @@ func (s *Server) rebootstrapFromLeader(client *http.Client, leader string) (uint
 	if err != nil {
 		return 0, fmt.Errorf("server: re-bootstrap: %w", err)
 	}
+	// The swap is a write like any commit: under the commit lock, so a
+	// checkpoint never encodes a half-swapped (topology, position) pair.
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	casMax(&s.epoch, epoch)
 	if s.wal != nil {
 		if rerr := s.wal.ResetTo(through, s.Epoch()); rerr != nil {
 			return 0, fmt.Errorf("server: re-bootstrap: %w", rerr)
 		}
 	}
-	s.shadow.Store(g)
-	s.pool.Rebootstrap(g)
+	s.edges.Store(int64(g.NumEdges()))
+	s.pool.Rebootstrap(g) // the pool adopts g as its topology
 	s.applied.Store(through)
 	s.dedup.load(sessions)
 	// Every answer may have moved without a per-query delta: watchers must
 	// re-read. The marker carries the re-bootstrap position.
 	s.hub.ResyncAll(through)
-	s.edges.Store(int64(g.NumEdges()))
 	if s.wal != nil && s.cfg.CheckpointPath != "" {
 		// The reset WAL no longer covers anything below `through`; the local
 		// checkpoint must, or a sibling tailing us post-promotion would find
 		// a hole.
-		if cerr := s.writeCheckpoint(); cerr != nil {
+		if cerr := s.writeCheckpointLocked(); cerr != nil {
 			s.setLastErr(cerr)
 		}
 	}

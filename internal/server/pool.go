@@ -13,10 +13,11 @@ import (
 )
 
 // QueryPool spreads pairwise queries across a fixed set of MultiCISO
-// shards, each with its own topology clone, and publishes answers through
-// an immutable snapshot so reads never block on batch application.
+// shards, each with its own topology clone — shard 0's is the server's one
+// authoritative topology (Topology) — and publishes answers through an
+// immutable snapshot so reads never block on batch application.
 //
-// Write path (single writer — the batcher's applier goroutine): ApplyBatch
+// Write path (single writer — the server's commit stage): ApplyBatch
 // fans the sanitized batch out to every shard in parallel; each shard
 // serializes on its own lock, so a concurrent Register only delays the one
 // shard it lands on. The shards report per-batch answer deltas
@@ -115,34 +116,118 @@ func (p *QueryPool) NumQueries() int {
 func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Least-loaded keeps per-shard work balanced as queries come and go.
-	best := 0
-	for i := 1; i < len(p.locals); i++ {
-		if len(p.locals[i]) < len(p.locals[best]) {
-			best = i
-		}
-	}
+	best := leastLoaded(p.loadsLocked())
 	sh := p.shards[best]
 	sh.mu.Lock()
 	local, ans := sh.eng.AddQuery(q)
 	sh.mu.Unlock()
-	id = len(p.refs)
-	p.refs = append(p.refs, qref{shard: best, local: local})
-	p.queries = append(p.queries, q)
-	p.vals = append(p.vals, ans)
-	for len(p.locals[best]) <= local {
-		p.locals[best] = append(p.locals[best], -1)
-	}
-	p.locals[best][local] = id
+	id = p.installLocked(q, best, local, ans)
 	p.publishLocked()
 	return id, ans
 }
+
+// RegisterAll registers qs in order with Register's placement — each query
+// on the shard that is least loaded at its turn, ties to the lowest index —
+// but arms each shard's share in one engine call (core.MultiCISO.AddQueries)
+// and publishes once: no topology clone per distinct source, one cold start
+// per source per shard. Ids, placement, answers and engine counters equal a
+// Register loop's, on an empty or a non-empty pool. Each shard's lock is
+// held for its whole share, so it is meant for start-up and restore, not
+// beside live writes.
+func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Value) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	load := p.loadsLocked()
+	placed := make([]int, len(qs))
+	perShard := make([][]core.Query, len(p.shards))
+	for k, q := range qs {
+		best := leastLoaded(load)
+		load[best]++
+		placed[k] = best
+		perShard[best] = append(perShard[best], q)
+	}
+	firsts := make([]int, len(p.shards))
+	shardAns := make([][]algo.Value, len(p.shards))
+	for i, sh := range p.shards {
+		if len(perShard[i]) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		firsts[i], shardAns[i] = sh.eng.AddQueries(perShard[i])
+		sh.mu.Unlock()
+	}
+	ids = make([]int, len(qs))
+	answers = make([]algo.Value, len(qs))
+	taken := make([]int, len(p.shards))
+	for k, q := range qs {
+		si := placed[k]
+		j := taken[si]
+		taken[si]++
+		ids[k] = p.installLocked(q, si, firsts[si]+j, shardAns[si][j])
+		answers[k] = shardAns[si][j]
+	}
+	p.publishLocked()
+	return ids, answers
+}
+
+// loadsLocked returns every shard's registered-query count.
+func (p *QueryPool) loadsLocked() []int {
+	load := make([]int, len(p.locals))
+	for i, l := range p.locals {
+		load[i] = len(l)
+	}
+	return load
+}
+
+// leastLoaded picks the shard with the fewest queries, ties to the lowest
+// index — keeping per-shard work balanced as queries come and go.
+func leastLoaded(load []int) int {
+	best := 0
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// installLocked files a query armed on shard at local index local and
+// returns its global id.
+func (p *QueryPool) installLocked(q core.Query, shard, local int, ans algo.Value) int {
+	id := len(p.refs)
+	p.refs = append(p.refs, qref{shard: shard, local: local})
+	p.queries = append(p.queries, q)
+	p.vals = append(p.vals, ans)
+	for len(p.locals[shard]) <= local {
+		p.locals[shard] = append(p.locals[shard], -1)
+	}
+	p.locals[shard][local] = id
+	return id
+}
+
+// Topology returns the pool's one authoritative topology: shard 0's engine
+// graph (core.MultiCISO.Topology). Every other shard holds an identical
+// clone and takes the same updates. Single-writer contract:
+//
+//   - the graph is mutated only inside ApplyBatch/ApplyUpdates (and
+//     replaced by Rebootstrap), by the caller's commit goroutine, under the
+//     shard lock;
+//   - the commit goroutine may read it between applies without a lock;
+//   - every other reader holds the shard lock or the engine lock (or a
+//     lock of the caller's that excludes the commit goroutine).
+//
+// The vertex count is fixed for a graph's lifetime and may be read freely.
+func (p *QueryPool) Topology() *graph.Dynamic { return p.shards[0].eng.Topology() }
 
 // Rebootstrap swaps every shard engine onto a fresh topology, re-arming
 // the registered queries in place: ids, shard placement, and local order
 // are all preserved, so client-held query ids stay valid while the answers
 // recompute from the new topology. Used by a follower after a checkpoint
-// re-bootstrap (retention race or leader reset). Serializes against
+// re-bootstrap (retention race or leader reset). The pool takes ownership
+// of g (shard 0 adopts it; the others clone it). Serializes against
 // Register and ApplyBatch.
 func (p *QueryPool) Rebootstrap(g *graph.Dynamic) {
 	p.mu.Lock()
@@ -154,8 +239,12 @@ func (p *QueryPool) Rebootstrap(g *graph.Dynamic) {
 		perShard[r.shard] = append(perShard[r.shard], p.queries[id])
 	}
 	for i, sh := range p.shards {
+		sg := g
+		if i > 0 {
+			sg = g.Clone()
+		}
 		sh.mu.Lock()
-		sh.eng.Reset(g.Clone(), p.a, perShard[i])
+		sh.eng.Reset(sg, p.a, perShard[i])
 		sh.mu.Unlock()
 	}
 	p.reloadValsLocked()

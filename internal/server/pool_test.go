@@ -1,6 +1,9 @@
 package server
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,6 +70,75 @@ func TestQueryPoolMatchesSingleEngine(t *testing.T) {
 			if snap.Values[i] != want[i] {
 				t.Errorf("shards=%d query %d Q(%d->%d): pool=%v ref=%v",
 					shards, i, qs[i].S, qs[i].D, snap.Values[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRegisterAllMatchesRegisterLoop: registering a list in one locked pass
+// is a Register loop — same ids, shard placement and local order, answers,
+// published snapshot and per-shard engine counters — on an empty and on a
+// non-empty pool (the -resume -queries case), and the two pools stay
+// identical (answers and classification counters, which read every query's
+// values and parents) through later batches. Engine-level values and
+// parents are pinned by core's TestAddQueriesMatchesAddQueryLoop.
+func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, npre := range []int{0, 4} {
+			w := testWorkload(t)
+			a := testAlgo(t)
+			pairs := w.QueryPairsConnected(12)
+			var qs []core.Query
+			for i, p := range pairs {
+				// Three sources, so same-source copies happen within a shard.
+				qs = append(qs, core.Query{S: pairs[i%3][0], D: p[1]})
+			}
+			qs = slices.DeleteFunc(qs, func(q core.Query) bool { return q.S == q.D })
+			loop := NewQueryPool(w.Initial(), a, shards, 1, core.StoreDense, true)
+			bulk := NewQueryPool(w.Initial(), a, shards, 1, core.StoreDense, true)
+			for _, q := range qs[:npre] {
+				loop.Register(q)
+				bulk.Register(q)
+			}
+			var wantIDs []int
+			var wantAns []algo.Value
+			for _, q := range qs[npre:] {
+				id, ans := loop.Register(q)
+				wantIDs, wantAns = append(wantIDs, id), append(wantAns, ans)
+			}
+			ids, ans := bulk.RegisterAll(qs[npre:])
+			label := fmt.Sprintf("shards=%d pre=%d", shards, npre)
+			if !slices.Equal(ids, wantIDs) || !slices.Equal(ans, wantAns) {
+				t.Fatalf("%s: RegisterAll → ids %v answers %v, Register loop %v %v", label, ids, ans, wantIDs, wantAns)
+			}
+			same := func(where string) {
+				t.Helper()
+				if !slices.Equal(bulk.refs, loop.refs) {
+					t.Fatalf("%s: placement %v, Register loop %v", where, bulk.refs, loop.refs)
+				}
+				for si := range loop.locals {
+					if !slices.Equal(bulk.locals[si], loop.locals[si]) {
+						t.Fatalf("%s: shard %d locals %v, Register loop %v", where, si, bulk.locals[si], loop.locals[si])
+					}
+					if b, l := bulk.shards[si].eng.Counters().Snapshot(), loop.shards[si].eng.Counters().Snapshot(); !maps.Equal(b, l) {
+						t.Fatalf("%s: shard %d counters %v, Register loop %v", where, si, b, l)
+					}
+				}
+				bs, ls := bulk.Answers(), loop.Answers()
+				if bs.Batches != ls.Batches || !slices.Equal(bs.Queries, ls.Queries) || !slices.Equal(bs.Values, ls.Values) {
+					t.Fatalf("%s: snapshot %+v, Register loop %+v", where, *bs, *ls)
+				}
+			}
+			same(label)
+			for i := 0; i < 4; i++ {
+				batch := w.NextBatch()
+				if _, err := loop.ApplyBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bulk.ApplyBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("%s batch %d", label, i))
 			}
 		}
 	}

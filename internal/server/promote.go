@@ -121,7 +121,9 @@ func (s *Server) Promote() (uint64, bool, error) {
 	s.h.promotions.Inc()
 	// Persist the new epoch immediately: a crash right after promotion must
 	// come back fenced at (at least) this epoch. Best-effort — the WAL
-	// segment header already carries it.
+	// segment header already carries it. Writes are open from here on, so
+	// the checkpoint takes the commit lock like every checkpoint outside
+	// commit.
 	if err := s.writeCheckpoint(); err != nil {
 		s.setLastErr(err)
 	}

@@ -106,12 +106,13 @@ const (
 	CntDemotions  = "srv_demotions"
 )
 
-// Server is the cisgraphd serving core: it owns the shadow topology, the
-// ingestion pipeline and the query pool, and exposes them over HTTP.
+// Server is the cisgraphd serving core: it owns the ingestion pipeline and
+// the query pool — whose shard-0 engine graph is the one authoritative
+// topology (QueryPool.Topology) — and exposes them over HTTP.
 //
 // Concurrency model (single-writer/many-reader): every write goes through
 // the one commit stage (commit.go), whose lock admits exactly one writer of
-// the shadow topology and the shard engines at a time — the batcher's
+// the topology and the shard engines at a time — the batcher's
 // applier goroutine (JSON/batch path) and the fast path's commit goroutine
 // (binary/per-update path, DESIGN.md §14) take turns on it; on a follower
 // the tail goroutine is the sole writer. HTTP readers
@@ -130,18 +131,14 @@ type Server struct {
 	brk  *diskBreaker
 	gate inflightGate
 
-	// commitMu serializes commit (every front) over the shadow + pool + WAL
-	// + position; clean and out are commit's scratch, reused under it.
+	// commitMu serializes commit (every front) over the topology + pool +
+	// WAL + position, and every checkpoint and re-bootstrap with them: the
+	// topology is mutated only under it, so holding it is what lets a
+	// reader encode a consistent (topology, position) pair. clean and out
+	// are commit's scratch, reused under it.
 	commitMu sync.Mutex
 	clean    []graph.Update
 	out      []resilience.Record
-
-	// shadow is the authoritative topology. It is mutated only by the
-	// single writer (the batcher's applier goroutine on a leader, the tail
-	// goroutine on a follower); the pointer itself is atomic because a
-	// follower re-bootstrap swaps in a whole new topology while HTTP
-	// readers are live.
-	shadow atomic.Pointer[graph.Dynamic]
 
 	// applyLat records engine-side apply latency per batch-size class
 	// (applylat.go); commit feeds it for every front and /healthz reports
@@ -152,7 +149,7 @@ type Server struct {
 	h   srvHandles
 
 	applied  atomic.Uint64 // stream position: WAL records applied (incl. restored)
-	edges    atomic.Int64  // shadow edge count, published after each batch
+	edges    atomic.Int64  // topology edge count, published after each commit
 	draining atomic.Bool
 	lastErr  atomic.Pointer[string]
 
@@ -191,8 +188,7 @@ type Server struct {
 	// registration or re-bootstrap changes the triple and so invalidates it.
 	ansCache atomic.Pointer[ansCacheEntry]
 
-	ckptMu sync.Mutex // serializes periodic and drain checkpoints
-	mux    *http.ServeMux
+	mux *http.ServeMux
 }
 
 // ansCacheEntry is one memoized /v1/answers body, keyed by the exact state
@@ -382,7 +378,6 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		},
 		gate: make(inflightGate, cfg.MaxInFlight),
 	}
-	s.shadow.Store(g.Clone())
 	s.applied.Store(through)
 	s.edges.Store(int64(g.NumEdges()))
 	s.dedup = newDedupTable(cfg.DedupSessions)
@@ -390,10 +385,8 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	s.followerFlag.Store(cfg.FollowURL != "")
 	s.setLeader(cfg.FollowURL)
 	s.epoch.Store(bootEpoch)
-	for _, q := range queries {
-		s.pool.Register(q)
-		s.h.registered.Inc()
-	}
+	s.pool.RegisterAll(queries)
+	s.h.registered.Add(int64(len(queries)))
 	if cfg.WALPath != "" {
 		opts := resilience.SegWALOptions{
 			SegmentBytes: cfg.WALSegmentBytes,
@@ -473,17 +466,25 @@ func (s *Server) applyBatch(batch []graph.Update, reason CutReason) {
 	s.commit(fromClient, []resilience.Record{{Batch: batch}}, nil)
 }
 
-// writeCheckpoint persists the shadow topology + query set + exactly-once
-// session table through the atomic checkpoint envelope, positioned at the
-// stream position and stamped with the leadership epoch.
+// writeCheckpoint takes the commit lock and writes a checkpoint: the path
+// for every checkpoint taken outside commit (drain, promotion, follower
+// bootstrap), so no commit can move the topology while it is encoded.
 func (s *Server) writeCheckpoint() error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	return s.writeCheckpointLocked()
+}
+
+// writeCheckpointLocked persists the topology + query set + exactly-once
+// session table through the atomic checkpoint envelope, positioned at the
+// stream position and stamped with the leadership epoch. The caller holds
+// commitMu.
+func (s *Server) writeCheckpointLocked() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
 	through := s.applied.Load()
-	payload := encodeState(s.shadow.Load(), s.pool.QueriesSnapshot(), s.dedup.snapshot())
+	payload := encodeState(s.pool.Topology(), s.pool.QueriesSnapshot(), s.dedup.snapshot())
 	if err := resilience.WriteCheckpointMetaFS(s.cfg.FS, s.cfg.CheckpointPath, through, s.Epoch(), payload); err != nil {
 		s.brk.Trip(err)
 		return fmt.Errorf("server: %w", err)
@@ -919,7 +920,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	n := uint32(s.shadowVertices())
+	n := uint32(s.pool.Topology().NumVertices())
 	if req.S >= n || req.D >= n {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("query %d->%d out of range N=%d", req.S, req.D, n))
 		return
@@ -1183,9 +1184,6 @@ func writeCounterFamily(w http.ResponseWriter, layer string, snap map[string]int
 		fmt.Fprintf(w, "cisgraph_counter{layer=%q,name=%q} %d\n", layer, name, snap[name])
 	}
 }
-
-// shadowVertices reads the vertex count of the current shadow topology.
-func (s *Server) shadowVertices() int { return s.shadow.Load().NumVertices() }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
