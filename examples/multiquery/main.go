@@ -1,12 +1,11 @@
 // Multiquery: a dispatch service tracks the commute times of a whole fleet
 // over one live road network — the multi-query scenario the paper defers to
 // future work. All queries share a single topology stream; only the
-// per-query contribution analysis is repeated, on a bounded worker pool
+// per-source contribution analysis is repeated, on a bounded worker pool
 // (WithParallelQueries sizes it to GOMAXPROCS; WithWorkers sets an explicit
-// bound). Queries that share a source also share one cold start: a
-// same-source registration copies the converged state instead of
-// recomputing it (DESIGN.md §11). Here every driver starts somewhere else,
-// so each pays its own.
+// bound). Queries that share a source also share one converged state,
+// repaired once per batch (DESIGN.md §11). Here every driver starts
+// somewhere else, so each pays its own.
 //
 // Run with:
 //

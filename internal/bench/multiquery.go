@@ -12,8 +12,8 @@ import (
 
 // multiQuerySources is the number of distinct query sources the scaling
 // cases cluster on — the serving-layer pattern (many clients watching a few
-// origins) that same-source registration sharing and the change-driven
-// source-group skip are both built for.
+// origins) that one state per source and the change-driven source-group
+// skip are both built for.
 const multiQuerySources = 16
 
 // multiQueryFocusFrac bounds the measured stream to 1/32 of the vertex
@@ -30,21 +30,22 @@ const multiQueryFocusFrac = 32
 //
 //   - updates/s — batch throughput across all queries.
 //   - ns/query — per-batch apply cost divided by q, the headline scaling
-//     number: with source-group skipping one representative scan covers a
-//     whole group, so the per-query cost must fall as q grows (sublinear
-//     total cost), not stay flat.
+//     number: one scan of a group's shared state covers all its members,
+//     so the per-query cost must fall as q grows (sublinear total cost),
+//     not stay flat.
 //   - skipped-q/batch — queries proven unaffected per batch (the
 //     update_skipped_queries counter), evidence the skip actually engaged
 //     rather than the stream being trivially empty.
-//   - state-B/query — resident per-query state footprint
-//     (MultiCISO.StateBytes / q), measured after a fixed six-batch warm
-//     stream so the number is comparable across runs and query counts
+//   - state-B/query — resident state per query: MultiCISO.StateBytes,
+//     one 12·V-byte state per source group (≈ 96 KiB here, 16 of them),
+//     divided by q — so it falls as 1/q. Measured after a fixed six-batch
+//     warm stream so the number is comparable across runs and query counts
 //     rather than a function of b.N.
 //
 // The q ∈ {16, 256, 4096} grid in the suite is the compute-scaling
-// experiment of DESIGN.md §11. State grows at 12·V bytes per query (≈ 96 KiB
-// here), which is why the grid stops at 4096: q=65536 would be ~6 GiB
-// resident.
+// experiment of DESIGN.md §11. State no longer grows with q, but the
+// per-query registration and answer bookkeeping does, and the grid keeps
+// its sizes for comparable BENCH_*.json rows.
 func MultiQueryScale(q int) func(b *testing.B) {
 	return func(b *testing.B) {
 		ds := graph.RMAT("mqscale", 13, 16*(1<<13), graph.DefaultRMAT, 64, 42)

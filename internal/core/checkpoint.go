@@ -52,7 +52,7 @@ func (c *CISO) Save(w io.Writer) error {
 	dto := checkpointDTO{
 		Version: checkpointVersion,
 		Algo:    c.st.a.Name(),
-		Query:   c.st.q,
+		Query:   Query{S: c.st.src, D: c.st.dests[0]},
 		Graph:   c.st.g.EdgeList("checkpoint"),
 		Val:     c.st.val,
 		Parent:  c.st.parent,
@@ -199,8 +199,8 @@ func (e *Incremental) CheckInvariants() error {
 // (used by checkpoint restore and the guard audit; tests use their own
 // checker).
 func (st *state) verifyInvariant() error {
-	if st.val[st.q.S] != st.a.Source() {
-		return fmt.Errorf("source state %v != %v", st.val[st.q.S], st.a.Source())
+	if st.val[st.src] != st.a.Source() {
+		return fmt.Errorf("source state %v != %v", st.val[st.src], st.a.Source())
 	}
 	n := len(st.val)
 	for v, p := range st.parent {

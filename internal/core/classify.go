@@ -97,37 +97,51 @@ func (st *state) classifyDeletion(u, v graph.VertexID, w0 float64) Class {
 	return ClassDelayed
 }
 
-// keyPath re-derives the global key path of the query — the parent chain
-// d → … → s, returned in source-to-destination order, nil when d is
-// unreached — and moves the scratch's key-path marks onto it: the previous
-// path's vertices are un-marked, the new one's marked, so a call costs the
-// two path lengths, not O(V). The returned slice is the scratch's buffer and
-// is overwritten by the next call.
+// keyPath re-derives the global key path of every destination — the union
+// of the parent chains d → … → s — and moves the scratch's key-path marks
+// onto it: the previous union's vertices are un-marked, the new one's marked.
+// Each chain is walked only until it meets a vertex already marked, so a
+// call costs the two unions, not O(V) and not the sum of the paths. The
+// returned slice lists the union (for one destination: the path in
+// source-to-destination order), nil when no destination is reached; it is
+// the scratch's buffer and is overwritten by the next call.
 func (st *state) keyPath() []graph.VertexID {
 	sc := st.sc
 	st.clearKeyPath()
-	if !st.op.reached(st.val[st.q.D]) {
-		return nil
-	}
 	path := sc.path
-	for v := st.q.D; ; {
-		path = append(path, v)
-		if v == st.q.S {
-			break
+	for _, d := range st.dests {
+		if !st.op.reached(st.val[d]) {
+			continue
 		}
-		v = st.parent[v]
-		if v == graph.NoVertex || len(path) > len(st.val) {
-			// d reached without a complete chain to s: defensive — should
-			// be impossible under the parent invariant.
-			sc.path = path[:0]
-			return nil
+		start, complete := len(path), false
+		for v := d; v != graph.NoVertex && len(path)-start <= len(st.val); v = st.parent[v] {
+			if sc.onPath[v] {
+				complete = true // joins an earlier destination's chain
+				break
+			}
+			path = append(path, v)
+			if v == st.src {
+				complete = true
+				break
+			}
 		}
-	}
-	slices.Reverse(path) // s→…→d order
-	for _, v := range path {
-		sc.onPath[v] = true
+		if !complete {
+			// d reached without a chain to s: a dead end or a cycle, which a
+			// region repair can close mid-batch by adopting the head of a
+			// pending deletion around its stale parent. No key path, as if d
+			// were unreached, until phase D repairs that head.
+			path = path[:start]
+			continue
+		}
+		for _, x := range path[start:] {
+			sc.onPath[x] = true
+		}
 	}
 	sc.path = path
+	if len(path) == 0 {
+		return nil
+	}
+	slices.Reverse(path) // one destination: s→…→d order
 	return path
 }
 
@@ -140,8 +154,8 @@ func (st *state) clearKeyPath() {
 	st.sc.path = st.sc.path[:0]
 }
 
-// edgeOnKeyPath reports whether edge u→v lies on the key path keyPath last
-// derived, i.e. v is on the path and u supplies v.
+// edgeOnKeyPath reports whether edge u→v lies on the key paths keyPath last
+// derived, i.e. v is on the union and u supplies v.
 func (st *state) edgeOnKeyPath(u, v graph.VertexID) bool {
 	return st.sc.onPath[v] && st.parent[v] == u
 }

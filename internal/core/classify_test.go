@@ -169,3 +169,36 @@ func TestKeyPathClearsOldMarks(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyPathIgnoresBrokenChains pins the union derivation on chains that do
+// not reach the source — a parent cycle (a mid-batch repair can close one
+// through a pending deletion's head) and a dead end: such a destination
+// contributes no key path, while another destination's chain, and a third's
+// that joins it, are marked in full.
+func TestKeyPathIgnoresBrokenChains(t *testing.T) {
+	g := lineGraph(1, 1, 1, 1, 1, 1, 1) // 0→1→…→7
+	st := newState(g, algo.PPSP{}, Query{S: 0, D: 3}, stats.NewCounters())
+	st.fullCompute()
+	st.parent[5], st.parent[6] = 6, 5 // 6 → 5 → 6: a cycle
+	st.parent[7] = graph.NoVertex     // 7 reached, dead end
+	st.dests = []graph.VertexID{6, 7, 3, 2}
+	onPath := st.sc.onPath
+	path := st.keyPath()
+	if len(path) != 4 {
+		t.Fatalf("union = %v, want destination 3's chain 0..3", path)
+	}
+	for v := range onPath {
+		if want := v <= 3; onPath[v] != want {
+			t.Fatalf("vertex %d marked %v, want %v", v, onPath[v], want)
+		}
+	}
+	st.dests = []graph.VertexID{6}
+	if path := st.keyPath(); path != nil {
+		t.Fatalf("a cycle produced key path %v", path)
+	}
+	for v, m := range onPath {
+		if m {
+			t.Fatalf("vertex %d marked by a cycle", v)
+		}
+	}
+}

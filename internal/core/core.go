@@ -49,9 +49,9 @@ type Result struct {
 	// current value; it may be stale until the next clean batch.
 	Err error
 	// Skipped reports that change-driven evaluation proved the batch could
-	// not affect this query (DESIGN.md §15): its per-query phases never ran
+	// not affect this query (DESIGN.md §15): its group's phases never ran
 	// and Answer is the (provably unchanged) converged value. Skipped
-	// results carry no counter delta — the query did no work.
+	// results carry no counter delta — the group did no work.
 	Skipped bool
 
 	// Lazy counter-delta backing: engines record the batch's movement as a
@@ -125,9 +125,11 @@ type BatchDelta struct {
 	Changed []ChangedAnswer
 	// Skipped counts queries proven unaffected and never processed.
 	Skipped int
-	// Processed counts queries whose per-query phases ran.
+	// Processed counts queries whose group's phases ran. The members of a
+	// suspect group waiting for its next recovery attempt are in neither
+	// count.
 	Processed int
-	// Err joins recovered per-query errors (nil when the batch was clean).
+	// Err joins recovered per-group errors (nil when the batch was clean).
 	Err error
 }
 

@@ -164,13 +164,12 @@ func (m *MultiCISO) classifyLocked(u graph.Update) (safe bool) {
 }
 
 // addUselessAllLocked reports whether adding edge u→v with weight w is
-// useless (ClassifyAddition) for every registered query, by scanning m.reps:
-// with change-driven evaluation that is one representative per source group
-// — values are identical across a group (DESIGN.md §15), so the answer is
-// the same at O(sources) instead of O(Q) cost — plus each suspect query.
+// useless (ClassifyAddition) for every registered query, by scanning the
+// source groups' states: one per source, since a group's members share its
+// values (DESIGN.md §15), so the scan costs O(sources), not O(Q).
 func (m *MultiCISO) addUselessAllLocked(u, v graph.VertexID, w float64) bool {
-	for _, st := range m.reps {
-		if !st.addUseless(u, v, w) {
+	for i := range m.groups {
+		if !m.groups[i].st.addUseless(u, v, w) {
 			return false
 		}
 	}
@@ -182,8 +181,8 @@ func (m *MultiCISO) addUselessAllLocked(u, v graph.VertexID, w float64) bool {
 // supplies no query's state[v]. Delayed deletions count as unsafe — they
 // repair v after the response, which is a state write.
 func (m *MultiCISO) delUselessAllLocked(u, v graph.VertexID, w0 float64) bool {
-	for _, st := range m.reps {
-		if !st.delUseless(u, v, w0) {
+	for i := range m.groups {
+		if !m.groups[i].st.delUseless(u, v, w0) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,7 @@ func TestApplyUpdatesMatchesBatchPath(t *testing.T) {
 				}
 			}
 			for i := range qs {
-				checkInvariant(t, fast.states[i])
+				checkInvariant(t, fast.stateOf(i))
 			}
 		}
 	}
@@ -225,7 +226,7 @@ func adversarialGroup(rng *rand.Rand, ref *MultiCISO, size int) []graph.Update {
 	n := g.NumVertices()
 	weight := func() float64 { return float64(1 + rng.Intn(16)) }
 	treeDel := func() graph.Update {
-		st := ref.states[rng.Intn(len(ref.states))]
+		st := ref.groups[rng.Intn(len(ref.groups))].st
 		for tries := 0; tries < 256; tries++ {
 			v := graph.VertexID(rng.Intn(n))
 			if p := st.parent[v]; p != graph.NoVertex {
@@ -293,9 +294,9 @@ func sameConvergedState(t *testing.T, where string, fast, ref *MultiCISO) {
 			}
 		}
 	}
-	for i := range ref.states {
+	for i := range ref.queries {
 		for v := 0; v < ref.g.NumVertices(); v++ {
-			got, want := fast.states[i].val[v], ref.states[i].val[v]
+			got, want := fast.stateOf(i).val[v], ref.stateOf(i).val[v]
 			if got != want {
 				t.Fatalf("%s: query %v vertex %d: value %v, reference %v", where, ref.queries[i], v, got, want)
 			}
@@ -353,51 +354,54 @@ func (f *faultAlgo) Propagate(u algo.Value, w float64) algo.Value {
 	return f.PPSP.Propagate(u, w)
 }
 
-// freshReps derives the scan set from the registration list alone: the
-// first non-suspect query of each source in first-registration order, then
-// every suspect query.
-func freshReps(m *MultiCISO) []*state {
-	var reps []*state
-	seen := make(map[graph.VertexID]bool)
-	for _, q := range m.queries {
-		if seen[q.S] {
-			continue
+// checkReps fails unless the source groups equal a fresh derivation from
+// the registration list alone: one group per distinct source in
+// first-registration order, holding exactly that source's queries in order,
+// each query's destination among the key-path destinations, and every query
+// mapped to its group.
+func checkReps(t *testing.T, where string, m *MultiCISO) {
+	t.Helper()
+	var srcs []graph.VertexID
+	members := map[graph.VertexID][]int{}
+	for i, q := range m.queries {
+		if members[q.S] == nil {
+			srcs = append(srcs, q.S)
 		}
-		seen[q.S] = true
-		for j, qj := range m.queries {
-			if qj.S == q.S && !m.suspect[j] {
-				reps = append(reps, m.states[j])
-				break
+		members[q.S] = append(members[q.S], i)
+	}
+	if len(m.groups) != len(srcs) {
+		t.Fatalf("%s: %d groups, a fresh rebuild has %d", where, len(m.groups), len(srcs))
+	}
+	for gi, g := range m.groups {
+		if g.st.src != srcs[gi] || !slices.Equal(g.members, members[srcs[gi]]) {
+			t.Fatalf("%s: group %d is source %d with %v, a fresh rebuild has %d with %v",
+				where, gi, g.st.src, g.members, srcs[gi], members[srcs[gi]])
+		}
+		for k, i := range g.members {
+			if g.st.dests[k] != m.queries[i].D || m.inGroup[i] != gi {
+				t.Fatalf("%s: query %d is not destination %d of group %d", where, i, k, gi)
 			}
 		}
 	}
-	for j, st := range m.states {
-		if m.suspect[j] {
-			reps = append(reps, st)
-		}
-	}
-	return reps
 }
 
-func checkReps(t *testing.T, where string, m *MultiCISO) {
-	t.Helper()
-	want := freshReps(m)
-	if len(m.reps) != len(want) {
-		t.Fatalf("%s: %d representatives, a fresh rebuild has %d", where, len(m.reps), len(want))
-	}
-	for i := range want {
-		if m.reps[i] != want[i] {
-			t.Fatalf("%s: representative %d is query %v, a fresh rebuild has %v", where, i, m.reps[i].q, want[i].q)
+// nSuspect counts the suspect groups.
+func nSuspect(m *MultiCISO) int {
+	n := 0
+	for _, g := range m.groups {
+		if g.suspect {
+			n++
 		}
 	}
+	return n
 }
 
 // TestRepresentativesMaintained drives every transition that can change
-// the representative slice — Reset, AddQuery of old and new sources, a
-// plugin failure across a fast-path group whose recoveries fail too (queries
-// turn suspect and join the slice themselves), later recoveries that succeed
-// (healthy again) — and after each one the slice must equal a fresh rebuild,
-// with answers still matching the batch path.
+// the source groups — Reset, AddQuery of old and new sources, a plugin
+// failure across a fast-path group whose recoveries fail too (groups turn
+// suspect), later recoveries that succeed (healthy again) — and after each
+// one the groups must equal a fresh rebuild, with answers still matching the
+// batch path.
 func TestRepresentativesMaintained(t *testing.T) {
 	ds := graph.RMAT("reps", 6, 400, graph.DefaultRMAT, 16, 9)
 	init := graph.FromEdgeList(ds)
@@ -430,26 +434,26 @@ func TestRepresentativesMaintained(t *testing.T) {
 	apply("healthy group", false)
 
 	// The plugin breaks for a whole group: scans and phases panic, and so do
-	// the recovery recomputes, which leaves the processed queries suspect.
+	// the recovery recomputes, which leaves the processed groups suspect.
 	fa.broken.Store(true)
 	apply("broken group", true)
 	fa.broken.Store(false)
-	if m.nSuspect == 0 {
-		t.Fatal("a group-long plugin failure left no query suspect")
+	if nSuspect(m) == 0 {
+		t.Fatal("a group-long plugin failure left no group suspect")
 	}
 	m.AddQuery(Query{S: hubs[0], D: 17}) // joins a group whose members are suspect
 	ref.AddQuery(Query{S: hubs[0], D: 17})
 	checkReps(t, "AddQuery beside suspects", m)
 
-	// A later recovery whose recompute succeeds turns a query healthy again.
-	for i := range m.states {
+	// A later recovery whose recompute succeeds turns a group healthy again.
+	for gi := range m.groups {
 		m.mu.Lock()
-		m.repairState(i)
+		m.recoverLocked(&m.groups[gi])
 		m.mu.Unlock()
 		checkReps(t, "after a successful recovery", m)
 	}
-	if m.nSuspect != 0 {
-		t.Fatalf("%d queries still suspect after recovering every one", m.nSuspect)
+	if n := nSuspect(m); n != 0 {
+		t.Fatalf("%d groups still suspect after recovering every one", n)
 	}
 	apply("healthy again", false)
 	got, want := m.Answers(), ref.Answers()
@@ -465,8 +469,8 @@ func TestRepresentativesMaintained(t *testing.T) {
 
 // TestRepresentativesUnderConcurrentAddQuery registers queries from one
 // goroutine while another streams fast-path groups (run with -race): the
-// slice must come out equal to a fresh rebuild and every answer equal to a
-// cold start on the final topology.
+// source groups must come out equal to a fresh rebuild and every answer
+// equal to a cold start on the final topology.
 func TestRepresentativesUnderConcurrentAddQuery(t *testing.T) {
 	ds := graph.RMAT("repsload", 7, 900, graph.DefaultRMAT, 16, 12)
 	w, err := stream.New(ds, stream.Config{LoadFraction: 0.5, AddsPerBatch: 30, DelsPerBatch: 30, Seed: 12})

@@ -17,32 +17,33 @@ import (
 // MultiCISO answers several pairwise queries over one shared stream — the
 // multi-query scenario the paper explicitly defers to future work (§III-A:
 // "Currently, we focus on single-query scenarios"). All queries share a
-// single topology: each batch is normalized and applied once, and only the
-// per-query work (classification against that query's converged states,
-// scheduling, recovery) is repeated. Compared with running Q independent
-// CISO engines this removes Q-1 graph clones and Q-1 topology passes; the
-// contribution-aware classification itself is inherently per-query because
-// each query converges to different states.
+// single topology: each batch is normalized and applied once. Queries with
+// the same source converge to the same one-to-all values — the unique least
+// fixpoint of the monotone system from that source — so they share one
+// state: a source group owns the values, parents and counters, phases A–D
+// run once per processed group, and a query is a (group, destination) pair
+// whose answer is the group's value at its destination (DESIGN.md §11).
+// Compared with Q independent CISO engines this removes Q-1 graph clones and
+// topology passes, and Q-S states and repairs for S sources: a new source
+// costs one cold start, a query whose source is registered joins its group
+// in O(1). Worklist and tagging scratch is per worker slot.
 //
-// Per-query state is one value and one parent array, O(V) per query
-// (DESIGN.md §11). Queries with the same source converge to the same
-// one-to-all state, so a same-source registration at an unchanged topology
-// copies the arrays of the query cold-started there instead of converging
-// again: Q queries over S sources cost S cold starts. Worklist and tagging
-// scratch is per worker slot, not per query.
-//
-// Answers are bit-identical to independent CISO engines (enforced by
-// tests): the phase logic is the same, with one benign reordering — all
-// addition edges are inserted before any is relaxed, which converges to the
-// same fixpoint under monotone ⊕.
+// Answers and values equal independent CISO engines' (enforced by tests):
+// the phase logic is the same, with one benign reordering — all addition
+// edges are inserted before any is relaxed, which converges to the same
+// fixpoint under monotone ⊕. A one-member group is exactly an independent
+// engine, parents and classification counts included. In a group of several
+// members, phase B classifies against the union of their key paths, so the
+// valuable/delayed split is the group's and parents may break ties
+// differently from an independent engine's.
 //
 // Concurrency contract (relied on by internal/server): Reset, ApplyBatch,
 // AddQuery and AddQueries are writers and serialize on an internal lock;
 // Topology's graph has its own single-writer contract; Answers, AnswerOf,
 // Queries, NumQueries and Counters are readers and may be called from any
 // goroutine, including while a writer runs — a reader observes either the
-// pre-batch or the post-batch state, never a torn intermediate. AddQuery
-// performs its O(V+E) initial computation against a topology snapshot
+// pre-batch or the post-batch state, never a torn intermediate. AddQuery of
+// a new source performs its O(V+E) cold start against a topology snapshot
 // WITHOUT holding the lock and only publishes under it, so readers (and the
 // batch writer) are never stalled behind a registration. Writers must still
 // come from one goroutine at a time per the single-writer discipline
@@ -53,11 +54,10 @@ type MultiCISO struct {
 	g       *graph.Dynamic
 	a       algo.Algorithm
 	queries []Query
-	states  []*state
-	cnts    []*stats.Counters // one per query (keeps parallel runs raceless)
-	cnt     *stats.Counters   // merged view, maintained from per-batch deltas
+	inGroup []int           // query index → index into groups
+	cnt     *stats.Counters // merged view, maintained from per-batch group deltas
 
-	workers int // bounded pool width for per-query phases; <=1 is serial
+	workers int // bounded pool width for per-group phases; <=1 is serial
 
 	// Intra-query parallel propagation (DESIGN.md §16). propWorkers is the
 	// total relax-worker budget across the engine (0 = off); parMin the
@@ -70,62 +70,57 @@ type MultiCISO struct {
 	coldPP      propagator
 	parProps    map[int]*parallelPropagator
 
-	// epoch counts topology mutations; an AddQuery compute and a recorded
-	// cold start are only valid against the epoch they were built for.
+	// epoch counts topology mutations; an AddQuery cold start computed off
+	// the lock is only valid against the epoch it was built for.
 	epoch uint64
-	// coldStarts holds, per source, the state cold-started at epoch
-	// coldEpoch: the copy source for same-source registrations while the
-	// epoch stands (DESIGN.md §11.3). A query maintained across batches is
-	// never a copy source — its parents may differ from a cold start's on
-	// ties, and the deletion classifier reads parents.
-	coldStarts map[graph.VertexID]*state
-	coldEpoch  uint64
 
-	// Change-driven evaluation (DESIGN.md §15). All registered queries with
-	// the same source converge to the same VALUE array (the unique least
-	// fixpoint of the monotone system from that source — parents may differ
-	// on ties, values cannot), and the uselessness tests of Algorithm 1 read
-	// values only. So one scan of a batch against one representative member
-	// decides, for the whole source group, whether the batch can touch the
-	// group's converged state at all; if it provably cannot, every member's
-	// per-query phases are skipped and their answers are served unchanged.
-	//
-	// The grouping is maintained, never derived on a hot path: groups lists
-	// the source groups in first-registration order, and reps is the state set
-	// the fast path's uselessness scans walk — one non-suspect representative
-	// per group, then every suspect state (with skipping disabled, every
-	// state). Both change only in Reset, installLocked and setSuspectLocked,
-	// so batch and per-update routing range over slices in a fixed order.
+	// Change-driven evaluation (DESIGN.md §15): the uselessness tests of
+	// Algorithm 1 read values only, so one scan of a batch against a group's
+	// state decides whether the batch can touch it at all; if it provably
+	// cannot, the group's phases are skipped and its members' answers are
+	// served unchanged. The group list is also the fast path's scan set. It
+	// changes only in Reset, AddQuery and AddQueries, so batch and per-update
+	// routing range over one slice in a fixed order.
 	skip     bool                   // skipping enabled (default; WithChangeSkip)
 	groups   []sourceGroup          // first-registration order
 	groupOf  map[graph.VertexID]int // source → index into groups
-	reps     []*state               // uselessness scan set (see above)
-	suspect  []bool                 // degraded state: never skip, never represent
-	nSuspect int
-	lastSums []ChangeSummary // last batch's per-source dirty summaries
+	lastSums []ChangeSummary        // last batch's per-source dirty summaries
 
-	scs        []*scratch // per-worker-slot scratch, created on demand
-	norm       normalizer // reusable batch-normalization working memory
-	beforeBufs [][]int64  // reusable per-query pre-batch counter snapshots
-	deltaBuf   []int64    // reusable per-query counter delta (lean path)
-	activeBuf  []int      // reusable processed-query index list
-	errsBuf    []error    // reusable per-active-query error slots
-	preAnsBuf  []algo.Value
-	attachBuf  []dirtyAttach   // reusable per-processed-group recorder list
-	spanBuf    []time.Duration // reusable per-active-query phase-A spans
+	scs        []*scratch   // per-worker-slot scratch, created on demand
+	norm       normalizer   // reusable batch-normalization working memory
+	beforeBufs [][]int64    // reusable per-group pre-batch counter snapshots
+	deltaBuf   []int64      // reusable per-group counter delta (lean path)
+	activeBuf  []int        // reusable processed-group index list
+	errsBuf    []error      // reusable per-processed-group error slots
+	preAnsBuf  []algo.Value // reusable pre-batch answers of processed members
+	spanBuf    []groupSpans // reusable per-processed-group phase spans
 }
 
-// sourceGroup is the registered queries sharing one source vertex.
+// sourceGroup is the registered queries sharing one source vertex, and the
+// one converged state they share.
 type sourceGroup struct {
-	src     graph.VertexID
-	members []int // query indices, registration order
-	rep     int   // first non-suspect member; -1 while every member is suspect
+	st      *state          // the source's state; st.dests are the members' destinations
+	cnt     *stats.Counters // the group's counters: its work is counted once
+	members []int           // query indices, registration order (parallel to st.dests)
+
+	// suspect marks a state a failed recovery left degraded: the group is
+	// never skipped and its phases wait for a recovery to succeed. The next
+	// batch retries; after each failed retry heal counts down a wait of
+	// backoff batches, doubling from 1 up to maxHealWait.
+	suspect       bool
+	heal, backoff int
 }
+
+// maxHealWait caps the batches a suspect group waits between recoveries.
+const maxHealWait = 64
+
+// groupSpans are one processed group's phase times in a batch.
+type groupSpans struct{ add, response, converged time.Duration }
 
 // MultiOption configures a MultiCISO engine.
 type MultiOption func(*MultiCISO)
 
-// StoreKind names a per-query state representation. Flat arrays are the only
+// StoreKind names a state representation. Flat arrays are the only
 // one; the type and StoreDense remain because server.NewQueryPool still takes
 // a kind, which benchmark/stage.go passes as core.StoreDense.
 type StoreKind int
@@ -133,14 +128,14 @@ type StoreKind int
 // StoreDense is the flat-array representation.
 const StoreDense StoreKind = 0
 
-// WithWorkers bounds the worker pool that executes per-query phases: n
-// goroutines pull query indices from a shared cursor, so Q queries cost Q/n
-// sequential rounds and exactly n scratch allocations — never Q goroutines.
-// n <= 1 means serial.
+// WithWorkers bounds the worker pool that executes per-group phases: n
+// goroutines pull group indices from a shared cursor, so S source groups cost
+// S/n sequential rounds and exactly n scratch allocations — never S
+// goroutines. n <= 1 means serial.
 func WithWorkers(n int) MultiOption { return func(m *MultiCISO) { m.workers = n } }
 
-// WithParallelQueries processes per-query phases on a GOMAXPROCS-wide worker
-// pool — shorthand for WithWorkers(runtime.GOMAXPROCS(0)). Queries share the
+// WithParallelQueries processes per-group phases on a GOMAXPROCS-wide worker
+// pool — shorthand for WithWorkers(runtime.GOMAXPROCS(0)). Groups share the
 // topology read-only during processing (all mutation happens between phases
 // on the caller's goroutine), so this is safe and mirrors the multi-core
 // software platforms the paper benchmarks against.
@@ -149,18 +144,18 @@ func WithParallelQueries() MultiOption {
 }
 
 // WithChangeSkip toggles change-driven query skipping (default on): per
-// batch, each source group of queries is tested once against one
-// representative member's converged values, and groups the batch provably
-// cannot affect never run their per-query phases (DESIGN.md §15). Disabling
-// it restores exhaustive per-query evaluation — the differential tests pin
+// batch, each source group is tested once against its converged values, and
+// groups the batch provably cannot affect never run their phases (DESIGN.md
+// §15). Disabling it restores exhaustive per-group evaluation — the
+// differential tests pin
 // both configurations to identical answers, so the switch exists for that
 // proof and for debugging, not for correctness.
 func WithChangeSkip(enabled bool) MultiOption { return func(m *MultiCISO) { m.skip = enabled } }
 
 // WithPropagateWorkers sets the engine's total intra-query relax-worker
 // budget (DESIGN.md §16): cold-start convergences drain with the full
-// budget, and each apply splits it across the queries actually processed —
-// a wide batch keeps per-query serial drains (inter-query parallelism
+// budget, and each apply splits it across the groups actually processed —
+// a wide batch keeps per-group serial drains (inter-group parallelism
 // already saturates the budget), a narrow batch flips the processed states
 // to bucketed parallel drains. n < 2 disables intra-query parallelism
 // (the default). Answers are bit-identical either way.
@@ -185,20 +180,14 @@ func NewMultiCISO(opts ...MultiOption) *MultiCISO {
 }
 
 // intraPropLocked applies the nested-parallelism policy for an apply that
-// processes nActive queries: the relax-worker budget divides across the
-// query-level worker slots actually running, and only a per-slot share of
+// processes nActive groups: the relax-worker budget divides across the
+// group-level worker slots actually running, and only a per-slot share of
 // at least 2 is worth the coordination. Returns nil for "stay serial".
 func (m *MultiCISO) intraPropLocked(nActive int) propagator {
 	if m.propWorkers < 2 || nActive == 0 {
 		return nil
 	}
-	slots := m.workers
-	if slots > nActive {
-		slots = nActive
-	}
-	if slots < 1 {
-		slots = 1
-	}
+	slots := min(max(m.workers, 1), nActive)
 	width := m.propWorkers / slots
 	if width < 2 {
 		return nil
@@ -214,115 +203,64 @@ func (m *MultiCISO) intraPropLocked(nActive int) propagator {
 // Name identifies the engine.
 func (m *MultiCISO) Name() string { return "MultiCISO" }
 
-// Reset takes ownership of g, arms every query and runs each query's
-// initial full computation. An empty query list is valid: queries can be
-// registered later with AddQuery.
+// Reset takes ownership of g, arms every query and cold-starts each distinct
+// source once. An empty query list is valid: queries can be registered
+// later with AddQuery.
 func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.g, m.a = g, a
 	m.epoch++
-	m.coldStarts = nil
 	m.scs = nil // vertex count / algorithm may have changed
-	m.queries = append([]Query(nil), queries...)
-	m.states = make([]*state, 0, len(queries))
-	m.cnts = make([]*stats.Counters, 0, len(queries))
-	m.beforeBufs = nil
-	m.groups = nil
-	m.groupOf = make(map[graph.VertexID]int)
-	m.suspect = make([]bool, len(queries))
-	m.nSuspect = 0
+	m.queries, m.inGroup = nil, nil
+	m.groups, m.groupOf = nil, make(map[graph.VertexID]int)
 	m.lastSums = nil
-	for i, q := range queries {
+	m.cnt.Reset()
+	for _, q := range queries {
+		m.addLocked(q)
+	}
+}
+
+// addLocked registers q on the live topology (write lock held), opening its
+// source's group with a cold start on the source's first registration.
+func (m *MultiCISO) addLocked(q Query) (int, algo.Value) {
+	if _, ok := m.groupOf[q.S]; !ok {
 		cnt := stats.NewCounters()
-		st := m.buildStateLocked(q, cnt)
-		m.states = append(m.states, st)
-		m.cnts = append(m.cnts, cnt)
-		m.joinGroupLocked(q.S, i)
+		m.openLocked(computeState(m.g, m.a, q.S, cnt, m.coldPP), cnt)
 	}
-	m.rebuildRepsLocked()
-	m.mergeCounters()
+	return m.joinLocked(q)
 }
 
-// joinGroupLocked files query i under its source's group, opening the group
-// on the source's first registration.
-func (m *MultiCISO) joinGroupLocked(src graph.VertexID, i int) {
-	gi, ok := m.groupOf[src]
-	if !ok {
-		gi = len(m.groups)
-		m.groupOf[src] = gi
-		m.groups = append(m.groups, sourceGroup{src: src})
-	}
-	m.groups[gi].members = append(m.groups[gi].members, i)
+// openLocked files st, converged for its source on the live topology, as
+// the source's group (write lock held).
+func (m *MultiCISO) openLocked(st *state, cnt *stats.Counters) {
+	m.groupOf[st.src] = len(m.groups)
+	m.groups = append(m.groups, sourceGroup{st: st, cnt: cnt})
+	m.cnt.AddAll(cnt) // fold the cold start into the merged view
 }
 
-// rebuildRepsLocked re-derives every group's representative and the scan
-// set from the registered states and suspect marks.
-func (m *MultiCISO) rebuildRepsLocked() {
-	m.reps = m.reps[:0]
-	for gi := range m.groups {
-		g := &m.groups[gi]
-		g.rep = -1
-		for _, i := range g.members {
-			if !m.suspect[i] {
-				g.rep = i
-				break
-			}
-		}
-		if m.skip && g.rep >= 0 {
-			m.reps = append(m.reps, m.states[g.rep])
-		}
-	}
-	if m.skip && m.nSuspect == 0 {
-		return
-	}
-	for i, st := range m.states {
-		if !m.skip || m.suspect[i] {
-			m.reps = append(m.reps, st)
-		}
-	}
+// joinLocked appends q to its source's group — O(1), no compute — and
+// returns its index and answer (write lock held).
+func (m *MultiCISO) joinLocked(q Query) (int, algo.Value) {
+	gi := m.groupOf[q.S]
+	g := &m.groups[gi]
+	i := len(m.queries)
+	m.queries = append(m.queries, q)
+	m.inGroup = append(m.inGroup, gi)
+	g.members = append(g.members, i)
+	g.st.dests = append(g.st.dests, q.D)
+	return i, g.st.val[q.D]
 }
 
-// buildStateLocked converges a state for q on the live topology (write lock
-// held): a copy of the source's cold start at this epoch when there is one,
-// otherwise a cold start, recorded for later copies.
-func (m *MultiCISO) buildStateLocked(q Query, cnt *stats.Counters) *state {
-	if cold := m.coldStartLocked(q.S); cold != nil {
-		return copyState(cold, q, cnt)
-	}
-	st := computeState(m.g, m.a, q, cnt, m.coldPP)
-	m.recordColdStartLocked(st)
-	return st
-}
-
-// coldStartLocked returns the state cold-started for src at the current
-// epoch, or nil (read or write lock held).
-func (m *MultiCISO) coldStartLocked(src graph.VertexID) *state {
-	if m.coldEpoch != m.epoch {
-		return nil
-	}
-	return m.coldStarts[src]
-}
-
-// recordColdStartLocked files st, just converged from scratch at the current
-// epoch, as its source's copy source (write lock held).
-func (m *MultiCISO) recordColdStartLocked(st *state) {
-	if m.coldStarts == nil || m.coldEpoch != m.epoch {
-		m.coldStarts = make(map[graph.VertexID]*state)
-		m.coldEpoch = m.epoch
-	}
-	m.coldStarts[st.q.S] = st
-}
-
-// computeState runs the initial full computation for q against g (which must
-// not be mutated during the call — callers either hold the write lock or own
-// a private clone). Multi-owned states carry no scratch of their own;
-// forEachQuery attaches a worker slot's scratch per execution. A non-nil
-// prop drains the cold-start convergence through it (intra-query parallel
-// cold starts, DESIGN.md §16) and is detached afterwards — batch applies
-// re-attach per the nested-parallelism policy.
-func computeState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters, prop propagator) *state {
-	st := newStateOn(newScratch(a, g.NumVertices()), g, a, q, cnt)
+// computeState cold-starts a state for src against g (which must not be
+// mutated during the call — callers either hold the write lock or own a
+// private clone). Multi-owned states carry no scratch of their own;
+// forEachGroup attaches a worker slot's scratch per execution. A non-nil
+// prop drains the convergence through it (intra-query parallel cold starts,
+// DESIGN.md §16) and is detached afterwards — batch applies re-attach per
+// the nested-parallelism policy.
+func computeState(g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters, prop propagator) *state {
+	st := newStateOn(newScratch(a, g.NumVertices()), g, a, src, cnt)
 	if prop != nil {
 		st.prop = prop
 	}
@@ -332,61 +270,48 @@ func computeState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counte
 	return st
 }
 
-// copyState binds a state for q over copies of cold's arrays. cold is a
-// same-source cold start at the current epoch, so the copy is exactly what a
-// cold start for q would converge to, parents included: the drain from a
-// source never reads the destination.
-func copyState(cold *state, q Query, cnt *stats.Counters) *state {
-	st := newStateOn(nil, cold.g, cold.a, q, cnt)
-	copy(st.val, cold.val)
-	copy(st.parent, cold.parent)
-	return st
-}
-
 // addQueryRetries bounds how often AddQuery re-computes against a fresh
 // snapshot after a batch invalidated the previous one, before falling back
 // to computing under the write lock.
 const addQueryRetries = 2
 
-// AddQuery registers one more query against the current topology, runs its
-// initial full computation, and returns its index (stable: answers keep
-// Reset-then-AddQuery order) together with its initial answer. It is a
-// writer under the concurrency contract — but its O(V+E) computation runs
-// against a topology snapshot with NO lock held; only the final publish
-// takes the write lock (epoch-checked, retried if a batch landed in
-// between). Readers are never stalled behind a registration, and a
-// same-source registration at the current epoch copies the source's cold
-// start under the read lock instead of computing.
+// AddQuery registers one more query against the current topology and returns
+// its index (stable: answers keep Reset-then-AddQuery order) together with
+// its initial answer. It is a writer under the concurrency contract. A query
+// whose source is registered joins its group in O(1) at any epoch. A new
+// source cold-starts against a topology snapshot with NO lock held; only the
+// publish takes the write lock (epoch-checked, retried if a batch landed in
+// between — and if the source's group appeared meanwhile, the query joins it
+// and the computed state is dropped). Readers are never stalled behind a
+// registration.
 func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
-	cnt := stats.NewCounters()
 	for attempt := 0; attempt < addQueryRetries; attempt++ {
 		m.mu.RLock()
-		epoch := m.epoch
-		a := m.a
-		var st *state
+		_, joined := m.groupOf[q.S]
+		epoch, a := m.epoch, m.a
 		var gc *graph.Dynamic
-		if cold := m.coldStartLocked(q.S); cold != nil {
-			st = copyState(cold, q, cnt) // O(V); readers share the read lock
-		} else {
+		if !joined {
 			gc = m.g.Clone() // arena clone: cheap, and private to this goroutine
 		}
 		m.mu.RUnlock()
 
-		if gc != nil {
-			st = computeState(gc, a, q, cnt, m.coldPP)
+		var st *state
+		var cnt *stats.Counters
+		if !joined {
+			cnt = stats.NewCounters()
+			st = computeState(gc, a, q.S, cnt, m.coldPP)
 		}
 
 		m.mu.Lock()
-		if m.epoch != epoch {
+		if _, joined = m.groupOf[q.S]; !joined && m.epoch != epoch {
 			m.mu.Unlock()
 			continue // a batch landed mid-compute; the snapshot is stale
 		}
-		st.g = m.g // rebind from the clone (same epoch ⇒ identical topology)
-		if gc != nil {
-			m.recordColdStartLocked(st)
+		if !joined {
+			st.g = m.g // rebind from the clone (same epoch ⇒ identical topology)
+			m.openLocked(st, cnt)
 		}
-		i := m.installLocked(q, cnt, st)
-		ans := st.answer()
+		i, ans := m.joinLocked(q)
 		m.mu.Unlock()
 		return i, ans
 	}
@@ -394,29 +319,23 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 	// lock so registration completes regardless.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.buildStateLocked(q, cnt)
-	i := m.installLocked(q, cnt, st)
-	return i, st.answer()
+	return m.addLocked(q)
 }
 
-// AddQueries registers qs in order under one write-lock hold: each query is
-// built exactly as AddQuery's write-lock fallback builds it — a copy of its
-// source's cold start at the current epoch, or a cold start on the live
-// topology — so the result equals an AddQuery loop (indices, values,
-// parents, counters) without a topology clone per distinct source. It
-// returns the index of qs[0] (the rest follow consecutively) and the initial
-// answers. Meant for bulk registration where no batch is competing
-// (start-up, restore); readers wait for the whole list.
+// AddQueries registers qs in order under one write-lock hold, each exactly
+// as AddQuery's write-lock fallback would — a join of its source's group, or
+// a cold start on the live topology — so the result equals an AddQuery loop
+// (indices, values, parents, counters) without a topology clone per distinct
+// source. It returns the index of qs[0] (the rest follow consecutively) and
+// the initial answers. Meant for bulk registration where no batch is
+// competing (start-up, restore); readers wait for the whole list.
 func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	first = len(m.queries)
 	answers = make([]algo.Value, len(qs))
 	for k, q := range qs {
-		cnt := stats.NewCounters()
-		st := m.buildStateLocked(q, cnt)
-		m.installLocked(q, cnt, st)
-		answers[k] = st.answer()
+		_, answers[k] = m.addLocked(q)
 	}
 	return first, answers
 }
@@ -440,45 +359,12 @@ func (m *MultiCISO) Topology() *graph.Dynamic {
 	return m.g
 }
 
-// installLocked appends a converged query state (write lock held).
-func (m *MultiCISO) installLocked(q Query, cnt *stats.Counters, st *state) int {
-	i := len(m.queries)
-	m.queries = append(m.queries, q)
-	m.cnts = append(m.cnts, cnt)
-	m.states = append(m.states, st)
-	m.suspect = append(m.suspect, false)
-	m.joinGroupLocked(q.S, i)
-	m.rebuildRepsLocked()
-	m.cnt.AddAll(cnt) // fold the initial compute into the merged view
-	return i
-}
+// stateOf returns query i's state: its group's.
+func (m *MultiCISO) stateOf(i int) *state { return m.groups[m.inGroup[i]].st }
 
-// setSuspectLocked flips query i's suspect mark, keeping the count that lets
-// the hot paths skip the suspect sweep entirely when (as almost always)
-// nothing is degraded.
-func (m *MultiCISO) setSuspectLocked(i int, s bool) {
-	if m.suspect[i] == s {
-		return
-	}
-	m.suspect[i] = s
-	if s {
-		m.nSuspect++
-	} else {
-		m.nSuspect--
-	}
-	m.rebuildRepsLocked()
-}
-
-// mergeCounters rebuilds the combined view from every query's totals — paid
-// only at Reset. ApplyBatch keeps the view current by folding in each
-// query's per-batch delta instead, so steady-state bookkeeping no longer
-// scales with total-counter-count × batches.
-func (m *MultiCISO) mergeCounters() {
-	m.cnt.Reset()
-	for _, c := range m.cnts {
-		m.cnt.AddAll(c)
-	}
-}
+// answerLocked returns query i's answer: its group's value at its
+// destination (read or write lock held).
+func (m *MultiCISO) answerLocked(i int) algo.Value { return m.stateOf(i).val[m.queries[i].D] }
 
 // Queries returns a copy of the armed queries (registration order).
 func (m *MultiCISO) Queries() []Query {
@@ -500,9 +386,9 @@ func (m *MultiCISO) NumQueries() int {
 func (m *MultiCISO) Answers() []algo.Value {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]algo.Value, len(m.states))
-	for i, st := range m.states {
-		out[i] = st.answer()
+	out := make([]algo.Value, len(m.queries))
+	for i := range out {
+		out[i] = m.answerLocked(i)
 	}
 	return out
 }
@@ -511,7 +397,7 @@ func (m *MultiCISO) Answers() []algo.Value {
 func (m *MultiCISO) AnswerOf(i int) algo.Value {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.states[i].answer()
+	return m.answerLocked(i)
 }
 
 // Counters exposes the cumulative counters (shared across queries). The
@@ -524,17 +410,17 @@ func (m *MultiCISO) Counters() *stats.Counters {
 	return m.cnt
 }
 
-// StateBytes reports the resident bytes of all per-query state: 8 value and
-// 4 parent bytes per vertex per query, plus a fixed per-query header.
+// StateBytes reports the resident bytes of all source-group state: 8 value
+// and 4 parent bytes per vertex per group, plus a fixed per-group header.
 // Scratch is excluded (see ScratchBytes) — it scales with workers, not
-// queries.
+// sources.
 func (m *MultiCISO) StateBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	const headerBytes = 64 // the state's slice headers, approximately
 	var total int64
-	for _, st := range m.states {
-		total += int64(len(st.val))*12 + headerBytes
+	for _, g := range m.groups {
+		total += int64(len(g.st.val))*12 + headerBytes
 	}
 	return total
 }
@@ -555,14 +441,15 @@ func (m *MultiCISO) ScratchBytes() int64 {
 
 // ApplyBatch ingests one batch for every query and returns one Result per
 // query (Reset order). Each query's Response covers the shared
-// normalization/topology span (paid once, needed by every answer) plus that
-// query's own classification, scheduling and recovery phases.
+// normalization/topology span (paid once, needed by every answer) plus its
+// group's own classification, scheduling and recovery phases, and its
+// Counters() are its group's batch delta.
 //
-// A panic inside one query's processing (a buggy algorithm plugin, injected
-// fault, ...) never crashes the process or deadlocks the other queries: it
-// is recovered per query, the query's state is recomputed from scratch on
-// the shared (still consistent) topology, and the result carries the panic
-// as Result.Err. The other queries' results are unaffected.
+// A panic inside one group's processing (a buggy algorithm plugin, injected
+// fault, ...) never crashes the process or deadlocks the other groups: it is
+// recovered per group, the group's state is recomputed from scratch on the
+// shared (still consistent) topology, and every member's result carries the
+// panic as Result.Err. The other groups' results are unaffected.
 func (m *MultiCISO) ApplyBatch(batch []graph.Update) []Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -607,23 +494,10 @@ func (c spanClock) since(t time.Time) time.Duration {
 	return 0
 }
 
-// dirtyAttach pins one batch's change summary to the representative state
-// recording it, so the recorder can be detached when the batch ends.
-type dirtyAttach struct {
-	st *state
-	cs *ChangeSummary
-}
-
 // applyBatchCoreLocked is the shared batch engine. wantResults selects the
 // classic O(Q) []Result materialisation (ApplyBatch) or the lean BatchDelta
 // report (ApplyBatchDelta); the applied state transition is identical.
 func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool) ([]Result, BatchDelta) {
-	nq := len(m.states)
-	var results []Result
-	if wantResults {
-		results = make([]Result, nq)
-	}
-
 	// Only ApplyBatch reports spans, so only it reads the clock.
 	clk := spanClock{on: wantResults}
 
@@ -639,116 +513,80 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	// edge that does not improve its head (its inequality already holds),
 	// and a useless deletion removes an edge that supplies no head (every
 	// remaining derivation is intact, including parent[v], whose edge would
-	// have passed the supplier-equality test and blocked the skip). Since no
-	// member state changes, the per-event tests compose across the whole
-	// batch (normalization guarantees one net event per edge), and values
-	// are identical across a source group, so one representative decides for
-	// all members. Suspect (degraded) queries are never skipped and never
-	// represent.
-	active := m.activeBuf[:0]
-	attach := m.attachBuf[:0]
-	var scanErrs map[int]error // rep query index → panic recovered in the skip scan
+	// have passed the supplier-equality test and blocked the skip). Since the
+	// state does not change, the per-event tests compose across the whole
+	// batch (normalization guarantees one net event per edge). Suspect groups
+	// are never skipped: a quarantined one waits, one whose retry is due
+	// recovers before its phases.
+	active, errs, preAns := m.activeBuf[:0], m.errsBuf[:0], m.preAnsBuf[:0]
+	for len(m.beforeBufs) < len(m.groups) {
+		m.beforeBufs = append(m.beforeBufs, nil)
+	}
 	// Summaries are recorded in place: grown up front so the recorder
 	// pointers handed to the states stay valid, and each slot's vertex buffer
 	// is reused (ChangeSummaries hands out deep copies).
 	m.lastSums = slices.Grow(m.lastSums[:0], len(m.groups))
-	skippedGroups := 0
+	skipped, skippedGroups, processed := 0, 0, 0
 	for gi := range m.groups {
 		g := &m.groups[gi]
-		if m.skip && g.rep >= 0 {
-			unaffected, scanErr := m.groupUnaffectedLocked(g.rep, nb)
+		var err error
+		switch {
+		case g.suspect && g.heal > 0:
+			g.heal--
+			continue
+		case !g.suspect && m.skip:
+			unaffected, scanErr := m.groupUnaffectedLocked(g, nb)
 			if unaffected {
 				skippedGroups++
-				// Suspect members of a skipped group still process
-				// individually.
-				if m.nSuspect > 0 {
-					for _, i := range g.members {
-						if m.suspect[i] {
-							active = append(active, i)
-						}
-					}
-				}
+				skipped += len(g.members)
 				continue
 			}
-			if scanErr != nil {
-				// The plugin panicked during the scan: the group runs the
-				// full machinery, and the panic is charged to the
-				// representative exactly like a phase panic — its phases are
-				// suppressed and recovery recomputes its state below.
-				if scanErrs == nil {
-					scanErrs = make(map[int]error, 1)
-				}
-				scanErrs[g.rep] = scanErr
-			}
+			// A plugin panic during the scan is charged to the group like a
+			// phase panic: its phases are suppressed and it recovers below.
+			err = scanErr
 		}
-		// Processed group: one representative member records the region's
-		// dirty set for the batch's change summaries.
-		ri := g.rep
-		if ri < 0 {
-			ri = g.members[0]
+		// Processed group: its counters and (lean path) its members' answers
+		// are snapshot before anything moves them, and it records the
+		// region's dirty set for the batch's change summaries.
+		m.beforeBufs[gi] = g.cnt.DenseSnapshot(m.beforeBufs[gi][:0])
+		if !wantResults {
+			for _, i := range g.members {
+				preAns = append(preAns, g.st.val[m.queries[i].D])
+			}
 		}
 		k := len(m.lastSums)
 		m.lastSums = m.lastSums[:k+1]
 		cs := &m.lastSums[k]
-		*cs = ChangeSummary{Source: g.src, Vertices: cs.Vertices[:0]}
-		m.states[ri].dirty = cs
-		attach = append(attach, dirtyAttach{st: m.states[ri], cs: cs})
-		active = append(active, g.members...)
+		*cs = ChangeSummary{Source: g.st.src, Vertices: cs.Vertices[:0]}
+		g.st.dirty = cs
+		if g.suspect {
+			err = m.recoverLocked(g) // a failure keeps its phases suppressed
+		}
+		active, errs = append(active, gi), append(errs, err)
+		processed += len(g.members)
 	}
-	m.activeBuf, m.attachBuf = active, attach
-	skipped := nq - len(active)
+	m.activeBuf, m.errsBuf, m.preAnsBuf = active, errs, preAns
 
 	// Nested-parallelism policy (DESIGN.md §16): flip the processed states
 	// to intra-query parallel drains when the relax-worker budget is not
-	// already consumed by query-level parallelism — i.e. narrow processed
-	// sets and big frontiers; wide sets keep the per-query serial drains.
+	// already consumed by group-level parallelism — i.e. narrow processed
+	// sets and big frontiers; wide sets keep the per-group serial drains.
 	// Restored on every exit path so states sit serial between batches
 	// (recovery recomputes inside this call still drain parallel).
 	if pp := m.intraPropLocked(len(active)); pp != nil {
-		for _, i := range active {
-			m.states[i].prop = pp
+		for _, gi := range active {
+			m.groups[gi].st.prop = pp
 		}
 		defer func() {
-			for _, i := range active {
-				m.states[i].prop = serialProp
+			for _, gi := range active {
+				m.groups[gi].st.prop = serialProp
 			}
 		}()
 	}
 
-	// Snapshot each processed query's counters on the caller's goroutine,
-	// before any phase runs: the per-batch deltas derived from these drive
-	// both the result attribution and the merged-view maintenance below, so
-	// they must exist even for a query that panics in its first phase.
-	// Dense snapshots into retained buffers: no per-query map allocation on
-	// this path. Skipped queries do no work and carry no delta.
-	for len(m.beforeBufs) < nq {
-		m.beforeBufs = append(m.beforeBufs, nil)
-	}
-	for _, i := range active {
-		m.beforeBufs[i] = m.cnts[i].DenseSnapshot(m.beforeBufs[i][:0])
-	}
-	// The lean path reports answer movement: capture processed queries'
-	// pre-batch answers (skipped answers provably cannot move).
-	preAns := m.preAnsBuf[:0]
-	if !wantResults {
-		for _, i := range active {
-			preAns = append(preAns, m.states[i].answer())
-		}
-		m.preAnsBuf = preAns
-	}
-	errs := m.errsBuf[:0]
-	for _, i := range active {
-		if scanErrs != nil {
-			errs = append(errs, scanErrs[i])
-		} else {
-			errs = append(errs, nil)
-		}
-	}
-	m.errsBuf = errs
-
 	// Shared: topology for the addition phase.
 	if len(nb.Adds)+len(nb.Dels)+len(nb.Reweights) > 0 {
-		m.epoch++ // recorded cold starts are converged for the old snapshot
+		m.epoch++ // in-flight AddQuery cold starts are converged for the old snapshot
 	}
 	for _, up := range nb.Adds {
 		m.g.AddEdge(up.From, up.To, up.W)
@@ -757,8 +595,8 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		m.g.RemoveEdge(rw.From, rw.To)
 		m.g.AddEdge(rw.From, rw.To, rw.NewW)
 	}
-	for i := range attach {
-		attach[i].cs.Epoch = m.epoch
+	for i := range m.lastSums {
+		m.lastSums[i].Epoch = m.epoch
 	}
 	// A reweight is an addition event at the new weight plus a deletion
 	// event at the old one; nb's slices are the normalizer's buffers, idle
@@ -770,14 +608,15 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	}
 	addTopoSpan := clk.since(t0)
 
-	// Phase A per processed query on the worker pool (the topology is
+	// Phase A per processed group on the worker pool (the topology is
 	// read-only from here until the shared deletion pass).
-	addSpans := slices.Grow(m.spanBuf[:0], len(active))[:len(active)]
-	m.spanBuf = addSpans
-	m.forEachQuery(active, errs, func(k, i int) {
+	spans := slices.Grow(m.spanBuf[:0], len(active))[:len(active)]
+	clear(spans)
+	m.spanBuf = spans
+	m.forEachGroup(active, errs, func(k int, st *state) {
 		tq := clk.now()
-		m.states[i].processAdditions(addEvents)
-		addSpans[k] = clk.since(tq)
+		st.processAdditions(addEvents)
+		spans[k].add = clk.since(tq)
 	})
 
 	// Shared: deletion topology.
@@ -787,68 +626,56 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	}
 	sharedSpan := addTopoSpan + clk.since(t1)
 
-	// Phases B–D per processed query: classify, prioritise, promote,
-	// answer, delayed.
-	m.forEachQuery(active, errs, func(k, i int) {
-		st := m.states[i]
+	// Phases B–D per processed group: classify against the members' key
+	// paths, prioritise, promote, answer, delayed. Every response includes
+	// the (single) shared topology span — the batch cannot be answered
+	// without it — plus the group's own phases.
+	m.forEachGroup(active, errs, func(k int, st *state) {
 		tq := clk.now()
 		st.classifyDeletions(delEvents, true)
 		st.repairValuable()
-		// Every query's response includes the (single) shared topology
-		// span — the batch cannot be answered without it — plus its own
-		// per-query phases.
-		response := sharedSpan + addSpans[k] + clk.since(tq)
+		spans[k].response = sharedSpan + spans[k].add + clk.since(tq)
 		st.repairDelayed()
-		if wantResults {
-			results[i] = Result{
-				Answer:    st.answer(),
-				Response:  response,
-				Converged: sharedSpan + addSpans[k] + clk.since(tq),
-				cntSrc:    m.cnts[i],
-				cntDelta:  m.cnts[i].DenseDelta(m.beforeBufs[i]),
-			}
-		}
+		spans[k].converged = sharedSpan + spans[k].add + clk.since(tq)
 	})
-	// Degraded queries: recover their state and surface the panic. A query
-	// whose recovery recompute itself fails is marked suspect — its state
-	// cannot be trusted, so it is never skipped and never represents its
-	// group until a later recovery succeeds.
+
+	// Degraded groups: a group whose phases (or skip scan) panicked recovers
+	// its state, and every member surfaces the panic; one whose heal failed
+	// above is already suspect and waits.
 	var joinedErrs []error
 	for k, err := range errs {
 		if err == nil {
 			continue
 		}
-		i := active[k]
-		m.cnts[i].Inc(stats.CntQueryPanic)
-		m.repairState(i)
-		if wantResults {
-			results[i] = Result{
-				Answer:   m.states[i].answer(),
-				Err:      err,
-				cntSrc:   m.cnts[i],
-				cntDelta: m.cnts[i].DenseDelta(m.beforeBufs[i]),
-			}
-		} else {
-			joinedErrs = append(joinedErrs, err)
+		if g := &m.groups[active[k]]; !g.suspect {
+			g.cnt.Inc(stats.CntQueryPanic)
+			m.recoverLocked(g)
 		}
+		joinedErrs = append(joinedErrs, err)
 	}
-	// Detach the per-source change recorders.
-	for _, at := range attach {
-		at.st.dirty = nil
-	}
-	// Fold each processed query's per-batch delta into the merged view.
-	// Every counter movement of this batch — recovery recomputes included —
-	// is captured in the deltas, so this is equivalent to (but much cheaper
-	// than) a full reset-and-re-add across all queries. Skipped queries
-	// moved nothing.
+	// Detach the change recorders, fold each processed group's batch delta
+	// into the merged view — every counter movement of this batch, recovery
+	// recomputes included, is captured in the deltas — and report.
+	var results []Result
 	if wantResults {
-		for _, i := range active {
-			m.cnt.AddDelta(m.cnts[i], results[i].cntDelta)
+		results = make([]Result, len(m.queries))
+	}
+	for k, gi := range active {
+		g := &m.groups[gi]
+		g.st.dirty = nil
+		var delta []int64
+		if wantResults {
+			delta = g.cnt.DenseDelta(m.beforeBufs[gi])
+		} else {
+			m.deltaBuf = g.cnt.AppendDenseDelta(m.deltaBuf[:0], m.beforeBufs[gi])
+			delta = m.deltaBuf
 		}
-	} else {
-		for _, i := range active {
-			m.deltaBuf = m.cnts[i].AppendDenseDelta(m.deltaBuf[:0], m.beforeBufs[i])
-			m.cnt.AddDelta(m.cnts[i], m.deltaBuf)
+		m.cnt.AddDelta(g.cnt, delta)
+		if wantResults {
+			for _, i := range g.members {
+				results[i] = Result{Answer: m.answerLocked(i), Response: spans[k].response,
+					Converged: spans[k].converged, Err: errs[k], cntSrc: g.cnt, cntDelta: delta}
+			}
 		}
 	}
 	if skipped > 0 {
@@ -856,34 +683,29 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		m.cnt.Add(stats.CntUpdateSkipGroups, int64(skippedGroups))
 	}
 
-	// Materialise the requested report.
 	var delta BatchDelta
 	if wantResults {
-		// Skipped queries still get a Result — same length, same order, as
-		// every ApplyBatch caller expects — but it is assembled from O(1)
-		// reads: the (unchanged) answer and the shared span.
-		if skipped > 0 {
-			for i := range m.states {
-				if results[i].cntSrc == nil {
-					// Not filled by the processed loops above: skipped.
-					results[i] = Result{
-						Answer:    m.states[i].answer(),
-						Response:  sharedSpan,
-						Converged: sharedSpan,
-						Skipped:   true,
-						cntSrc:    m.cnts[i],
-					}
-				}
+		// Queries of unprocessed groups still get a Result — same length,
+		// same order, as every ApplyBatch caller expects — assembled from
+		// O(1) reads: the (unchanged) answer and the shared span.
+		for i := range results {
+			if g := &m.groups[m.inGroup[i]]; results[i].cntSrc == nil {
+				results[i] = Result{Answer: m.answerLocked(i), Response: sharedSpan,
+					Converged: sharedSpan, Skipped: !g.suspect, cntSrc: g.cnt}
 			}
 		}
 		return results, delta
 	}
 	delta.Skipped = skipped
-	delta.Processed = len(active)
+	delta.Processed = processed
 	delta.Err = errors.Join(joinedErrs...)
-	for k, i := range active {
-		if errs[k] != nil || m.states[i].answer() != preAns[k] {
-			delta.Changed = append(delta.Changed, ChangedAnswer{Index: i, Value: m.states[i].answer()})
+	j := 0
+	for k, gi := range active {
+		for _, i := range m.groups[gi].members {
+			if ans := m.answerLocked(i); errs[k] != nil || ans != preAns[j] {
+				delta.Changed = append(delta.Changed, ChangedAnswer{Index: i, Value: ans})
+			}
+			j++
 		}
 	}
 	slices.SortFunc(delta.Changed, func(a, b ChangedAnswer) int { return a.Index - b.Index })
@@ -891,17 +713,16 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 }
 
 // groupUnaffectedLocked reports whether every normalized event of nb is
-// useless (Algorithm 1) against the converged values of the group's
-// representative query rep — the per-source skip test. A plugin panic
-// during the scan is returned as an error: the group conservatively runs
-// the full machinery and the caller charges the panic to rep, whose
-// recovery path owns the failure.
-func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffected bool, err error) {
-	st := m.states[rep]
+// useless (Algorithm 1) against g's converged values — the per-source skip
+// test. A plugin panic during the scan is returned as an error: the group
+// conservatively runs the full machinery and the caller charges the panic
+// to it, whose recovery path owns the failure.
+func (m *MultiCISO) groupUnaffectedLocked(g *sourceGroup, nb NormalizedBatch) (unaffected bool, err error) {
+	st := g.st
 	defer func() {
 		if r := recover(); r != nil {
 			unaffected = false
-			err = fmt.Errorf("multiciso: query %d %v panicked: %v", rep, m.queries[rep], r)
+			err = groupPanic(g, r)
 		}
 	}()
 	for _, up := range nb.Adds {
@@ -920,6 +741,11 @@ func (m *MultiCISO) groupUnaffectedLocked(rep int, nb NormalizedBatch) (unaffect
 		}
 	}
 	return true, nil
+}
+
+// groupPanic is the error a recovered panic inside g's processing becomes.
+func groupPanic(g *sourceGroup, r any) error {
+	return fmt.Errorf("multiciso: source %d (%d queries) panicked: %v", g.st.src, len(g.members), r)
 }
 
 // ChangeSummaries returns the per-source change summaries of the
@@ -941,36 +767,30 @@ func (m *MultiCISO) ChangeSummaries() []ChangeSummary {
 	return out
 }
 
-// forEachQuery runs f(k, idxs[k]) for every listed query whose errs[k] entry
+// forEachGroup runs f(k, state) for every listed group whose errs[k] entry
 // is still nil on a bounded worker pool: min(workers, len(idxs)) goroutines
 // pull positions from a shared cursor, each owning one scratch slot which it
-// attaches to a query's state for the duration of f. Each query touches only
+// attaches to a group's state for the duration of f. Each group touches only
 // its own state and counters; the shared topology is read-only inside f. A
 // panic inside f is recovered into errs[k] (and the slot's scratch
 // scrubbed); the pool always drains. With change-driven skipping, idxs is
-// the batch's processed subset — the pool never touches skipped queries.
-func (m *MultiCISO) forEachQuery(idxs []int, errs []error, f func(k, i int)) {
-	w := m.workers
-	if w < 1 {
-		w = 1
-	}
-	if w > len(idxs) {
-		w = len(idxs)
-	}
+// the batch's processed subset — the pool never touches skipped groups.
+func (m *MultiCISO) forEachGroup(idxs []int, errs []error, f func(k int, st *state)) {
+	w := min(max(m.workers, 1), len(idxs))
 	m.ensureScratches(w)
 	run := func(slot, k int) {
-		i := idxs[k]
-		st := m.states[i]
+		g := &m.groups[idxs[k]]
+		st := g.st
 		st.sc = m.scs[slot]
 		defer func() {
 			if r := recover(); r != nil {
-				errs[k] = fmt.Errorf("multiciso: query %d %v panicked: %v", i, m.queries[i], r)
+				errs[k] = groupPanic(g, r)
 				m.scs[slot].clear() // a mid-flight panic leaves marks behind
 			}
 			st.flush() // a panicking phase loses no counts and leaves none behind
 			st.sc = nil
 		}()
-		f(k, i)
+		f(k, st)
 	}
 	if w <= 1 {
 		for k := range idxs {
@@ -1002,38 +822,41 @@ func (m *MultiCISO) forEachQuery(idxs []int, errs []error, f func(k, i int)) {
 
 // ensureScratches guarantees w armed scratch slots for the current topology.
 func (m *MultiCISO) ensureScratches(w int) {
-	if w < 1 {
-		w = 1
-	}
 	n := m.g.NumVertices()
-	for len(m.scs) < w {
+	for len(m.scs) < max(w, 1) {
 		m.scs = append(m.scs, newScratch(m.a, n))
 	}
 }
 
-// repairState restores query i to a consistent converged state after a
-// recovered panic interrupted its processing mid-propagation: scratch marks
-// are cleared and the query recomputes from scratch against the shared
-// topology (which only mutates on the caller's goroutine, outside the
-// per-query phases, so it is always consistent here). If the recompute
-// itself panics the state stays degraded and the query is marked suspect —
-// excluded from change-driven skipping and from representing its source
-// group — until a later recovery converges; the error remains on the
-// result.
-func (m *MultiCISO) repairState(i int) {
-	ok := false
-	defer func() {
-		_ = recover()
-		m.setSuspectLocked(i, !ok)
-	}()
+// recoverLocked recomputes g's state from scratch on the shared topology —
+// after a recovered panic interrupted its processing mid-propagation (the
+// topology only mutates on the caller's goroutine, outside the phases, so it
+// is always consistent here), or to heal a suspect group. A recompute that
+// itself panics leaves the state degraded and the group suspect: never
+// skipped, its phases suppressed, retried on the next batch that reaches it
+// and then after waits of 1, 2, 4, … up to maxHealWait batches. A success
+// clears the mark.
+func (m *MultiCISO) recoverLocked(g *sourceGroup) (err error) {
 	m.ensureScratches(1)
-	st := m.states[i]
+	st := g.st
 	st.sc = m.scs[0]
 	defer func() {
+		if r := recover(); r != nil {
+			err = groupPanic(g, r)
+			st.sc.clear()
+		}
 		st.flush()
 		st.sc = nil
+		switch {
+		case err == nil:
+			g.suspect = false
+		case g.suspect:
+			g.heal, g.backoff = g.backoff, min(2*g.backoff, maxHealWait)
+		default:
+			g.suspect, g.heal, g.backoff = true, 0, 1
+		}
 	}()
 	st.sc.clear()
 	st.fullCompute()
-	ok = true
+	return nil
 }

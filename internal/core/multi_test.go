@@ -48,7 +48,7 @@ func TestMultiCISOMatchesIndependentEngines(t *testing.T) {
 					t.Fatalf("%s batch %d query %v: multi=%v single=%v",
 						a.Name(), bi, q, rs[i].Answer, want)
 				}
-				checkInvariant(t, multi.states[i])
+				checkInvariant(t, multi.stateOf(i))
 			}
 		}
 	}
@@ -257,7 +257,7 @@ func TestMultiCISOQueryPanicRecovery(t *testing.T) {
 							t.Errorf("%s batch %d query %d: answer %v, want %v (err=%v)",
 								name, bi, i, rs[i].Answer, want, rs[i].Err)
 						}
-						checkInvariant(t, m.states[i])
+						checkInvariant(t, m.stateOf(i))
 					}
 					if bi == 2 && nErr != 1 {
 						t.Errorf("%s: %d errored results on the panic batch, want 1", name, nErr)

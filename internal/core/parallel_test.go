@@ -33,11 +33,11 @@ func assertStateMatchesSerial(t *testing.T, label string, ref, par *state) {
 	// within n hops — no self-supporting parent cycles.
 	for v := 0; v < n; v++ {
 		x := graph.VertexID(v)
-		if x == par.q.S || !algo.Reached(par.a, par.val[x]) {
+		if x == par.src || !algo.Reached(par.a, par.val[x]) {
 			continue
 		}
 		hops := 0
-		for x != par.q.S {
+		for x != par.src {
 			x = par.parent[x]
 			if x == graph.NoVertex {
 				t.Fatalf("%s: vertex %d: reached but parent chain dead-ends", label, v)
@@ -179,14 +179,14 @@ func TestParallelColdStartMatchesSerial(t *testing.T) {
 		par := NewMultiCISO(WithPropagateWorkers(8), WithParallelFrontierMin(1))
 		ref.Reset(w.Initial().Clone(), a, queries)
 		par.Reset(w.Initial().Clone(), a, queries)
-		assertStateMatchesSerial(t, a.Name(), ref.states[0], par.states[0])
+		assertStateMatchesSerial(t, a.Name(), ref.stateOf(0), par.stateOf(0))
 		// Late registration takes the same parallel cold-start path.
 		ri, rans := ref.AddQuery(Query{S: p[1], D: p[0]})
 		pi, pans := par.AddQuery(Query{S: p[1], D: p[0]})
 		if ri != pi || rans != pans {
 			t.Fatalf("%s: AddQuery diverged: (%d,%v) vs (%d,%v)", a.Name(), ri, rans, pi, pans)
 		}
-		assertStateMatchesSerial(t, a.Name(), ref.states[ri], par.states[pi])
+		assertStateMatchesSerial(t, a.Name(), ref.stateOf(ri), par.stateOf(pi))
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "cisgraph/internal/graph"
+import (
+	"cisgraph/internal/algo"
+	"cisgraph/internal/graph"
+)
 
 // The propagator stage: monotonic best-first propagation (relaxEdge/drain)
 // and KickStarter-style deletion recovery (repairVertex + tagging) over the
@@ -11,7 +14,7 @@ import "cisgraph/internal/graph"
 // The source vertex is pinned and never updated.
 func (st *state) relaxEdge(u, v graph.VertexID, w float64) bool {
 	st.tally[tRelax]++
-	if v == st.q.S {
+	if v == st.src {
 		return false
 	}
 	t := st.op.extend(st.val[u], w)
@@ -106,55 +109,106 @@ func (st *state) processAdditions(adds []graph.Update) {
 //
 // Otherwise the region transitively derived from v is tagged through parent
 // pointers — the KickStarter-style tagging overhead the paper attributes to
-// deletions. A region of v alone (a leaf of the dependency tree) is repaired
-// from the scan already made; a larger one is trimmed, seeded and drained.
+// deletions — and repaired (repairHeads).
 func (st *state) repairVertex(v graph.VertexID) bool {
-	if v == st.q.S {
+	if v == st.src {
 		return false // the source is pinned
 	}
 	old := st.val[v]
 	if !st.op.reached(old) {
 		return false // nothing to lose
 	}
+	if h, adopted := st.scanSuppliers(v, old); !adopted {
+		st.sc.inSet[v] = true
+		st.sc.heads = append(st.sc.heads[:0], h)
+		st.repairHeads()
+	}
+	st.flush()
+	return st.val[v] != old
+}
+
+// headScan is a repair root's supplier scan: the best value its
+// in-neighbours offer and the first supplier offering it.
+type headScan struct {
+	v, parent graph.VertexID
+	best      algo.Value
+	// inRegion: v is repaired with the region — some vertex derives from it,
+	// or its best supplier lies in the region.
+	inRegion bool
+}
+
+// scanSuppliers is a repair's first scan of In(v), whose value old lost a
+// supplier: it returns the best value the in-neighbours offer and its first
+// supplier, and adopts in place a supplier still offering exactly old that
+// provably does not derive from v (the certificates above), reporting
+// whether it did.
+func (st *state) scanSuppliers(v graph.VertexID, old algo.Value) (h headScan, adopted bool) {
 	cand := st.sc.buf[:0]
-	best, bestParent := st.op.init, graph.NoVertex
+	h = headScan{v: v, parent: graph.NoVertex, best: st.op.init}
 	for _, e := range st.g.In(v) {
 		if e.To == v {
 			continue // a self-loop supplies nothing
 		}
 		st.tally[tRelax]++
 		t := st.op.extend(st.val[e.To], e.W)
-		if st.op.better(t, best) {
-			best, bestParent = t, e.To
+		if st.op.better(t, h.best) {
+			h.best, h.parent = t, e.To
 		}
 		if t == old {
 			cand = append(cand, e.To)
 		}
 	}
 	st.sc.buf = cand
-	if best == old {
+	if h.best == old {
 		for _, y := range cand {
 			if st.op.better(st.val[y], old) || !st.chainPasses(y, v) {
 				st.adoptParent(v, y)
-				st.flush()
-				return false
+				return h, true
 			}
 		}
 	}
-	region := st.tagDependents(v)
-	if len(region) == 1 {
-		// Leaf: no vertex derives from v, so every in-neighbour's value
-		// stands and (best, bestParent) is v's repaired state. It is no better
-		// than old, so no out-neighbour can improve: nothing to drain.
-		st.tally[tLeaf]++
-		st.sc.inSet[v] = false
-		st.setVertex(v, best, bestParent)
-	} else {
-		st.tally[tRegion]++
-		st.repairRegion(region)
+	return h, false
+}
+
+// repairHeads repairs the roots in sc.heads — each marked in inSet and left
+// without a certified supplier — and everything deriving from them. Their
+// dependents are tagged in one BFS. A root nothing derives from (a leaf of
+// the dependency tree) whose best supplier lies outside the tagged region
+// takes (best, parent) from its own scan; the rest of the region is
+// trimmed, seeded and drained once.
+func (st *state) repairHeads() {
+	sc := st.sc
+	sc.buf = sc.buf[:0]
+	for _, h := range sc.heads {
+		sc.buf = append(sc.buf, h.v)
 	}
-	st.flush()
-	return st.val[v] != old
+	region := st.tagDependents()
+	// Leaf roots: no vertex derives from one, and every in-neighbour outside
+	// the region holds its final value while those inside can only get
+	// worse, so a best supplier outside the region makes the scan's
+	// (best, parent) the root's repaired state. It is no better than the old
+	// value, so it improves no out-neighbour: no drain is owed, and the
+	// region's trim reads it as a final supplier. Decided before any root is
+	// unmarked: a root's scan read the others' old values.
+	for i := range sc.heads {
+		if h := &sc.heads[i]; h.parent != graph.NoVertex && sc.inSet[h.parent] {
+			h.inRegion = true
+		}
+	}
+	rest := region[:0]
+	for i, x := range region {
+		if i < len(sc.heads) && !sc.heads[i].inRegion {
+			st.tally[tLeaf]++
+			sc.inSet[x] = false
+			st.setVertex(x, sc.heads[i].best, sc.heads[i].parent)
+			continue
+		}
+		rest = append(rest, x)
+	}
+	if len(rest) > 0 {
+		st.tally[tRegion]++
+		st.repairRegion(rest)
+	}
 }
 
 // repairRegion re-converges a tagged region (in dependence, i.e. BFS, order;
@@ -232,19 +286,25 @@ func (st *state) chainPasses(y, v graph.VertexID) bool {
 	return true
 }
 
-// tagDependents collects v plus every vertex whose value transitively
-// depends on v through parent pointers. It marks the region in the scratch's
-// inSet (callers must clear the marks) and counts tagged vertices.
-func (st *state) tagDependents(v graph.VertexID) []graph.VertexID {
+// tagDependents extends the roots in sc.buf — sc.heads' vertices, in order,
+// already marked in inSet — with every vertex whose value transitively
+// depends on one of them through parent pointers, in one BFS that visits
+// each vertex once, and sets inRegion on the heads something derives from.
+// It marks the region in inSet (callers must clear the marks) and counts
+// tagged vertices.
+func (st *state) tagDependents() []graph.VertexID {
 	sc := st.sc
-	sc.buf = sc.buf[:0]
-	sc.buf = append(sc.buf, v)
-	sc.inSet[v] = true
 	for i := 0; i < len(sc.buf); i++ {
 		x := sc.buf[i]
 		st.tally[tTagged]++
 		for _, e := range st.g.Out(x) {
-			if !sc.inSet[e.To] && st.parent[e.To] == x {
+			if st.parent[e.To] != x {
+				continue
+			}
+			if i < len(sc.heads) {
+				sc.heads[i].inRegion = true
+			}
+			if !sc.inSet[e.To] {
 				sc.inSet[e.To] = true
 				sc.buf = append(sc.buf, e.To)
 			}

@@ -92,12 +92,12 @@ type parWorkerScratch struct {
 }
 
 // parPanic carries a worker goroutine's panic value to the coordinator so
-// it can re-panic on the query's own goroutine (where MultiCISO's per-query
+// it can re-panic on the state's own goroutine (where MultiCISO's per-group
 // recovery and the engines' repair paths live) after the phase barrier.
 type parPanic struct{ r any }
 
 // parScratch is the parallel propagator's working set, hung off the
-// execution scratch so MultiCISO pays O(V) per worker slot, not per query.
+// execution scratch so MultiCISO pays O(V) per worker slot, not per source.
 type parScratch struct {
 	// round is the monotone round counter. Stamps compare against it, so
 	// neither stamp array is ever cleared between drains.
@@ -348,7 +348,7 @@ func (p *parallelPropagator) takeAll(st *state, ps *parScratch) {
 
 // relaxWorkerGo is the spawned-worker wrapper: barrier bookkeeping plus
 // panic capture (a bare panic on a worker goroutine would kill the process
-// instead of reaching the engines' per-query recovery).
+// instead of reaching the engines' recovery).
 func (p *parallelPropagator) relaxWorkerGo(st *state, ps *parScratch, slot int) {
 	defer ps.wg.Done()
 	defer func() {
@@ -369,7 +369,7 @@ func (p *parallelPropagator) relaxWorker(st *state, ps *parScratch, slot int) {
 	ws := &ps.workers[slot]
 	claims := ws.claims[:0]
 	improved := ws.improved[:0]
-	op, g, src := &st.op, st.g, st.q.S
+	op, g, src := &st.op, st.g, st.src
 	round, frontier := ps.round, ps.frontier
 	var nRelax, nState, nRetry int64
 	for {

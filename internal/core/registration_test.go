@@ -28,25 +28,27 @@ func sharedSourceQueries(w *stream.Workload, nq, sources int) []Query {
 	return qs
 }
 
-// sameState fails unless got's values and parents equal want's exactly.
-func sameState(t *testing.T, label string, got, want *state) {
+// sameState fails unless got's values equal want's exactly, and — when
+// parents is set — its parents too.
+func sameState(t *testing.T, label string, got, want *state, parents bool) {
 	t.Helper()
 	for v := range want.val {
-		if got.val[v] != want.val[v] || got.parent[v] != want.parent[v] {
-			t.Fatalf("%s: vertex %d = (%v, parent %d), independent cold start (%v, parent %d)",
+		if got.val[v] != want.val[v] || parents && got.parent[v] != want.parent[v] {
+			t.Fatalf("%s: vertex %d = (%v, parent %d), independent engine (%v, parent %d)",
 				label, v, got.val[v], got.parent[v], want.val[v], want.parent[v])
 		}
 	}
 }
 
-// TestRegistrationEquivalence pins same-source registration sharing
-// (DESIGN.md §11.3). The reference is one single-query MultiCISO per query,
-// so every reference query cold-starts. The shared engine must hold the
-// reference's exact values and parents after Reset, after every
-// registration and after every batch, and report the same answers and
-// per-query classification counts. Reset over S distinct sources costs
-// exactly S cold starts; a same-epoch registration costs none, and one made
-// after a mutating batch costs exactly one.
+// TestRegistrationEquivalence pins the one-state-per-source contract
+// (DESIGN.md §11.3). The reference is one single-query MultiCISO per query.
+// After Reset, every registration and every batch, each query's answer and
+// its group's values must equal its reference's, and every group state must
+// pass the invariant audit; a one-member group must also hold the
+// reference's exact parents and report its classification counts. Reset
+// over S distinct sources relaxes exactly S cold starts, a same-source
+// registration after mutating batches relaxes nothing, and a new source
+// costs exactly one cold start.
 func TestRegistrationEquivalence(t *testing.T) {
 	classNames := []string{stats.CntUpdateValuable, stats.CntUpdateDelayed,
 		stats.CntUpdateUseless, stats.CntUpdatePromoted}
@@ -61,31 +63,66 @@ func TestRegistrationEquivalence(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s seed %d", a.Name(), seed)
 			qs := sharedSourceQueries(w, 8, 3)
+			sources := map[graph.VertexID]bool{}
+			for _, q := range qs {
+				sources[q.S] = true
+			}
+			// Two lone sources now, one more registered after the batches.
+			var lone []Query
+			for _, p := range w.QueryPairs(40)[8:] {
+				if !sources[p[0]] && len(lone) < 3 {
+					sources[p[0]] = true
+					lone = append(lone, Query{S: p[0], D: p[1]})
+				}
+			}
+			qs = append(qs, lone[:2]...)
 			init := w.Initial()
 			m := NewMultiCISO()
 			m.Reset(init.Clone(), a, qs)
 			var refs []*MultiCISO
 			var coldRelax int64
-			sources := map[graph.VertexID]bool{}
-			for i, q := range qs {
+			seen := map[graph.VertexID]bool{}
+			for _, q := range qs {
 				ref := NewMultiCISO()
 				ref.Reset(init.Clone(), a, []Query{q})
 				refs = append(refs, ref)
-				if !sources[q.S] {
-					sources[q.S] = true
+				if !seen[q.S] {
+					seen[q.S] = true
 					coldRelax += ref.Counters().Get(stats.CntRelax)
 				}
-				sameState(t, fmt.Sprintf("%s: Reset query %d", label, i), m.states[i], ref.states[0])
 			}
+			check := func(where string, rm []Result, rr [][]Result) {
+				t.Helper()
+				for i, q := range qs {
+					g := &m.groups[m.inGroup[i]]
+					at := fmt.Sprintf("%s query %d %v", where, i, q)
+					if got, want := m.AnswerOf(i), refs[i].AnswerOf(0); got != want {
+						t.Fatalf("%s: answer %v, reference %v", at, got, want)
+					}
+					alone := len(g.members) == 1
+					sameState(t, at, g.st, refs[i].stateOf(0), alone)
+					checkInvariant(t, g.st)
+					if rm == nil || !alone {
+						continue
+					}
+					cm, cr := rm[i].Counters(), rr[i][0].Counters()
+					for _, name := range classNames {
+						if cm[name] != cr[name] {
+							t.Fatalf("%s: %s = %d, reference %d", at, name, cm[name], cr[name])
+						}
+					}
+				}
+			}
+			check(label+": Reset", nil, nil)
 			if got := m.Counters().Get(stats.CntRelax); got != coldRelax {
 				t.Fatalf("%s: Reset of %d queries over %d sources relaxed %d, %d cold starts relax %d",
-					label, len(qs), len(sources), got, len(sources), coldRelax)
+					label, len(qs), len(seen), got, len(seen), coldRelax)
 			}
 
 			// Late registrations get an empty reference engine that follows
 			// the stream from the start, so its topology evolves exactly like
 			// m's, and registers its query when m does.
-			late := []Query{{S: qs[0].S, D: qs[1].D}, {S: qs[1].S, D: qs[0].D}, {S: qs[1].S, D: qs[2].D}}
+			late := []Query{{S: qs[0].S, D: qs[1].D}, {S: qs[1].S, D: qs[0].D}, lone[2]}
 			pending := make([]*MultiCISO, len(late))
 			for k := range late {
 				pending[k] = NewMultiCISO()
@@ -103,7 +140,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 				if ans != want {
 					t.Fatalf("%s: answer %v, independent cold start %v", where, ans, want)
 				}
-				sameState(t, where, m.states[i], ref.states[0])
+				check(where, nil, nil)
 				wantRelax := int64(0)
 				if cold {
 					wantRelax = ref.Counters().Get(stats.CntRelax)
@@ -112,7 +149,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 					t.Fatalf("%s: relaxed %d, want %d (cold start: %v)", where, got, wantRelax, cold)
 				}
 			}
-			register(0, false) // same epoch as Reset: copies qs[0]'s cold start
+			register(0, false) // joins qs[0]'s group at the Reset epoch
 
 			for bi := 0; bi < 4; bi++ {
 				batch := w.NextBatch()
@@ -127,28 +164,15 @@ func TestRegistrationEquivalence(t *testing.T) {
 						ref.ApplyBatch(batch)
 					}
 				}
-				for i := range qs {
-					where := fmt.Sprintf("%s batch %d query %d", label, bi, i)
-					if rm[i].Answer != rr[i][0].Answer {
-						t.Fatalf("%s: answer %v, reference %v", where, rm[i].Answer, rr[i][0].Answer)
-					}
-					cm, cr := rm[i].Counters(), rr[i][0].Counters()
-					for _, name := range classNames {
-						if cm[name] != cr[name] {
-							t.Fatalf("%s: %s = %d, reference %d", where, name, cm[name], cr[name])
-						}
-					}
-					sameState(t, where, m.states[i], refs[i].states[0])
-				}
+				check(fmt.Sprintf("%s batch %d", label, bi), rm, rr)
 				if bi == 1 {
 					if m.epoch == epoch {
 						t.Fatalf("%s: batch %d did not mutate the topology", label, bi)
 					}
-					// qs[1].S has siblings maintained across two batches; the
-					// first registration must still cold-start, the second
-					// copies it.
-					register(1, true)
-					register(2, false)
+					// After mutating batches a same-source registration still
+					// joins for free; a new source cold-starts once.
+					register(1, false)
+					register(2, true)
 				}
 			}
 		}
@@ -176,11 +200,11 @@ func TestAddQueriesMatchesAddQueryLoop(t *testing.T) {
 		bulk.Reset(init.Clone(), algo.PPSP{}, pre)
 		same := func(where string) {
 			t.Helper()
-			if len(loop.states) != len(bulk.states) {
-				t.Fatalf("%s: %d queries, loop has %d", where, len(bulk.states), len(loop.states))
+			if len(loop.queries) != len(bulk.queries) {
+				t.Fatalf("%s: %d queries, loop has %d", where, len(bulk.queries), len(loop.queries))
 			}
-			for i := range loop.states {
-				sameState(t, fmt.Sprintf("%s query %d", where, i), bulk.states[i], loop.states[i])
+			for i := range loop.queries {
+				sameState(t, fmt.Sprintf("%s query %d", where, i), bulk.stateOf(i), loop.stateOf(i), true)
 			}
 			ls, bs := loop.Counters().Snapshot(), bulk.Counters().Snapshot()
 			for name, v := range ls {

@@ -36,15 +36,16 @@ func kernelConfigs() []kernelConfig {
 // its between-operations state.
 func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 	t.Helper()
-	for i, st := range m.states {
-		ref := newState(m.g, m.a, st.q, stats.NewCounters())
+	for gi, g := range m.groups {
+		st := g.st
+		ref := newState(m.g, m.a, Query{S: st.src}, stats.NewCounters())
 		ref.fullCompute()
-		assertStateMatchesSerial(t, fmt.Sprintf("%s query %d", label, i), ref, st)
+		assertStateMatchesSerial(t, fmt.Sprintf("%s group %d", label, gi), ref, st)
 		if st.tally != [numTallies]int64{} {
-			t.Fatalf("%s query %d: unflushed tallies %v", label, i, st.tally)
+			t.Fatalf("%s group %d: unflushed tallies %v", label, gi, st.tally)
 		}
 		if st.sc != nil || st.dirty != nil {
-			t.Fatalf("%s query %d: scratch or change recorder still attached", label, i)
+			t.Fatalf("%s group %d: scratch or change recorder still attached", label, gi)
 		}
 	}
 	for slot, sc := range m.scs {
@@ -172,6 +173,64 @@ func repairShapes() []repairShape {
 			},
 		},
 		{
+			// Two delayed heads, 5 inside 3's subtree (3→4→5 before 4→5 goes),
+			// and 5's best remaining supplier is 3: phase D makes one region of
+			// both and drains it once.
+			name: "nested-delayed-heads",
+			n:    7,
+			edges: [][3]int{{0, 1, 1}, {0, 6, 1}, {0, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1},
+				{3, 5, 5}, {0, 3, 5}, {0, 5, 9}},
+			q:       Query{S: 0, D: 6},
+			batches: [][]graph.Update{{graph.Del(2, 3, 1), graph.Del(4, 5, 1)}},
+			check: func(t *testing.T, st *state, moved map[string]int64) {
+				if moved[stats.CntUpdateDelayed] != 2 || moved[stats.CntRepairRegion] != 1 ||
+					moved[stats.CntRepairLeaf] != 0 || moved[stats.CntTagged] != 3 {
+					t.Fatalf("one phase-D region over 3, 4 and 5 expected, moved %v", moved)
+				}
+				if st.val[3] != 5 || st.val[4] != 6 || st.val[5] != 9 || st.parent[5] != 0 {
+					t.Fatalf("3, 4, 5 = %v, %v, (%v, %d), want 5, 6, (9, 0)", st.val[3], st.val[4], st.val[5], st.parent[5])
+				}
+			},
+		},
+		{
+			// The same heads, but 5's best remaining supplier 0 is outside 3's
+			// region: 5 is repaired as a leaf from its scan, 3 and 4 as a
+			// region that reads 5 as final.
+			name: "delayed-leaf-beside-region",
+			n:    7,
+			edges: [][3]int{{0, 1, 1}, {0, 6, 1}, {0, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1},
+				{0, 3, 5}, {0, 5, 9}},
+			q:       Query{S: 0, D: 6},
+			batches: [][]graph.Update{{graph.Del(2, 3, 1), graph.Del(4, 5, 1)}},
+			check: func(t *testing.T, st *state, moved map[string]int64) {
+				if moved[stats.CntRepairRegion] != 1 || moved[stats.CntRepairLeaf] != 1 || moved[stats.CntTagged] != 3 {
+					t.Fatalf("a phase-D leaf (5) beside a region (3, 4) expected, moved %v", moved)
+				}
+				if st.val[3] != 5 || st.val[4] != 6 || st.val[5] != 9 || st.parent[5] != 0 {
+					t.Fatalf("3, 4, 5 = %v, %v, (%v, %d), want 5, 6, (9, 0)", st.val[3], st.val[4], st.val[5], st.parent[5])
+				}
+			},
+		},
+		{
+			// Delayed head 6 loses its parent 5 and adopts its tie supplier 4,
+			// which derives from the other pending head 3: the region tagged
+			// from 3 must take 6 along (6 falls from 4 to 12).
+			name: "supplier-below-pending-head",
+			n:    8,
+			edges: [][3]int{{0, 1, 1}, {0, 7, 1}, {0, 2, 1}, {2, 3, 1}, {0, 3, 10}, {3, 4, 1},
+				{0, 5, 1}, {5, 6, 3}, {4, 6, 1}, {0, 6, 20}},
+			q:       Query{S: 0, D: 7},
+			batches: [][]graph.Update{{graph.Del(2, 3, 1), graph.Del(5, 6, 3)}},
+			check: func(t *testing.T, st *state, moved map[string]int64) {
+				if moved[stats.CntUpdateDelayed] != 2 || moved[stats.CntRepairRegion] != 1 || moved[stats.CntTagged] != 3 {
+					t.Fatalf("one phase-D region over 3, 4 and 6 expected, moved %v", moved)
+				}
+				if st.val[6] != 12 || st.parent[6] != 4 {
+					t.Fatalf("6 is (%v, %d), want (12, 4)", st.val[6], st.parent[6])
+				}
+			},
+		},
+		{
 			// One batch improves 3 twice (9 → 6 → 3) before the single drain.
 			name:    "double-improvement",
 			n:       5,
@@ -213,53 +272,113 @@ func TestRepairKernelDifferential(t *testing.T) {
 				assertKernelQuiescent(t, label+" reset", m)
 				var before map[string]int64
 				for bi, batch := range sh.batches {
-					before = m.cnts[0].Snapshot()
+					before = m.groups[0].cnt.Snapshot()
 					if d := m.ApplyBatchDelta(batch); d.Err != nil {
 						t.Fatalf("%s batch %d: %v", label, bi, d.Err)
 					}
 					assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, bi), m)
 				}
 				if sh.check != nil && a.Name() == "PPSP" && cfg.name == "serial" {
-					sh.check(t, m.states[0], m.cnts[0].Diff(before))
+					sh.check(t, m.groups[0].st, m.groups[0].cnt.Diff(before))
 				}
 			}
-			for _, seed := range []int64{5, 23} {
-				label := fmt.Sprintf("%s/%s/stream %d", a.Name(), cfg.name, seed)
+			// Phases C and D run the same branches, so the engine's counters
+			// cannot tell whose repair was a leaf and whose a region: a twin
+			// engine driven phase by phase attributes them.
+			var cover [2][2]int64 // [phase C, phase D][leaf, region]
+			for _, run := range []struct {
+				seed int64
+				dels int
+			}{{5, 50}, {23, 50}, {5, 3}, {23, 3}} {
+				seed := run.seed
+				label := fmt.Sprintf("%s/%s/stream %d/%d", a.Name(), cfg.name, seed, run.dels)
 				ds := graph.RMAT("repair", 7, 900, graph.DefaultRMAT, 8, seed)
 				w, err := stream.New(ds, stream.Config{
-					LoadFraction: 0.6, AddsPerBatch: 10, DelsPerBatch: 50, Seed: seed,
+					LoadFraction: 0.6, AddsPerBatch: 10, DelsPerBatch: run.dels, Seed: seed,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var qs []Query
-				for _, p := range w.QueryPairsConnected(3) {
+				for _, p := range w.QueryPairsConnected(8) {
 					qs = append(qs, Query{S: p[0], D: p[1]})
 				}
-				m := NewMultiCISO(cfg.opts...)
+				m, twin := NewMultiCISO(cfg.opts...), NewMultiCISO(cfg.opts...)
 				m.Reset(w.Initial(), a, qs)
+				twin.Reset(w.Initial(), a, qs)
 				for b := 0; b < 5; b++ {
-					if d := m.ApplyBatchDelta(w.NextBatch()); d.Err != nil {
+					batch := w.NextBatch()
+					if d := m.ApplyBatchDelta(batch); d.Err != nil {
 						t.Fatalf("%s batch %d: %v", label, b, d.Err)
 					}
 					assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, b), m)
+					moved := phaseRepairs(twin, batch)
+					assertKernelQuiescent(t, fmt.Sprintf("%s twin batch %d", label, b), twin)
+					for ph := range cover {
+						for br := range cover[ph] {
+							cover[ph][br] += moved[ph][br]
+						}
+					}
 				}
-				c := m.Counters()
-				if c.Get(stats.CntRepairLeaf) == 0 || c.Get(stats.CntRepairRegion) == 0 {
-					t.Fatalf("%s: stream never reached both repair branches (leaf %d, region %d)",
-						label, c.Get(stats.CntRepairLeaf), c.Get(stats.CntRepairRegion))
+			}
+			for ph, name := range []string{"C", "D"} {
+				if cover[ph][0] == 0 || cover[ph][1] == 0 {
+					t.Fatalf("%s/%s: streams never reached both phase-%s repair branches (leaf %d, region %d)",
+						a.Name(), cfg.name, name, cover[ph][0], cover[ph][1])
 				}
 			}
 		}
 	}
 }
 
-// churnBatches returns an engine at RMAT scale armed with q PPSP queries over
-// q distinct sources, and `batches` steady-state toggle bodies of `size`
+// phaseRepairs applies batch to m through the phase functions
+// applyBatchCoreLocked runs — serially, every group processed — and returns
+// the leaf and region repairs of phase C and of phase D.
+func phaseRepairs(m *MultiCISO, batch []graph.Update) (moved [2][2]int64) {
+	nb := NormalizeBatch(m.g, batch)
+	adds, dels := nb.Adds, nb.Dels
+	for _, up := range nb.Adds {
+		m.g.AddEdge(up.From, up.To, up.W)
+	}
+	for _, rw := range nb.Reweights {
+		m.g.RemoveEdge(rw.From, rw.To)
+		m.g.AddEdge(rw.From, rw.To, rw.NewW)
+		adds = append(adds, graph.Add(rw.From, rw.To, rw.NewW))
+		dels = append(dels, graph.Del(rw.From, rw.To, rw.OldW))
+	}
+	m.ensureScratches(1)
+	for _, g := range m.groups {
+		g.st.sc = m.scs[0]
+		g.st.processAdditions(adds)
+	}
+	for _, up := range nb.Dels {
+		m.g.RemoveEdge(up.From, up.To)
+	}
+	for _, g := range m.groups {
+		st := g.st
+		repairs := func() [2]int64 { return [2]int64{st.h[tLeaf].Value(), st.h[tRegion].Value()} }
+		st.classifyDeletions(dels, true)
+		r0 := repairs()
+		st.repairValuable()
+		r1 := repairs()
+		st.repairDelayed()
+		r2 := repairs()
+		st.sc = nil
+		for br := range moved[0] {
+			moved[0][br] += r1[br] - r0[br]
+			moved[1][br] += r2[br] - r1[br]
+		}
+	}
+	return moved
+}
+
+// churnBatches returns an engine at RMAT scale armed with q PPSP queries
+// spread over the `sources` highest-degree vertices, and `batches`
+// steady-state toggle bodies of `size`
 // updates against it: every update deletes a loaded arc or adds a withheld
 // one and the arc changes pool, so each is valid against what its
 // predecessors left.
-func churnBatches(t *testing.T, scale, q, batches, size int) (*MultiCISO, [][]graph.Update) {
+func churnBatches(t *testing.T, scale, q, sources, batches, size int) (*MultiCISO, [][]graph.Update) {
 	t.Helper()
 	n := 1 << scale
 	el := graph.RMAT("churn", scale, 16*n, graph.DefaultRMAT, 64, 42)
@@ -270,8 +389,9 @@ func churnBatches(t *testing.T, scale, q, batches, size int) (*MultiCISO, [][]gr
 	}
 	g := graph.FromEdgeList(&graph.EdgeList{N: n, Arcs: pools[1]})
 	var qs []Query
-	for _, s := range g.TopDegreeVertices(q) {
-		qs = append(qs, Query{S: s, D: graph.VertexID(rng.Intn(n))})
+	srcs := g.TopDegreeVertices(sources)
+	for i := 0; i < q; i++ {
+		qs = append(qs, Query{S: srcs[i%sources], D: graph.VertexID(rng.Intn(n))})
 	}
 	out := make([][]graph.Update, batches)
 	for b := range out {
@@ -296,45 +416,49 @@ func churnBatches(t *testing.T, scale, q, batches, size int) (*MultiCISO, [][]gr
 
 // TestApplyBatchDeltaAllocCeiling pins the batch machinery's steady-state
 // allocation count: a 512-update churn body against 64 distinct-source
-// queries — normalization, phase lists, key paths, repair scratch and counter
-// deltas all reuse engine-owned memory. What is left is adjacency growth in
-// the topology and the answer-delta report.
+// queries, and against 128 queries over 16 sources — normalization, phase
+// lists, key paths, repair scratch and counter deltas all reuse engine-owned
+// memory. What is left is adjacency growth in the topology and the
+// answer-delta report.
 func TestApplyBatchDeltaAllocCeiling(t *testing.T) {
 	const warm, runs = 8, 16
-	m, batches := churnBatches(t, 12, 64, warm+runs+1, 512)
-	next := 0
-	apply := func() {
-		if d := m.ApplyBatchDelta(batches[next]); d.Err != nil {
-			t.Fatal(d.Err)
+	for _, c := range []struct{ q, sources int }{{64, 64}, {128, 16}} {
+		m, batches := churnBatches(t, 12, c.q, c.sources, warm+runs+1, 512)
+		next := 0
+		apply := func() {
+			if d := m.ApplyBatchDelta(batches[next]); d.Err != nil {
+				t.Fatal(d.Err)
+			}
+			next++
 		}
-		next++
-	}
-	for next < warm {
-		apply()
-	}
-	if allocs := testing.AllocsPerRun(runs, apply); allocs > 128 {
-		t.Fatalf("steady-state ApplyBatchDelta allocates %v objects per 512-update batch, ceiling 128", allocs)
+		for next < warm {
+			apply()
+		}
+		if allocs := testing.AllocsPerRun(runs, apply); allocs > 128 {
+			t.Fatalf("Q=%d over %d sources: steady-state ApplyBatchDelta allocates %v objects per 512-update batch, ceiling 128",
+				c.q, c.sources, allocs)
+		}
 	}
 }
 
 // assertCountersFlushed checks that no state holds an unflushed tally and
-// that, for every counter the per-query sets carry, the merged view equals
+// that, for every counter the per-group sets carry, the merged view equals
 // their sum.
 func assertCountersFlushed(t *testing.T, label string, m *MultiCISO) {
 	t.Helper()
 	sum := map[string]int64{}
-	for i, st := range m.states {
-		if st.tally != [numTallies]int64{} {
-			t.Fatalf("%s: query %d holds unflushed tallies %v", label, i, st.tally)
+	for gi, g := range m.groups {
+		if g.st.tally != [numTallies]int64{} {
+			t.Fatalf("%s: group %d holds unflushed tallies %v", label, gi, g.st.tally)
 		}
-		for name, v := range m.cnts[i].Snapshot() {
+		for name, v := range g.cnt.Snapshot() {
 			sum[name] += v
 		}
 	}
 	merged := m.Counters().Snapshot()
 	for name, want := range sum {
 		if merged[name] != want {
-			t.Fatalf("%s: Counters()[%s] = %d, per-query sets sum to %d", label, name, merged[name], want)
+			t.Fatalf("%s: Counters()[%s] = %d, per-group sets sum to %d", label, name, merged[name], want)
 		}
 	}
 }

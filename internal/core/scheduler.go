@@ -11,20 +11,22 @@ import (
 // identification (classifier) and propagation stages.
 
 // scratch is the per-execution working set: the worklist, the tagging buffer
-// and the membership/key-path mark arrays. None of it survives a query's
+// and the membership/key-path mark arrays. None of it survives a state's
 // processing — between operations the worklist is empty and every mark is
 // false — so MultiCISO shares one scratch per worker slot across all the
-// queries that slot executes, keeping scratch memory O(V × workers) instead
-// of O(V × queries). Single-query engines own one scratch per state.
+// source groups that slot executes, keeping scratch memory O(V × workers)
+// instead of O(V × sources). Single-query engines own one scratch per state.
 type scratch struct {
 	wl     worklist
 	buf    []graph.VertexID // reusable buffer for tagging
 	inSet  []bool           // reusable membership marks, len N, all false between uses
 	onPath []bool           // key-path marks, len N: true exactly on path's vertices
-	path   []graph.VertexID // the key path keyPath last derived, s→…→d
+	path   []graph.VertexID // the key-path union keyPath last derived
 
-	// Region repair (repairVertex): the vertices the trim pass could not
-	// keep, and those it kept only after the first of them was found.
+	// Repairs: the roots' supplier scans (repairHeads), and the vertices the
+	// region trim could not keep and those it kept only after the first of
+	// them was found (repairRegion).
+	heads        []headScan
 	broken, late []graph.VertexID
 	// Phases B–D: the batch's classified deletions awaiting their slot.
 	valuable, delayed []pendingDeletion
@@ -44,7 +46,7 @@ func newScratch(a algo.Algorithm, n int) *scratch {
 }
 
 // clear forces every transient mark back to the between-operations state.
-// Only needed after a recovered panic left a query's processing mid-flight;
+// Only needed after a recovered panic left a state's processing mid-flight;
 // normal operation restores the marks as it goes.
 func (sc *scratch) clear() {
 	sc.wl.reset()
@@ -65,7 +67,8 @@ func (sc *scratch) clear() {
 func (sc *scratch) bytes() int64 {
 	b := int64(len(sc.inSet)) + int64(len(sc.onPath)) +
 		int64(cap(sc.buf)+cap(sc.path)+cap(sc.broken)+cap(sc.late))*4 +
-		int64(cap(sc.valuable)+cap(sc.delayed))*12 + int64(cap(sc.wl.items))*16
+		int64(cap(sc.valuable)+cap(sc.delayed))*12 + int64(cap(sc.wl.items))*16 +
+		int64(cap(sc.heads))*24
 	if sc.par != nil {
 		b += sc.par.bytes()
 	}
@@ -188,7 +191,7 @@ type pendingDeletion struct {
 	done bool // delayed entries only: promoted and repaired in phase C
 }
 
-// classifyDeletions is phase B for one query: derive the key path and sort
+// classifyDeletions is phase B for one state: derive the key paths and sort
 // the batch's deletion events (their topology change already applied) into
 // the scratch's valuable and delayed lists; useless ones are dropped. With
 // classify off every event is valuable, in arrival order (the no-drop
@@ -236,13 +239,30 @@ func (st *state) repairValuable() {
 }
 
 // repairDelayed is phase D: the delayed deletions still pending restore full
-// convergence after the response. It ends the query's batch: the key-path
-// marks are cleared and the phases' tallies flushed.
+// convergence after the response, as one multi-root region repair
+// (DESIGN.md §9.6). Each pending head, in arrival order, gets repairVertex's
+// supplier scan and adopts a certified exact supplier when it has one; the
+// heads left over are marked and repaired together (repairHeads): their
+// dependents are tagged in one BFS, then trimmed and drained once. Every
+// vertex outside the union then derives its old value through existing exact
+// edges that avoid every pending head, so it is final, and repairRegion's
+// trim argument holds with many roots. It ends the batch: the key-path marks
+// are cleared and the phases' tallies flushed.
 func (st *state) repairDelayed() {
-	for _, pd := range st.sc.delayed {
-		if !pd.done {
-			st.repairVertex(pd.v)
+	sc := st.sc
+	sc.heads = sc.heads[:0]
+	for _, pd := range sc.delayed {
+		v := pd.v
+		if pd.done || v == st.src || sc.inSet[v] || !st.op.reached(st.val[v]) {
+			continue
 		}
+		if h, adopted := st.scanSuppliers(v, st.val[v]); !adopted {
+			sc.inSet[v] = true
+			sc.heads = append(sc.heads, h)
+		}
+	}
+	if len(sc.heads) > 0 {
+		st.repairHeads()
 	}
 	st.clearKeyPath()
 	st.flush()

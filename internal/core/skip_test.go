@@ -82,7 +82,7 @@ func TestChangeSkipDifferential(t *testing.T) {
 }
 
 // TestChangeSkipApplyUpdatesDifferential pins the per-update fast path: with
-// skipping on, the group-representative classification scans must route and
+// skipping on, the per-group classification scans must route and
 // answer identically to the exhaustive per-query scans.
 func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	ds := graph.RMAT("skipfp", 8, 2200, graph.DefaultRMAT, 16, 78)

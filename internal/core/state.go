@@ -6,10 +6,10 @@ import (
 	"cisgraph/internal/stats"
 )
 
-// state binds the stages of the incremental-computation kernel for one query
-// (DESIGN.md §11), mirroring the paper's pipeline (§III-A):
+// state binds the stages of the incremental-computation kernel for one
+// source (DESIGN.md §11), mirroring the paper's pipeline (§III-A):
 //
-//   - topology view: g, the shared dynamic graph (read-only inside per-query
+//   - topology view: g, the shared dynamic graph (read-only inside the
 //     phases; mutated only between them by the owning engine);
 //   - vertex state: val and parent, one flat slot per vertex — the values
 //     and the dependency tree (which in-neighbor supplies each value);
@@ -17,7 +17,7 @@ import (
 //     reading the vertex state;
 //   - scheduler + propagator: the worklist and the relax/drain/repair
 //     machinery (scheduler.go, propagate.go), working over transient scratch
-//     that can be shared across queries executed on the same worker.
+//     that can be shared across the states executed on the same worker.
 //
 // Invariant maintained between operations: for every vertex x ≠ source with
 // parent[x] != NoVertex, the edge parent[x]→x exists and
@@ -25,9 +25,13 @@ import (
 // Source() with no parent. This invariant is what makes parent-based
 // deletion tagging exact (DESIGN.md §3.2); tests assert it.
 type state struct {
-	g *graph.Dynamic
-	a algo.Algorithm
-	q Query
+	g   *graph.Dynamic
+	a   algo.Algorithm
+	src graph.VertexID
+	// dests are the destinations whose key paths phase B marks: the one
+	// query of a single-query engine, every member of a MultiCISO source
+	// group (DESIGN.md §11.2).
+	dests []graph.VertexID
 
 	// val[v] is v's value and parent[v] the in-neighbor supplying it
 	// (NoVertex if none). Reads index them directly; writes go through
@@ -48,8 +52,8 @@ type state struct {
 
 	// sc is the execution scratch (worklist + tagging buffers). Single-query
 	// engines own one per state; MultiCISO attaches a per-worker scratch
-	// before running a query's phases, so scratch memory scales with worker
-	// count, not query count.
+	// before running a group's phases, so scratch memory scales with worker
+	// count, not source count.
 	sc *scratch
 
 	// prop is the drain strategy (DESIGN.md §16): serialProp by default;
@@ -59,29 +63,30 @@ type state struct {
 
 	// dirty, when non-nil, records every vertex this state writes into the
 	// batch's per-source change summary (DESIGN.md §15). MultiCISO attaches
-	// it to one representative query per processed source group for the
-	// duration of the batch; single-query engines leave it nil, so the hot
-	// path pays one predicted branch.
+	// it to each processed group's state for the duration of the batch;
+	// single-query engines leave it nil, so the hot path pays one predicted
+	// branch.
 	dirty *ChangeSummary
 }
 
 // newState builds a state with its own scratch and every vertex unreached —
 // the configuration every single-query engine uses.
 func newState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
-	st := newStateOn(newScratch(a, g.NumVertices()), g, a, q, cnt)
+	st := newStateOn(newScratch(a, g.NumVertices()), g, a, q.S, cnt)
+	st.dests = []graph.VertexID{q.D}
 	st.resetAll()
 	return st
 }
 
-// newStateOn binds a state over freshly allocated, zeroed vertex arrays;
-// the caller resets or copies over them. sc may be nil for states whose
-// owner attaches a scratch per execution (MultiCISO).
-func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) *state {
+// newStateOn binds a state for src over freshly allocated, zeroed vertex
+// arrays and no destination; the caller resets or computes over them. sc may
+// be nil for states whose owner attaches a scratch per execution (MultiCISO).
+func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
 	n := g.NumVertices()
 	st := &state{
 		g:      g,
 		a:      a,
-		q:      q,
+		src:    src,
 		val:    make([]algo.Value, n),
 		parent: make([]graph.VertexID, n),
 		op:     resolveOps(a),
@@ -158,11 +163,11 @@ func (st *state) resetAll() {
 		st.val[i] = init
 		st.parent[i] = graph.NoVertex
 	}
-	st.val[st.q.S] = st.a.Source()
+	st.val[st.src] = st.a.Source()
 }
 
-// answer returns the current query answer: the destination's state.
-func (st *state) answer() algo.Value { return st.val[st.q.D] }
+// answer returns a single-query engine's answer: its destination's value.
+func (st *state) answer() algo.Value { return st.val[st.dests[0]] }
 
 // fullCompute converges from scratch on the current topology.
 func (st *state) fullCompute() {
@@ -171,7 +176,7 @@ func (st *state) fullCompute() {
 	}
 	st.resetAll()
 	st.sc.wl.reset()
-	st.sc.wl.push(st.q.S, st.val[st.q.S])
+	st.sc.wl.push(st.src, st.val[st.src])
 	st.drain()
 	st.flush()
 }

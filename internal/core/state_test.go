@@ -15,11 +15,11 @@ import (
 // hold for every vertex whose parent edge still exists.
 func checkInvariant(t *testing.T, st *state) {
 	t.Helper()
-	if st.val[st.q.S] != st.a.Source() {
-		t.Fatalf("source state = %v, want %v", st.val[st.q.S], st.a.Source())
+	if st.val[st.src] != st.a.Source() {
+		t.Fatalf("source state = %v, want %v", st.val[st.src], st.a.Source())
 	}
-	if st.parent[st.q.S] != graph.NoVertex {
-		t.Fatalf("source has parent %d", st.parent[st.q.S])
+	if st.parent[st.src] != graph.NoVertex {
+		t.Fatalf("source has parent %d", st.parent[st.src])
 	}
 	for v := range st.val {
 		p := st.parent[v]

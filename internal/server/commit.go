@@ -97,10 +97,11 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	case o == fromClient && perUpdate:
 		ss := s.san.Stream(topo)
 		clean, out = s.clean[:0], s.out[:0]
+		s.dups = s.dedup.dupRun(recs, s.dups)
 		for i, rec := range recs {
 			v := vDropped
 			switch {
-			case s.dedup.dup(rec.SID, rec.Seq):
+			case s.dups[i]:
 				v = vDuplicate
 				s.h.dedupHits.Inc()
 			case ss.Check(rec.Batch[0]) == "":
@@ -148,9 +149,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	}
 	// Durable: the dedup table may now advance, in commit order, so the live
 	// table always equals the one a crash replay rebuilds.
-	for _, rec := range out {
-		s.dedup.advance(rec.SID, rec.Seq)
-	}
+	s.dedup.advanceRun(out)
 
 	tEng := time.Now()
 	var changed []core.ChangedAnswer

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"cisgraph/internal/resilience"
 )
 
 // dedupSession is one exactly-once ingest session: the highest sequence
@@ -46,34 +48,55 @@ func newDedupTable(capacity int) *dedupTable {
 	}
 }
 
-// dup reports whether (sid, seq) was already accepted. Session id 0 is the
-// untagged sentinel (the JSON batch path) and never deduplicates.
-func (d *dedupTable) dup(sid, seq uint64) bool {
-	if sid == 0 {
-		return false
-	}
+// dupRun reports in out[i] whether recs[i]'s (SID, Seq) was already
+// accepted, under one lock hold: a record of the same session as its
+// predecessor compares against the high-water mark looked up for it. Session
+// id 0 is the untagged sentinel (the JSON batch path): the table never holds
+// it, so it never deduplicates. out is reused and returned.
+func (d *dedupTable) dupRun(recs []resilience.Record, out []bool) []bool {
+	out = out[:0]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	have, ok := d.seq[sid]
-	return ok && seq <= have
+	var sid, have uint64
+	var ok bool
+	for i, rec := range recs {
+		if i == 0 || rec.SID != sid {
+			sid = rec.SID
+			have, ok = d.seq[sid]
+		}
+		out = append(out, ok && rec.Seq <= have)
+	}
+	return out
 }
 
-// advance records that (sid, seq) was accepted and made durable. Call in
-// commit order, after the WAL append succeeds — never before, or the live
-// table could run ahead of what a crash replay reconstructs.
-func (d *dedupTable) advance(sid, seq uint64) {
-	if sid == 0 {
-		return
-	}
+// advanceRun records that recs were accepted and made durable, under one
+// lock hold. Each run of consecutive same-session records advances its
+// session once: to the run's highest seq, with the clock moved by the run's
+// length — the table, and so every later eviction and snapshot, is exactly
+// what one advance per record would leave. Call in commit order, after the
+// WAL append succeeds — never before, or the live table could run ahead of
+// what a crash replay reconstructs.
+func (d *dedupTable) advanceRun(recs []resilience.Record) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if have, ok := d.seq[sid]; !ok || seq > have {
-		d.seq[sid] = seq
-	}
-	d.clock++
-	d.touch[sid] = d.clock
-	for len(d.seq) > d.cap {
-		d.evictLocked()
+	for i := 0; i < len(recs); {
+		sid, top, j := recs[i].SID, recs[i].Seq, i+1
+		for ; j < len(recs) && recs[j].SID == sid; j++ {
+			top = max(top, recs[j].Seq)
+		}
+		n := j - i
+		i = j
+		if sid == 0 {
+			continue
+		}
+		if have, ok := d.seq[sid]; !ok || top > have {
+			d.seq[sid] = top
+		}
+		d.clock += uint64(n)
+		d.touch[sid] = d.clock
+		for len(d.seq) > d.cap {
+			d.evictLocked()
+		}
 	}
 }
 

@@ -38,8 +38,10 @@ type QueryPool struct {
 	mu      sync.Mutex // registration bookkeeping + snapshot rebuilds
 	refs    []qref     // global query id → shard/local position
 	queries []core.Query
-	locals  [][]int      // shard → local index → global id (inverse of refs)
-	vals    []algo.Value // global id → current answer (guarded by mu)
+	locals  [][]int                // shard → local index → global id (inverse of refs)
+	vals    []algo.Value           // global id → current answer (guarded by mu)
+	shardOf map[graph.VertexID]int // source → the shard holding its group
+	sources []int                  // shard → source groups it holds
 
 	snap    atomic.Pointer[Snapshot]
 	batches atomic.Uint64
@@ -82,11 +84,13 @@ func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, shards, workers int, _ cor
 		shards = 1
 	}
 	p := &QueryPool{
-		a:      a,
-		shards: make([]*poolShard, shards),
-		locals: make([][]int, shards),
-		deltas: make([]core.BatchDelta, shards),
-		fss:    make([]core.FastStats, shards),
+		a:       a,
+		shards:  make([]*poolShard, shards),
+		locals:  make([][]int, shards),
+		shardOf: make(map[graph.VertexID]int),
+		sources: make([]int, shards),
+		deltas:  make([]core.BatchDelta, shards),
+		fss:     make([]core.FastStats, shards),
 	}
 	opts := []core.MultiOption{core.WithWorkers(workers), core.WithChangeSkip(skip)}
 	opts = append(opts, extra...)
@@ -109,14 +113,15 @@ func (p *QueryPool) NumQueries() int {
 	return len(p.refs)
 }
 
-// Register arms q on the least-loaded shard (ties to the lowest index),
+// Register arms q on the shard that holds its source — or, for a new source,
+// the shard holding the fewest source groups (ties to the lowest index) —
 // runs its initial computation against that shard's current topology, and
 // publishes a refreshed snapshot. The returned id is stable for the pool's
 // lifetime.
 func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	best := leastLoaded(p.loadsLocked())
+	best := p.placeLocked(q.S)
 	sh := p.shards[best]
 	sh.mu.Lock()
 	local, ans := sh.eng.AddQuery(q)
@@ -126,26 +131,23 @@ func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value) {
 	return id, ans
 }
 
-// RegisterAll registers qs in order with Register's placement — each query
-// on the shard that is least loaded at its turn, ties to the lowest index —
-// but arms each shard's share in one engine call (core.MultiCISO.AddQueries)
-// and publishes once: no topology clone per distinct source, one cold start
-// per source per shard. Ids, placement, answers and engine counters equal a
-// Register loop's, on an empty or a non-empty pool. Each shard's lock is
-// held for its whole share, so it is meant for start-up and restore, not
-// beside live writes.
+// RegisterAll registers qs in order with Register's placement, but arms
+// each shard's share in one engine call (core.MultiCISO.AddQueries) and
+// publishes once: no topology clone per distinct source, one cold start per
+// source. Ids, placement, answers and engine counters equal a Register
+// loop's, on an empty or a non-empty pool. Each shard's lock is held for its
+// whole share, so it is meant for start-up and restore, not beside live
+// writes.
 func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Value) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	load := p.loadsLocked()
 	placed := make([]int, len(qs))
 	perShard := make([][]core.Query, len(p.shards))
 	for k, q := range qs {
-		best := leastLoaded(load)
-		load[best]++
+		best := p.placeLocked(q.S)
 		placed[k] = best
 		perShard[best] = append(perShard[best], q)
 	}
@@ -173,24 +175,23 @@ func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Valu
 	return ids, answers
 }
 
-// loadsLocked returns every shard's registered-query count.
-func (p *QueryPool) loadsLocked() []int {
-	load := make([]int, len(p.locals))
-	for i, l := range p.locals {
-		load[i] = len(l)
+// placeLocked picks the shard for a query from src: the one already
+// holding src's source group, so a source keeps one state in the pool
+// (core.MultiCISO shares it among the group's queries); for a new source,
+// the shard holding the fewest source groups, ties to the lowest index —
+// per-shard work scales with sources, not queries.
+func (p *QueryPool) placeLocked(src graph.VertexID) int {
+	if si, ok := p.shardOf[src]; ok {
+		return si
 	}
-	return load
-}
-
-// leastLoaded picks the shard with the fewest queries, ties to the lowest
-// index — keeping per-shard work balanced as queries come and go.
-func leastLoaded(load []int) int {
 	best := 0
-	for i := 1; i < len(load); i++ {
-		if load[i] < load[best] {
+	for i, n := range p.sources {
+		if n < p.sources[best] {
 			best = i
 		}
 	}
+	p.shardOf[src] = best
+	p.sources[best]++
 	return best
 }
 
@@ -382,7 +383,7 @@ func (p *QueryPool) Answers() *Snapshot { return p.snap.Load() }
 // Batches returns the number of batches applied.
 func (p *QueryPool) Batches() uint64 { return p.batches.Load() }
 
-// StateBytes sums the resident per-query state footprint across all shard
+// StateBytes sums the resident source-group state footprint across all shard
 // engines.
 func (p *QueryPool) StateBytes() int64 {
 	var total int64

@@ -90,8 +90,9 @@ func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
 			pairs := w.QueryPairsConnected(12)
 			var qs []core.Query
 			for i, p := range pairs {
-				// Three sources, so same-source copies happen within a shard.
-				qs = append(qs, core.Query{S: pairs[i%3][0], D: p[1]})
+				// Three sources, two consecutive queries each in turn, so a
+				// per-query placement would split a source across shards.
+				qs = append(qs, core.Query{S: pairs[(i/2)%3][0], D: p[1]})
 			}
 			qs = slices.DeleteFunc(qs, func(q core.Query) bool { return q.S == q.D })
 			loop := NewQueryPool(w.Initial(), a, shards, 1, core.StoreDense, true)
@@ -130,6 +131,15 @@ func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
 				}
 			}
 			same(label)
+			// Source-affine placement: one shard per source, so a source
+			// keeps one shared state in the pool.
+			shardOf := map[graph.VertexID]int{}
+			for id, q := range bulk.queries {
+				if si, ok := shardOf[q.S]; ok && si != bulk.refs[id].shard {
+					t.Fatalf("%s: source %d on shards %d and %d", label, q.S, si, bulk.refs[id].shard)
+				}
+				shardOf[q.S] = bulk.refs[id].shard
+			}
 			for i := 0; i < 4; i++ {
 				batch := w.NextBatch()
 				if _, err := loop.ApplyBatch(batch); err != nil {
@@ -144,7 +154,8 @@ func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
 	}
 }
 
-// Registration spreads queries across shards (least-loaded placement).
+// Registration spreads new sources across shards: each goes to the shard
+// holding the fewest source groups (eight distinct sources here).
 func TestQueryPoolBalancesShards(t *testing.T) {
 	w := testWorkload(t)
 	pool := NewQueryPool(w.Initial(), testAlgo(t), 4, 1, core.StoreDense, true)

@@ -134,11 +134,12 @@ type Server struct {
 	// commitMu serializes commit (every front) over the topology + pool +
 	// WAL + position, and every checkpoint and re-bootstrap with them: the
 	// topology is mutated only under it, so holding it is what lets a
-	// reader encode a consistent (topology, position) pair. clean and out
-	// are commit's scratch, reused under it.
+	// reader encode a consistent (topology, position) pair. clean, out and
+	// dups are commit's scratch, reused under it.
 	commitMu sync.Mutex
 	clean    []graph.Update
 	out      []resilience.Record
+	dups     []bool
 
 	// applyLat records engine-side apply latency per batch-size class
 	// (applylat.go); commit feeds it for every front and /healthz reports
@@ -1098,7 +1099,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP cisgraph_queries Registered pairwise queries.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_queries gauge\n")
 	fmt.Fprintf(w, "cisgraph_queries %d\n", s.pool.NumQueries())
-	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident per-query state across all shards.\n")
+	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident source-group state (one per distinct source) across all shards.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_state_bytes gauge\n")
 	fmt.Fprintf(w, "cisgraph_state_bytes %d\n", s.pool.StateBytes())
 	if s.wal != nil {

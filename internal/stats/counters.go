@@ -37,7 +37,7 @@ const (
 	CntUpdateSafe   = "update_safe"
 	CntUpdateUnsafe = "update_unsafe"
 	// CntUpdateClassifyScans counts the fast path's routing work: one per
-	// judgement of one update against the representative states. The forward
+	// judgement of one update against the source groups' states. The forward
 	// pass judges an update at most twice, so this stays ≤ 2× the routed
 	// updates — the linearity the tests and the FastPathUnsafeMix row guard.
 	CntUpdateClassifyScans = "update_classify_scans"
@@ -92,7 +92,8 @@ const (
 	// CntAuditFailed counts periodic invariant audits that detected
 	// corruption.
 	CntAuditFailed = "audit_failed"
-	// CntQueryPanic counts per-query panics recovered inside MultiCISO.
+	// CntQueryPanic counts panics recovered inside a MultiCISO source
+	// group's processing (once per group, whatever its member count).
 	CntQueryPanic = "query_panic"
 	// CntRecoverCheckpoint / CntRecoverColdStart count guard recoveries by
 	// mechanism: checkpoint restore + replay vs full recompute.
