@@ -21,8 +21,6 @@ func BenchmarkDynamicClone(b *testing.B)     { bench.DynamicClone(b) }
 func BenchmarkTopDegree(b *testing.B)        { bench.TopDegree(b) }
 func BenchmarkApplyBatch(b *testing.B)       { bench.ApplyBatch(b) }
 
-func BenchmarkParallelPropagation(b *testing.B) { bench.ParallelPropagation(b) }
-
 func BenchmarkMultiQueryScaleQ16Dense(b *testing.B) { bench.MultiQueryScale(16)(b) }
 
 func BenchmarkBatchRepairQ64S64(b *testing.B) { bench.BatchRepair(64, 64)(b) }

@@ -184,18 +184,7 @@ const (
 	CntUpdatePromoted = stats.CntUpdatePromoted
 	// CntTagged counts vertices visited by deletion-recovery tagging.
 	CntTagged = stats.CntTagged
-	// Parallel-propagation observability (DESIGN.md §16): lost value-CAS
-	// races, bucket rounds executed, and parallel-armed drains that
-	// completed serially.
-	CntRelaxCASRetries   = stats.CntRelaxCASRetries
-	CntParallelBuckets   = stats.CntParallelBuckets
-	CntParallelFallbacks = stats.CntParallelFallbacks
 )
-
-// DefaultParallelFrontierMin is the frontier size at which a parallel-armed
-// drain escalates from serial to bucketed parallel rounds, when
-// WithParallelFrontierMin is left unset.
-const DefaultParallelFrontierMin = core.DefaultParallelFrontierMin
 
 var (
 	// NewColdStart is the paper's CS baseline (full recompute).
@@ -215,13 +204,6 @@ var (
 	NewMultiCISO        = core.NewMultiCISO
 	WithWorkers         = core.WithWorkers
 	WithParallelQueries = core.WithParallelQueries
-	// WithPropagateWorkers / WithParallelFrontierMin arm bucketed
-	// intra-query parallel propagation (DESIGN.md §16) on a MultiCISO;
-	// WithParallelPropagation is the single-query CISO equivalent. Answers
-	// are bit-identical to serial drains on every algebra.
-	WithPropagateWorkers    = core.WithPropagateWorkers
-	WithParallelFrontierMin = core.WithParallelFrontierMin
-	WithParallelPropagation = core.WithParallelPropagation
 	// LoadCISO restores a CISO engine from a checkpoint written with its
 	// Save method.
 	LoadCISO = core.LoadCISO

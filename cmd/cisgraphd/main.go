@@ -73,8 +73,7 @@ func run() error {
 		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
 		shards    = flag.Int("shards", 1, "query-pool shards")
 		workers   = flag.Int("workers", 0, "per-shard query worker pool size (0 = the daemon's CPU budget, 1 = serial)")
-		propWork  = flag.Int("propagate-workers", 0, "intra-query parallel-propagation worker budget per shard (0/1 = serial drains; answers are identical either way)")
-		parMin    = flag.Int("parallel-frontier-min", 0, "propagation-frontier size that triggers a parallel drain (0 = default 256; needs -propagate-workers >= 2)")
+		propWork  = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
 		maxQ      = flag.Int("max-queries", 1024, "registered-query admission limit")
 
 		sanitize   = flag.String("sanitize", "drop", "ingestion sanitize policy: drop, reject or strict")
@@ -129,7 +128,6 @@ func run() error {
 		Shards:              *shards,
 		Workers:             *workers,
 		PropagateWorkers:    *propWork,
-		ParallelFrontierMin: *parMin,
 		MaxQueries:          *maxQ,
 		Policy:              policy,
 		WALPath:             *walPath,

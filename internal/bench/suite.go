@@ -7,9 +7,7 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/core"
@@ -46,7 +44,6 @@ func Suite() []Case {
 		{Name: "DynamicClone", Bench: DynamicClone},
 		{Name: "TopDegree", Bench: TopDegree},
 		{Name: "ApplyBatch", Bench: ApplyBatch},
-		{Name: "ParallelPropagation", Bench: ParallelPropagation},
 		{Name: "ServerIngest", Bench: ServerIngest},
 		{Name: "ServerIngestBinary", Bench: ServerIngestBinary},
 		{Name: "PerUpdateLatency", Bench: PerUpdateLatency},
@@ -195,36 +192,6 @@ func ApplyBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ApplyBatch(batches[i%len(batches)])
-	}
-}
-
-// ParallelPropagation measures a cold-start PPSP convergence on a scale-10
-// RMAT hub query drained through the bucketed parallel propagator
-// (DESIGN.md §16), and reports its speedup over the serial drain on the same
-// state as "serial/parallel-x". The ratio scales with physical cores: on a
-// single-core runner it sits near (or below) 1×, on 8 cores the delta-stepped
-// frontier keeps all workers busy. Both drains converge to bit-identical
-// states (enforced by TestParallelDifferentialCISO), so the ratio compares
-// equal work.
-func ParallelPropagation(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	par := core.ParallelPropagationBenchmark(workers)
-	ser := core.ParallelPropagationBenchmark(1)
-	par(1) // warm scratch + parallel round buffers
-	ser(1)
-	const baselineReps = 3
-	t0 := time.Now()
-	ser(baselineReps)
-	serialPer := time.Since(t0) / baselineReps
-	b.ReportAllocs()
-	b.ResetTimer()
-	par(b.N)
-	b.StopTimer()
-	if parPer := b.Elapsed() / time.Duration(b.N); parPer > 0 {
-		b.ReportMetric(float64(serialPer)/float64(parPer), "serial/parallel-x")
 	}
 }
 

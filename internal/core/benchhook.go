@@ -52,31 +52,6 @@ func PropagationBenchmark() func(n int) {
 	}
 }
 
-// ParallelPropagationBenchmark returns a closure performing n cold-start
-// convergences of a PPSP query from a hub source of a scale-10 RMAT graph,
-// drained through a parallel propagator of the given width (width <= 1
-// drains serially). Serial and parallel converge to bit-identical states,
-// so the ratio of the two closures' times is the intra-query parallel
-// speedup (DESIGN.md §16); it scales with physical cores.
-func ParallelPropagationBenchmark(workers int) func(n int) {
-	g := graph.FromEdgeList(graph.RMAT("parbench", 10, 16*(1<<10), graph.DefaultRMAT, 64, 42))
-	src, bestDeg := graph.VertexID(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := len(g.Out(graph.VertexID(v))); d > bestDeg {
-			src, bestDeg = graph.VertexID(v), d
-		}
-	}
-	st := newState(g, algo.PPSP{}, Query{S: src, D: src + 1}, stats.NewCounters())
-	if workers > 1 {
-		st.prop = newParallelPropagator(workers, 0)
-	}
-	return func(n int) {
-		for i := 0; i < n; i++ {
-			st.fullCompute()
-		}
-	}
-}
-
 // WorklistBenchmark returns a closure running n push-all/pop-all cycles of
 // the given size over a's worklist (heap order for ranked algebras, FIFO
 // ring for plateau ones). Scores are spread so heap sifting does real work.

@@ -31,11 +31,6 @@ type CISO struct {
 
 	noDrop bool // ablation: process useless updates too
 	fifo   bool // ablation: no priority scheduling, respond only when converged
-
-	// Intra-query parallel propagation (DESIGN.md §16): when propWorkers ≥ 2
-	// the state drains through a parallelPropagator instead of serialProp.
-	propWorkers int
-	parMin      int
 }
 
 // CISOOption configures ablation variants of the workflow.
@@ -48,18 +43,6 @@ func WithNoDrop() CISOOption { return func(c *CISO) { c.noDrop = true } }
 // WithFIFO disables priority scheduling: deletions are processed in arrival
 // order and the response is only available at convergence (ablation A1b).
 func WithFIFO() CISOOption { return func(c *CISO) { c.fifo = true } }
-
-// WithParallelPropagation drains this query's propagation with a bucketed
-// worker group of the given width once the frontier reaches frontierMin
-// vertices (≤ 0 selects DefaultParallelFrontierMin). Widths below 2 leave
-// the serial drain in place. Answers are bit-identical to serial
-// (DESIGN.md §16).
-func WithParallelPropagation(workers, frontierMin int) CISOOption {
-	return func(c *CISO) {
-		c.propWorkers = workers
-		c.parMin = frontierMin
-	}
-}
 
 // NewCISO returns an unarmed CISGraph-O engine; call Reset before use.
 func NewCISO(opts ...CISOOption) *CISO {
@@ -87,9 +70,6 @@ func (c *CISO) Name() string {
 // Reset implements Engine.
 func (c *CISO) Reset(g *graph.Dynamic, a algo.Algorithm, q Query) {
 	c.st = newState(g, a, q, c.cnt)
-	if c.propWorkers >= 2 {
-		c.st.prop = newParallelPropagator(c.propWorkers, c.parMin)
-	}
 	c.st.fullCompute()
 }
 

@@ -74,89 +74,87 @@ func soleKeyPathEdge(m *MultiCISO) (e graph.Update, a, b int, ok bool) {
 
 // TestSharedSourceGroups pins the one-state-per-source engine on groups of
 // 1, 2 and 8 members, for every algebra the groups are built for, with
-// skipping on and off and with serial and parallel drains. After every
-// batch each answer equals an independent single-query engine's; a deletion
-// on only one member's key path is valuable for the whole group (and not for
-// an independent engine of another member); and a panic in a group's phases
-// reaches every member and recovers all of them.
+// skipping on and off. After every batch each answer equals an independent
+// single-query engine's; a deletion on only one member's key path is
+// valuable for the whole group (and not for an independent engine of another
+// member); and a panic in a group's phases reaches every member and recovers
+// all of them.
 func TestSharedSourceGroups(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.PPWP{}, algo.Viterbi{}, algo.Reach{}} {
 		for _, skip := range []bool{true, false} {
-			for _, cfg := range kernelConfigs() {
-				label := fmt.Sprintf("%s/skip=%v/%s", a.Name(), skip, cfg.name)
-				ds := graph.RMAT("groups", 7, 900, graph.DefaultRMAT, 16, 41)
-				w, err := stream.New(ds, stream.Config{
-					LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 30, Seed: 41,
-				})
-				if err != nil {
-					t.Fatal(err)
+			label := fmt.Sprintf("%s/skip=%v", a.Name(), skip)
+			ds := graph.RMAT("groups", 7, 900, graph.DefaultRMAT, 16, 41)
+			w, err := stream.New(ds, stream.Config{
+				LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 30, Seed: 41,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := w.Initial()
+			qs := groupedQueries(init, 8, 2, 1)
+			pa := &panicOnceAlgo{Algorithm: a}
+			m := NewMultiCISO(WithChangeSkip(skip))
+			m.Reset(init.Clone(), pa, qs)
+			if len(m.groups) != 3 || len(m.groups[0].members) != 8 {
+				t.Fatalf("%s: groups %d, first of %d members", label, len(m.groups), len(m.groups[0].members))
+			}
+			refs := make([]*MultiCISO, len(qs))
+			for i, q := range qs {
+				refs[i] = NewMultiCISO()
+				refs[i].Reset(init.Clone(), a, []Query{q})
+			}
+			refRs := make([]Result, len(qs))
+			apply := func(where string, batch []graph.Update) []Result {
+				t.Helper()
+				rs := m.ApplyBatch(batch)
+				for i := range qs {
+					refRs[i] = refs[i].ApplyBatch(batch)[0]
+					if got, want := rs[i].Answer, refs[i].AnswerOf(0); got != want {
+						t.Fatalf("%s query %d %v: answer %v, independent engine %v (err %v)",
+							where, i, qs[i], got, want, rs[i].Err)
+					}
+					sameState(t, fmt.Sprintf("%s query %d", where, i), m.stateOf(i), refs[i].stateOf(0), false)
 				}
-				init := w.Initial()
-				qs := groupedQueries(init, 8, 2, 1)
-				pa := &panicOnceAlgo{Algorithm: a}
-				m := NewMultiCISO(append(cfg.opts, WithChangeSkip(skip))...)
-				m.Reset(init.Clone(), pa, qs)
-				if len(m.groups) != 3 || len(m.groups[0].members) != 8 {
-					t.Fatalf("%s: groups %d, first of %d members", label, len(m.groups), len(m.groups[0].members))
+				return rs
+			}
+			probes := 0
+			for bi := 0; bi < 6; bi++ {
+				where := fmt.Sprintf("%s batch %d", label, bi)
+				if bi == 3 {
+					pa.after = 1
+					pa.calls.Store(0)
+					pa.armed.Store(true)
 				}
-				refs := make([]*MultiCISO, len(qs))
-				for i, q := range qs {
-					refs[i] = NewMultiCISO()
-					refs[i].Reset(init.Clone(), a, []Query{q})
-				}
-				refRs := make([]Result, len(qs))
-				apply := func(where string, batch []graph.Update) []Result {
-					t.Helper()
-					rs := m.ApplyBatch(batch)
+				rs := apply(where, w.NextBatch())
+				if bi == 3 {
 					for i := range qs {
-						refRs[i] = refs[i].ApplyBatch(batch)[0]
-						if got, want := rs[i].Answer, refs[i].AnswerOf(0); got != want {
-							t.Fatalf("%s query %d %v: answer %v, independent engine %v (err %v)",
-								where, i, qs[i], got, want, rs[i].Err)
+						if inFirst := m.inGroup[i] == 0; (rs[i].Err != nil) != inFirst {
+							t.Fatalf("%s: query %d err %v; the panic belongs to exactly group 0's members", where, i, rs[i].Err)
 						}
-						sameState(t, fmt.Sprintf("%s query %d", where, i), m.stateOf(i), refs[i].stateOf(0), false)
 					}
-					return rs
+					if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
+						t.Fatalf("%s: query_panic = %d, want 1", where, got)
+					}
 				}
-				probes := 0
-				for bi := 0; bi < 6; bi++ {
-					where := fmt.Sprintf("%s batch %d", label, bi)
-					if bi == 3 {
-						pa.after = 1
-						pa.calls.Store(0)
-						pa.armed.Store(true)
-					}
-					rs := apply(where, w.NextBatch())
-					if bi == 3 {
-						for i := range qs {
-							if inFirst := m.inGroup[i] == 0; (rs[i].Err != nil) != inFirst {
-								t.Fatalf("%s: query %d err %v; the panic belongs to exactly group 0's members", where, i, rs[i].Err)
-							}
-						}
-						if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
-							t.Fatalf("%s: query_panic = %d, want 1", where, got)
-						}
-					}
 
-					// A deletion on only member b's key path: valuable for the
-					// group, while member a's own engine never counts it valuable.
-					del, qa, qb, ok := soleKeyPathEdge(m)
-					if !ok {
-						continue
-					}
-					probes++
-					rs = apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
-					if got := rs[qa].Counters()[stats.CntUpdateValuable]; got != 1 {
-						t.Fatalf("%s: deleting %d->%d on query %d's key path only: valuable %d for the group, want 1",
-							where, del.From, del.To, qb, got)
-					}
-					if got := refRs[qa].Counters()[stats.CntUpdateValuable]; got != 0 {
-						t.Fatalf("%s: query %d's own engine counts the deletion valuable (%d)", where, qa, got)
-					}
+				// A deletion on only member b's key path: valuable for the
+				// group, while member a's own engine never counts it valuable.
+				del, qa, qb, ok := soleKeyPathEdge(m)
+				if !ok {
+					continue
 				}
-				if probes == 0 {
-					t.Fatalf("%s: no batch had a key-path edge owned by one member", label)
+				probes++
+				rs = apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
+				if got := rs[qa].Counters()[stats.CntUpdateValuable]; got != 1 {
+					t.Fatalf("%s: deleting %d->%d on query %d's key path only: valuable %d for the group, want 1",
+						where, del.From, del.To, qb, got)
 				}
+				if got := refRs[qa].Counters()[stats.CntUpdateValuable]; got != 0 {
+					t.Fatalf("%s: query %d's own engine counts the deletion valuable (%d)", where, qa, got)
+				}
+			}
+			if probes == 0 {
+				t.Fatalf("%s: no batch had a key-path edge owned by one member", label)
 			}
 		}
 	}

@@ -59,17 +59,6 @@ type MultiCISO struct {
 
 	workers int // bounded pool width for per-group phases; <=1 is serial
 
-	// Intra-query parallel propagation (DESIGN.md §16). propWorkers is the
-	// total relax-worker budget across the engine (0 = off); parMin the
-	// frontier size that triggers a parallel drain. coldPP is the
-	// full-budget propagator cold starts use (immutable after construction,
-	// so the lock-free AddQuery path may read it); parProps caches one
-	// propagator per policy width (write lock held at every access).
-	propWorkers int
-	parMin      int
-	coldPP      propagator
-	parProps    map[int]*parallelPropagator
-
 	// epoch counts topology mutations; an AddQuery cold start computed off
 	// the lock is only valid against the epoch it was built for.
 	epoch uint64
@@ -120,14 +109,6 @@ type groupSpans struct{ add, response, converged time.Duration }
 // MultiOption configures a MultiCISO engine.
 type MultiOption func(*MultiCISO)
 
-// StoreKind names a state representation. Flat arrays are the only
-// one; the type and StoreDense remain because server.NewQueryPool still takes
-// a kind, which benchmark/stage.go passes as core.StoreDense.
-type StoreKind int
-
-// StoreDense is the flat-array representation.
-const StoreDense StoreKind = 0
-
 // WithWorkers bounds the worker pool that executes per-group phases: n
 // goroutines pull group indices from a shared cursor, so S source groups cost
 // S/n sequential rounds and exactly n scratch allocations — never S
@@ -152,52 +133,13 @@ func WithParallelQueries() MultiOption {
 // proof and for debugging, not for correctness.
 func WithChangeSkip(enabled bool) MultiOption { return func(m *MultiCISO) { m.skip = enabled } }
 
-// WithPropagateWorkers sets the engine's total intra-query relax-worker
-// budget (DESIGN.md §16): cold-start convergences drain with the full
-// budget, and each apply splits it across the groups actually processed —
-// a wide batch keeps per-group serial drains (inter-group parallelism
-// already saturates the budget), a narrow batch flips the processed states
-// to bucketed parallel drains. n < 2 disables intra-query parallelism
-// (the default). Answers are bit-identical either way.
-func WithPropagateWorkers(n int) MultiOption { return func(m *MultiCISO) { m.propWorkers = n } }
-
-// WithParallelFrontierMin sets the frontier size below which a parallel-
-// armed drain stays serial (≤ 0 selects DefaultParallelFrontierMin).
-// Meaningful only together with WithPropagateWorkers.
-func WithParallelFrontierMin(n int) MultiOption { return func(m *MultiCISO) { m.parMin = n } }
-
 // NewMultiCISO returns an unarmed multi-query engine; call Reset first.
 func NewMultiCISO(opts ...MultiOption) *MultiCISO {
 	m := &MultiCISO{cnt: stats.NewCounters(), workers: 1, skip: true}
 	for _, o := range opts {
 		o(m)
 	}
-	if m.propWorkers >= 2 {
-		m.coldPP = newParallelPropagator(m.propWorkers, m.parMin)
-		m.parProps = map[int]*parallelPropagator{m.propWorkers: m.coldPP.(*parallelPropagator)}
-	}
 	return m
-}
-
-// intraPropLocked applies the nested-parallelism policy for an apply that
-// processes nActive groups: the relax-worker budget divides across the
-// group-level worker slots actually running, and only a per-slot share of
-// at least 2 is worth the coordination. Returns nil for "stay serial".
-func (m *MultiCISO) intraPropLocked(nActive int) propagator {
-	if m.propWorkers < 2 || nActive == 0 {
-		return nil
-	}
-	slots := min(max(m.workers, 1), nActive)
-	width := m.propWorkers / slots
-	if width < 2 {
-		return nil
-	}
-	pp, ok := m.parProps[width]
-	if !ok {
-		pp = newParallelPropagator(width, m.parMin)
-		m.parProps[width] = pp
-	}
-	return pp
 }
 
 // Name identifies the engine.
@@ -226,7 +168,7 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 func (m *MultiCISO) addLocked(q Query) (int, algo.Value) {
 	if _, ok := m.groupOf[q.S]; !ok {
 		cnt := stats.NewCounters()
-		m.openLocked(computeState(m.g, m.a, q.S, cnt, m.coldPP), cnt)
+		m.openLocked(computeState(m.g, m.a, q.S, cnt), cnt)
 	}
 	return m.joinLocked(q)
 }
@@ -255,17 +197,10 @@ func (m *MultiCISO) joinLocked(q Query) (int, algo.Value) {
 // computeState cold-starts a state for src against g (which must not be
 // mutated during the call — callers either hold the write lock or own a
 // private clone). Multi-owned states carry no scratch of their own;
-// forEachGroup attaches a worker slot's scratch per execution. A non-nil
-// prop drains the convergence through it (intra-query parallel cold starts,
-// DESIGN.md §16) and is detached afterwards — batch applies re-attach per
-// the nested-parallelism policy.
-func computeState(g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters, prop propagator) *state {
+// forEachGroup attaches a worker slot's scratch per execution.
+func computeState(g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
 	st := newStateOn(newScratch(a, g.NumVertices()), g, a, src, cnt)
-	if prop != nil {
-		st.prop = prop
-	}
 	st.fullCompute()
-	st.prop = serialProp
 	st.sc = nil
 	return st
 }
@@ -299,7 +234,7 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 		var cnt *stats.Counters
 		if !joined {
 			cnt = stats.NewCounters()
-			st = computeState(gc, a, q.S, cnt, m.coldPP)
+			st = computeState(gc, a, q.S, cnt)
 		}
 
 		m.mu.Lock()
@@ -566,23 +501,6 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		processed += len(g.members)
 	}
 	m.activeBuf, m.errsBuf, m.preAnsBuf = active, errs, preAns
-
-	// Nested-parallelism policy (DESIGN.md §16): flip the processed states
-	// to intra-query parallel drains when the relax-worker budget is not
-	// already consumed by group-level parallelism — i.e. narrow processed
-	// sets and big frontiers; wide sets keep the per-group serial drains.
-	// Restored on every exit path so states sit serial between batches
-	// (recovery recomputes inside this call still drain parallel).
-	if pp := m.intraPropLocked(len(active)); pp != nil {
-		for _, gi := range active {
-			m.groups[gi].st.prop = pp
-		}
-		defer func() {
-			for _, gi := range active {
-				m.groups[gi].st.prop = serialProp
-			}
-		}()
-	}
 
 	// Shared: topology for the addition phase.
 	if len(nb.Adds)+len(nb.Dels)+len(nb.Reweights) > 0 {

@@ -28,30 +28,10 @@ func (st *state) relaxEdge(u, v graph.VertexID, w float64) bool {
 	return true
 }
 
-// propagator is the drain strategy of the propagation stage: it runs the
-// state's worklist to convergence. The serial implementation below is the
-// classic single-threaded best-first drain; propagate_parallel.go adds the
-// bucketed intra-query parallel one. Engines select a propagator per state
-// (or, for MultiCISO, per apply — the nested-parallelism policy).
-type propagator interface {
-	drain(st *state)
-}
-
-// serialPropagator drains single-threaded, best-first. It is stateless; all
-// states share the serialProp singleton.
-type serialPropagator struct{}
-
-var serialProp propagator = serialPropagator{}
-
-func (serialPropagator) drain(st *state) { st.serialDrain() }
-
-// drain runs propagation until the worklist empties, through the state's
-// configured propagator.
-func (st *state) drain() { st.prop.drain(st) }
-
-// serialDrain is best-first propagation on the caller's goroutine. Stale
-// entries (value no longer current) are skipped lazily.
-func (st *state) serialDrain() {
+// drain runs best-first propagation until the worklist empties — the one
+// drain every engine and phase uses (DESIGN.md §16). Stale entries (value no
+// longer current) are skipped lazily.
+func (st *state) drain() {
 	wl := &st.sc.wl
 	for wl.len() > 0 {
 		v, score := wl.pop()

@@ -16,17 +16,34 @@ import (
 // trim-seeded region repair with its late-adoption relax, the single
 // phase-A drain, and the plain per-state tallies flushed at phase exit.
 
-// kernelConfig is one propagator configuration of the differential.
-type kernelConfig struct {
-	name string
-	opts []MultiOption
-}
-
-func kernelConfigs() []kernelConfig {
-	par := []MultiOption{WithPropagateWorkers(4), WithParallelFrontierMin(1)}
-	return []kernelConfig{
-		{"serial", nil},
-		{"parallel", par},
+// assertStateMatches compares st's full value array bitwise against ref and
+// validates st's dependency tree: the invariant holds, and every reached
+// vertex's parent chain ends at the source within n hops.
+func assertStateMatches(t *testing.T, label string, ref, st *state) {
+	t.Helper()
+	n := len(st.val)
+	for v := 0; v < n; v++ {
+		if rv, sv := ref.val[v], st.val[v]; rv != sv {
+			t.Fatalf("%s: vertex %d: value %v, cold start %v", label, v, sv, rv)
+		}
+	}
+	if err := st.verifyInvariant(); err != nil {
+		t.Fatalf("%s: dependency tree broken: %v", label, err)
+	}
+	for v := 0; v < n; v++ {
+		x := graph.VertexID(v)
+		if x == st.src || !algo.Reached(st.a, st.val[x]) {
+			continue
+		}
+		hops := 0
+		for x != st.src {
+			if x = st.parent[x]; x == graph.NoVertex {
+				t.Fatalf("%s: vertex %d: reached but parent chain dead-ends", label, v)
+			}
+			if hops++; hops > n {
+				t.Fatalf("%s: vertex %d: parent cycle", label, v)
+			}
+		}
 	}
 }
 
@@ -40,7 +57,7 @@ func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 		st := g.st
 		ref := newState(m.g, m.a, Query{S: st.src}, stats.NewCounters())
 		ref.fullCompute()
-		assertStateMatchesSerial(t, fmt.Sprintf("%s group %d", label, gi), ref, st)
+		assertStateMatches(t, fmt.Sprintf("%s group %d", label, gi), ref, st)
 		if st.tally != [numTallies]int64{} {
 			t.Fatalf("%s group %d: unflushed tallies %v", label, gi, st.tally)
 		}
@@ -65,7 +82,7 @@ func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 // of the kernel through it. Weights are chosen for PPSP; the other algebras
 // run the same shapes (some ignore weights, some rank them the other way) and
 // must stay exact whichever branch they end up in. check, if set, runs on the
-// PPSP dense/serial engine after the last batch with the counter movement of
+// PPSP engine after the last batch with the counter movement of
 // that batch, and pins the branch the shape was built for.
 type repairShape struct {
 	name    string
@@ -259,73 +276,70 @@ func (sh repairShape) graph() *graph.Dynamic {
 
 func allAlgebras() []algo.Algorithm { return append(algo.All(), algo.Extensions()...) }
 
-// TestRepairKernelDifferential drives every algebra × store × propagator
-// through the hand-built shapes and through seeded deletion-heavy streams,
+// TestRepairKernelDifferential drives every algebra through the hand-built shapes and through seeded deletion-heavy streams,
 // auditing the engine against a cold start after every batch.
 func TestRepairKernelDifferential(t *testing.T) {
 	for _, a := range allAlgebras() {
-		for _, cfg := range kernelConfigs() {
-			for _, sh := range repairShapes() {
-				label := fmt.Sprintf("%s/%s/%s", a.Name(), cfg.name, sh.name)
-				m := NewMultiCISO(cfg.opts...)
-				m.Reset(sh.graph(), a, []Query{sh.q, {S: sh.q.S, D: 1}})
-				assertKernelQuiescent(t, label+" reset", m)
-				var before map[string]int64
-				for bi, batch := range sh.batches {
-					before = m.groups[0].cnt.Snapshot()
-					if d := m.ApplyBatchDelta(batch); d.Err != nil {
-						t.Fatalf("%s batch %d: %v", label, bi, d.Err)
-					}
-					assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, bi), m)
+		for _, sh := range repairShapes() {
+			label := fmt.Sprintf("%s/%s", a.Name(), sh.name)
+			m := NewMultiCISO()
+			m.Reset(sh.graph(), a, []Query{sh.q, {S: sh.q.S, D: 1}})
+			assertKernelQuiescent(t, label+" reset", m)
+			var before map[string]int64
+			for bi, batch := range sh.batches {
+				before = m.groups[0].cnt.Snapshot()
+				if d := m.ApplyBatchDelta(batch); d.Err != nil {
+					t.Fatalf("%s batch %d: %v", label, bi, d.Err)
 				}
-				if sh.check != nil && a.Name() == "PPSP" && cfg.name == "serial" {
-					sh.check(t, m.groups[0].st, m.groups[0].cnt.Diff(before))
-				}
+				assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, bi), m)
 			}
-			// Phases C and D run the same branches, so the engine's counters
-			// cannot tell whose repair was a leaf and whose a region: a twin
-			// engine driven phase by phase attributes them.
-			var cover [2][2]int64 // [phase C, phase D][leaf, region]
-			for _, run := range []struct {
-				seed int64
-				dels int
-			}{{5, 50}, {23, 50}, {5, 3}, {23, 3}} {
-				seed := run.seed
-				label := fmt.Sprintf("%s/%s/stream %d/%d", a.Name(), cfg.name, seed, run.dels)
-				ds := graph.RMAT("repair", 7, 900, graph.DefaultRMAT, 8, seed)
-				w, err := stream.New(ds, stream.Config{
-					LoadFraction: 0.6, AddsPerBatch: 10, DelsPerBatch: run.dels, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
+			if sh.check != nil && a.Name() == "PPSP" {
+				sh.check(t, m.groups[0].st, m.groups[0].cnt.Diff(before))
+			}
+		}
+		// Phases C and D run the same branches, so the engine's counters
+		// cannot tell whose repair was a leaf and whose a region: a twin
+		// engine driven phase by phase attributes them.
+		var cover [2][2]int64 // [phase C, phase D][leaf, region]
+		for _, run := range []struct {
+			seed int64
+			dels int
+		}{{5, 50}, {23, 50}, {5, 3}, {23, 3}} {
+			seed := run.seed
+			label := fmt.Sprintf("%s/stream %d/%d", a.Name(), seed, run.dels)
+			ds := graph.RMAT("repair", 7, 900, graph.DefaultRMAT, 8, seed)
+			w, err := stream.New(ds, stream.Config{
+				LoadFraction: 0.6, AddsPerBatch: 10, DelsPerBatch: run.dels, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var qs []Query
+			for _, p := range w.QueryPairsConnected(8) {
+				qs = append(qs, Query{S: p[0], D: p[1]})
+			}
+			m, twin := NewMultiCISO(), NewMultiCISO()
+			m.Reset(w.Initial(), a, qs)
+			twin.Reset(w.Initial(), a, qs)
+			for b := 0; b < 5; b++ {
+				batch := w.NextBatch()
+				if d := m.ApplyBatchDelta(batch); d.Err != nil {
+					t.Fatalf("%s batch %d: %v", label, b, d.Err)
 				}
-				var qs []Query
-				for _, p := range w.QueryPairsConnected(8) {
-					qs = append(qs, Query{S: p[0], D: p[1]})
-				}
-				m, twin := NewMultiCISO(cfg.opts...), NewMultiCISO(cfg.opts...)
-				m.Reset(w.Initial(), a, qs)
-				twin.Reset(w.Initial(), a, qs)
-				for b := 0; b < 5; b++ {
-					batch := w.NextBatch()
-					if d := m.ApplyBatchDelta(batch); d.Err != nil {
-						t.Fatalf("%s batch %d: %v", label, b, d.Err)
-					}
-					assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, b), m)
-					moved := phaseRepairs(twin, batch)
-					assertKernelQuiescent(t, fmt.Sprintf("%s twin batch %d", label, b), twin)
-					for ph := range cover {
-						for br := range cover[ph] {
-							cover[ph][br] += moved[ph][br]
-						}
+				assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, b), m)
+				moved := phaseRepairs(twin, batch)
+				assertKernelQuiescent(t, fmt.Sprintf("%s twin batch %d", label, b), twin)
+				for ph := range cover {
+					for br := range cover[ph] {
+						cover[ph][br] += moved[ph][br]
 					}
 				}
 			}
-			for ph, name := range []string{"C", "D"} {
-				if cover[ph][0] == 0 || cover[ph][1] == 0 {
-					t.Fatalf("%s/%s: streams never reached both phase-%s repair branches (leaf %d, region %d)",
-						a.Name(), cfg.name, name, cover[ph][0], cover[ph][1])
-				}
+		}
+		for ph, name := range []string{"C", "D"} {
+			if cover[ph][0] == 0 || cover[ph][1] == 0 {
+				t.Fatalf("%s: streams never reached both phase-%s repair branches (leaf %d, region %d)",
+					a.Name(), name, cover[ph][0], cover[ph][1])
 			}
 		}
 	}

@@ -30,12 +30,6 @@ type scratch struct {
 	broken, late []graph.VertexID
 	// Phases B–D: the batch's classified deletions awaiting their slot.
 	valuable, delayed []pendingDeletion
-
-	// par holds the parallel propagator's working set (pending set, bucket
-	// frontier, per-worker sub-worklists and claim lists — DESIGN.md §16).
-	// Built lazily on the first parallel drain this slot executes, so slots
-	// that only ever drain serially pay nothing.
-	par *parScratch
 }
 
 // newScratch builds a scratch for n vertices, armed for a's worklist order.
@@ -58,21 +52,14 @@ func (sc *scratch) clear() {
 		sc.onPath[i] = false
 	}
 	sc.path = sc.path[:0]
-	if sc.par != nil {
-		sc.par.clear()
-	}
 }
 
 // bytes returns the scratch's resident size (memory accounting).
 func (sc *scratch) bytes() int64 {
-	b := int64(len(sc.inSet)) + int64(len(sc.onPath)) +
+	return int64(len(sc.inSet)) + int64(len(sc.onPath)) +
 		int64(cap(sc.buf)+cap(sc.path)+cap(sc.broken)+cap(sc.late))*4 +
 		int64(cap(sc.valuable)+cap(sc.delayed))*12 + int64(cap(sc.wl.items))*16 +
 		int64(cap(sc.heads))*24
-	if sc.par != nil {
-		b += sc.par.bytes()
-	}
-	return b
 }
 
 // worklist is a lazy best-first priority queue over (vertex, score) pairs.

@@ -56,11 +56,6 @@ type state struct {
 	// count, not source count.
 	sc *scratch
 
-	// prop is the drain strategy (DESIGN.md §16): serialProp by default;
-	// engines swap in a parallelPropagator for intra-query parallelism.
-	// MultiCISO flips it per apply under its nested-parallelism policy.
-	prop propagator
-
 	// dirty, when non-nil, records every vertex this state writes into the
 	// batch's per-source change summary (DESIGN.md §15). MultiCISO attaches
 	// it to each processed group's state for the duration of the batch;
@@ -91,7 +86,6 @@ func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.Verte
 		parent: make([]graph.VertexID, n),
 		op:     resolveOps(a),
 		sc:     sc,
-		prop:   serialProp,
 	}
 	for i, name := range tallyNames {
 		st.h[i] = cnt.Handle(name)
@@ -107,9 +101,6 @@ const (
 	tTagged
 	tLeaf
 	tRegion
-	tCASRetry
-	tParBuckets
-	tParFallback
 	tValuable
 	tDelayed
 	tUseless
@@ -120,7 +111,6 @@ const (
 var tallyNames = [numTallies]string{
 	tRelax: stats.CntRelax, tState: stats.CntStateUpdate, tAct: stats.CntActivation,
 	tTagged: stats.CntTagged, tLeaf: stats.CntRepairLeaf, tRegion: stats.CntRepairRegion,
-	tCASRetry: stats.CntRelaxCASRetries, tParBuckets: stats.CntParallelBuckets, tParFallback: stats.CntParallelFallbacks,
 	tValuable: stats.CntUpdateValuable, tDelayed: stats.CntUpdateDelayed, tUseless: stats.CntUpdateUseless,
 	tPromoted: stats.CntUpdatePromoted,
 }

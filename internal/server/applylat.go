@@ -10,9 +10,10 @@ import (
 
 // Engine-side apply-latency tracking. Every commit records how long the
 // shard engines took to apply it (the pool call only — sanitize, WAL fsync
-// and watch publication are excluded), keyed by its update-count bucket. Small trickle batches and full-size cuts stress completely
-// different parts of the kernel (per-update repair vs bucketed propagation),
-// so one merged distribution would hide regressions in either; the split
+// and watch publication are excluded), keyed by its update-count bucket.
+// Small trickle batches and full-size cuts stress different parts of the
+// kernel (per-update routing vs whole-batch repair), so one merged
+// distribution would hide regressions in either; the split
 // lets loadgen and operators see both (/healthz "apply_latency").
 
 // applyLatRing bounds the retained samples per size bucket: percentiles are

@@ -118,14 +118,14 @@ func TestApplyLatReportBesideRecord(t *testing.T) {
 }
 
 // End to end: applied batches must surface engine apply-latency percentiles
-// in /healthz, split by batch size — and a server running with intra-query
-// parallel propagation must serve the same answers as a serial one.
-func TestApplyLatencyHealthzAndParallelConfig(t *testing.T) {
+// in /healthz, split by batch size — and a server configured with
+// PropagateWorkers, which is accepted and ignored, must serve the same
+// answers as a default one.
+func TestApplyLatencyHealthz(t *testing.T) {
 	w := testWorkload(t)
 	cfgSerial := testServerConfig()
 	cfgPar := testServerConfig()
 	cfgPar.PropagateWorkers = 4
-	cfgPar.ParallelFrontierMin = 1 // force parallel drains even on the tiny test graph
 
 	srvS, err := New(w.Initial(), testAlgo(t), cfgSerial)
 	if err != nil {
@@ -156,17 +156,13 @@ func TestApplyLatencyHealthzAndParallelConfig(t *testing.T) {
 	waitQuiescedSrv(t, srvS)
 	waitQuiescedSrv(t, srvP)
 
+	// The answer lists, not the whole body: the batch count depends on how
+	// each server's window cut the same posts.
 	var ansS, ansP answersResponse
 	getJSON(t, tsS.Client(), tsS.URL+"/v1/answers", &ansS)
 	getJSON(t, tsP.Client(), tsP.URL+"/v1/answers", &ansP)
-	if len(ansS.Answers) != len(ansP.Answers) {
-		t.Fatalf("answer counts differ: %d vs %d", len(ansS.Answers), len(ansP.Answers))
-	}
-	for i := range ansS.Answers {
-		if ansS.Answers[i].Value != ansP.Answers[i].Value {
-			t.Fatalf("query %d: parallel server answered %v, serial %v",
-				i, ansP.Answers[i].Value, ansS.Answers[i].Value)
-		}
+	if !slices.Equal(ansS.Answers, ansP.Answers) {
+		t.Fatalf("PropagateWorkers server answered %v, default server %v", ansP.Answers, ansS.Answers)
 	}
 
 	var hz healthzResponse

@@ -226,17 +226,11 @@ type Config struct {
 	// FastPipelineDepth bounds unacked frames per binary connection (the
 	// per-connection ack queue). Default 256.
 	FastPipelineDepth int
-	// PropagateWorkers is each shard engine's intra-query relax-worker
-	// budget (core.WithPropagateWorkers, DESIGN.md §16): cold starts drain
-	// with the full budget, and each batch splits it across the queries
-	// actually processed. 0 or 1 (the default) keeps every drain serial —
-	// answers are bit-identical either way, so the knob is pure performance.
+	// PropagateWorkers is accepted and ignored: every drain is the one
+	// best-first worklist drain (DESIGN.md §16). It stays because
+	// benchmark/stage.go sets it; it goes with ROADMAP item 3's benchmark
+	// change.
 	PropagateWorkers int
-	// ParallelFrontierMin is the propagation-frontier size that triggers a
-	// parallel drain when PropagateWorkers is set (default
-	// core.DefaultParallelFrontierMin); smaller frontiers always stay
-	// serial.
-	ParallelFrontierMin int
 	// DisableChangeSkip turns off change-driven query skipping in the shard
 	// engines (DESIGN.md §15), forcing every registered query through the
 	// full per-batch phases. Production keeps it off; differential tests and

@@ -77,8 +77,7 @@ type Snapshot struct {
 // (see core.StoreKind). skip toggles
 // change-driven query skipping in the shard engines (on in production;
 // Config.DisableChangeSkip turns it off for differential testing). Any
-// extra options (e.g. core.WithPropagateWorkers for intra-query parallel
-// propagation) are passed through to every shard engine.
+// extra options are passed through to every shard engine.
 func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, shards, workers int, _ core.StoreKind, skip bool, extra ...core.MultiOption) *QueryPool {
 	if shards < 1 {
 		shards = 1

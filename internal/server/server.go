@@ -330,16 +330,10 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		return nil, err
 	}
 	cnt := stats.NewCounters()
-	var poolOpts []core.MultiOption
-	if cfg.PropagateWorkers >= 2 {
-		poolOpts = append(poolOpts,
-			core.WithPropagateWorkers(cfg.PropagateWorkers),
-			core.WithParallelFrontierMin(cfg.ParallelFrontierMin))
-	}
 	s := &Server{
 		cfg:  cfg,
 		a:    a,
-		pool: NewQueryPool(g, a, cfg.Shards, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip, poolOpts...),
+		pool: NewQueryPool(g, a, cfg.Shards, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip),
 		san:  resilience.NewSanitizer(cfg.Policy, cnt),
 		cnt:  cnt,
 		hub:  watch.New(),

@@ -61,16 +61,6 @@ const (
 	// the supplier-adoption shortcut count under neither.
 	CntRepairLeaf   = "repair_leaf"
 	CntRepairRegion = "repair_region"
-	// Parallel-propagation counters (DESIGN.md §16). CntRelaxCASRetries
-	// counts lost value-CAS races during parallel relaxation (contention, not
-	// extra semantic work — the retried offer is re-judged against the newer
-	// value). CntParallelBuckets counts bucket rounds executed by the
-	// parallel propagator. CntParallelFallbacks counts drains that had a
-	// parallel propagator attached but completed serially (the frontier
-	// never reached the parallel threshold).
-	CntRelaxCASRetries   = "relax_cas_retries"
-	CntParallelBuckets   = "parallel_buckets"
-	CntParallelFallbacks = "parallel_fallbacks"
 	// CntHubRelax counts relaxations spent maintaining SGraph hub distances
 	// (the paper's "boundary maintaining" overhead).
 	CntHubRelax = "hub_relax"
