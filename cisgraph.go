@@ -14,7 +14,7 @@
 //     interface;
 //   - five software engines (ColdStart, Incremental, SGraph, PnP, CISO)
 //     and the simulated CISGraph accelerator, all behind the Engine
-//     interface, plus the multi-query MultiCISO and checkpoint/restore.
+//     interface, plus the multi-query MultiCISO.
 //
 // # Quick start
 //
@@ -204,9 +204,6 @@ var (
 	NewMultiCISO        = core.NewMultiCISO
 	WithWorkers         = core.WithWorkers
 	WithParallelQueries = core.WithParallelQueries
-	// LoadCISO restores a CISO engine from a checkpoint written with its
-	// Save method.
-	LoadCISO = core.LoadCISO
 	// WithNoDrop / WithFIFO disable CISO's dropping / priority scheduling.
 	WithNoDrop = core.WithNoDrop
 	WithFIFO   = core.WithFIFO
@@ -215,14 +212,9 @@ var (
 	ClassifyDeletion = core.ClassifyDeletion
 )
 
-// Resilience layer: validated ingestion, durable streams and guarded
-// engines (see DESIGN.md "Resilience & recovery").
+// Resilience layer: validated ingestion, durable streams and fault
+// injection (see DESIGN.md "Resilience & recovery").
 type (
-	// Guard wraps an Engine with sanitization, panic recovery, periodic
-	// invariant audits, WAL logging and checkpoint-based rebuilds.
-	Guard = resilience.Guard
-	// GuardOption configures a Guard.
-	GuardOption = resilience.GuardOption
 	// SanitizePolicy selects how invalid updates are handled.
 	SanitizePolicy = resilience.Policy
 	// Sanitizer validates update batches against a topology.
@@ -254,8 +246,6 @@ type (
 	ReplTailerConfig = replication.TailerConfig
 	ReplSource       = replication.Source
 	ReplProxy        = replication.Proxy
-	// RecoveryConfig names the durable artefacts Recover rebuilds from.
-	RecoveryConfig = resilience.RecoveryConfig
 )
 
 // Sanitize policies.
@@ -268,26 +258,11 @@ const (
 	SanitizeStrict = resilience.PolicyStrict
 )
 
-// Resilience counter names (Result.Counters() / Engine.Counters()).
-const (
-	CntPanicRecovered    = stats.CntPanicRecovered
-	CntAuditFailed       = stats.CntAuditFailed
-	CntRecoverCheckpoint = stats.CntRecoverCheckpoint
-	CntRecoverColdStart  = stats.CntRecoverColdStart
-	CntBatchRejected     = stats.CntBatchRejected
-)
+// CntBatchRejected counts batches a Sanitizer refused under the reject and
+// strict policies.
+const CntBatchRejected = stats.CntBatchRejected
 
 var (
-	// NewGuard wraps an engine with the resilience envelope.
-	NewGuard = resilience.NewGuard
-	// Guard options.
-	WithSanitizePolicy  = resilience.WithPolicy
-	WithAuditEvery      = resilience.WithAuditEvery
-	WithCheckpointEvery = resilience.WithCheckpointEvery
-	WithCheckpointFile  = resilience.WithCheckpointFile
-	WithWAL             = resilience.WithWAL
-	WithEngineFactory   = resilience.WithEngineFactory
-	WithRestore         = resilience.WithRestore
 	// NewSanitizer builds a standalone batch validator; ValidateBatch is the
 	// one-shot strict check; ParseSanitizePolicy parses a policy name.
 	NewSanitizer        = resilience.NewSanitizer
@@ -306,14 +281,10 @@ var (
 	NewReplProxy   = replication.NewProxy
 	NewReplProxyOn = replication.NewProxyOn
 	ReplLeaderURL  = replication.LeaderURL
-	// Recover rebuilds a CISO engine from checkpoint + WAL after a crash.
-	Recover = resilience.Recover
 	// NewFaultInjector / NewPanicAlgorithm are the deterministic fault
 	// models used by the resilience tests.
 	NewFaultInjector  = resilience.NewInjector
 	NewPanicAlgorithm = resilience.NewPanicAlgorithm
-	// LoadCISOFile reads a checkpoint file written by CISO.SaveFile.
-	LoadCISOFile = core.LoadCISOFile
 )
 
 // Accelerator model (paper §III-B).

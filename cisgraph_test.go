@@ -1,7 +1,6 @@
 package cisgraph_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -97,26 +96,12 @@ func TestFacadeStandIns(t *testing.T) {
 }
 
 // TestFacadeCheckpointAndMultiQuery exercises the extension surface through
-// the public API only.
+// the public API only: the multi-query engine and the PnP baseline.
 func TestFacadeCheckpointAndMultiQuery(t *testing.T) {
 	g := cisgraph.NewDynamic(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(2, 3, 3)
-
-	eng := cisgraph.NewCISO()
-	eng.Reset(g.Clone(), cisgraph.PPSP(), cisgraph.Query{S: 0, D: 3})
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := cisgraph.LoadCISO(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Answer() != eng.Answer() {
-		t.Fatalf("restored %v, want %v", restored.Answer(), eng.Answer())
-	}
 
 	fleet := cisgraph.NewMultiCISO(cisgraph.WithParallelQueries())
 	fleet.Reset(g.Clone(), cisgraph.PPSP(), []cisgraph.Query{{S: 0, D: 3}, {S: 1, D: 3}})
@@ -148,7 +133,9 @@ func TestFacadeEnergyAndReport(t *testing.T) {
 }
 
 // TestFacadeResilience exercises the resilience surface through the public
-// API: guard wrapping, sanitize policies, WAL round trip and crash recovery.
+// API: a fault-injected stream sanitized before the engine sees it answers
+// like the clean stream, the WAL it was logged to replays to the same
+// answer, and the policy parser and strict validator work.
 func TestFacadeResilience(t *testing.T) {
 	el := cisgraph.Uniform("facade-res", 64, 300, 8, 5)
 	w, err := cisgraph.NewWorkload(el, cisgraph.StreamConfig{
@@ -158,43 +145,48 @@ func TestFacadeResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cisgraph.Query{S: 0, D: 63}
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "s.wal")
-	ckptPath := filepath.Join(dir, "s.ckpt")
-
+	walPath := filepath.Join(t.TempDir(), "s.wal")
 	wal, err := cisgraph.CreateSegmentedWAL(walPath, cisgraph.SegWALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := cisgraph.NewFaultInjector(cisgraph.FaultConfig{Seed: 3, CorruptP: 0.5})
-	g := cisgraph.NewGuard(cisgraph.NewCISO(),
-		cisgraph.WithSanitizePolicy(cisgraph.SanitizeDrop),
-		cisgraph.WithAuditEvery(1),
-		cisgraph.WithCheckpointEvery(2),
-		cisgraph.WithCheckpointFile(ckptPath),
-		cisgraph.WithWAL(wal))
-	g.Reset(w.Initial(), cisgraph.PPSP(), q)
-	var want cisgraph.Value
+	san := cisgraph.NewSanitizer(cisgraph.SanitizeDrop, nil)
+	topo := w.Initial()
+	eng, ref := cisgraph.NewCISO(), cisgraph.NewCISO()
+	eng.Reset(topo.Clone(), cisgraph.PPSP(), q)
+	ref.Reset(topo.Clone(), cisgraph.PPSP(), q)
 	for i := 0; i < 4; i++ {
-		res := g.ApplyBatch(inj.Mangle(el.N, w.NextBatch()))
-		if res.Err != nil {
-			t.Fatalf("batch %d: %v", i, res.Err)
+		b := w.NextBatch()
+		clean, _, err := san.Sanitize(topo, inj.Mangle(el.N, b))
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
 		}
-		want = res.Answer
+		if _, err := wal.AppendRecords([]cisgraph.WALRecord{{Batch: clean}}); err != nil {
+			t.Fatal(err)
+		}
+		topo.Apply(clean)
+		if got, want := eng.ApplyBatch(clean).Answer, ref.ApplyBatch(b).Answer; got != want {
+			t.Fatalf("batch %d: sanitized answer %v, clean %v", i, got, want)
+		}
 	}
-	wal.Close()
-
-	eng, through, err := cisgraph.Recover(cisgraph.RecoveryConfig{
-		WALPath: walPath, CheckpointPath: ckptPath,
-	})
-	if err != nil {
+	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if through != 4 || eng.Answer() != want {
-		t.Fatalf("recovered through=%d answer=%v, want 4 / %v", through, eng.Answer(), want)
+
+	recs, err := cisgraph.ReplaySegmented(walPath)
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("replay: %d records, err %v", len(recs), err)
+	}
+	replayed := cisgraph.NewCISO()
+	replayed.Reset(w.Initial(), cisgraph.PPSP(), q)
+	for _, rec := range recs {
+		replayed.ApplyBatch(rec.Batch)
+	}
+	if replayed.Answer() != eng.Answer() {
+		t.Fatalf("replayed answer %v, live %v", replayed.Answer(), eng.Answer())
 	}
 
-	// Standalone sanitizer + policy parsing.
 	p, err := cisgraph.ParseSanitizePolicy("strict")
 	if err != nil || p != cisgraph.SanitizeStrict {
 		t.Fatalf("ParseSanitizePolicy: %v %v", p, err)
@@ -202,8 +194,5 @@ func TestFacadeResilience(t *testing.T) {
 	bad := []cisgraph.Update{cisgraph.AddEdgeUpdate(1, 1, 1)}
 	if err := cisgraph.ValidateBatch(w.Initial(), bad); err == nil {
 		t.Fatal("self-loop accepted by ValidateBatch")
-	}
-	if recs, err := cisgraph.ReplaySegmented(walPath); err != nil || len(recs) != 4 {
-		t.Fatalf("replay: %d records, err %v", len(recs), err)
 	}
 }

@@ -168,16 +168,6 @@ func (c *CISO) result(before []int64, response, converged time.Duration) Result 
 // Answer implements Engine.
 func (c *CISO) Answer() algo.Value { return c.st.answer() }
 
-// Topology returns a clone of the engine's current graph snapshot (nil when
-// unarmed) — the shadow a resilience guard resumes around after a
-// checkpoint restore.
-func (c *CISO) Topology() *graph.Dynamic {
-	if c.st == nil {
-		return nil
-	}
-	return c.st.g.Clone()
-}
-
 // Counters implements Engine.
 func (c *CISO) Counters() *stats.Counters { return c.cnt }
 

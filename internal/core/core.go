@@ -43,10 +43,10 @@ type Result struct {
 	// Converged is the time until the engine's state fully converged on
 	// the new snapshot.
 	Converged time.Duration
-	// Err is non-nil when the engine degraded while producing this result —
-	// a recovered per-query panic in MultiCISO, a rejected batch or a
-	// recovery event in resilience.Guard. The Answer is the engine's best
-	// current value; it may be stale until the next clean batch.
+	// Err is non-nil when the engine degraded while producing this result:
+	// a plug-in panic MultiCISO recovered in the query's source group. The
+	// Answer is the engine's best current value — recomputed after the
+	// recovery, stale while a failed one leaves the group suspect.
 	Err error
 	// Skipped reports that change-driven evaluation proved the batch could
 	// not affect this query (DESIGN.md §15): its group's phases never ran
@@ -83,8 +83,8 @@ func (r *Result) CounterDelta() (src *stats.Counters, delta []int64) {
 }
 
 // SetCounters replaces the result's counter deltas with an explicit map.
-// Engine wrappers outside this package (resilience.Guard, hw/accel) use it
-// to attribute their own measurements.
+// The accelerator model (hw/accel) uses it to attribute its own
+// measurements.
 func (r *Result) SetCounters(m map[string]int64) {
 	r.counters = m
 	r.cntSrc, r.cntDelta = nil, nil
@@ -145,16 +145,6 @@ type Engine interface {
 	Answer() algo.Value
 	// Counters exposes the engine's cumulative counters.
 	Counters() *stats.Counters
-}
-
-// InvariantChecker is implemented by engines that can audit their internal
-// state for corruption. resilience.Guard calls it periodically and rebuilds
-// the engine when the audit fails.
-type InvariantChecker interface {
-	// CheckInvariants returns a non-nil error when the engine's state is
-	// internally inconsistent (e.g. a dependency-tree edge that no longer
-	// exists or no longer supplies its child's value).
-	CheckInvariants() error
 }
 
 // timed runs f and returns its wall-clock duration.

@@ -115,10 +115,9 @@ func (in *Injector) corruptClone(n int, up graph.Update) graph.Update {
 }
 
 // PanicAlgorithm wraps an algo.Algorithm and panics once, deterministically,
-// on the n-th Propagate call after arming — the fault model for proving the
-// guard and MultiCISO recover from a crashing plugin. It reports the inner
-// algorithm's Name, so a checkpoint written while wrapped restores to the
-// clean algorithm.
+// on the n-th Propagate call after arming — the fault model for proving
+// MultiCISO, and the daemon serving it, recover from a crashing plug-in. It
+// reports the inner algorithm's Name.
 type PanicAlgorithm struct {
 	algo.Algorithm
 	after atomic.Int64

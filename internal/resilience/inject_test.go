@@ -7,7 +7,20 @@ import (
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/stream"
 )
+
+// faultWorkload builds a small deterministic stream: an initial snapshot and
+// k clean batches.
+func faultWorkload(t *testing.T, k int) (*graph.Dynamic, [][]graph.Update) {
+	t.Helper()
+	el := graph.Uniform("fault", 128, 900, 8, 21)
+	w, err := stream.New(el, stream.Config{LoadFraction: 0.5, AddsPerBatch: 25, DelsPerBatch: 25, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Initial(), w.Batches(k)
+}
 
 func TestInjectorDeterminism(t *testing.T) {
 	batch := []graph.Update{
@@ -60,7 +73,7 @@ func TestCorruptClonesAlwaysInvalid(t *testing.T) {
 // model: with DropP=0, sanitize(mangle(batch)) applied to a topology yields
 // the same graph as the clean batch.
 func TestMangledStreamIsNeutralAfterSanitize(t *testing.T) {
-	init, batches, _ := guardWorkload(t, 6)
+	init, batches := faultWorkload(t, 6)
 	cleanG := init.Clone()
 	faultyG := init.Clone()
 	in := NewInjector(InjectorConfig{Seed: 11, CorruptP: 0.6, DupP: 0.5, ReorderP: 0.7})

@@ -1,11 +1,12 @@
-// Package resilience is the production-hardening layer around the CISGraph
-// engines: validated ingestion (a sanitizer that keeps malformed updates out
-// of every engine), durable streams (a checksummed write-ahead log plus
-// atomic checkpoints, so a crashed run recovers by replaying the WAL suffix
-// over the latest good checkpoint), guarded execution (a core.Engine wrapper
-// that recovers panics, audits invariants and degrades gracefully by
-// rebuilding from a checkpoint or a full recompute), and deterministic fault
-// injection used by the tests to prove all of the above.
+// Package resilience is the hardening layer the daemon's commit stage runs
+// on: validated ingestion (a sanitizer that keeps malformed updates out of
+// every engine), durable streams (a checksummed segmented write-ahead log
+// plus an atomic positioned checkpoint envelope, from which cisgraphd
+// restores by replaying the WAL suffix over the latest good checkpoint), and
+// deterministic fault injection (mangled batches, a panicking algorithm
+// plug-in, a failing filesystem) used by the tests to prove both. Panic
+// recovery lives in the engine that panics: MultiCISO recomputes a
+// panicking source group on the shared topology.
 //
 // The paper's workload generator (§IV-A) only ever emits well-formed
 // batches; a deployment ingesting real update streams cannot assume that.

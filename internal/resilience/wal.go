@@ -160,11 +160,11 @@ func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64,
 //	snapshot includes — recovery replays WAL records with index ≥ through) |
 //	uint64 epoch | uint32 payload length | uint32 CRC-32 of the payload |
 //	payload
-const guardCkptVersion = 2
+const ckptVersion = 2
 
-var guardCkptMagic = []byte("CGRC")
+var ckptMagic = []byte("CGRC")
 
-const guardCkptHeaderLen = 32
+const ckptHeaderLen = 32
 
 // WriteCheckpointMetaFS atomically persists a snapshot covering the first
 // `through` stream positions, stamped with the writer's epoch: the envelope
@@ -172,9 +172,9 @@ const guardCkptHeaderLen = 32
 // mid-write never destroys the previous good checkpoint. Single-writer: the
 // callers serialize checkpoints.
 func WriteCheckpointMetaFS(fsys FS, path string, through, epoch uint64, payload []byte) error {
-	buf := make([]byte, guardCkptHeaderLen, guardCkptHeaderLen+len(payload))
-	copy(buf, guardCkptMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], guardCkptVersion)
+	buf := make([]byte, ckptHeaderLen, ckptHeaderLen+len(payload))
+	copy(buf, ckptMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], ckptVersion)
 	binary.LittleEndian.PutUint64(buf[8:16], through)
 	binary.LittleEndian.PutUint64(buf[16:24], epoch)
 	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(payload)))
@@ -222,20 +222,20 @@ func ReadCheckpointMeta(path string) (through, epoch uint64, payload []byte, err
 // replication bootstrap path ships the leader's checkpoint file over HTTP
 // and the follower validates it here, CRC and all, before trusting a byte.
 func DecodeCheckpointMeta(data []byte) (through, epoch uint64, payload []byte, err error) {
-	if len(data) < 8 || !bytes.Equal(data[:4], guardCkptMagic) {
+	if len(data) < 8 || !bytes.Equal(data[:4], ckptMagic) {
 		return 0, 0, nil, fmt.Errorf("checkpoint: bad header")
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != guardCkptVersion {
-		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, guardCkptVersion)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != ckptVersion {
+		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, ckptVersion)
 	}
-	if len(data) < guardCkptHeaderLen {
+	if len(data) < ckptHeaderLen {
 		return 0, 0, nil, fmt.Errorf("checkpoint: truncated header")
 	}
 	through = binary.LittleEndian.Uint64(data[8:16])
 	epoch = binary.LittleEndian.Uint64(data[16:24])
 	plen := binary.LittleEndian.Uint32(data[24:28])
 	want := binary.LittleEndian.Uint32(data[28:32])
-	payload = data[guardCkptHeaderLen:]
+	payload = data[ckptHeaderLen:]
 	if uint64(len(payload)) != uint64(plen) {
 		return 0, 0, nil, fmt.Errorf("checkpoint: truncated (payload %d bytes, header says %d)", len(payload), plen)
 	}

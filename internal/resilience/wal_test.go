@@ -205,7 +205,7 @@ func TestWALMissingFile(t *testing.T) {
 }
 
 func TestGuardCheckpointFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "guard.ckpt")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	payload := []byte("engine snapshot bytes go here")
 	if err := WriteCheckpointMetaFS(OsFS{}, path, 42, 3, payload); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestGuardCheckpointFileRoundTrip(t *testing.T) {
 
 func TestGuardCheckpointFileCorruption(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "guard.ckpt")
+	path := filepath.Join(dir, "state.ckpt")
 	if err := WriteCheckpointMetaFS(OsFS{}, path, 7, 0, []byte("snapshot payload")); err != nil {
 		t.Fatal(err)
 	}

@@ -235,8 +235,8 @@ func New(g *graph.Dynamic, a algo.Algorithm, cfg Config) (*Server, error) {
 }
 
 // Restore rebuilds a server from the durable artefacts of a previous run —
-// the drain (or periodic) checkpoint plus the WAL suffix it does not cover
-// — via the PR 1 recovery path. init supplies the initial topology when no
+// the drain (or periodic) checkpoint plus the WAL suffix it does not cover.
+// init supplies the initial topology when no
 // usable checkpoint exists (nil init makes a missing checkpoint fatal).
 // Registered queries come back armed; their answers recompute from the
 // restored topology and are identical to the pre-restart ones.
@@ -276,9 +276,8 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 		}
 		through = 0
 	}
-	// Replay the WAL suffix the checkpoint does not cover, exactly like
-	// resilience.Recover: indices below `through` are already inside the
-	// restored topology.
+	// Replay the WAL suffix the checkpoint does not cover: indices below
+	// `through` are already inside the restored topology.
 	var replay []resilience.Record
 	if cfg.WALPath != "" {
 		recs, err := resilience.ReplaySegmentedFS(cfg.FS, cfg.WALPath)

@@ -15,6 +15,7 @@ import (
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
+	"cisgraph/internal/stats"
 )
 
 // testServerConfig keeps windows small so e2e streams exercise multiple
@@ -92,15 +93,37 @@ func waitQuiescedSrv(t *testing.T, s *Server) {
 }
 
 // End-to-end: answers served over HTTP after a streamed update sequence are
-// identical to an offline MultiCISO run over the same stream, then survive a
-// drain + restore-from-checkpoint/WAL round trip mid-stream.
+// identical to an offline MultiCISO run over the same clean stream, then
+// survive a drain + restore-from-checkpoint/WAL round trip mid-stream. The
+// stream arrives as JSON bodies or, as the "faulty" input, mangled by the
+// fault injector (corrupt clones, duplicates, reorders) and offered to the
+// batcher directly, since JSON cannot carry the NaN/±Inf clones: the commit
+// stage's sanitizer must neutralise every fault on both sides of the restart.
 func TestServerEndToEndMatchesOfflineAcrossRestart(t *testing.T) {
+	t.Run("json", func(t *testing.T) { testEndToEndAcrossRestart(t, false) })
+	t.Run("faulty", func(t *testing.T) { testEndToEndAcrossRestart(t, true) })
+}
+
+func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
 	cfg := testServerConfig()
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
+
+	inj := resilience.NewInjector(resilience.InjectorConfig{Seed: 99, CorruptP: 0.4, DupP: 0.3, ReorderP: 0.5})
+	feed := func(s *Server, client *http.Client, base string, b []graph.Update) {
+		t.Helper()
+		if !faulty {
+			postUpdatesHTTP(t, client, base, b)
+			return
+		}
+		mangled := inj.Mangle(w.NumVertices(), b)
+		if n, _, err := s.bat.Offer(mangled); err != nil || n != len(mangled) {
+			t.Fatalf("Offer: accepted %d of %d: %v", n, len(mangled), err)
+		}
+	}
 
 	srv, err := New(w.Initial(), a, cfg)
 	if err != nil {
@@ -131,7 +154,7 @@ func TestServerEndToEndMatchesOfflineAcrossRestart(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b := w.NextBatch()
 		replayed = append(replayed, b)
-		postUpdatesHTTP(t, client, ts.URL, b)
+		feed(srv, client, ts.URL, b)
 	}
 	waitQuiescedSrv(t, srv)
 	for _, b := range replayed {
@@ -168,10 +191,25 @@ func TestServerEndToEndMatchesOfflineAcrossRestart(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b := w.NextBatch()
 		ref.ApplyBatch(b)
-		postUpdatesHTTP(t, client2, ts2.URL, b)
+		feed(srv2, client2, ts2.URL, b)
 	}
 	waitQuiescedSrv(t, srv2)
 	checkAnswers(t, client2, ts2.URL, qs, ref.Answers(), "post-restart stream")
+	if faulty {
+		if f := inj.Faults(); f["corrupt"] == 0 || f["duplicate"] == 0 || f["reorder"] == 0 {
+			t.Fatalf("injector produced no faults: %v", f)
+		}
+		var dropped int64
+		for _, s := range []*Server{srv, srv2} {
+			for _, reason := range []string{resilience.DropOutOfRange, resilience.DropSelfLoop,
+				resilience.DropBadWeight, resilience.DropDupAdd, resilience.DropAbsentDel} {
+				dropped += s.Counters().Get(reason)
+			}
+		}
+		if dropped == 0 {
+			t.Fatal("sanitizer dropped nothing on a faulty stream")
+		}
+	}
 	if err := srv2.Drain(); err != nil {
 		t.Fatalf("final drain: %v", err)
 	}
@@ -194,6 +232,74 @@ func checkAnswers(t *testing.T, client *http.Client, base string, qs []core.Quer
 			t.Errorf("%s: Q(%d->%d): served %v, offline %v", phase, ans.S, ans.D, float64(ans.Value), want[i])
 		}
 	}
+}
+
+// A panic inside the algorithm plug-in mid-commit is the engine's to
+// recover: the daemon counts it (query_panic on /metrics), keeps serving,
+// and answers like an offline reference at once — the panicking source
+// group is recomputed on the committed topology — and after the next commit.
+func TestServerRecoversPluginPanic(t *testing.T) {
+	w := testWorkload(t)
+	init := w.Initial()
+	var qs []core.Query
+	for _, p := range w.QueryPairsConnected(5) {
+		qs = append(qs, core.Query{S: p[0], D: p[1]})
+	}
+	// The first-registered query's group is scanned first, so it takes the
+	// armed panic; make it one without a direct edge, which the panicking
+	// body then adds.
+	for i, q := range qs {
+		if _, ok := init.HasEdge(q.S, q.D); !ok {
+			qs[0], qs[i] = qs[i], qs[0]
+			break
+		}
+	}
+	q0 := qs[0]
+	if _, ok := init.HasEdge(q0.S, q0.D); ok {
+		t.Fatal("every query pair is one edge apart")
+	}
+
+	pa := resilience.NewPanicAlgorithm(testAlgo(t))
+	cfg := testServerConfig()
+	cfg.Shards = 1
+	srv, err := New(init, pa, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	for _, q := range qs {
+		if resp, body := postJSON(t, client, ts.URL+"/v1/query", queryRequest{S: q.S, D: q.D}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/query: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	ref := core.NewMultiCISO()
+	ref.Reset(init.Clone(), testAlgo(t), qs)
+
+	// A short edge straight into q0's destination moves its answer, so a
+	// group left unrecovered would serve a stale one. The self-loop beside it
+	// is dropped; it makes the body a batch, whose groups run under recover
+	// (a lone update's routing swallows a panicking judgement instead).
+	body := []graph.Update{graph.Add(q0.S, q0.D, 1e-3), graph.Add(q0.S, q0.S, 1)}
+	pa.Arm(1)
+	postUpdatesHTTP(t, client, ts.URL, body)
+	waitQuiescedSrv(t, srv)
+	ref.ApplyBatch(body[:1])
+	if pa.Fired() != 1 {
+		t.Fatalf("injected panic fired %d times, want 1", pa.Fired())
+	}
+	if got := scrapeCounter(t, client, ts.URL, stats.CntQueryPanic); got != 1 {
+		t.Fatalf("query_panic = %d, want 1", got)
+	}
+	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "after the panic")
+
+	b := w.NextBatch()
+	ref.ApplyBatch(b)
+	postUpdatesHTTP(t, client, ts.URL, b)
+	waitQuiescedSrv(t, srv)
+	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "after the next commit")
 }
 
 // The HTTP surface: validation errors, admission control, health and metrics.

@@ -68,7 +68,7 @@ const (
 	CntPruned = "pruned"
 
 	// Resilience counters (internal/resilience): per-reason drop counts from
-	// the ingestion sanitizer and recovery events from the engine guard.
+	// the ingestion sanitizer.
 	CntDropOutOfRange = "drop_out_of_range"
 	CntDropSelfLoop   = "drop_self_loop"
 	CntDropBadWeight  = "drop_bad_weight"
@@ -77,18 +77,9 @@ const (
 	// CntBatchRejected counts whole batches refused under the reject/strict
 	// sanitize policies.
 	CntBatchRejected = "batch_rejected"
-	// CntPanicRecovered counts engine panics caught by resilience.Guard.
-	CntPanicRecovered = "panic_recovered"
-	// CntAuditFailed counts periodic invariant audits that detected
-	// corruption.
-	CntAuditFailed = "audit_failed"
 	// CntQueryPanic counts panics recovered inside a MultiCISO source
 	// group's processing (once per group, whatever its member count).
 	CntQueryPanic = "query_panic"
-	// CntRecoverCheckpoint / CntRecoverColdStart count guard recoveries by
-	// mechanism: checkpoint restore + replay vs full recompute.
-	CntRecoverCheckpoint = "recover_checkpoint"
-	CntRecoverColdStart  = "recover_coldstart"
 
 	// Hardware-side counters.
 	CntSPMHit    = "spm_hit"
