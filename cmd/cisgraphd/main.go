@@ -1,8 +1,8 @@
 // Command cisgraphd serves a streaming pairwise-analytics graph over HTTP:
 // clients POST edge updates, register pairwise queries Q(s→d), and read the
 // continuously maintained answers. Updates are gathered into time-or-size
-// bounded batches (the paper's ingestion model) and applied through a
-// sharded multi-query pool; every batch is validated by the resilience
+// bounded batches (the paper's ingestion model) and applied through one
+// multi-query engine; every batch is validated by the resilience
 // sanitizer and, when configured, logged to a WAL and checkpointed, so a
 // SIGTERM drain (or a crash) can be resumed with -resume.
 //
@@ -71,8 +71,7 @@ func run() error {
 		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
 		maxBody   = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
 		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
-		shards    = flag.Int("shards", 1, "query-pool shards")
-		workers   = flag.Int("workers", 0, "per-shard query worker pool size (0 = the daemon's CPU budget, 1 = serial)")
+		workers   = flag.Int("workers", 0, "query worker pool size (0 = the daemon's CPU budget, 1 = serial)")
 		propWork  = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
 		maxQ      = flag.Int("max-queries", 1024, "registered-query admission limit")
 
@@ -125,7 +124,6 @@ func run() error {
 		RequestTimeout:      *reqTO,
 		MaxBodyBytes:        *maxBody,
 		MaxInFlight:         *maxInfl,
-		Shards:              *shards,
 		Workers:             *workers,
 		PropagateWorkers:    *propWork,
 		MaxQueries:          *maxQ,
@@ -275,8 +273,8 @@ func run() error {
 		}()
 	}
 	go func() {
-		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), %d shard(s), CPU budget %d (+1 P for admission)",
-			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, *shards, engineCPUs)
+		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), CPU budget %d (+1 P for admission)",
+			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, engineCPUs)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

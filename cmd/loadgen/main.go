@@ -984,7 +984,7 @@ func getAnswers(c *http.Client, addr string) (*answersPayload, error) {
 }
 
 // getApplyLatency reads the daemon's engine-side apply-latency report: per
-// batch-size class, the p50/p90/p99 of how long the shard engines took to
+// batch-size class, the p50/p90/p99 of how long the engine took to
 // apply recent batches of that size (sanitize/WAL/publication excluded).
 func getApplyLatency(c *http.Client, addr string) ([]server.ApplyLatBucket, error) {
 	resp, err := c.Get(addr + "/healthz")

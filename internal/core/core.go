@@ -36,9 +36,10 @@ type Query struct {
 type Result struct {
 	// Answer is the query result on the new snapshot (state of d).
 	Answer algo.Value
-	// Response is the time until the engine could answer the query.
-	// For CISO this excludes delayed-update processing (the paper's
-	// response-time metric); for every other engine it equals Converged.
+	// Response is the time until the engine could answer the query. CISO,
+	// MultiCISO and the accelerator model (hw/accel) exclude delayed-update
+	// processing (the paper's response-time metric); the baselines (cold
+	// start, incremental, SGraph, PnP) report Response == Converged.
 	Response time.Duration
 	// Converged is the time until the engine's state fully converged on
 	// the new snapshot.

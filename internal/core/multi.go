@@ -275,9 +275,9 @@ func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 	return first, answers
 }
 
-// Topology returns the engine's live graph, not a clone (unlike
-// CISO.Topology) — the one topology a serving layer validates against
-// instead of keeping a copy of its own. Contract:
+// Topology returns the engine's live graph, not a clone — the one topology
+// a serving layer validates against instead of keeping a copy of its own.
+// Contract:
 //
 //   - the graph is mutated only by the engine's writers (ApplyBatch*,
 //     ApplyUpdates*, Reset replaces it), called by a single writer under
@@ -347,8 +347,8 @@ func (m *MultiCISO) Counters() *stats.Counters {
 
 // StateBytes reports the resident bytes of all source-group state: 8 value
 // and 4 parent bytes per vertex per group, plus a fixed per-group header.
-// Scratch is excluded (see ScratchBytes) — it scales with workers, not
-// sources.
+// The per-worker execution scratch is excluded — it scales with workers,
+// not sources.
 func (m *MultiCISO) StateBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -356,20 +356,6 @@ func (m *MultiCISO) StateBytes() int64 {
 	var total int64
 	for _, g := range m.groups {
 		total += int64(len(g.st.val))*12 + headerBytes
-	}
-	return total
-}
-
-// ScratchBytes reports the resident bytes of the per-worker execution
-// scratch (worklists + tagging buffers) — O(V × workers) by construction.
-func (m *MultiCISO) ScratchBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	for _, sc := range m.scs {
-		if sc != nil {
-			total += sc.bytes()
-		}
 	}
 	return total
 }

@@ -54,14 +54,6 @@ func (sc *scratch) clear() {
 	sc.path = sc.path[:0]
 }
 
-// bytes returns the scratch's resident size (memory accounting).
-func (sc *scratch) bytes() int64 {
-	return int64(len(sc.inSet)) + int64(len(sc.onPath)) +
-		int64(cap(sc.buf)+cap(sc.path)+cap(sc.broken)+cap(sc.late))*4 +
-		int64(cap(sc.valuable)+cap(sc.delayed))*12 + int64(cap(sc.wl.items))*16 +
-		int64(cap(sc.heads))*24
-}
-
 // worklist is a lazy best-first priority queue over (vertex, score) pairs.
 // Best-first order makes propagation label-setting for monotone algorithms
 // (a generic Dijkstra); stale entries are skipped at pop time.

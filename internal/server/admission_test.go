@@ -39,7 +39,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(w.Initial(), testAlgo(t), Config{BatchMaxSize: batch, Shards: 1})
+	srv, err := New(w.Initial(), testAlgo(t), Config{BatchMaxSize: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

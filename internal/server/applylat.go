@@ -9,7 +9,7 @@ import (
 )
 
 // Engine-side apply-latency tracking. Every commit records how long the
-// shard engines took to apply it (the pool call only — sanitize, WAL fsync
+// engine took to apply it (the pool call only — sanitize, WAL fsync
 // and watch publication are excluded), keyed by its update-count bucket.
 // Small trickle batches and full-size cuts stress different parts of the
 // kernel (per-update routing vs whole-batch repair), so one merged

@@ -25,9 +25,9 @@ import (
 // cisgraphd mid-ingest, restart it with -resume, and assert that the
 // answers it serves after every restart are identical to an offline replay
 // of the durable prefix (checkpoint topology + WAL suffix) through an
-// independent MultiCISO engine. The daemon recovers through the sharded
-// pool, the checker through the single-engine path, so agreement is a
-// genuine cross-check of persistence against serving — not the daemon
+// independent MultiCISO engine. The daemon recovers through Restore and its
+// query pool, the checker through an engine fed only the durable files, so
+// agreement is a genuine cross-check of persistence against serving — not the daemon
 // agreeing with itself.
 //
 // SIGKILL (not SIGTERM) means no drain runs: the WAL's last segment may

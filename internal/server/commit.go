@@ -89,7 +89,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 
 	// Dedup and sanitize (client records only) leave the updates to apply in
 	// clean and the records to log in out. The commit goroutine is the
-	// topology's only writer, so it reads it here without the shard lock.
+	// topology's only writer, so it reads it here without the engine lock.
 	topo := s.pool.Topology()
 	var clean []graph.Update
 	out := recs

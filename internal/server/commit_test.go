@@ -228,7 +228,6 @@ func TestFastCommitAllocs(t *testing.T) {
 			w := testWorkload(t)
 			g := w.Initial()
 			cfg := testServerConfig()
-			cfg.Shards = 1
 			cfg.WALPath = filepath.Join(t.TempDir(), "srv.wal")
 			srv, err := New(g, testAlgo(t), cfg)
 			if err != nil {

@@ -111,18 +111,13 @@ type Config struct {
 	// Retry-After before they can pile onto the batcher. /healthz and
 	// /metrics bypass the gate so operators can always observe the server.
 	MaxInFlight int
-	// Shards is the number of query-pool shards; registered queries are
-	// spread across them and the shards apply each batch in parallel (shard
-	// 0 on the committing goroutine, every other on one of its own).
-	// Default 1.
-	Shards int
-	// Workers bounds the per-shard worker pool that processes a shard's
-	// queries during batch application (core.WithWorkers). Default the CPU
-	// budget: the one SizeProcs recorded, else GOMAXPROCS. 1 runs a shard's
-	// queries serially.
+	// Workers bounds the engine's worker pool that processes its source
+	// groups during batch application (core.WithWorkers). Default the CPU
+	// budget: the one SizeProcs recorded, else GOMAXPROCS. 1 runs the
+	// groups serially.
 	Workers int
-	// MaxQueries caps registered queries across all shards (admission
-	// control; default 1024).
+	// MaxQueries caps registered queries (admission control; default
+	// 1024).
 	MaxQueries int
 	// Policy is the ingestion sanitize policy (default resilience.PolicyDrop).
 	// Every batch is validated against the pool's topology before any
@@ -231,8 +226,8 @@ type Config struct {
 	// benchmark/stage.go sets it; it goes with ROADMAP item 3's benchmark
 	// change.
 	PropagateWorkers int
-	// DisableChangeSkip turns off change-driven query skipping in the shard
-	// engines (DESIGN.md §15), forcing every registered query through the
+	// DisableChangeSkip turns off change-driven query skipping in the
+	// engine (DESIGN.md §15), forcing every registered query through the
 	// full per-batch phases. Production keeps it off; differential tests and
 	// benchmarks flip it to compare against exhaustive evaluation.
 	DisableChangeSkip bool
@@ -276,9 +271,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.FS == nil {
 		c.FS = resilience.OsFS{}
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	if c.Workers <= 0 {
 		c.Workers = engineBudget()

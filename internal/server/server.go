@@ -1,5 +1,5 @@
 // Package server turns the CISGraph engine library into a long-running
-// network service: an HTTP/JSON API over a sharded multi-query pool, fed by
+// network service: an HTTP/JSON API over a multi-query engine, fed by
 // a batched ingestion pipeline that mirrors the paper's batch-gathering
 // model, wrapped in the PR 1 resilience envelope (sanitized ingest, WAL,
 // atomic checkpoints, graceful drain). DESIGN.md §10 documents the
@@ -51,7 +51,7 @@ const (
 	// CntQueriesRegistered counts POST /v1/query registrations.
 	CntQueriesRegistered = "srv_queries_registered"
 	// CntBatchDegraded counts batches during which at least one query
-	// degraded (recovered panic) inside a shard engine.
+	// degraded (recovered panic) inside the engine.
 	CntBatchDegraded = "srv_batch_degraded"
 	// CntCheckpoints counts checkpoints written (periodic + drain).
 	CntCheckpoints = "srv_checkpoints"
@@ -107,19 +107,19 @@ const (
 )
 
 // Server is the cisgraphd serving core: it owns the ingestion pipeline and
-// the query pool — whose shard-0 engine graph is the one authoritative
+// the query pool — whose one engine's graph is the one authoritative
 // topology (QueryPool.Topology) — and exposes them over HTTP.
 //
 // Concurrency model (single-writer/many-reader): every write goes through
 // the one commit stage (commit.go), whose lock admits exactly one writer of
-// the topology and the shard engines at a time — the batcher's
+// the topology and the engine at a time — the batcher's
 // applier goroutine (JSON/batch path) and the fast path's commit goroutine
 // (binary/per-update path, DESIGN.md §14) take turns on it; on a follower
 // the tail goroutine is the sole writer. HTTP readers
 // consume the pool's atomic answer snapshot and the server's atomic gauges,
 // so GET paths never contend with commit work. Query registration is the
-// one cross-cutting write; it serializes against the writers per shard,
-// between commits.
+// one cross-cutting write; it serializes against the writers on the
+// engine's lock, between commits.
 type Server struct {
 	cfg  Config
 	a    algo.Algorithm
@@ -332,7 +332,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	s := &Server{
 		cfg:  cfg,
 		a:    a,
-		pool: NewQueryPool(g, a, cfg.Shards, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip),
+		pool: NewQueryPool(g, a, 1, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip),
 		san:  resilience.NewSanitizer(cfg.Policy, cnt),
 		cnt:  cnt,
 		hub:  watch.New(),
@@ -1007,7 +1007,6 @@ type healthzResponse struct {
 	Queries        int         `json:"queries"`
 	Edges          int64       `json:"edges"`
 	Algorithm      string      `json:"algorithm"`
-	Shards         int         `json:"shards"`
 	StateMB        float64     `json:"state_mb"`
 	WALSegments    int         `json:"wal_segments,omitempty"`
 	WALBytes       int64       `json:"wal_bytes,omitempty"`
@@ -1039,7 +1038,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Queries:      s.pool.NumQueries(),
 		Edges:        s.edges.Load(),
 		Algorithm:    s.a.Name(),
-		Shards:       s.pool.NumShards(),
 		StateMB:      float64(s.pool.StateBytes()) / (1 << 20),
 		ApplyLatency: s.applyLat.report(),
 		LastError:    s.LastError(),
@@ -1072,11 +1070,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders every counter — the server's own stats.Handle cells
-// plus the merged shard-engine counters — in Prometheus text exposition
-// format.
+// plus the engine counters — in Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP cisgraph_counter Cumulative event counters (server + merged engines).\n")
+	fmt.Fprintf(w, "# HELP cisgraph_counter Cumulative event counters (server + engine).\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_counter counter\n")
 	writeCounterFamily(w, "server", s.cnt.Snapshot())
 	writeCounterFamily(w, "engine", s.pool.Counters().Snapshot())
@@ -1092,7 +1089,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP cisgraph_queries Registered pairwise queries.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_queries gauge\n")
 	fmt.Fprintf(w, "cisgraph_queries %d\n", s.pool.NumQueries())
-	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident source-group state (one per distinct source) across all shards.\n")
+	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident source-group state (one per distinct source).\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_state_bytes gauge\n")
 	fmt.Fprintf(w, "cisgraph_state_bytes %d\n", s.pool.StateBytes())
 	if s.wal != nil {

@@ -25,7 +25,6 @@ func testServerConfig() Config {
 		BatchMaxSize:  64,
 		BatchMaxWait:  5 * time.Millisecond,
 		QueueCapacity: 4096,
-		Shards:        2,
 	}
 }
 
@@ -260,9 +259,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 	}
 
 	pa := resilience.NewPanicAlgorithm(testAlgo(t))
-	cfg := testServerConfig()
-	cfg.Shards = 1
-	srv, err := New(init, pa, cfg)
+	srv, err := New(init, pa, testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +353,7 @@ func TestServerAPISurface(t *testing.T) {
 	// Health reflects the live state.
 	var hz healthzResponse
 	getJSON(t, client, ts.URL+"/healthz", &hz)
-	if hz.Status != "ok" || hz.Queries != 2 || hz.Shards != 2 || hz.Algorithm == "" {
+	if hz.Status != "ok" || hz.Queries != 2 || hz.Algorithm == "" {
 		t.Errorf("healthz: %+v", hz)
 	}
 

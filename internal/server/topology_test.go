@@ -18,8 +18,8 @@ import (
 	"cisgraph/internal/stream"
 )
 
-// sortedArcs lists g's edges in (from, to) order: shards and checkpoints may
-// hold the same topology in different adjacency orders.
+// sortedArcs lists g's edges in (from, to) order: the engine and a
+// checkpoint may hold the same topology in different adjacency orders.
 func sortedArcs(g *graph.Dynamic) []graph.Arc {
 	arcs := g.EdgeList("").Arcs
 	slices.SortFunc(arcs, func(a, b graph.Arc) int {
@@ -60,7 +60,7 @@ func replayTopology(t *testing.T, g0 *graph.Dynamic, below uint64, walPaths ...s
 	return g
 }
 
-// checkOneTopology asserts the one-topology invariant on s: every shard's
+// checkOneTopology asserts the one-topology invariant on s: the engine's
 // edge list, the checkpoint it writes now, and the /healthz edge count all
 // equal the offline replay of its WAL, which covers exactly its position.
 func checkOneTopology(t *testing.T, where string, s *Server, g0 *graph.Dynamic) {
@@ -73,11 +73,9 @@ func checkOneTopology(t *testing.T, where string, s *Server, g0 *graph.Dynamic) 
 	}
 	want := replayTopology(t, g0, pos, s.cfg.WALPath)
 	wantArcs := sortedArcs(want)
-	for si, sh := range s.pool.shards {
-		if got := sortedArcs(sh.eng.Topology()); !slices.Equal(got, wantArcs) {
-			s.commitMu.Unlock()
-			t.Fatalf("%s: shard %d holds %d edges, offline replay %d (or different ones)", where, si, len(got), len(wantArcs))
-		}
+	if got := sortedArcs(s.pool.Topology()); !slices.Equal(got, wantArcs) {
+		s.commitMu.Unlock()
+		t.Fatalf("%s: engine holds %d edges, offline replay %d (or different ones)", where, len(got), len(wantArcs))
 	}
 	s.commitMu.Unlock()
 
@@ -128,20 +126,18 @@ func postBody(t *testing.T, s *Server, batch []graph.Update) {
 // front keeps it equal to the durable stream. After every commit of JSON
 // bodies with invalid updates (drop and reject), CGBIN/2 groups with
 // in-group duplicates, absent deletes and a replayed frame, a follower
-// fed the leader's log, and a Restore from a mid-stream copy, every shard's
+// fed the leader's log, and a Restore from a mid-stream copy, the engine's
 // edge list, the checkpoint's topology and the /healthz edge count equal an
 // offline replay of the initial snapshot plus the node's WAL.
 func TestOneTopology(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		for _, policy := range []resilience.Policy{resilience.PolicyDrop, resilience.PolicyReject} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, policy), func(t *testing.T) {
-				testOneTopology(t, shards, policy)
-			})
-		}
+	for _, policy := range []resilience.Policy{resilience.PolicyDrop, resilience.PolicyReject} {
+		t.Run(policy.String(), func(t *testing.T) {
+			testOneTopology(t, policy)
+		})
 	}
 }
 
-func testOneTopology(t *testing.T, shards int, policy resilience.Policy) {
+func testOneTopology(t *testing.T, policy resilience.Policy) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	g0 := w.Initial()
@@ -151,7 +147,6 @@ func testOneTopology(t *testing.T, shards int, policy resilience.Policy) {
 	}
 	config := func(dir string) Config {
 		cfg := testServerConfig()
-		cfg.Shards = shards
 		cfg.Policy = policy
 		cfg.WALPath = filepath.Join(dir, "srv.wal")
 		cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
