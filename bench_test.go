@@ -10,6 +10,7 @@
 package cisgraph_test
 
 import (
+	"runtime"
 	"testing"
 
 	"cisgraph"
@@ -213,7 +214,7 @@ func BenchmarkMultiQuery_Shared(b *testing.B) {
 	m.Reset(w.Initial(), algo.PPSP{}, qs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ApplyBatch(batches[i%len(batches)])
+		m.ApplyBatchDelta(batches[i%len(batches)])
 	}
 }
 
@@ -251,11 +252,11 @@ func BenchmarkMultiQuery_Parallel(b *testing.B) {
 		qs = append(qs, core.Query{S: p[0], D: p[1]})
 	}
 	batches := w.Batches(4)
-	m := core.NewMultiCISO(core.WithParallelQueries())
+	m := core.NewMultiCISO(core.WithWorkers(runtime.GOMAXPROCS(0)))
 	m.Reset(w.Initial(), algo.PPSP{}, qs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ApplyBatch(batches[i%len(batches)])
+		m.ApplyBatchDelta(batches[i%len(batches)])
 	}
 }
 

@@ -199,11 +199,9 @@ var (
 	// NewCISO is CISGraph-O, the contribution-aware software workflow.
 	NewCISO = core.NewCISO
 	// NewMultiCISO answers several queries over one shared stream.
-	// WithWorkers bounds the per-query worker pool, WithParallelQueries
-	// sizes it to GOMAXPROCS.
-	NewMultiCISO        = core.NewMultiCISO
-	WithWorkers         = core.WithWorkers
-	WithParallelQueries = core.WithParallelQueries
+	// WithWorkers bounds its per-source-group worker pool.
+	NewMultiCISO = core.NewMultiCISO
+	WithWorkers  = core.WithWorkers
 	// WithNoDrop / WithFIFO disable CISO's dropping / priority scheduling.
 	WithNoDrop = core.WithNoDrop
 	WithFIFO   = core.WithFIFO

@@ -103,7 +103,7 @@ func TestFacadeCheckpointAndMultiQuery(t *testing.T) {
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(2, 3, 3)
 
-	fleet := cisgraph.NewMultiCISO(cisgraph.WithParallelQueries())
+	fleet := cisgraph.NewMultiCISO(cisgraph.WithWorkers(2))
 	fleet.Reset(g.Clone(), cisgraph.PPSP(), []cisgraph.Query{{S: 0, D: 3}, {S: 1, D: 3}})
 	ans := fleet.Answers()
 	if ans[0] != 6 || ans[1] != 5 {

@@ -1276,7 +1276,7 @@ func verifyAnswers(c *http.Client, addr, initial, algoStr, sanitize string, upda
 			return 0, fmt.Errorf("offline sanitize: %w", err)
 		}
 		shadow.Apply(clean)
-		eng.ApplyBatch(clean)
+		eng.ApplyBatchDelta(clean)
 	}
 	want := eng.Answers()
 	for i, ans := range served.Answers {

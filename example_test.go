@@ -61,7 +61,7 @@ func ExampleNewMultiCISO() {
 	})
 	fmt.Println(fleet.Answers())
 
-	fleet.ApplyBatch([]cisgraph.Update{cisgraph.AddEdgeUpdate(2, 3, 1)})
+	fleet.ApplyBatchDelta([]cisgraph.Update{cisgraph.AddEdgeUpdate(2, 3, 1)})
 	fmt.Println(fleet.Answers())
 	// Output:
 	// [4 9]

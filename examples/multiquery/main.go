@@ -1,11 +1,12 @@
 // Multiquery: a dispatch service tracks the commute times of a whole fleet
 // over one live road network — the multi-query scenario the paper defers to
 // future work. All queries share a single topology stream; only the
-// per-source contribution analysis is repeated, on a bounded worker pool
-// (WithParallelQueries sizes it to GOMAXPROCS; WithWorkers sets an explicit
-// bound). Queries that share a source also share one converged state,
-// repaired once per batch (DESIGN.md §11). Here every driver starts
-// somewhere else, so each pays its own.
+// per-source contribution analysis is repeated, on a worker pool that
+// WithWorkers bounds (here to GOMAXPROCS). Queries that share a source also
+// share one converged state, repaired once per batch (DESIGN.md §11). Here
+// every driver starts somewhere else, so each pays its own. Each tick reports
+// how many ETAs the batch changed; at the end every driver is checked against
+// a cold start.
 //
 // Run with:
 //
@@ -14,7 +15,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"cisgraph"
@@ -40,7 +43,7 @@ func main() {
 		queries = append(queries, cisgraph.Query{S: start, D: depot})
 	}
 
-	fleet := cisgraph.NewMultiCISO(cisgraph.WithParallelQueries())
+	fleet := cisgraph.NewMultiCISO(cisgraph.WithWorkers(runtime.GOMAXPROCS(0)))
 	fleet.Reset(cisgraph.FromEdgeList(city), cisgraph.PPSP(), queries)
 	fmt.Printf("fleet of %d drivers heading to depot %d on a %d×%d grid\n\n",
 		drivers, depot, rows, cols)
@@ -69,19 +72,25 @@ func main() {
 			a.W = newW
 		}
 		t0 := time.Now()
-		results := fleet.ApplyBatch(batch)
-		fmt.Printf("\ntick %d (%d road updates, wall %v):\n", tick, len(batch), time.Since(t0).Round(time.Microsecond))
-		for i, r := range results {
-			fmt.Printf("  driver %d: ETA %3v min  (response %v)\n", i, r.Answer, r.Response.Round(time.Microsecond))
+		d := fleet.ApplyBatchDelta(batch)
+		if d.Err != nil {
+			log.Fatal(d.Err)
+		}
+		fmt.Printf("\ntick %d (%d road updates, wall %v, %d ETAs changed):\n",
+			tick, len(batch), time.Since(t0).Round(time.Microsecond), len(d.Changed))
+		for i, eta := range fleet.Answers() {
+			fmt.Printf("  driver %d: ETA %3v min\n", i, eta)
 		}
 	}
 
-	// Verify one driver against a cold start on the final snapshot.
-	check := cisgraph.NewColdStart()
-	check.Reset(cisgraph.FromEdgeList(city), cisgraph.PPSP(), queries[0])
-	if got := fleet.Answers()[0]; got != check.Answer() {
-		fmt.Printf("\nMISMATCH: fleet=%v cold-start=%v\n", got, check.Answer())
-		return
+	// Verify every driver against a cold start on the final snapshot.
+	etas := fleet.Answers()
+	for i, q := range queries {
+		check := cisgraph.NewColdStart()
+		check.Reset(cisgraph.FromEdgeList(city), cisgraph.PPSP(), q)
+		if etas[i] != check.Answer() {
+			log.Fatalf("driver %d: fleet ETA %v, cold start %v", i, etas[i], check.Answer())
+		}
 	}
 	fmt.Println("\nall ETAs verified against a cold-start recomputation")
 }

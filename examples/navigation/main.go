@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"cisgraph"
@@ -73,6 +74,6 @@ func main() {
 	fmt.Printf("\nfinal answer: %v minutes (cold-start verification: %v)\n",
 		eng.Answer(), check.Answer())
 	if eng.Answer() != check.Answer() {
-		fmt.Println("MISMATCH — this should never happen")
+		log.Fatalf("streamed answer %v, cold start %v", eng.Answer(), check.Answer())
 	}
 }

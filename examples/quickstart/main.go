@@ -1,6 +1,6 @@
 // Quickstart: answer a point-to-point shortest-path query over a streaming
 // graph with the contribution-aware CISGraph-O engine, using only the
-// public cisgraph API.
+// public cisgraph API, checking every answer against a cold start.
 //
 // Run with:
 //
@@ -37,8 +37,17 @@ func main() {
 	eng.Reset(w.Initial(), cisgraph.PPSP(), q)
 	fmt.Printf("initial answer: %v\n", eng.Answer())
 
+	// A cold start recomputes from scratch on every snapshot: the oracle
+	// every streamed answer must equal.
+	check := cisgraph.NewColdStart()
+	check.Reset(w.Initial(), cisgraph.PPSP(), q)
+
 	for batch := 0; batch < 5; batch++ {
-		res := eng.ApplyBatch(w.NextBatch())
+		b := w.NextBatch()
+		res := eng.ApplyBatch(b)
+		if want := check.ApplyBatch(b).Answer; res.Answer != want {
+			log.Fatalf("batch %d: streamed answer %v, cold start %v", batch, res.Answer, want)
+		}
 		counters := res.Counters()
 		fmt.Printf("batch %d: answer=%-8v response=%-12v  valuable=%d delayed=%d dropped=%d\n",
 			batch, res.Answer, res.Response,

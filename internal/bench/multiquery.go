@@ -76,7 +76,7 @@ func MultiQueryScale(q int) func(b *testing.B) {
 		m := core.NewMultiCISO()
 		m.Reset(w.Initial(), algo.PPSP{}, qs)
 		for _, batch := range warm {
-			m.ApplyBatch(batch)
+			m.ApplyBatchDelta(batch)
 		}
 		// Pre-apply the measurement batches once: the timed loop then replays
 		// them against a state that already absorbed them, so every update is
@@ -84,7 +84,7 @@ func MultiQueryScale(q int) func(b *testing.B) {
 		// skip is built for. Without this the loop measures first-touch
 		// propagation cost, which recycles unpredictably with b.N.
 		for _, batch := range batches {
-			m.ApplyBatch(batch)
+			m.ApplyBatchDelta(batch)
 		}
 		resident := m.StateBytes()
 		skipped0 := m.Counters().Get(stats.CntUpdateSkipQueries)
@@ -93,8 +93,8 @@ func MultiQueryScale(q int) func(b *testing.B) {
 		var updates int
 		for i := 0; i < b.N; i++ {
 			batch := batches[i%len(batches)]
-			// The lean serving-layer face: no O(Q) result materialisation,
-			// just the skip decision plus whatever actually moved.
+			// No O(Q) result materialisation: just the skip decision plus
+			// whatever actually moved.
 			if d := m.ApplyBatchDelta(batch); d.Err != nil {
 				b.Fatal(d.Err)
 			}

@@ -32,28 +32,19 @@ type Query struct {
 	S, D graph.VertexID
 }
 
-// Result reports one batch application.
+// Result is a single-query Engine's report of one batch application.
+// MultiCISO reports a BatchDelta instead.
 type Result struct {
 	// Answer is the query result on the new snapshot (state of d).
 	Answer algo.Value
-	// Response is the time until the engine could answer the query. CISO,
-	// MultiCISO and the accelerator model (hw/accel) exclude delayed-update
-	// processing (the paper's response-time metric); the baselines (cold
-	// start, incremental, SGraph, PnP) report Response == Converged.
+	// Response is the time until the engine could answer the query. CISO
+	// and the accelerator model (hw/accel) exclude delayed-update processing
+	// (the paper's response-time metric); the baselines (cold start,
+	// incremental, SGraph, PnP) report Response == Converged.
 	Response time.Duration
 	// Converged is the time until the engine's state fully converged on
 	// the new snapshot.
 	Converged time.Duration
-	// Err is non-nil when the engine degraded while producing this result:
-	// a plug-in panic MultiCISO recovered in the query's source group. The
-	// Answer is the engine's best current value — recomputed after the
-	// recovery, stale while a failed one leaves the group suspect.
-	Err error
-	// Skipped reports that change-driven evaluation proved the batch could
-	// not affect this query (DESIGN.md §15): its group's phases never ran
-	// and Answer is the (provably unchanged) converged value. Skipped
-	// results carry no counter delta — the group did no work.
-	Skipped bool
 
 	// Lazy counter-delta backing: engines record the batch's movement as a
 	// compact dense-id-ordered slice (cntSrc resolves ids to names); the
@@ -74,13 +65,6 @@ func (r *Result) Counters() map[string]int64 {
 		r.counters = r.cntSrc.DeltaMap(r.cntDelta)
 	}
 	return r.counters
-}
-
-// CounterDelta exposes the raw dense delta and its resolving counter set —
-// the allocation-free face of the batch's counter movement (dense ids are
-// registration order on src; see stats.Counters.DeltaMap).
-func (r *Result) CounterDelta() (src *stats.Counters, delta []int64) {
-	return r.cntSrc, r.cntDelta
 }
 
 // SetCounters replaces the result's counter deltas with an explicit map.
@@ -112,14 +96,15 @@ type ChangedAnswer struct {
 	Value algo.Value
 }
 
-// BatchDelta is the lean per-batch report of the change-driven apply path
-// (MultiCISO.ApplyBatchDelta / ApplyUpdatesDelta): instead of materialising
-// one Result per registered query — O(Q) even when the batch touched three
-// vertices — it enumerates only the queries whose ANSWER actually changed,
-// so serving layers that fan answers out (the query pool, the watch hub)
-// pay O(changed). Err joins any per-query errors recovered during the
-// batch; queries that erred are always counted as changed (their answer may
-// have moved during recovery).
+// BatchDelta is MultiCISO's one per-batch report (ApplyBatchDelta /
+// ApplyUpdatesDelta): instead of one Result per registered query — O(Q) even
+// when the batch touched three vertices — it enumerates only the queries
+// whose ANSWER actually changed, so serving layers that fan answers out (the
+// query pool, the watch hub) pay O(changed). Per-query work and timing are
+// not reported: the engine's counters count each source group's work once
+// (MultiCISO.Counters). Every member of a group whose processing panicked is
+// reported as changed (its answer may have moved during recovery) and the
+// panic is joined into Err.
 type BatchDelta struct {
 	// Changed lists the queries whose answer differs from before the batch,
 	// in ascending Index order.
@@ -130,7 +115,8 @@ type BatchDelta struct {
 	// suspect group waiting for its next recovery attempt are in neither
 	// count.
 	Processed int
-	// Err joins recovered per-group errors (nil when the batch was clean).
+	// Err joins recovered per-group errors (nil when the batch was clean);
+	// each names the panicking group's source.
 	Err error
 }
 

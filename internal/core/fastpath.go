@@ -8,7 +8,7 @@ import (
 	"cisgraph/internal/stats"
 )
 
-// Per-update fast path (DESIGN.md §14). ApplyUpdates ingests a group of
+// Per-update fast path (DESIGN.md §14). ApplyUpdatesDelta ingests a group of
 // updates one record at a time — each update is its own stream position —
 // without paying the full batch machinery for updates that cannot change any
 // converged state.
@@ -45,28 +45,22 @@ import (
 //     (relied on throughout the test suite), so values after the group equal
 //     the batch path's over the same updates applied one by one.
 
-// FastStats reports how ApplyUpdates routed a group.
+// FastStats reports how ApplyUpdatesDelta routed a group.
 type FastStats struct {
 	Safe   int // updates committed with a topology-only write
 	Unsafe int // updates serialized through the batch machinery
 }
 
-// ApplyUpdates ingests ups as len(ups) single-update stream positions,
+// ApplyUpdatesDelta ingests ups as len(ups) single-update stream positions,
 // routing each through the safe (topology-only) or unsafe (batch machinery)
 // path. The converged answers after the call are identical to applying each
-// update as its own batch via ApplyBatch. The returned error joins any
-// per-query errors surfaced by unsafe runs (recovered panics); the engine
-// stays consistent either way.
-func (m *MultiCISO) ApplyUpdates(ups []graph.Update) (FastStats, error) {
-	fs, _, err := m.ApplyUpdatesDelta(ups)
-	return fs, err
-}
-
-// ApplyUpdatesDelta is ApplyUpdates for serving layers: besides the routing
-// stats and errors it reports the queries whose ANSWER changed across the
-// group (merged over every unsafe run — the last value wins), so they pay
-// O(changed) to refresh their snapshots. Safe updates by definition change
-// no answer.
+// update as its own batch via ApplyBatchDelta. Besides the routing stats it
+// reports the queries whose ANSWER changed across the group (merged over
+// every unsafe run — the last value wins), so serving layers pay O(changed)
+// to refresh their snapshots; safe updates by definition change no answer.
+// The returned error (also the BatchDelta's Err) joins any per-group errors
+// surfaced by unsafe runs (recovered panics); the engine stays consistent
+// either way.
 func (m *MultiCISO) ApplyUpdatesDelta(ups []graph.Update) (FastStats, BatchDelta, error) {
 	var fs FastStats
 	var acc BatchDelta
@@ -82,7 +76,7 @@ func (m *MultiCISO) ApplyUpdatesDelta(ups []graph.Update) (FastStats, BatchDelta
 		if run == end {
 			return
 		}
-		_, d := m.applyBatchCoreLocked(ups[run:end], false)
+		d := m.applyBatchLocked(ups[run:end])
 		acc.Skipped += d.Skipped
 		acc.Processed += d.Processed
 		acc.Changed = append(acc.Changed, d.Changed...)

@@ -32,13 +32,13 @@ func TestApplyUpdatesMatchesBatchPath(t *testing.T) {
 			qs = append(qs, Query{S: p[0], D: p[1]})
 		}
 		init := w.Initial()
-		fast := NewMultiCISO(WithParallelQueries())
+		fast := NewMultiCISO(WithWorkers(4))
 		fast.Reset(init.Clone(), a, qs)
 		ref := NewMultiCISO()
 		ref.Reset(init.Clone(), a, qs)
 		for bi := 0; bi < 4; bi++ {
 			group := w.NextBatch()
-			fs, err := fast.ApplyUpdates(group)
+			fs, _, err := fast.ApplyUpdatesDelta(group)
 			if err != nil {
 				t.Fatalf("%s group %d: %v", a.Name(), bi, err)
 			}
@@ -47,7 +47,7 @@ func TestApplyUpdatesMatchesBatchPath(t *testing.T) {
 					a.Name(), bi, fs.Safe, fs.Unsafe, len(group))
 			}
 			for _, up := range group {
-				ref.ApplyBatch([]graph.Update{up})
+				ref.ApplyBatchDelta([]graph.Update{up})
 			}
 			got, want := fast.Answers(), ref.Answers()
 			for i := range qs {
@@ -82,7 +82,7 @@ func TestApplyUpdatesSameEdgeConflict(t *testing.T) {
 		graph.Add(2, 30, 3),
 		graph.Del(2, 30, 3), // add-then-del of a brand new edge: conflict, nets out
 	}
-	fs, err := fast.ApplyUpdates(group)
+	fs, _, err := fast.ApplyUpdatesDelta(group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestApplyUpdatesSameEdgeConflict(t *testing.T) {
 		t.Fatalf("routed %d+%d of %d", fs.Safe, fs.Unsafe, len(group))
 	}
 	for _, up := range group {
-		ref.ApplyBatch([]graph.Update{up})
+		ref.ApplyBatchDelta([]graph.Update{up})
 	}
 	got, want := fast.Answers(), ref.Answers()
 	for i := range qs {
@@ -118,16 +118,16 @@ func TestApplyUpdatesRouting(t *testing.T) {
 	m := NewMultiCISO()
 	m.Reset(g, algo.PPSP{}, []Query{{S: 0, D: 3}})
 
-	fs, err := m.ApplyUpdates([]graph.Update{graph.Add(0, 2, 50)}) // worse than 0→1→2
+	fs, _, err := m.ApplyUpdatesDelta([]graph.Update{graph.Add(0, 2, 50)}) // worse than 0→1→2
 	if err != nil || fs.Safe != 1 || fs.Unsafe != 0 {
 		t.Fatalf("useless add: stats=%+v err=%v", fs, err)
 	}
-	fs, err = m.ApplyUpdates([]graph.Update{graph.Del(1, 2, 1)}) // key-path edge
+	fs, _, err = m.ApplyUpdatesDelta([]graph.Update{graph.Del(1, 2, 1)}) // key-path edge
 	if err != nil || fs.Safe != 0 || fs.Unsafe != 1 {
 		t.Fatalf("valuable del: stats=%+v err=%v", fs, err)
 	}
 	// After losing 1→2, the answer must route over the heavy edge.
-	if ans := m.AnswerOf(0); ans != algo.Value(51) {
+	if ans := m.Answers()[0]; ans != algo.Value(51) {
 		t.Fatalf("answer after repair = %v, want 51", ans)
 	}
 	cnt := m.Counters()
@@ -152,7 +152,7 @@ func TestApplyUpdatesConcurrentReaders(t *testing.T) {
 	for _, p := range w.QueryPairs(4) {
 		qs = append(qs, Query{S: p[0], D: p[1]})
 	}
-	m := NewMultiCISO(WithParallelQueries())
+	m := NewMultiCISO(WithWorkers(4))
 	m.Reset(w.Initial(), algo.PPSP{}, qs)
 
 	stop := make(chan struct{})
@@ -174,7 +174,7 @@ func TestApplyUpdatesConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for bi := 0; bi < 6; bi++ {
-		if _, err := m.ApplyUpdates(w.NextBatch()); err != nil {
+		if _, _, err := m.ApplyUpdatesDelta(w.NextBatch()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,11 +189,11 @@ func TestApplyUpdatesEdgeCases(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	m := NewMultiCISO()
 	m.Reset(g, algo.PPSP{}, nil)
-	if fs, err := m.ApplyUpdates(nil); err != nil || fs != (FastStats{}) {
+	if fs, _, err := m.ApplyUpdatesDelta(nil); err != nil || fs != (FastStats{}) {
 		t.Fatalf("empty group: %+v %v", fs, err)
 	}
 	// With no registered queries every update is trivially safe.
-	fs, err := m.ApplyUpdates([]graph.Update{graph.Add(1, 2, 1), graph.Del(0, 1, 1)})
+	fs, _, err := m.ApplyUpdatesDelta([]graph.Update{graph.Add(1, 2, 1), graph.Del(0, 1, 1)})
 	if err != nil || fs.Safe != 2 {
 		t.Fatalf("no-query group: %+v %v", fs, err)
 	}
@@ -205,7 +205,7 @@ func TestApplyUpdatesEdgeCases(t *testing.T) {
 	}
 	// Duplicate add / absent del normalize to no-ops (what NormalizeBatch
 	// would drop) and must not disturb topology.
-	fs, err = m.ApplyUpdates([]graph.Update{graph.Add(1, 2, 1), graph.Del(0, 1, 1)})
+	fs, _, err = m.ApplyUpdatesDelta([]graph.Update{graph.Add(1, 2, 1), graph.Del(0, 1, 1)})
 	if err != nil || fs.Safe != 2 {
 		t.Fatalf("noop group: %+v %v", fs, err)
 	}
@@ -322,7 +322,7 @@ func TestForwardPassDifferential(t *testing.T) {
 		unsafe := 0
 		for gi := 0; gi < 12; gi++ {
 			group := adversarialGroup(rng, ref, 48)
-			fs, err := fast.ApplyUpdates(group)
+			fs, _, err := fast.ApplyUpdatesDelta(group)
 			if err != nil {
 				t.Fatalf("%s group %d: %v", a.Name(), gi, err)
 			}
@@ -331,7 +331,7 @@ func TestForwardPassDifferential(t *testing.T) {
 			}
 			unsafe += fs.Unsafe
 			for _, up := range group {
-				ref.ApplyBatch([]graph.Update{up})
+				ref.ApplyBatchDelta([]graph.Update{up})
 			}
 			sameConvergedState(t, a.Name(), fast, ref)
 		}
@@ -423,11 +423,11 @@ func TestRepresentativesMaintained(t *testing.T) {
 	apply := func(where string, wantErr bool) {
 		t.Helper()
 		group := adversarialGroup(rng, ref, 24)
-		if _, err := m.ApplyUpdates(group); (err != nil) != wantErr {
+		if _, _, err := m.ApplyUpdatesDelta(group); (err != nil) != wantErr {
 			t.Fatalf("%s: err = %v, want error %v", where, err, wantErr)
 		}
 		for _, up := range group {
-			ref.ApplyBatch([]graph.Update{up})
+			ref.ApplyBatchDelta([]graph.Update{up})
 		}
 		checkReps(t, where, m)
 	}
@@ -485,7 +485,7 @@ func TestRepresentativesUnderConcurrentAddQuery(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for bi := 0; bi < 8; bi++ {
-			if _, err := m.ApplyUpdates(w.NextBatch()); err != nil {
+			if _, _, err := m.ApplyUpdatesDelta(w.NextBatch()); err != nil {
 				t.Error(err)
 			}
 		}
@@ -525,7 +525,7 @@ func TestForwardPassLinearScans(t *testing.T) {
 	m.Reset(init, algo.PPSP{}, qs)
 	group := w.NextBatch() // adds then deletes, all on distinct edges: any order is valid
 	rand.New(rand.NewSource(21)).Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
-	fs, err := m.ApplyUpdates(group)
+	fs, _, err := m.ApplyUpdatesDelta(group)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,11 @@ func soleKeyPathEdge(m *MultiCISO) (e graph.Update, a, b int, ok bool) {
 // TestSharedSourceGroups pins the one-state-per-source engine on groups of
 // 1, 2 and 8 members, for every algebra the groups are built for, with
 // skipping on and off. After every batch each answer equals an independent
-// single-query engine's; a deletion on only one member's key path is
+// single-query engine's, and the engine's counters moved by the sum of
+// per-source reference engines'; a deletion on only one member's key path is
 // valuable for the whole group (and not for an independent engine of another
-// member); and a panic in a group's phases reaches every member and recovers
-// all of them.
+// member); and a panic in a group's phases is reported against its source,
+// reaches every member and recovers all of them.
 func TestSharedSourceGroups(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.PPWP{}, algo.Viterbi{}, algo.Reach{}} {
 		for _, skip := range []bool{true, false} {
@@ -103,19 +104,45 @@ func TestSharedSourceGroups(t *testing.T) {
 				refs[i] = NewMultiCISO()
 				refs[i].Reset(init.Clone(), a, []Query{q})
 			}
-			refRs := make([]Result, len(qs))
-			apply := func(where string, batch []graph.Update) []Result {
+			// One reference engine per source group, holding exactly its
+			// members: the engine counts each group's work once, so a batch
+			// moves its counters by the sum of theirs. They run the same
+			// (never armed) wrapper, so they resolve the same generic ops.
+			groupQueries := func(gi int) []Query {
+				var out []Query
+				for _, i := range m.groups[gi].members {
+					out = append(out, qs[i])
+				}
+				return out
+			}
+			grefs := make([]*MultiCISO, len(m.groups))
+			for gi := range grefs {
+				grefs[gi] = NewMultiCISO(WithChangeSkip(skip))
+				grefs[gi].Reset(init.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(gi))
+			}
+			// apply runs batch on every engine and returns m's delta and its
+			// answers before the batch.
+			apply := func(where string, batch []graph.Update) (BatchDelta, []algo.Value) {
 				t.Helper()
-				rs := m.ApplyBatch(batch)
+				pre := m.Answers()
+				moved, srcMoved := countsSince(m), countsSince(grefs...)
+				d := m.ApplyBatchDelta(batch)
+				for _, g := range grefs {
+					g.ApplyBatchDelta(batch)
+				}
+				got := m.Answers()
 				for i := range qs {
-					refRs[i] = refs[i].ApplyBatch(batch)[0]
-					if got, want := rs[i].Answer, refs[i].AnswerOf(0); got != want {
+					refs[i].ApplyBatchDelta(batch)
+					if want := refs[i].Answers()[0]; got[i] != want {
 						t.Fatalf("%s query %d %v: answer %v, independent engine %v (err %v)",
-							where, i, qs[i], got, want, rs[i].Err)
+							where, i, qs[i], got[i], want, d.Err)
 					}
 					sameState(t, fmt.Sprintf("%s query %d", where, i), m.stateOf(i), refs[i].stateOf(0), false)
 				}
-				return rs
+				if d.Err == nil {
+					sameCounts(t, where, moved(), srcMoved())
+				}
+				return d, pre
 			}
 			probes := 0
 			for bi := 0; bi < 6; bi++ {
@@ -125,16 +152,18 @@ func TestSharedSourceGroups(t *testing.T) {
 					pa.calls.Store(0)
 					pa.armed.Store(true)
 				}
-				rs := apply(where, w.NextBatch())
+				d, pre := apply(where, w.NextBatch())
 				if bi == 3 {
-					for i := range qs {
-						if inFirst := m.inGroup[i] == 0; (rs[i].Err != nil) != inFirst {
-							t.Fatalf("%s: query %d err %v; the panic belongs to exactly group 0's members", where, i, rs[i].Err)
-						}
+					if erred := panickedGroups(m, d.Err); len(erred) != 1 || !erred[0] {
+						t.Fatalf("%s: error %v; the panic belongs to exactly group 0", where, d.Err)
 					}
+					checkChanged(t, where, pre, m.Answers(), d, func(i int) bool { return m.inGroup[i] == 0 })
 					if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
 						t.Fatalf("%s: query_panic = %d, want 1", where, got)
 					}
+					// Group 0 recovered with a cold start on the live
+					// topology; so does its reference.
+					grefs[0].Reset(m.g.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(0))
 				}
 
 				// A deletion on only member b's key path: valuable for the
@@ -144,12 +173,15 @@ func TestSharedSourceGroups(t *testing.T) {
 					continue
 				}
 				probes++
-				rs = apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
-				if got := rs[qa].Counters()[stats.CntUpdateValuable]; got != 1 {
+				gref, aref := grefs[m.inGroup[qa]], refs[qa]
+				groupBefore := gref.Counters().Get(stats.CntUpdateValuable)
+				aloneBefore := aref.Counters().Get(stats.CntUpdateValuable)
+				apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
+				if got := gref.Counters().Get(stats.CntUpdateValuable) - groupBefore; got != 1 {
 					t.Fatalf("%s: deleting %d->%d on query %d's key path only: valuable %d for the group, want 1",
 						where, del.From, del.To, qb, got)
 				}
-				if got := refRs[qa].Counters()[stats.CntUpdateValuable]; got != 0 {
+				if got := aref.Counters().Get(stats.CntUpdateValuable) - aloneBefore; got != 0 {
 					t.Fatalf("%s: query %d's own engine counts the deletion valuable (%d)", where, qa, got)
 				}
 			}
@@ -177,9 +209,10 @@ func (p *panicRunAlgo) Propagate(u algo.Value, w float64) algo.Value {
 // failed: a panic in its phases followed by a panic in that recovery leaves
 // it suspect, and the next batch's retry heals it to an independent
 // engine's answers. A plugin that stays broken is retried after waits of 1,
-// 2, 4, … up to 64 batches, its members carry an error exactly on the
-// batches that retry, and the first retry after the plugin is fixed heals
-// the group.
+// 2, 4, … up to 64 batches, the group's error is reported exactly on the
+// batches that retry (and its members are neither skipped nor processed on
+// the others), and the first retry after the plugin is fixed heals the
+// group.
 func TestSuspectGroupHeals(t *testing.T) {
 	ds := graph.RMAT("heal", 7, 900, graph.DefaultRMAT, 16, 43)
 	w, err := stream.New(ds, stream.Config{LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 20, Seed: 43})
@@ -196,25 +229,24 @@ func TestSuspectGroupHeals(t *testing.T) {
 	same := func(where string, m *MultiCISO) {
 		t.Helper()
 		for i := range qs {
-			if got, want := m.AnswerOf(i), refs[i].AnswerOf(0); got != want {
+			if got, want := m.Answers()[i], refs[i].Answers()[0]; got != want {
 				t.Fatalf("%s query %d: answer %v, independent engine %v", where, i, got, want)
 			}
 		}
 		checkInvariant(t, m.groups[0].st)
 	}
-	errs := func(rs []Result) (n int) {
-		for _, r := range rs {
-			if r.Err != nil {
-				n++
-			}
+	// errs counts the members of the groups d's error names.
+	errs := func(m *MultiCISO, d BatchDelta) (n int) {
+		for gi := range panickedGroups(m, d.Err) {
+			n += len(m.groups[gi].members)
 		}
 		return n
 	}
-	step := func(m *MultiCISO, batch []graph.Update) []Result {
+	step := func(m *MultiCISO, batch []graph.Update) BatchDelta {
 		for _, ref := range refs {
-			ref.ApplyBatch(batch)
+			ref.ApplyBatchDelta(batch)
 		}
-		return m.ApplyBatch(batch)
+		return m.ApplyBatchDelta(batch)
 	}
 
 	// A phase panic whose recovery panics too; the next batch heals.
@@ -222,11 +254,11 @@ func TestSuspectGroupHeals(t *testing.T) {
 	m := NewMultiCISO()
 	m.Reset(init.Clone(), pr, qs)
 	pr.left.Store(2)
-	if rs := step(m, w.NextBatch()); errs(rs) != len(qs) || !m.groups[0].suspect {
-		t.Fatalf("panic and failed recovery: %d of %d members errored, suspect %v", errs(rs), len(qs), m.groups[0].suspect)
+	if d := step(m, w.NextBatch()); errs(m, d) != len(qs) || !m.groups[0].suspect {
+		t.Fatalf("panic and failed recovery: %d of %d members errored, suspect %v", errs(m, d), len(qs), m.groups[0].suspect)
 	}
-	if rs := step(m, w.NextBatch()); errs(rs) != 0 || m.groups[0].suspect {
-		t.Fatalf("retry: %d members errored, suspect %v", errs(rs), m.groups[0].suspect)
+	if d := step(m, w.NextBatch()); d.Err != nil || m.groups[0].suspect {
+		t.Fatalf("retry: error %v, suspect %v", d.Err, m.groups[0].suspect)
 	}
 	same("after the heal", m)
 
@@ -235,23 +267,21 @@ func TestSuspectGroupHeals(t *testing.T) {
 	m = NewMultiCISO()
 	m.Reset(refs[0].g.Clone(), fa, qs)
 	fa.broken.Store(true)
-	if rs := step(m, w.NextBatch()); errs(rs) != len(qs) {
-		t.Fatalf("broken plugin: %d of %d members errored", errs(rs), len(qs))
+	if d := step(m, w.NextBatch()); errs(m, d) != len(qs) {
+		t.Fatalf("broken plugin: %d of %d members errored", errs(m, d), len(qs))
 	}
 	next, wait := 1, 1
 	for b := 1; b <= 300; b++ {
-		rs := step(m, nil)
+		d := step(m, nil)
 		retried := b == next
 		if retried {
 			next, wait = b+wait+1, min(2*wait, maxHealWait)
 		}
-		if n := errs(rs); retried && n != len(qs) || !retried && n != 0 {
-			t.Fatalf("batch %d: %d members errored, retry due %v (next %d)", b, n, retried, next)
+		if n := errs(m, d); retried && n != len(qs) || !retried && d.Err != nil {
+			t.Fatalf("batch %d: %d members errored (%v), retry due %v (next %d)", b, n, d.Err, retried, next)
 		}
-		for i, r := range rs {
-			if !retried && r.Skipped {
-				t.Fatalf("batch %d query %d: a quarantined member reported skipped", b, i)
-			}
+		if !retried && d.Skipped+d.Processed != 0 {
+			t.Fatalf("batch %d: a quarantined group reported %d skipped, %d processed", b, d.Skipped, d.Processed)
 		}
 	}
 	if wait != maxHealWait {

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
@@ -37,25 +35,25 @@ import (
 // valuable/delayed split is the group's and parents may break ties
 // differently from an independent engine's.
 //
-// Concurrency contract (relied on by internal/server): Reset, ApplyBatch,
-// AddQuery and AddQueries are writers and serialize on an internal lock;
-// Topology's graph has its own single-writer contract; Answers, AnswerOf,
-// Queries, NumQueries and Counters are readers and may be called from any
-// goroutine, including while a writer runs — a reader observes either the
-// pre-batch or the post-batch state, never a torn intermediate. AddQuery of
-// a new source performs its O(V+E) cold start against a topology snapshot
-// WITHOUT holding the lock and only publishes under it, so readers (and the
-// batch writer) are never stalled behind a registration. Writers must still
-// come from one goroutine at a time per the single-writer discipline
-// (the lock enforces safety either way, but interleaved writers make answer
-// attribution meaningless).
+// Concurrency contract (relied on by internal/server): Reset,
+// ApplyBatchDelta, ApplyUpdatesDelta, AddQuery and AddQueries are writers and
+// serialize on an internal lock; Topology's graph has its own single-writer
+// contract; Answers, Queries, NumQueries and Counters are readers and may be
+// called from any goroutine, including while a writer runs — a reader
+// observes either the pre-batch or the post-batch state, never a torn
+// intermediate. AddQuery of a new source performs its O(V+E) cold start
+// against a topology snapshot WITHOUT holding the lock and only publishes
+// under it, so readers (and the batch writer) are never stalled behind a
+// registration. Writers must still come from one goroutine at a time per the
+// single-writer discipline (the lock enforces safety either way, but
+// interleaved writers make answer attribution meaningless).
 type MultiCISO struct {
 	mu      sync.RWMutex
 	g       *graph.Dynamic
 	a       algo.Algorithm
 	queries []Query
 	inGroup []int           // query index → index into groups
-	cnt     *stats.Counters // merged view, maintained from per-batch group deltas
+	cnt     *stats.Counters // the engine's one counter set; every group counts into it
 
 	workers int // bounded pool width for per-group phases; <=1 is serial
 
@@ -70,27 +68,23 @@ type MultiCISO struct {
 	// served unchanged. The group list is also the fast path's scan set. It
 	// changes only in Reset, AddQuery and AddQueries, so batch and per-update
 	// routing range over one slice in a fixed order.
-	skip     bool                   // skipping enabled (default; WithChangeSkip)
-	groups   []sourceGroup          // first-registration order
-	groupOf  map[graph.VertexID]int // source → index into groups
-	lastSums []ChangeSummary        // last batch's per-source dirty summaries
+	skip    bool                   // skipping enabled (default; WithChangeSkip)
+	groups  []sourceGroup          // first-registration order
+	groupOf map[graph.VertexID]int // source → index into groups
 
-	scs        []*scratch   // per-worker-slot scratch, created on demand
-	norm       normalizer   // reusable batch-normalization working memory
-	beforeBufs [][]int64    // reusable per-group pre-batch counter snapshots
-	deltaBuf   []int64      // reusable per-group counter delta (lean path)
-	activeBuf  []int        // reusable processed-group index list
-	errsBuf    []error      // reusable per-processed-group error slots
-	preAnsBuf  []algo.Value // reusable pre-batch answers of processed members
-	spanBuf    []groupSpans // reusable per-processed-group phase spans
+	scs       []*scratch   // per-worker-slot scratch, created on demand
+	norm      normalizer   // reusable batch-normalization working memory
+	activeBuf []int        // reusable processed-group index list
+	errsBuf   []error      // reusable per-processed-group error slots
+	preAnsBuf []algo.Value // reusable pre-batch answers of processed members
 }
 
 // sourceGroup is the registered queries sharing one source vertex, and the
-// one converged state they share.
+// one converged state they share. The state counts into the engine's set, so
+// a group's work is counted once whatever its member count.
 type sourceGroup struct {
-	st      *state          // the source's state; st.dests are the members' destinations
-	cnt     *stats.Counters // the group's counters: its work is counted once
-	members []int           // query indices, registration order (parallel to st.dests)
+	st      *state // the source's state; st.dests are the members' destinations
+	members []int  // query indices, registration order (parallel to st.dests)
 
 	// suspect marks a state a failed recovery left degraded: the group is
 	// never skipped and its phases wait for a recovery to succeed. The next
@@ -103,9 +97,6 @@ type sourceGroup struct {
 // maxHealWait caps the batches a suspect group waits between recoveries.
 const maxHealWait = 64
 
-// groupSpans are one processed group's phase times in a batch.
-type groupSpans struct{ add, response, converged time.Duration }
-
 // MultiOption configures a MultiCISO engine.
 type MultiOption func(*MultiCISO)
 
@@ -114,15 +105,6 @@ type MultiOption func(*MultiCISO)
 // S/n sequential rounds and exactly n scratch allocations — never S
 // goroutines. n <= 1 means serial.
 func WithWorkers(n int) MultiOption { return func(m *MultiCISO) { m.workers = n } }
-
-// WithParallelQueries processes per-group phases on a GOMAXPROCS-wide worker
-// pool — shorthand for WithWorkers(runtime.GOMAXPROCS(0)). Groups share the
-// topology read-only during processing (all mutation happens between phases
-// on the caller's goroutine), so this is safe and mirrors the multi-core
-// software platforms the paper benchmarks against.
-func WithParallelQueries() MultiOption {
-	return func(m *MultiCISO) { m.workers = runtime.GOMAXPROCS(0) }
-}
 
 // WithChangeSkip toggles change-driven query skipping (default on): per
 // batch, each source group is tested once against its converged values, and
@@ -156,7 +138,6 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	m.scs = nil // vertex count / algorithm may have changed
 	m.queries, m.inGroup = nil, nil
 	m.groups, m.groupOf = nil, make(map[graph.VertexID]int)
-	m.lastSums = nil
 	m.cnt.Reset()
 	for _, q := range queries {
 		m.addLocked(q)
@@ -167,18 +148,16 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 // source's group with a cold start on the source's first registration.
 func (m *MultiCISO) addLocked(q Query) (int, algo.Value) {
 	if _, ok := m.groupOf[q.S]; !ok {
-		cnt := stats.NewCounters()
-		m.openLocked(computeState(m.g, m.a, q.S, cnt), cnt)
+		m.openLocked(computeState(m.g, m.a, q.S, m.cnt))
 	}
 	return m.joinLocked(q)
 }
 
-// openLocked files st, converged for its source on the live topology, as
-// the source's group (write lock held).
-func (m *MultiCISO) openLocked(st *state, cnt *stats.Counters) {
+// openLocked files st, converged for its source on the live topology and
+// counting into m.cnt, as the source's group (write lock held).
+func (m *MultiCISO) openLocked(st *state) {
 	m.groupOf[st.src] = len(m.groups)
-	m.groups = append(m.groups, sourceGroup{st: st, cnt: cnt})
-	m.cnt.AddAll(cnt) // fold the cold start into the merged view
+	m.groups = append(m.groups, sourceGroup{st: st})
 }
 
 // joinLocked appends q to its source's group — O(1), no compute — and
@@ -214,11 +193,11 @@ const addQueryRetries = 2
 // its index (stable: answers keep Reset-then-AddQuery order) together with
 // its initial answer. It is a writer under the concurrency contract. A query
 // whose source is registered joins its group in O(1) at any epoch. A new
-// source cold-starts against a topology snapshot with NO lock held; only the
-// publish takes the write lock (epoch-checked, retried if a batch landed in
-// between — and if the source's group appeared meanwhile, the query joins it
-// and the computed state is dropped). Readers are never stalled behind a
-// registration.
+// source cold-starts against a topology snapshot with NO lock held, counting
+// into a private set; only the publish takes the write lock (epoch-checked,
+// retried if a batch landed in between — and if the source's group appeared
+// meanwhile, the query joins it and the computed state is dropped, its counts
+// with it). Readers are never stalled behind a registration.
 func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 	for attempt := 0; attempt < addQueryRetries; attempt++ {
 		m.mu.RLock()
@@ -244,7 +223,9 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 		}
 		if !joined {
 			st.g = m.g // rebind from the clone (same epoch ⇒ identical topology)
-			m.openLocked(st, cnt)
+			m.cnt.AddAll(cnt)
+			st.bind(m.cnt)
+			m.openLocked(st)
 		}
 		i, ans := m.joinLocked(q)
 		m.mu.Unlock()
@@ -279,8 +260,8 @@ func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 // a serving layer validates against instead of keeping a copy of its own.
 // Contract:
 //
-//   - the graph is mutated only by the engine's writers (ApplyBatch*,
-//     ApplyUpdates*, Reset replaces it), called by a single writer under
+//   - the graph is mutated only by the engine's writers (ApplyBatchDelta,
+//     ApplyUpdatesDelta, Reset replaces it), called by a single writer under
 //     whatever lock the caller serializes its writes with;
 //   - that writer may read the graph between its own applies without a
 //     lock — nothing else mutates it;
@@ -316,7 +297,7 @@ func (m *MultiCISO) NumQueries() int {
 }
 
 // Answers returns the current answer of every query, in registration order.
-// Safe to call while ApplyBatch runs: it observes the pre- or post-batch
+// Safe to call while ApplyBatchDelta runs: it observes the pre- or post-batch
 // answers, never a torn intermediate.
 func (m *MultiCISO) Answers() []algo.Value {
 	m.mu.RLock()
@@ -328,16 +309,9 @@ func (m *MultiCISO) Answers() []algo.Value {
 	return out
 }
 
-// AnswerOf returns the current answer of query i (registration order).
-func (m *MultiCISO) AnswerOf(i int) algo.Value {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.answerLocked(i)
-}
-
 // Counters exposes the cumulative counters (shared across queries). The
 // returned set is internally synchronized (atomic cells), so reading it
-// while ApplyBatch runs is safe; individual values may reflect a batch in
+// while ApplyBatchDelta runs is safe; individual values may reflect a batch in
 // flight.
 func (m *MultiCISO) Counters() *stats.Counters {
 	m.mu.RLock()
@@ -360,70 +334,29 @@ func (m *MultiCISO) StateBytes() int64 {
 	return total
 }
 
-// ApplyBatch ingests one batch for every query and returns one Result per
-// query (Reset order). Each query's Response covers the shared
-// normalization/topology span (paid once, needed by every answer) plus its
-// group's own classification, scheduling and recovery phases, and its
-// Counters() are its group's batch delta.
+// ApplyBatchDelta ingests one batch for every query and reports only the
+// queries whose ANSWER changed, so its cost is O(processed) work plus
+// O(changed) reporting — never an O(Q) result materialisation. With
+// change-driven skipping this is what makes per-batch serving cost track the
+// affected region instead of the registered-query count.
 //
 // A panic inside one group's processing (a buggy algorithm plugin, injected
 // fault, ...) never crashes the process or deadlocks the other groups: it is
 // recovered per group, the group's state is recomputed from scratch on the
-// shared (still consistent) topology, and every member's result carries the
-// panic as Result.Err. The other groups' results are unaffected.
-func (m *MultiCISO) ApplyBatch(batch []graph.Update) []Result {
+// shared (still consistent) topology, the panic is joined into
+// BatchDelta.Err and every member of the group is reported in Changed. The
+// other groups are unaffected.
+func (m *MultiCISO) ApplyBatchDelta(batch []graph.Update) BatchDelta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.applyBatchLocked(batch)
 }
 
-// ApplyBatchDelta is the lean face of ApplyBatch for serving layers that
-// fan answers out: it applies the batch exactly like ApplyBatch but reports
-// only the queries whose ANSWER changed, so its cost is O(processed) work
-// plus O(changed) reporting — never an O(Q) result materialisation. With
-// change-driven skipping this is what makes per-batch serving cost track
-// the affected region instead of the registered-query count.
-func (m *MultiCISO) ApplyBatchDelta(batch []graph.Update) BatchDelta {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, d := m.applyBatchCoreLocked(batch, false)
-	return d
-}
-
-// applyBatchLocked is ApplyBatch with the write lock already held; the
-// per-update fast path (ApplyUpdates) routes unsafe runs through it under a
-// single lock hold.
-func (m *MultiCISO) applyBatchLocked(batch []graph.Update) []Result {
-	res, _ := m.applyBatchCoreLocked(batch, true)
-	return res
-}
-
-// spanClock reads the wall clock only when on; off, every span is zero.
-type spanClock struct{ on bool }
-
-func (c spanClock) now() time.Time {
-	if c.on {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-func (c spanClock) since(t time.Time) time.Duration {
-	if c.on {
-		return time.Since(t)
-	}
-	return 0
-}
-
-// applyBatchCoreLocked is the shared batch engine. wantResults selects the
-// classic O(Q) []Result materialisation (ApplyBatch) or the lean BatchDelta
-// report (ApplyBatchDelta); the applied state transition is identical.
-func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool) ([]Result, BatchDelta) {
-	// Only ApplyBatch reports spans, so only it reads the clock.
-	clk := spanClock{on: wantResults}
-
+// applyBatchLocked is ApplyBatchDelta with the write lock already held; the
+// per-update fast path (ApplyUpdatesDelta) routes unsafe runs through it
+// under a single lock hold.
+func (m *MultiCISO) applyBatchLocked(batch []graph.Update) BatchDelta {
 	// Shared, once: normalization against the pre-batch topology.
-	t0 := clk.now()
 	nb := m.norm.normalize(m.g, batch)
 
 	// Change-driven skip decision, per source group, against the pre-batch
@@ -439,15 +372,9 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 	// batch (normalization guarantees one net event per edge). Suspect groups
 	// are never skipped: a quarantined one waits, one whose retry is due
 	// recovers before its phases.
+	var delta BatchDelta
 	active, errs, preAns := m.activeBuf[:0], m.errsBuf[:0], m.preAnsBuf[:0]
-	for len(m.beforeBufs) < len(m.groups) {
-		m.beforeBufs = append(m.beforeBufs, nil)
-	}
-	// Summaries are recorded in place: grown up front so the recorder
-	// pointers handed to the states stay valid, and each slot's vertex buffer
-	// is reused (ChangeSummaries hands out deep copies).
-	m.lastSums = slices.Grow(m.lastSums[:0], len(m.groups))
-	skipped, skippedGroups, processed := 0, 0, 0
+	skippedGroups := 0
 	for gi := range m.groups {
 		g := &m.groups[gi]
 		var err error
@@ -459,32 +386,23 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 			unaffected, scanErr := m.groupUnaffectedLocked(g, nb)
 			if unaffected {
 				skippedGroups++
-				skipped += len(g.members)
+				delta.Skipped += len(g.members)
 				continue
 			}
 			// A plugin panic during the scan is charged to the group like a
 			// phase panic: its phases are suppressed and it recovers below.
 			err = scanErr
 		}
-		// Processed group: its counters and (lean path) its members' answers
-		// are snapshot before anything moves them, and it records the
-		// region's dirty set for the batch's change summaries.
-		m.beforeBufs[gi] = g.cnt.DenseSnapshot(m.beforeBufs[gi][:0])
-		if !wantResults {
-			for _, i := range g.members {
-				preAns = append(preAns, g.st.val[m.queries[i].D])
-			}
+		// Processed group: its members' answers are snapshot before anything
+		// moves them.
+		for _, i := range g.members {
+			preAns = append(preAns, g.st.val[m.queries[i].D])
 		}
-		k := len(m.lastSums)
-		m.lastSums = m.lastSums[:k+1]
-		cs := &m.lastSums[k]
-		*cs = ChangeSummary{Source: g.st.src, Vertices: cs.Vertices[:0]}
-		g.st.dirty = cs
 		if g.suspect {
 			err = m.recoverLocked(g) // a failure keeps its phases suppressed
 		}
 		active, errs = append(active, gi), append(errs, err)
-		processed += len(g.members)
+		delta.Processed += len(g.members)
 	}
 	m.activeBuf, m.errsBuf, m.preAnsBuf = active, errs, preAns
 
@@ -499,9 +417,6 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		m.g.RemoveEdge(rw.From, rw.To)
 		m.g.AddEdge(rw.From, rw.To, rw.NewW)
 	}
-	for i := range m.lastSums {
-		m.lastSums[i].Epoch = m.epoch
-	}
 	// A reweight is an addition event at the new weight plus a deletion
 	// event at the old one; nb's slices are the normalizer's buffers, idle
 	// until the next batch, so the event lists extend them in place.
@@ -510,98 +425,42 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		addEvents = append(addEvents, graph.Add(rw.From, rw.To, rw.NewW))
 		delEvents = append(delEvents, graph.Del(rw.From, rw.To, rw.OldW))
 	}
-	addTopoSpan := clk.since(t0)
 
 	// Phase A per processed group on the worker pool (the topology is
 	// read-only from here until the shared deletion pass).
-	spans := slices.Grow(m.spanBuf[:0], len(active))[:len(active)]
-	clear(spans)
-	m.spanBuf = spans
-	m.forEachGroup(active, errs, func(k int, st *state) {
-		tq := clk.now()
-		st.processAdditions(addEvents)
-		spans[k].add = clk.since(tq)
-	})
+	m.forEachGroup(active, errs, func(st *state) { st.processAdditions(addEvents) })
 
 	// Shared: deletion topology.
-	t1 := clk.now()
 	for _, up := range nb.Dels {
 		m.g.RemoveEdge(up.From, up.To)
 	}
-	sharedSpan := addTopoSpan + clk.since(t1)
 
 	// Phases B–D per processed group: classify against the members' key
-	// paths, prioritise, promote, answer, delayed. Every response includes
-	// the (single) shared topology span — the batch cannot be answered
-	// without it — plus the group's own phases.
-	m.forEachGroup(active, errs, func(k int, st *state) {
-		tq := clk.now()
+	// paths, prioritise, promote, answer, delayed.
+	m.forEachGroup(active, errs, func(st *state) {
 		st.classifyDeletions(delEvents, true)
 		st.repairValuable()
-		spans[k].response = sharedSpan + spans[k].add + clk.since(tq)
 		st.repairDelayed()
-		spans[k].converged = sharedSpan + spans[k].add + clk.since(tq)
 	})
 
 	// Degraded groups: a group whose phases (or skip scan) panicked recovers
-	// its state, and every member surfaces the panic; one whose heal failed
-	// above is already suspect and waits.
+	// its state and surfaces the panic; one whose heal failed above is
+	// already suspect and waits.
 	var joinedErrs []error
 	for k, err := range errs {
 		if err == nil {
 			continue
 		}
 		if g := &m.groups[active[k]]; !g.suspect {
-			g.cnt.Inc(stats.CntQueryPanic)
+			m.cnt.Inc(stats.CntQueryPanic)
 			m.recoverLocked(g)
 		}
 		joinedErrs = append(joinedErrs, err)
 	}
-	// Detach the change recorders, fold each processed group's batch delta
-	// into the merged view — every counter movement of this batch, recovery
-	// recomputes included, is captured in the deltas — and report.
-	var results []Result
-	if wantResults {
-		results = make([]Result, len(m.queries))
-	}
-	for k, gi := range active {
-		g := &m.groups[gi]
-		g.st.dirty = nil
-		var delta []int64
-		if wantResults {
-			delta = g.cnt.DenseDelta(m.beforeBufs[gi])
-		} else {
-			m.deltaBuf = g.cnt.AppendDenseDelta(m.deltaBuf[:0], m.beforeBufs[gi])
-			delta = m.deltaBuf
-		}
-		m.cnt.AddDelta(g.cnt, delta)
-		if wantResults {
-			for _, i := range g.members {
-				results[i] = Result{Answer: m.answerLocked(i), Response: spans[k].response,
-					Converged: spans[k].converged, Err: errs[k], cntSrc: g.cnt, cntDelta: delta}
-			}
-		}
-	}
-	if skipped > 0 {
-		m.cnt.Add(stats.CntUpdateSkipQueries, int64(skipped))
+	if delta.Skipped > 0 {
+		m.cnt.Add(stats.CntUpdateSkipQueries, int64(delta.Skipped))
 		m.cnt.Add(stats.CntUpdateSkipGroups, int64(skippedGroups))
 	}
-
-	var delta BatchDelta
-	if wantResults {
-		// Queries of unprocessed groups still get a Result — same length,
-		// same order, as every ApplyBatch caller expects — assembled from
-		// O(1) reads: the (unchanged) answer and the shared span.
-		for i := range results {
-			if g := &m.groups[m.inGroup[i]]; results[i].cntSrc == nil {
-				results[i] = Result{Answer: m.answerLocked(i), Response: sharedSpan,
-					Converged: sharedSpan, Skipped: !g.suspect, cntSrc: g.cnt}
-			}
-		}
-		return results, delta
-	}
-	delta.Skipped = skipped
-	delta.Processed = processed
 	delta.Err = errors.Join(joinedErrs...)
 	j := 0
 	for k, gi := range active {
@@ -613,7 +472,7 @@ func (m *MultiCISO) applyBatchCoreLocked(batch []graph.Update, wantResults bool)
 		}
 	}
 	slices.SortFunc(delta.Changed, func(a, b ChangedAnswer) int { return a.Index - b.Index })
-	return nil, delta
+	return delta
 }
 
 // groupUnaffectedLocked reports whether every normalized event of nb is
@@ -652,34 +511,16 @@ func groupPanic(g *sourceGroup, r any) error {
 	return fmt.Errorf("multiciso: source %d (%d queries) panicked: %v", g.st.src, len(g.members), r)
 }
 
-// ChangeSummaries returns the per-source change summaries of the
-// most recently applied batch: one entry per PROCESSED source group listing
-// which vertices of that group's converged region the batch wrote (sorted,
-// deduplicated, Overflow-capped). Sources absent from the slice were proven
-// unaffected — their regions did not change at all. The result is a deep
-// copy; the engine records raw writes and this read pays for the sort.
-func (m *MultiCISO) ChangeSummaries() []ChangeSummary {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]ChangeSummary, len(m.lastSums))
-	for i, cs := range m.lastSums {
-		cs.Vertices = slices.Clone(cs.Vertices)
-		slices.Sort(cs.Vertices)
-		cs.Vertices = slices.Compact(cs.Vertices)
-		out[i] = cs
-	}
-	return out
-}
-
-// forEachGroup runs f(k, state) for every listed group whose errs[k] entry
-// is still nil on a bounded worker pool: min(workers, len(idxs)) goroutines
-// pull positions from a shared cursor, each owning one scratch slot which it
+// forEachGroup runs f(state) for every listed group whose errs[k] entry is
+// still nil on a bounded worker pool: min(workers, len(idxs)) goroutines pull
+// positions from a shared cursor, each owning one scratch slot which it
 // attaches to a group's state for the duration of f. Each group touches only
-// its own state and counters; the shared topology is read-only inside f. A
-// panic inside f is recovered into errs[k] (and the slot's scratch
-// scrubbed); the pool always drains. With change-driven skipping, idxs is
-// the batch's processed subset — the pool never touches skipped groups.
-func (m *MultiCISO) forEachGroup(idxs []int, errs []error, f func(k int, st *state)) {
+// its own state and tallies (flushed into the shared atomic counters); the
+// shared topology is read-only inside f. A panic inside f is recovered into
+// errs[k] (and the slot's scratch scrubbed); the pool always drains. With
+// change-driven skipping, idxs is the batch's processed subset — the pool
+// never touches skipped groups.
+func (m *MultiCISO) forEachGroup(idxs []int, errs []error, f func(st *state)) {
 	w := min(max(m.workers, 1), len(idxs))
 	m.ensureScratches(w)
 	run := func(slot, k int) {
@@ -694,7 +535,7 @@ func (m *MultiCISO) forEachGroup(idxs []int, errs []error, f func(k int, st *sta
 			st.flush() // a panicking phase loses no counts and leaves none behind
 			st.sc = nil
 		}()
-		f(k, st)
+		f(st)
 	}
 	if w <= 1 {
 		for k := range idxs {

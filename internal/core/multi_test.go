@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,15 +40,18 @@ func TestMultiCISOMatchesIndependentEngines(t *testing.T) {
 		}
 		for bi := 0; bi < 3; bi++ {
 			batch := w.NextBatch()
-			rs := multi.ApplyBatch(batch)
-			if len(rs) != len(qs) {
-				t.Fatalf("%s: %d results for %d queries", a.Name(), len(rs), len(qs))
+			if d := multi.ApplyBatchDelta(batch); d.Err != nil {
+				t.Fatal(d.Err)
+			}
+			got := multi.Answers()
+			if len(got) != len(qs) {
+				t.Fatalf("%s: %d answers for %d queries", a.Name(), len(got), len(qs))
 			}
 			for i, q := range qs {
 				want := singles[i].ApplyBatch(batch).Answer
-				if rs[i].Answer != want {
+				if got[i] != want {
 					t.Fatalf("%s batch %d query %v: multi=%v single=%v",
-						a.Name(), bi, q, rs[i].Answer, want)
+						a.Name(), bi, q, got[i], want)
 				}
 				checkInvariant(t, multi.stateOf(i))
 			}
@@ -73,11 +78,12 @@ func TestMultiCISOAgainstColdStart(t *testing.T) {
 	}
 	for bi := 0; bi < 4; bi++ {
 		batch := w.NextBatch()
-		rs := multi.ApplyBatch(batch)
+		multi.ApplyBatchDelta(batch)
+		got := multi.Answers()
 		for i := range qs {
 			want := refs[i].ApplyBatch(batch).Answer
-			if rs[i].Answer != want {
-				t.Fatalf("batch %d query %d: multi=%v cs=%v", bi, i, rs[i].Answer, want)
+			if got[i] != want {
+				t.Fatalf("batch %d query %d: multi=%v cs=%v", bi, i, got[i], want)
 			}
 		}
 	}
@@ -93,12 +99,13 @@ func TestMultiCISOReweights(t *testing.T) {
 		graph.Add(el.Arcs[0].From, el.Arcs[0].To, 1),
 	}
 	el.Arcs[0].W = 1
-	rs := multi.ApplyBatch(batch)
+	multi.ApplyBatchDelta(batch)
+	got := multi.Answers()
 	for i, q := range qs {
 		cs := NewColdStart()
 		cs.Reset(graph.FromEdgeList(el), algo.PPSP{}, q)
-		if rs[i].Answer != cs.Answer() {
-			t.Fatalf("query %d: multi=%v cs=%v", i, rs[i].Answer, cs.Answer())
+		if got[i] != cs.Answer() {
+			t.Fatalf("query %d: multi=%v cs=%v", i, got[i], cs.Answer())
 		}
 	}
 }
@@ -119,27 +126,11 @@ func TestMultiCISOAccessors(t *testing.T) {
 	if ans[0] != 2 || ans[1] != 1 {
 		t.Fatalf("answers = %v", ans)
 	}
-	rs := m.ApplyBatch(nil)
-	if len(rs) != 2 || rs[0].Answer != 2 {
-		t.Fatalf("empty batch results = %v", rs)
+	if d := m.ApplyBatchDelta(nil); len(d.Changed) != 0 || d.Err != nil {
+		t.Fatalf("empty batch delta = %+v", d)
 	}
-}
-
-func TestMultiCISOResponseBeforeConverged(t *testing.T) {
-	ds := graph.RMAT("mrc", 7, 800, graph.DefaultRMAT, 8, 3)
-	w, _ := stream.New(ds, stream.Config{
-		LoadFraction: 0.5, AddsPerBatch: 30, DelsPerBatch: 30, Seed: 3,
-	})
-	var qs []Query
-	for _, p := range w.QueryPairs(2) {
-		qs = append(qs, Query{S: p[0], D: p[1]})
-	}
-	m := NewMultiCISO()
-	m.Reset(w.Initial(), algo.PPSP{}, qs)
-	for _, r := range m.ApplyBatch(w.NextBatch()) {
-		if r.Response > r.Converged {
-			t.Fatalf("response %v after converged %v", r.Response, r.Converged)
-		}
+	if ans := m.Answers(); ans[0] != 2 || ans[1] != 1 {
+		t.Fatalf("answers after an empty batch = %v", ans)
 	}
 }
 
@@ -156,17 +147,17 @@ func TestMultiCISOParallelMatchesSerial(t *testing.T) {
 	}
 	init := w.Initial()
 	serial := NewMultiCISO()
-	par := NewMultiCISO(WithParallelQueries())
+	par := NewMultiCISO(WithWorkers(4))
 	serial.Reset(init.Clone(), algo.PPSP{}, qs)
 	par.Reset(init.Clone(), algo.PPSP{}, qs)
 	for bi := 0; bi < 3; bi++ {
 		batch := w.NextBatch()
-		rs := serial.ApplyBatch(batch)
-		rp := par.ApplyBatch(batch)
+		serial.ApplyBatchDelta(batch)
+		par.ApplyBatchDelta(batch)
+		rs, rp := serial.Answers(), par.Answers()
 		for i := range qs {
-			if rs[i].Answer != rp[i].Answer {
-				t.Fatalf("batch %d query %d: serial=%v parallel=%v",
-					bi, i, rs[i].Answer, rp[i].Answer)
+			if rs[i] != rp[i] {
+				t.Fatalf("batch %d query %d: serial=%v parallel=%v", bi, i, rs[i], rp[i])
 			}
 		}
 	}
@@ -197,9 +188,10 @@ func (p *panicOnceAlgo) Propagate(u algo.Value, w float64) algo.Value {
 
 // TestMultiCISOQueryPanicRecovery injects a panic into one query's
 // processing, in both serial and parallel modes: the process must not crash,
-// the WaitGroup must not deadlock, exactly one result carries the error, the
-// panicked query's state is recomputed (so its answer is still correct), and
-// the other queries are untouched.
+// the WaitGroup must not deadlock, the batch's error names exactly the
+// panicking source, that group's members are reported changed, its state is
+// recomputed (so its answers are still correct), and the other queries are
+// untouched — in Changed exactly when their answer moved.
 func TestMultiCISOQueryPanicRecovery(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		name := "serial"
@@ -224,7 +216,7 @@ func TestMultiCISOQueryPanicRecovery(t *testing.T) {
 			pa := &panicOnceAlgo{Algorithm: algo.PPSP{}}
 			var m *MultiCISO
 			if parallel {
-				m = NewMultiCISO(WithParallelQueries())
+				m = NewMultiCISO(WithWorkers(4))
 			} else {
 				m = NewMultiCISO()
 			}
@@ -235,42 +227,42 @@ func TestMultiCISOQueryPanicRecovery(t *testing.T) {
 				singles[i].Reset(init.Clone(), algo.PPSP{}, q)
 			}
 
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for bi, batch := range batches {
-					if bi == 2 {
-						pa.after = 1
-						pa.calls.Store(0)
-						pa.armed.Store(true)
-					}
-					rs := m.ApplyBatch(batch)
-					nErr := 0
-					for i := range qs {
-						want := singles[i].ApplyBatch(batch).Answer
-						if rs[i].Err != nil {
-							nErr++
-						}
-						// Even the panicked query must answer correctly: its
-						// state is recomputed on the shared topology.
-						if rs[i].Answer != want {
-							t.Errorf("%s batch %d query %d: answer %v, want %v (err=%v)",
-								name, bi, i, rs[i].Answer, want, rs[i].Err)
-						}
-						checkInvariant(t, m.stateOf(i))
-					}
-					if bi == 2 && nErr != 1 {
-						t.Errorf("%s: %d errored results on the panic batch, want 1", name, nErr)
-					}
-					if bi != 2 && nErr != 0 {
-						t.Errorf("%s batch %d: unexpected errors (%d)", name, bi, nErr)
-					}
+			for bi, batch := range batches {
+				if bi == 2 {
+					pa.after = 1
+					pa.calls.Store(0)
+					pa.armed.Store(true)
 				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("ApplyBatch deadlocked after an injected panic")
+				pre := m.Answers()
+				done := make(chan BatchDelta, 1)
+				go func() { done <- m.ApplyBatchDelta(batch) }()
+				var d BatchDelta
+				select {
+				case d = <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("ApplyBatchDelta deadlocked after an injected panic")
+				}
+				got := m.Answers()
+				for i := range qs {
+					// Even the panicked query must answer correctly: its
+					// state is recomputed on the shared topology.
+					if want := singles[i].ApplyBatch(batch).Answer; got[i] != want {
+						t.Fatalf("%s batch %d query %d: answer %v, want %v (err=%v)",
+							name, bi, i, got[i], want, d.Err)
+					}
+					checkInvariant(t, m.stateOf(i))
+				}
+				if bi != 2 {
+					if d.Err != nil {
+						t.Fatalf("%s batch %d: unexpected error %v", name, bi, d.Err)
+					}
+					continue
+				}
+				erred := panickedGroups(m, d.Err)
+				if len(erred) != 1 {
+					t.Fatalf("%s: panic batch error %v names %d sources, want 1", name, d.Err, len(erred))
+				}
+				checkChanged(t, name, pre, got, d, func(i int) bool { return erred[m.inGroup[i]] })
 			}
 			if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
 				t.Fatalf("%s: query_panic=%d, want 1", name, got)
@@ -318,10 +310,11 @@ func TestMultiCISOAddQuery(t *testing.T) {
 	for bi := 0; bi < 3; bi++ {
 		batch := w.NextBatch()
 		topo.Apply(batch)
-		m.ApplyBatch(batch)
+		m.ApplyBatchDelta(batch)
+		ans := m.Answers()
 		for i, s := range singles {
 			s.ApplyBatch(batch)
-			if got, want := m.AnswerOf(i), s.Answer(); got != want {
+			if got, want := ans[i], s.Answer(); got != want {
 				t.Fatalf("batch %d query %d: multi=%v single=%v", bi, i, got, want)
 			}
 		}
@@ -351,7 +344,7 @@ func TestMultiCISOConcurrentReaders(t *testing.T) {
 	for _, p := range w.QueryPairs(3) {
 		qs = append(qs, Query{S: p[0], D: p[1]})
 	}
-	m := NewMultiCISO(WithParallelQueries())
+	m := NewMultiCISO(WithWorkers(4))
 	m.Reset(w.Initial(), algo.PPSP{}, qs)
 
 	stop := make(chan struct{})
@@ -374,7 +367,6 @@ func TestMultiCISOConcurrentReaders(t *testing.T) {
 					_ = n
 				}
 				m.Counters().Get(stats.CntRelax)
-				m.AnswerOf(0)
 				_ = m.Queries()
 				reads.Add(1)
 				select {
@@ -386,7 +378,7 @@ func TestMultiCISOConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for bi := 0; bi < 6; bi++ {
-		m.ApplyBatch(w.NextBatch())
+		m.ApplyBatchDelta(w.NextBatch())
 		if bi == 2 {
 			p := w.QueryPairs(4)[3]
 			m.AddQuery(Query{S: p[0], D: p[1]})
@@ -396,5 +388,43 @@ func TestMultiCISOConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	if reads.Load() == 0 {
 		t.Fatal("reader goroutines made no progress")
+	}
+}
+
+// panickedGroups returns the indices of the source groups err names: a
+// recovered group panic names its source (groupPanic).
+func panickedGroups(m *MultiCISO, err error) map[int]bool {
+	out := map[int]bool{}
+	if err == nil {
+		return out
+	}
+	for gi, g := range m.groups {
+		if strings.Contains(err.Error(), fmt.Sprintf("source %d ", g.st.src)) {
+			out[gi] = true
+		}
+	}
+	return out
+}
+
+// checkChanged fails unless d.Changed is ascending, carries post-batch
+// values, and lists exactly the queries that erred plus every other query
+// whose answer moved from pre to post.
+func checkChanged(t *testing.T, where string, pre, post []algo.Value, d BatchDelta, erred func(i int) bool) {
+	t.Helper()
+	in := map[int]bool{}
+	for k, ca := range d.Changed {
+		if k > 0 && d.Changed[k-1].Index >= ca.Index {
+			t.Fatalf("%s: Changed not ascending: %+v", where, d.Changed)
+		}
+		if ca.Value != post[ca.Index] {
+			t.Fatalf("%s: Changed[%d] = %v, answer %v", where, ca.Index, ca.Value, post[ca.Index])
+		}
+		in[ca.Index] = true
+	}
+	for i := range post {
+		if want := erred(i) || pre[i] != post[i]; in[i] != want {
+			t.Fatalf("%s: query %d in Changed = %v, want %v (erred %v, %v -> %v)",
+				where, i, in[i], want, erred(i), pre[i], post[i])
+		}
 	}
 }

@@ -40,18 +40,53 @@ func sameState(t *testing.T, label string, got, want *state, parents bool) {
 	}
 }
 
+// countsSince snapshots the engines' counters and returns a func yielding
+// their summed nonzero movement since the snapshot.
+func countsSince(engines ...*MultiCISO) func() map[string]int64 {
+	before := make([]map[string]int64, len(engines))
+	for j, e := range engines {
+		before[j] = e.Counters().Snapshot()
+	}
+	return func() map[string]int64 {
+		sum := map[string]int64{}
+		for j, e := range engines {
+			for name, v := range e.Counters().Diff(before[j]) {
+				if v != 0 {
+					sum[name] += v
+				}
+			}
+		}
+		return sum
+	}
+}
+
+// sameCounts fails unless got and want hold the same nonzero counts.
+func sameCounts(t *testing.T, where string, got, want map[string]int64) {
+	t.Helper()
+	for name, v := range got {
+		if v != want[name] {
+			t.Fatalf("%s: %s moved %d, per-source references %d", where, name, v, want[name])
+		}
+	}
+	for name, v := range want {
+		if v != got[name] {
+			t.Fatalf("%s: %s moved %d, per-source references %d", where, name, got[name], v)
+		}
+	}
+}
+
 // TestRegistrationEquivalence pins the one-state-per-source contract
 // (DESIGN.md §11.3). The reference is one single-query MultiCISO per query.
 // After Reset, every registration and every batch, each query's answer and
 // its group's values must equal its reference's, and every group state must
 // pass the invariant audit; a one-member group must also hold the
-// reference's exact parents and report its classification counts. Reset
-// over S distinct sources relaxes exactly S cold starts, a same-source
-// registration after mutating batches relaxes nothing, and a new source
-// costs exactly one cold start.
+// reference's exact parents. Reset over S distinct sources relaxes exactly S
+// cold starts, a same-source registration after mutating batches relaxes
+// nothing, and a new source costs exactly one cold start. The engine counts
+// each group's work once into its one counter set: every batch moves it by
+// the sum of per-source reference engines — one MultiCISO per source holding
+// exactly that source's members.
 func TestRegistrationEquivalence(t *testing.T) {
-	classNames := []string{stats.CntUpdateValuable, stats.CntUpdateDelayed,
-		stats.CntUpdateUseless, stats.CntUpdatePromoted}
 	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.PPWP{}, algo.Reach{}} {
 		for _, seed := range []int64{3, 17} {
 			ds := graph.RMAT("xreg", 7, 900, graph.DefaultRMAT, 16, seed)
@@ -91,29 +126,30 @@ func TestRegistrationEquivalence(t *testing.T) {
 					coldRelax += ref.Counters().Get(stats.CntRelax)
 				}
 			}
-			check := func(where string, rm []Result, rr [][]Result) {
+			bySrc := map[graph.VertexID]*MultiCISO{}
+			var srcRefs []*MultiCISO
+			for _, q := range qs {
+				if bySrc[q.S] == nil {
+					bySrc[q.S] = NewMultiCISO()
+					bySrc[q.S].Reset(init.Clone(), a, nil)
+					srcRefs = append(srcRefs, bySrc[q.S])
+				}
+				bySrc[q.S].AddQuery(q)
+			}
+			check := func(where string) {
 				t.Helper()
+				ans := m.Answers()
 				for i, q := range qs {
 					g := &m.groups[m.inGroup[i]]
 					at := fmt.Sprintf("%s query %d %v", where, i, q)
-					if got, want := m.AnswerOf(i), refs[i].AnswerOf(0); got != want {
+					if got, want := ans[i], refs[i].Answers()[0]; got != want {
 						t.Fatalf("%s: answer %v, reference %v", at, got, want)
 					}
-					alone := len(g.members) == 1
-					sameState(t, at, g.st, refs[i].stateOf(0), alone)
+					sameState(t, at, g.st, refs[i].stateOf(0), len(g.members) == 1)
 					checkInvariant(t, g.st)
-					if rm == nil || !alone {
-						continue
-					}
-					cm, cr := rm[i].Counters(), rr[i][0].Counters()
-					for _, name := range classNames {
-						if cm[name] != cr[name] {
-							t.Fatalf("%s: %s = %d, reference %d", at, name, cm[name], cr[name])
-						}
-					}
 				}
 			}
-			check(label+": Reset", nil, nil)
+			check(label + ": Reset")
 			if got := m.Counters().Get(stats.CntRelax); got != coldRelax {
 				t.Fatalf("%s: Reset of %d queries over %d sources relaxed %d, %d cold starts relax %d",
 					label, len(qs), len(seen), got, len(seen), coldRelax)
@@ -136,11 +172,18 @@ func TestRegistrationEquivalence(t *testing.T) {
 				_, want := ref.AddQuery(q)
 				refs = append(refs, ref)
 				qs = append(qs, q)
+				if r := bySrc[q.S]; r != nil {
+					r.AddQuery(q)
+				} else {
+					bySrc[q.S] = NewMultiCISO()
+					bySrc[q.S].Reset(m.g.Clone(), a, []Query{q})
+					srcRefs = append(srcRefs, bySrc[q.S])
+				}
 				where := fmt.Sprintf("%s: AddQuery %d %v", label, i, q)
 				if ans != want {
 					t.Fatalf("%s: answer %v, independent cold start %v", where, ans, want)
 				}
-				check(where, nil, nil)
+				check(where)
 				wantRelax := int64(0)
 				if cold {
 					wantRelax = ref.Counters().Get(stats.CntRelax)
@@ -153,18 +196,25 @@ func TestRegistrationEquivalence(t *testing.T) {
 
 			for bi := 0; bi < 4; bi++ {
 				batch := w.NextBatch()
+				where := fmt.Sprintf("%s batch %d", label, bi)
 				epoch := m.epoch
-				rm := m.ApplyBatch(batch)
-				var rr [][]Result
+				moved, srcMoved := countsSince(m), countsSince(srcRefs...)
+				if d := m.ApplyBatchDelta(batch); d.Err != nil {
+					t.Fatalf("%s: %v", where, d.Err)
+				}
 				for _, ref := range refs {
-					rr = append(rr, ref.ApplyBatch(batch))
+					ref.ApplyBatchDelta(batch)
 				}
 				for _, ref := range pending {
 					if ref.NumQueries() == 0 {
-						ref.ApplyBatch(batch)
+						ref.ApplyBatchDelta(batch)
 					}
 				}
-				check(fmt.Sprintf("%s batch %d", label, bi), rm, rr)
+				for _, ref := range srcRefs {
+					ref.ApplyBatchDelta(batch)
+				}
+				check(where)
+				sameCounts(t, where, moved(), srcMoved())
 				if bi == 1 {
 					if m.epoch == epoch {
 						t.Fatalf("%s: batch %d did not mutate the topology", label, bi)
@@ -181,7 +231,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 
 // TestAddQueriesMatchesAddQueryLoop pins bulk registration: AddQueries over
 // a list equals an AddQuery loop over it — indices, answers, every query's
-// values and parents, and the merged counters — on an empty and on a
+// values and parents, and the engine counters — on an empty and on a
 // non-empty engine, at the Reset epoch and after a mutating batch.
 func TestAddQueriesMatchesAddQueryLoop(t *testing.T) {
 	ds := graph.RMAT("bulkreg", 7, 900, graph.DefaultRMAT, 16, 5)
@@ -226,15 +276,15 @@ func TestAddQueriesMatchesAddQueryLoop(t *testing.T) {
 		}
 		label := fmt.Sprintf("%d pre-registered", len(pre))
 		register(label+", Reset epoch", all[3:10])
-		loop.ApplyBatch(batch)
-		bulk.ApplyBatch(batch)
+		loop.ApplyBatchDelta(batch)
+		bulk.ApplyBatchDelta(batch)
 		same(label + ", after the batch")
 		register(label+", post-batch epoch", all[10:])
 	}
 }
 
 // TestMultiCISOWorkerPoolMatchesSerial pins the bounded-pool execution: any
-// pool width must produce exactly the answers and merged deterministic
+// pool width must produce exactly the answers and deterministic
 // counters of the serial engine.
 func TestMultiCISOWorkerPoolMatchesSerial(t *testing.T) {
 	ds := graph.RMAT("wpool", 7, 900, graph.DefaultRMAT, 16, 31)
@@ -250,19 +300,21 @@ func TestMultiCISOWorkerPoolMatchesSerial(t *testing.T) {
 
 	serial := NewMultiCISO()
 	serial.Reset(init.Clone(), algo.PPSP{}, qs)
-	want := make([][]Result, len(batches))
+	want := make([][]algo.Value, len(batches))
 	for bi, batch := range batches {
-		want[bi] = serial.ApplyBatch(batch)
+		serial.ApplyBatchDelta(batch)
+		want[bi] = serial.Answers()
 	}
 	for _, workers := range []int{2, 4} {
 		pooled := NewMultiCISO(WithWorkers(workers))
 		pooled.Reset(init.Clone(), algo.PPSP{}, qs)
 		for bi, batch := range batches {
-			rp := pooled.ApplyBatch(batch)
+			pooled.ApplyBatchDelta(batch)
+			rp := pooled.Answers()
 			for i := range qs {
-				if rp[i].Answer != want[bi][i].Answer {
+				if rp[i] != want[bi][i] {
 					t.Fatalf("workers=%d batch %d query %d: pooled=%v serial=%v",
-						workers, bi, i, rp[i].Answer, want[bi][i].Answer)
+						workers, bi, i, rp[i], want[bi][i])
 				}
 			}
 		}
@@ -310,7 +362,7 @@ func TestAddQueryDoesNotBlockReaders(t *testing.T) {
 
 	m := NewMultiCISO()
 	m.Reset(w.Initial(), ga, []Query{{S: pairs[0][0], D: pairs[0][1]}})
-	firstAnswer := m.AnswerOf(0)
+	firstAnswer := m.Answers()[0]
 	ga.armed.Store(true)
 
 	q := Query{S: pairs[1][0], D: pairs[1][1]}
@@ -338,8 +390,8 @@ func TestAddQueryDoesNotBlockReaders(t *testing.T) {
 	go func() {
 		defer close(readsDone)
 		for r := 0; r < 100; r++ {
-			if got := m.AnswerOf(0); got != firstAnswer {
-				t.Errorf("AnswerOf(0) changed during registration: %v != %v", got, firstAnswer)
+			if got := m.Answers()[0]; got != firstAnswer {
+				t.Errorf("query 0's answer changed during registration: %v != %v", got, firstAnswer)
 				return
 			}
 			if n := m.NumQueries(); n != 1 {

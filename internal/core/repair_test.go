@@ -61,8 +61,8 @@ func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 		if st.tally != [numTallies]int64{} {
 			t.Fatalf("%s group %d: unflushed tallies %v", label, gi, st.tally)
 		}
-		if st.sc != nil || st.dirty != nil {
-			t.Fatalf("%s group %d: scratch or change recorder still attached", label, gi)
+		if st.sc != nil {
+			t.Fatalf("%s group %d: scratch still attached", label, gi)
 		}
 	}
 	for slot, sc := range m.scs {
@@ -287,14 +287,14 @@ func TestRepairKernelDifferential(t *testing.T) {
 			assertKernelQuiescent(t, label+" reset", m)
 			var before map[string]int64
 			for bi, batch := range sh.batches {
-				before = m.groups[0].cnt.Snapshot()
+				before = m.cnt.Snapshot()
 				if d := m.ApplyBatchDelta(batch); d.Err != nil {
 					t.Fatalf("%s batch %d: %v", label, bi, d.Err)
 				}
 				assertKernelQuiescent(t, fmt.Sprintf("%s batch %d", label, bi), m)
 			}
 			if sh.check != nil && a.Name() == "PPSP" {
-				sh.check(t, m.groups[0].st, m.groups[0].cnt.Diff(before))
+				sh.check(t, m.groups[0].st, m.cnt.Diff(before))
 			}
 		}
 		// Phases C and D run the same branches, so the engine's counters
@@ -456,29 +456,23 @@ func TestApplyBatchDeltaAllocCeiling(t *testing.T) {
 }
 
 // assertCountersFlushed checks that no state holds an unflushed tally and
-// that, for every counter the per-group sets carry, the merged view equals
-// their sum.
+// that every state's tallies flush into the engine's one counter set.
 func assertCountersFlushed(t *testing.T, label string, m *MultiCISO) {
 	t.Helper()
-	sum := map[string]int64{}
 	for gi, g := range m.groups {
 		if g.st.tally != [numTallies]int64{} {
 			t.Fatalf("%s: group %d holds unflushed tallies %v", label, gi, g.st.tally)
 		}
-		for name, v := range g.cnt.Snapshot() {
-			sum[name] += v
-		}
-	}
-	merged := m.Counters().Snapshot()
-	for name, want := range sum {
-		if merged[name] != want {
-			t.Fatalf("%s: Counters()[%s] = %d, per-group sets sum to %d", label, name, merged[name], want)
+		for i, name := range tallyNames {
+			if g.st.h[i] != m.cnt.Handle(name) {
+				t.Fatalf("%s: group %d counts %s outside the engine's counters", label, gi, name)
+			}
 		}
 	}
 }
 
 // TestCountersFlushedAtEveryExit walks every public writer — a panicking
-// plug-in mid-phase included — while a reader polls the merged counters.
+// plug-in mid-phase included — while a reader polls the engine counters.
 func TestCountersFlushedAtEveryExit(t *testing.T) {
 	ds := graph.Uniform("flush", 120, 900, 8, 31)
 	w, err := stream.New(ds, stream.Config{
@@ -515,8 +509,6 @@ func TestCountersFlushedAtEveryExit(t *testing.T) {
 
 	m.Reset(w.Initial(), pa, qs[:4])
 	assertCountersFlushed(t, "Reset", m)
-	m.ApplyBatch(w.NextBatch())
-	assertCountersFlushed(t, "ApplyBatch", m)
 	if d := m.ApplyBatchDelta(w.NextBatch()); d.Err != nil {
 		t.Fatal(d.Err)
 	}

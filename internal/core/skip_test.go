@@ -28,15 +28,14 @@ func clusteredQueries(w *stream.Workload, nq, sources int) []Query {
 	return qs
 }
 
-// encodeAnswers byte-serialises a result set's answers (exact bit pattern
-// per value — ±Inf answers included, which plain JSON cannot carry), so
-// "byte-identical" means exactly that. The server-level differential test
-// compares the real /v1/answers JSON bodies on top of this.
-func encodeAnswers(t *testing.T, rs []Result) []byte {
-	t.Helper()
+// encodeAnswers byte-serialises answers (exact bit pattern per value — ±Inf
+// answers included, which plain JSON cannot carry), so "byte-identical"
+// means exactly that. The server-level differential test compares the real
+// /v1/answers JSON bodies on top of this.
+func encodeAnswers(ans []algo.Value) []byte {
 	var b bytes.Buffer
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%x;", math.Float64bits(float64(r.Answer)))
+	for _, v := range ans {
+		fmt.Fprintf(&b, "%x;", math.Float64bits(float64(v)))
 	}
 	return b.Bytes()
 }
@@ -64,8 +63,9 @@ func TestChangeSkipDifferential(t *testing.T) {
 			full.Reset(init.Clone(), a, qs)
 			for bi := 0; bi < 8; bi++ {
 				batch := w.NextBatch()
-				got := encodeAnswers(t, skip.ApplyBatch(batch))
-				want := encodeAnswers(t, full.ApplyBatch(batch))
+				skip.ApplyBatchDelta(batch)
+				full.ApplyBatchDelta(batch)
+				got, want := encodeAnswers(skip.Answers()), encodeAnswers(full.Answers())
 				if string(got) != string(want) {
 					t.Fatalf("%s/w%d batch %d: skip answers %s != full %s",
 						a.Name(), workers, bi, got, want)
@@ -100,8 +100,8 @@ func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	full.Reset(init.Clone(), algo.PPSP{}, qs)
 	for bi := 0; bi < 6; bi++ {
 		batch := w.NextBatch()
-		fsSkip, errS := skip.ApplyUpdates(batch)
-		fsFull, errF := full.ApplyUpdates(batch)
+		fsSkip, _, errS := skip.ApplyUpdatesDelta(batch)
+		fsFull, _, errF := full.ApplyUpdatesDelta(batch)
 		if errS != nil || errF != nil {
 			t.Fatalf("batch %d: errs %v / %v", bi, errS, errF)
 		}
@@ -117,10 +117,34 @@ func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	}
 }
 
-// TestApplyBatchDeltaMatchesResults proves the lean report: ApplyBatchDelta
-// must apply the identical state transition as ApplyBatch and enumerate
-// exactly the queries whose answer moved.
+// TestApplyBatchDeltaMatchesResults proves the batch report: ApplyBatchDelta
+// must enumerate exactly the queries whose answer moved and count every
+// member of a skipped group as skipped and of a processed one as processed.
 func TestApplyBatchDeltaMatchesResults(t *testing.T) {
+	// A line graph 0→1→…→9 plus an isolated pair 20→21: updates in the line
+	// can never touch the query rooted in the pair.
+	g := graph.NewDynamic(32)
+	for i := 0; i < 9; i++ {
+		g.AddEdge(graph.VertexID(i), graph.VertexID(i+1), 1)
+	}
+	g.AddEdge(20, 21, 1)
+	m := NewMultiCISO()
+	m.Reset(g, algo.PPSP{}, []Query{{S: 0, D: 9}, {S: 0, D: 5}, {S: 20, D: 21}})
+	// Shortening 0→1 processes the source-0 group and moves both its
+	// answers; the source-20 group skips.
+	d := m.ApplyBatchDelta([]graph.Update{graph.Del(0, 1, 1), graph.Add(0, 1, 0.5)})
+	if d.Processed != 2 || d.Skipped != 1 || len(d.Changed) != 2 {
+		t.Fatalf("supplier reweight: %+v, want the source-0 group's 2 queries processed and changed, 1 skipped", d)
+	}
+	// An addition that improves nothing anywhere (worse parallel path):
+	// every group skips.
+	if d = m.ApplyBatchDelta([]graph.Update{graph.Add(0, 9, 100)}); d.Processed != 0 || d.Skipped != 3 || len(d.Changed) != 0 {
+		t.Fatalf("useless addition: %+v, want all 3 queries skipped", d)
+	}
+	if q, g := m.Counters().Get(stats.CntUpdateSkipQueries), m.Counters().Get(stats.CntUpdateSkipGroups); q != 4 || g != 3 {
+		t.Fatalf("skip counters: %d queries in %d groups, want 4 in 3", q, g)
+	}
+
 	ds := graph.RMAT("skipdelta", 8, 2000, graph.DefaultRMAT, 16, 79)
 	w, err := stream.New(ds, stream.Config{
 		LoadFraction: 0.5, AddsPerBatch: 30, DelsPerBatch: 30, Seed: 79,
@@ -141,7 +165,7 @@ func TestApplyBatchDeltaMatchesResults(t *testing.T) {
 		if d.Err != nil {
 			t.Fatalf("batch %d: %v", bi, d.Err)
 		}
-		ref.ApplyBatch(batch)
+		ref.ApplyBatchDelta(batch)
 		cur := ref.Answers()
 		// The delta must list exactly the moved answers, in index order.
 		want := make(map[int]algo.Value)
@@ -204,7 +228,7 @@ func TestApplyUpdatesDeltaMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fsR, errR := ref.ApplyUpdates(batch)
+		fsR, _, errR := ref.ApplyUpdatesDelta(batch)
 		if errR != nil {
 			t.Fatal(errR)
 		}
@@ -234,64 +258,5 @@ func TestApplyUpdatesDeltaMatches(t *testing.T) {
 			}
 		}
 		prev = cur
-	}
-}
-
-// TestChangeSummaries checks the per-(source,epoch) baseline change
-// summaries: processed groups report a sorted, deduplicated dirty set at the
-// committed epoch; skipped groups report nothing (their regions provably did
-// not change); a far-away useless update skips everything and marks whole
-// batches as untouched.
-func TestChangeSummaries(t *testing.T) {
-	// A line graph 0→1→…→9 plus an isolated pair 20→21: updates in the pair
-	// can never touch a query rooted in the line.
-	g := graph.NewDynamic(32)
-	for i := 0; i < 9; i++ {
-		g.AddEdge(graph.VertexID(i), graph.VertexID(i+1), 1)
-	}
-	g.AddEdge(20, 21, 1)
-	m := NewMultiCISO()
-	m.Reset(g, algo.PPSP{}, []Query{{S: 0, D: 9}, {S: 0, D: 5}, {S: 20, D: 21}})
-
-	// Batch 1: shorten 0→1. The source-0 group must process and report
-	// dirty vertices; the source-20 group must skip.
-	rs := m.ApplyBatch([]graph.Update{
-		graph.Del(0, 1, 1), graph.Add(0, 1, 0.5),
-	})
-	if rs[0].Skipped || rs[1].Skipped {
-		t.Fatal("source-0 group must process a supplier reweight")
-	}
-	if !rs[2].Skipped {
-		t.Fatal("source-20 group must skip an update outside its region")
-	}
-	sums := m.ChangeSummaries()
-	if len(sums) != 1 || sums[0].Source != 0 {
-		t.Fatalf("summaries = %+v, want exactly source 0", sums)
-	}
-	if len(sums[0].Vertices) == 0 && !sums[0].Overflow {
-		t.Fatalf("source-0 summary empty: %+v", sums[0])
-	}
-	for i := 1; i < len(sums[0].Vertices); i++ {
-		if sums[0].Vertices[i] <= sums[0].Vertices[i-1] {
-			t.Fatalf("summary vertices not sorted/deduped: %v", sums[0].Vertices)
-		}
-	}
-
-	// Batch 2: an addition that improves nothing anywhere (worse parallel
-	// path). Every group must skip and no summaries remain.
-	rs = m.ApplyBatch([]graph.Update{graph.Add(0, 9, 100)})
-	for i, r := range rs {
-		if !r.Skipped {
-			t.Fatalf("query %d processed a useless addition", i)
-		}
-	}
-	if sums := m.ChangeSummaries(); len(sums) != 0 {
-		t.Fatalf("summaries after all-skip batch: %+v", sums)
-	}
-	if got := m.Counters().Get(stats.CntUpdateSkipQueries); got == 0 {
-		t.Fatal("skip counter never moved")
-	}
-	if got := m.Counters().Get(stats.CntUpdateSkipGroups); got == 0 {
-		t.Fatal("skip group counter never moved")
 	}
 }

@@ -35,7 +35,7 @@ type state struct {
 
 	// val[v] is v's value and parent[v] the in-neighbor supplying it
 	// (NoVertex if none). Reads index them directly; writes go through
-	// setVertex/adoptParent so the change summary sees them.
+	// setVertex/adoptParent.
 	val    []algo.Value
 	parent []graph.VertexID
 
@@ -55,13 +55,6 @@ type state struct {
 	// before running a group's phases, so scratch memory scales with worker
 	// count, not source count.
 	sc *scratch
-
-	// dirty, when non-nil, records every vertex this state writes into the
-	// batch's per-source change summary (DESIGN.md §15). MultiCISO attaches
-	// it to each processed group's state for the duration of the batch;
-	// single-query engines leave it nil, so the hot path pays one predicted
-	// branch.
-	dirty *ChangeSummary
 }
 
 // newState builds a state with its own scratch and every vertex unreached —
@@ -87,10 +80,15 @@ func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.Verte
 		op:     resolveOps(a),
 		sc:     sc,
 	}
+	st.bind(cnt)
+	return st
+}
+
+// bind resolves the tally handles against cnt, the set flush adds into.
+func (st *state) bind(cnt *stats.Counters) {
 	for i, name := range tallyNames {
 		st.h[i] = cnt.Handle(name)
 	}
-	return st
 }
 
 // Indices into state.tally.
@@ -130,18 +128,12 @@ func (st *state) flush() {
 
 // setVertex writes v's value and parent together.
 func (st *state) setVertex(v graph.VertexID, val algo.Value, parent graph.VertexID) {
-	if st.dirty != nil {
-		st.dirty.note(v)
-	}
 	st.val[v] = val
 	st.parent[v] = parent
 }
 
 // adoptParent rewrites only v's parent (supplier adoption during repair).
 func (st *state) adoptParent(v, parent graph.VertexID) {
-	if st.dirty != nil {
-		st.dirty.note(v)
-	}
 	st.parent[v] = parent
 }
 
@@ -161,9 +153,6 @@ func (st *state) answer() algo.Value { return st.val[st.dests[0]] }
 
 // fullCompute converges from scratch on the current topology.
 func (st *state) fullCompute() {
-	if st.dirty != nil {
-		st.dirty.noteAll() // a from-scratch rebuild dirties the whole region
-	}
 	st.resetAll()
 	st.sc.wl.reset()
 	st.sc.wl.push(st.src, st.val[st.src])

@@ -135,7 +135,7 @@ func TestServerDegradedModeFaultInjection(t *testing.T) {
 	ref := core.NewMultiCISO()
 	ref.Reset(w.Initial(), a, qs)
 	for _, rec := range recs {
-		ref.ApplyBatch(rec.Batch)
+		ref.ApplyBatchDelta(rec.Batch)
 	}
 	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "post-heal durable replay")
 

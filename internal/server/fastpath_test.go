@@ -42,6 +42,7 @@ func dialBinary(t *testing.T, srv *Server) (*binTestClient, func()) {
 		t.Fatal(err)
 	}
 	go srv.ServeBinary(ln)
+	conns := srv.Counters().Get(CntBinConns)
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +50,11 @@ func dialBinary(t *testing.T, srv *Server) (*binTestClient, func()) {
 	if _, err := c.Write([]byte(BinHello2)); err != nil {
 		t.Fatal(err)
 	}
+	// The close func also closes the listener, which resets a connection
+	// still waiting in its backlog: return only once the server has
+	// accepted this one, so no frame sent on it can vanish unread.
+	waitFor(t, 10*time.Second, func() bool { return srv.Counters().Get(CntBinConns) > conns },
+		"the server to accept the binary connection")
 	cl := &binTestClient{t: t, conn: c, br: bufio.NewReader(c), sid: testSessions.Add(1), seq: 1}
 	return cl, func() { c.Close(); ln.Close() }
 }
@@ -130,7 +136,7 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 		// The ack means the frame is visible: mirror it into the reference
 		// (workload batches are clean, so accepted == all).
 		for _, up := range frame {
-			ref.ApplyBatch([]graph.Update{up})
+			ref.ApplyBatchDelta([]graph.Update{up})
 		}
 	}
 	if !srv.Quiesced() {
@@ -565,10 +571,10 @@ func TestFastPathConcurrentCommit(t *testing.T) {
 
 	var writers sync.WaitGroup
 	for i := 0; i < conns; i++ {
+		bc, closeBin := dialBinary(t, srv)
 		writers.Add(1)
 		go func(trace [][]graph.Update) {
 			defer writers.Done()
-			bc, closeBin := dialBinary(t, srv)
 			defer closeBin()
 			// Pipeline: send everything, then collect ordered acks.
 			for _, frame := range trace {

@@ -53,7 +53,7 @@ func TestQueryPoolMatchesSingleEngine(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		batch := w.NextBatch()
-		ref.ApplyBatch(batch)
+		ref.ApplyBatchDelta(batch)
 		if _, err := pool.ApplyBatch(batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -214,7 +214,7 @@ func TestQueryPoolSnapshotUnderLoad(t *testing.T) {
 	ref := core.NewMultiCISO()
 	ref.Reset(g0.Clone(), a, snap.Queries)
 	for _, batch := range stream {
-		ref.ApplyBatch(batch)
+		ref.ApplyBatchDelta(batch)
 	}
 	if refAns := ref.Answers(); !slices.Equal(snap.Values, refAns) {
 		t.Fatalf("snapshot after concurrent registration %v, offline engine %v", snap.Values, refAns)

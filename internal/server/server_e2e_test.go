@@ -157,7 +157,7 @@ func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 	}
 	waitQuiescedSrv(t, srv)
 	for _, b := range replayed {
-		ref.ApplyBatch(b)
+		ref.ApplyBatchDelta(b)
 	}
 	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "pre-restart")
 
@@ -189,7 +189,7 @@ func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 	// Second half of the stream against the restored server.
 	for i := 0; i < 6; i++ {
 		b := w.NextBatch()
-		ref.ApplyBatch(b)
+		ref.ApplyBatchDelta(b)
 		feed(srv2, client2, ts2.URL, b)
 	}
 	waitQuiescedSrv(t, srv2)
@@ -283,7 +283,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 	pa.Arm(1)
 	postUpdatesHTTP(t, client, ts.URL, body)
 	waitQuiescedSrv(t, srv)
-	ref.ApplyBatch(body[:1])
+	ref.ApplyBatchDelta(body[:1])
 	if pa.Fired() != 1 {
 		t.Fatalf("injected panic fired %d times, want 1", pa.Fired())
 	}
@@ -293,7 +293,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "after the panic")
 
 	b := w.NextBatch()
-	ref.ApplyBatch(b)
+	ref.ApplyBatchDelta(b)
 	postUpdatesHTTP(t, client, ts.URL, b)
 	waitQuiescedSrv(t, srv)
 	checkAnswers(t, client, ts.URL, qs, ref.Answers(), "after the next commit")

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -269,22 +268,17 @@ func (c *Counters) DenseSnapshot(buf []int64) []int64 {
 // registered after the snapshot diff against zero. The slice is safe to
 // retain (it aliases nothing), so a Result can carry it until the caller
 // decides whether to materialise the named map.
-func (c *Counters) DenseDelta(before []int64) []int64 { return c.AppendDenseDelta(nil, before) }
-
-// AppendDenseDelta is DenseDelta appending to dst: with dst[:0] of a retained
-// buffer, a delta that is folded and forgotten costs no allocation.
-func (c *Counters) AppendDenseDelta(dst, before []int64) []int64 {
+func (c *Counters) DenseDelta(before []int64) []int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	dst = slices.Grow(dst, len(c.cells))
+	out := make([]int64, len(c.cells))
 	for i, cell := range c.cells {
-		d := cell.Load()
+		out[i] = cell.Load()
 		if i < len(before) {
-			d -= before[i]
+			out[i] -= before[i]
 		}
-		dst = append(dst, d)
 	}
-	return dst
+	return out
 }
 
 // DeltaMap resolves a dense delta (from DenseDelta on this Counters) into a
@@ -300,20 +294,6 @@ func (c *Counters) DeltaMap(delta []int64) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// AddDelta folds a dense delta measured on src into c (c += delta), matching
-// counters by name. It replaces per-batch map materialisation when merging
-// per-query deltas into a combined view.
-func (c *Counters) AddDelta(src *Counters, delta []int64) {
-	src.mu.RLock()
-	names := src.names[:min(len(src.names), len(delta))]
-	src.mu.RUnlock()
-	for i, name := range names {
-		if delta[i] != 0 {
-			c.Add(name, delta[i])
-		}
-	}
 }
 
 // Diff returns c - prev as a fresh map; counters absent from prev are taken
