@@ -47,8 +47,8 @@ func Suite() []Case {
 		{Name: "ServerIngest", Bench: ServerIngest},
 		{Name: "ServerIngestBinary", Bench: ServerIngestBinary},
 		{Name: "PerUpdateLatency", Bench: PerUpdateLatency},
-		{Name: "FastPathUnsafeMix_Q4_S4", Bench: FastPathUnsafeMix(4, 4)},
-		{Name: "FastPathUnsafeMix_Q128_S16", Bench: FastPathUnsafeMix(128, 16)},
+		{Name: "BatchRepair_Q4_S4", Bench: BatchRepair(4, 4)},
+		{Name: "BatchRepair_Q128_S16", Bench: BatchRepair(128, 16)},
 		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
 		{Name: "ServerAnswers", Bench: ServerAnswers},
 		// The _Dense suffix keeps the names of earlier BENCH_*.json rows.

@@ -124,9 +124,10 @@ func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	// Phase B — apply the deletion topology, then classify every deletion
 	// event against the post-addition converged states and the global key
 	// path. Re-weighting deletion halves are classified with the OLD weight
-	// (the equality test then fires exactly when the old weight still
-	// supplies the head vertex) but repair re-derives from the live
-	// topology, which already carries the new weight.
+	// (the equality test, or the head's parent naming the tail, fires when
+	// the old weight still supplies the head vertex; classifyDeletion) but
+	// repair re-derives from the live topology, which already carries the
+	// new weight.
 	for _, up := range nb.Dels {
 		st.g.RemoveEdge(up.From, up.To)
 	}
@@ -134,7 +135,7 @@ func (c *CISO) ApplyBatch(batch []graph.Update) Result {
 	for _, rw := range nb.Reweights {
 		delEvents = append(delEvents, graph.Del(rw.From, rw.To, rw.OldW))
 	}
-	st.classifyDeletions(delEvents, !c.noDrop)
+	st.classifyDeletions(delEvents, len(nb.Dels), !c.noDrop)
 
 	// Phase C — valuable (non-delayed) deletions, highest priority, with
 	// promotion of the delayed ones a rerouted key path runs through.

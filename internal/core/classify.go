@@ -86,10 +86,16 @@ func (st *state) delUseless(u, v graph.VertexID, w0 float64) bool {
 }
 
 // classifyDeletion is ClassifyDeletion against st's values and the key-path
-// marks keyPath last wrote.
-func (st *state) classifyDeletion(u, v graph.VertexID, w0 float64) Class {
+// marks keyPath last wrote. A re-weighting's deletion half also supplies v
+// when v records u as its parent: the edge carries its new weight through
+// phase A, so when phase A improved u, v kept the value the old weight
+// derived while the equality test reads u's new value — a supplier the
+// equality alone would drop, leaving v stale. A plain deletion's edge is
+// present through phase A, so there an improved u re-derived v over it and
+// the equality alone is exact.
+func (st *state) classifyDeletion(u, v graph.VertexID, w0 float64, reweight bool) Class {
 	switch {
-	case st.delUseless(u, v, w0):
+	case (!reweight || st.parent[v] != u) && st.delUseless(u, v, w0):
 		return ClassUseless
 	case st.edgeOnKeyPath(u, v):
 		return ClassValuable

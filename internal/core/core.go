@@ -96,12 +96,12 @@ type ChangedAnswer struct {
 	Value algo.Value
 }
 
-// BatchDelta is MultiCISO's one per-batch report (ApplyBatchDelta /
-// ApplyUpdatesDelta): instead of one Result per registered query — O(Q) even
-// when the batch touched three vertices — it enumerates only the queries
-// whose ANSWER actually changed, so serving layers that fan answers out (the
-// query pool, the watch hub) pay O(changed). Per-query work and timing are
-// not reported: the engine's counters count each source group's work once
+// BatchDelta is MultiCISO's one per-batch report (ApplyBatchDelta): instead
+// of one Result per registered query — O(Q) even when the batch touched
+// three vertices — it enumerates only the queries whose ANSWER actually
+// changed, so serving layers that fan answers out (the query pool, the
+// watch hub) pay O(changed). Per-query work and timing are not reported:
+// the engine's counters count each source group's work once
 // (MultiCISO.Counters). Every member of a group whose processing panicked is
 // reported as changed (its answer may have moved during recovery) and the
 // panic is joined into Err.

@@ -36,10 +36,10 @@ import (
 // differently from an independent engine's.
 //
 // Concurrency contract (relied on by internal/server): Reset,
-// ApplyBatchDelta, ApplyUpdatesDelta, AddQuery and AddQueries are writers and
-// serialize on an internal lock; Topology's graph has its own single-writer
-// contract; Answers, Queries, NumQueries and Counters are readers and may be
-// called from any goroutine, including while a writer runs — a reader
+// ApplyBatchDelta, AddQuery and AddQueries are writers and serialize on an
+// internal lock; Topology's graph has its own single-writer contract;
+// Answers, Queries, NumQueries and Counters are readers and may be called
+// from any goroutine, including while a writer runs — a reader
 // observes either the pre-batch or the post-batch state, never a torn
 // intermediate. AddQuery of a new source performs its O(V+E) cold start
 // against a topology snapshot WITHOUT holding the lock and only publishes
@@ -65,9 +65,8 @@ type MultiCISO struct {
 	// Algorithm 1 read values only, so one scan of a batch against a group's
 	// state decides whether the batch can touch it at all; if it provably
 	// cannot, the group's phases are skipped and its members' answers are
-	// served unchanged. The group list is also the fast path's scan set. It
-	// changes only in Reset, AddQuery and AddQueries, so batch and per-update
-	// routing range over one slice in a fixed order.
+	// served unchanged. The group list changes only in Reset, AddQuery and
+	// AddQueries, so every batch ranges over one slice in a fixed order.
 	skip    bool                   // skipping enabled (default; WithChangeSkip)
 	groups  []sourceGroup          // first-registration order
 	groupOf map[graph.VertexID]int // source → index into groups
@@ -260,9 +259,9 @@ func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 // a serving layer validates against instead of keeping a copy of its own.
 // Contract:
 //
-//   - the graph is mutated only by the engine's writers (ApplyBatchDelta,
-//     ApplyUpdatesDelta, Reset replaces it), called by a single writer under
-//     whatever lock the caller serializes its writes with;
+//   - the graph is mutated only by the engine's writers (ApplyBatchDelta;
+//     Reset replaces it), called by a single writer under whatever lock the
+//     caller serializes its writes with;
 //   - that writer may read the graph between its own applies without a
 //     lock — nothing else mutates it;
 //   - every other reader holds a lock that excludes the writer (the
@@ -349,13 +348,6 @@ func (m *MultiCISO) StateBytes() int64 {
 func (m *MultiCISO) ApplyBatchDelta(batch []graph.Update) BatchDelta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.applyBatchLocked(batch)
-}
-
-// applyBatchLocked is ApplyBatchDelta with the write lock already held; the
-// per-update fast path (ApplyUpdatesDelta) routes unsafe runs through it
-// under a single lock hold.
-func (m *MultiCISO) applyBatchLocked(batch []graph.Update) BatchDelta {
 	// Shared, once: normalization against the pre-batch topology.
 	nb := m.norm.normalize(m.g, batch)
 
@@ -427,8 +419,12 @@ func (m *MultiCISO) applyBatchLocked(batch []graph.Update) BatchDelta {
 	}
 
 	// Phase A per processed group on the worker pool (the topology is
-	// read-only from here until the shared deletion pass).
-	m.forEachGroup(active, errs, func(st *state) { st.processAdditions(addEvents) })
+	// read-only from here until the shared deletion pass). The phases run
+	// only when a group is processed: a batch every group skips builds no
+	// closures, so it allocates nothing.
+	if len(active) > 0 {
+		m.forEachGroup(active, errs, func(st *state) { st.processAdditions(addEvents) })
+	}
 
 	// Shared: deletion topology.
 	for _, up := range nb.Dels {
@@ -437,11 +433,13 @@ func (m *MultiCISO) applyBatchLocked(batch []graph.Update) BatchDelta {
 
 	// Phases B–D per processed group: classify against the members' key
 	// paths, prioritise, promote, answer, delayed.
-	m.forEachGroup(active, errs, func(st *state) {
-		st.classifyDeletions(delEvents, true)
-		st.repairValuable()
-		st.repairDelayed()
-	})
+	if len(active) > 0 {
+		m.forEachGroup(active, errs, func(st *state) {
+			st.classifyDeletions(delEvents, len(nb.Dels), true)
+			st.repairValuable()
+			st.repairDelayed()
+		})
+	}
 
 	// Degraded groups: a group whose phases (or skip scan) panicked recovers
 	// its state and surfaces the panic; one whose heal failed above is

@@ -94,3 +94,39 @@ func TestReweightBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestChainedReweights: one batch improves the edge into u and worsens u's
+// edge to v, which supplied v. After phase A the worsened edge already
+// carries its new weight and u its improved value, so only v's parent still
+// names the edge as v's supplier; v must be repaired to its other route,
+// whichever reweight the batch lists first.
+func TestChainedReweights(t *testing.T) {
+	mk := func() *graph.Dynamic {
+		g := graph.NewDynamic(4)
+		g.AddEdge(0, 1, 2)
+		g.AddEdge(1, 2, 7) // supplies 2: 9, against 11 over 0→3→2
+		g.AddEdge(0, 3, 5)
+		g.AddEdge(3, 2, 6)
+		return g
+	}
+	improve := []graph.Update{graph.Del(0, 1, 2), graph.Add(0, 1, 1)}
+	worsen := []graph.Update{graph.Del(1, 2, 7), graph.Add(1, 2, 14)}
+	q := Query{S: 0, D: 2}
+	for _, batch := range [][]graph.Update{
+		append(append([]graph.Update(nil), improve...), worsen...),
+		append(append([]graph.Update(nil), worsen...), improve...),
+	} {
+		c := NewCISO()
+		c.Reset(mk(), algo.PPSP{}, q)
+		if got := c.ApplyBatch(batch).Answer; got != 11 {
+			t.Errorf("CISO %v: answer %v, want 11", batch, got)
+		}
+		m := NewMultiCISO()
+		m.Reset(mk(), algo.PPSP{}, []Query{q})
+		m.ApplyBatchDelta(batch)
+		if got := m.Answers()[0]; got != 11 {
+			t.Errorf("MultiCISO %v: answer %v, want 11", batch, got)
+		}
+		checkInvariant(t, m.stateOf(0))
+	}
+}

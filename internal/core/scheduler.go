@@ -172,17 +172,17 @@ type pendingDeletion struct {
 
 // classifyDeletions is phase B for one state: derive the key paths and sort
 // the batch's deletion events (their topology change already applied) into
-// the scratch's valuable and delayed lists; useless ones are dropped. With
-// classify off every event is valuable, in arrival order (the no-drop
-// ablation).
-func (st *state) classifyDeletions(dels []graph.Update, classify bool) {
+// the scratch's valuable and delayed lists; useless ones are dropped.
+// dels[plain:] are re-weightings' deletion halves. With classify off every
+// event is valuable, in arrival order (the no-drop ablation).
+func (st *state) classifyDeletions(dels []graph.Update, plain int, classify bool) {
 	sc := st.sc
 	sc.valuable, sc.delayed = sc.valuable[:0], sc.delayed[:0]
 	st.keyPath()
-	for _, up := range dels {
+	for k, up := range dels {
 		class := ClassValuable
 		if classify {
-			class = st.classifyDeletion(up.From, up.To, up.W)
+			class = st.classifyDeletion(up.From, up.To, up.W, k >= plain)
 		}
 		switch class {
 		case ClassValuable:

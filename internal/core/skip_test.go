@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cisgraph/internal/algo"
@@ -81,13 +82,13 @@ func TestChangeSkipDifferential(t *testing.T) {
 	}
 }
 
-// TestChangeSkipApplyUpdatesDifferential pins the per-update fast path: with
-// skipping on, the per-group classification scans must route and
-// answer identically to the exhaustive per-query scans.
+// TestChangeSkipApplyUpdatesDifferential pins skipping on the small groups a
+// lone binary frame commits: with skipping on, 4-update batches must report
+// the same changed queries and the same answers as exhaustive re-evaluation.
 func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	ds := graph.RMAT("skipfp", 8, 2200, graph.DefaultRMAT, 16, 78)
 	w, err := stream.New(ds, stream.Config{
-		LoadFraction: 0.5, AddsPerBatch: 20, DelsPerBatch: 20, Seed: 78,
+		LoadFraction: 0.5, AddsPerBatch: 2, DelsPerBatch: 2, Seed: 78,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,15 +99,14 @@ func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	skip.Reset(init.Clone(), algo.PPSP{}, qs)
 	full := NewMultiCISO(WithWorkers(4), WithChangeSkip(false))
 	full.Reset(init.Clone(), algo.PPSP{}, qs)
-	for bi := 0; bi < 6; bi++ {
+	for bi := 0; bi < 12; bi++ {
 		batch := w.NextBatch()
-		fsSkip, _, errS := skip.ApplyUpdatesDelta(batch)
-		fsFull, _, errF := full.ApplyUpdatesDelta(batch)
-		if errS != nil || errF != nil {
-			t.Fatalf("batch %d: errs %v / %v", bi, errS, errF)
+		ds, df := skip.ApplyBatchDelta(batch), full.ApplyBatchDelta(batch)
+		if ds.Err != nil || df.Err != nil {
+			t.Fatalf("batch %d: errs %v / %v", bi, ds.Err, df.Err)
 		}
-		if fsSkip != fsFull {
-			t.Fatalf("batch %d: routing diverged: skip=%+v full=%+v", bi, fsSkip, fsFull)
+		if !slices.Equal(ds.Changed, df.Changed) {
+			t.Fatalf("batch %d: changed queries diverged: skip=%v full=%v", bi, ds.Changed, df.Changed)
 		}
 		ga, wa := skip.Answers(), full.Answers()
 		for i := range ga {
@@ -114,6 +114,9 @@ func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 				t.Fatalf("batch %d query %d: %v != %v", bi, i, ga[i], wa[i])
 			}
 		}
+	}
+	if skip.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
+		t.Fatal("change-driven skipping never engaged")
 	}
 }
 
@@ -201,62 +204,5 @@ func TestApplyBatchDeltaMatchesResults(t *testing.T) {
 	}
 	if lean.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
 		t.Fatal("lean path never skipped a query")
-	}
-}
-
-// TestApplyUpdatesDeltaMatches pins the per-update path's delta report on a
-// mixed safe/unsafe stream: routing is deterministic across engines, and the
-// changed set is exactly the answers that moved across the group.
-func TestApplyUpdatesDeltaMatches(t *testing.T) {
-	ds := graph.RMAT("skipfpd", 8, 2000, graph.DefaultRMAT, 16, 80)
-	w, err := stream.New(ds, stream.Config{
-		LoadFraction: 0.5, AddsPerBatch: 25, DelsPerBatch: 25, Seed: 80,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := clusteredQueries(w, 12, 3)
-	init := w.Initial()
-	lean := NewMultiCISO(WithWorkers(2))
-	lean.Reset(init.Clone(), algo.PPSP{}, qs)
-	ref := NewMultiCISO(WithWorkers(2))
-	ref.Reset(init.Clone(), algo.PPSP{}, qs)
-	prev := ref.Answers()
-	for bi := 0; bi < 6; bi++ {
-		batch := w.NextBatch()
-		fsL, d, err := lean.ApplyUpdatesDelta(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsR, _, errR := ref.ApplyUpdatesDelta(batch)
-		if errR != nil {
-			t.Fatal(errR)
-		}
-		if fsL != fsR {
-			t.Fatalf("batch %d: routing diverged: %+v vs %+v", bi, fsL, fsR)
-		}
-		cur := ref.Answers()
-		want := make(map[int]algo.Value)
-		for i := range cur {
-			if cur[i] != prev[i] {
-				want[i] = cur[i]
-			}
-		}
-		for _, ca := range d.Changed {
-			if v, ok := want[ca.Index]; !ok || v != ca.Value {
-				t.Fatalf("batch %d: changed[%d]=%v, want %v (present=%v)", bi, ca.Index, ca.Value, v, ok)
-			}
-			delete(want, ca.Index)
-		}
-		if len(want) != 0 {
-			t.Fatalf("batch %d: delta missed moved answers: %v", bi, want)
-		}
-		la := lean.Answers()
-		for i := range cur {
-			if la[i] != cur[i] {
-				t.Fatalf("batch %d query %d: lean=%v ref=%v", bi, i, la[i], cur[i])
-			}
-		}
-		prev = cur
 	}
 }

@@ -12,7 +12,7 @@ import (
 // engine took to apply it (the pool call only — sanitize, WAL fsync
 // and watch publication are excluded), keyed by its update-count bucket.
 // Small trickle batches and full-size cuts stress different parts of the
-// kernel (per-update routing vs whole-batch repair), so one merged
+// kernel (a skip scan vs a whole-batch repair), so one merged
 // distribution would hide regressions in either; the split
 // lets loadgen and operators see both (/healthz "apply_latency").
 

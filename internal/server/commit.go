@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
 )
 
 // origin says how far along the durability path a run of records already
-// is. Besides record shape it is the only thing the commit stage branches on.
+// is. Besides record shape (which only picks how client records are
+// sanitized) it is the only thing the commit stage branches on.
 type origin uint8
 
 const (
@@ -50,14 +50,15 @@ type commitResult struct {
 //	fence → breaker → dedup → sanitize → WAL append → dedup advance →
 //	pool apply → position/publish/counters → checkpoint
 //
-// — branching only on record shape (one multi-update record is sanitized as
-// a batch and applied with pool.ApplyBatch; a run of single-update records
-// is sanitized per update and applied with pool.ApplyUpdates) and on origin.
-// There is one topology: sanitize validates against the pool's own graph,
-// which holds the pre-commit topology until the pool apply mutates it.
-// Every applied record is one stream position, so a position is a WAL record
-// on every path. verdicts, when non-nil, receives each record's fate when
-// client records take the per-update branch (the binary front's acks).
+// — branching only on origin and, for client records, on record shape: one
+// multi-update record is sanitized as a batch, a run of single-update
+// records per update. Whatever the shape, the clean updates reach the engine
+// as one batch (pool.ApplyBatch). There is one topology: sanitize validates
+// against the pool's own graph, which holds the pre-commit topology until
+// the pool apply mutates it. Every applied record is one stream position, so
+// a position is a WAL record on every path. verdicts, when non-nil, receives
+// each record's fate when client records are sanitized per update (the
+// binary front's acks).
 func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) commitResult {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -126,14 +127,13 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 			clean, out = c, append(out, resilience.Record{Batch: c})
 			s.out = out
 		}
-	case perUpdate:
+	default:
+		// Leader and log records were sanitized before they were logged.
 		clean = s.clean[:0]
 		for _, rec := range recs {
 			clean = append(clean, rec.Batch...)
 		}
 		s.clean = clean
-	default:
-		clean = recs[0].Batch
 	}
 	if len(out) == 0 {
 		return commitResult{status: BinStatusOK, pos: s.applied.Load()}
@@ -152,13 +152,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	s.dedup.advanceRun(out)
 
 	tEng := time.Now()
-	var changed []core.ChangedAnswer
-	var perr error
-	if perUpdate {
-		_, changed, perr = s.pool.ApplyUpdates(clean)
-	} else {
-		changed, perr = s.pool.ApplyBatch(clean)
-	}
+	changed, perr := s.pool.ApplyBatch(clean)
 	s.applyLat.record(len(clean), time.Since(tEng))
 	if perr != nil {
 		s.h.degraded.Inc()

@@ -178,8 +178,8 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // safeToggles returns n edges added and deleted again, each leaving a vertex
-// no query source reaches: useless for every query in both directions, so a
-// group of them commits on the fast path's safe branch alone.
+// no query source reaches: useless for every query in both directions, so
+// every source group skips a group of them.
 func safeToggles(g *graph.Dynamic, sources []graph.VertexID, n int) []graph.Update {
 	reached := make([]bool, g.NumVertices())
 	stack := append([]graph.VertexID(nil), sources...)
@@ -218,7 +218,7 @@ func safeToggles(g *graph.Dynamic, sources []graph.VertexID, n int) []graph.Upda
 // them unsafe, 39 allocations before (118 when the fast path still had its
 // own commit). The 512-update group is all safe, so nothing but the stage
 // itself allocates: 27 before, most of it the sanitizer's per-commit maps
-// growing through the group.
+// growing through the group. Each group reaches the engine as one batch.
 func TestFastCommitAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		n, ceiling int
@@ -269,8 +269,16 @@ func TestFastCommitAllocs(t *testing.T) {
 				t.Fatalf("a %d-update group allocates %.1f objects, over its ceiling of %d", tc.n, allocs, tc.ceiling)
 			}
 			if tc.safeOnly {
-				if unsafe := srv.pool.Counters().Get(stats.CntUpdateUnsafe); unsafe != 0 {
-					t.Fatalf("%d updates of the all-safe group routed unsafe", unsafe)
+				distinct := map[graph.VertexID]bool{}
+				for _, src := range sources {
+					distinct[src] = true
+				}
+				groups := len(distinct)
+				cnt := srv.pool.Counters()
+				before := cnt.Get(stats.CntUpdateSkipGroups)
+				run()
+				if skipped := cnt.Get(stats.CntUpdateSkipGroups) - before; skipped != int64(groups) {
+					t.Fatalf("the all-safe group skipped %d of %d source groups", skipped, groups)
 				}
 			}
 		})

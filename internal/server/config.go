@@ -214,6 +214,7 @@ type Config struct {
 	// FastGroupMax bounds how many updates the per-update fast path gathers
 	// into one group commit (one WAL fsync); default 512. A lone update
 	// still commits immediately — the bound only caps burst amortization.
+	// Restore's replay gathers log records into groups of the same bound.
 	FastGroupMax int
 	// FastPendingFrames bounds the fast path's admission queue, in frames;
 	// a full queue blocks binary readers (TCP backpressure). Default 1024.

@@ -23,9 +23,10 @@ import (
 // deltas (core.ApplyBatchDelta), and the pool folds them into its value
 // table: when answers moved, a fresh Snapshot is built and swapped in; when
 // the batch changed nothing — the common case under change-driven skipping
-// — publication is an O(1) position bump aliasing the previous arrays, so
-// steady-state serving cost tracks the changed set, not the registered
-// query count (DESIGN.md §15). The changed ids feed the watch hub.
+// — nothing is published, so steady-state serving cost tracks the changed
+// set, not the registered query count (DESIGN.md §15). The changed ids feed
+// the watch hub. The stream position is the server's (Server.Applied), not
+// the pool's.
 //
 // Read path: Answers loads the current Snapshot pointer — no lock shared
 // with the writer, so queries are served at memory speed even while a batch
@@ -41,15 +42,12 @@ type QueryPool struct {
 	queries []core.Query
 	vals    []algo.Value // id → current answer (guarded by mu)
 
-	snap    atomic.Pointer[Snapshot]
-	batches atomic.Uint64
+	snap atomic.Pointer[Snapshot]
 }
 
 // Snapshot is one immutable published view of every registered query's
 // answer. Readers share it; nothing in it is ever mutated after Publish.
 type Snapshot struct {
-	// Batches counts the update batches applied when the snapshot was taken.
-	Batches uint64
 	// Queries and Values are parallel, in registration order.
 	Queries []core.Query
 	Values  []algo.Value
@@ -117,9 +115,8 @@ func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Valu
 // Topology returns the pool's one authoritative topology: the engine graph
 // (core.MultiCISO.Topology). Single-writer contract:
 //
-//   - the graph is mutated only inside ApplyBatch/ApplyUpdates (and
-//     replaced by Rebootstrap), by the caller's commit goroutine, under the
-//     engine lock;
+//   - the graph is mutated only inside ApplyBatch (and replaced by
+//     Rebootstrap), by the caller's commit goroutine, under the engine lock;
 //   - the commit goroutine may read it between applies without a lock;
 //   - every other reader holds the engine lock (or a lock of the caller's
 //     that excludes the commit goroutine).
@@ -140,46 +137,36 @@ func (p *QueryPool) Rebootstrap(g *graph.Dynamic) {
 	p.publishLocked()
 }
 
-// ApplyBatch applies one sanitized batch and publishes the refreshed
-// snapshot, returning the queries whose answer changed (ids, ascending).
+// ApplyBatch applies one sanitized batch and, when an answer moved,
+// publishes a refreshed snapshot, returning the queries whose answer changed
+// (ids, ascending).
 // The returned error joins any per-query degradations (recovered panics
 // inside the engine); answers stay correct — the degraded query recomputed
 // on the engine's consistent topology — so the batch still counts as
 // applied.
 func (p *QueryPool) ApplyBatch(batch []graph.Update) ([]core.ChangedAnswer, error) {
 	d := p.eng.ApplyBatchDelta(batch)
-	p.batches.Add(1)
 	return p.fold(d.Changed), d.Err
 }
 
-// ApplyUpdates runs one fast-path group through the engine's per-update
-// path (core.ApplyUpdatesDelta) and publishes the refreshed snapshot,
-// returning the changed queries like ApplyBatch. Each update counts as its
-// own stream position — the published Snapshot.Batches advances by
-// len(ups), exactly as if every update had been its own single-update
-// batch. Error semantics match ApplyBatch: degradations join, answers stay
-// correct, the group still counts.
+// ApplyUpdates is ApplyBatch. It is kept only because benchmark/stage.go
+// still calls it; ROADMAP item 3's benchmark change deletes it.
 func (p *QueryPool) ApplyUpdates(ups []graph.Update) (core.FastStats, []core.ChangedAnswer, error) {
-	fs, d, err := p.eng.ApplyUpdatesDelta(ups)
-	p.batches.Add(uint64(len(ups)))
-	return fs, p.fold(d.Changed), err
+	changed, err := p.ApplyBatch(ups)
+	return core.FastStats{}, changed, err
 }
 
-// fold writes the engine's changed answers into the value table and
-// publishes. Batches whose answers all held still publish — an O(1)
-// snapshot aliasing the previous arrays with the advanced position — so
-// Snapshot.Batches always reflects the applied stream. Returns changed, in
-// the engine's ascending id order, or nil when it is empty.
+// fold writes the engine's changed answers into the value table and, when
+// any answer moved, publishes. Returns changed, in the engine's ascending id
+// order, or nil when it is empty.
 func (p *QueryPool) fold(changed []core.ChangedAnswer) []core.ChangedAnswer {
+	if len(changed) == 0 {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ca := range changed {
 		p.vals[ca.Index] = ca.Value
-	}
-	if len(changed) == 0 {
-		old := p.snap.Load()
-		p.snap.Store(&Snapshot{Batches: p.batches.Load(), Queries: old.Queries, Values: old.Values})
-		return nil
 	}
 	p.publishLocked()
 	return changed
@@ -190,7 +177,6 @@ func (p *QueryPool) fold(changed []core.ChangedAnswer) []core.ChangedAnswer {
 // from Register.
 func (p *QueryPool) publishLocked() {
 	p.snap.Store(&Snapshot{
-		Batches: p.batches.Load(),
 		Queries: append([]core.Query(nil), p.queries...),
 		Values:  append([]algo.Value(nil), p.vals...),
 	})
@@ -199,9 +185,6 @@ func (p *QueryPool) publishLocked() {
 // Answers returns the current published snapshot. The result is shared and
 // immutable; callers must not modify it.
 func (p *QueryPool) Answers() *Snapshot { return p.snap.Load() }
-
-// Batches returns the number of batches applied.
-func (p *QueryPool) Batches() uint64 { return p.batches.Load() }
 
 // StateBytes reports the engine's resident source-group state footprint.
 func (p *QueryPool) StateBytes() int64 { return p.eng.StateBytes() }

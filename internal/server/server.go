@@ -302,13 +302,13 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// The exactly-once session table rebuilds exactly as it was: checkpoint
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
-	// The replay front: the suffix goes through the commit stage in runs —
-	// consecutive single-update records (what the per-update path logs) up
-	// to FastGroupMax, or one multi-update record — so each replays with
-	// the routing its original commit took, one position per record.
+	// The replay front: the suffix goes through the commit stage in groups
+	// gathered like the binary front's — records, whatever their shape,
+	// until a group holds FastGroupMax updates — one position per record.
 	for i := 0; i < len(replay); {
-		j := i + 1
-		for len(replay[i].Batch) == 1 && j < len(replay) && j-i < cfg.FastGroupMax && len(replay[j].Batch) == 1 {
+		j, n := i+1, len(replay[i].Batch)
+		for j < len(replay) && n < cfg.FastGroupMax {
+			n += len(replay[j].Batch)
 			j++
 		}
 		s.commit(fromLog, replay[i:j], nil)
@@ -930,7 +930,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id, ans := s.pool.Register(core.Query{S: req.S, D: req.D})
 	s.h.registered.Inc()
 	writeJSON(w, http.StatusOK, queryResponse{
-		ID: id, S: req.S, D: req.D, Answer: WireValue(ans), Batches: s.pool.Batches(),
+		ID: id, S: req.S, D: req.D, Answer: WireValue(ans), Batches: s.applied.Load(),
 	})
 }
 
@@ -953,9 +953,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.pool.Answers()
-	// Batches is the global stream position (s.applied), not the pool-local
-	// apply count: a follower's pool starts fresh at its bootstrap
-	// checkpoint, but clients comparing replicas need one coordinate system.
+	// Batches is the global stream position (s.applied), the one coordinate
+	// system clients comparing replicas and restarts share.
 	resp := answersResponse{Batches: s.applied.Load(), Quiesced: s.Quiesced()}
 	if idStr := r.URL.Query().Get("id"); idStr != "" {
 		id, err := strconv.Atoi(idStr)

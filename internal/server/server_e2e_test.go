@@ -276,9 +276,8 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 	ref.Reset(init.Clone(), testAlgo(t), qs)
 
 	// A short edge straight into q0's destination moves its answer, so a
-	// group left unrecovered would serve a stale one. The self-loop beside it
-	// is dropped; it makes the body a batch, whose groups run under recover
-	// (a lone update's routing swallows a panicking judgement instead).
+	// group left unrecovered would serve a stale one. The sanitizer drops
+	// the self-loop beside it.
 	body := []graph.Update{graph.Add(q0.S, q0.D, 1e-3), graph.Add(q0.S, q0.S, 1)}
 	pa.Arm(1)
 	postUpdatesHTTP(t, client, ts.URL, body)

@@ -29,17 +29,6 @@ const (
 	CntUpdateValuable = "update_valuable"
 	CntUpdateDelayed  = "update_delayed"
 	CntUpdateUseless  = "update_useless"
-	// CntUpdateSafe / CntUpdateUnsafe count the per-update fast path's
-	// routing decision (fastpath.go): safe updates commit with a
-	// topology-only write, unsafe updates serialize through the batch
-	// machinery. Both are per-engine, not per-query.
-	CntUpdateSafe   = "update_safe"
-	CntUpdateUnsafe = "update_unsafe"
-	// CntUpdateClassifyScans counts the fast path's routing work: one per
-	// judgement of one update against the source groups' states. The forward
-	// pass judges an update at most twice, so this stays ≤ 2× the routed
-	// updates — the linearity the tests and the FastPathUnsafeMix row guard.
-	CntUpdateClassifyScans = "update_classify_scans"
 	// CntUpdatePromoted counts delayed deletions promoted to non-delayed
 	// because a key-path change rerouted the query through them.
 	CntUpdatePromoted = "update_promoted"
