@@ -56,11 +56,18 @@ type edgeTrack struct {
 	w0, w             float64
 }
 
+// idxKeep bounds the edge index one batch may hand on to the next: clearing
+// a Go map costs its capacity, not its length, so after a batch that grew it
+// past this many keys the next batch starts on a fresh map instead — one
+// outlier batch must not make every later clear expensive.
+const idxKeep = 4096
+
 func (n *normalizer) normalize(g *graph.Dynamic, batch []graph.Update) NormalizedBatch {
-	if n.idx == nil {
+	if n.idx == nil || len(n.idx) > idxKeep {
 		n.idx = make(map[uint64]int32, len(batch))
+	} else {
+		clear(n.idx)
 	}
-	clear(n.idx)
 	tracks := n.tracks[:0]
 	for _, up := range batch {
 		k := uint64(up.From)<<32 | uint64(up.To)

@@ -97,8 +97,11 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	switch {
 	case o == fromClient && perUpdate:
 		ss := s.san.Stream(topo)
-		clean, out = s.clean[:0], s.out[:0]
+		clean = s.clean[:0]
 		s.dups = s.dedup.dupRun(recs, s.dups)
+		// out stays recs itself until a record is left out; only then are
+		// the survivors copied, so a clean group is never held twice.
+		shared := true
 		for i, rec := range recs {
 			v := vDropped
 			switch {
@@ -108,13 +111,21 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 			case ss.Check(rec.Batch[0]) == "":
 				v = vApplied
 				clean = append(clean, rec.Batch[0])
+			}
+			switch {
+			case v == vApplied && !shared:
 				out = append(out, rec)
+			case v != vApplied && shared:
+				out, shared = append(s.out[:0], recs[:i]...), false
 			}
 			if verdicts != nil {
 				verdicts[i] = v
 			}
 		}
-		s.clean, s.out = clean, out
+		s.clean = clean
+		if !shared {
+			s.out = out
+		}
 	case o == fromClient:
 		// A batcher body: untagged, so there is nothing to dedup. Reject and
 		// strict policies refuse the whole body.

@@ -211,11 +211,6 @@ type Config struct {
 	// ReplSeed seeds the follower's backoff jitter so chaos runs reproduce
 	// (default 1).
 	ReplSeed int64
-	// FastGroupMax bounds how many updates the per-update fast path gathers
-	// into one group commit (one WAL fsync); default 512. A lone update
-	// still commits immediately — the bound only caps burst amortization.
-	// Restore's replay gathers log records into groups of the same bound.
-	FastGroupMax int
 	// FastPendingFrames bounds the fast path's admission queue, in frames;
 	// a full queue blocks binary readers (TCP backpressure). Default 1024.
 	FastPendingFrames int
@@ -290,9 +285,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ReplSeed == 0 {
 		c.ReplSeed = 1
-	}
-	if c.FastGroupMax <= 0 {
-		c.FastGroupMax = 512
 	}
 	if c.FastPendingFrames <= 0 {
 		c.FastPendingFrames = 1024

@@ -60,7 +60,9 @@ type fastPath struct {
 	lns   map[net.Listener]struct{}
 	conns map[net.Conn]struct{}
 
-	// Commit-goroutine-private scratch, reused across groups.
+	// Commit-goroutine-private scratch, reused across groups. carry is the
+	// frame gather took from the queue but left for the next group.
+	carry    *fpEntry
 	group    []*fpEntry
 	recs     []resilience.Record
 	verdicts []verdict
@@ -106,41 +108,53 @@ func (f *fastPath) submit(e *fpEntry) bool {
 
 func (f *fastPath) quiesced() bool { return f.pending.Load() == 0 }
 
-// run is the commit loop: block for one entry, then gather everything
-// already queued (up to FastGroupMax updates) into the same group commit —
-// group size adapts to load, so a lone update commits immediately while a
-// burst amortizes its fsync across the whole group.
+// groupMax bounds one group commit: one maximal CGBIN/2 frame of updates, a
+// size the wire already admits in one piece, so a group holds no more than
+// one frame could.
+const groupMax = BinMaxFramePayload / BinUpdateSize
+
+// run is the commit loop: take one entry (the previous group's carry, or the
+// next frame, waiting for it), then gather everything already queued into the
+// same group commit — group size adapts to load, so a lone update commits
+// immediately while a burst pays one WAL write and fsync per queue drain.
+// After quit it takes only what is queued, through the same carry, and
+// returns once the queue is empty; submissions are already refused.
 func (f *fastPath) run() {
 	defer close(f.done)
 	for {
-		var e *fpEntry
-		select {
-		case e = <-f.ch:
-		case <-f.quit:
-			// Drain the remainder; submissions are already refused.
-			for {
+		e := f.carry
+		if e == nil {
+			select {
+			case e = <-f.ch:
+			case <-f.quit:
 				select {
-				case e := <-f.ch:
-					f.commitGroup(f.gather(e))
+				case e = <-f.ch:
 				default:
 					return
 				}
 			}
 		}
-		f.commitGroup(f.gather(e))
+		f.commitGroup(f.gather(e, groupMax))
 	}
 }
 
-// gather collects e plus whatever else is queued, bounded by FastGroupMax
-// updates, into the reused group slice.
-func (f *fastPath) gather(e *fpEntry) []*fpEntry {
-	f.group = append(f.group[:0], e)
-	n := len(e.ups)
-	for n < f.s.cfg.FastGroupMax {
+// gather collects first plus every entry already queued into the reused
+// group slice, up to bound updates. The frame that would overflow the bound
+// is not admitted: it becomes f.carry, the next group's first entry. A group
+// exceeds bound only when first alone does.
+func (f *fastPath) gather(first *fpEntry, bound int) []*fpEntry {
+	f.group = append(f.group[:0], first)
+	f.carry = nil
+	n := len(first.ups)
+	for n < bound {
 		select {
-		case e2 := <-f.ch:
-			f.group = append(f.group, e2)
-			n += len(e2.ups)
+		case e := <-f.ch:
+			if n+len(e.ups) > bound {
+				f.carry = e
+				return f.group
+			}
+			f.group = append(f.group, e)
+			n += len(e.ups)
 		default:
 			return f.group
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -423,8 +424,8 @@ func TestRegisterAfterRestoreReportsPosition(t *testing.T) {
 // would leave — a checkpoint taken before the stream and a WAL suffix of
 // single-update fast-path records with multi-update JSON batches between
 // them, copied aside while the daemon is still up. The replay, gathered into
-// groups of up to FastGroupMax updates whatever the record shapes, must
-// serve the pre-kill /v1/answers byte for byte.
+// groups of up to groupMax updates (one maximal CGBIN/2 frame) whatever the
+// record shapes, must serve the pre-kill /v1/answers byte for byte.
 func TestRestoreReplaysFastPathGroups(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
@@ -509,6 +510,96 @@ func TestRestoreReplaysFastPathGroups(t *testing.T) {
 	defer ts2.Close()
 	if after := rawAnswers(ts2.URL); !bytes.Equal(before, after) {
 		t.Fatalf("restored /v1/answers differ:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestFastPathGatherBound pins gather's bound: a group takes queued frames
+// while they fit, the frame that would overflow is carried — not admitted —
+// into the next group, and a first frame larger than the bound still commits
+// alone.
+func TestFastPathGatherBound(t *testing.T) {
+	f := &fastPath{ch: make(chan *fpEntry, 8)}
+	frame := func(n int) *fpEntry { return &fpEntry{ups: make([]graph.Update, n)} }
+	sizes := func(group []*fpEntry) (out []int) {
+		for _, e := range group {
+			out = append(out, len(e.ups))
+		}
+		return out
+	}
+	for _, n := range []int{3, 4, 2, 9, 1} {
+		f.ch <- frame(n)
+	}
+	var groups [][]int
+	for e := frame(5); e != nil; e = f.carry {
+		groups = append(groups, sizes(f.gather(e, 10)))
+		if f.carry == nil && len(f.ch) > 0 {
+			t.Fatalf("group %v left %d frames queued without a carry", groups[len(groups)-1], len(f.ch))
+		}
+	}
+	want := [][]int{{5, 3}, {4, 2}, {9, 1}}
+	if fmt.Sprint(groups) != fmt.Sprint(want) {
+		t.Fatalf("groups %v, want %v", groups, want)
+	}
+	if g := sizes(f.gather(frame(12), 10)); fmt.Sprint(g) != "[12]" || f.carry != nil {
+		t.Fatalf("oversized first frame: group %v carry %v, want [12] and none", g, f.carry)
+	}
+}
+
+// TestFastPathGroupTakesWholeQueue holds the commit stage while one binary
+// connection pipelines 16 frames of 64 fresh edges: the first frame is taken
+// alone, the other 15 queue behind it, and on release the commit loop takes
+// the whole queue as one group of 960 updates — two group commits, where a
+// 512-update cap would need three.
+func TestFastPathGroupTakesWholeQueue(t *testing.T) {
+	w := testWorkload(t)
+	g := w.Initial()
+	srv, err := New(g, testAlgo(t), testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	const frames, perFrame = 16, 64
+	var trace [][]graph.Update
+	var frameUps []graph.Update
+	n := graph.VertexID(g.NumVertices())
+	for u := graph.VertexID(0); u < n && len(trace) < frames; u++ {
+		for v := graph.VertexID(0); v < n && len(trace) < frames; v++ {
+			if _, ok := g.HasEdge(u, v); ok || u == v {
+				continue
+			}
+			if frameUps = append(frameUps, graph.Add(u, v, 1)); len(frameUps) == perFrame {
+				trace, frameUps = append(trace, frameUps), nil
+			}
+		}
+	}
+	bc, closeBin := dialBinary(t, srv)
+	defer closeBin()
+	groups0 := srv.Counters().Get(CntFastGroups)
+
+	srv.commitMu.Lock()
+	bc.send(trace[0])
+	waitFor(t, 10*time.Second, func() bool { return srv.fp.pending.Load() == 1 && len(srv.fp.ch) == 0 },
+		"the commit loop to take the first frame")
+	for _, f := range trace[1:] {
+		bc.send(f)
+	}
+	waitFor(t, 10*time.Second, func() bool { return len(srv.fp.ch) == frames-1 },
+		"the later frames to queue behind the held commit")
+	srv.commitMu.Unlock()
+	for i := range trace {
+		if ack := bc.recv(); ack.Status != BinStatusOK || ack.Accepted != perFrame {
+			t.Fatalf("frame %d: %+v, want all %d accepted", i, ack, perFrame)
+		}
+	}
+	if d := srv.Counters().Get(CntFastGroups) - groups0; d > 2 {
+		t.Fatalf("%d group commits for one queue drain, want <= 2", d)
+	}
+	var sizes []string
+	for _, b := range srv.applyLat.report() {
+		sizes = append(sizes, fmt.Sprintf("%s:%d", b.Sizes, b.Count))
+	}
+	if fmt.Sprint(sizes) != "[64-127:1 512-1023:1]" {
+		t.Fatalf("group size classes %v, want one frame then one group of 960", sizes)
 	}
 }
 

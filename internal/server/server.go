@@ -303,11 +303,12 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
 	// The replay front: the suffix goes through the commit stage in groups
-	// gathered like the binary front's — records, whatever their shape,
-	// until a group holds FastGroupMax updates — one position per record.
+	// gathered like the binary front's — records, whatever their shape, up
+	// to groupMax updates; a record that would overflow a group starts the
+	// next — one position per record.
 	for i := 0; i < len(replay); {
 		j, n := i+1, len(replay[i].Batch)
-		for j < len(replay) && n < cfg.FastGroupMax {
+		for j < len(replay) && n+len(replay[j].Batch) <= groupMax {
 			n += len(replay[j].Batch)
 			j++
 		}
@@ -724,16 +725,33 @@ type WireValue float64
 
 // MarshalJSON implements json.Marshaler.
 func (v WireValue) MarshalJSON() ([]byte, error) {
+	return appendWireValue(nil, v), nil
+}
+
+// appendWireValue appends v's JSON form: ±Inf and NaN as strings, every
+// finite value byte for byte as encoding/json writes a float64 — shortest
+// round-trip digits, exponent form outside [1e-6, 1e21), exponent without a
+// leading zero.
+func appendWireValue(b []byte, v WireValue) []byte {
 	f := float64(v)
 	switch {
 	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
+		return append(b, `"+Inf"`...)
 	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
+		return append(b, `"-Inf"`...)
 	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
+		return append(b, `"NaN"`...)
 	}
-	return json.Marshal(f)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -934,6 +952,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// answerJSON and answersResponse are the /v1/answers wire form: appendAnswers
+// renders it, clients decode it.
 type answerJSON struct {
 	ID    int       `json:"id"`
 	S     uint32    `json:"s"`
@@ -955,43 +975,62 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	snap := s.pool.Answers()
 	// Batches is the global stream position (s.applied), the one coordinate
 	// system clients comparing replicas and restarts share.
-	resp := answersResponse{Batches: s.applied.Load(), Quiesced: s.Quiesced()}
+	pos, quiesced := s.applied.Load(), s.Quiesced()
 	if idStr := r.URL.Query().Get("id"); idStr != "" {
 		id, err := strconv.Atoi(idStr)
 		if err != nil || id < 0 || id >= len(snap.Values) {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown query id %q", idStr))
 			return
 		}
-		q := snap.Queries[id]
-		resp.Answers = []answerJSON{{ID: id, S: q.S, D: q.D, Value: WireValue(snap.Values[id])}}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSONBody(w, http.StatusOK, appendAnswers(nil, pos, quiesced, snap, id, id+1))
 		return
 	}
 	// Full listing: serve the memoized body when nothing that feeds it has
 	// moved since the last render. Between commits every poller hits the
 	// cache, so polling cost no longer scales with Q × poll rate; any
 	// commit, registration or re-bootstrap changes the key.
-	if e := s.ansCache.Load(); e != nil &&
-		e.snap == snap && e.pos == resp.Batches && e.quiesced == resp.Quiesced {
-		s.h.ansCacheHits.Inc()
-		writeJSONBody(w, http.StatusOK, e.body)
-		return
+	var sizeHint int
+	if e := s.ansCache.Load(); e != nil {
+		if e.snap == snap && e.pos == pos && e.quiesced == quiesced {
+			s.h.ansCacheHits.Inc()
+			writeJSONBody(w, http.StatusOK, e.body)
+			return
+		}
+		sizeHint = len(e.body) + 64
 	}
 	s.h.ansCacheMisses.Inc()
-	resp.Answers = make([]answerJSON, len(snap.Values))
-	for i, q := range snap.Queries {
-		resp.Answers[i] = answerJSON{ID: i, S: q.S, D: q.D, Value: WireValue(snap.Values[i])}
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	body = append(body, '\n')
-	s.ansCache.Store(&ansCacheEntry{
-		snap: snap, pos: resp.Batches, quiesced: resp.Quiesced, body: body,
-	})
+	// The cached body is shared with in-flight responses, so each render
+	// takes a fresh buffer, sized from the last one.
+	body := appendAnswers(make([]byte, 0, sizeHint), pos, quiesced, snap, 0, len(snap.Values))
+	s.ansCache.Store(&ansCacheEntry{snap: snap, pos: pos, quiesced: quiesced, body: body})
 	writeJSONBody(w, http.StatusOK, body)
+}
+
+// appendAnswers appends the /v1/answers body for answers [lo, hi) of snap:
+// the bytes json.NewEncoder writes for an answersResponse, newline included,
+// rendered without reflection.
+func appendAnswers(b []byte, pos uint64, quiesced bool, snap *Snapshot, lo, hi int) []byte {
+	b = append(b, `{"batches":`...)
+	b = strconv.AppendUint(b, pos, 10)
+	b = append(b, `,"quiesced":`...)
+	b = strconv.AppendBool(b, quiesced)
+	b = append(b, `,"answers":[`...)
+	for i := lo; i < hi; i++ {
+		if i > lo {
+			b = append(b, ',')
+		}
+		q := snap.Queries[i]
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"s":`...)
+		b = strconv.AppendUint(b, uint64(q.S), 10)
+		b = append(b, `,"d":`...)
+		b = strconv.AppendUint(b, uint64(q.D), 10)
+		b = append(b, `,"value":`...)
+		b = appendWireValue(b, WireValue(snap.Values[i]))
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
 }
 
 type healthzResponse struct {

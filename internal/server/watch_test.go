@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"cisgraph/internal/algo"
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
 )
@@ -531,5 +534,71 @@ func TestAnswersBodyCache(t *testing.T) {
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnswersBodyCacheMatchesJSONMarshal pins the reflection-free /v1/answers
+// renderer to encoding/json: the full listing and every ?id= body must equal,
+// byte for byte, what json.NewEncoder writes for the same response with each
+// finite value marshalled as a float64 and ±Inf/NaN as their strings.
+func TestAnswersBodyCacheMatchesJSONMarshal(t *testing.T) {
+	vals := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0, 1, -7, 17, 123456789,
+		0.5, 1e-6, 9.99e-7, 1.5e-9, -2.5e-300, 5e-324, 1e20, 1e21, 1.7976931348623157e308, 0.1 + 0.2}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	snap := &Snapshot{}
+	for i, v := range vals {
+		snap.Queries = append(snap.Queries, core.Query{S: uint32(i), D: uint32(4000000000 - i)})
+		snap.Values = append(snap.Values, algo.Value(v))
+	}
+	type refAnswer struct {
+		ID    int             `json:"id"`
+		S     uint32          `json:"s"`
+		D     uint32          `json:"d"`
+		Value json.RawMessage `json:"value"`
+	}
+	type refResponse struct {
+		Batches  uint64      `json:"batches"`
+		Quiesced bool        `json:"quiesced"`
+		Answers  []refAnswer `json:"answers"`
+	}
+	ref := func(pos uint64, quiesced bool, lo, hi int) []byte {
+		resp := refResponse{Batches: pos, Quiesced: quiesced, Answers: []refAnswer{}}
+		for i := lo; i < hi; i++ {
+			v := float64(snap.Values[i])
+			var raw []byte
+			switch {
+			case math.IsInf(v, 1):
+				raw = []byte(`"+Inf"`)
+			case math.IsInf(v, -1):
+				raw = []byte(`"-Inf"`)
+			case math.IsNaN(v):
+				raw = []byte(`"NaN"`)
+			default:
+				var err error
+				if raw, err = json.Marshal(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp.Answers = append(resp.Answers, refAnswer{ID: i, S: snap.Queries[i].S, D: snap.Queries[i].D, Value: raw})
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got, want := appendAnswers(nil, 12345678901, true, snap, 0, len(vals)), ref(12345678901, true, 0, len(vals)); !bytes.Equal(got, want) {
+		t.Fatalf("listing differs from encoding/json:\ngot  %s\nwant %s", got, want)
+	}
+	if got, want := appendAnswers(nil, 0, false, &Snapshot{}, 0, 0), ref(0, false, 0, 0); !bytes.Equal(got, want) {
+		t.Fatalf("empty listing: got %s, want %s", got, want)
+	}
+	for id := range vals {
+		if got, want := appendAnswers(nil, 3, false, snap, id, id+1), ref(3, false, id, id+1); !bytes.Equal(got, want) {
+			t.Fatalf("?id=%d (value %v): got %s, want %s", id, vals[id], got, want)
+		}
 	}
 }
