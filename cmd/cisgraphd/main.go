@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,19 +67,14 @@ func run() error {
 
 		batchSize = flag.Int("batch-size", 512, "cut a batch at this many updates")
 		batchWait = flag.Duration("batch-wait", 25*time.Millisecond, "cut a non-empty batch after this long")
-		queueCap  = flag.Int("queue", 65536, "ingest queue capacity (updates)")
-		onFull    = flag.String("on-full", "reject", "queue-full policy: reject (429) or shed (drop oldest)")
+		queueCap  = flag.Int("queue", 65536, "ingest queue capacity (updates); a POST that does not fit gets 429 + Retry-After")
 		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
 		maxBody   = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
 		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
-		workers   = flag.Int("workers", 0, "query worker pool size (0 = the daemon's CPU budget, 1 = serial)")
 		propWork  = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
-		maxQ      = flag.Int("max-queries", 1024, "registered-query admission limit")
 
-		sanitize   = flag.String("sanitize", "drop", "ingestion sanitize policy: drop, reject or strict")
 		walPath    = flag.String("wal", "", "append every sanitized batch to this segmented write-ahead log directory")
 		walSegment = flag.Int64("wal-segment-bytes", 4<<20, "roll the WAL to a new segment at this size")
-		walRetain  = flag.Int("wal-retain", 0, "keep at least N sealed WAL segments past checkpoint retention")
 		ckptPath   = flag.String("checkpoint", "", "write drain (and periodic) checkpoints to this file")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "also checkpoint whenever the stream position crosses a multiple of N (0 = drain only)")
 		resume     = flag.Bool("resume", false, "restore from -checkpoint and replay the -wal suffix before serving")
@@ -94,13 +90,11 @@ func run() error {
 		promoteAfter = flag.Duration("promote-after", 2*time.Second, "base leader-loss patience for -promote-on-leader-loss")
 		syncFoll     = flag.Int("sync-followers", 0, "gate fast-path acks until this many followers have the commit durable (0 = ack on local fsync)")
 		syncAckTO    = flag.Duration("sync-ack-timeout", 5*time.Second, "degrade replication-gated acks after this long without follower coverage")
-		dedupSess    = flag.Int("dedup-sessions", 0, "exactly-once ingest session table capacity (0 = default 1024)")
 
-		queries = flag.String("queries", "", "pre-register comma-separated s:d query pairs (e.g. 3:99,0:7)")
+		queries = flag.String("queries", "", "pre-register comma-separated s:d query pairs (e.g. 3:99,0:7); at most 1024 queries")
 
 		watchQueue  = flag.Int("watch-queue", 64, "per-/v1/watch-subscriber pending-delta queue (messages); a slower consumer is resynced instead of buffered")
 		maxWatchers = flag.Int("max-watchers", 4096, "concurrent /v1/watch subscriptions before shedding with 429")
-		noSkip      = flag.Bool("no-change-skip", false, "disable change-driven query skipping (every query re-evaluates every batch; for differential runs and benchmarks)")
 	)
 	flag.Parse()
 
@@ -108,11 +102,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	policy, err := resilience.ParsePolicy(*sanitize)
-	if err != nil {
-		return err
-	}
-	overflow, err := server.ParseOverflowPolicy(*onFull)
+	pre, err := parseQueries(*queries)
 	if err != nil {
 		return err
 	}
@@ -120,17 +110,12 @@ func run() error {
 		BatchMaxSize:        *batchSize,
 		BatchMaxWait:        *batchWait,
 		QueueCapacity:       *queueCap,
-		OnFull:              overflow,
 		RequestTimeout:      *reqTO,
 		MaxBodyBytes:        *maxBody,
 		MaxInFlight:         *maxInfl,
-		Workers:             *workers,
 		PropagateWorkers:    *propWork,
-		MaxQueries:          *maxQ,
-		Policy:              policy,
 		WALPath:             *walPath,
 		WALSegmentBytes:     *walSegment,
-		WALRetain:           *walRetain,
 		CheckpointPath:      *ckptPath,
 		CheckpointEvery:     *ckptEvery,
 		FollowURL:           *follow,
@@ -143,10 +128,8 @@ func run() error {
 		PromoteAfter:        *promoteAfter,
 		SyncFollowers:       *syncFoll,
 		SyncAckTimeout:      *syncAckTO,
-		DedupSessions:       *dedupSess,
 		WatchQueue:          *watchQueue,
 		MaxWatchers:         *maxWatchers,
-		DisableChangeSkip:   *noSkip,
 	}
 
 	initTopo := func() (*graph.Dynamic, error) {
@@ -217,20 +200,13 @@ func run() error {
 			return err
 		}
 	}
-	var pre []core.Query
-	for _, pair := range strings.Split(*queries, ",") {
-		if pair == "" {
-			continue
-		}
-		var s, d graph.VertexID
-		if _, err := fmt.Sscanf(pair, "%d:%d", &s, &d); err != nil {
-			return fmt.Errorf("bad -queries entry %q (want s:d): %w", pair, err)
-		}
-		pre = append(pre, core.Query{S: s, D: d})
+	// One locked pass admits and arms the whole list (on top of any
+	// restored queries): one cold start per distinct source, no topology
+	// clone per query.
+	ids, answers, err := srv.Pool().RegisterAll(pre)
+	if err != nil {
+		return fmt.Errorf("-queries: %w", err)
 	}
-	// One locked pass arms the whole list (on top of any restored queries):
-	// one cold start per distinct source, no topology clone per query.
-	ids, answers := srv.Pool().RegisterAll(pre)
 	for k, q := range pre {
 		log.Printf("query %d: Q(%d->%d) initial answer %v", ids[k], q.S, q.D, answers[k])
 	}
@@ -273,8 +249,8 @@ func run() error {
 		}()
 	}
 	go func() {
-		log.Printf("cisgraphd serving %s (%s) on %s: batch window %d/%v, queue %d (%s), CPU budget %d (+1 P for admission)",
-			a.Name(), *sanitize, *addr, *batchSize, *batchWait, *queueCap, overflow, engineCPUs)
+		log.Printf("cisgraphd serving %s on %s: batch window %d/%v, queue %d, CPU budget %d (+1 P for admission)",
+			a.Name(), *addr, *batchSize, *batchWait, *queueCap, engineCPUs)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
@@ -298,6 +274,30 @@ func run() error {
 	}
 	log.Printf("drained: %d batches applied, %d queries, final answers durable", srv.Applied(), srv.Pool().NumQueries())
 	return nil
+}
+
+// parseQueries parses the -queries list: comma-separated s:d pairs of
+// decimal vertex ids. Empty entries are skipped; anything else malformed is
+// an error naming the entry. Whether a pair is admissible (in range, s ≠ d,
+// within the query cap) is the query pool's rule, checked at registration.
+func parseQueries(raw string) ([]core.Query, error) {
+	var qs []core.Query
+	for _, pair := range strings.Split(raw, ",") {
+		if pair == "" {
+			continue
+		}
+		sd := strings.Split(pair, ":")
+		if len(sd) != 2 {
+			return nil, fmt.Errorf("bad -queries entry %q: want s:d", pair)
+		}
+		s, serr := strconv.ParseUint(sd[0], 10, 32)
+		d, derr := strconv.ParseUint(sd[1], 10, 32)
+		if err := errors.Join(serr, derr); err != nil {
+			return nil, fmt.Errorf("bad -queries entry %q: %w", pair, err)
+		}
+		qs = append(qs, core.Query{S: graph.VertexID(s), D: graph.VertexID(d)})
+	}
+	return qs, nil
 }
 
 // splitPeers parses the shared -peers list, dropping empties so a trailing

@@ -96,7 +96,7 @@ func run() error {
 		replicas = flag.String("replicas", "", "comma-separated follower base URLs: fan reads across them during replay, then wait for lag 0 and cross-check every answer against the leader")
 		algoStr  = flag.String("algo", "PPSP", "algorithm the daemon runs (for -verify)")
 		verify   = flag.Bool("verify", false, "compare served answers against an offline engine on the same stream")
-		sanitize = flag.String("sanitize", "drop", "sanitize policy the daemon uses (for -verify parity)")
+		sanitize = flag.String("sanitize", "drop", "sanitize policy of the -verify offline replay (cisgraphd always drops)")
 		waitFor  = flag.Duration("quiesce-timeout", 30*time.Second, "how long to wait for the daemon to quiesce")
 		jsonOut  = flag.String("json", "", "also write the report as JSON to this file")
 
@@ -500,7 +500,7 @@ type report struct {
 // ---- /v1/watch subscription ----
 
 // watchEventWire mirrors the server's watch event schema (watch.go): one
-// SSE data frame or long-poll envelope.
+// SSE data frame.
 type watchEventWire struct {
 	Pos     uint64 `json:"pos"`
 	Ts      int64  `json:"ts"`

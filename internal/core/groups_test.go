@@ -73,121 +73,119 @@ func soleKeyPathEdge(m *MultiCISO) (e graph.Update, a, b int, ok bool) {
 }
 
 // TestSharedSourceGroups pins the one-state-per-source engine on groups of
-// 1, 2 and 8 members, for every algebra the groups are built for, with
-// skipping on and off. After every batch each answer equals an independent
-// single-query engine's, and the engine's counters moved by the sum of
-// per-source reference engines'; a deletion on only one member's key path is
-// valuable for the whole group (and not for an independent engine of another
-// member); and a panic in a group's phases is reported against its source,
-// reaches every member and recovers all of them.
+// 1, 2 and 8 members, for every algebra the groups are built for. After
+// every batch each answer equals an independent single-query engine's, and
+// the engine's counters moved by the sum of per-source reference engines';
+// a deletion on only one member's key path is valuable for the whole group
+// (and not for an independent engine of another member); and a panic in a
+// group's phases is reported against its source, reaches every member and
+// recovers all of them.
 func TestSharedSourceGroups(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.PPWP{}, algo.Viterbi{}, algo.Reach{}} {
-		for _, skip := range []bool{true, false} {
-			label := fmt.Sprintf("%s/skip=%v", a.Name(), skip)
-			ds := graph.RMAT("groups", 7, 900, graph.DefaultRMAT, 16, 41)
-			w, err := stream.New(ds, stream.Config{
-				LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 30, Seed: 41,
-			})
-			if err != nil {
-				t.Fatal(err)
+		label := a.Name()
+		ds := graph.RMAT("groups", 7, 900, graph.DefaultRMAT, 16, 41)
+		w, err := stream.New(ds, stream.Config{
+			LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 30, Seed: 41,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		init := w.Initial()
+		qs := groupedQueries(init, 8, 2, 1)
+		pa := &panicOnceAlgo{Algorithm: a}
+		m := NewMultiCISO()
+		m.Reset(init.Clone(), pa, qs)
+		if len(m.groups) != 3 || len(m.groups[0].members) != 8 {
+			t.Fatalf("%s: groups %d, first of %d members", label, len(m.groups), len(m.groups[0].members))
+		}
+		refs := make([]*MultiCISO, len(qs))
+		for i, q := range qs {
+			refs[i] = NewMultiCISO()
+			refs[i].Reset(init.Clone(), a, []Query{q})
+		}
+		// One reference engine per source group, holding exactly its
+		// members: the engine counts each group's work once, so a batch
+		// moves its counters by the sum of theirs. They run the same
+		// (never armed) wrapper, so they resolve the same generic ops.
+		groupQueries := func(gi int) []Query {
+			var out []Query
+			for _, i := range m.groups[gi].members {
+				out = append(out, qs[i])
 			}
-			init := w.Initial()
-			qs := groupedQueries(init, 8, 2, 1)
-			pa := &panicOnceAlgo{Algorithm: a}
-			m := NewMultiCISO(WithChangeSkip(skip))
-			m.Reset(init.Clone(), pa, qs)
-			if len(m.groups) != 3 || len(m.groups[0].members) != 8 {
-				t.Fatalf("%s: groups %d, first of %d members", label, len(m.groups), len(m.groups[0].members))
+			return out
+		}
+		grefs := make([]*MultiCISO, len(m.groups))
+		for gi := range grefs {
+			grefs[gi] = NewMultiCISO()
+			grefs[gi].Reset(init.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(gi))
+		}
+		// apply runs batch on every engine and returns m's delta and its
+		// answers before the batch.
+		apply := func(where string, batch []graph.Update) (BatchDelta, []algo.Value) {
+			t.Helper()
+			pre := m.Answers()
+			moved, srcMoved := countsSince(m), countsSince(grefs...)
+			d := m.ApplyBatchDelta(batch)
+			for _, g := range grefs {
+				g.ApplyBatchDelta(batch)
 			}
-			refs := make([]*MultiCISO, len(qs))
-			for i, q := range qs {
-				refs[i] = NewMultiCISO()
-				refs[i].Reset(init.Clone(), a, []Query{q})
+			got := m.Answers()
+			for i := range qs {
+				refs[i].ApplyBatchDelta(batch)
+				if want := refs[i].Answers()[0]; got[i] != want {
+					t.Fatalf("%s query %d %v: answer %v, independent engine %v (err %v)",
+						where, i, qs[i], got[i], want, d.Err)
+				}
+				sameState(t, fmt.Sprintf("%s query %d", where, i), m.stateOf(i), refs[i].stateOf(0), false)
 			}
-			// One reference engine per source group, holding exactly its
-			// members: the engine counts each group's work once, so a batch
-			// moves its counters by the sum of theirs. They run the same
-			// (never armed) wrapper, so they resolve the same generic ops.
-			groupQueries := func(gi int) []Query {
-				var out []Query
-				for _, i := range m.groups[gi].members {
-					out = append(out, qs[i])
-				}
-				return out
+			if d.Err == nil {
+				sameCounts(t, where, moved(), srcMoved())
 			}
-			grefs := make([]*MultiCISO, len(m.groups))
-			for gi := range grefs {
-				grefs[gi] = NewMultiCISO(WithChangeSkip(skip))
-				grefs[gi].Reset(init.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(gi))
+			return d, pre
+		}
+		probes := 0
+		for bi := 0; bi < 6; bi++ {
+			where := fmt.Sprintf("%s batch %d", label, bi)
+			if bi == 3 {
+				pa.after = 1
+				pa.calls.Store(0)
+				pa.armed.Store(true)
 			}
-			// apply runs batch on every engine and returns m's delta and its
-			// answers before the batch.
-			apply := func(where string, batch []graph.Update) (BatchDelta, []algo.Value) {
-				t.Helper()
-				pre := m.Answers()
-				moved, srcMoved := countsSince(m), countsSince(grefs...)
-				d := m.ApplyBatchDelta(batch)
-				for _, g := range grefs {
-					g.ApplyBatchDelta(batch)
+			d, pre := apply(where, w.NextBatch())
+			if bi == 3 {
+				if erred := panickedGroups(m, d.Err); len(erred) != 1 || !erred[0] {
+					t.Fatalf("%s: error %v; the panic belongs to exactly group 0", where, d.Err)
 				}
-				got := m.Answers()
-				for i := range qs {
-					refs[i].ApplyBatchDelta(batch)
-					if want := refs[i].Answers()[0]; got[i] != want {
-						t.Fatalf("%s query %d %v: answer %v, independent engine %v (err %v)",
-							where, i, qs[i], got[i], want, d.Err)
-					}
-					sameState(t, fmt.Sprintf("%s query %d", where, i), m.stateOf(i), refs[i].stateOf(0), false)
+				checkChanged(t, where, pre, m.Answers(), d, func(i int) bool { return m.inGroup[i] == 0 })
+				if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
+					t.Fatalf("%s: query_panic = %d, want 1", where, got)
 				}
-				if d.Err == nil {
-					sameCounts(t, where, moved(), srcMoved())
-				}
-				return d, pre
+				// Group 0 recovered with a cold start on the live
+				// topology; so does its reference.
+				grefs[0].Reset(m.g.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(0))
 			}
-			probes := 0
-			for bi := 0; bi < 6; bi++ {
-				where := fmt.Sprintf("%s batch %d", label, bi)
-				if bi == 3 {
-					pa.after = 1
-					pa.calls.Store(0)
-					pa.armed.Store(true)
-				}
-				d, pre := apply(where, w.NextBatch())
-				if bi == 3 {
-					if erred := panickedGroups(m, d.Err); len(erred) != 1 || !erred[0] {
-						t.Fatalf("%s: error %v; the panic belongs to exactly group 0", where, d.Err)
-					}
-					checkChanged(t, where, pre, m.Answers(), d, func(i int) bool { return m.inGroup[i] == 0 })
-					if got := m.Counters().Get(stats.CntQueryPanic); got != 1 {
-						t.Fatalf("%s: query_panic = %d, want 1", where, got)
-					}
-					// Group 0 recovered with a cold start on the live
-					// topology; so does its reference.
-					grefs[0].Reset(m.g.Clone(), &panicOnceAlgo{Algorithm: a}, groupQueries(0))
-				}
 
-				// A deletion on only member b's key path: valuable for the
-				// group, while member a's own engine never counts it valuable.
-				del, qa, qb, ok := soleKeyPathEdge(m)
-				if !ok {
-					continue
-				}
-				probes++
-				gref, aref := grefs[m.inGroup[qa]], refs[qa]
-				groupBefore := gref.Counters().Get(stats.CntUpdateValuable)
-				aloneBefore := aref.Counters().Get(stats.CntUpdateValuable)
-				apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
-				if got := gref.Counters().Get(stats.CntUpdateValuable) - groupBefore; got != 1 {
-					t.Fatalf("%s: deleting %d->%d on query %d's key path only: valuable %d for the group, want 1",
-						where, del.From, del.To, qb, got)
-				}
-				if got := aref.Counters().Get(stats.CntUpdateValuable) - aloneBefore; got != 0 {
-					t.Fatalf("%s: query %d's own engine counts the deletion valuable (%d)", where, qa, got)
-				}
+			// A deletion on only member b's key path: valuable for the
+			// group, while member a's own engine never counts it valuable.
+			del, qa, qb, ok := soleKeyPathEdge(m)
+			if !ok {
+				continue
 			}
-			if probes == 0 {
-				t.Fatalf("%s: no batch had a key-path edge owned by one member", label)
+			probes++
+			gref, aref := grefs[m.inGroup[qa]], refs[qa]
+			groupBefore := gref.Counters().Get(stats.CntUpdateValuable)
+			aloneBefore := aref.Counters().Get(stats.CntUpdateValuable)
+			apply(fmt.Sprintf("%s probe %v", where, del), []graph.Update{del})
+			if got := gref.Counters().Get(stats.CntUpdateValuable) - groupBefore; got != 1 {
+				t.Fatalf("%s: deleting %d->%d on query %d's key path only: valuable %d for the group, want 1",
+					where, del.From, del.To, qb, got)
 			}
+			if got := aref.Counters().Get(stats.CntUpdateValuable) - aloneBefore; got != 0 {
+				t.Fatalf("%s: query %d's own engine counts the deletion valuable (%d)", where, qa, got)
+			}
+		}
+		if probes == 0 {
+			t.Fatalf("%s: no batch had a key-path edge owned by one member", label)
 		}
 	}
 }

@@ -67,7 +67,6 @@ type MultiCISO struct {
 	// cannot, the group's phases are skipped and its members' answers are
 	// served unchanged. The group list changes only in Reset, AddQuery and
 	// AddQueries, so every batch ranges over one slice in a fixed order.
-	skip    bool                   // skipping enabled (default; WithChangeSkip)
 	groups  []sourceGroup          // first-registration order
 	groupOf map[graph.VertexID]int // source → index into groups
 
@@ -105,18 +104,9 @@ type MultiOption func(*MultiCISO)
 // goroutines. n <= 1 means serial.
 func WithWorkers(n int) MultiOption { return func(m *MultiCISO) { m.workers = n } }
 
-// WithChangeSkip toggles change-driven query skipping (default on): per
-// batch, each source group is tested once against its converged values, and
-// groups the batch provably cannot affect never run their phases (DESIGN.md
-// §15). Disabling it restores exhaustive per-group evaluation — the
-// differential tests pin
-// both configurations to identical answers, so the switch exists for that
-// proof and for debugging, not for correctness.
-func WithChangeSkip(enabled bool) MultiOption { return func(m *MultiCISO) { m.skip = enabled } }
-
 // NewMultiCISO returns an unarmed multi-query engine; call Reset first.
 func NewMultiCISO(opts ...MultiOption) *MultiCISO {
-	m := &MultiCISO{cnt: stats.NewCounters(), workers: 1, skip: true}
+	m := &MultiCISO{cnt: stats.NewCounters(), workers: 1}
 	for _, o := range opts {
 		o(m)
 	}
@@ -374,7 +364,7 @@ func (m *MultiCISO) ApplyBatchDelta(batch []graph.Update) BatchDelta {
 		case g.suspect && g.heal > 0:
 			g.heal--
 			continue
-		case !g.suspect && m.skip:
+		case !g.suspect:
 			unaffected, scanErr := m.groupUnaffectedLocked(g, nb)
 			if unaffected {
 				skippedGroups++

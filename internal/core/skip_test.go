@@ -41,11 +41,31 @@ func encodeAnswers(ans []algo.Value) []byte {
 	return b.Bytes()
 }
 
+// coldStart cold-starts q on a clone of g: the paper's CS baseline, which
+// shares no skip logic.
+func coldStart(g *graph.Dynamic, a algo.Algorithm, q Query) *ColdStart {
+	cs := NewColdStart()
+	cs.Reset(g.Clone(), a, q)
+	return cs
+}
+
+// coldAnswers returns every query's cold-start answer on g, in query order.
+func coldAnswers(g *graph.Dynamic, a algo.Algorithm, qs []Query) []algo.Value {
+	out := make([]algo.Value, len(qs))
+	for i, q := range qs {
+		out[i] = coldStart(g, a, q).Answer()
+	}
+	return out
+}
+
 // TestChangeSkipDifferential is the engines_test-style differential guard of
-// DESIGN.md §15: with change-driven skipping enabled (the default), every
-// query's answer after every batch — random streams including deletions —
-// must be byte-identical to exhaustive re-evaluation (WithChangeSkip(false)),
-// and the skip counter must prove skipping actually engaged.
+// DESIGN.md §15: with change-driven skipping, every query's answer after
+// every batch — random streams including deletions — must be byte-identical
+// to a cold start of that query on the same topology, and so must every
+// source group's whole value array, skipped or not: a group skipped that
+// should have been processed shows as a stale value at some vertex even
+// when no member's destination is on it. The skip counter must prove
+// skipping actually engaged.
 func TestChangeSkipDifferential(t *testing.T) {
 	for _, a := range algo.All() {
 		for _, workers := range []int{1, 4} {
@@ -57,34 +77,34 @@ func TestChangeSkipDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs := clusteredQueries(w, 24, 6)
-			init := w.Initial()
-			skip := NewMultiCISO(WithWorkers(workers))
-			skip.Reset(init.Clone(), a, qs)
-			full := NewMultiCISO(WithWorkers(workers), WithChangeSkip(false))
-			full.Reset(init.Clone(), a, qs)
+			m := NewMultiCISO(WithWorkers(workers))
+			m.Reset(w.Initial(), a, qs)
 			for bi := 0; bi < 8; bi++ {
-				batch := w.NextBatch()
-				skip.ApplyBatchDelta(batch)
-				full.ApplyBatchDelta(batch)
-				got, want := encodeAnswers(skip.Answers()), encodeAnswers(full.Answers())
+				m.ApplyBatchDelta(w.NextBatch())
+				got, want := encodeAnswers(m.Answers()), encodeAnswers(coldAnswers(m.Topology(), a, qs))
 				if string(got) != string(want) {
-					t.Fatalf("%s/w%d batch %d: skip answers %s != full %s",
+					t.Fatalf("%s/w%d batch %d: skip answers %s != cold start %s",
 						a.Name(), workers, bi, got, want)
 				}
+				for _, g := range m.groups {
+					cold := coldStart(m.Topology(), a, Query{S: g.st.src, D: g.st.dests[0]})
+					if !slices.Equal(encodeAnswers(g.st.val), encodeAnswers(cold.StateForTest())) {
+						t.Fatalf("%s/w%d batch %d: source %d's values differ from a cold start",
+							a.Name(), workers, bi, g.st.src)
+					}
+				}
 			}
-			if skip.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
+			if m.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
 				t.Fatalf("%s/w%d: change-driven skipping never engaged", a.Name(), workers)
-			}
-			if full.Counters().Get(stats.CntUpdateSkipQueries) != 0 {
-				t.Fatalf("%s/w%d: disabled engine skipped queries", a.Name(), workers)
 			}
 		}
 	}
 }
 
 // TestChangeSkipApplyUpdatesDifferential pins skipping on the small groups a
-// lone binary frame commits: with skipping on, 4-update batches must report
-// the same changed queries and the same answers as exhaustive re-evaluation.
+// lone binary frame commits: after every 4-update batch, the answers must
+// equal a cold start on the same topology, and the reported changed set
+// must be exactly the queries whose answer differs from the pre-batch one.
 func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 	ds := graph.RMAT("skipfp", 8, 2200, graph.DefaultRMAT, 16, 78)
 	w, err := stream.New(ds, stream.Config{
@@ -94,28 +114,30 @@ func TestChangeSkipApplyUpdatesDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := clusteredQueries(w, 16, 4)
-	init := w.Initial()
-	skip := NewMultiCISO(WithWorkers(4))
-	skip.Reset(init.Clone(), algo.PPSP{}, qs)
-	full := NewMultiCISO(WithWorkers(4), WithChangeSkip(false))
-	full.Reset(init.Clone(), algo.PPSP{}, qs)
+	a := algo.PPSP{}
+	m := NewMultiCISO(WithWorkers(4))
+	m.Reset(w.Initial(), a, qs)
 	for bi := 0; bi < 12; bi++ {
-		batch := w.NextBatch()
-		ds, df := skip.ApplyBatchDelta(batch), full.ApplyBatchDelta(batch)
-		if ds.Err != nil || df.Err != nil {
-			t.Fatalf("batch %d: errs %v / %v", bi, ds.Err, df.Err)
+		pre := m.Answers()
+		d := m.ApplyBatchDelta(w.NextBatch())
+		if d.Err != nil {
+			t.Fatalf("batch %d: %v", bi, d.Err)
 		}
-		if !slices.Equal(ds.Changed, df.Changed) {
-			t.Fatalf("batch %d: changed queries diverged: skip=%v full=%v", bi, ds.Changed, df.Changed)
-		}
-		ga, wa := skip.Answers(), full.Answers()
-		for i := range ga {
-			if ga[i] != wa[i] {
-				t.Fatalf("batch %d query %d: %v != %v", bi, i, ga[i], wa[i])
+		got, want := m.Answers(), coldAnswers(m.Topology(), a, qs)
+		var moved []ChangedAnswer
+		for i := range got {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("batch %d query %d: %v != cold start %v", bi, i, got[i], want[i])
+			}
+			if got[i] != pre[i] {
+				moved = append(moved, ChangedAnswer{Index: i, Value: got[i]})
 			}
 		}
+		if !slices.Equal(d.Changed, moved) {
+			t.Fatalf("batch %d: changed %v, want the moved answers %v", bi, d.Changed, moved)
+		}
 	}
-	if skip.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
+	if m.Counters().Get(stats.CntUpdateSkipQueries) == 0 {
 		t.Fatal("change-driven skipping never engaged")
 	}
 }

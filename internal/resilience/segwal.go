@@ -105,10 +105,6 @@ type SegWALOptions struct {
 	// size (default 4 MiB, minimum 64; a record never spans segments, so a
 	// segment can exceed the limit by up to one record).
 	SegmentBytes int64
-	// Retain keeps at least this many sealed segments through
-	// TruncateThrough even when the checkpoint covers them (operator slack
-	// for debugging/backup tooling; default 0).
-	Retain int
 	// Epoch stamps newly created logs with this leadership epoch (see
 	// BumpEpoch). Ignored by OpenSegmentedWAL when the directory already
 	// holds segments — the active segment's header wins.
@@ -127,9 +123,6 @@ func (o SegWALOptions) withDefaults() SegWALOptions {
 	}
 	if o.SegmentBytes < 64 {
 		o.SegmentBytes = 64
-	}
-	if o.Retain < 0 {
-		o.Retain = 0
 	}
 	if o.FS == nil {
 		o.FS = OsFS{}
@@ -646,9 +639,9 @@ func (w *SegmentedWAL) Bytes() int64 {
 
 // TruncateThrough deletes every sealed segment whose records are all
 // covered by a checkpoint through `through` batches (record indices are all
-// < through), keeping at least opt.Retain sealed segments as operator
-// slack. The active segment is never deleted. Returns how many segments
-// were removed.
+// < through): retention keeps exactly what the checkpoint does not cover.
+// The active segment is never deleted. Returns how many segments were
+// removed.
 func (w *SegmentedWAL) TruncateThrough(through uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -662,9 +655,6 @@ func (w *SegmentedWAL) TruncateThrough(through uint64) (int, error) {
 			break
 		}
 		deletable++
-	}
-	if keep := len(w.sealed) - w.opt.Retain; deletable > keep {
-		deletable = keep
 	}
 	removed := 0
 	for removed < deletable {

@@ -172,30 +172,6 @@ func TestSegWALRetention(t *testing.T) {
 	checkReplay(t, dir, 6, 2) // replay resumes from the surviving suffix
 }
 
-// The Retain option keeps sealed segments as operator slack even when the
-// checkpoint covers them.
-func TestSegWALRetainFloor(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	opt := tinySegOpts()
-	opt.Retain = 2
-	w, err := OpenSegmentedWAL(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, w, 0, 7) // sealed: [0,2) [2,4) [4,6); active: 6
-	removed, err := w.TruncateThrough(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("removed %d segments with Retain=2, want 1", removed)
-	}
-	if got := segFiles(t, dir); len(got) != 3 || got[0] != 2 {
-		t.Fatalf("segments %v, want [2 4 6]", got)
-	}
-	w.Close()
-}
-
 // Recovery when the newest segment is empty (crash between a roll's segment
 // creation and the first record write): the next index comes from the
 // segment's name.

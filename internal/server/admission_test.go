@@ -44,8 +44,8 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Drain()
-	if got := srv.cfg.Workers; got != budget {
-		t.Fatalf("Workers defaulted to %d, want the CPU budget %d", got, budget)
+	if got := engineBudget(); got != budget {
+		t.Fatalf("engine width %d, want the CPU budget %d", got, budget)
 	}
 	for _, p := range w.QueryPairsConnected(64) {
 		srv.Pool().Register(core.Query{S: p[0], D: p[1]})
@@ -63,7 +63,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 	// The backlog goes straight into the batcher, so the applier is busy
 	// before the first POST and stays busy: every POST adds one more batch.
 	for i := 0; i < backlog; i++ {
-		if _, _, err := srv.bat.Offer(w.NextBatch()); err != nil {
+		if err := srv.bat.Offer(w.NextBatch()); err != nil {
 			t.Fatal(err)
 		}
 	}

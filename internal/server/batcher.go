@@ -12,7 +12,7 @@ import (
 // Errors returned by Batcher.Offer.
 var (
 	// ErrQueueFull reports that the bounded ingest queue cannot take the
-	// offered updates under OverflowReject (HTTP 429 at the API).
+	// offered updates (HTTP 429 + Retry-After at the API).
 	ErrQueueFull = errors.New("server: ingest queue full")
 	// ErrDraining reports that the batcher no longer accepts updates
 	// because shutdown has begun (HTTP 503 at the API).
@@ -56,13 +56,12 @@ func (r CutReason) String() string {
 // accumulating and can cut the *next* batch, so gathering batch N+1 overlaps
 // the tail of batch N exactly as the accelerator overlaps delayed updates
 // with the next gathering phase (PAPER.md). At most one cut batch waits in
-// the hand-off buffer; everything else stays in the queue where shedding and
-// size accounting apply.
+// the hand-off buffer; everything else stays in the queue where size
+// accounting applies.
 type Batcher struct {
 	maxSize int
 	maxWait time.Duration
 	cap     int
-	policy  OverflowPolicy
 	apply   func(batch []graph.Update, reason CutReason)
 
 	mu       sync.Mutex
@@ -85,13 +84,12 @@ type cutBatch struct {
 
 // NewBatcher starts the gather and apply goroutines. apply is called from a
 // single goroutine, one batch at a time, in cut order.
-func NewBatcher(maxSize int, maxWait time.Duration, capacity int, policy OverflowPolicy,
+func NewBatcher(maxSize int, maxWait time.Duration, capacity int,
 	apply func(batch []graph.Update, reason CutReason)) *Batcher {
 	b := &Batcher{
 		maxSize: maxSize,
 		maxWait: maxWait,
 		cap:     capacity,
-		policy:  policy,
 		apply:   apply,
 		notify:  make(chan struct{}, 1),
 		drainCh: make(chan struct{}),
@@ -103,46 +101,29 @@ func NewBatcher(maxSize int, maxWait time.Duration, capacity int, policy Overflo
 	return b
 }
 
-// Offer appends updates to the ingest queue. It returns how many were
-// accepted and how many *queued* updates were shed to make room (always 0
-// under OverflowReject). Offer never blocks: full-queue behaviour is decided
-// by the overflow policy, and an over-capacity remainder of the offered
-// slice itself is rejected (accepted < len(ups)) rather than queued.
-func (b *Batcher) Offer(ups []graph.Update) (accepted, shed int, err error) {
+// Offer appends all of ups to the ingest queue, or none of them: when they
+// do not fit it returns ErrQueueFull and the queue is untouched, so an
+// update once accepted is never dropped. Offer never blocks.
+func (b *Batcher) Offer(ups []graph.Update) error {
 	if len(ups) == 0 {
-		return 0, 0, nil
+		return nil
 	}
 	b.mu.Lock()
 	if b.draining {
 		b.mu.Unlock()
-		return 0, 0, ErrDraining
+		return ErrDraining
 	}
-	free := b.cap - len(b.pending)
-	switch {
-	case len(ups) <= free:
-		// Fits.
-	case b.policy == OverflowReject:
+	if len(ups) > b.cap-len(b.pending) {
 		b.mu.Unlock()
-		return 0, 0, ErrQueueFull
-	default: // OverflowShed
-		need := len(ups) - free
-		if need > len(b.pending) {
-			need = len(b.pending)
-		}
-		b.pending = b.pending[:copy(b.pending, b.pending[need:])]
-		shed = need
-		if free = b.cap - len(b.pending); len(ups) > free {
-			ups = ups[len(ups)-free:] // keep the freshest of the offered
-		}
+		return ErrQueueFull
 	}
 	b.pending = append(b.pending, ups...)
-	accepted = len(ups)
 	b.mu.Unlock()
 	select {
 	case b.notify <- struct{}{}:
 	default:
 	}
-	return accepted, shed, nil
+	return nil
 }
 
 // Pending reports the number of queued (not yet cut) updates.

@@ -64,10 +64,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // A full window must cut immediately by size, without waiting for the timer.
 func TestBatcherCutBySize(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(8, time.Hour, 1024, OverflowReject, c.apply)
+	b := NewBatcher(8, time.Hour, 1024, c.apply)
 	defer b.Drain()
 
-	if _, _, err := b.Offer(ups(20, 0)); err != nil {
+	if err := b.Offer(ups(20, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool {
@@ -95,10 +95,10 @@ func TestBatcherCutBySize(t *testing.T) {
 // A partial window must cut when the wait timer fires.
 func TestBatcherCutByTimer(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(1000, 20*time.Millisecond, 1024, OverflowReject, c.apply)
+	b := NewBatcher(1000, 20*time.Millisecond, 1024, c.apply)
 	defer b.Drain()
 
-	if _, _, err := b.Offer(ups(5, 0)); err != nil {
+	if err := b.Offer(ups(5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool {
@@ -118,17 +118,17 @@ func TestBatcherCutByTimer(t *testing.T) {
 func TestBatcherOverlapAcrossBatches(t *testing.T) {
 	c := newCollector()
 	c.block = make(chan struct{})
-	b := NewBatcher(4, time.Hour, 1024, OverflowReject, c.apply)
+	b := NewBatcher(4, time.Hour, 1024, c.apply)
 	defer b.Drain()
 
 	// Batch 1 cuts by size and parks inside apply.
-	if _, _, err := b.Offer(ups(4, 0)); err != nil {
+	if err := b.Offer(ups(4, 0)); err != nil {
 		t.Fatal(err)
 	}
 	<-c.entered
 
 	// While it is being applied, the next window gathers and cuts.
-	if _, _, err := b.Offer(ups(4, 1)); err != nil {
+	if err := b.Offer(ups(4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return b.Pending() == 0 }, "batch 2 cut during batch 1 apply")
@@ -137,7 +137,7 @@ func TestBatcherOverlapAcrossBatches(t *testing.T) {
 	}
 	// And gathering continues beyond the cut: batch 3 accumulates in the
 	// window while batches 1 and 2 occupy the applier and the hand-off slot.
-	if _, _, err := b.Offer(ups(2, 2)); err != nil {
+	if err := b.Offer(ups(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,47 +162,33 @@ func TestBatcherRejectWhenFull(t *testing.T) {
 	c := newCollector()
 	c.block = make(chan struct{})
 	defer close(c.block)
-	b := NewBatcher(4, time.Hour, 8, OverflowReject, c.apply)
+	b := NewBatcher(4, time.Hour, 8, c.apply)
 
-	if _, _, err := b.Offer(ups(8, 0)); err != nil {
+	if err := b.Offer(ups(8, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// The first size cut moves 4 into the hand-off; wait so capacity checks
 	// see a stable queue, then fill it back up.
 	<-c.entered
 	waitFor(t, 2*time.Second, func() bool { return b.Pending() <= 4 }, "first cut")
-	if _, _, err := b.Offer(ups(b.cap-b.Pending(), 1)); err != nil {
+	if err := b.Offer(ups(b.cap-b.Pending(), 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Offer(ups(1, 2)); !errors.Is(err, ErrQueueFull) {
+	full := b.Pending()
+	if err := b.Offer(ups(1, 2)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("offer over capacity: err=%v, want ErrQueueFull", err)
 	}
-}
-
-func TestBatcherShedOldest(t *testing.T) {
-	c := newCollector()
-	c.block = make(chan struct{})
-	defer close(c.block)
-	// maxSize > cap so nothing cuts by size; timer never fires.
-	b := NewBatcher(100, time.Hour, 8, OverflowShed, c.apply)
-
-	if _, _, err := b.Offer(ups(8, 0)); err != nil {
-		t.Fatal(err)
-	}
-	accepted, shed, err := b.Offer(ups(3, 9))
-	if err != nil || accepted != 3 || shed != 3 {
-		t.Fatalf("shed offer: accepted=%d shed=%d err=%v, want 3/3/nil", accepted, shed, err)
-	}
-	if p := b.Pending(); p != 8 {
-		t.Fatalf("pending=%d, want capacity 8", p)
+	// Refusing leaves every accepted update queued.
+	if p := b.Pending(); p != full {
+		t.Fatalf("pending %d after a refused offer, want %d", p, full)
 	}
 }
 
 func TestBatcherDrainFlushesAndRejects(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(1000, time.Hour, 1024, OverflowReject, c.apply)
+	b := NewBatcher(1000, time.Hour, 1024, c.apply)
 
-	if _, _, err := b.Offer(ups(7, 0)); err != nil {
+	if err := b.Offer(ups(7, 0)); err != nil {
 		t.Fatal(err)
 	}
 	b.Drain()
@@ -213,7 +199,7 @@ func TestBatcherDrainFlushesAndRejects(t *testing.T) {
 	if !b.Quiesced() {
 		t.Error("not quiesced after drain")
 	}
-	if _, _, err := b.Offer(ups(1, 0)); !errors.Is(err, ErrDraining) {
+	if err := b.Offer(ups(1, 0)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("offer after drain: err=%v, want ErrDraining", err)
 	}
 	b.Drain() // idempotent

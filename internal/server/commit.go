@@ -127,12 +127,10 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 			s.out = out
 		}
 	case o == fromClient:
-		// A batcher body: untagged, so there is nothing to dedup. Reject and
-		// strict policies refuse the whole body.
-		c, _, err := s.san.Sanitize(topo, recs[0].Batch)
-		if err != nil {
-			s.setLastErr(err)
-		}
+		// A batcher body: untagged, so there is nothing to dedup. The server's
+		// sanitizer runs PolicyDrop, which drops each invalid update, keeps
+		// the rest of the body and never returns an error.
+		c, _, _ := s.san.Sanitize(topo, recs[0].Batch)
 		out = s.out[:0]
 		if len(c) > 0 {
 			clean, out = c, append(out, resilience.Record{Batch: c})

@@ -9,44 +9,6 @@ import (
 	"cisgraph/internal/resilience"
 )
 
-// OverflowPolicy selects what Offer does when the bounded ingest queue is
-// full.
-type OverflowPolicy int
-
-const (
-	// OverflowReject refuses the incoming updates (HTTP 429): nothing
-	// already queued is lost, the client is asked to back off.
-	OverflowReject OverflowPolicy = iota
-	// OverflowShed drops the *oldest* queued updates to make room for the
-	// incoming ones — load shedding that favors fresh data. Every dropped
-	// update is counted (CntShedUpdates).
-	OverflowShed
-)
-
-// String returns the CLI spelling of the policy.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowReject:
-		return "reject"
-	case OverflowShed:
-		return "shed"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
-
-// ParseOverflowPolicy resolves a CLI spelling ("reject", "shed").
-func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "reject":
-		return OverflowReject, nil
-	case "shed":
-		return OverflowShed, nil
-	default:
-		return 0, fmt.Errorf("server: unknown overflow policy %q (want reject or shed)", s)
-	}
-}
-
 // cpuBudget is the CPU budget SizeProcs recorded; 0 until it is called.
 var cpuBudget atomic.Int64
 
@@ -64,9 +26,8 @@ var cpuBudget atomic.Int64
 // scheduler checks its run queue before the poller). The spare P instead
 // parks its thread in epoll_wait, the kernel wakes it the moment a request
 // arrives, and the handler runs on a thread the OS time-slices with the
-// applier's. Every engine width that defaults from the CPU count — Workers
-// — takes the budget, not GOMAXPROCS, so the engine never occupies the
-// spare P.
+// applier's. The engine's width is the budget, not GOMAXPROCS, so the
+// engine never occupies the spare P.
 func SizeProcs() (engineCPUs int) {
 	budget := runtime.GOMAXPROCS(0)
 	cpuBudget.Store(int64(budget))
@@ -74,8 +35,9 @@ func SizeProcs() (engineCPUs int) {
 	return budget
 }
 
-// engineBudget is the width engine pools default to: the budget SizeProcs
-// recorded, or GOMAXPROCS in a process that never called it.
+// engineBudget is the engine's worker-pool width: the budget SizeProcs
+// recorded, or GOMAXPROCS in a process that never called it. An operator
+// sizes it through the CPU mask or GOMAXPROCS.
 func engineBudget() int {
 	if b := cpuBudget.Load(); b > 0 {
 		return int(b)
@@ -94,11 +56,9 @@ type Config struct {
 	// updates. Default 25ms.
 	BatchMaxWait time.Duration
 	// QueueCapacity bounds the ingest queue (admission control). Default
-	// 65536 updates.
+	// 65536 updates. A POST that does not fit is refused with 429 +
+	// Retry-After; nothing already accepted is ever dropped.
 	QueueCapacity int
-	// OnFull selects the backpressure behaviour when the queue is full
-	// (default OverflowReject).
-	OnFull OverflowPolicy
 	// RequestTimeout bounds each HTTP request's handler time (default 10s).
 	// Every endpoint runs under a context carrying this deadline; a handler
 	// that overruns gets 503 and its context cancelled.
@@ -111,18 +71,6 @@ type Config struct {
 	// Retry-After before they can pile onto the batcher. /healthz and
 	// /metrics bypass the gate so operators can always observe the server.
 	MaxInFlight int
-	// Workers bounds the engine's worker pool that processes its source
-	// groups during batch application (core.WithWorkers). Default the CPU
-	// budget: the one SizeProcs recorded, else GOMAXPROCS. 1 runs the
-	// groups serially.
-	Workers int
-	// MaxQueries caps registered queries (admission control; default
-	// 1024).
-	MaxQueries int
-	// Policy is the ingestion sanitize policy (default resilience.PolicyDrop).
-	// Every batch is validated against the pool's topology before any
-	// engine applies it.
-	Policy resilience.Policy
 	// WALPath is the segmented write-ahead log directory ("" disables
 	// durability): every commit appends (and fsyncs) its records there
 	// before applying them — one record per JSON body, one per binary
@@ -132,9 +80,6 @@ type Config struct {
 	// WALSegmentBytes rolls the WAL to a new segment at this size (default
 	// 4 MiB). Smaller segments mean finer-grained retention.
 	WALSegmentBytes int64
-	// WALRetain keeps at least this many sealed WAL segments through
-	// checkpoint-coordinated retention (operator slack; default 0).
-	WALRetain int
 	// CheckpointPath is where drain (and, with CheckpointEvery, periodic)
 	// checkpoints are written ("" disables). After a successful checkpoint,
 	// WAL segments wholly covered by it are deleted, bounding disk usage
@@ -190,10 +135,6 @@ type Config struct {
 	// followers before it is refused with a Degraded status (the client
 	// retries; session dedup absorbs the replay). Default 5s.
 	SyncAckTimeout time.Duration
-	// DedupSessions bounds the exactly-once session table (session id →
-	// highest accepted seq); least-recently-advanced sessions are evicted
-	// beyond it. Default 1024.
-	DedupSessions int
 	// MaxStaleness is the follower's degraded threshold: when the time since
 	// the follower last confirmed it was caught up exceeds this, /healthz
 	// reports degraded (0 = never degrade on staleness). Reads still serve —
@@ -222,11 +163,6 @@ type Config struct {
 	// benchmark/stage.go sets it; it goes with ROADMAP item 3's benchmark
 	// change.
 	PropagateWorkers int
-	// DisableChangeSkip turns off change-driven query skipping in the
-	// engine (DESIGN.md §15), forcing every registered query through the
-	// full per-batch phases. Production keeps it off; differential tests and
-	// benchmarks flip it to compare against exhaustive evaluation.
-	DisableChangeSkip bool
 	// WatchQueue bounds each /v1/watch subscriber's pending-delta queue, in
 	// messages (default 64). A subscriber that falls further behind is
 	// marked lost and receives a resync marker instead of unbounded buffering.
@@ -268,12 +204,6 @@ func (c Config) WithDefaults() Config {
 	if c.FS == nil {
 		c.FS = resilience.OsFS{}
 	}
-	if c.Workers <= 0 {
-		c.Workers = engineBudget()
-	}
-	if c.MaxQueries <= 0 {
-		c.MaxQueries = 1024
-	}
 	if c.ReplLongPoll <= 0 {
 		c.ReplLongPoll = 10 * time.Second
 	}
@@ -297,9 +227,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SyncAckTimeout <= 0 {
 		c.SyncAckTimeout = 5 * time.Second
-	}
-	if c.DedupSessions <= 0 {
-		c.DedupSessions = 1024
 	}
 	if c.WatchQueue <= 0 {
 		c.WatchQueue = 64

@@ -37,10 +37,10 @@ type dedupTable struct {
 	clock uint64
 }
 
+// dedupSessions is the session table's capacity on a server.
+const dedupSessions = 1024
+
 func newDedupTable(capacity int) *dedupTable {
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	return &dedupTable{
 		cap:   capacity,
 		seq:   make(map[uint64]uint64),
@@ -101,7 +101,7 @@ func (d *dedupTable) advanceRun(recs []resilience.Record) {
 }
 
 // evictLocked drops the least-recently-advanced session. O(n) scan — the
-// table is small (DedupSessions, default 1024) and eviction is rare.
+// table is small (dedupSessions) and eviction is rare.
 func (d *dedupTable) evictLocked() {
 	var victim uint64
 	oldest := uint64(math.MaxUint64)

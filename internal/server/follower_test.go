@@ -286,7 +286,10 @@ func TestFollowerRetentionRaceRebootstraps(t *testing.T) {
 	// registration of the same pairs.
 	fsnap := fol.Pool().Answers()
 	for i, q := range fsnap.Queries {
-		_, want := leader.Pool().Register(q)
+		_, want, err := leader.Pool().Register(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if fsnap.Values[i] != want {
 			t.Fatalf("post-rebootstrap answer Q(%d->%d): follower %v, leader %v",
 				q.S, q.D, fsnap.Values[i], want)

@@ -53,17 +53,23 @@ type Snapshot struct {
 	Values  []algo.Value
 }
 
+// maxQueries caps a pool's registered queries (admission control).
+const maxQueries = 1024
+
+// ErrQueryLimit reports that a registration would take the pool past
+// maxQueries (HTTP 429 at the API).
+var ErrQueryLimit = fmt.Errorf("server: query limit %d reached", maxQueries)
+
 // NewQueryPool builds a pool over one MultiCISO engine owning a clone of g.
 // Queries are registered later with Register. workers bounds the engine's
-// query-processing pool (<=1 runs serially). The third argument and kind
-// are ignored: the third was a shard count, and both stay only because
-// benchmark/stage.go passes them (see core.StoreKind). skip toggles
-// change-driven query skipping in the engine (on in production;
-// Config.DisableChangeSkip turns it off for differential testing). Any
-// extra options are passed through to the engine.
-func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, _, workers int, _ core.StoreKind, skip bool, extra ...core.MultiOption) *QueryPool {
-	opts := []core.MultiOption{core.WithWorkers(workers), core.WithChangeSkip(skip)}
-	p := &QueryPool{a: a, eng: core.NewMultiCISO(append(opts, extra...)...)}
+// query-processing pool (<=1 runs serially). The engine always skips the
+// source groups a batch provably cannot touch (DESIGN.md §15). The third,
+// fifth and sixth arguments are ignored — a shard count, a state kind (see
+// core.StoreKind) and a change-skip switch — and stay only because
+// benchmark/stage.go passes them; they go with ROADMAP item 3's benchmark
+// change. Any extra options are passed through to the engine.
+func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, _, workers int, _ core.StoreKind, _ bool, extra ...core.MultiOption) *QueryPool {
+	p := &QueryPool{a: a, eng: core.NewMultiCISO(append([]core.MultiOption{core.WithWorkers(workers)}, extra...)...)}
 	p.eng.Reset(g.Clone(), a, nil)
 	p.snap.Store(&Snapshot{})
 	return p
@@ -76,31 +82,60 @@ func (p *QueryPool) NumQueries() int {
 	return len(p.queries)
 }
 
-// Register arms q — joining its source's group, or cold-starting a new
-// source against the current topology — and publishes a refreshed
-// snapshot. The returned id is stable for the pool's lifetime.
-func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value) {
+// admitLocked is the one query-admission rule: both endpoints in range,
+// source ≠ destination, and the pool stays within maxQueries — checked in
+// that order, so an invalid pair is reported as such even at the cap.
+// Callers hold p.mu, so a check and the registration it admits are one
+// step.
+func (p *QueryPool) admitLocked(qs []core.Query) error {
+	n := uint32(p.eng.Topology().NumVertices())
+	for _, q := range qs {
+		switch {
+		case q.S >= n || q.D >= n:
+			return fmt.Errorf("server: query %d->%d out of range N=%d", q.S, q.D, n)
+		case q.S == q.D:
+			return fmt.Errorf("server: query %d->%d: source equals destination", q.S, q.D)
+		}
+	}
+	if len(p.queries)+len(qs) > maxQueries {
+		return ErrQueryLimit
+	}
+	return nil
+}
+
+// Register admits q (admitLocked), arms it — joining its source's group, or
+// cold-starting a new source against the current topology — and publishes a
+// refreshed snapshot. The returned id is stable for the pool's lifetime. A
+// refused query (ErrQueryLimit, or an invalid pair) registers nothing.
+func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.admitLocked([]core.Query{q}); err != nil {
+		return 0, 0, err
+	}
 	id, ans = p.eng.AddQuery(q)
 	p.queries = append(p.queries, q)
 	p.vals = append(p.vals, ans)
 	p.publishLocked()
-	return id, ans
+	return id, ans, nil
 }
 
-// RegisterAll registers qs in order in one engine call
-// (core.MultiCISO.AddQueries) and publishes once: no topology clone per
+// RegisterAll admits qs as a whole — all of them, or none with the first
+// refusal — and registers them in order in one engine call
+// (core.MultiCISO.AddQueries), publishing once: no topology clone per
 // distinct source, one cold start per source. Ids, answers and engine
 // counters equal a Register loop's, on an empty or a non-empty pool. The
 // engine lock is held for the whole list, so it is meant for start-up and
 // restore, not beside live writes.
-func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Value) {
+func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Value, err error) {
 	if len(qs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.admitLocked(qs); err != nil {
+		return nil, nil, err
+	}
 	first, answers := p.eng.AddQueries(qs)
 	ids = make([]int, len(qs))
 	for k := range ids {
@@ -109,7 +144,7 @@ func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Valu
 	p.queries = append(p.queries, qs...)
 	p.vals = append(p.vals, answers...)
 	p.publishLocked()
-	return ids, answers
+	return ids, answers, nil
 }
 
 // Topology returns the pool's one authoritative topology: the engine graph

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"runtime"
@@ -96,10 +97,16 @@ func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
 		var wantIDs []int
 		var wantAns []algo.Value
 		for _, q := range qs[npre:] {
-			id, ans := loop.Register(q)
+			id, ans, err := loop.Register(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantIDs, wantAns = append(wantIDs, id), append(wantAns, ans)
 		}
-		ids, ans := bulk.RegisterAll(qs[npre:])
+		ids, ans, err := bulk.RegisterAll(qs[npre:])
+		if err != nil {
+			t.Fatal(err)
+		}
 		label := fmt.Sprintf("pre=%d", npre)
 		if !slices.Equal(ids, wantIDs) || !slices.Equal(ans, wantAns) {
 			t.Fatalf("%s: RegisterAll → ids %v answers %v, Register loop %v %v", label, ids, ans, wantIDs, wantAns)
@@ -125,6 +132,63 @@ func TestRegisterAllMatchesRegisterLoop(t *testing.T) {
 			}
 			same(fmt.Sprintf("%s batch %d", label, i))
 		}
+	}
+}
+
+// fillQueries returns k valid queries on an n-vertex graph, all from source
+// 0, so registering them costs one cold start.
+func fillQueries(k int, n uint32) []core.Query {
+	qs := make([]core.Query, k)
+	for i := range qs {
+		qs[i] = core.Query{S: 0, D: 1 + uint32(i)%(n-1)}
+	}
+	return qs
+}
+
+// TestQueryAdmissionRejects: Register and RegisterAll share one admission
+// rule. An out-of-range endpoint, s = d or a list that would pass the cap
+// is refused with an error — never a panic — and a refused list registers
+// none of its queries, valid ones included.
+func TestQueryAdmissionRejects(t *testing.T) {
+	w := testWorkload(t)
+	pool := NewQueryPool(w.Initial(), testAlgo(t), 1, 1, core.StoreDense, true)
+	n := uint32(w.NumVertices())
+	for _, tc := range []struct {
+		name  string
+		qs    []core.Query
+		limit bool
+	}{
+		{"destination out of range", []core.Query{{S: 0, D: 1}, {S: 0, D: 999999}}, false},
+		{"source out of range", []core.Query{{S: n, D: 1}}, false},
+		{"source equals destination", []core.Query{{S: 0, D: 1}, {S: 3, D: 3}}, false},
+		{"over the cap", fillQueries(maxQueries+1, n), true},
+	} {
+		if _, _, err := pool.RegisterAll(tc.qs); err == nil || errors.Is(err, ErrQueryLimit) != tc.limit {
+			t.Errorf("RegisterAll, %s: err %v, want an error (query limit: %v)", tc.name, err, tc.limit)
+		}
+		if bad := tc.qs[len(tc.qs)-1]; !tc.limit {
+			if _, _, err := pool.Register(bad); err == nil {
+				t.Errorf("Register, %s: admitted %v", tc.name, bad)
+			}
+		}
+		if got := pool.NumQueries(); got > 0 {
+			t.Fatalf("%s: %d queries registered by refused calls", tc.name, got)
+		}
+	}
+	if _, _, err := pool.RegisterAll(fillQueries(maxQueries-1, n)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pool.Register(core.Query{S: 1, D: 2}); err != nil {
+		t.Fatalf("the last query under the cap: %v", err)
+	}
+	if _, _, err := pool.Register(core.Query{S: 1, D: 2}); !errors.Is(err, ErrQueryLimit) {
+		t.Fatalf("a query past the cap: err %v, want ErrQueryLimit", err)
+	}
+	if _, _, err := pool.RegisterAll([]core.Query{{S: 1, D: 2}}); !errors.Is(err, ErrQueryLimit) {
+		t.Fatalf("a list past the cap: err %v, want ErrQueryLimit", err)
+	}
+	if got := pool.NumQueries(); got != maxQueries {
+		t.Fatalf("NumQueries %d, want the cap %d", got, maxQueries)
 	}
 }
 

@@ -33,10 +33,8 @@ import (
 const (
 	// CntUpdatesAccepted counts updates admitted into the ingest queue.
 	CntUpdatesAccepted = "srv_updates_accepted"
-	// CntUpdatesShed counts queued updates dropped by OverflowShed.
-	CntUpdatesShed = "srv_updates_shed"
 	// CntPostsRejected counts POST /v1/updates requests refused by
-	// backpressure (queue full under OverflowReject) or during drain.
+	// backpressure (queue full), degraded mode, a follower or drain.
 	CntPostsRejected = "srv_posts_rejected"
 	// CntBatchesApplied counts batches that went through the full
 	// sanitize→WAL→apply pipeline.
@@ -85,7 +83,7 @@ const (
 	CntBinConns     = "srv_binary_conns"
 	CntBinFrames    = "srv_binary_frames"
 	CntBinBadFrames = "srv_binary_bad_frames"
-	// CntWatchConns counts /v1/watch subscriptions accepted (SSE + long-poll).
+	// CntWatchConns counts /v1/watch subscriptions accepted.
 	CntWatchConns = "srv_watch_conns"
 	// CntWatchRejected counts /v1/watch subscriptions shed (MaxWatchers cap
 	// or draining).
@@ -205,7 +203,7 @@ type ansCacheEntry struct {
 // srvHandles pre-resolves the serving hot-path counters (DESIGN.md §9):
 // accepted/applied move per update, the rest per batch or per request.
 type srvHandles struct {
-	accepted, shed, rejected    stats.Handle
+	accepted, rejected          stats.Handle
 	batches, updates            stats.Handle
 	cutSize, cutTimer, cutDrain stats.Handle
 	registered, degraded, ckpts stats.Handle
@@ -333,13 +331,12 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	s := &Server{
 		cfg:  cfg,
 		a:    a,
-		pool: NewQueryPool(g, a, 1, cfg.Workers, core.StoreDense, !cfg.DisableChangeSkip),
-		san:  resilience.NewSanitizer(cfg.Policy, cnt),
+		pool: NewQueryPool(g, a, 1, engineBudget(), core.StoreDense, true),
+		san:  resilience.NewSanitizer(resilience.PolicyDrop, cnt),
 		cnt:  cnt,
 		hub:  watch.New(),
 		h: srvHandles{
 			accepted:           cnt.Handle(CntUpdatesAccepted),
-			shed:               cnt.Handle(CntUpdatesShed),
 			rejected:           cnt.Handle(CntPostsRejected),
 			batches:            cnt.Handle(CntBatchesApplied),
 			updates:            cnt.Handle(CntUpdatesApplied),
@@ -375,17 +372,18 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	}
 	s.applied.Store(through)
 	s.edges.Store(int64(g.NumEdges()))
-	s.dedup = newDedupTable(cfg.DedupSessions)
+	s.dedup = newDedupTable(dedupSessions)
 	s.marks = newFollowerMarks()
 	s.followerFlag.Store(cfg.FollowURL != "")
 	s.setLeader(cfg.FollowURL)
 	s.epoch.Store(bootEpoch)
-	s.pool.RegisterAll(queries)
+	if _, _, err := s.pool.RegisterAll(queries); err != nil {
+		return nil, err
+	}
 	s.h.registered.Add(int64(len(queries)))
 	if cfg.WALPath != "" {
 		opts := resilience.SegWALOptions{
 			SegmentBytes: cfg.WALSegmentBytes,
-			Retain:       cfg.WALRetain,
 			FS:           cfg.FS,
 			Epoch:        bootEpoch,
 			StartIndex:   through,
@@ -411,7 +409,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		}
 	}
 	s.brk = newDiskBreaker(s.probeDisk, cfg.DiskRetryBase, cfg.DiskRetryMax)
-	s.bat = NewBatcher(cfg.BatchMaxSize, cfg.BatchMaxWait, cfg.QueueCapacity, cfg.OnFull, s.applyBatch)
+	s.bat = NewBatcher(cfg.BatchMaxSize, cfg.BatchMaxWait, cfg.QueueCapacity, s.applyBatch)
 	s.fp = newFastPath(s)
 	s.routes()
 	return s, nil
@@ -487,7 +485,7 @@ func (s *Server) writeCheckpointLocked() error {
 	s.h.ckpts.Inc()
 	// Checkpoint-coordinated retention: the checkpoint now covers every
 	// record with index < through, so WAL segments wholly below it are dead
-	// weight — delete them (modulo the WALRetain floor).
+	// weight — delete them.
 	if s.wal != nil {
 		removed, rerr := s.wal.TruncateThrough(through)
 		s.h.walSegmentsDeleted.Add(int64(removed))
@@ -784,7 +782,6 @@ type updatesRequest struct {
 
 type updatesResponse struct {
 	Accepted int `json:"accepted"`
-	Shed     int `json:"shed,omitempty"`
 	Pending  int `json:"pending"`
 }
 
@@ -874,8 +871,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Offer copies batch into the queue; the slice goes back to the pool.
-	accepted, shed, err := s.bat.Offer(batch)
-	switch {
+	switch err := s.bat.Offer(batch); {
 	case errors.Is(err, ErrDraining):
 		s.h.rejected.Inc()
 		httpError(w, http.StatusServiceUnavailable, err.Error())
@@ -886,11 +882,9 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
-	s.h.accepted.Add(int64(accepted))
-	s.h.shed.Add(int64(shed))
+	s.h.accepted.Add(int64(len(batch)))
 	writeJSON(w, http.StatusAccepted, updatesResponse{
-		Accepted: accepted,
-		Shed:     shed,
+		Accepted: len(batch),
 		Pending:  s.bat.Pending(),
 	})
 }
@@ -932,20 +926,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	n := uint32(s.pool.Topology().NumVertices())
-	if req.S >= n || req.D >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("query %d->%d out of range N=%d", req.S, req.D, n))
+	id, ans, err := s.pool.Register(core.Query{S: req.S, D: req.D})
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrQueryLimit) {
+			status = http.StatusTooManyRequests
+		}
+		httpError(w, status, err.Error())
 		return
 	}
-	if req.S == req.D {
-		httpError(w, http.StatusBadRequest, "query source equals destination")
-		return
-	}
-	if s.pool.NumQueries() >= s.cfg.MaxQueries {
-		httpError(w, http.StatusTooManyRequests, fmt.Sprintf("query limit %d reached", s.cfg.MaxQueries))
-		return
-	}
-	id, ans := s.pool.Register(core.Query{S: req.S, D: req.D})
 	s.h.registered.Inc()
 	writeJSON(w, http.StatusOK, queryResponse{
 		ID: id, S: req.S, D: req.D, Answer: WireValue(ans), Batches: s.applied.Load(),

@@ -119,8 +119,8 @@ func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 			return
 		}
 		mangled := inj.Mangle(w.NumVertices(), b)
-		if n, _, err := s.bat.Offer(mangled); err != nil || n != len(mangled) {
-			t.Fatalf("Offer: accepted %d of %d: %v", n, len(mangled), err)
+		if err := s.bat.Offer(mangled); err != nil {
+			t.Fatalf("Offer of %d updates: %v", len(mangled), err)
 		}
 	}
 
@@ -301,9 +301,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 // The HTTP surface: validation errors, admission control, health and metrics.
 func TestServerAPISurface(t *testing.T) {
 	w := testWorkload(t)
-	cfg := testServerConfig()
-	cfg.MaxQueries = 2
-	srv, err := New(w.Initial(), testAlgo(t), cfg)
+	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,16 +311,31 @@ func TestServerAPISurface(t *testing.T) {
 	client := ts.Client()
 	n := uint32(w.NumVertices())
 
-	// Query validation.
+	// Query validation, then admission up to the cap: a bulk registration
+	// leaves room for two more.
 	for _, tc := range []struct {
 		req  queryRequest
 		want int
 	}{
 		{queryRequest{S: 0, D: n + 5}, http.StatusBadRequest}, // out of range
 		{queryRequest{S: 3, D: 3}, http.StatusBadRequest},     // s == d
+	} {
+		resp, body := postJSON(t, client, ts.URL+"/v1/query", tc.req)
+		if resp.StatusCode != tc.want {
+			t.Errorf("query %+v: status %d, want %d (%s)", tc.req, resp.StatusCode, tc.want, body)
+		}
+	}
+	if _, _, err := srv.Pool().RegisterAll(fillQueries(maxQueries-2, n)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		req  queryRequest
+		want int
+	}{
 		{queryRequest{S: 0, D: 1}, http.StatusOK},
 		{queryRequest{S: 1, D: 2}, http.StatusOK},
-		{queryRequest{S: 2, D: 3}, http.StatusTooManyRequests}, // MaxQueries
+		{queryRequest{S: 2, D: 3}, http.StatusTooManyRequests}, // maxQueries
+		{queryRequest{S: 3, D: 3}, http.StatusBadRequest},      // invalid even at the cap
 	} {
 		resp, body := postJSON(t, client, ts.URL+"/v1/query", tc.req)
 		if resp.StatusCode != tc.want {
@@ -345,14 +358,14 @@ func TestServerAPISurface(t *testing.T) {
 	} else if len(one.Answers) != 1 || one.Answers[0].ID != 1 {
 		t.Errorf("answers?id=1: got %+v", one.Answers)
 	}
-	if r := getJSON(t, client, ts.URL+"/v1/answers?id=99", nil); r.StatusCode != http.StatusNotFound {
-		t.Errorf("answers?id=99: status %d, want 404", r.StatusCode)
+	if r := getJSON(t, client, fmt.Sprintf("%s/v1/answers?id=%d", ts.URL, maxQueries), nil); r.StatusCode != http.StatusNotFound {
+		t.Errorf("answers?id=%d: status %d, want 404", maxQueries, r.StatusCode)
 	}
 
 	// Health reflects the live state.
 	var hz healthzResponse
 	getJSON(t, client, ts.URL+"/healthz", &hz)
-	if hz.Status != "ok" || hz.Queries != 2 || hz.Algorithm == "" {
+	if hz.Status != "ok" || hz.Queries != maxQueries || hz.Algorithm == "" {
 		t.Errorf("healthz: %+v", hz)
 	}
 
@@ -370,7 +383,7 @@ func TestServerAPISurface(t *testing.T) {
 		"cisgraph_counter{layer=\"engine\"",
 		"cisgraph_ingest_pending",
 		"cisgraph_edges",
-		"cisgraph_queries 2",
+		fmt.Sprintf("cisgraph_queries %d", maxQueries),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
@@ -397,9 +410,64 @@ func TestServerAPISurface(t *testing.T) {
 	}
 }
 
-// Backpressure: a tiny queue under OverflowReject turns POSTs into 429s with
-// Retry-After; under OverflowShed they are accepted and the oldest queued
-// updates are dropped, all surfaced in the response body.
+// TestQueryAdmissionRace: the query cap holds under concurrent
+// registration. With one slot left, 8 concurrent POST /v1/query on fresh
+// sources get exactly one 200 and seven 429s, and the pool ends at the cap.
+// Run with -race.
+func TestQueryAdmissionRace(t *testing.T) {
+	w := testWorkload(t)
+	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, _, err := srv.Pool().RegisterAll(fillQueries(maxQueries-1, uint32(w.NumVertices()))); err != nil {
+		t.Fatal(err)
+	}
+	const posts = 8
+	type outcome struct {
+		code int
+		err  error
+	}
+	results := make(chan outcome, posts)
+	start := make(chan struct{})
+	for i := 0; i < posts; i++ {
+		body, err := json.Marshal(queryRequest{S: uint32(1 + i), D: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			<-start
+			resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				results <- outcome{err: err}
+				return
+			}
+			resp.Body.Close()
+			results <- outcome{code: resp.StatusCode}
+		}()
+	}
+	close(start)
+	codes := map[int]int{}
+	for i := 0; i < posts; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		codes[r.code]++
+	}
+	if codes[http.StatusOK] != 1 || codes[http.StatusTooManyRequests] != posts-1 {
+		t.Fatalf("status counts %v, want one 200 and %d 429s", codes, posts-1)
+	}
+	if got := srv.Pool().NumQueries(); got != maxQueries {
+		t.Fatalf("NumQueries %d, want the cap %d", got, maxQueries)
+	}
+}
+
+// Backpressure: a POST that does not fit the queue is refused whole with 429
+// and Retry-After.
 func TestServerBackpressure(t *testing.T) {
 	w := testWorkload(t)
 
@@ -407,7 +475,6 @@ func TestServerBackpressure(t *testing.T) {
 	cfg.BatchMaxSize = 8
 	cfg.BatchMaxWait = time.Hour // the queue only drains by size cuts
 	cfg.QueueCapacity = 8
-	cfg.OnFull = OverflowReject
 	srv, err := New(w.Initial(), testAlgo(t), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -427,25 +494,5 @@ func TestServerBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
-	}
-
-	cfg.OnFull = OverflowShed
-	srv2, err := New(w.Initial(), testAlgo(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Drain()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	resp, body := postJSON(t, ts2.Client(), ts2.URL+"/v1/updates", updatesRequest{Updates: big})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("shed POST: status %d: %s", resp.StatusCode, body)
-	}
-	var ur updatesResponse
-	if err := json.Unmarshal(body, &ur); err != nil {
-		t.Fatal(err)
-	}
-	if ur.Accepted == 0 {
-		t.Errorf("shed POST accepted nothing: %+v", ur)
 	}
 }

@@ -13,13 +13,9 @@ import (
 
 // /v1/watch — answer subscription endpoint (DESIGN.md §15).
 //
-// Two delivery modes share one wire schema:
-//
-//   - SSE (default): the response streams `event: <type>` / `data: <json>`
-//     frames until the client disconnects or the server drains.
-//   - Long-poll (?mode=poll): the request parks until the first relevant
-//     commit (or `wait` elapses) and returns one JSON envelope; the client
-//     re-requests with ?from=<pos> to continue.
+// The response is a server-sent event stream of `event: <type>` /
+// `data: <json>` frames until the client disconnects or the server drains;
+// a client that reconnects resumes with ?from=<pos>.
 //
 // Event types: "init" opens every subscription with the current stream
 // position (and resync=true when the client's ?from is behind it — the
@@ -37,8 +33,7 @@ type watchDeltaJSON struct {
 	Value WireValue `json:"value"`
 }
 
-// watchEventJSON is the wire form of every /v1/watch event and of the
-// long-poll envelope.
+// watchEventJSON is the wire form of every /v1/watch event.
 type watchEventJSON struct {
 	// Pos is the global stream position the event describes.
 	Pos uint64 `json:"pos"`
@@ -147,11 +142,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// position missed commits it cannot recover from the stream: tell it to
 	// re-read the full answer state first.
 	needResync := haveFrom && from != pos
-
-	if r.URL.Query().Get("mode") == "poll" {
-		s.watchPoll(w, r, sub, pos, needResync)
-		return
-	}
 	s.watchSSE(w, r, sub, pos, needResync)
 }
 
@@ -211,37 +201,6 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, sub *watch.Sub
 			}
 		next:
 		}
-	}
-}
-
-// watchPoll parks for the first relevant message (bounded by ?wait, default
-// 10s, capped at 60s) and returns one JSON envelope. A resync need is
-// answered immediately.
-func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, sub *watch.Sub, pos uint64, needResync bool) {
-	if needResync {
-		writeJSON(w, http.StatusOK, watchEventJSON{Pos: pos, Resync: true})
-		return
-	}
-	wait := 10 * time.Second
-	if ws := r.URL.Query().Get("wait"); ws != "" {
-		if d, err := time.ParseDuration(ws); err == nil && d > 0 {
-			wait = min(d, time.Minute)
-		}
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-r.Context().Done():
-	case <-t.C:
-		// Nothing moved: report the current position so the client's next
-		// ?from stays fresh.
-		writeJSON(w, http.StatusOK, watchEventJSON{Pos: s.applied.Load()})
-	case m, ok := <-sub.C:
-		if !ok {
-			writeJSON(w, http.StatusOK, watchEventJSON{Pos: s.applied.Load(), Resync: true})
-			return
-		}
-		writeJSON(w, http.StatusOK, sseBody(m))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -230,99 +231,72 @@ func TestWatchSSEDeltasMatchAnswers(t *testing.T) {
 	}
 }
 
-// Long-poll mode: an up-to-date client parks until a commit moves an answer;
-// a client resuming from a stale position is told to resync immediately.
-func TestWatchLongPoll(t *testing.T) {
+// A subscriber resuming from a stale position is told to resync: ?from=0
+// behind the committed position opens with an init event carrying
+// resync=true, while resuming at the current position does not.
+func TestWatchStaleResumeResync(t *testing.T) {
 	w := testWorkload(t)
 	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
 	p := w.QueryPairsConnected(1)[0]
 	postJSON(t, client, ts.URL+"/v1/query", queryRequest{S: p[0], D: p[1]})
-
-	done := make(chan watchEventJSON, 1)
-	go func() {
-		var ev watchEventJSON
-		getJSON(t, client, ts.URL+"/v1/watch?mode=poll&wait=2s", &ev)
-		done <- ev
-	}()
-	time.Sleep(50 * time.Millisecond) // let the poller park
 	for i := 0; i < 4; i++ {
 		postUpdatesHTTP(t, client, ts.URL, w.NextBatch())
 	}
 	waitQuiescedSrv(t, srv)
-	select {
-	case ev := <-done:
-		if ev.Resync {
-			t.Fatalf("unexpected resync: %+v", ev)
-		}
-		if ev.Pos == 0 && len(ev.Changed) > 0 {
-			t.Fatalf("delta without position: %+v", ev)
-		}
-	case <-time.After(6 * time.Second):
-		t.Fatal("long-poll never returned")
-	}
-
-	if srv.Applied() == 0 {
+	pos := srv.Applied()
+	if pos == 0 {
 		t.Fatal("no batch committed")
 	}
-	// from=0 is behind any committed position: the client must resync.
-	var stale watchEventJSON
-	getJSON(t, client, ts.URL+"/v1/watch?mode=poll&from=0", &stale)
-	if !stale.Resync {
-		t.Fatalf("stale resume got %+v, want resync", stale)
-	}
-	if err := srv.Drain(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		from   uint64
+		resync bool
+	}{{0, true}, {pos, false}} {
+		events, cancel := openWatch(t, client, fmt.Sprintf("%s/v1/watch?from=%d", ts.URL, tc.from))
+		ev, ok := nextEvent(events, 5*time.Second)
+		cancel()
+		if !ok || ev.typ != "init" || ev.body.Pos != pos || ev.body.Resync != tc.resync {
+			t.Fatalf("?from=%d opened with %+v (ok=%v), want init at %d with resync=%v", tc.from, ev, ok, pos, tc.resync)
+		}
 	}
 }
 
-// End-to-end differential guard for change-driven skipping: two servers —
-// production (skip on) and DisableChangeSkip — fed the identical batch
-// sequence must serve byte-identical /v1/answers bodies (including the
-// global position) after every batch, while only the skip server's
-// update_skipped_queries counter moves.
+// End-to-end differential guard for change-driven skipping: after every
+// batch, the served /v1/answers body must be byte-identical to one rendered
+// from a cold start of every query on the server's topology (core.ColdStart,
+// the paper's CS baseline, which shares no skip logic), while the server's
+// update_skipped_queries counter proves skipping engaged.
 func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
-	w1, w2 := testWorkload(t), testWorkload(t)
+	w := testWorkload(t)
 	a := testAlgo(t)
-	mk := func(w0 *graph.Dynamic, disable bool) (*Server, *httptest.Server) {
-		cfg := testServerConfig()
-		cfg.DisableChangeSkip = disable
-		srv, err := New(w0, a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv, httptest.NewServer(srv.Handler())
+	srv, err := New(w.Initial(), a, testServerConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	skipSrv, skipTS := mk(w1.Initial(), false)
-	defer skipTS.Close()
-	fullSrv, fullTS := mk(w2.Initial(), true)
-	defer fullTS.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
 	// Clustered sources so source groups exist (the skip unit of proof).
-	pairs := w1.QueryPairsConnected(4)
-	var qs []core.Query
+	pairs := w.QueryPairsConnected(4)
 	for _, p := range pairs {
 		for _, p2 := range pairs {
-			if p[0] != p2[1] {
-				qs = append(qs, core.Query{S: p[0], D: p2[1]})
+			if p[0] == p2[1] {
+				continue
 			}
-		}
-	}
-	for _, q := range qs {
-		for _, ts := range []*httptest.Server{skipTS, fullTS} {
-			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", queryRequest{S: q.S, D: q.D})
+			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/query", queryRequest{S: p[0], D: p2[1]})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("POST /v1/query: status %d: %s", resp.StatusCode, body)
 			}
 		}
 	}
 
-	readBody := func(ts *httptest.Server) []byte {
+	readBody := func() []byte {
 		resp, err := ts.Client().Get(ts.URL + "/v1/answers")
 		if err != nil {
 			t.Fatal(err)
@@ -334,15 +308,25 @@ func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 		}
 		return b
 	}
+	// coldBody renders /v1/answers from a cold start of every query. The
+	// test is the server's only writer, so it reads the topology unlocked.
+	coldBody := func() []byte {
+		snap := srv.Pool().Answers()
+		cold := &Snapshot{Queries: snap.Queries, Values: make([]algo.Value, len(snap.Queries))}
+		topo := srv.Pool().Topology()
+		for i, q := range snap.Queries {
+			cs := core.NewColdStart()
+			cs.Reset(topo.Clone(), a, q)
+			cold.Values[i] = cs.Answer()
+		}
+		return appendAnswers(nil, srv.Applied(), srv.Quiesced(), cold, 0, len(cold.Values))
+	}
 
-	// Drive both pipelines with identical, deterministic batch boundaries
-	// (the exported ingest path cuts its own windows, which would desync the
-	// position counters between the two servers). Small batches keep their
-	// dirty regions bounded so skipping has room to engage.
+	// Small batches through the commit stage directly keep their dirty
+	// regions bounded, so skipping has room to engage.
 	var chunks [][]graph.Update
 	for i := 0; i < 3; i++ {
-		b := w1.NextBatch()
-		w2.NextBatch() // keep the twin workload in lockstep
+		b := w.NextBatch()
 		for len(b) > 0 {
 			n := min(8, len(b))
 			chunks = append(chunks, b[:n])
@@ -350,23 +334,15 @@ func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 		}
 	}
 	for i, c := range chunks {
-		skipSrv.applyBatch(c, CutSize)
-		fullSrv.applyBatch(c, CutSize)
-		sb, fb := readBody(skipTS), readBody(fullTS)
-		if !bytes.Equal(sb, fb) {
-			t.Fatalf("chunk %d: /v1/answers bodies diverged\nskip: %s\nfull: %s", i, sb, fb)
+		srv.applyBatch(c, CutSize)
+		if got, want := readBody(), coldBody(); !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d: /v1/answers bodies diverged\nserved: %s\ncold:   %s", i, got, want)
 		}
 	}
-	if got := skipSrv.Pool().Counters().Get("update_skipped_queries"); got == 0 {
-		t.Error("skip server never skipped a query (update_skipped_queries=0)")
+	if got := srv.Pool().Counters().Get("update_skipped_queries"); got == 0 {
+		t.Error("server never skipped a query (update_skipped_queries=0)")
 	}
-	if got := fullSrv.Pool().Counters().Get("update_skipped_queries"); got != 0 {
-		t.Errorf("DisableChangeSkip server skipped %d queries, want 0", got)
-	}
-	if err := skipSrv.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fullSrv.Drain(); err != nil {
+	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,8 +4,8 @@
 # with loadgen while 16 SSE subscribers fold the pushed deltas into private
 # views that must converge onto the polled /v1/answers (and the whole stream
 # must verify against an offline engine). Then exercise the raw wire: an SSE
-# subscription must open with an init event, a stale long-poll resume must be
-# told to resync, the watch metric families must be exported, and a SIGTERM
+# subscription must open with an init event, a stale SSE resume (?from=0)
+# must open with an init event that demands a resync, the watch metric families must be exported, and a SIGTERM
 # with a live subscriber attached must drain promptly (the shutdown hook ends
 # watch streams; they must not pin the HTTP server to its deadline) while the
 # subscriber receives a clean bye event — on a stream that has by then been
@@ -57,9 +57,10 @@ curl -fsS -N --max-time 2 "http://$ADDR/v1/watch" >"$WORK/sse_init.txt" || true
 grep -q '^event: init' "$WORK/sse_init.txt" \
     || { echo "FAIL: no init event on /v1/watch"; cat "$WORK/sse_init.txt"; exit 1; }
 
-echo "== stale long-poll resume must be told to resync"
-curl -fsS "http://$ADDR/v1/watch?mode=poll&from=0&wait=1s" | grep -q '"resync":true' \
-    || { echo "FAIL: ?mode=poll&from=0 did not demand a resync"; exit 1; }
+echo "== stale SSE resume must be told to resync"
+curl -fsS -N --max-time 2 "http://$ADDR/v1/watch?from=0" >"$WORK/sse_stale.txt" || true
+grep -A1 '^event: init' "$WORK/sse_stale.txt" | grep -q '"resync":true' \
+    || { echo "FAIL: ?from=0 did not open with a resync"; cat "$WORK/sse_stale.txt"; exit 1; }
 
 echo "== watch metric families exported"
 METRICS=$(curl -fsS "http://$ADDR/metrics")
