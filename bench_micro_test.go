@@ -24,3 +24,6 @@ func BenchmarkApplyBatch(b *testing.B)       { bench.ApplyBatch(b) }
 func BenchmarkMultiQueryScaleQ16Dense(b *testing.B) { bench.MultiQueryScale(16)(b) }
 
 func BenchmarkBatchRepairQ64S64(b *testing.B) { bench.BatchRepair(64, 64)(b) }
+
+func BenchmarkColdStartS64(b *testing.B) { bench.ColdStart(64)(b) }
+func BenchmarkGraphBuild(b *testing.B)   { bench.GraphBuild(b) }

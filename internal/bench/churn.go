@@ -68,9 +68,22 @@ const churnGroup = 512
 // highest-degree vertices of the loaded half of a scale-12 RMAT graph, and
 // returns it with the toggle stream that churns that graph.
 func churnEngine(q, sources int) (*core.MultiCISO, *toggleChurn) {
-	const scale = 12
-	n := 1 << scale
-	churn := newToggleChurn(graph.RMAT("fpmix", scale, 16*n, graph.DefaultRMAT, 64, 42), 42)
+	churn, g, qs := churnQueries(q, sources)
+	m := core.NewMultiCISO()
+	m.Reset(g, algo.PPSP{}, qs)
+	return m, churn
+}
+
+// churnScale is the RMAT scale of the churn rows' graph.
+const churnScale = 12
+
+// churnQueries builds the churn rows' inputs: the toggle stream over a
+// scale-12 RMAT graph, its loaded half as a topology, and q queries spread
+// over that topology's `sources` highest-degree vertices, each to a vertex
+// its source reaches.
+func churnQueries(q, sources int) (*toggleChurn, *graph.Dynamic, []core.Query) {
+	n := 1 << churnScale
+	churn := newToggleChurn(graph.RMAT("fpmix", churnScale, 16*n, graph.DefaultRMAT, 64, 42), 42)
 	g := churn.initial(n)
 	rng := rand.New(rand.NewSource(42))
 	qs := make([]core.Query, 0, q)
@@ -85,9 +98,44 @@ func churnEngine(q, sources int) (*core.MultiCISO, *toggleChurn) {
 			qs = append(qs, core.Query{S: s, D: reach[rng.Intn(len(reach))]})
 		}
 	}
-	m := core.NewMultiCISO()
-	m.Reset(g, algo.PPSP{}, qs)
-	return m, churn
+	return churn, g, qs
+}
+
+// ColdStart measures a MultiCISO Reset over the churn rows' graph with one
+// query per source for `sources` hub sources: one cold start (a full drain
+// from the source) per source, serially. engine-batch's daemon pays it at
+// every start-up and restore (Q64_S64). Metric: ms/source — Reset time over
+// the source count.
+func ColdStart(sources int) func(b *testing.B) {
+	return func(b *testing.B) {
+		_, g, qs := churnQueries(sources, sources)
+		m := core.NewMultiCISO()
+		m.Reset(g, algo.PPSP{}, qs) // untimed: warm the allocator
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Reset(g, algo.PPSP{}, qs)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*sources), "ms/source")
+	}
+}
+
+// builtGraph keeps GraphBuild's result alive, so the build is not elided.
+var builtGraph *graph.Dynamic
+
+// GraphBuild measures graph.FromEdgeList over the churn rows' loaded half
+// (scale 12, ~32 Ki arcs): the topology build a daemon pays on start-up
+// from its snapshot and, through the same path, on restore from a
+// checkpoint.
+func GraphBuild(b *testing.B) {
+	churn := newToggleChurn(graph.RMAT("fpmix", churnScale, 16<<churnScale, graph.DefaultRMAT, 64, 42), 42)
+	el := &graph.EdgeList{N: 1 << churnScale, Arcs: churn.pools[1]}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtGraph = graph.FromEdgeList(el)
+	}
 }
 
 // BatchRepair measures the engine's one apply face (MultiCISO.ApplyBatchDelta,

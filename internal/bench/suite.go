@@ -50,6 +50,8 @@ func Suite() []Case {
 		{Name: "BatchRepair_Q4_S4", Bench: BatchRepair(4, 4)},
 		{Name: "BatchRepair_Q128_S16", Bench: BatchRepair(128, 16)},
 		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
+		{Name: "ColdStart_S64", Bench: ColdStart(64)},
+		{Name: "GraphBuild", Bench: GraphBuild},
 		{Name: "ServerAnswers", Bench: ServerAnswers},
 		// The _Dense suffix keeps the names of earlier BENCH_*.json rows.
 		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16)},

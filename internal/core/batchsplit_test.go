@@ -145,9 +145,11 @@ func groupMatchesPerUpdate(t *testing.T, where string, m, ref *MultiCISO, groups
 		if d.Err != nil {
 			t.Fatalf("%s group %d: %v", where, gi, d.Err)
 		}
+		assertScratchesQuiescent(t, where, m)
 		processed += d.Processed
 		for _, up := range group {
 			ref.ApplyBatchDelta([]graph.Update{up})
+			assertScratchesQuiescent(t, where+" reference", ref)
 		}
 		sameConvergedState(t, where, m, ref)
 		for i := range m.queries {
@@ -318,6 +320,7 @@ func TestRepresentativesMaintained(t *testing.T) {
 		if err := m.ApplyBatchDelta(group).Err; (err != nil) != wantErr {
 			t.Fatalf("%s: err = %v, want error %v", where, err, wantErr)
 		}
+		assertScratchesQuiescent(t, where, m) // a recovered panic scrubs its slot
 		for _, up := range group {
 			ref.ApplyBatchDelta([]graph.Update{up})
 		}

@@ -47,7 +47,7 @@ func PropagationBenchmark() func(n int) {
 				st.val[v] = 99 // worsen the whole suffix…
 			}
 			st.relaxEdge(0, 1, 1) // …and re-converge it
-			st.drain()
+			st.drain(nil)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func PropagationBenchmark() func(n int) {
 // ring for plateau ones). Scores are spread so heap sifting does real work.
 func WorklistBenchmark(a algo.Algorithm, size int) func(n int) {
 	var wl worklist
-	wl.arm(a)
+	wl.arm(a, size)
 	return func(n int) {
 		for i := 0; i < n; i++ {
 			wl.reset()

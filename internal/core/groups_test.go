@@ -126,6 +126,7 @@ func TestSharedSourceGroups(t *testing.T) {
 			pre := m.Answers()
 			moved, srcMoved := countsSince(m), countsSince(grefs...)
 			d := m.ApplyBatchDelta(batch)
+			assertScratchesQuiescent(t, where, m)
 			for _, g := range grefs {
 				g.ApplyBatchDelta(batch)
 			}
@@ -244,7 +245,9 @@ func TestSuspectGroupHeals(t *testing.T) {
 		for _, ref := range refs {
 			ref.ApplyBatchDelta(batch)
 		}
-		return m.ApplyBatchDelta(batch)
+		d := m.ApplyBatchDelta(batch)
+		assertScratchesQuiescent(t, "suspect heal", m)
+		return d
 	}
 
 	// A phase panic whose recovery panics too; the next batch heals.

@@ -137,7 +137,8 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 // source's group with a cold start on the source's first registration.
 func (m *MultiCISO) addLocked(q Query) (int, algo.Value) {
 	if _, ok := m.groupOf[q.S]; !ok {
-		m.openLocked(computeState(m.g, m.a, q.S, m.cnt))
+		m.ensureScratches(1)
+		m.openLocked(computeState(m.scs[0], m.g, m.a, q.S, m.cnt))
 	}
 	return m.joinLocked(q)
 }
@@ -164,10 +165,12 @@ func (m *MultiCISO) joinLocked(q Query) (int, algo.Value) {
 
 // computeState cold-starts a state for src against g (which must not be
 // mutated during the call — callers either hold the write lock or own a
-// private clone). Multi-owned states carry no scratch of their own;
-// forEachGroup attaches a worker slot's scratch per execution.
-func computeState(g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
-	st := newStateOn(newScratch(a, g.NumVertices()), g, a, src, cnt)
+// private clone) on the scratch sc, which the caller must own for the call
+// (under the write lock, a worker slot's). Multi-owned states carry no
+// scratch of their own; forEachGroup attaches a worker slot's scratch per
+// execution.
+func computeState(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
+	st := newStateOn(sc, g, a, src, cnt)
 	st.fullCompute()
 	st.sc = nil
 	return st
@@ -202,7 +205,7 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 		var cnt *stats.Counters
 		if !joined {
 			cnt = stats.NewCounters()
-			st = computeState(gc, a, q.S, cnt)
+			st = computeState(newScratch(a, gc.NumVertices()), gc, a, q.S, cnt)
 		}
 
 		m.mu.Lock()

@@ -242,6 +242,7 @@ func TestMultiCISOQueryPanicRecovery(t *testing.T) {
 				case <-time.After(30 * time.Second):
 					t.Fatal("ApplyBatchDelta deadlocked after an injected panic")
 				}
+				assertScratchesQuiescent(t, fmt.Sprintf("%s batch %d", name, bi), m)
 				got := m.Answers()
 				for i := range qs {
 					// Even the panicked query must answer correctly: its

@@ -29,16 +29,21 @@ func (st *state) relaxEdge(u, v graph.VertexID, w float64) bool {
 }
 
 // drain runs best-first propagation until the worklist empties — the one
-// drain every engine and phase uses (DESIGN.md §16). Stale entries (value no
-// longer current) are skipped lazily.
-func (st *state) drain() {
+// drain every engine and phase uses (DESIGN.md §16). With a mark set it
+// relaxes only the out-edges into marked vertices: a region repair's drain
+// (repairRegion), whose relaxations into any other vertex provably fail.
+// nil relaxes every out-edge.
+func (st *state) drain(mark []bool) {
 	wl := &st.sc.wl
 	for wl.len() > 0 {
 		v, score := wl.pop()
 		if st.val[v] != score {
-			continue // superseded by a better value
+			continue // cheap guard: the indexed heap never pops a superseded entry
 		}
 		for _, e := range st.g.Out(v) {
+			if mark != nil && !mark[e.To] {
+				continue
+			}
 			st.relaxEdge(v, e.To, e.W)
 		}
 	}
@@ -51,7 +56,7 @@ func (st *state) drain() {
 func (st *state) processAddition(u, v graph.VertexID, w float64) bool {
 	changed := st.relaxEdge(u, v, w)
 	if changed {
-		st.drain()
+		st.drain(nil)
 	}
 	st.flush()
 	return changed
@@ -66,7 +71,7 @@ func (st *state) processAdditions(adds []graph.Update) {
 		st.relaxEdge(up.From, up.To, up.W)
 	}
 	if st.sc.wl.len() > 0 {
-		st.drain()
+		st.drain(nil)
 	}
 	st.flush()
 }
@@ -202,7 +207,9 @@ func (st *state) repairHeads() {
 // a tentative state and is pushed. That value has seen every supplier but
 // the marked ones — which end up broken (pushed, so the drain relaxes their
 // out-edges) or adopted later, and those relax their edges into the broken
-// set here, before the drain settles the rest.
+// set here, before the drain settles the rest. The broken set stays marked
+// through the drain, which relaxes only into it: every other vertex keeps a
+// value no region vertex can improve (DESIGN.md §9.6).
 func (st *state) repairRegion(region []graph.VertexID) {
 	sc := st.sc
 	inSet := sc.inSet
@@ -229,7 +236,6 @@ func (st *state) repairRegion(region []graph.VertexID) {
 			late = append(late, x)
 		}
 	}
-	sc.wl.reset()
 	for _, x := range broken {
 		if val := st.val[x]; st.op.reached(val) {
 			st.tally[tAct]++
@@ -243,11 +249,11 @@ func (st *state) repairRegion(region []graph.VertexID) {
 			}
 		}
 	}
+	st.drain(inSet)
 	for _, x := range broken {
 		inSet[x] = false
 	}
 	sc.broken, sc.late = broken[:0], late[:0]
-	st.drain()
 }
 
 // chainPasses reports whether y's parent chain passes through v (i.e. y's

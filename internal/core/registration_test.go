@@ -202,6 +202,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 				if d := m.ApplyBatchDelta(batch); d.Err != nil {
 					t.Fatalf("%s: %v", where, d.Err)
 				}
+				assertScratchesQuiescent(t, where, m)
 				for _, ref := range refs {
 					ref.ApplyBatchDelta(batch)
 				}

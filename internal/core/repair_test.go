@@ -50,7 +50,7 @@ func assertStateMatches(t *testing.T, label string, ref, st *state) {
 // assertKernelQuiescent is the after-every-batch audit: every state equals a
 // cold start on the engine's topology (values bitwise; dependency tree valid
 // and rooted), no tally is left unflushed, and every scratch slot is back in
-// its between-operations state.
+// its between-operations state (assertScratchesQuiescent).
 func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 	t.Helper()
 	for gi, g := range m.groups {
@@ -65,9 +65,22 @@ func assertKernelQuiescent(t *testing.T, label string, m *MultiCISO) {
 			t.Fatalf("%s group %d: scratch still attached", label, gi)
 		}
 	}
+	assertScratchesQuiescent(t, label, m)
+}
+
+// assertScratchesQuiescent checks that every scratch slot of m is in its
+// between-operations state: the worklist empty and its index all zero, no
+// vertex marked, no key path held.
+func assertScratchesQuiescent(t *testing.T, label string, m *MultiCISO) {
+	t.Helper()
 	for slot, sc := range m.scs {
 		if sc.wl.len() != 0 || len(sc.path) != 0 {
 			t.Fatalf("%s slot %d: worklist %d, key path %d left behind", label, slot, sc.wl.len(), len(sc.path))
+		}
+		for v, p := range sc.wl.pos {
+			if p != 0 {
+				t.Fatalf("%s slot %d: vertex %d still indexed at heap slot %d", label, slot, v, p-1)
+			}
 		}
 		for v := range sc.inSet {
 			if sc.inSet[v] || sc.onPath[v] {
@@ -526,4 +539,61 @@ func TestCountersFlushedAtEveryExit(t *testing.T) {
 		t.Fatalf("query_panic = %d, want 1", got)
 	}
 	assertCountersFlushed(t, "panic batch", m)
+	assertScratchesQuiescent(t, "panic batch", m)
+}
+
+// TestRegionDrainStaysInRegion pins the region-bounded drain (DESIGN.md
+// §9.6): a tagged region whose every vertex has out-edges to many vertices
+// outside it — each holding a value no region vertex can improve — is
+// repaired without relaxing a single one of those edges, and the values
+// still equal a cold start's, on every algebra.
+func TestRegionDrainStaysInRegion(t *testing.T) {
+	const sinks = 40
+	for _, a := range allAlgebras() {
+		// good is the raw weight the algebra prefers, bad the other.
+		good, bad := 1.0, 5.0
+		if a.Better(a.Propagate(a.Source(), a.Weight(bad)), a.Propagate(a.Source(), a.Weight(good))) {
+			good, bad = bad, good
+		}
+		// 0 → 1 → 2 → 3 is the key path; 1 keeps a worse supplier through
+		// 4, so deleting 0 → 1 breaks the region {1, 2, 3}. Every sink
+		// hangs off the source directly, and off each region vertex too.
+		g := graph.NewDynamic(5 + sinks)
+		g.AddEdge(0, 1, good)
+		g.AddEdge(0, 4, bad)
+		g.AddEdge(4, 1, bad)
+		g.AddEdge(1, 2, good)
+		g.AddEdge(2, 3, good)
+		for s := graph.VertexID(5); s < 5+sinks; s++ {
+			g.AddEdge(0, s, good)
+			for r := graph.VertexID(1); r <= 3; r++ {
+				g.AddEdge(r, s, good)
+			}
+		}
+		q := Query{S: 0, D: 3}
+		m := NewMultiCISO()
+		m.Reset(g, a, []Query{q})
+		before := m.Counters().Snapshot()
+		if d := m.ApplyBatchDelta([]graph.Update{graph.Del(0, 1, good)}); d.Err != nil {
+			t.Fatalf("%s: %v", a.Name(), d.Err)
+		}
+		after := m.Counters().Snapshot()
+		if relax := after[stats.CntRelax] - before[stats.CntRelax]; relax >= sinks {
+			t.Fatalf("%s: the repair relaxed %d edges; the region has only %d edges inside it and %d out of it",
+				a.Name(), relax, 2, 3*sinks)
+		}
+		if _, plateau := a.(algo.Reach); !plateau && after[stats.CntRepairRegion] == before[stats.CntRepairRegion] {
+			t.Fatalf("%s: the deletion was not repaired as a region", a.Name())
+		}
+		cs := NewColdStart()
+		cs.Reset(m.g.Clone(), a, q)
+		ref, got := cs.StateForTest(), m.stateOf(0).val
+		for v := range ref {
+			if got[v] != ref[v] {
+				t.Fatalf("%s: vertex %d: %v, cold start %v", a.Name(), v, got[v], ref[v])
+			}
+		}
+		checkInvariant(t, m.stateOf(0))
+		assertScratchesQuiescent(t, a.Name(), m)
+	}
 }

@@ -12,10 +12,11 @@ import (
 
 // scratch is the per-execution working set: the worklist, the tagging buffer
 // and the membership/key-path mark arrays. None of it survives a state's
-// processing — between operations the worklist is empty and every mark is
-// false — so MultiCISO shares one scratch per worker slot across all the
-// source groups that slot executes, keeping scratch memory O(V × workers)
-// instead of O(V × sources). Single-query engines own one scratch per state.
+// processing — between operations the worklist is empty, its index all zero
+// and every mark is false — so MultiCISO shares one scratch per worker slot
+// across all the source groups that slot executes, keeping scratch memory
+// O(V × workers) instead of O(V × sources). Single-query engines own one
+// scratch per state.
 type scratch struct {
 	wl     worklist
 	buf    []graph.VertexID // reusable buffer for tagging
@@ -35,7 +36,7 @@ type scratch struct {
 // newScratch builds a scratch for n vertices, armed for a's worklist order.
 func newScratch(a algo.Algorithm, n int) *scratch {
 	sc := &scratch{inSet: make([]bool, n), onPath: make([]bool, n)}
-	sc.wl.arm(a)
+	sc.wl.arm(a, n)
 	return sc
 }
 
@@ -44,6 +45,7 @@ func newScratch(a algo.Algorithm, n int) *scratch {
 // normal operation restores the marks as it goes.
 func (sc *scratch) clear() {
 	sc.wl.reset()
+	clear(sc.wl.pos) // a sift cut short by a panic can leave an entry unindexed
 	sc.buf = sc.buf[:0]
 	for i := range sc.inSet {
 		sc.inSet[i] = false
@@ -54,36 +56,52 @@ func (sc *scratch) clear() {
 	sc.path = sc.path[:0]
 }
 
-// worklist is a lazy best-first priority queue over (vertex, score) pairs.
-// Best-first order makes propagation label-setting for monotone algorithms
-// (a generic Dijkstra); stale entries are skipped at pop time.
+// worklist is an indexed best-first priority queue over (vertex, score)
+// pairs. Best-first order makes propagation label-setting for monotone
+// algorithms (a generic Dijkstra).
 //
-// The queue is a monomorphic binary heap over []wlItem — sift-up/sift-down
+// In heap mode it holds at most one entry per vertex: pos maps a vertex to
+// 1 + its slot in items (0 when absent), and a push of a queued vertex
+// re-scores its entry in place and sifts it (decrease-key), so a pop never
+// yields a superseded entry and the heap never outgrows the vertex count.
+// The heap is 4-ary and monomorphic over []wlItem — sift-up/sift-down
 // written against the concrete element type, so pushes and pops never box
 // through an interface and the backing array is reused across reset cycles
-// (zero allocations at steady state; tests assert this).
+// (zero allocations at steady state; tests assert this). Table algebras store
+// score·sign as the key, so a sift step is one float compare; generic
+// plug-ins compare through Better.
 //
 // For plateau algebras (algo.IsPlateau: every live score ties, e.g. Reach)
 // the heap degenerates to a FIFO ring over the same backing array: when all
 // scores are equal, arrival order IS best-first order, and push/pop become
-// pointer bumps.
+// pointer bumps. The ring keeps no index.
 type worklist struct {
-	op    ops // heap order: the algebra's ⊗ through its op-code
-	fifo  bool
-	items []wlItem
-	head  int // FIFO mode: index of the next pop; always 0 in heap mode
+	op      ops // heap order: the algebra's ⊗ through its op-code
+	fifo    bool
+	generic bool // heap keys compare through op.a.Better, not <
+	items   []wlItem
+	pos     []int32 // heap mode: vertex → 1 + its slot in items, 0 when absent
+	head    int     // FIFO mode: index of the next pop; always 0 in heap mode
 }
 
+// wlItem is a queued vertex and its key: score·sign for table algebras (so
+// smaller is better), the score itself for generic plug-ins.
 type wlItem struct {
-	v     graph.VertexID
-	score algo.Value
+	v   graph.VertexID
+	key algo.Value
 }
 
-// arm binds the worklist to an algorithm and selects the plateau fast path.
-func (w *worklist) arm(a algo.Algorithm) {
+// arm binds the worklist to an algorithm over n vertices and selects the
+// plateau fast path.
+func (w *worklist) arm(a algo.Algorithm, n int) {
 	w.op = resolveOps(a)
 	w.fifo = algo.IsPlateau(a)
-	w.reset()
+	w.generic = w.op.code == opGeneric
+	w.pos = nil
+	if !w.fifo {
+		w.pos = make([]int32, n)
+	}
+	w.items, w.head = w.items[:0], 0
 }
 
 // worklistShrinkCap is the high-water mark on the worklist's backing array:
@@ -93,7 +111,14 @@ func (w *worklist) arm(a algo.Algorithm) {
 // shrink only ever fires after a genuinely exceptional batch.
 const worklistShrinkCap = 1 << 16
 
+// reset empties the worklist, clearing the index of every entry left queued
+// (a search that stops early leaves some behind).
 func (w *worklist) reset() {
+	if !w.fifo {
+		for _, it := range w.items {
+			w.pos[it.v] = 0
+		}
+	}
 	if cap(w.items) > worklistShrinkCap {
 		w.items = nil // next push reallocates at append's default growth
 	} else {
@@ -104,11 +129,27 @@ func (w *worklist) reset() {
 
 func (w *worklist) len() int { return len(w.items) - w.head }
 
+// push queues v at score, or — in heap mode, when v is queued already —
+// re-scores its entry and sifts it to its new place.
 func (w *worklist) push(v graph.VertexID, score algo.Value) {
-	w.items = append(w.items, wlItem{v: v, score: score})
-	if !w.fifo {
-		w.siftUp(len(w.items) - 1)
+	if w.fifo {
+		w.items = append(w.items, wlItem{v: v, key: score})
+		return
 	}
+	key := score * w.op.sign
+	if p := w.pos[v]; p != 0 {
+		i := int(p - 1)
+		old := w.items[i].key
+		w.items[i].key = key
+		if w.less(key, old) {
+			w.siftUp(i)
+		} else {
+			w.siftDown(i)
+		}
+		return
+	}
+	w.items = append(w.items, wlItem{v: v, key: key})
+	w.siftUp(len(w.items) - 1)
 }
 
 func (w *worklist) pop() (graph.VertexID, algo.Value) {
@@ -119,49 +160,113 @@ func (w *worklist) pop() (graph.VertexID, algo.Value) {
 			w.items = w.items[:0]
 			w.head = 0
 		}
-		return it.v, it.score
+		return it.v, it.key
 	}
 	it := w.items[0]
+	w.pos[it.v] = 0
 	last := len(w.items) - 1
-	w.items[0] = w.items[last]
-	w.items = w.items[:last]
-	if last > 1 {
+	if last > 0 {
+		w.items[0] = w.items[last]
+		w.items = w.items[:last]
 		w.siftDown(0)
+	} else {
+		w.items = w.items[:0]
 	}
-	return it.v, it.score
+	return it.v, it.key * w.op.sign
 }
 
-func (w *worklist) siftUp(i int) {
-	item := w.items[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !w.op.better(item.score, w.items[p].score) {
-			break
-		}
-		w.items[i] = w.items[p]
-		i = p
+// less orders two heap keys: true when a is strictly better than b.
+func (w *worklist) less(a, b algo.Value) bool {
+	if w.generic {
+		return w.op.a.Better(a, b)
 	}
-	w.items[i] = item
+	return a < b
+}
+
+// heapArity is the heap's fan-out. A cold start's heap holds a large share
+// of the vertices, and four children per slot halve the sift-down depth of
+// a binary heap for one more compare per level (DESIGN.md §9.2 has the
+// measurement).
+const heapArity = 4
+
+// siftUp and siftDown move items[i] to its place with the hole-shifting
+// idiom, keeping pos in step with every entry they move. The algebra is
+// resolved once per sift: table keys compare with <, generic ones through
+// Better.
+func (w *worklist) siftUp(i int) {
+	items, pos := w.items, w.pos
+	item := items[i]
+	if w.generic {
+		better := w.op.a.Better
+		for i > 0 {
+			p := (i - 1) / heapArity
+			if !better(item.key, items[p].key) {
+				break
+			}
+			items[i] = items[p]
+			pos[items[i].v] = int32(i + 1)
+			i = p
+		}
+	} else {
+		for i > 0 {
+			p := (i - 1) / heapArity
+			if !(item.key < items[p].key) {
+				break
+			}
+			items[i] = items[p]
+			pos[items[i].v] = int32(i + 1)
+			i = p
+		}
+	}
+	items[i] = item
+	pos[item.v] = int32(i + 1)
 }
 
 func (w *worklist) siftDown(i int) {
-	n := len(w.items)
-	item := w.items[i]
-	for {
-		best := 2*i + 1
-		if best >= n {
-			break
+	items, pos := w.items, w.pos
+	n := len(items)
+	item := items[i]
+	if w.generic {
+		better := w.op.a.Better
+		for {
+			best := heapArity*i + 1
+			if best >= n {
+				break
+			}
+			for c, end := best+1, min(best+heapArity, n); c < end; c++ {
+				if better(items[c].key, items[best].key) {
+					best = c
+				}
+			}
+			if !better(items[best].key, item.key) {
+				break
+			}
+			items[i] = items[best]
+			pos[items[i].v] = int32(i + 1)
+			i = best
 		}
-		if r := best + 1; r < n && w.op.better(w.items[r].score, w.items[best].score) {
-			best = r
+	} else {
+		for {
+			best := heapArity*i + 1
+			if best >= n {
+				break
+			}
+			bk, end := items[best].key, min(best+heapArity, n)
+			for c := best + 1; c < end; c++ {
+				if items[c].key < bk {
+					best, bk = c, items[c].key
+				}
+			}
+			if !(bk < item.key) {
+				break
+			}
+			items[i] = items[best]
+			pos[items[i].v] = int32(i + 1)
+			i = best
 		}
-		if !w.op.better(w.items[best].score, item.score) {
-			break
-		}
-		w.items[i] = w.items[best]
-		i = best
 	}
-	w.items[i] = item
+	items[i] = item
+	pos[item.v] = int32(i + 1)
 }
 
 // pendingDeletion is a classified deletion awaiting its scheduling slot.

@@ -156,6 +156,6 @@ func (st *state) fullCompute() {
 	st.resetAll()
 	st.sc.wl.reset()
 	st.sc.wl.push(st.src, st.val[st.src])
-	st.drain()
+	st.drain(nil)
 	st.flush()
 }

@@ -232,7 +232,7 @@ func TestCountersTrackRelaxAndActivation(t *testing.T) {
 
 func TestWorklistBestFirst(t *testing.T) {
 	var wl worklist
-	wl.arm(algo.PPSP{})
+	wl.arm(algo.PPSP{}, 16)
 	wl.push(1, 5)
 	wl.push(2, 1)
 	wl.push(3, 3)
@@ -240,7 +240,7 @@ func TestWorklistBestFirst(t *testing.T) {
 	if v != 2 || s != 1 {
 		t.Fatalf("pop = %d,%v; want best-first 2,1", v, s)
 	}
-	wl.arm(algo.PPWP{})
+	wl.arm(algo.PPWP{}, 16)
 	wl.push(1, 5)
 	wl.push(2, 9)
 	v, s = wl.pop()
@@ -253,7 +253,7 @@ func TestWorklistBestFirst(t *testing.T) {
 // sort reference, across interleaved push/pop sequences.
 func TestWorklistHeapMatchesSortedOrder(t *testing.T) {
 	var wl worklist
-	wl.arm(algo.PPSP{})
+	wl.arm(algo.PPSP{}, 16)
 	scores := []float64{9, 4, 7, 1, 8, 2, 6, 3, 5, 0, 11, 10}
 	for i, s := range scores {
 		wl.push(graph.VertexID(i), s)
@@ -283,7 +283,7 @@ func TestWorklistHeapMatchesSortedOrder(t *testing.T) {
 // arrival order; non-plateau algebras must not.
 func TestWorklistPlateauFIFO(t *testing.T) {
 	var wl worklist
-	wl.arm(algo.Reach{})
+	wl.arm(algo.Reach{}, 16)
 	if !wl.fifo {
 		t.Fatal("Reach must select the FIFO fast path")
 	}
@@ -304,7 +304,7 @@ func TestWorklistPlateauFIFO(t *testing.T) {
 	if wl.head != 0 || len(wl.items) != 1 {
 		t.Fatalf("ring did not rewind: head=%d len=%d", wl.head, len(wl.items))
 	}
-	wl.arm(algo.PPSP{})
+	wl.arm(algo.PPSP{}, 16)
 	if wl.fifo {
 		t.Fatal("PPSP must use the heap")
 	}
@@ -316,10 +316,13 @@ func TestWorklistPlateauFIFO(t *testing.T) {
 func TestWorklistZeroAllocSteadyState(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.PPSP{}, algo.Reach{}} {
 		var wl worklist
-		wl.arm(a)
+		wl.arm(a, 64)
 		cycle := func() {
 			for j := 0; j < 64; j++ {
 				wl.push(graph.VertexID(j), a.Source())
+			}
+			for j := 0; j < 64; j += 2 {
+				wl.push(graph.VertexID(j), a.Source()) // a re-push re-scores in place
 			}
 			for wl.len() > 0 {
 				wl.pop()
@@ -349,7 +352,7 @@ func TestRelaxPathZeroAllocSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() {
 		st.val[2] = 99 // pretend 2 worsened
 		st.relaxEdge(1, 2, 1)
-		st.drain()
+		st.drain(nil)
 	}); allocs != 0 {
 		t.Fatalf("improving relax+drain allocates %v/run", allocs)
 	}

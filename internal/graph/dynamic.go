@@ -40,14 +40,59 @@ func NewDynamic(n int) *Dynamic {
 	}
 }
 
-// FromEdgeList builds a Dynamic containing every arc of e.
-// Duplicate (from,to) pairs keep the first weight.
+// FromEdgeList builds a Dynamic containing every arc of e. Duplicate
+// (from,to) pairs keep the first weight. The result equals an AddEdge loop
+// over e.Arcs — same adjacency order, index slots and edge count — built
+// without regrowth: a counting pass sizes the index and every adjacency,
+// and the adjacencies are carved from two arenas as in Clone.
 func FromEdgeList(e *EdgeList) *Dynamic {
-	g := NewDynamic(e.N)
-	for _, a := range e.Arcs {
-		g.AddEdge(a.From, a.To, a.W)
+	n := e.N
+	g := &Dynamic{
+		out: make([][]Edge, n),
+		in:  make([][]Edge, n),
+		idx: make(map[uint64]edgePos, len(e.Arcs)),
+	}
+	// Counting pass: index each pair's first arc at the slots AddEdge would
+	// give it, and note the duplicates (in arc order) for the fill to skip.
+	outDeg, inDeg := make([]int32, n), make([]int32, n)
+	var dups []int
+	for i, a := range e.Arcs {
+		k := key(a.From, a.To)
+		if _, ok := g.idx[k]; ok {
+			dups = append(dups, i)
+			continue
+		}
+		g.idx[k] = edgePos{out: outDeg[a.From], in: inDeg[a.To]}
+		outDeg[a.From]++
+		inDeg[a.To]++
+	}
+	g.m = len(e.Arcs) - len(dups)
+	carve(g.out, outDeg, g.m)
+	carve(g.in, inDeg, g.m)
+	for i, a := range e.Arcs {
+		if len(dups) > 0 && dups[0] == i {
+			dups = dups[1:]
+			continue
+		}
+		g.out[a.From] = append(g.out[a.From], Edge{To: a.To, W: a.W})
+		g.in[a.To] = append(g.in[a.To], Edge{To: a.From, W: a.W})
 	}
 	return g
+}
+
+// carve points adj[v] at an empty, capacity-clipped window of deg[v] slots
+// in one arena of m edges, so appending deg[v] edges fills it in place and
+// a later AddEdge re-allocates instead of growing into a neighbour.
+func carve(adj [][]Edge, deg []int32, m int) {
+	arena := make([]Edge, m)
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			end := off + int(d)
+			adj[v] = arena[off:off:end]
+			off = end
+		}
+	}
 }
 
 // NumVertices returns the vertex count.

@@ -423,3 +423,74 @@ func TestDynamicString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// assertSameDynamic fails unless a and b hold the same adjacency lists in
+// the same order, the same index entries and the same edge count.
+func assertSameDynamic(t *testing.T, label string, a, b *Dynamic) {
+	t.Helper()
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
+		t.Fatalf("%s: %d vertices / %d edges, want %d / %d", label,
+			a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
+	}
+	for v := 0; v < a.NumVertices(); v++ {
+		for dir, pair := range [2][2][]Edge{{a.out[v], b.out[v]}, {a.in[v], b.in[v]}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: vertex %d direction %d: %d edges, want %d", label, v, dir, len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[0] {
+				if pair[0][i] != pair[1][i] {
+					t.Fatalf("%s: vertex %d direction %d slot %d: %v, want %v", label, v, dir, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+	if len(a.idx) != len(b.idx) {
+		t.Fatalf("%s: %d index entries, want %d", label, len(a.idx), len(b.idx))
+	}
+	for k, p := range b.idx {
+		if q, ok := a.idx[k]; !ok || q != p {
+			t.Fatalf("%s: index entry %x = %v,%v, want %v", label, k, q, ok, p)
+		}
+	}
+}
+
+// FromEdgeList's counting build must equal an AddEdge loop over the same
+// arcs — adjacency order, index slots, edge count, first weight of a
+// duplicate arc — and stay equal to it under seeded add/remove churn, which
+// grows the carved (capacity-clipped) adjacencies past their arena windows.
+func TestFromEdgeListMatchesAddEdgeBuild(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		el := &EdgeList{N: n}
+		for i := rng.Intn(6 * n); i > 0; i-- {
+			u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+			el.Arcs = append(el.Arcs, Arc{From: u, To: v, W: float64(1 + rng.Intn(9))})
+			if rng.Intn(8) == 0 { // a duplicate pair with another weight
+				el.Arcs = append(el.Arcs, Arc{From: u, To: v, W: float64(10 + rng.Intn(9))})
+			}
+		}
+		got := FromEdgeList(el)
+		want := NewDynamic(n)
+		for _, a := range el.Arcs {
+			want.AddEdge(a.From, a.To, a.W)
+		}
+		assertSameDynamic(t, "build", got, want)
+		for op := 0; op < 300; op++ {
+			u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+			if rng.Intn(2) == 0 {
+				w := float64(1 + rng.Intn(9))
+				if got.AddEdge(u, v, w) != want.AddEdge(u, v, w) {
+					t.Fatalf("seed %d op %d: AddEdge(%d,%d) disagrees", seed, op, u, v)
+				}
+			} else {
+				gw, gok := got.RemoveEdge(u, v)
+				ww, wok := want.RemoveEdge(u, v)
+				if gw != ww || gok != wok {
+					t.Fatalf("seed %d op %d: RemoveEdge(%d,%d) = %v,%v, want %v,%v", seed, op, u, v, gw, gok, ww, wok)
+				}
+			}
+		}
+		assertSameDynamic(t, "after churn", got, want)
+	}
+}

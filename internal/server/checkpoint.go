@@ -107,8 +107,8 @@ func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, 
 	if m > uint64(r.Len())/16 {
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge count %d exceeds payload", m)
 	}
-	g := graph.NewDynamic(n)
-	for i := uint64(0); i < m; i++ {
+	arcs := make([]graph.Arc, m)
+	for i := range arcs {
 		if _, err := io.ReadFull(r, scratch[:16]); err != nil {
 			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge %d: %w", i, err)
 		}
@@ -118,8 +118,9 @@ func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, 
 		if int(from) >= n || int(to) >= n {
 			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge %d (%d->%d) out of range N=%d", i, from, to, n)
 		}
-		g.AddEdge(from, to, w)
+		arcs[i] = graph.Arc{From: from, To: to, W: w}
 	}
+	g := graph.FromEdgeList(&graph.EdgeList{N: n, Arcs: arcs})
 	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: %w", err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"testing"
 
 	"cisgraph/internal/core"
@@ -64,6 +65,42 @@ func TestCheckpointStateRejectsCorruption(t *testing.T) {
 	for name, payload := range cases {
 		if _, _, _, err := decodeState(payload); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
+		}
+	}
+}
+
+// A decoded checkpoint's topology is the one an AddEdge replay of its arcs
+// builds — the counting build changes no adjacency order — and takes
+// further churn like it.
+func TestCheckpointStateDecodeMatchesAddEdgeReplay(t *testing.T) {
+	src := graph.FromEdgeList(graph.RMAT("ckpt", 7, 900, graph.DefaultRMAT, 16, 4))
+	for i, a := range src.EdgeList("").Arcs {
+		if i%7 == 0 {
+			src.RemoveEdge(a.From, a.To) // swap-deletes: adjacency order is no longer arrival order
+		}
+	}
+	got, _, _, err := decodeState(encodeState(src, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.NewDynamic(src.NumVertices())
+	for _, a := range src.EdgeList("").Arcs {
+		want.AddEdge(a.From, a.To, a.W)
+	}
+	for step := 0; step < 2; step++ {
+		if got.String() != want.String() {
+			t.Fatalf("step %d: decoded %v, AddEdge replay %v", step, got, want)
+		}
+		for v := graph.VertexID(0); int(v) < want.NumVertices(); v++ {
+			if !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
+				t.Fatalf("step %d: vertex %d adjacency differs from the AddEdge replay", step, v)
+			}
+		}
+		for v := graph.VertexID(1); int(v) < want.NumVertices(); v += 3 {
+			got.AddEdge(0, v, 2)
+			want.AddEdge(0, v, 2)
+			got.RemoveEdge(v, 0)
+			want.RemoveEdge(v, 0)
 		}
 	}
 }

@@ -81,11 +81,7 @@ func New(dataset *graph.EdgeList, cfg Config) (*Workload, error) {
 
 // Initial returns the starting snapshot as a fresh Dynamic graph.
 func (w *Workload) Initial() *graph.Dynamic {
-	g := graph.NewDynamic(w.dataset.N)
-	for _, a := range w.initial {
-		g.AddEdge(a.From, a.To, a.W)
-	}
-	return g
+	return graph.FromEdgeList(&graph.EdgeList{N: w.dataset.N, Arcs: w.initial})
 }
 
 // InitialEdgeList returns the starting snapshot as an edge list (for
