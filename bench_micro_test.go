@@ -27,3 +27,7 @@ func BenchmarkBatchRepairQ64S64(b *testing.B) { bench.BatchRepair(64, 64)(b) }
 
 func BenchmarkColdStartS64(b *testing.B) { bench.ColdStart(64)(b) }
 func BenchmarkGraphBuild(b *testing.B)   { bench.GraphBuild(b) }
+
+func BenchmarkRestoreS64(b *testing.B)        { bench.Restore(64, true, 1<<14)(b) }
+func BenchmarkRestoreS4(b *testing.B)         { bench.Restore(4, false, 1<<16)(b) }
+func BenchmarkAddQueryNewSource(b *testing.B) { bench.AddQueryNewSource(b) }

@@ -121,6 +121,37 @@ func ColdStart(sources int) func(b *testing.B) {
 	}
 }
 
+// addQueryCycle is how many distinct new sources AddQueryNewSource registers
+// before an untimed Reset empties the engine again.
+const addQueryCycle = 256
+
+// AddQueryNewSource measures MultiCISO.AddQuery of a query whose source has
+// no group yet — POST /v1/query's cold start, computed off the engine lock
+// on a topology clone — over the churn rows' loaded half (scale 12). Each
+// call opens a new source, cycling through the graph's addQueryCycle
+// highest-degree vertices. Metrics: B/op and allocs/op per call, and
+// ms/source.
+func AddQueryNewSource(b *testing.B) {
+	churn := newToggleChurn(graph.RMAT("fpmix", churnScale, 16<<churnScale, graph.DefaultRMAT, 64, 42), 42)
+	g := churn.initial(1 << churnScale)
+	sources := g.TopDegreeVertices(addQueryCycle)
+	m := core.NewMultiCISO()
+	m.Reset(g, algo.PPSP{}, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(sources)
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			m.Reset(g, algo.PPSP{}, nil)
+			b.StartTimer()
+		}
+		m.AddQuery(core.Query{S: sources[k], D: sources[(k+1)%len(sources)]})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/source")
+}
+
 // builtGraph keeps GraphBuild's result alive, so the build is not elided.
 var builtGraph *graph.Dynamic
 

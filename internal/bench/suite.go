@@ -52,6 +52,9 @@ func Suite() []Case {
 		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
 		{Name: "ColdStart_S64", Bench: ColdStart(64)},
 		{Name: "GraphBuild", Bench: GraphBuild},
+		{Name: "AddQuery_NewSource", Bench: AddQueryNewSource},
+		{Name: "Restore_S64", Bench: Restore(64, true, 1<<14)},
+		{Name: "Restore_S4", Bench: Restore(4, false, 1<<16)},
 		{Name: "ServerAnswers", Bench: ServerAnswers},
 		// The _Dense suffix keeps the names of earlier BENCH_*.json rows.
 		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16)},

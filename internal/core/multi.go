@@ -75,6 +75,13 @@ type MultiCISO struct {
 	activeBuf []int        // reusable processed-group index list
 	errsBuf   []error      // reusable per-processed-group error slots
 	preAnsBuf []algo.Value // reusable pre-batch answers of processed members
+
+	// spare is the scratch an AddQuery cold start borrows off the lock:
+	// taken with a swap, so concurrent registrations never share it, and put
+	// back under the write lock only if no Reset intervened (gen counts
+	// Resets). Reset drops it: the vertex count or algorithm may change.
+	spare atomic.Pointer[scratch]
+	gen   uint64
 }
 
 // sourceGroup is the registered queries sharing one source vertex, and the
@@ -124,7 +131,9 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	defer m.mu.Unlock()
 	m.g, m.a = g, a
 	m.epoch++
+	m.gen++
 	m.scs = nil // vertex count / algorithm may have changed
+	m.spare.Store(nil)
 	m.queries, m.inGroup = nil, nil
 	m.groups, m.groupOf = nil, make(map[graph.VertexID]int)
 	m.cnt.Reset()
@@ -194,21 +203,29 @@ func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
 	for attempt := 0; attempt < addQueryRetries; attempt++ {
 		m.mu.RLock()
 		_, joined := m.groupOf[q.S]
-		epoch, a := m.epoch, m.a
+		epoch, gen, a := m.epoch, m.gen, m.a
 		var gc *graph.Dynamic
+		var sc *scratch
 		if !joined {
 			gc = m.g.Clone() // arena clone: cheap, and private to this goroutine
+			sc = m.spare.Swap(nil)
 		}
 		m.mu.RUnlock()
 
 		var st *state
 		var cnt *stats.Counters
 		if !joined {
+			if sc == nil {
+				sc = newScratch(a, gc.NumVertices())
+			}
 			cnt = stats.NewCounters()
-			st = computeState(newScratch(a, gc.NumVertices()), gc, a, q.S, cnt)
+			st = computeState(sc, gc, a, q.S, cnt)
 		}
 
 		m.mu.Lock()
+		if sc != nil && m.gen == gen {
+			m.spare.Store(sc) // a cold start leaves its scratch quiescent
+		}
 		if _, joined = m.groupOf[q.S]; !joined && m.epoch != epoch {
 			m.mu.Unlock()
 			continue // a batch landed mid-compute; the snapshot is stale

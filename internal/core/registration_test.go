@@ -427,3 +427,54 @@ func TestAddQueryDoesNotBlockReaders(t *testing.T) {
 		t.Fatalf("registered answer %v, independent engine %v", reg.ans, single.Answer())
 	}
 }
+
+// TestAddQuerySpareScratch: a new-source AddQuery cold-starts on the
+// engine's one spare scratch and puts it back; registrations racing for it
+// each get a scratch of their own, and a Reset onto a graph of another size
+// drops it, so no cold start ever runs on a stale one. Every answer equals
+// a cold start's.
+func TestAddQuerySpareScratch(t *testing.T) {
+	a := algo.PPSP{}
+	check := func(m *MultiCISO, g *graph.Dynamic) {
+		t.Helper()
+		for i, q := range m.Queries() {
+			cs := NewColdStart()
+			cs.Reset(g.Clone(), a, q)
+			if got, want := m.Answers()[i], cs.Answer(); got != want {
+				t.Fatalf("query %d (%d->%d): answer %v, cold start %v", i, q.S, q.D, got, want)
+			}
+		}
+	}
+	small := graph.FromEdgeList(graph.RMAT("spare-small", 6, 16<<6, graph.DefaultRMAT, 16, 3))
+	m := NewMultiCISO()
+	m.Reset(small, a, nil)
+	m.AddQuery(Query{S: 1, D: 2})
+	sc := m.spare.Load()
+	if sc == nil || len(sc.inSet) != small.NumVertices() {
+		t.Fatal("a new-source AddQuery left no spare scratch for the graph")
+	}
+	m.AddQuery(Query{S: 3, D: 2})
+	if m.spare.Load() != sc {
+		t.Fatal("the next new-source AddQuery did not reuse the spare scratch")
+	}
+	check(m, small)
+
+	big := graph.FromEdgeList(graph.RMAT("spare-big", 9, 16<<9, graph.DefaultRMAT, 16, 3))
+	m.Reset(big, a, nil)
+	if m.spare.Load() != nil {
+		t.Fatal("Reset kept the spare scratch")
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(s graph.VertexID) {
+			defer wg.Done()
+			m.AddQuery(Query{S: s, D: 5})
+		}(graph.VertexID(400 + k)) // beyond the small graph's vertex range
+	}
+	wg.Wait()
+	if sc := m.spare.Load(); sc == nil || len(sc.inSet) != big.NumVertices() {
+		t.Fatal("after Reset, the spare scratch is not sized for the new graph")
+	}
+	check(m, big)
+}

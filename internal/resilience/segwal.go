@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -232,8 +233,9 @@ func listSegments(fsys FS, dir string) ([]uint64, error) {
 	return firsts, nil
 }
 
-// openActive opens the newest segment for appending: scan its valid record
-// prefix, truncate the torn tail, seek to the end. A segment whose header
+// openActive opens the newest segment for appending: validate its record
+// prefix (decoding nothing — only the good length and the next index are
+// needed), truncate the torn tail, seek to the end. A segment whose header
 // never made it to disk (crash during roll) is rebuilt empty; a foreign
 // header fails the open and leaves the file as it is.
 func (w *SegmentedWAL) openActive(first uint64) error {
@@ -255,8 +257,10 @@ func (w *SegmentedWAL) openActive(first uint64) error {
 		}
 		return w.createSegment(first)
 	}
-	recs, n := scanRecords(data[segHeaderLen:], nil)
-	good := segHeaderLen + n
+	s := recScan{from: math.MaxUint64, body: data[segHeaderLen:]}
+	for _, ok := s.next(); ok; _, ok = s.next() {
+	}
+	good := segHeaderLen + s.off
 	f, err := w.fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -272,8 +276,8 @@ func (w *SegmentedWAL) openActive(first uint64) error {
 	w.active, w.first, w.size, w.good = f, first, good, good
 	w.epoch = epoch
 	w.next = first
-	if len(recs) > 0 {
-		w.next = recs[len(recs)-1].Index + 1
+	if s.seen {
+		w.next = s.last + 1
 	}
 	return nil
 }
@@ -582,15 +586,22 @@ func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
 			return nil, fmt.Errorf("wal: segment gap: records [%d,%d) missing before %s",
 				expected, firsts[i], segName(firsts[i]))
 		}
-		recs, off, err := scanSegment(path, data, nil)
+		// Records below from are validated, not decoded: a tail near the end
+		// of a large active segment decodes only what it returns. Each
+		// segment is scanned on its own; across segments the names carry the
+		// contiguity (checked just above).
+		s := recScan{from: from}
+		base, err := s.segment(path, data)
 		if err != nil {
 			return nil, err
 		}
-		if len(recs) > 0 && recs[0].Index != firsts[i] {
-			return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
-				segName(firsts[i]), recs[0].Index)
-		}
-		for _, rec := range recs {
+		expected = firsts[i]
+		for rec, ok := s.next(); ok; rec, ok = s.next() {
+			if s.count == 1 && rec.Index != firsts[i] {
+				return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
+					segName(firsts[i]), rec.Index)
+			}
+			expected = rec.Index + 1
 			if rec.Index < from {
 				continue
 			}
@@ -600,12 +611,7 @@ func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
 				return out, nil
 			}
 		}
-		if len(recs) > 0 {
-			expected = recs[len(recs)-1].Index + 1
-		} else {
-			expected = firsts[i]
-		}
-		if off < int64(len(data)) {
+		if base+s.off < int64(len(data)) {
 			break // torn tail: later bytes (an in-flight append) are not yet durable
 		}
 	}
@@ -714,17 +720,19 @@ func (w *SegmentedWAL) Close() error {
 	return err
 }
 
-// scanSegment parses the valid record prefix of the segment file at path,
-// appending to recs (which carries the contiguity context across segments).
-// Returns the extended slice and the offset where the valid prefix ends (0
-// for a torn header); a foreign header is an error.
-func scanSegment(path string, data []byte, recs []Record) ([]Record, int64, error) {
+// segment checks the header of the segment file at path and points the
+// scan at its body, keeping the contiguity context. It returns the file
+// offset the body starts at — segHeaderLen, or 0 for a torn header, whose
+// body is empty — so the valid prefix ends at that plus s.off. A foreign
+// header is an error.
+func (s *recScan) segment(path string, data []byte) (int64, error) {
+	s.body, s.off, s.count = nil, 0, 0
 	_, torn, err := segEpoch(path, data)
 	if err != nil || torn {
-		return recs, 0, err
+		return 0, err
 	}
-	recs, n := scanRecords(data[segHeaderLen:], recs)
-	return recs, segHeaderLen + n, nil
+	s.body = data[segHeaderLen:]
+	return segHeaderLen, nil
 }
 
 // ReplaySegmented reads every valid record from the segmented WAL at dir,
@@ -733,11 +741,15 @@ func scanSegment(path string, data []byte, recs []Record) ([]Record, int64, erro
 // missing path yields no records; anything at the path that is not a
 // directory of CGWALOG3 segments is an error.
 func ReplaySegmented(dir string) ([]Record, error) {
-	return ReplaySegmentedFS(OsFS{}, dir)
+	return ReplaySegmentedFS(OsFS{}, dir, 0)
 }
 
-// ReplaySegmentedFS is ReplaySegmented through an explicit filesystem seam.
-func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
+// ReplaySegmentedFS is ReplaySegmented through an explicit filesystem seam,
+// returning only the records at or after from. Every record is validated as
+// ReplaySegmented validates it — a record below from can still end the log
+// or fail the replay — but only the returned ones are decoded: a restore
+// positioned by a checkpoint decodes just the suffix it replays.
+func ReplaySegmentedFS(fsys FS, dir string, from uint64) ([]Record, error) {
 	st, err := fsys.Stat(dir)
 	switch {
 	case os.IsNotExist(err):
@@ -759,6 +771,7 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 	// replaying past it would silently serve a shorter history than was
 	// acked. Fail loudly with the gap range instead.
 	var recs []Record
+	s := recScan{from: from}
 	for i, first := range firsts {
 		path := filepath.Join(dir, segName(first))
 		data, err := fsys.ReadFile(path)
@@ -767,28 +780,32 @@ func ReplaySegmentedFS(fsys FS, dir string) ([]Record, error) {
 		}
 		if i > 0 {
 			expected := firsts[i-1]
-			if len(recs) > 0 {
-				expected = recs[len(recs)-1].Index + 1
+			if s.seen {
+				expected = s.last + 1
 			}
 			if first != expected {
 				return nil, fmt.Errorf("wal: missing segment(s): records [%d,%d) lost between %s and %s",
 					expected, first, segName(firsts[i-1]), segName(first))
 			}
 		}
-		before := len(recs)
-		var off int64
-		if recs, off, err = scanSegment(path, data, recs); err != nil {
+		base, err := s.segment(path, data)
+		if err != nil {
 			return nil, err
 		}
-		if len(recs) > before && recs[before].Index != first {
-			return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
-				segName(first), recs[before].Index)
+		for rec, ok := s.next(); ok; rec, ok = s.next() {
+			if s.count == 1 && rec.Index != first {
+				return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
+					segName(first), rec.Index)
+			}
+			if rec.Index >= from {
+				recs = append(recs, rec)
+			}
 		}
-		if off < int64(len(data)) {
+		if base+s.off < int64(len(data)) {
 			if i < len(firsts)-1 {
 				lost := first
-				if len(recs) > 0 {
-					lost = recs[len(recs)-1].Index + 1
+				if s.seen {
+					lost = s.last + 1
 				}
 				return nil, fmt.Errorf("wal: sealed segment %s corrupt mid-log: records from %d lost (next segment %s still present)",
 					segName(first), lost, segName(firsts[i+1]))

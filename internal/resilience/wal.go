@@ -48,37 +48,56 @@ type Record struct {
 	Seq   uint64
 }
 
-// scanRecords parses the valid record prefix of data (segment header
-// already stripped), appending to recs. recs carries the contiguity context
-// across segments: a record whose index does not follow the previous one
-// ends the scan, as does a torn tail, a checksum failure or an undecodable
-// payload. Returns the extended slice and the number of bytes consumed.
-func scanRecords(data []byte, recs []Record) ([]Record, int64) {
-	var off int64
-	rest := data
-	for len(rest) >= 16 {
-		idx := binary.LittleEndian.Uint64(rest[0:8])
-		plen := binary.LittleEndian.Uint32(rest[8:12])
-		want := binary.LittleEndian.Uint32(rest[12:16])
-		if plen > maxWALRecord || len(rest) < 16+int(plen) {
-			break // torn tail
-		}
-		payload := rest[16 : 16+plen]
-		if crc32.ChecksumIEEE(payload) != want {
-			break // bit flip: end of trustworthy log
-		}
-		batch, sid, seq, ok := DecodeRecordPayload(payload)
-		if !ok {
-			break
-		}
-		if len(recs) > 0 && idx != recs[len(recs)-1].Index+1 {
-			break // non-contiguous index: treat as corruption
-		}
-		recs = append(recs, Record{Index: idx, Batch: batch, SID: sid, Seq: seq})
-		rest = rest[16+plen:]
-		off += 16 + int64(plen)
+// recScan walks the valid record prefix of segment bodies, one record at a
+// time. Every record gets every check — header, torn tail, CRC, payload
+// shape and index contiguity with the record before it (seen/last carry
+// that context from one segment to the next) — but only one at or after
+// from is decoded into a batch: below it the scan validates and steps over,
+// which is all a reader positioned past those records needs.
+type recScan struct {
+	from  uint64 // records below it are validated, not decoded
+	body  []byte // the rest of the current segment body
+	off   int64  // bytes of valid records consumed from the current body
+	last  uint64 // index of the last valid record, when seen
+	seen  bool
+	count int // valid records in the current body
+}
+
+// next validates the next record of the body and advances past it. It
+// returns the record — its batch decoded only when its index is at or after
+// s.from — and false at the end of the valid prefix: a torn tail, a
+// checksum failure, a malformed payload or an index that does not follow the
+// previous record's.
+func (s *recScan) next() (Record, bool) {
+	if len(s.body) < 16 {
+		return Record{}, false
 	}
-	return recs, off
+	idx := binary.LittleEndian.Uint64(s.body[0:8])
+	plen := binary.LittleEndian.Uint32(s.body[8:12])
+	want := binary.LittleEndian.Uint32(s.body[12:16])
+	if plen > maxWALRecord || len(s.body) < 16+int(plen) {
+		return Record{}, false // torn tail
+	}
+	payload := s.body[16 : 16+plen]
+	if crc32.ChecksumIEEE(payload) != want {
+		return Record{}, false // bit flip: end of trustworthy log
+	}
+	n, sid, seq, ok := payloadShape(payload)
+	if !ok {
+		return Record{}, false
+	}
+	if s.seen && idx != s.last+1 {
+		return Record{}, false // non-contiguous index: treat as corruption
+	}
+	rec := Record{Index: idx, SID: sid, Seq: seq}
+	if idx >= s.from {
+		rec.Batch = decodeBatch(payload, n)
+	}
+	s.last, s.seen = idx, true
+	s.count++
+	s.body = s.body[16+plen:]
+	s.off += 16 + int64(plen)
+	return rec, true
 }
 
 // EncodeRecordPayload encodes a record's payload including its session
@@ -119,27 +138,43 @@ func appendRecordPayload(buf []byte, rec Record) []byte {
 // DecodeRecordPayload is the inverse of EncodeRecordPayload; ok is false
 // when the payload is malformed.
 func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64, ok bool) {
-	if len(payload) < 4 {
+	n, sid, seq, ok := payloadShape(payload)
+	if !ok {
 		return nil, 0, 0, false
 	}
-	n := binary.LittleEndian.Uint32(payload)
+	return decodeBatch(payload, n), sid, seq, true
+}
+
+// payloadShape checks a record payload's shape without decoding it: the
+// count, then exactly that many updates and, optionally, a session trailer
+// with a nonzero id. It returns the update count and the session tag.
+func payloadShape(payload []byte) (n uint32, sid, seq uint64, ok bool) {
+	if len(payload) < 4 {
+		return 0, 0, 0, false
+	}
+	n = binary.LittleEndian.Uint32(payload)
 	base := 4 + 17*uint64(n)
 	switch uint64(len(payload)) {
 	case base:
 	case base + sessTrailerSize:
 		tr := payload[base:]
 		if !bytes.Equal(tr[0:4], sessTrailerMagic) {
-			return nil, 0, 0, false
+			return 0, 0, 0, false
 		}
 		sid = binary.LittleEndian.Uint64(tr[4:12])
 		seq = binary.LittleEndian.Uint64(tr[12:20])
 		if sid == 0 {
-			return nil, 0, 0, false // tagged trailer with the untagged sentinel id
+			return 0, 0, 0, false // tagged trailer with the untagged sentinel id
 		}
 	default:
-		return nil, 0, 0, false
+		return 0, 0, 0, false
 	}
-	batch = make([]graph.Update, 0, n)
+	return n, sid, seq, true
+}
+
+// decodeBatch decodes the n updates of a payload payloadShape accepted.
+func decodeBatch(payload []byte, n uint32) []graph.Update {
+	batch := make([]graph.Update, 0, n)
 	rest := payload[4:]
 	for i := uint32(0); i < n; i++ {
 		rec := rest[17*i : 17*i+17]
@@ -149,7 +184,7 @@ func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64,
 		up.W = math.Float64frombits(binary.LittleEndian.Uint64(rec[9:17]))
 		batch = append(batch, up)
 	}
-	return batch, sid, seq, true
+	return batch
 }
 
 // Checkpoint files pair a snapshot with the WAL position it covers and the

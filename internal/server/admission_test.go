@@ -18,10 +18,15 @@ import (
 // TestAdmissionBesideLongApply: on a daemon whose CPU budget is one, a
 // POST /v1/updates — which only enqueues — must not wait for the applier's
 // time slice. A backlog of 512-update deletion batches on a scale-12 graph
-// with Q=64 keeps the applier busy back to back; the median POST measured
-// while it works through them must take under a quarter of the median
-// apply. Without SizeProcs's spare P the POST waits for an apply to end or
-// for the runtime's 10 ms preemption tick.
+// with Q=256 (nearly all sources distinct) keeps the applier busy back to
+// back, each apply taking 25–35 ms on a 2-core host; the median POST
+// measured while it works through them must take under a quarter of the
+// median apply. Without
+// SizeProcs's spare P the POST waits for an apply to end or for the
+// runtime's 10 ms preemption tick, once per hop of the request (≈ 40 ms in
+// all); with it, ≈ 1 ms. The applies are long so that a quarter of one
+// clears scheduler jitter on a loaded host and still fails a POST that
+// waits for one preemption tick.
 func TestAdmissionBesideLongApply(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	budget := SizeProcs()
@@ -33,7 +38,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 		t.Fatalf("SizeProcs at GOMAXPROCS 1: budget %d, GOMAXPROCS %d; want 1 and 2", budget, runtime.GOMAXPROCS(0))
 	}
 
-	const batch, backlog, bodies = 512, 16, 32
+	const batch, backlog, bodies, queries = 512, 8, 16, 256
 	ds := graph.RMAT("admit", 12, 16<<12, graph.DefaultRMAT, graph.MaxRawWeight, 5)
 	w, err := stream.New(ds, stream.Config{LoadFraction: 0.5, AddsPerBatch: 0, DelsPerBatch: batch, Seed: 5})
 	if err != nil {
@@ -47,8 +52,12 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 	if got := engineBudget(); got != budget {
 		t.Fatalf("engine width %d, want the CPU budget %d", got, budget)
 	}
-	for _, p := range w.QueryPairsConnected(64) {
-		srv.Pool().Register(core.Query{S: p[0], D: p[1]})
+	var qs []core.Query
+	for _, p := range w.QueryPairsConnected(queries) {
+		qs = append(qs, core.Query{S: p[0], D: p[1]})
+	}
+	if _, _, err := srv.Pool().RegisterAll(qs); err != nil {
+		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -87,7 +96,8 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 			t.Fatalf("POST %d: status %d: %s", i, resp.StatusCode, sink.Bytes())
 		}
 	}
-	waitQuiescedSrv(t, srv)
+	// Under -race an apply takes ~10× longer, so the backlog gets a minute.
+	waitFor(t, time.Minute, srv.Quiesced, "the backlog to drain")
 
 	var apply time.Duration
 	for _, b := range srv.applyLat.report() {

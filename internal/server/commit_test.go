@@ -156,24 +156,27 @@ func TestCheckpointCadenceOneRule(t *testing.T) {
 	}
 }
 
-// copyDir copies the regular files of src into a new directory dst.
+// copyDir copies the regular files under src into dst, recreating its
+// directories — the durable state a SIGKILL would leave, when taken while
+// the server is still up.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
-	ents, err := os.ReadDir(src)
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path) // path came from walking src
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

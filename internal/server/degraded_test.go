@@ -125,7 +125,7 @@ func TestServerDegradedModeFaultInjection(t *testing.T) {
 
 	// Consistency invariant: served answers ≡ offline replay of the durable
 	// WAL prefix over the initial topology. The dropped batch is in neither.
-	recs, err := resilience.ReplaySegmentedFS(ffs, cfg.WALPath)
+	recs, err := resilience.ReplaySegmentedFS(ffs, cfg.WALPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

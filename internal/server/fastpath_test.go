@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -475,23 +474,7 @@ func TestRestoreReplaysFastPathGroups(t *testing.T) {
 
 	// The "kill": everything durable so far, without the drain's checkpoint.
 	killed := t.TempDir()
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(dir, path) // path came from walking dir
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(killed, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(killed, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	copyDir(t, dir, killed)
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,19 @@ func (p *QueryPool) NumQueries() int {
 	return len(p.queries)
 }
 
-// admitLocked is the one query-admission rule: both endpoints in range,
-// source ≠ destination, and the pool stays within maxQueries — checked in
-// that order, so an invalid pair is reported as such even at the cap.
+// admitLocked applies the query-admission rule (admitQueries) to this pool.
 // Callers hold p.mu, so a check and the registration it admits are one
 // step.
 func (p *QueryPool) admitLocked(qs []core.Query) error {
-	n := uint32(p.eng.Topology().NumVertices())
+	return admitQueries(p.eng.Topology().NumVertices(), len(p.queries), qs)
+}
+
+// admitQueries is the one query-admission rule, for adding qs to `have`
+// registered queries on an n-vertex topology: both endpoints in range,
+// source ≠ destination, and at most maxQueries in all — checked in that
+// order, so an invalid pair is reported as such even at the cap.
+func admitQueries(nv, have int, qs []core.Query) error {
+	n := uint32(nv)
 	for _, q := range qs {
 		switch {
 		case q.S >= n || q.D >= n:
@@ -97,7 +103,7 @@ func (p *QueryPool) admitLocked(qs []core.Query) error {
 			return fmt.Errorf("server: query %d->%d: source equals destination", q.S, q.D)
 		}
 	}
-	if len(p.queries)+len(qs) > maxQueries {
+	if have+len(qs) > maxQueries {
 		return ErrQueryLimit
 	}
 	return nil

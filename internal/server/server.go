@@ -236,8 +236,12 @@ func New(g *graph.Dynamic, a algo.Algorithm, cfg Config) (*Server, error) {
 // the drain (or periodic) checkpoint plus the WAL suffix it does not cover.
 // init supplies the initial topology when no
 // usable checkpoint exists (nil init makes a missing checkpoint fatal).
-// Registered queries come back armed; their answers recompute from the
-// restored topology and are identical to the pre-restart ones.
+// Each job is done once: the log is read once and only the suffix is
+// decoded, the suffix is replayed into the topology while the engine holds
+// no queries, and only then are the checkpoint's queries re-armed — one cold
+// start per source, on the final topology. Their answers are the unique
+// least fixpoint of that topology, so they are identical to the pre-restart
+// ones.
 func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	var (
@@ -274,26 +278,27 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 		}
 		through = 0
 	}
-	// Replay the WAL suffix the checkpoint does not cover: indices below
-	// `through` are already inside the restored topology.
+	// Read the WAL suffix the checkpoint does not cover: indices below
+	// `through` are already inside the restored topology, so they are
+	// validated but not decoded. The scan returns contiguous records, so only
+	// the first can leave a gap.
 	var replay []resilience.Record
 	if cfg.WALPath != "" {
-		recs, err := resilience.ReplaySegmentedFS(cfg.FS, cfg.WALPath)
-		if err != nil {
+		var err error
+		if replay, err = resilience.ReplaySegmentedFS(cfg.FS, cfg.WALPath, through); err != nil {
 			return nil, fmt.Errorf("server: restore: %w", err)
 		}
-		for _, rec := range recs {
-			if rec.Index < through {
-				continue
-			}
-			if rec.Index != through+uint64(len(replay)) {
-				return nil, fmt.Errorf("server: restore: WAL gap (record %d, expected %d)",
-					rec.Index, through+uint64(len(replay)))
-			}
-			replay = append(replay, rec)
+		if len(replay) > 0 && replay[0].Index != through {
+			return nil, fmt.Errorf("server: restore: WAL gap (record %d, expected %d)",
+				replay[0].Index, through)
 		}
 	}
-	s, err := build(g, a, queries, through, cfg, true, epoch)
+	// The queries are re-armed only after the replay, so they are admitted
+	// now, before anything is built (the vertex count never changes).
+	if err := admitQueries(g.NumVertices(), 0, queries); err != nil {
+		return nil, err
+	}
+	s, err := build(g, a, nil, through, cfg, true, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +318,14 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 		s.commit(fromLog, replay[i:j], nil)
 		i = j
 	}
+	// The engine held no source groups through the replay, so each group
+	// only normalized and mutated the topology; now every checkpoint query
+	// is re-armed in id order, each source cold-starting once. They passed
+	// admission above, on an empty pool of the same vertex count.
+	if _, _, err := s.pool.RegisterAll(queries); err != nil {
+		return nil, err
+	}
+	s.h.registered.Add(int64(len(queries)))
 	return s, nil
 }
 
