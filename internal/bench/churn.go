@@ -126,8 +126,9 @@ func ColdStart(sources int) func(b *testing.B) {
 const addQueryCycle = 256
 
 // AddQueryNewSource measures MultiCISO.AddQuery of a query whose source has
-// no group yet — POST /v1/query's cold start, computed off the engine lock
-// on a topology clone — over the churn rows' loaded half (scale 12). Each
+// no group yet — POST /v1/query's cold start, computed under the engine
+// lock on a worker slot's scratch — over the churn rows' loaded half
+// (scale 12). Each
 // call opens a new source, cycling through the graph's addQueryCycle
 // highest-degree vertices. Metrics: B/op and allocs/op per call, and
 // ms/source.

@@ -37,14 +37,13 @@ import (
 //
 // Concurrency contract (relied on by internal/server): Reset,
 // ApplyBatchDelta, AddQuery and AddQueries are writers and serialize on an
-// internal lock; Topology's graph has its own single-writer contract;
-// Answers, Queries, NumQueries and Counters are readers and may be called
-// from any goroutine, including while a writer runs — a reader
-// observes either the pre-batch or the post-batch state, never a torn
-// intermediate. AddQuery of a new source performs its O(V+E) cold start
-// against a topology snapshot WITHOUT holding the lock and only publishes
-// under it, so readers (and the batch writer) are never stalled behind a
-// registration. Writers must still come from one goroutine at a time per the
+// internal lock — a new source's O(V+E) cold start runs under it, on a
+// worker slot's scratch, exactly like a batch; Topology's graph has its own
+// single-writer contract. Answers, Queries and NumQueries are readers under
+// the read lock: they may be called from any goroutine, including while a
+// writer runs, and observe either the pre-write or the post-write state,
+// never a torn intermediate. Counters and StateBytes take no lock at all.
+// Writers must still come from one goroutine at a time per the
 // single-writer discipline (the lock enforces safety either way, but
 // interleaved writers make answer attribution meaningless).
 type MultiCISO struct {
@@ -57,9 +56,9 @@ type MultiCISO struct {
 
 	workers int // bounded pool width for per-group phases; <=1 is serial
 
-	// epoch counts topology mutations; an AddQuery cold start computed off
-	// the lock is only valid against the epoch it was built for.
-	epoch uint64
+	// stateBytes is StateBytes' answer, kept current by Reset and every
+	// group opening so that a reader never waits for a writer.
+	stateBytes atomic.Int64
 
 	// Change-driven evaluation (DESIGN.md §15): the uselessness tests of
 	// Algorithm 1 read values only, so one scan of a batch against a group's
@@ -75,13 +74,6 @@ type MultiCISO struct {
 	activeBuf []int        // reusable processed-group index list
 	errsBuf   []error      // reusable per-processed-group error slots
 	preAnsBuf []algo.Value // reusable pre-batch answers of processed members
-
-	// spare is the scratch an AddQuery cold start borrows off the lock:
-	// taken with a swap, so concurrent registrations never share it, and put
-	// back under the write lock only if no Reset intervened (gen counts
-	// Resets). Reset drops it: the vertex count or algorithm may change.
-	spare atomic.Pointer[scratch]
-	gen   uint64
 }
 
 // sourceGroup is the registered queries sharing one source vertex, and the
@@ -130,39 +122,32 @@ func (m *MultiCISO) Reset(g *graph.Dynamic, a algo.Algorithm, queries []Query) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.g, m.a = g, a
-	m.epoch++
-	m.gen++
 	m.scs = nil // vertex count / algorithm may have changed
-	m.spare.Store(nil)
 	m.queries, m.inGroup = nil, nil
 	m.groups, m.groupOf = nil, make(map[graph.VertexID]int)
+	m.stateBytes.Store(0)
 	m.cnt.Reset()
 	for _, q := range queries {
 		m.addLocked(q)
 	}
 }
 
-// addLocked registers q on the live topology (write lock held), opening its
-// source's group with a cold start on the source's first registration.
+// addLocked registers q on the live topology (write lock held) and returns
+// its index and answer. A query whose source is registered joins its group
+// in O(1); a new source opens its group with one cold start, on worker
+// slot 0's scratch, counting into m.cnt.
 func (m *MultiCISO) addLocked(q Query) (int, algo.Value) {
-	if _, ok := m.groupOf[q.S]; !ok {
+	gi, ok := m.groupOf[q.S]
+	if !ok {
 		m.ensureScratches(1)
-		m.openLocked(computeState(m.scs[0], m.g, m.a, q.S, m.cnt))
+		st := newStateOn(m.scs[0], m.g, m.a, q.S, m.cnt)
+		st.fullCompute()
+		st.sc = nil // forEachGroup attaches a worker slot's scratch per execution
+		gi = len(m.groups)
+		m.groupOf[q.S] = gi
+		m.groups = append(m.groups, sourceGroup{st: st})
+		m.stateBytes.Add(int64(len(st.val))*12 + stateHeaderBytes)
 	}
-	return m.joinLocked(q)
-}
-
-// openLocked files st, converged for its source on the live topology and
-// counting into m.cnt, as the source's group (write lock held).
-func (m *MultiCISO) openLocked(st *state) {
-	m.groupOf[st.src] = len(m.groups)
-	m.groups = append(m.groups, sourceGroup{st: st})
-}
-
-// joinLocked appends q to its source's group — O(1), no compute — and
-// returns its index and answer (write lock held).
-func (m *MultiCISO) joinLocked(q Query) (int, algo.Value) {
-	gi := m.groupOf[q.S]
 	g := &m.groups[gi]
 	i := len(m.queries)
 	m.queries = append(m.queries, q)
@@ -172,88 +157,21 @@ func (m *MultiCISO) joinLocked(q Query) (int, algo.Value) {
 	return i, g.st.val[q.D]
 }
 
-// computeState cold-starts a state for src against g (which must not be
-// mutated during the call — callers either hold the write lock or own a
-// private clone) on the scratch sc, which the caller must own for the call
-// (under the write lock, a worker slot's). Multi-owned states carry no
-// scratch of their own; forEachGroup attaches a worker slot's scratch per
-// execution.
-func computeState(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
-	st := newStateOn(sc, g, a, src, cnt)
-	st.fullCompute()
-	st.sc = nil
-	return st
-}
-
-// addQueryRetries bounds how often AddQuery re-computes against a fresh
-// snapshot after a batch invalidated the previous one, before falling back
-// to computing under the write lock.
-const addQueryRetries = 2
-
 // AddQuery registers one more query against the current topology and returns
 // its index (stable: answers keep Reset-then-AddQuery order) together with
-// its initial answer. It is a writer under the concurrency contract. A query
-// whose source is registered joins its group in O(1) at any epoch. A new
-// source cold-starts against a topology snapshot with NO lock held, counting
-// into a private set; only the publish takes the write lock (epoch-checked,
-// retried if a batch landed in between — and if the source's group appeared
-// meanwhile, the query joins it and the computed state is dropped, its counts
-// with it). Readers are never stalled behind a registration.
+// its initial answer. It is a writer under the concurrency contract: a query
+// whose source is registered joins its group in O(1), a new source
+// cold-starts once under the write lock.
 func (m *MultiCISO) AddQuery(q Query) (int, algo.Value) {
-	for attempt := 0; attempt < addQueryRetries; attempt++ {
-		m.mu.RLock()
-		_, joined := m.groupOf[q.S]
-		epoch, gen, a := m.epoch, m.gen, m.a
-		var gc *graph.Dynamic
-		var sc *scratch
-		if !joined {
-			gc = m.g.Clone() // arena clone: cheap, and private to this goroutine
-			sc = m.spare.Swap(nil)
-		}
-		m.mu.RUnlock()
-
-		var st *state
-		var cnt *stats.Counters
-		if !joined {
-			if sc == nil {
-				sc = newScratch(a, gc.NumVertices())
-			}
-			cnt = stats.NewCounters()
-			st = computeState(sc, gc, a, q.S, cnt)
-		}
-
-		m.mu.Lock()
-		if sc != nil && m.gen == gen {
-			m.spare.Store(sc) // a cold start leaves its scratch quiescent
-		}
-		if _, joined = m.groupOf[q.S]; !joined && m.epoch != epoch {
-			m.mu.Unlock()
-			continue // a batch landed mid-compute; the snapshot is stale
-		}
-		if !joined {
-			st.g = m.g // rebind from the clone (same epoch ⇒ identical topology)
-			m.cnt.AddAll(cnt)
-			st.bind(m.cnt)
-			m.openLocked(st)
-		}
-		i, ans := m.joinLocked(q)
-		m.mu.Unlock()
-		return i, ans
-	}
-	// Update churn outpaced the optimistic path: compute under the write
-	// lock so registration completes regardless.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.addLocked(q)
 }
 
 // AddQueries registers qs in order under one write-lock hold, each exactly
-// as AddQuery's write-lock fallback would — a join of its source's group, or
-// a cold start on the live topology — so the result equals an AddQuery loop
-// (indices, values, parents, counters) without a topology clone per distinct
-// source. It returns the index of qs[0] (the rest follow consecutively) and
-// the initial answers. Meant for bulk registration where no batch is
-// competing (start-up, restore); readers wait for the whole list.
+// as AddQuery would, so the result equals an AddQuery loop (indices, values,
+// parents, counters). It returns the index of qs[0] (the rest follow
+// consecutively) and the initial answers.
 func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -275,7 +193,7 @@ func (m *MultiCISO) AddQueries(qs []Query) (first int, answers []algo.Value) {
 //   - that writer may read the graph between its own applies without a
 //     lock — nothing else mutates it;
 //   - every other reader holds a lock that excludes the writer (the
-//     caller's, or this engine's, e.g. via AddQuery's snapshot).
+//     caller's, or this engine's).
 //
 // NumVertices is fixed for a graph's lifetime and may be read by anyone.
 func (m *MultiCISO) Topology() *graph.Dynamic {
@@ -318,30 +236,20 @@ func (m *MultiCISO) Answers() []algo.Value {
 	return out
 }
 
-// Counters exposes the cumulative counters (shared across queries). The
-// returned set is internally synchronized (atomic cells), so reading it
-// while ApplyBatchDelta runs is safe; individual values may reflect a batch in
-// flight.
-func (m *MultiCISO) Counters() *stats.Counters {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.cnt
-}
+// Counters exposes the cumulative counters (shared across queries). It
+// takes no lock: the set is created once with the engine and Reset zeroes
+// it in place, and its cells are atomic, so reading it while a writer runs
+// is safe; individual values may reflect a write in flight.
+func (m *MultiCISO) Counters() *stats.Counters { return m.cnt }
+
+// stateHeaderBytes approximates a state's slice headers.
+const stateHeaderBytes = 64
 
 // StateBytes reports the resident bytes of all source-group state: 8 value
 // and 4 parent bytes per vertex per group, plus a fixed per-group header.
 // The per-worker execution scratch is excluded — it scales with workers,
-// not sources.
-func (m *MultiCISO) StateBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	const headerBytes = 64 // the state's slice headers, approximately
-	var total int64
-	for _, g := range m.groups {
-		total += int64(len(g.st.val))*12 + headerBytes
-	}
-	return total
-}
+// not sources. It takes no lock.
+func (m *MultiCISO) StateBytes() int64 { return m.stateBytes.Load() }
 
 // ApplyBatchDelta ingests one batch for every query and reports only the
 // queries whose ANSWER changed, so its cost is O(processed) work plus
@@ -409,9 +317,6 @@ func (m *MultiCISO) ApplyBatchDelta(batch []graph.Update) BatchDelta {
 	m.activeBuf, m.errsBuf, m.preAnsBuf = active, errs, preAns
 
 	// Shared: topology for the addition phase.
-	if len(nb.Adds)+len(nb.Dels)+len(nb.Reweights) > 0 {
-		m.epoch++ // in-flight AddQuery cold starts are converged for the old snapshot
-	}
 	for _, up := range nb.Adds {
 		m.g.AddEdge(up.From, up.To, up.W)
 	}

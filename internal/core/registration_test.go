@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/graph"
@@ -73,6 +73,22 @@ func sameCounts(t *testing.T, where string, got, want map[string]int64) {
 			t.Fatalf("%s: %s moved %d, per-source references %d", where, name, got[name], v)
 		}
 	}
+}
+
+// sameEdgeSet reports whether a and b hold the same weighted edge set — a
+// balanced batch (as many adds as deletes) moves it but not the edge count.
+func sameEdgeSet(a, b *graph.Dynamic) bool {
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for u := 0; u < a.NumVertices(); u++ {
+		for _, e := range a.Out(graph.VertexID(u)) {
+			if w, ok := b.HasEdge(graph.VertexID(u), e.To); !ok || w != e.W {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestRegistrationEquivalence pins the one-state-per-source contract
@@ -197,7 +213,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 			for bi := 0; bi < 4; bi++ {
 				batch := w.NextBatch()
 				where := fmt.Sprintf("%s batch %d", label, bi)
-				epoch := m.epoch
+				pre := m.g.Clone()
 				moved, srcMoved := countsSince(m), countsSince(srcRefs...)
 				if d := m.ApplyBatchDelta(batch); d.Err != nil {
 					t.Fatalf("%s: %v", where, d.Err)
@@ -217,7 +233,7 @@ func TestRegistrationEquivalence(t *testing.T) {
 				check(where)
 				sameCounts(t, where, moved(), srcMoved())
 				if bi == 1 {
-					if m.epoch == epoch {
+					if sameEdgeSet(pre, m.g) {
 						t.Fatalf("%s: batch %d did not mutate the topology", label, bi)
 					}
 					// After mutating batches a same-source registration still
@@ -325,156 +341,86 @@ func TestMultiCISOWorkerPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// gateAlgo blocks every Propagate call while armed, signalling the first
-// one — it holds AddQuery's off-lock initial computation open so the test
-// can probe what that computation blocks.
+// gateAlgo holds the engine open at one ⊕: the first Propagate call after
+// the test arms held takes the release channel, signals entered and blocks
+// until the channel closes. Later calls pass straight through.
 type gateAlgo struct {
 	algo.Algorithm
-	armed   atomic.Bool
-	entered chan struct{}
-	gate    chan struct{}
-	once    sync.Once
+	held    chan chan struct{} // capacity 1
+	entered chan struct{}      // capacity 1
 }
 
 func (g *gateAlgo) Propagate(u algo.Value, w float64) algo.Value {
-	if g.armed.Load() {
-		g.once.Do(func() { close(g.entered) })
-		<-g.gate
+	select {
+	case release := <-g.held:
+		g.entered <- struct{}{}
+		<-release
+	default:
 	}
 	return g.Algorithm.Propagate(u, w)
 }
 
-// TestAddQueryDoesNotBlockReaders is the registration-contention test: while
-// AddQuery's O(V+E) initial computation is in flight (held open by gateAlgo),
-// every reader of the concurrency contract must complete — the computation
-// runs against a private topology snapshot with no lock held.
-func TestAddQueryDoesNotBlockReaders(t *testing.T) {
-	ds := graph.RMAT("contention", 8, 2000, graph.DefaultRMAT, 16, 13)
-	w, err := stream.New(ds, stream.Config{
-		LoadFraction: 0.6, AddsPerBatch: 20, DelsPerBatch: 20, Seed: 13,
-	})
+// TestBatchBesideNewSourceColdStart: a batch that arrives while a new
+// source's cold start runs is applied to that source too. The registration
+// is held open inside its cold start while the batch — a direct edge into
+// the new query's destination — is started beside it; afterwards the new
+// query's answer is the direct edge's and every answer equals a cold start
+// on the final topology. A cold start published without the write lock held
+// throughout would be converged for the pre-batch topology.
+func TestBatchBesideNewSourceColdStart(t *testing.T) {
+	ds := graph.RMAT("beside", 7, 900, graph.DefaultRMAT, 16, 21)
+	w, err := stream.New(ds, stream.Config{LoadFraction: 0.5, AddsPerBatch: 20, DelsPerBatch: 20, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := w.QueryPairs(2)
-	ga := &gateAlgo{Algorithm: algo.PPSP{}, entered: make(chan struct{}), gate: make(chan struct{})}
-	var release sync.Once
-	defer release.Do(func() { close(ga.gate) })
-
-	m := NewMultiCISO()
-	m.Reset(w.Initial(), ga, []Query{{S: pairs[0][0], D: pairs[0][1]}})
-	firstAnswer := m.Answers()[0]
-	ga.armed.Store(true)
-
-	q := Query{S: pairs[1][0], D: pairs[1][1]}
-	type regResult struct {
-		id  int
-		ans algo.Value
-	}
-	regDone := make(chan regResult, 1)
-	go func() {
-		id, ans := m.AddQuery(q)
-		regDone <- regResult{id, ans}
-	}()
-
-	// Wait until the registration is provably mid-computation.
-	select {
-	case <-ga.entered:
-	case r := <-regDone:
-		t.Fatalf("AddQuery finished without propagating (id=%d): degenerate query pair", r.id)
-	case <-time.After(10 * time.Second):
-		t.Fatal("AddQuery never started propagating")
-	}
-
-	// Every reader must complete while the registration compute is blocked.
-	readsDone := make(chan struct{})
-	go func() {
-		defer close(readsDone)
-		for r := 0; r < 100; r++ {
-			if got := m.Answers()[0]; got != firstAnswer {
-				t.Errorf("query 0's answer changed during registration: %v != %v", got, firstAnswer)
-				return
-			}
-			if n := m.NumQueries(); n != 1 {
-				t.Errorf("NumQueries = %d during registration, want 1", n)
-				return
-			}
-			_ = m.Answers()
-			_ = m.Queries()
-			m.Counters().Get(stats.CntRelax)
-		}
-	}()
-	select {
-	case <-readsDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("readers stalled behind AddQuery's initial computation")
-	}
-
-	release.Do(func() { close(ga.gate) })
-	var reg regResult
-	select {
-	case reg = <-regDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("AddQuery did not finish after the gate opened")
-	}
-	if reg.id != 1 || m.NumQueries() != 2 {
-		t.Fatalf("registration published id=%d, NumQueries=%d", reg.id, m.NumQueries())
-	}
-	// The off-lock computation must still be correct.
-	single := NewCISO()
-	single.Reset(w.Initial(), algo.PPSP{}, q)
-	if reg.ans != single.Answer() {
-		t.Fatalf("registered answer %v, independent engine %v", reg.ans, single.Answer())
-	}
-}
-
-// TestAddQuerySpareScratch: a new-source AddQuery cold-starts on the
-// engine's one spare scratch and puts it back; registrations racing for it
-// each get a scratch of their own, and a Reset onto a graph of another size
-// drops it, so no cold start ever runs on a stale one. Every answer equals
-// a cold start's.
-func TestAddQuerySpareScratch(t *testing.T) {
-	a := algo.PPSP{}
-	check := func(m *MultiCISO, g *graph.Dynamic) {
-		t.Helper()
-		for i, q := range m.Queries() {
-			cs := NewColdStart()
-			cs.Reset(g.Clone(), a, q)
-			if got, want := m.Answers()[i], cs.Answer(); got != want {
-				t.Fatalf("query %d (%d->%d): answer %v, cold start %v", i, q.S, q.D, got, want)
-			}
+	pairs := w.QueryPairsConnected(8)
+	q0 := Query{S: pairs[0][0], D: pairs[0][1]}
+	q1 := Query{S: pairs[1][0], D: pairs[1][1]}
+	for _, p := range pairs[1:] {
+		if p[0] != q0.S {
+			q1 = Query{S: p[0], D: p[1]}
+			break
 		}
 	}
-	small := graph.FromEdgeList(graph.RMAT("spare-small", 6, 16<<6, graph.DefaultRMAT, 16, 3))
+	if q1.S == q0.S {
+		t.Fatal("no second source among the query pairs")
+	}
+	ga := &gateAlgo{Algorithm: algo.PPSP{}, held: make(chan chan struct{}, 1), entered: make(chan struct{}, 1)}
 	m := NewMultiCISO()
-	m.Reset(small, a, nil)
-	m.AddQuery(Query{S: 1, D: 2})
-	sc := m.spare.Load()
-	if sc == nil || len(sc.inSet) != small.NumVertices() {
-		t.Fatal("a new-source AddQuery left no spare scratch for the graph")
-	}
-	m.AddQuery(Query{S: 3, D: 2})
-	if m.spare.Load() != sc {
-		t.Fatal("the next new-source AddQuery did not reuse the spare scratch")
-	}
-	check(m, small)
+	m.Reset(w.Initial(), ga, []Query{q0})
 
-	big := graph.FromEdgeList(graph.RMAT("spare-big", 9, 16<<9, graph.DefaultRMAT, 16, 3))
-	m.Reset(big, a, nil)
-	if m.spare.Load() != nil {
-		t.Fatal("Reset kept the spare scratch")
-	}
+	release := make(chan struct{})
+	ga.held <- release
 	var wg sync.WaitGroup
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(s graph.VertexID) {
-			defer wg.Done()
-			m.AddQuery(Query{S: s, D: 5})
-		}(graph.VertexID(400 + k)) // beyond the small graph's vertex range
+	wg.Add(2)
+	var ans algo.Value
+	go func() {
+		defer wg.Done()
+		_, ans = m.AddQuery(q1)
+	}()
+	<-ga.entered
+	go func() {
+		defer wg.Done()
+		if d := m.ApplyBatchDelta([]graph.Update{graph.Add(q1.S, q1.D, 0.5)}); d.Err != nil {
+			t.Error(d.Err)
+		}
+	}()
+	// Release once the lock admits no new reader: a writer holds it, or
+	// the batch is waiting for it behind a reader.
+	for m.mu.TryRLock() {
+		m.mu.RUnlock()
+		runtime.Gosched()
 	}
+	close(release)
 	wg.Wait()
-	if sc := m.spare.Load(); sc == nil || len(sc.inSet) != big.NumVertices() {
-		t.Fatal("after Reset, the spare scratch is not sized for the new graph")
+
+	if got := m.Answers()[1]; got != 0.5 {
+		t.Fatalf("new query %v after the batch beside its cold start: %v, want the direct edge's 0.5 (registered at %v)", q1, got, ans)
 	}
-	check(m, big)
+	cold := NewMultiCISO()
+	cold.Reset(m.g.Clone(), algo.PPSP{}, m.Queries())
+	if got, want := m.Answers(), cold.Answers(); !slices.Equal(got, want) {
+		t.Fatalf("answers %v, cold start %v", got, want)
+	}
+	checkReps(t, "after the batch beside a cold start", m)
 }

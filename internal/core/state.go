@@ -67,8 +67,9 @@ func newState(g *graph.Dynamic, a algo.Algorithm, q Query, cnt *stats.Counters) 
 }
 
 // newStateOn binds a state for src over freshly allocated, zeroed vertex
-// arrays and no destination; the caller resets or computes over them. sc may
-// be nil for states whose owner attaches a scratch per execution (MultiCISO).
+// arrays and no destination, on scratch sc; the caller resets or computes
+// over them. A MultiCISO detaches sc once the cold start is done and
+// attaches a worker slot's scratch per execution.
 func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.VertexID, cnt *stats.Counters) *state {
 	n := g.NumVertices()
 	st := &state{
@@ -80,15 +81,10 @@ func newStateOn(sc *scratch, g *graph.Dynamic, a algo.Algorithm, src graph.Verte
 		op:     resolveOps(a),
 		sc:     sc,
 	}
-	st.bind(cnt)
-	return st
-}
-
-// bind resolves the tally handles against cnt, the set flush adds into.
-func (st *state) bind(cnt *stats.Counters) {
-	for i, name := range tallyNames {
+	for i, name := range tallyNames { // the handles flush adds into
 		st.h[i] = cnt.Handle(name)
 	}
+	return st
 }
 
 // Indices into state.tally.

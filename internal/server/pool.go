@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,35 +21,33 @@ import (
 // the sanitized batch through the engine, which spreads its source groups
 // over its worker pool (core.WithWorkers) and serializes against a
 // concurrent Register on its own lock. The engine reports per-batch answer
-// deltas (core.ApplyBatchDelta), and the pool folds them into its value
-// table: when answers moved, a fresh Snapshot is built and swapped in; when
-// the batch changed nothing — the common case under change-driven skipping
-// — nothing is published, so steady-state serving cost tracks the changed
-// set, not the registered query count (DESIGN.md §15). The changed ids feed
-// the watch hub. The stream position is the server's (Server.Applied), not
-// the pool's.
+// deltas (core.ApplyBatchDelta), and the pool folds them into the published
+// Snapshot — the pool's one answer table: when answers moved, a fresh
+// Snapshot is built and swapped in; when the batch changed nothing — the
+// common case under change-driven skipping — nothing is published, so
+// steady-state serving cost tracks the changed set, not the registered query
+// count (DESIGN.md §15). The changed ids feed the watch hub. The stream
+// position is the server's (Server.Applied), not the pool's.
 //
-// Read path: Answers loads the current Snapshot pointer — no lock shared
-// with the writer, so queries are served at memory speed even while a batch
-// (including its delayed work) is being applied.
+// Read path: Answers, NumQueries and QueriesSnapshot load the current
+// Snapshot pointer — no lock shared with a writer, so they are served at
+// memory speed even while a batch or a registration's cold start runs.
 type QueryPool struct {
 	a   algo.Algorithm
 	eng *core.MultiCISO
 
-	// mu orders registration against the fold: Register holds it across
-	// the engine's AddQuery and the install, so a batch that already sees
-	// the new query folds its value only after the install.
-	mu      sync.Mutex
-	queries []core.Query
-	vals    []algo.Value // id → current answer (guarded by mu)
-
+	// mu orders the publishers of snap: RegisterAll holds it across the
+	// engine's AddQueries and the install, so a batch that already sees the
+	// new queries folds its values only after the install.
+	mu   sync.Mutex
 	snap atomic.Pointer[Snapshot]
 }
 
 // Snapshot is one immutable published view of every registered query's
-// answer. Readers share it; nothing in it is ever mutated after Publish.
+// answer. Readers share it; nothing in it is ever mutated after it is
+// published — a new one shares its Queries and never its Values.
 type Snapshot struct {
-	// Queries and Values are parallel, in registration order.
+	// Queries and Values are parallel, in registration order (id order).
 	Queries []core.Query
 	Values  []algo.Value
 }
@@ -76,17 +75,13 @@ func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, _, workers int, _ core.Sto
 }
 
 // NumQueries returns the number of registered queries.
-func (p *QueryPool) NumQueries() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queries)
-}
+func (p *QueryPool) NumQueries() int { return len(p.snap.Load().Queries) }
 
 // admitLocked applies the query-admission rule (admitQueries) to this pool.
 // Callers hold p.mu, so a check and the registration it admits are one
 // step.
 func (p *QueryPool) admitLocked(qs []core.Query) error {
-	return admitQueries(p.eng.Topology().NumVertices(), len(p.queries), qs)
+	return admitQueries(p.eng.Topology().NumVertices(), p.NumQueries(), qs)
 }
 
 // admitQueries is the one query-admission rule, for adding qs to `have`
@@ -110,29 +105,23 @@ func admitQueries(nv, have int, qs []core.Query) error {
 }
 
 // Register admits q (admitLocked), arms it — joining its source's group, or
-// cold-starting a new source against the current topology — and publishes a
-// refreshed snapshot. The returned id is stable for the pool's lifetime. A
-// refused query (ErrQueryLimit, or an invalid pair) registers nothing.
+// cold-starting a new source under the engine's write lock — and publishes a
+// refreshed snapshot: RegisterAll of one query. The returned id is stable
+// for the pool's lifetime. A refused query (ErrQueryLimit, or an invalid
+// pair) registers nothing.
 func (p *QueryPool) Register(q core.Query) (id int, ans algo.Value, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.admitLocked([]core.Query{q}); err != nil {
+	ids, answers, err := p.RegisterAll([]core.Query{q})
+	if err != nil {
 		return 0, 0, err
 	}
-	id, ans = p.eng.AddQuery(q)
-	p.queries = append(p.queries, q)
-	p.vals = append(p.vals, ans)
-	p.publishLocked()
-	return id, ans, nil
+	return ids[0], answers[0], nil
 }
 
 // RegisterAll admits qs as a whole — all of them, or none with the first
 // refusal — and registers them in order in one engine call
-// (core.MultiCISO.AddQueries), publishing once: no topology clone per
-// distinct source, one cold start per source. Ids, answers and engine
-// counters equal a Register loop's, on an empty or a non-empty pool. The
-// engine lock is held for the whole list, so it is meant for start-up and
-// restore, not beside live writes.
+// (core.MultiCISO.AddQueries), publishing once, with one cold start per new
+// source. The engine lock is held for the whole list, so a batch waits for
+// it as it waits for any other writer.
 func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Value, err error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
@@ -147,9 +136,11 @@ func (p *QueryPool) RegisterAll(qs []core.Query) (ids []int, answers []algo.Valu
 	for k := range ids {
 		ids[k] = first + k
 	}
-	p.queries = append(p.queries, qs...)
-	p.vals = append(p.vals, answers...)
-	p.publishLocked()
+	old := p.snap.Load()
+	p.snap.Store(&Snapshot{
+		Queries: append(slices.Clip(old.Queries), qs...),
+		Values:  append(slices.Clip(old.Values), answers...),
+	})
 	return ids, answers, nil
 }
 
@@ -173,9 +164,9 @@ func (p *QueryPool) Topology() *graph.Dynamic { return p.eng.Topology() }
 func (p *QueryPool) Rebootstrap(g *graph.Dynamic) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.eng.Reset(g, p.a, p.queries)
-	copy(p.vals, p.eng.Answers())
-	p.publishLocked()
+	qs := p.snap.Load().Queries
+	p.eng.Reset(g, p.a, qs)
+	p.snap.Store(&Snapshot{Queries: qs, Values: p.eng.Answers()})
 }
 
 // ApplyBatch applies one sanitized batch and, when an answer moved,
@@ -197,49 +188,39 @@ func (p *QueryPool) ApplyUpdates(ups []graph.Update) (core.FastStats, []core.Cha
 	return core.FastStats{}, changed, err
 }
 
-// fold writes the engine's changed answers into the value table and, when
-// any answer moved, publishes. Returns changed, in the engine's ascending id
-// order, or nil when it is empty.
+// fold publishes a snapshot with the engine's changed answers written into
+// a copy of the current values; the queries are shared, being immutable.
+// Returns changed, in the engine's ascending id order, or nil when it is
+// empty — and then publishes nothing.
 func (p *QueryPool) fold(changed []core.ChangedAnswer) []core.ChangedAnswer {
 	if len(changed) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	old := p.snap.Load()
+	vals := slices.Clone(old.Values)
 	for _, ca := range changed {
-		p.vals[ca.Index] = ca.Value
+		vals[ca.Index] = ca.Value
 	}
-	p.publishLocked()
+	p.snap.Store(&Snapshot{Queries: old.Queries, Values: vals})
 	return changed
-}
-
-// publishLocked rebuilds and swaps in the answer snapshot from the value
-// table. Callers hold p.mu, which orders publications from the applier and
-// from Register.
-func (p *QueryPool) publishLocked() {
-	p.snap.Store(&Snapshot{
-		Queries: append([]core.Query(nil), p.queries...),
-		Values:  append([]algo.Value(nil), p.vals...),
-	})
 }
 
 // Answers returns the current published snapshot. The result is shared and
 // immutable; callers must not modify it.
 func (p *QueryPool) Answers() *Snapshot { return p.snap.Load() }
 
-// StateBytes reports the engine's resident source-group state footprint.
+// StateBytes reports the engine's resident source-group state footprint,
+// without waiting for a writer.
 func (p *QueryPool) StateBytes() int64 { return p.eng.StateBytes() }
 
-// Counters returns the engine's live counters; they are safe to read from
-// any goroutine.
+// Counters returns the engine's live counters, without waiting for a
+// writer; they are safe to read from any goroutine.
 func (p *QueryPool) Counters() *stats.Counters { return p.eng.Counters() }
 
 // QueriesSnapshot returns a copy of the registered queries in id order.
-func (p *QueryPool) QueriesSnapshot() []core.Query {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]core.Query(nil), p.queries...)
-}
+func (p *QueryPool) QueriesSnapshot() []core.Query { return slices.Clone(p.snap.Load().Queries) }
 
 // joinNonNil combines two possibly-nil errors.
 func joinNonNil(a, b error) error {

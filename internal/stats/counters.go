@@ -228,16 +228,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return out
 }
 
-// AddAll merges other into c (c += other).
-func (c *Counters) AddAll(other *Counters) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.Snapshot() {
-		c.Add(k, v)
-	}
-}
-
 // DenseSnapshot appends the current value of every registered counter, in
 // dense-id (registration) order, to buf and returns the result. Passing
 // buf[:0] of a retained buffer makes the per-batch "before" capture

@@ -166,18 +166,6 @@ func TestCountersSnapshotAndDiff(t *testing.T) {
 	}
 }
 
-func TestCountersAddAll(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 5)
-	a.AddAll(b)
-	if a.Get("x") != 3 || a.Get("y") != 5 {
-		t.Fatalf("AddAll got x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-	a.AddAll(nil) // must not panic
-}
-
 func TestCountersString(t *testing.T) {
 	c := NewCounters()
 	c.Add("b", 2)
