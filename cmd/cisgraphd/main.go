@@ -1,10 +1,10 @@
 // Command cisgraphd serves a streaming pairwise-analytics graph over HTTP:
 // clients POST edge updates, register pairwise queries Q(s→d), and read the
-// continuously maintained answers. Updates are gathered into time-or-size
-// bounded batches (the paper's ingestion model) and applied through one
-// multi-query engine; every batch is validated by the resilience
-// sanitizer and, when configured, logged to a WAL and checkpointed, so a
-// SIGTERM drain (or a crash) can be resumed with -resume.
+// continuously maintained answers. Updates wait in one ingest queue whose
+// whole content is committed as one group (the paper's batch gathering) and
+// applied through one multi-query engine; every update is validated by the
+// resilience sanitizer and, when configured, logged to a WAL and
+// checkpointed, so a SIGTERM drain (or a crash) can be resumed with -resume.
 //
 // Examples:
 //
@@ -65,13 +65,10 @@ func run() error {
 		algoStr = flag.String("algo", "PPSP", "algorithm: PPSP, PPWP, PPNP, Viterbi or Reach")
 		seed    = flag.Int64("seed", 42, "deterministic seed for -standin")
 
-		batchSize = flag.Int("batch-size", 512, "cut a batch at this many updates")
-		batchWait = flag.Duration("batch-wait", 25*time.Millisecond, "cut a non-empty batch after this long")
-		queueCap  = flag.Int("queue", 65536, "ingest queue capacity (updates); a POST that does not fit gets 429 + Retry-After")
-		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
-		maxBody   = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
-		maxInfl   = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
-		propWork  = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
+		reqTO    = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
+		maxBody  = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
+		maxInfl  = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
+		propWork = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
 
 		walPath    = flag.String("wal", "", "append every sanitized batch to this segmented write-ahead log directory")
 		walSegment = flag.Int64("wal-segment-bytes", 4<<20, "roll the WAL to a new segment at this size")
@@ -107,9 +104,6 @@ func run() error {
 		return err
 	}
 	cfg := server.Config{
-		BatchMaxSize:        *batchSize,
-		BatchMaxWait:        *batchWait,
-		QueueCapacity:       *queueCap,
 		RequestTimeout:      *reqTO,
 		MaxBodyBytes:        *maxBody,
 		MaxInFlight:         *maxInfl,
@@ -242,15 +236,14 @@ func run() error {
 			return fmt.Errorf("binary listener: %w", err)
 		}
 		go func() {
-			log.Printf("binary ingest (CGBIN/2) on %s: per-update fast path with group-committed WAL", *binAddr)
+			log.Printf("binary ingest (CGBIN/2) on %s: one WAL record per update, group-committed", *binAddr)
 			if err := srv.ServeBinary(binLn); err != nil {
 				errCh <- fmt.Errorf("binary ingest: %w", err)
 			}
 		}()
 	}
 	go func() {
-		log.Printf("cisgraphd serving %s on %s: batch window %d/%v, queue %d, CPU budget %d (+1 P for admission)",
-			a.Name(), *addr, *batchSize, *batchWait, *queueCap, engineCPUs)
+		log.Printf("cisgraphd serving %s on %s: CPU budget %d (+1 P for admission)", a.Name(), *addr, engineCPUs)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
@@ -262,7 +255,7 @@ func run() error {
 	case err := <-errCh:
 		return err
 	case got := <-sig:
-		log.Printf("%v: draining (flushing ingest window, closing WAL, writing final checkpoint)", got)
+		log.Printf("%v: draining (committing the ingest queue, closing WAL, writing final checkpoint)", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

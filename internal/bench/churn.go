@@ -57,11 +57,11 @@ func (c *toggleChurn) fill(ups []graph.Update, n int) []graph.Update {
 	return ups
 }
 
-// churnGroup is the group size the churn rows feed ApplyBatchDelta: the
-// batcher's default body cut (Config.BatchMaxSize). The binary fast path has
-// no fixed group size — a group is whatever is queued, up to one maximal
-// frame — and engine ns/update is flat from groups of 512 to 4,096, so one
-// size stands for both fronts.
+// churnGroup is the group size the churn rows feed ApplyBatchDelta: one
+// 512-update JSON body. The ingest queue has no fixed group size — a group is
+// whatever is queued, up to one maximal CGBIN/2 frame — and engine
+// ns/update is flat from groups of 512 to 4,096, so one size stands for
+// every group.
 const churnGroup = 512
 
 // churnEngine arms a MultiCISO with q PPSP queries spread over the `sources`

@@ -3,6 +3,7 @@ package bench
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -111,6 +112,30 @@ func restoreArtefacts(b *testing.B, sources int, json bool, suffix int) (string,
 		b.Fatal(err)
 	}
 	return pristine, cfg, pos, want
+}
+
+// updatesBody renders a POST /v1/updates payload.
+func updatesBody(b *testing.B, ups []graph.Update) []byte {
+	b.Helper()
+	type wire struct {
+		Op   string  `json:"op"`
+		From uint32  `json:"from"`
+		To   uint32  `json:"to"`
+		W    float64 `json:"w"`
+	}
+	out := make([]wire, len(ups))
+	for i, u := range ups {
+		op := "add"
+		if u.Del {
+			op = "del"
+		}
+		out[i] = wire{Op: op, From: u.From, To: u.To, W: u.W}
+	}
+	body, err := json.Marshal(map[string]any{"updates": out})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
 }
 
 // feedJSON posts each body to POST /v1/updates.

@@ -44,9 +44,6 @@ func Suite() []Case {
 		{Name: "DynamicClone", Bench: DynamicClone},
 		{Name: "TopDegree", Bench: TopDegree},
 		{Name: "ApplyBatch", Bench: ApplyBatch},
-		{Name: "ServerIngest", Bench: ServerIngest},
-		{Name: "ServerIngestBinary", Bench: ServerIngestBinary},
-		{Name: "PerUpdateLatency", Bench: PerUpdateLatency},
 		{Name: "BatchRepair_Q4_S4", Bench: BatchRepair(4, 4)},
 		{Name: "BatchRepair_Q128_S16", Bench: BatchRepair(128, 16)},
 		{Name: "BatchRepair_Q64_S64", Bench: BatchRepair(64, 64)},
@@ -55,7 +52,6 @@ func Suite() []Case {
 		{Name: "AddQuery_NewSource", Bench: AddQueryNewSource},
 		{Name: "Restore_S64", Bench: Restore(64, true, 1<<14)},
 		{Name: "Restore_S4", Bench: Restore(4, false, 1<<16)},
-		{Name: "ServerAnswers", Bench: ServerAnswers},
 		// The _Dense suffix keeps the names of earlier BENCH_*.json rows.
 		{Name: "MultiQueryScale_Q16_Dense", Bench: MultiQueryScale(16)},
 		{Name: "MultiQueryScale_Q256_Dense", Experiment: true, Bench: MultiQueryScale(256)},

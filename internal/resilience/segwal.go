@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCompacted reports that the requested records were deleted by
@@ -139,8 +140,8 @@ type segMeta struct {
 
 // SegmentedWAL is an append-only write-ahead log split across fixed-size
 // segment files with checkpoint-coordinated retention. Safe for one writer;
-// methods are internally locked so metrics reads (Segments/Bytes) can come
-// from other goroutines.
+// methods are internally locked, and the metrics reads (Segments/Bytes) take
+// no lock at all, so they never wait out an append's fsync.
 type SegmentedWAL struct {
 	dir string
 	opt SegWALOptions
@@ -157,6 +158,11 @@ type SegmentedWAL struct {
 	epoch  uint64    // leadership epoch stamped into new segments
 	closed bool      // Close was called; AppendRecords/Probe refuse
 	buf    []byte    // AppendRecords' encode buffer, reused across groups
+
+	// liveSegs and liveBytes mirror the live segment count and total size for
+	// Segments/Bytes; every mutator republishes them before unlocking.
+	liveSegs  atomic.Int64
+	liveBytes atomic.Int64
 }
 
 // OpenSegmentedWAL opens (or creates) the segmented WAL at dir, resuming
@@ -177,6 +183,7 @@ func OpenSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 		if err := w.createSegment(opt.StartIndex); err != nil {
 			return nil, err
 		}
+		w.publish()
 		return w, nil
 	}
 	for _, first := range firsts[:len(firsts)-1] {
@@ -186,7 +193,9 @@ func OpenSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 		}
 		w.sealed = append(w.sealed, segMeta{first: first, size: st.Size()})
 	}
-	return w, w.openActive(firsts[len(firsts)-1])
+	err = w.openActive(firsts[len(firsts)-1])
+	w.publish()
+	return w, err
 }
 
 // CreateSegmentedWAL starts a fresh segmented WAL at dir, removing any
@@ -210,6 +219,7 @@ func CreateSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 	if err := w.createSegment(opt.StartIndex); err != nil {
 		return nil, err
 	}
+	w.publish()
 	return w, nil
 }
 
@@ -376,6 +386,7 @@ func (w *SegmentedWAL) repairLocked() error {
 func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	if w.closed {
 		return 0, fmt.Errorf("wal: closed")
 	}
@@ -436,6 +447,7 @@ func (w *SegmentedWAL) Epoch() uint64 {
 func (w *SegmentedWAL) BumpEpoch(epoch uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	if w.closed {
 		return fmt.Errorf("wal: closed")
 	}
@@ -466,6 +478,7 @@ func (w *SegmentedWAL) BumpEpoch(epoch uint64) error {
 func (w *SegmentedWAL) ResetTo(startIndex, epoch uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	if w.closed {
 		return fmt.Errorf("wal: closed")
 	}
@@ -622,25 +635,24 @@ func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
 func (w *SegmentedWAL) Dir() string { return w.dir }
 
 // Segments returns the number of live segment files (sealed + active).
-func (w *SegmentedWAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.sealed)
+func (w *SegmentedWAL) Segments() int { return int(w.liveSegs.Load()) }
+
+// Bytes returns the total size of all live segment files.
+func (w *SegmentedWAL) Bytes() int64 { return w.liveBytes.Load() }
+
+// publish stores the live segment count and total size for Segments and
+// Bytes. Called with w.mu held (or before the log is shared).
+func (w *SegmentedWAL) publish() {
+	n := int64(len(w.sealed))
 	if w.active != nil {
 		n++
 	}
-	return n
-}
-
-// Bytes returns the total size of all live segment files.
-func (w *SegmentedWAL) Bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var total int64
+	total := w.good
 	for _, s := range w.sealed {
 		total += s.size
 	}
-	return total + w.good
+	w.liveSegs.Store(n)
+	w.liveBytes.Store(total)
 }
 
 // TruncateThrough deletes every sealed segment whose records are all
@@ -651,6 +663,7 @@ func (w *SegmentedWAL) Bytes() int64 {
 func (w *SegmentedWAL) TruncateThrough(through uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	deletable := 0
 	for i := range w.sealed {
 		end := w.first // active segment's first index bounds the last sealed one
@@ -681,6 +694,7 @@ func (w *SegmentedWAL) TruncateThrough(through uint64) (int, error) {
 func (w *SegmentedWAL) Probe() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	if w.closed {
 		return fmt.Errorf("wal: closed")
 	}
@@ -702,6 +716,7 @@ func (w *SegmentedWAL) Probe() error {
 func (w *SegmentedWAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.publish()
 	w.closed = true
 	if w.active == nil {
 		return nil

@@ -15,7 +15,7 @@ import (
 // prefix in one write. Resolving never blocks, so a connection whose writer
 // is stuck or dead cannot stall the commit goroutine.
 type ackQueue struct {
-	// slots is the pipeline window (FastPipelineDepth): one token per
+	// slots is the pipeline window (pipelineDepth): one token per
 	// admitted frame whose ack is not yet written.
 	slots chan struct{}
 	// wake (capacity 1) tells the writer an entry was resolved or the reader
@@ -23,8 +23,8 @@ type ackQueue struct {
 	wake chan struct{}
 
 	mu      sync.Mutex
-	entries []*fpEntry // unwritten, in frame order
-	closed  bool       // the reader admits nothing more
+	entries []*entry // unwritten, in frame order
+	closed  bool     // the reader admits nothing more
 }
 
 func newAckQueue(depth int) *ackQueue {
@@ -34,7 +34,7 @@ func newAckQueue(depth int) *ackQueue {
 // admit queues e behind every frame still unwritten, blocking while the
 // window is full — on a persistent connection that is the natural
 // backpressure.
-func (q *ackQueue) admit(e *fpEntry) {
+func (q *ackQueue) admit(e *entry) {
 	q.slots <- struct{}{}
 	e.q = q
 	q.mu.Lock()
@@ -43,7 +43,7 @@ func (q *ackQueue) admit(e *fpEntry) {
 }
 
 // resolve settles one entry and wakes the writer.
-func (q *ackQueue) resolve(e *fpEntry, a BinAck) {
+func (q *ackQueue) resolve(e *entry, a BinAck) {
 	q.mu.Lock()
 	e.ack, e.done = a, true
 	q.mu.Unlock()
@@ -69,7 +69,7 @@ func (q *ackQueue) signal() {
 // resolveGroup settles entries[i] with acks[i] — entries of one connection
 // under one lock per consecutive run — and only then wakes every connection
 // involved, once each. woken is the caller's scratch, returned for reuse.
-func resolveGroup(entries []*fpEntry, acks []BinAck, woken []*ackQueue) []*ackQueue {
+func resolveGroup(entries []*entry, acks []BinAck, woken []*ackQueue) []*ackQueue {
 	woken = woken[:0]
 	for i := 0; i < len(entries); {
 		q := entries[i].q

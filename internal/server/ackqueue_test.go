@@ -43,7 +43,7 @@ func framesOf(w *stream.Workload, n int) [][]graph.Update {
 	return frames
 }
 
-// holdCommits takes the commit lock, stalling the fast path's commit
+// holdCommits takes the commit lock, stalling the ingest queue's commit
 // goroutine at its next group; the returned release is idempotent.
 func holdCommits(srv *Server) (release func()) {
 	srv.commitMu.Lock()
@@ -69,7 +69,7 @@ func (c *binTestClient) expectOKAcks(frames [][]graph.Update, pos uint64) uint64
 // though the reader resolved it first.
 func TestAckQueueBadFrameBehindPending(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestAckQueueBadFrameBehindPending(t *testing.T) {
 	bc.expectEOF()
 }
 
-// TestAckQueueDrainingMidStream: a frame refused because the fast path
+// TestAckQueueDrainingMidStream: a frame refused because the ingest queue
 // began draining is acked Draining behind the frames admitted before it,
 // each of which is still committed and acked OK.
 func TestAckQueueDrainingMidStream(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,9 @@ func TestAckQueueDrainingMidStream(t *testing.T) {
 	for _, f := range frames {
 		bc.send(f)
 	}
-	waitFor(t, 10*time.Second, func() bool { return srv.fp.pending.Load() == int64(len(frames)) },
+	waitFor(t, 10*time.Second, func() bool { return srv.in.pending.Load() == int64(len(frames)) },
 		"the frames were never admitted")
-	srv.fp.draining.Store(true) // what shutdown does first
+	srv.in.close() // what shutdown does first
 	bc.send(late)
 	bc.noAckYet("while the frames ahead of the refused one were unresolved")
 	release()
@@ -138,7 +138,7 @@ func TestAckQueueDrainingMidStream(t *testing.T) {
 // frames waits for them.
 func TestAckQueueSyncResolverOrder(t *testing.T) {
 	w := testWorkload(t)
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(t.TempDir(), "srv.wal")
 	cfg.SyncFollowers = 1
 	cfg.SyncAckTimeout = 300 * time.Millisecond
@@ -223,10 +223,10 @@ func TestAckQueueWriteErrorDoesNotBlockCommit(t *testing.T) {
 	}()
 	var woken []*ackQueue
 	group := func(n int) {
-		entries := make([]*fpEntry, n)
+		entries := make([]*entry, n)
 		acks := make([]BinAck, n)
 		for i := range entries {
-			entries[i] = new(fpEntry)
+			entries[i] = new(entry)
 			q.admit(entries[i])
 			acks[i] = BinAck{Pos: uint64(i), Status: BinStatusOK}
 		}
@@ -249,7 +249,7 @@ func TestAckQueueWriteErrorDoesNotBlockCommit(t *testing.T) {
 // another connection keeps getting prompt acks.
 func TestBinaryPeerGoneMidStream(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 	"cisgraph/internal/stream"
 )
 
@@ -44,7 +46,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(w.Initial(), testAlgo(t), Config{BatchMaxSize: batch})
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +71,25 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 		}
 	}
 
-	// The backlog goes straight into the batcher, so the applier is busy
-	// before the first POST and stays busy: every POST adds one more batch.
+	// The backlog goes straight into the commit stage, one 512-update body
+	// per commit, so the applier is busy before the first POST and stays
+	// busy while the POSTs queue beside it.
+	var backlogBodies [][]graph.Update
 	for i := 0; i < backlog; i++ {
-		if err := srv.bat.Offer(w.NextBatch()); err != nil {
-			t.Fatal(err)
-		}
+		backlogBodies = append(backlogBodies, w.NextBatch())
 	}
+	var applying atomic.Bool
+	applying.Store(true)
+	go func() {
+		defer applying.Store(false)
+		for _, b := range backlogBodies {
+			srv.commit(fromClient, []resilience.Record{{Batch: b}}, nil)
+		}
+	}()
 	client := ts.Client()
 	var posts []time.Duration
 	for i, body := range wire {
-		busy := !srv.bat.Quiesced()
+		busy := applying.Load()
 		start := time.Now()
 		resp, err := client.Post(ts.URL+"/v1/updates", "application/json", bytes.NewReader(body))
 		took := time.Since(start)
@@ -97,7 +107,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 		}
 	}
 	// Under -race an apply takes ~10× longer, so the backlog gets a minute.
-	waitFor(t, time.Minute, srv.Quiesced, "the backlog to drain")
+	waitFor(t, time.Minute, func() bool { return !applying.Load() && srv.Quiesced() }, "the backlog to drain")
 
 	var apply time.Duration
 	for _, b := range srv.applyLat.report() {

@@ -45,8 +45,8 @@ type applyLatBucket struct {
 }
 
 // applyLatRecorder is the concurrency-safe recorder. Every apply path
-// (batcher, per-update fast path, WAL replay, follower tail) records through
-// it, a fast-path group under its update count; the per-apply mutex is noise
+// (ingest group, WAL replay, follower tail) records through it, a group
+// under its update count; the per-apply mutex is noise
 // next to an engine apply — as long as report, which the commit stage waits
 // on through it, only copies under it.
 type applyLatRecorder struct {

@@ -123,8 +123,8 @@ func TestApplyLatReportBesideRecord(t *testing.T) {
 // answers as a default one.
 func TestApplyLatencyHealthz(t *testing.T) {
 	w := testWorkload(t)
-	cfgSerial := testServerConfig()
-	cfgPar := testServerConfig()
+	cfgSerial := Config{}
+	cfgPar := Config{}
 	cfgPar.PropagateWorkers = 4
 
 	srvS, err := New(w.Initial(), testAlgo(t), cfgSerial)

@@ -68,7 +68,7 @@ func TestChaosCrashLoopSIGKILL(t *testing.T) {
 
 	baseArgs := []string{
 		"-standin", "OR", "-scale", "8", "-seed", "7", "-algo", "PPSP",
-		"-addr", addr, "-batch-size", "32", "-batch-wait", "2ms",
+		"-addr", addr,
 		"-wal", walDir, "-wal-segment-bytes", "1024",
 		"-checkpoint", ckpt, "-checkpoint-every", "4",
 	}

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
 )
 
 // origin says how far along the durability path a run of records already
-// is. Besides record shape (which only picks how client records are
-// sanitized) it is the only thing the commit stage branches on.
+// is. It is the only thing the commit stage branches on.
 type origin uint8
 
 const (
-	// fromClient records (a batcher body, CGBIN/2 updates) are durable
-	// nowhere yet: they pass every admission step.
+	// fromClient records (JSON bodies, CGBIN/2 updates) are durable nowhere
+	// yet: they pass every admission step.
 	fromClient origin = iota
 	// fromLeader records come off the follower tail, sanitized and durable on
 	// the leader: they skip fence, breaker, dedup check and sanitize, and are
@@ -26,7 +24,7 @@ const (
 	fromLog
 )
 
-// verdict is what one commit did with one single-update client record.
+// verdict is what one commit did with one client record.
 type verdict uint8
 
 const (
@@ -40,44 +38,41 @@ type commitResult struct {
 	status  uint32 // BinStatusOK, or why nothing was applied (NotLeader, Degraded)
 	pos     uint64 // stream position after the commit
 	applied int    // records applied: positions this commit advanced
+	updates int    // updates applied
 	err     error  // why a follower record could not be applied
 }
 
 // commit is the one write stage every front feeds (DESIGN.md §10.2): the
-// batcher (one record per body), the CGBIN/2 reader (one record per update),
-// the follower tail and WAL replay. It runs the fixed order once —
+// ingest queue (one record per JSON body, one per CGBIN/2 update), the
+// follower tail and WAL replay. It runs the fixed order once —
 //
 //	fence → breaker → dedup → sanitize → WAL append → dedup advance →
 //	pool apply → position/publish/counters → checkpoint
 //
-// — branching only on origin and, for client records, on record shape: one
-// multi-update record is sanitized as a batch, a run of single-update
-// records per update. Whatever the shape, the clean updates reach the engine
-// as one batch (pool.ApplyBatch). There is one topology: sanitize validates
-// against the pool's own graph, which holds the pre-commit topology until
-// the pool apply mutates it. Every applied record is one stream position, so
-// a position is a WAL record on every path. verdicts, when non-nil, receives
-// each record's fate when client records are sanitized per update (the
-// binary front's acks).
+// — branching only on origin. Client records are sanitized one way: every
+// update, in record order, against the topology plus the updates accepted
+// before it. A record keeps its clean updates as one record (a one-update
+// record is kept or dropped), and a record left with none takes no
+// position. The clean updates reach the engine as one batch
+// (pool.ApplyBatch). There is one topology: sanitize validates against the
+// pool's own graph, which holds the pre-commit topology until the pool
+// apply mutates it. Every applied record is one stream position, so a
+// position is a WAL record on every path. verdicts, when non-nil, receives
+// each client record's fate (the binary front's acks).
 func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) commitResult {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	perUpdate := len(recs) > 1 || len(recs[0].Batch) == 1
 	switch o {
 	case fromClient:
-		offered := len(recs)
-		if !perUpdate {
-			offered = len(recs[0].Batch)
-		}
 		// A node deposed while these records waited must not commit them:
 		// followers take writes only from the replication tail.
 		if s.isFollower() {
-			return s.refuse(BinStatusNotLeader, offered, perUpdate, nil)
+			return s.refuse(BinStatusNotLeader, recs, nil)
 		}
 		// Degraded mode (§12.2): what cannot be made durable is never applied,
 		// or served answers would run ahead of what a crash replay rebuilds.
 		if s.brk.Open() {
-			return s.refuse(BinStatusDegraded, offered, perUpdate, nil)
+			return s.refuse(BinStatusDegraded, recs, nil)
 		}
 	case fromLeader:
 		if want := s.applied.Load(); recs[0].Index != want {
@@ -92,58 +87,55 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	// clean and the records to log in out. The commit goroutine is the
 	// topology's only writer, so it reads it here without the engine lock.
 	topo := s.pool.Topology()
-	var clean []graph.Update
+	clean := s.clean[:0]
 	out := recs
-	switch {
-	case o == fromClient && perUpdate:
+	if o == fromClient {
 		ss := s.san.Stream(topo)
-		clean = s.clean[:0]
 		s.dups = s.dedup.dupRun(recs, s.dups)
-		// out stays recs itself until a record is left out; only then are
-		// the survivors copied, so a clean group is never held twice.
+		// out stays recs itself until a record is changed or left out; only
+		// then are the survivors copied, so a clean group is never held
+		// twice.
 		shared := true
 		for i, rec := range recs {
-			v := vDropped
-			switch {
-			case s.dups[i]:
+			v, kept := vDropped, rec
+			if s.dups[i] {
 				v = vDuplicate
 				s.h.dedupHits.Inc()
-			case ss.Check(rec.Batch[0]) == "":
-				v = vApplied
-				clean = append(clean, rec.Batch[0])
+			} else {
+				k := len(clean)
+				for _, u := range rec.Batch {
+					if ss.Check(u) == "" {
+						clean = append(clean, u)
+					}
+				}
+				if n := len(clean) - k; n > 0 {
+					v = vApplied
+					if n < len(rec.Batch) {
+						kept.Batch = clean[k:]
+					}
+				}
 			}
-			switch {
-			case v == vApplied && !shared:
-				out = append(out, rec)
-			case v != vApplied && shared:
+			whole := v == vApplied && len(kept.Batch) == len(rec.Batch)
+			if shared && !whole {
 				out, shared = append(s.out[:0], recs[:i]...), false
+			}
+			if !shared && v == vApplied {
+				out = append(out, kept)
 			}
 			if verdicts != nil {
 				verdicts[i] = v
 			}
 		}
-		s.clean = clean
 		if !shared {
 			s.out = out
 		}
-	case o == fromClient:
-		// A batcher body: untagged, so there is nothing to dedup. The server's
-		// sanitizer runs PolicyDrop, which drops each invalid update, keeps
-		// the rest of the body and never returns an error.
-		c, _, _ := s.san.Sanitize(topo, recs[0].Batch)
-		out = s.out[:0]
-		if len(c) > 0 {
-			clean, out = c, append(out, resilience.Record{Batch: c})
-			s.out = out
-		}
-	default:
+	} else {
 		// Leader and log records were sanitized before they were logged.
-		clean = s.clean[:0]
 		for _, rec := range recs {
 			clean = append(clean, rec.Batch...)
 		}
-		s.clean = clean
 	}
+	s.clean = clean
 	if len(out) == 0 {
 		return commitResult{status: BinStatusOK, pos: s.applied.Load()}
 	}
@@ -153,7 +145,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 			s.brk.Trip(err)
 			err = fmt.Errorf("server: wal append failed (%d updates dropped, degraded): %w", len(clean), err)
 			s.setLastErr(err)
-			return s.refuse(BinStatusDegraded, len(clean), perUpdate, err)
+			return s.refuse(BinStatusDegraded, out, err)
 		}
 	}
 	// Durable: the dedup table may now advance, in commit order, so the live
@@ -171,7 +163,7 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	before := pos - uint64(len(out))
 	s.publishWatch(pos, changed)
 	s.edges.Store(int64(topo.NumEdges()))
-	res := commitResult{status: BinStatusOK, pos: pos, applied: len(out)}
+	res := commitResult{status: BinStatusOK, pos: pos, applied: len(out), updates: len(clean)}
 	if o == fromLog {
 		return res
 	}
@@ -187,13 +179,15 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 	return res
 }
 
-// refuse counts updates turned away un-applied — fenced, breaker open, or
-// not made durable — and reports why. A refused body also counts as a
-// dropped batch.
-func (s *Server) refuse(status uint32, updates int, perUpdate bool, err error) commitResult {
-	s.h.dropUpdates.Add(int64(updates))
-	if !perUpdate {
-		s.h.dropBatches.Inc()
+// refuse counts the updates of recs turned away un-applied — fenced, breaker
+// open, or not made durable — and reports why. Each refused JSON body (an
+// untagged record) also counts as a dropped batch.
+func (s *Server) refuse(status uint32, recs []resilience.Record, err error) commitResult {
+	for _, rec := range recs {
+		s.h.dropUpdates.Add(int64(len(rec.Batch)))
+		if rec.SID == 0 {
+			s.h.dropBatches.Inc()
+		}
 	}
 	return commitResult{status: status, pos: s.applied.Load(), err: err}
 }

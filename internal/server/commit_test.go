@@ -230,7 +230,7 @@ func TestFastCommitAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("%d-update group", tc.n), func(t *testing.T) {
 			w := testWorkload(t)
 			g := w.Initial()
-			cfg := testServerConfig()
+			cfg := Config{}
 			cfg.WALPath = filepath.Join(t.TempDir(), "srv.wal")
 			srv, err := New(g, testAlgo(t), cfg)
 			if err != nil {
@@ -253,11 +253,11 @@ func TestFastCommitAllocs(t *testing.T) {
 			if len(ups) != tc.n {
 				t.Fatalf("built a %d-update group, want %d", len(ups), tc.n)
 			}
-			e := &fpEntry{ups: ups, sid: 7, seq: 1, q: newAckQueue(1)}
-			entries := []*fpEntry{e}
+			e := &entry{ups: ups, sid: 7, seq: 1, q: newAckQueue(1)}
+			entries := []*entry{e}
 			run := func() {
-				srv.fp.pending.Add(1)
-				srv.fp.commitGroup(entries)
+				srv.in.pending.Add(1)
+				srv.in.commitGroup(entries)
 				if a := e.ack; !e.done || a.Status != BinStatusOK || a.Accepted != uint32(tc.n) {
 					t.Fatalf("ack %+v (resolved %v)", a, e.done)
 				}
@@ -378,7 +378,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 	})
 
 	t.Run("CGBIN/1 hello", func(t *testing.T) {
-		srv, err := New(graph.NewDynamic(8), testAlgo(t), testServerConfig())
+		srv, err := New(graph.NewDynamic(8), testAlgo(t), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

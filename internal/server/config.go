@@ -48,17 +48,6 @@ func engineBudget() int {
 // Config tunes the serving layer. The zero value is usable: WithDefaults
 // fills every unset field with the documented default.
 type Config struct {
-	// BatchMaxSize cuts a batch as soon as this many updates are gathered
-	// (the paper's assigned ingestion threshold, §II-A). Default 512.
-	BatchMaxSize int
-	// BatchMaxWait cuts a non-empty batch after this long even if the size
-	// threshold was not reached, bounding staleness under a trickle of
-	// updates. Default 25ms.
-	BatchMaxWait time.Duration
-	// QueueCapacity bounds the ingest queue (admission control). Default
-	// 65536 updates. A POST that does not fit is refused with 429 +
-	// Retry-After; nothing already accepted is ever dropped.
-	QueueCapacity int
 	// RequestTimeout bounds each HTTP request's handler time (default 10s).
 	// Every endpoint runs under a context carrying this deadline; a handler
 	// that overruns gets 503 and its context cancelled.
@@ -68,13 +57,13 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxInFlight bounds concurrently executing /v1/* requests (admission
 	// control; default 256). Requests beyond the gate are shed with 429 +
-	// Retry-After before they can pile onto the batcher. /healthz and
+	// Retry-After before they can pile onto the ingest queue. /healthz and
 	// /metrics bypass the gate so operators can always observe the server.
 	MaxInFlight int
 	// WALPath is the segmented write-ahead log directory ("" disables
-	// durability): every commit appends (and fsyncs) its records there
-	// before applying them — one record per JSON body, one per binary
-	// update, each record one stream position. Anything at this path that is
+	// durability): every group commit appends its records there in one
+	// write and one fsync before applying them — one record per JSON body,
+	// one per CGBIN/2 update, each record one stream position. Anything at this path that is
 	// not a directory of CGWALOG3 segments is refused, never rewritten.
 	WALPath string
 	// WALSegmentBytes rolls the WAL to a new segment at this size (default
@@ -152,12 +141,6 @@ type Config struct {
 	// ReplSeed seeds the follower's backoff jitter so chaos runs reproduce
 	// (default 1).
 	ReplSeed int64
-	// FastPendingFrames bounds the fast path's admission queue, in frames;
-	// a full queue blocks binary readers (TCP backpressure). Default 1024.
-	FastPendingFrames int
-	// FastPipelineDepth bounds unacked frames per binary connection (the
-	// per-connection ack queue). Default 256.
-	FastPipelineDepth int
 	// PropagateWorkers is accepted and ignored: every drain is the one
 	// best-first worklist drain (DESIGN.md §16). It stays because
 	// benchmark/stage.go sets it; it goes with ROADMAP item 3's benchmark
@@ -174,15 +157,6 @@ type Config struct {
 
 // WithDefaults returns a copy of c with every unset field defaulted.
 func (c Config) WithDefaults() Config {
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = 512
-	}
-	if c.BatchMaxWait <= 0 {
-		c.BatchMaxWait = 25 * time.Millisecond
-	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 65536
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -216,12 +190,6 @@ func (c Config) WithDefaults() Config {
 	if c.ReplSeed == 0 {
 		c.ReplSeed = 1
 	}
-	if c.FastPendingFrames <= 0 {
-		c.FastPendingFrames = 1024
-	}
-	if c.FastPipelineDepth <= 0 {
-		c.FastPipelineDepth = 256
-	}
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 2 * time.Second
 	}
@@ -241,10 +209,6 @@ func (c Config) WithDefaults() Config {
 func (c Config) Validate() error {
 	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
 		return fmt.Errorf("server: CheckpointEvery set without CheckpointPath")
-	}
-	if c.BatchMaxSize > c.QueueCapacity {
-		return fmt.Errorf("server: BatchMaxSize %d exceeds QueueCapacity %d",
-			c.BatchMaxSize, c.QueueCapacity)
 	}
 	if c.FollowURL != "" && c.CheckpointPath != "" && c.WALPath == "" {
 		// A promotable follower's checkpoint is only meaningful together with

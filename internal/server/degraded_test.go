@@ -15,13 +15,12 @@ import (
 	"cisgraph/internal/resilience"
 )
 
-// faultConfig is testServerConfig plus a FaultFS-backed durability layer and
-// a fast breaker retry loop, so degraded-mode transitions happen in
-// milliseconds.
+// faultConfig is a FaultFS-backed durability layer with a fast breaker
+// retry loop, so degraded-mode transitions happen in milliseconds.
 func faultConfig(t *testing.T, ffs *resilience.FaultFS) Config {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 	cfg.FS = ffs
@@ -189,7 +188,7 @@ func TestServerWALRetentionAcrossCheckpoints(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 	cfg.WALSegmentBytes = 64 // minimum: roughly one batch per segment
@@ -301,7 +300,7 @@ func restoreTopology(cfg Config) (*graph.Dynamic, []core.Query, error) {
 // overrunning handlers with 503.
 func TestServerAdmissionControl(t *testing.T) {
 	w := testWorkload(t)
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.MaxBodyBytes = 256
 	cfg.MaxInFlight = 2
 	srv, err := New(w.Initial(), testAlgo(t), cfg)

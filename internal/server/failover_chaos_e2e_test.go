@@ -95,7 +95,6 @@ func TestChaosLeaderFailover(t *testing.T) {
 		return []string{
 			"-standin", "OR", "-scale", "8", "-seed", "7", "-algo", "PPSP",
 			"-addr", n.addr, "-binary-addr", n.binAddr,
-			"-batch-size", "32", "-batch-wait", "2ms",
 			"-wal", n.walDir, "-wal-segment-bytes", "4096",
 			"-checkpoint", n.ckpt, "-checkpoint-every", "8",
 			"-repl-longpoll", "100ms",

@@ -128,7 +128,7 @@ func TestFollowerMarksKth(t *testing.T) {
 func TestLeaderDemotesOnHigherEpoch(t *testing.T) {
 	g := graph.NewDynamic(8)
 	g.Apply([]graph.Update{graph.Add(0, 1, 1)})
-	srv, err := New(g, testAlgo(t), testServerConfig())
+	srv, err := New(g, testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

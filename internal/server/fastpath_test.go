@@ -92,7 +92,7 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 
@@ -175,7 +175,7 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 func TestBinarySanitizeAndBadFrame(t *testing.T) {
 	g := graph.NewDynamic(8)
 	g.AddEdge(0, 1, 1)
-	srv, err := New(g, testAlgo(t), testServerConfig())
+	srv, err := New(g, testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,20 +217,17 @@ func TestBinarySanitizeAndBadFrame(t *testing.T) {
 	}
 }
 
-// TestFastPathDifferentialAnswers is the PR's equivalence anchor: the same
-// trace (valid and invalid updates interleaved) replayed through the binary
-// per-update path and through a BatchMaxSize=1 JSON server must yield
-// byte-identical /v1/answers bodies — same answers AND same global stream
-// position, since each accepted update is one position on both paths.
+// TestFastPathDifferentialAnswers: the same trace (valid and invalid updates
+// interleaved) replayed as one-update CGBIN/2 frames and as one-update JSON
+// bodies must yield byte-identical /v1/answers bodies — same answers AND
+// same global stream position, since each accepted update is one position
+// on both fronts.
 func TestFastPathDifferentialAnswers(t *testing.T) {
 	w1, w2 := testWorkload(t), testWorkload(t)
 	a := testAlgo(t)
 
 	mk := func(w0 *graph.Dynamic) (*Server, *httptest.Server) {
-		cfg := testServerConfig()
-		cfg.BatchMaxSize = 1 // batch server: one position per update
-		cfg.BatchMaxWait = time.Millisecond
-		srv, err := New(w0, a, cfg)
+		srv, err := New(w0, a, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +273,7 @@ func TestFastPathDifferentialAnswers(t *testing.T) {
 		if ack.Status != BinStatusOK {
 			t.Fatalf("fast path refused update %v: status %d", up, ack.Status)
 		}
-		// Batch server: one POST per update; one cut per update.
+		// JSON server: one POST per update, one record per body.
 		postUpdatesHTTP(t, batchTS.Client(), batchTS.URL, []graph.Update{up})
 	}
 	waitQuiescedSrv(t, fastSrv)
@@ -316,7 +313,7 @@ func TestFastPathWALRestore(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 
@@ -383,7 +380,7 @@ func TestRegisterAfterRestoreReportsPosition(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 	srv, err := New(w.Initial(), a, cfg)
@@ -429,7 +426,7 @@ func TestRestoreReplaysFastPathGroups(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 
@@ -496,36 +493,59 @@ func TestRestoreReplaysFastPathGroups(t *testing.T) {
 	}
 }
 
-// TestFastPathGatherBound pins gather's bound: a group takes queued frames
-// while they fit, the frame that would overflow is carried — not admitted —
-// into the next group, and a first frame larger than the bound still commits
-// alone.
+// TestFastPathGatherBound pins the ingest queue's bound, and so a group's:
+// with the commit stage held and the queue ten updates short of groupMax, a
+// CGBIN/2 frame of eleven blocks its connection's reader without queueing,
+// a JSON body of eleven is refused whole with 429 and a body of ten fills
+// the queue. Once released, everything is committed and the frame acked.
 func TestFastPathGatherBound(t *testing.T) {
-	f := &fastPath{ch: make(chan *fpEntry, 8)}
-	frame := func(n int) *fpEntry { return &fpEntry{ups: make([]graph.Update, n)} }
-	sizes := func(group []*fpEntry) (out []int) {
-		for _, e := range group {
-			out = append(out, len(e.ups))
+	w := testWorkload(t)
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	bc, closeBin := dialBinary(t, srv)
+	defer closeBin()
+	loops := func(n int) []graph.Update { // self-loops: queued, then dropped
+		ups := make([]graph.Update, n)
+		for i := range ups {
+			ups[i] = graph.Add(1, 1, 1)
 		}
-		return out
+		return ups
 	}
-	for _, n := range []int{3, 4, 2, 9, 1} {
-		f.ch <- frame(n)
+
+	release := holdCommits(srv)
+	defer release()
+	bc.send(loops(1))
+	waitFor(t, 10*time.Second, func() bool { return srv.in.pending.Load() == 1 && srv.in.queuedUpdates() == 0 },
+		"the commit loop to take the first frame")
+	bc.send(loops(groupMax - 10))
+	waitFor(t, 10*time.Second, func() bool { return srv.in.queuedUpdates() == groupMax-10 },
+		"the large frame to queue")
+	bc.send(loops(11))
+	time.Sleep(50 * time.Millisecond)
+	if q, p := srv.in.queuedUpdates(), srv.in.pending.Load(); q != groupMax-10 || p != 2 {
+		t.Fatalf("a frame over the bound was queued: %d updates in %d entries", q, p)
 	}
-	var groups [][]int
-	for e := frame(5); e != nil; e = f.carry {
-		groups = append(groups, sizes(f.gather(e, 10)))
-		if f.carry == nil && len(f.ch) > 0 {
-			t.Fatalf("group %v left %d frames queued without a carry", groups[len(groups)-1], len(f.ch))
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/updates", updatesReq(loops(11)))
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("a body over the bound: status %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	postUpdatesHTTP(t, ts.Client(), ts.URL, loops(10))
+	if q := srv.in.queuedUpdates(); q != groupMax {
+		t.Fatalf("queue holds %d updates after a body that fits exactly, want %d", q, groupMax)
+	}
+	release()
+	for i, n := range []uint32{1, groupMax - 10, 11} {
+		if ack := bc.recv(); ack.Status != BinStatusOK || ack.Dropped != n {
+			t.Fatalf("frame %d: ack %+v, want OK with all %d self-loops dropped", i, ack, n)
 		}
 	}
-	want := [][]int{{5, 3}, {4, 2}, {9, 1}}
-	if fmt.Sprint(groups) != fmt.Sprint(want) {
-		t.Fatalf("groups %v, want %v", groups, want)
-	}
-	if g := sizes(f.gather(frame(12), 10)); fmt.Sprint(g) != "[12]" || f.carry != nil {
-		t.Fatalf("oversized first frame: group %v carry %v, want [12] and none", g, f.carry)
-	}
+	waitQuiescedSrv(t, srv)
 }
 
 // TestFastPathGroupTakesWholeQueue holds the commit stage while one binary
@@ -536,7 +556,7 @@ func TestFastPathGatherBound(t *testing.T) {
 func TestFastPathGroupTakesWholeQueue(t *testing.T) {
 	w := testWorkload(t)
 	g := w.Initial()
-	srv, err := New(g, testAlgo(t), testServerConfig())
+	srv, err := New(g, testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,12 +581,12 @@ func TestFastPathGroupTakesWholeQueue(t *testing.T) {
 
 	srv.commitMu.Lock()
 	bc.send(trace[0])
-	waitFor(t, 10*time.Second, func() bool { return srv.fp.pending.Load() == 1 && len(srv.fp.ch) == 0 },
+	waitFor(t, 10*time.Second, func() bool { return srv.in.pending.Load() == 1 && srv.in.queuedUpdates() == 0 },
 		"the commit loop to take the first frame")
 	for _, f := range trace[1:] {
 		bc.send(f)
 	}
-	waitFor(t, 10*time.Second, func() bool { return len(srv.fp.ch) == frames-1 },
+	waitFor(t, 10*time.Second, func() bool { return srv.in.queuedUpdates() == (frames-1)*perFrame },
 		"the later frames to queue behind the held commit")
 	srv.commitMu.Unlock()
 	for i := range trace {
@@ -636,7 +656,7 @@ func TestFastPathDegradedAck(t *testing.T) {
 func TestFastPathConcurrentCommit(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
-	cfg := testServerConfig()
+	cfg := Config{}
 	srv, err := New(w.Initial(), a, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,12 @@ import (
 	"cisgraph/internal/replication"
 )
 
-// leaderConfig is testServerConfig plus durable artefacts and a tight
-// replication long-poll, so follower tests converge in milliseconds.
+// leaderConfig is durable artefacts plus a tight replication long-poll, so
+// follower tests converge in milliseconds.
 func leaderConfig(t *testing.T) Config {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 	cfg.CheckpointEvery = 4
@@ -27,7 +27,7 @@ func leaderConfig(t *testing.T) Config {
 }
 
 func followerConfig(leaderURL string) Config {
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.FollowURL = leaderURL
 	cfg.ReplLongPoll = 100 * time.Millisecond
 	cfg.ReplBackoffBase = 5 * time.Millisecond

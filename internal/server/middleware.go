@@ -9,7 +9,7 @@ import (
 // HTTP-path overload protection (DESIGN.md §12.3): every /v1/* endpoint is
 // wrapped in gate → deadline. The gate bounds concurrently executing
 // requests and sheds the excess with 429 before they can pile onto the
-// batcher; the deadline wraps http.TimeoutHandler, so a handler that
+// ingest queue; the deadline wraps http.TimeoutHandler, so a handler that
 // overruns gets 503 while its request context is cancelled. /healthz and
 // /metrics bypass the gate and run under the same deadline: operators must
 // be able to observe a saturated server.

@@ -7,14 +7,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cisgraph/internal/algo"
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
 
 // gateAlgo holds the engine open at one ⊕: the first Propagate call after
@@ -47,7 +51,7 @@ const readBound = 2 * time.Second
 func TestReadersNeverWaitForEngine(t *testing.T) {
 	w := testWorkload(t)
 	ga := &gateAlgo{Algorithm: testAlgo(t), held: make(chan chan struct{}, 1), entered: make(chan struct{}, 1)}
-	srv, err := New(w.Initial(), ga, testServerConfig())
+	srv, err := New(w.Initial(), ga, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,5 +243,87 @@ func TestSnapshotsStayImmutable(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no batch changed an answer: the check saw no fold")
+	}
+}
+
+// syncGateFS is a filesystem whose files' Sync blocks while the gate is
+// shut: the first blocked Sync signals entered and waits for open to close.
+type syncGateFS struct {
+	resilience.FS
+	shut    atomic.Bool
+	entered chan struct{} // capacity 1
+	open    chan struct{}
+}
+
+func (g *syncGateFS) OpenFile(name string, flag int, perm os.FileMode) (resilience.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{File: f, g: g}, nil
+}
+
+type gatedFile struct {
+	resilience.File
+	g *syncGateFS
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.shut.Load() {
+		select {
+		case f.g.entered <- struct{}{}:
+		default:
+		}
+		<-f.g.open
+	}
+	return f.File.Sync()
+}
+
+// TestReadersNeverWaitForWALSync: /healthz and /metrics answer, with the
+// WAL's segment count and size, while a group commit's fsync is blocked —
+// the append holds the log's lock across the fsync, so a metrics read that
+// took it would wait every sync out.
+func TestReadersNeverWaitForWALSync(t *testing.T) {
+	w := testWorkload(t)
+	gate := &syncGateFS{FS: resilience.OsFS{}, entered: make(chan struct{}, 1), open: make(chan struct{})}
+	cfg := Config{WALPath: filepath.Join(t.TempDir(), "srv.wal"), FS: gate}
+	srv, err := New(w.Initial(), testAlgo(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	gate.shut.Store(true)
+	opened := sync.OnceFunc(func() { close(gate.open) })
+	defer opened()
+	postUpdatesHTTP(t, ts.Client(), ts.URL, w.NextBatch())
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the group commit never reached its fsync")
+	}
+	client := &http.Client{Timeout: readBound}
+	var hz healthzResponse
+	resp, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz did not answer within %s during a WAL fsync: %v", readBound, err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil || hz.WALSegments != 1 || hz.WALBytes <= 0 || hz.Quiesced {
+		t.Fatalf("healthz during a WAL fsync: %+v (%v); want one segment, its bytes, not quiesced", hz, err)
+	}
+	resp, err = client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics did not answer within %s during a WAL fsync: %v", readBound, err)
+	}
+	resp.Body.Close()
+	gate.shut.Store(false)
+	opened()
+	waitQuiescedSrv(t, srv)
+	if srv.Applied() != 1 {
+		t.Fatalf("position %d after the released commit, want 1", srv.Applied())
 	}
 }

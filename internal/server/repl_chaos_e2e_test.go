@@ -72,7 +72,7 @@ func TestChaosReplicationPartitionFailover(t *testing.T) {
 
 	leaderArgs := []string{
 		"-standin", "OR", "-scale", "8", "-seed", "7", "-algo", "PPSP",
-		"-addr", leaderAddr, "-batch-size", "32", "-batch-wait", "2ms",
+		"-addr", leaderAddr,
 		"-wal", walDir, "-wal-segment-bytes", "4096",
 		"-checkpoint", ckpt, "-checkpoint-every", "4",
 		"-repl-longpoll", "300ms",

@@ -75,7 +75,7 @@ func TestRestoreDifferential(t *testing.T) {
 			w := testWorkload(t)
 			a := testAlgo(t)
 			dir := t.TempDir()
-			cfg := testServerConfig()
+			cfg := Config{}
 			cfg.WALPath = filepath.Join(dir, "srv.wal")
 			cfg.WALSegmentBytes = sh.segBytes
 			if sh.ckptAt >= 0 {

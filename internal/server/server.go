@@ -1,7 +1,7 @@
 // Package server turns the CISGraph engine library into a long-running
 // network service: an HTTP/JSON API over a multi-query engine, fed by
-// a batched ingestion pipeline that mirrors the paper's batch-gathering
-// model, wrapped in the PR 1 resilience envelope (sanitized ingest, WAL,
+// one group-committing ingest queue that mirrors the paper's batch
+// gathering, wrapped in the resilience envelope (sanitized ingest, WAL,
 // atomic checkpoints, graceful drain). DESIGN.md §10 documents the
 // architecture.
 package server
@@ -31,7 +31,8 @@ import (
 // Server-side counter names, rendered by GET /metrics alongside the merged
 // engine counters.
 const (
-	// CntUpdatesAccepted counts updates admitted into the ingest queue.
+	// CntUpdatesAccepted counts updates admitted into the ingest queue (JSON)
+	// or applied from it (CGBIN/2).
 	CntUpdatesAccepted = "srv_updates_accepted"
 	// CntPostsRejected counts POST /v1/updates requests refused by
 	// backpressure (queue full), degraded mode, a follower or drain.
@@ -41,11 +42,8 @@ const (
 	CntBatchesApplied = "srv_batches_applied"
 	// CntUpdatesApplied counts sanitized updates applied to the engines.
 	CntUpdatesApplied = "srv_updates_applied"
-	// CntCutSize / CntCutTimer / CntCutDrain count batch cuts by window
-	// trigger.
-	CntCutSize  = "srv_batch_cut_size"
-	CntCutTimer = "srv_batch_cut_timer"
-	CntCutDrain = "srv_batch_cut_drain"
+	// CntCutSize counts JSON bodies committed, each one record of its group.
+	CntCutSize = "srv_batch_cut_size"
 	// CntQueriesRegistered counts POST /v1/query registrations.
 	CntQueriesRegistered = "srv_queries_registered"
 	// CntBatchDegraded counts batches during which at least one query
@@ -72,8 +70,8 @@ const (
 	// the replica's staleness exceeded the client's X-CISGraph-Max-Staleness
 	// bound.
 	CntStaleReadsRejected = "srv_stale_reads_rejected"
-	// CntFastGroups / CntFastUpdates count fast-path group commits and the
-	// updates inside them (each update is its own stream position).
+	// CntFastGroups / CntFastUpdates count group commits of the ingest
+	// queue that applied something, and the updates they applied.
 	CntFastGroups  = "srv_fastpath_groups"
 	CntFastUpdates = "srv_fastpath_updates"
 	// CntFastDropped counts fast-path updates refused by the sanitizer.
@@ -110,10 +108,9 @@ const (
 //
 // Concurrency model (single-writer/many-reader): every write goes through
 // the one commit stage (commit.go), whose lock admits exactly one writer of
-// the topology and the engine at a time — the batcher's
-// applier goroutine (JSON/batch path) and the fast path's commit goroutine
-// (binary/per-update path, DESIGN.md §14) take turns on it; on a follower
-// the tail goroutine is the sole writer. HTTP readers
+// the topology and the engine at a time — on a leader the ingest queue's
+// commit goroutine, which takes JSON bodies and CGBIN/2 frames alike
+// (ingest.go); on a follower the tail goroutine. HTTP readers
 // consume the pool's atomic answer snapshot and the server's atomic gauges,
 // so GET paths never contend with commit work. Query registration is the
 // one cross-cutting write; it serializes against the writers on the
@@ -122,8 +119,7 @@ type Server struct {
 	cfg  Config
 	a    algo.Algorithm
 	pool *QueryPool
-	bat  *Batcher
-	fp   *fastPath
+	in   *ingest
 	san  *resilience.Sanitizer
 	wal  *resilience.SegmentedWAL
 	brk  *diskBreaker
@@ -205,7 +201,7 @@ type ansCacheEntry struct {
 type srvHandles struct {
 	accepted, rejected          stats.Handle
 	batches, updates            stats.Handle
-	cutSize, cutTimer, cutDrain stats.Handle
+	cutSize                     stats.Handle
 	registered, degraded, ckpts stats.Handle
 	inflightShed, timeouts      stats.Handle
 	bodyTooLarge                stats.Handle
@@ -306,9 +302,9 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
 	// The replay front: the suffix goes through the commit stage in groups
-	// gathered like the binary front's — records, whatever their shape, up
-	// to groupMax updates; a record that would overflow a group starts the
-	// next — one position per record.
+	// bounded like the ingest queue's — records, whatever their shape, up to
+	// groupMax updates; a record that would overflow a group starts the next
+	// — one position per record.
 	for i := 0; i < len(replay); {
 		j, n := i+1, len(replay[i].Batch)
 		for j < len(replay) && n+len(replay[j].Batch) <= groupMax {
@@ -354,8 +350,6 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 			batches:            cnt.Handle(CntBatchesApplied),
 			updates:            cnt.Handle(CntUpdatesApplied),
 			cutSize:            cnt.Handle(CntCutSize),
-			cutTimer:           cnt.Handle(CntCutTimer),
-			cutDrain:           cnt.Handle(CntCutDrain),
 			registered:         cnt.Handle(CntQueriesRegistered),
 			degraded:           cnt.Handle(CntBatchDegraded),
 			ckpts:              cnt.Handle(CntCheckpoints),
@@ -422,8 +416,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		}
 	}
 	s.brk = newDiskBreaker(s.probeDisk, cfg.DiskRetryBase, cfg.DiskRetryMax)
-	s.bat = NewBatcher(cfg.BatchMaxSize, cfg.BatchMaxWait, cfg.QueueCapacity, s.applyBatch)
-	s.fp = newFastPath(s)
+	s.in = newIngest(s)
 	s.routes()
 	return s, nil
 }
@@ -456,20 +449,6 @@ func (s *Server) probeDisk() error {
 		return err
 	}
 	return s.cfg.FS.Remove(p)
-}
-
-// applyBatch is the batcher's front: each cut body is one record through
-// the commit stage. It runs on the batcher's applier goroutine.
-func (s *Server) applyBatch(batch []graph.Update, reason CutReason) {
-	switch reason {
-	case CutSize:
-		s.h.cutSize.Inc()
-	case CutTimer:
-		s.h.cutTimer.Inc()
-	case CutDrain:
-		s.h.cutDrain.Inc()
-	}
-	s.commit(fromClient, []resilience.Record{{Batch: batch}}, nil)
 }
 
 // writeCheckpoint takes the commit lock and writes a checkpoint: the path
@@ -511,8 +490,8 @@ func (s *Server) writeCheckpointLocked() error {
 	return nil
 }
 
-// Drain is the SIGTERM path: stop admitting updates and queries, flush the
-// remaining ingestion window through the engines, fsync-close the WAL, and
+// Drain is the SIGTERM path: stop admitting updates and queries, commit
+// everything queued through the engines, fsync-close the WAL, and
 // write the final checkpoint. After Drain returns, published answers cover
 // every accepted update and a Restore from the artefacts reproduces them
 // exactly. Idempotent.
@@ -524,14 +503,13 @@ func (s *Server) Drain() error {
 		s.tailStop()
 		<-s.tailDone
 	}
-	// Flush the fast path first (it refuses new frames, commits what was
-	// admitted, then closes its connections) so the final checkpoint covers
-	// both write pipelines.
-	s.fp.shutdown()
-	s.bat.Drain()
-	// Both write pipelines are flushed — every commit has been published to
-	// the hub. Closing it ends each /v1/watch stream after its queued
-	// deltas drain, so subscribers observe the complete stream.
+	// The ingest queue refuses new writes, commits what it holds, then
+	// closes its connections, so the final checkpoint covers every accepted
+	// write.
+	s.in.shutdown()
+	// Every commit has been published to the hub. Closing it ends each
+	// /v1/watch stream after its queued deltas drain, so subscribers observe
+	// the complete stream.
 	s.hub.Close()
 	s.brk.Stop() // no more disk probes; a closed WAL must stay closed
 	var err error
@@ -560,8 +538,8 @@ func (s *Server) CloseWatchers() { s.hub.Close() }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Quiesced reports that every accepted update is reflected in the published
-// answers (empty queue, no batch in flight, no fast-path frame pending).
-func (s *Server) Quiesced() bool { return s.bat.Quiesced() && s.fp.quiesced() }
+// answers (an empty ingest queue and no group commit in flight).
+func (s *Server) Quiesced() bool { return s.in.pending.Load() == 0 }
 
 // Pool exposes the query pool (read-side: snapshots, counters).
 func (s *Server) Pool() *QueryPool { return s.pool }
@@ -800,7 +778,7 @@ type updatesResponse struct {
 
 // Ingest scratch pools: decode buffers and the converted batch slice are the
 // two per-request allocations that dominate ServerIngest profiles (the
-// decoded slice alone is ~24 B/update). Offer copies the batch into the
+// decoded slice alone is ~24 B/update). offer copies the batch into the
 // queue, so both are safe to recycle the moment the handler returns.
 var (
 	updatesReqPool  = sync.Pool{New: func() any { return new(updatesRequest) }}
@@ -883,13 +861,13 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Offer copies batch into the queue; the slice goes back to the pool.
-	switch err := s.bat.Offer(batch); {
-	case errors.Is(err, ErrDraining):
+	// offer copies batch into the queue; the slice goes back to the pool.
+	switch err := s.in.offer(batch); {
+	case errors.Is(err, errDraining):
 		s.h.rejected.Inc()
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		s.h.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, err.Error())
@@ -898,7 +876,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	s.h.accepted.Add(int64(len(batch)))
 	writeJSON(w, http.StatusAccepted, updatesResponse{
 		Accepted: len(batch),
-		Pending:  s.bat.Pending(),
+		Pending:  s.in.queuedUpdates(),
 	})
 }
 
@@ -1073,7 +1051,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:        s.Epoch(),
 		Leader:       s.LeaderURL(),
 		Batches:      s.applied.Load(),
-		Pending:      s.bat.Pending(),
+		Pending:      s.in.queuedUpdates(),
 		Quiesced:     s.Quiesced(),
 		Queries:      s.pool.NumQueries(),
 		Edges:        s.edges.Load(),
@@ -1119,7 +1097,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounterFamily(w, "engine", s.pool.Counters().Snapshot())
 	fmt.Fprintf(w, "# HELP cisgraph_ingest_pending Updates queued but not yet applied.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_ingest_pending gauge\n")
-	fmt.Fprintf(w, "cisgraph_ingest_pending %d\n", s.bat.Pending())
+	fmt.Fprintf(w, "cisgraph_ingest_pending %d\n", s.in.queuedUpdates())
 	fmt.Fprintf(w, "# HELP cisgraph_batches_applied Sanitized batches applied since stream start.\n")
 	fmt.Fprintf(w, "# TYPE cisgraph_batches_applied counter\n")
 	fmt.Fprintf(w, "cisgraph_batches_applied %d\n", s.applied.Load())

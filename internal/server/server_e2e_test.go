@@ -18,16 +18,6 @@ import (
 	"cisgraph/internal/stats"
 )
 
-// testServerConfig keeps windows small so e2e streams exercise multiple
-// size and timer cuts.
-func testServerConfig() Config {
-	return Config{
-		BatchMaxSize:  64,
-		BatchMaxWait:  5 * time.Millisecond,
-		QueueCapacity: 4096,
-	}
-}
-
 func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -96,7 +86,7 @@ func waitQuiescedSrv(t *testing.T, s *Server) {
 // survive a drain + restore-from-checkpoint/WAL round trip mid-stream. The
 // stream arrives as JSON bodies or, as the "faulty" input, mangled by the
 // fault injector (corrupt clones, duplicates, reorders) and offered to the
-// batcher directly, since JSON cannot carry the NaN/±Inf clones: the commit
+// ingest queue directly, since JSON cannot carry the NaN/±Inf clones: the commit
 // stage's sanitizer must neutralise every fault on both sides of the restart.
 func TestServerEndToEndMatchesOfflineAcrossRestart(t *testing.T) {
 	t.Run("json", func(t *testing.T) { testEndToEndAcrossRestart(t, false) })
@@ -107,7 +97,7 @@ func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	cfg := testServerConfig()
+	cfg := Config{}
 	cfg.WALPath = filepath.Join(dir, "srv.wal")
 	cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 
@@ -119,7 +109,7 @@ func testEndToEndAcrossRestart(t *testing.T, faulty bool) {
 			return
 		}
 		mangled := inj.Mangle(w.NumVertices(), b)
-		if err := s.bat.Offer(mangled); err != nil {
+		if err := s.in.offer(mangled); err != nil {
 			t.Fatalf("Offer of %d updates: %v", len(mangled), err)
 		}
 	}
@@ -259,7 +249,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 	}
 
 	pa := resilience.NewPanicAlgorithm(testAlgo(t))
-	srv, err := New(init, pa, testServerConfig())
+	srv, err := New(init, pa, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +291,7 @@ func TestServerRecoversPluginPanic(t *testing.T) {
 // The HTTP surface: validation errors, admission control, health and metrics.
 func TestServerAPISurface(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +406,7 @@ func TestServerAPISurface(t *testing.T) {
 // Run with -race.
 func TestQueryAdmissionRace(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,16 +456,12 @@ func TestQueryAdmissionRace(t *testing.T) {
 	}
 }
 
-// Backpressure: a POST that does not fit the queue is refused whole with 429
-// and Retry-After.
+// Backpressure: a POST that can never fit the ingest queue — more than
+// groupMax updates — is refused whole with 429 and Retry-After, and nothing
+// of it is queued.
 func TestServerBackpressure(t *testing.T) {
 	w := testWorkload(t)
-
-	cfg := testServerConfig()
-	cfg.BatchMaxSize = 8
-	cfg.BatchMaxWait = time.Hour // the queue only drains by size cuts
-	cfg.QueueCapacity = 8
-	srv, err := New(w.Initial(), testAlgo(t), cfg)
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,16 +469,19 @@ func TestServerBackpressure(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	big := make([]updateJSON, 9)
+	big := make([]updateJSON, groupMax+1)
 	for i := range big {
-		big[i] = updateJSON{Op: "add", From: 0, To: uint32(i + 1), W: 1}
+		big[i] = updateJSON{Op: "add", From: 0, To: uint32(i%255 + 1), W: 1}
 	}
-	// 9 > capacity 8: rejected outright no matter the queue's fill level.
+	// groupMax+1 > the queue's bound: rejected outright, even when empty.
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/updates", updatesRequest{Updates: big})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("oversized POST: status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+	if q, p := srv.in.queuedUpdates(), srv.in.pending.Load(); q != 0 || p != 0 {
+		t.Fatalf("a refused body left %d updates in %d queued entries", q, p)
 	}
 }

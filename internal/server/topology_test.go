@@ -143,7 +143,7 @@ func testOneTopology(t *testing.T) {
 		qs = append(qs, core.Query{S: p[0], D: p[1]})
 	}
 	config := func(dir string) Config {
-		cfg := testServerConfig()
+		cfg := Config{}
 		cfg.WALPath = filepath.Join(dir, "srv.wal")
 		cfg.CheckpointPath = filepath.Join(dir, "srv.ckpt")
 		return cfg
@@ -284,7 +284,7 @@ func TestPromoteCheckpointUnderLiveWriter(t *testing.T) {
 	}
 	a := testAlgo(t)
 	g0 := w.Initial()
-	lcfg := testServerConfig()
+	lcfg := Config{}
 	lcfg.WALPath = filepath.Join(t.TempDir(), "srv.wal") // no checkpoint: the follower's log starts at 0
 	leader, err := New(g0.Clone(), a, lcfg)
 	if err != nil {
@@ -298,7 +298,6 @@ func TestPromoteCheckpointUnderLiveWriter(t *testing.T) {
 	fdir := t.TempDir()
 	fcfg.WALPath = filepath.Join(fdir, "f.wal")
 	fcfg.CheckpointPath = filepath.Join(fdir, "f.ckpt")
-	fcfg.BatchMaxSize = 8 // every body cuts at once: commits start the moment writes open
 	fol, err := StartFollower(a, fcfg, func() (*graph.Dynamic, error) { return g0.Clone(), nil })
 	if err != nil {
 		t.Fatal(err)

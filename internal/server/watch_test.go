@@ -19,6 +19,7 @@ import (
 	"cisgraph/internal/algo"
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
 
 // sseEvent is one parsed `event:`/`data:` frame.
@@ -103,7 +104,7 @@ func TestWatchSSEOutlivesWriteTimeout(t *testing.T) {
 	g := graph.NewDynamic(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	srv, err := New(g, testAlgo(t), testServerConfig())
+	srv, err := New(g, testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestWatchSSEOutlivesWriteTimeout(t *testing.T) {
 // reproduces the polled /v1/answers state exactly.
 func TestWatchSSEDeltasMatchAnswers(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestWatchSSEDeltasMatchAnswers(t *testing.T) {
 // resync=true, while resuming at the current position does not.
 func TestWatchStaleResumeResync(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestWatchStaleResumeResync(t *testing.T) {
 func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
-	srv, err := New(w.Initial(), a, testServerConfig())
+	srv, err := New(w.Initial(), a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 		}
 	}
 	for i, c := range chunks {
-		srv.applyBatch(c, CutSize)
+		srv.commit(fromClient, []resilience.Record{{Batch: c}}, nil)
 		if got, want := readBody(), coldBody(); !bytes.Equal(got, want) {
 			t.Fatalf("chunk %d: /v1/answers bodies diverged\nserved: %s\ncold:   %s", i, got, want)
 		}
@@ -354,7 +355,7 @@ func TestFollowerWatchDeltasAndRebootstrapResync(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)
 	dir := t.TempDir()
-	lcfg := testServerConfig()
+	lcfg := Config{}
 	lcfg.WALPath = filepath.Join(dir, "wal")
 	lcfg.CheckpointPath = filepath.Join(dir, "ckpt")
 	leader, err := New(w.Initial(), a, lcfg)
@@ -461,7 +462,7 @@ func TestFollowerWatchDeltasAndRebootstrapResync(t *testing.T) {
 // invalidates on registration and commit.
 func TestAnswersBodyCache(t *testing.T) {
 	w := testWorkload(t)
-	srv, err := New(w.Initial(), testAlgo(t), testServerConfig())
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ start_node() { # idx extra-args...
     esac
     "$WORK/cisgraphd" -addr "$addr" -binary-addr "$bin" -file "$WORK/g.bel.initial" \
         -wal "$WORK/wal$i" -checkpoint "$WORK/ckpt$i" -checkpoint-every 4 \
-        -batch-size 64 -batch-wait 5ms -repl-longpoll 500ms \
+        -repl-longpoll 500ms \
         -peers "$PEERS" -advertise "http://$addr" \
         -promote-on-leader-loss -promote-after 1s \
         -sync-followers 1 -sync-ack-timeout 2s "$@" \

@@ -42,7 +42,7 @@ start_daemon() {
     "$WORK/cisgraphd" -addr "$ADDR" -file "$WORK/g.bel.initial" \
         -wal "$WORK/srv.wal" -wal-segment-bytes 4096 \
         -checkpoint "$WORK/srv.ckpt" -checkpoint-every 4 \
-        -batch-size 32 -batch-wait 5ms "$@" \
+        "$@" \
         >>"$WORK/daemon.log" 2>&1 &
     DAEMON_PID=$!
 }

@@ -69,7 +69,7 @@ start_leader() {
     "$WORK/cisgraphd" -addr "$LEADER" -file "$WORK/g.bel.initial" \
         -wal "$WORK/srv.wal" -wal-segment-bytes 4096 \
         -checkpoint "$WORK/srv.ckpt" -checkpoint-every 4 \
-        -batch-size 32 -batch-wait 5ms -repl-longpoll 500ms "$@" \
+        -repl-longpoll 500ms "$@" \
         >>"$WORK/leader.log" 2>&1 &
     LEADER_PID=$!
 }

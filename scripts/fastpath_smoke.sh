@@ -36,7 +36,7 @@ start_daemon() {
     "$WORK/cisgraphd" -addr "$ADDR" -binary-addr "$BIN_ADDR" \
         -file "$WORK/g.bel.initial" \
         -wal "$WORK/srv.wal" -checkpoint "$WORK/srv.ckpt" \
-        -batch-size 64 -batch-wait 5ms "$@" &
+        "$@" &
     DAEMON_PID=$!
 }
 

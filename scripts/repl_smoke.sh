@@ -58,7 +58,7 @@ echo "== generate dataset + stream"
 start_leader() {
     "$WORK/cisgraphd" -addr "$LEADER" -file "$WORK/g.bel.initial" \
         -wal "$WORK/srv.wal" -checkpoint "$WORK/srv.ckpt" -checkpoint-every 4 \
-        -batch-size 64 -batch-wait 5ms -repl-longpoll 500ms "$@" \
+        -repl-longpoll 500ms "$@" \
         >>"$WORK/leader.log" 2>&1 &
     LEADER_PID=$!
     PIDS+=("$LEADER_PID")

@@ -31,7 +31,7 @@ echo "== generate dataset + stream (~1.1k updates across 64 batches)"
 start_daemon() {
     "$WORK/cisgraphd" -addr "$ADDR" -file "$WORK/g.bel.initial" \
         -wal "$WORK/srv.wal" -checkpoint "$WORK/srv.ckpt" \
-        -batch-size 64 -batch-wait 5ms "$@" &
+        "$@" &
     DAEMON_PID=$!
 }
 

@@ -40,7 +40,7 @@ echo "== generate dataset + stream (~1.1k updates across 64 batches)"
 
 echo "== start cisgraphd with watch limits (-request-timeout 1s => HTTP WriteTimeout 6s)"
 "$WORK/cisgraphd" -addr "$ADDR" -file "$WORK/g.bel.initial" \
-    -batch-size 64 -batch-wait 5ms -watch-queue 32 -max-watchers 64 \
+    -watch-queue 32 -max-watchers 64 \
     -request-timeout 1s &
 DAEMON_PID=$!
 
