@@ -213,7 +213,8 @@ var (
 // Resilience layer: validated ingestion, durable streams and fault
 // injection (see DESIGN.md "Resilience & recovery").
 type (
-	// SanitizePolicy selects how invalid updates are handled.
+	// SanitizePolicy is the type of NewSanitizer's policy argument, whose
+	// one value is SanitizeDrop.
 	SanitizePolicy = resilience.Policy
 	// Sanitizer validates update batches against a topology.
 	Sanitizer = resilience.Sanitizer
@@ -246,26 +247,15 @@ type (
 	ReplProxy        = replication.Proxy
 )
 
-// Sanitize policies.
-const (
-	// SanitizeDrop drops invalid updates and counts them (the default).
-	SanitizeDrop = resilience.PolicyDrop
-	// SanitizeReject rejects any batch containing an invalid update.
-	SanitizeReject = resilience.PolicyReject
-	// SanitizeStrict fails fast on the first invalid update.
-	SanitizeStrict = resilience.PolicyStrict
-)
-
-// CntBatchRejected counts batches a Sanitizer refused under the reject and
-// strict policies.
-const CntBatchRejected = stats.CntBatchRejected
+// SanitizeDrop drops invalid updates and counts them: the one sanitize
+// policy.
+const SanitizeDrop = resilience.PolicyDrop
 
 var (
-	// NewSanitizer builds a standalone batch validator; ValidateBatch is the
-	// one-shot strict check; ParseSanitizePolicy parses a policy name.
-	NewSanitizer        = resilience.NewSanitizer
-	ValidateBatch       = resilience.ValidateBatch
-	ParseSanitizePolicy = resilience.ParsePolicy
+	// NewSanitizer builds a standalone batch validator; ValidateBatch
+	// reports whether a drop pass would remove anything.
+	NewSanitizer  = resilience.NewSanitizer
+	ValidateBatch = resilience.ValidateBatch
 	// Segmented WAL (DESIGN.md §12): CreateSegmentedWAL starts a fresh log,
 	// OpenSegmentedWAL resumes one (truncating a torn tail), and
 	// ReplaySegmented reads every durable record back.

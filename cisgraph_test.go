@@ -187,10 +187,6 @@ func TestFacadeResilience(t *testing.T) {
 		t.Fatalf("replayed answer %v, live %v", replayed.Answer(), eng.Answer())
 	}
 
-	p, err := cisgraph.ParseSanitizePolicy("strict")
-	if err != nil || p != cisgraph.SanitizeStrict {
-		t.Fatalf("ParseSanitizePolicy: %v %v", p, err)
-	}
 	bad := []cisgraph.Update{cisgraph.AddEdgeUpdate(1, 1, 1)}
 	if err := cisgraph.ValidateBatch(w.Initial(), bad); err == nil {
 		t.Fatal("self-loop accepted by ValidateBatch")

@@ -51,15 +51,10 @@ func run(args []string, out io.Writer) error {
 		hwTrace  = fs.String("hwtrace", "", "write a Chrome/Perfetto trace of the accelerator's units to this file (engine accel only)")
 		seed     = fs.Int64("seed", 42, "deterministic seed")
 		verbose  = fs.Bool("v", false, "print per-batch counters")
-		sanitize = fs.String("sanitize", "drop", "validate every batch before any engine sees it: drop (remove and count invalid updates), reject or strict (skip a batch that holds one)")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	a, err := algo.ByName(*algoName)
-	if err != nil {
-		return err
-	}
-	policy, err := resilience.ParsePolicy(*sanitize)
 	if err != nil {
 		return err
 	}
@@ -149,8 +144,9 @@ func run(args []string, out io.Writer) error {
 	}()
 	// A trace from outside may name vertices past the graph, self-loops or
 	// NaN weights, and the engines assume none of these: each batch is
-	// sanitized once, and only what survives reaches them.
-	san := resilience.NewSanitizer(policy, nil)
+	// sanitized once, the invalid updates are dropped and counted, and only
+	// what survives reaches the engines.
+	san := resilience.NewSanitizer(resilience.PolicyDrop, nil)
 	for bi := 0; bi < *batches; bi++ {
 		var batch []graph.Update
 		if replay != nil {
@@ -163,11 +159,7 @@ func run(args []string, out io.Writer) error {
 			break
 		}
 		fmt.Fprintf(out, "batch %d (%d updates):\n", bi, len(batch))
-		clean, rep, err := san.Sanitize(topo, batch)
-		if err != nil {
-			fmt.Fprintf(out, "  skipped: %v\n", err)
-			continue
-		}
+		clean, rep, _ := san.Sanitize(topo, batch)
 		if !rep.Clean() {
 			fmt.Fprintf(out, "  dropped %d invalid update(s): %v\n", rep.Total(), rep.Dropped)
 		}

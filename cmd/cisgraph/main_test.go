@@ -17,7 +17,7 @@ import (
 // TestBadTraceMatchesCleanTrace replays, on every engine, a trace salted
 // with updates no engine may see: endpoints past the graph, a self-loop, a
 // NaN weight. The run must succeed, report the drops, and print exactly the
-// clean trace's answers; under strict every salted batch is skipped.
+// clean trace's answers.
 func TestBadTraceMatchesCleanTrace(t *testing.T) {
 	el, err := graph.StandInOR.Build(8, 42)
 	if err != nil {
@@ -67,9 +67,5 @@ func TestBadTraceMatchesCleanTrace(t *testing.T) {
 	}
 	if n := strings.Count(got, "dropped 4 invalid update(s)"); n != len(salted) {
 		t.Fatalf("%d batches report 4 drops, want %d:\n%s", n, len(salted), got)
-	}
-	strict := replay(salted, "-sanitize", "strict")
-	if n := strings.Count(strict, "skipped:"); n != len(salted) || answers.MatchString(strict) {
-		t.Fatalf("strict: %d batches skipped, want %d and no answers:\n%s", n, len(salted), strict)
 	}
 }

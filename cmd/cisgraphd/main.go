@@ -23,11 +23,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -66,8 +64,6 @@ func run() error {
 		seed    = flag.Int64("seed", 42, "deterministic seed for -standin")
 
 		reqTO    = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (503 on overrun)")
-		maxBody  = flag.Int64("max-body-bytes", 8<<20, "largest accepted POST body (413 beyond)")
-		maxInfl  = flag.Int("max-inflight", 256, "concurrently executing /v1/* requests before shedding with 429")
 		propWork = flag.Int("propagate-workers", 0, "accepted and ignored: every drain is the one serial best-first drain")
 
 		walPath    = flag.String("wal", "", "append every sanitized batch to this segmented write-ahead log directory")
@@ -89,9 +85,6 @@ func run() error {
 		syncAckTO    = flag.Duration("sync-ack-timeout", 5*time.Second, "degrade replication-gated acks after this long without follower coverage")
 
 		queries = flag.String("queries", "", "pre-register comma-separated s:d query pairs (e.g. 3:99,0:7); at most 1024 queries")
-
-		watchQueue  = flag.Int("watch-queue", 64, "per-/v1/watch-subscriber pending-delta queue (messages); a slower consumer is resynced instead of buffered")
-		maxWatchers = flag.Int("max-watchers", 4096, "concurrent /v1/watch subscriptions before shedding with 429")
 	)
 	flag.Parse()
 
@@ -105,8 +98,6 @@ func run() error {
 	}
 	cfg := server.Config{
 		RequestTimeout:      *reqTO,
-		MaxBodyBytes:        *maxBody,
-		MaxInFlight:         *maxInfl,
 		PropagateWorkers:    *propWork,
 		WALPath:             *walPath,
 		WALSegmentBytes:     *walSegment,
@@ -122,8 +113,6 @@ func run() error {
 		PromoteAfter:        *promoteAfter,
 		SyncFollowers:       *syncFoll,
 		SyncAckTimeout:      *syncAckTO,
-		WatchQueue:          *watchQueue,
-		MaxWatchers:         *maxWatchers,
 	}
 
 	initTopo := func() (*graph.Dynamic, error) {
@@ -158,7 +147,10 @@ func run() error {
 				localEpoch = e
 			}
 		}
-		if leader, epoch, ok := probeClusterLeader(cfg.Peers, *advertise); ok && epoch > localEpoch {
+		// Unreachable peers are skipped: at boot, being unable to disprove
+		// leadership cannot block startup (the epoch fence catches late
+		// discoveries).
+		if leader, epoch, ok := server.ProbeLeader(cfg.Peers, *advertise); ok && epoch > localEpoch {
 			log.Printf("peer %s is leader at epoch %d (ours %d): deposed, rejoining as follower", leader, epoch, localEpoch)
 			*follow = leader
 			cfg.FollowURL = leader
@@ -303,37 +295,4 @@ func splitPeers(raw string) []string {
 		}
 	}
 	return out
-}
-
-// probeClusterLeader asks each peer's /healthz who it thinks it is and
-// returns the highest-epoch node claiming leadership. Unreachable peers are
-// skipped — at boot, being unable to disprove leadership cannot block
-// startup (the epoch fence catches late discoveries).
-func probeClusterLeader(peers []string, self string) (string, uint64, bool) {
-	client := &http.Client{Timeout: time.Second}
-	var bestURL string
-	var bestEpoch uint64
-	found := false
-	for _, peer := range peers {
-		if peer == self {
-			continue
-		}
-		resp, err := client.Get(peer + "/healthz")
-		if err != nil {
-			continue
-		}
-		var h struct {
-			Role  string `json:"role"`
-			Epoch uint64 `json:"epoch"`
-		}
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h)
-		resp.Body.Close()
-		if derr != nil || h.Role != "leader" {
-			continue
-		}
-		if !found || h.Epoch > bestEpoch {
-			bestURL, bestEpoch, found = peer, h.Epoch, true
-		}
-	}
-	return bestURL, bestEpoch, found
 }

@@ -68,6 +68,10 @@ import (
 	"cisgraph/internal/stream"
 )
 
+// quiesceTimeout bounds each wait for the daemon to settle: quiescence
+// after the replay, watch subscribers' views, replicas' lag.
+const quiesceTimeout = 30 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -96,8 +100,6 @@ func run() error {
 		replicas = flag.String("replicas", "", "comma-separated follower base URLs: fan reads across them during replay, then wait for lag 0 and cross-check every answer against the leader")
 		algoStr  = flag.String("algo", "PPSP", "algorithm the daemon runs (for -verify)")
 		verify   = flag.Bool("verify", false, "compare served answers against an offline engine on the same stream")
-		sanitize = flag.String("sanitize", "drop", "sanitize policy of the -verify offline replay (cisgraphd always drops)")
-		waitFor  = flag.Duration("quiesce-timeout", 30*time.Second, "how long to wait for the daemon to quiesce")
 		jsonOut  = flag.String("json", "", "also write the report as JSON to this file")
 
 		verifyDurable = flag.Bool("verify-durable", false,
@@ -311,7 +313,7 @@ func run() error {
 				at = end
 				backoff = 10 * time.Millisecond
 				if accepted++; accepted%visEvery == 0 {
-					if err := waitQuiesced(client, *addr, *waitFor); err != nil {
+					if err := waitQuiesced(client, *addr, quiesceTimeout); err != nil {
 						return err
 					}
 					visLat = append(visLat, time.Since(t0))
@@ -358,7 +360,7 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -proto %q (want json or binary)", *proto)
 	}
-	if err := waitQuiesced(client, *addr, *waitFor); err != nil {
+	if err := waitQuiesced(client, *addr, quiesceTimeout); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
@@ -413,7 +415,7 @@ func run() error {
 	}
 
 	if *watchN > 0 {
-		checked, stats, err := settleWatchers(client, *addr, watchers, *waitFor)
+		checked, stats, err := settleWatchers(client, *addr, watchers, quiesceTimeout)
 		watchCancel()
 		watchWG.Wait()
 		if err != nil {
@@ -432,7 +434,7 @@ func run() error {
 	}
 
 	if len(replicaURLs) > 0 {
-		n, err := crossCheckReplicas(client, *addr, replicaURLs, *waitFor)
+		n, err := crossCheckReplicas(client, *addr, replicaURLs, quiesceTimeout)
 		if err != nil {
 			return err
 		}
@@ -445,7 +447,7 @@ func run() error {
 		if *initial == "" {
 			return fmt.Errorf("-verify needs -initial to rebuild the offline baseline")
 		}
-		n, err := verifyAnswers(client, *addr, *initial, *algoStr, *sanitize, covered, *postSize)
+		n, err := verifyAnswers(client, *addr, *initial, *algoStr, covered, *postSize)
 		if err != nil {
 			return err
 		}
@@ -1240,16 +1242,12 @@ func verifyDurableState(c *http.Client, addr, walDir, ckpt, initial, algoStr str
 // served answer. The batch split does not affect the converged fixpoint
 // (the engines' cross-agreement guarantee), so the daemon's internal window
 // boundaries don't need to match the offline ones.
-func verifyAnswers(c *http.Client, addr, initial, algoStr, sanitize string, updates []graph.Update, batchSize int) (int, error) {
+func verifyAnswers(c *http.Client, addr, initial, algoStr string, updates []graph.Update, batchSize int) (int, error) {
 	served, err := getAnswers(c, addr)
 	if err != nil {
 		return 0, err
 	}
 	a, err := algo.ByName(algoStr)
-	if err != nil {
-		return 0, err
-	}
-	policy, err := resilience.ParsePolicy(sanitize)
 	if err != nil {
 		return 0, err
 	}
@@ -1264,17 +1262,14 @@ func verifyAnswers(c *http.Client, addr, initial, algoStr, sanitize string, upda
 	}
 	eng := core.NewMultiCISO()
 	eng.Reset(g.Clone(), a, qs)
-	san := resilience.NewSanitizer(policy, nil)
+	san := resilience.NewSanitizer(resilience.PolicyDrop, nil)
 	shadow := g
 	for at := 0; at < len(updates); at += batchSize {
 		end := at + batchSize
 		if end > len(updates) {
 			end = len(updates)
 		}
-		clean, _, err := san.Sanitize(shadow, updates[at:end])
-		if err != nil {
-			return 0, fmt.Errorf("offline sanitize: %w", err)
-		}
+		clean, _, _ := san.Sanitize(shadow, updates[at:end])
 		shadow.Apply(clean)
 		eng.ApplyBatchDelta(clean)
 	}

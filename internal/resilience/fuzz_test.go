@@ -37,9 +37,10 @@ func decodeFuzzBatch(data []byte) []graph.Update {
 	return batch
 }
 
-// FuzzSanitize: for arbitrary byte-derived batches, PolicyDrop output must
-// (a) pass ValidateBatch against the same topology, (b) apply to the graph
-// without panicking, and (c) keep a CISO engine in agreement with ColdStart.
+// FuzzSanitize: for arbitrary byte-derived batches, the drop pass's output
+// must (a) pass ValidateBatch against the same topology — a second drop
+// pass drops nothing — (b) apply to the graph without panicking, and (c)
+// keep a CISO engine in agreement with ColdStart.
 func FuzzSanitize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 1, 0, 0, 0, 2, 0, 0, 0, 64, 64, 64, 64})

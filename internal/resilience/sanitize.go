@@ -8,50 +8,15 @@ import (
 	"cisgraph/internal/stats"
 )
 
-// Policy selects what the sanitizer does when a batch contains invalid
-// updates.
+// Policy is the type of NewSanitizer's policy argument. Drop is the one
+// policy; the type stays only because benchmark/stage.go compiles against
+// it.
 type Policy int
 
-const (
-	// PolicyDrop removes invalid updates from the batch and counts each
-	// removal by reason; the cleaned remainder proceeds. This is the
-	// availability-first default for long-running streams.
-	PolicyDrop Policy = iota
-	// PolicyReject refuses the whole batch when any update is invalid: the
-	// error reports every offending update and nothing reaches the engine.
-	PolicyReject
-	// PolicyStrict fails fast on the first invalid update. Use it when a
-	// malformed update indicates an upstream bug that must stop the run.
-	PolicyStrict
-)
-
-// String returns the CLI spelling of the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyDrop:
-		return "drop"
-	case PolicyReject:
-		return "reject"
-	case PolicyStrict:
-		return "strict"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves a CLI spelling ("drop", "reject", "strict").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "drop":
-		return PolicyDrop, nil
-	case "reject":
-		return PolicyReject, nil
-	case "strict":
-		return PolicyStrict, nil
-	default:
-		return 0, fmt.Errorf("resilience: unknown sanitize policy %q (want drop, reject or strict)", s)
-	}
-}
+// PolicyDrop removes invalid updates from the batch and counts each removal
+// by reason; the cleaned remainder proceeds. It stays only because
+// benchmark/stage.go passes it to NewSanitizer.
+const PolicyDrop Policy = 0
 
 // Drop reasons, doubling as the stats counter names the sanitizer
 // increments.
@@ -105,8 +70,7 @@ func (r *Report) drop(reason string) {
 // pass that ends the previous one. Validating concurrently takes one
 // Sanitizer per goroutine.
 type Sanitizer struct {
-	policy Policy
-	cnt    *stats.Counters
+	cnt *stats.Counters
 
 	// overlay is the current pass's edge presence on top of its base
 	// topology: a key present means the pass accepted an update on that
@@ -123,20 +87,19 @@ type Sanitizer struct {
 	hBadWeight  stats.Handle
 	hDupAdd     stats.Handle
 	hAbsentDel  stats.Handle
-	hRejected   stats.Handle
 }
 
-// NewSanitizer returns a sanitizer with the given policy. Per-reason drop
-// counts are accumulated on cnt (pass nil to skip counting).
-func NewSanitizer(policy Policy, cnt *stats.Counters) *Sanitizer {
-	s := &Sanitizer{policy: policy, cnt: cnt}
+// NewSanitizer returns a sanitizer that drops invalid updates. Per-reason
+// drop counts are accumulated on cnt (pass nil to skip counting). The policy
+// argument is ignored; it stays only because benchmark/stage.go passes it.
+func NewSanitizer(_ Policy, cnt *stats.Counters) *Sanitizer {
+	s := &Sanitizer{cnt: cnt}
 	if cnt != nil {
 		s.hOutOfRange = cnt.Handle(DropOutOfRange)
 		s.hSelfLoop = cnt.Handle(DropSelfLoop)
 		s.hBadWeight = cnt.Handle(DropBadWeight)
 		s.hDupAdd = cnt.Handle(DropDupAdd)
 		s.hAbsentDel = cnt.Handle(DropAbsentDel)
-		s.hRejected = cnt.Handle(stats.CntBatchRejected)
 	}
 	return s
 }
@@ -162,9 +125,6 @@ func (s *Sanitizer) count(reason string) {
 		s.cnt.Inc(reason)
 	}
 }
-
-// Policy returns the configured policy.
-func (s *Sanitizer) Policy() Policy { return s.policy }
 
 // overlayKeep bounds the overlay one pass may hand on to the next: clearing
 // a Go map costs its capacity, not its length, so after a pass that grew it
@@ -229,51 +189,31 @@ func check(up graph.Update, n int, present bool) string {
 // snapshot; it is not modified). Presence is tracked through the batch, so
 // an addition made valid by an earlier in-batch deletion (and vice versa)
 // is accepted, while the second of two identical additions is a duplicate.
-//
-// Under PolicyDrop the cleaned batch and a per-reason report are returned
-// with a nil error. Under PolicyReject and PolicyStrict an invalid update
-// yields a nil batch and a non-nil error (listing every offender for
-// reject, the first for strict); the report still carries the counts.
+// It returns the cleaned batch and a per-reason report of what it dropped.
+// The error is always nil: it stays only because benchmark/stage.go
+// compiles against three results.
 func (s *Sanitizer) Sanitize(g *graph.Dynamic, batch []graph.Update) ([]graph.Update, Report, error) {
 	var rep Report
 	s.begin()
 	n := g.NumVertices()
 	clean := batch[:0:0]
-	var errs []error
-	for i, up := range batch {
-		reason := s.admit(g, n, up)
-		if reason == "" {
-			clean = append(clean, up)
+	for _, up := range batch {
+		if reason := s.admit(g, n, up); reason != "" {
+			rep.drop(reason)
+			s.count(reason)
 			continue
 		}
-		rep.drop(reason)
-		s.count(reason)
-		switch s.policy {
-		case PolicyStrict:
-			if s.cnt != nil {
-				s.hRejected.Inc()
-			}
-			return nil, rep, fmt.Errorf("resilience: update %d (%v) invalid: %s", i, up, reason)
-		case PolicyReject:
-			errs = append(errs, fmt.Errorf("update %d (%v): %s", i, up, reason))
-		}
+		clean = append(clean, up)
 	}
 	rep.Kept = len(clean)
-	if len(errs) > 0 {
-		if s.cnt != nil {
-			s.hRejected.Inc()
-		}
-		return nil, rep, fmt.Errorf("resilience: batch rejected, %d invalid update(s): %w", len(errs), joinErrs(errs))
-	}
 	return clean, rep, nil
 }
 
 // StreamSanitizer validates updates one at a time against a fixed pre-group
 // topology snapshot plus the net effect of previously accepted updates — the
 // per-update fast path's equivalent of Sanitize's intra-batch presence
-// tracking. Each accepted update is its own single-update batch downstream,
-// so the batch-level policies degenerate: an invalid update is always
-// refused individually (and counted), never able to poison neighbours.
+// tracking: an invalid update is refused individually (and counted), never
+// able to poison its neighbours.
 type StreamSanitizer struct {
 	s *Sanitizer
 	g *graph.Dynamic
@@ -302,22 +242,11 @@ func (ss *StreamSanitizer) Check(up graph.Update) string {
 }
 
 // ValidateBatch checks batch against g without modifying anything and
-// returns the first validation error (nil when the batch is fully clean) —
-// the strict-policy check as a standalone predicate.
+// returns an error naming every update a drop pass would remove (nil when
+// the batch is fully clean).
 func ValidateBatch(g *graph.Dynamic, batch []graph.Update) error {
-	_, _, err := NewSanitizer(PolicyStrict, nil).Sanitize(g, batch)
-	return err
-}
-
-// joinErrs flattens a short error list into one error (errors.Join keeps
-// newlines; a single line reads better in logs and CLI output).
-func joinErrs(errs []error) error {
-	if len(errs) == 1 {
-		return errs[0]
+	if _, rep, _ := NewSanitizer(PolicyDrop, nil).Sanitize(g, batch); !rep.Clean() {
+		return fmt.Errorf("resilience: %d invalid update(s): %v", rep.Total(), rep.Dropped)
 	}
-	msg := errs[0].Error()
-	for _, e := range errs[1:] {
-		msg += "; " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+	return nil
 }

@@ -127,6 +127,9 @@ func TestSanitizeTracksPresenceThroughBatch(t *testing.T) {
 	}
 }
 
+// TestSanitizePolicies: drop is the one policy — a dirty batch keeps its
+// valid update and loses every offender, counted, and a clean batch passes
+// whole.
 func TestSanitizePolicies(t *testing.T) {
 	g := testGraph(t)
 	_, abs := anEdge(t, g)
@@ -135,33 +138,24 @@ func TestSanitizePolicies(t *testing.T) {
 		graph.Add(9999, 1, 2),
 		graph.Add(3, 3, 2),
 	}
-	t.Run("reject", func(t *testing.T) {
+	t.Run("dirty batch drops every offender", func(t *testing.T) {
 		cnt := stats.NewCounters()
-		clean, rep, err := NewSanitizer(PolicyReject, cnt).Sanitize(g, dirty)
-		if err == nil || clean != nil {
-			t.Fatalf("reject policy accepted dirty batch: %v", clean)
+		clean, rep, err := NewSanitizer(PolicyDrop, cnt).Sanitize(g, dirty)
+		if err != nil || !slices.Equal(clean, dirty[:1]) {
+			t.Fatalf("kept %v (err %v), want only the valid add", clean, err)
 		}
-		// Reject reports every offender.
-		if !strings.Contains(err.Error(), "2 invalid") {
-			t.Fatalf("error does not count offenders: %v", err)
+		if rep.Kept != 1 || rep.Total() != 2 || cnt.Get(DropOutOfRange) != 1 || cnt.Get(DropSelfLoop) != 1 {
+			t.Fatalf("report %+v, counters %v", rep, cnt.Snapshot())
 		}
-		if rep.Total() != 2 || cnt.Get(stats.CntBatchRejected) != 1 {
-			t.Fatalf("report %+v rejected=%d", rep, cnt.Get(stats.CntBatchRejected))
-		}
-	})
-	t.Run("strict", func(t *testing.T) {
-		_, _, err := NewSanitizer(PolicyStrict, nil).Sanitize(g, dirty)
-		if err == nil || !strings.Contains(err.Error(), "update 1") {
-			t.Fatalf("strict policy should fail on first offender: %v", err)
+		if err := ValidateBatch(g, dirty); err == nil || !strings.Contains(err.Error(), "2 invalid") {
+			t.Fatalf("ValidateBatch does not count both offenders: %v", err)
 		}
 	})
-	t.Run("clean batch passes all policies", func(t *testing.T) {
+	t.Run("clean batch passes", func(t *testing.T) {
 		okBatch := []graph.Update{graph.Add(abs.From, abs.To, 2)}
-		for _, p := range []Policy{PolicyDrop, PolicyReject, PolicyStrict} {
-			clean, _, err := NewSanitizer(p, nil).Sanitize(g, okBatch)
-			if err != nil || len(clean) != 1 {
-				t.Fatalf("policy %v rejected clean batch: %v", p, err)
-			}
+		clean, rep, err := NewSanitizer(PolicyDrop, nil).Sanitize(g, okBatch)
+		if err != nil || len(clean) != 1 || !rep.Clean() {
+			t.Fatalf("clean batch lost updates: kept %v, report %+v, err %v", clean, rep, err)
 		}
 	})
 }
@@ -270,8 +264,7 @@ func TestSanitizerPassIsolation(t *testing.T) {
 
 // TestSanitizerRefusalLeavesNoTrace: a refused update changes no presence —
 // later updates on its edge are judged as if it never came — and a pass of
-// refusals leaves the overlay empty, also under reject, where the whole body
-// is refused but the pass still tracked its valid members.
+// refusals leaves the overlay empty.
 func TestSanitizerRefusalLeavesNoTrace(t *testing.T) {
 	g := graph.NewDynamic(8)
 	g.AddEdge(0, 1, 1)
@@ -293,13 +286,6 @@ func TestSanitizerRefusalLeavesNoTrace(t *testing.T) {
 		if len(san.overlay) != 0 {
 			t.Fatalf("stream=%v: a pass of refusals left %d overlay keys", stream, len(san.overlay))
 		}
-	}
-	rej := NewSanitizer(PolicyReject, nil)
-	if clean, _, err := rej.Sanitize(g, []graph.Update{graph.Add(2, 3, 1), graph.Add(5, 5, 1)}); err == nil || clean != nil {
-		t.Fatalf("reject kept %v (err %v), want the body refused", clean, err)
-	}
-	if clean, _, err := rej.Sanitize(g, []graph.Update{graph.Add(2, 3, 1)}); err != nil || len(clean) != 1 {
-		t.Fatalf("after a rejected body, its valid add is refused (kept %v, err %v)", clean, err)
 	}
 }
 

@@ -45,6 +45,26 @@ func engineBudget() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Admission bounds (DESIGN.md §12.3, §15). They are constants: no
+// deployment runs another value.
+const (
+	// maxBodyBytes bounds POST request bodies (http.MaxBytesReader).
+	// Oversized bodies get 413 without buffering the excess.
+	maxBodyBytes = 8 << 20
+	// maxInFlight bounds concurrently executing /v1/* requests. Requests
+	// beyond the gate are shed with 429 + Retry-After before they can pile
+	// onto the ingest queue. /healthz and /metrics bypass the gate so
+	// operators can always observe the server.
+	maxInFlight = 256
+	// watchQueue bounds each /v1/watch subscriber's pending-delta queue, in
+	// messages. A subscriber that falls further behind is marked lost and
+	// receives a resync marker instead of unbounded buffering.
+	watchQueue = 64
+	// maxWatchers caps concurrent /v1/watch subscribers; beyond the cap,
+	// new subscriptions are shed with 429.
+	maxWatchers = 4096
+)
+
 // Config tunes the serving layer. The zero value is usable: WithDefaults
 // fills every unset field with the documented default.
 type Config struct {
@@ -52,14 +72,6 @@ type Config struct {
 	// Every endpoint runs under a context carrying this deadline; a handler
 	// that overruns gets 503 and its context cancelled.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds POST request bodies (http.MaxBytesReader; default
-	// 8 MiB). Oversized bodies get 413 without buffering the excess.
-	MaxBodyBytes int64
-	// MaxInFlight bounds concurrently executing /v1/* requests (admission
-	// control; default 256). Requests beyond the gate are shed with 429 +
-	// Retry-After before they can pile onto the ingest queue. /healthz and
-	// /metrics bypass the gate so operators can always observe the server.
-	MaxInFlight int
 	// WALPath is the segmented write-ahead log directory ("" disables
 	// durability): every group commit appends its records there in one
 	// write and one fsync before applying them — one record per JSON body,
@@ -146,25 +158,12 @@ type Config struct {
 	// benchmark/stage.go sets it; it goes with ROADMAP item 3's benchmark
 	// change.
 	PropagateWorkers int
-	// WatchQueue bounds each /v1/watch subscriber's pending-delta queue, in
-	// messages (default 64). A subscriber that falls further behind is
-	// marked lost and receives a resync marker instead of unbounded buffering.
-	WatchQueue int
-	// MaxWatchers caps concurrent /v1/watch subscribers (admission control;
-	// default 4096). Beyond the cap, new subscriptions are shed with 429.
-	MaxWatchers int
 }
 
 // WithDefaults returns a copy of c with every unset field defaulted.
 func (c Config) WithDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
 	}
 	if c.WALSegmentBytes <= 0 {
 		c.WALSegmentBytes = 4 << 20
@@ -195,12 +194,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SyncAckTimeout <= 0 {
 		c.SyncAckTimeout = 5 * time.Second
-	}
-	if c.WatchQueue <= 0 {
-		c.WatchQueue = 64
-	}
-	if c.MaxWatchers <= 0 {
-		c.MaxWatchers = 4096
 	}
 	return c
 }

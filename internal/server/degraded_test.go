@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -295,15 +296,13 @@ func restoreTopology(cfg Config) (*graph.Dynamic, []core.Query, error) {
 	return g, queries, nil
 }
 
-// Admission control: body caps yield 413, a full in-flight gate sheds with
-// 429 while /healthz stays reachable, and the deadline middleware kills
-// overrunning handlers with 503.
+// Admission control at the daemon's own bounds: a body one byte over
+// maxBodyBytes gets 413 while one at the bound is read whole, a gate filled
+// to its capacity sheds with 429 while /healthz stays reachable, and the
+// deadline middleware kills overrunning handlers with 503.
 func TestServerAdmissionControl(t *testing.T) {
 	w := testWorkload(t)
-	cfg := Config{}
-	cfg.MaxBodyBytes = 256
-	cfg.MaxInFlight = 2
-	srv, err := New(w.Initial(), testAlgo(t), cfg)
+	srv, err := New(w.Initial(), testAlgo(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,22 +311,41 @@ func TestServerAdmissionControl(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	// Oversized POST body → 413.
-	big := make([]updateJSON, 64)
-	for i := range big {
-		big[i] = updateJSON{Op: "add", From: 0, To: uint32(i + 1), W: 1}
+	// One valid update behind whitespace that pads the body to size bytes:
+	// the decoder must read through all of it.
+	paddedBody := func(size int) []byte {
+		head, tail := `{"updates":[`, `{"op":"add","from":0,"to":1,"w":1}]}`
+		return []byte(head + strings.Repeat(" ", size-len(head)-len(tail)) + tail)
 	}
-	resp, _ := postJSON(t, client, ts.URL+"/v1/updates", updatesRequest{Updates: big})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/updates", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if snap := srv.Counters().Snapshot(); snap[CntBodyTooLarge] == 0 {
-		t.Error("413 did not count CntBodyTooLarge")
+	if maxBodyBytes != 8<<20 {
+		t.Fatalf("body bound %d bytes, want 8 MiB", maxBodyBytes)
+	}
+	if code := post(paddedBody(maxBodyBytes + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of %d bytes: status %d, want 413", maxBodyBytes+1, code)
+	}
+	if got := srv.Counters().Get(CntBodyTooLarge); got != 1 {
+		t.Errorf("%s = %d after one 413, want 1", CntBodyTooLarge, got)
+	}
+	if code := post(paddedBody(maxBodyBytes)); code != http.StatusAccepted {
+		t.Errorf("body of %d bytes: status %d, want 202", maxBodyBytes, code)
 	}
 
 	// Fill the gate: /v1/* sheds with 429 + Retry-After, /healthz still
 	// answers (it bypasses the gate by design).
-	for i := 0; i < cfg.MaxInFlight; i++ {
+	if cap(srv.gate) != 256 {
+		t.Fatalf("in-flight gate of %d slots, want 256", cap(srv.gate))
+	}
+	for range cap(srv.gate) {
 		srv.gate <- struct{}{}
 	}
 	if r := getJSON(t, client, ts.URL+"/v1/answers", nil); r.StatusCode != http.StatusTooManyRequests {
@@ -339,11 +357,14 @@ func TestServerAdmissionControl(t *testing.T) {
 	if r := getJSON(t, client, ts.URL+"/healthz", &hz); r.StatusCode != http.StatusOK {
 		t.Errorf("healthz behind full gate: status %d, want 200", r.StatusCode)
 	}
-	for i := 0; i < cfg.MaxInFlight; i++ {
+	for range cap(srv.gate) {
 		<-srv.gate
 	}
 	if snap := srv.Counters().Snapshot(); snap[CntInflightShed] == 0 {
 		t.Error("shed request did not count CntInflightShed")
+	}
+	if r := getJSON(t, client, ts.URL+"/v1/answers", nil); r.StatusCode != http.StatusOK {
+		t.Errorf("emptied gate: status %d, want 200", r.StatusCode)
 	}
 
 	// Deadline middleware: an overrunning handler is cut off with 503 and

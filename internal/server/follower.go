@@ -77,7 +77,7 @@ func StartFollower(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, er
 	tail.Rebootstrap = func() (uint64, error) { return s.rebootstrapFromLeader(client, tail.Leader()) }
 	tail.OnStatus = s.onReplStatus
 	tail.Epoch = s.Epoch
-	tail.OnStaleLeader = func(uint64) (string, bool) { return s.findLeader(s.Epoch()) }
+	tail.OnStaleLeader = func(uint64) (string, bool) { p, ok := leaderAmong(s.probePeers(), s.Epoch()); return p.url, ok }
 	tail.OnRepoint = s.setLeader
 	s.tail = tail
 	ctx, cancel := context.WithCancel(context.Background())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -55,6 +56,10 @@ const groupMax = BinMaxFramePayload / BinUpdateSize
 // queue's window).
 const pipelineDepth = 256
 
+// drainAckGrace bounds how long a drain waits for a binary client to take
+// its last acks: a peer that stops reading cannot hold the drain open.
+const drainAckGrace = 2 * time.Second
+
 // ingest is the one ingest queue every client write goes through (DESIGN.md
 // §10.1): POST bodies and CGBIN/2 frames wait in one queue bounded at
 // groupMax updates, and one commit goroutine takes the whole queue as one
@@ -85,9 +90,12 @@ type ingest struct {
 	syncQuit chan struct{}
 	syncDone chan struct{}
 
+	// Binary listeners and connections; live counts the connection
+	// handlers still running.
 	connMu sync.Mutex
 	lns    map[net.Listener]struct{}
 	conns  map[net.Conn]struct{}
+	live   sync.WaitGroup
 
 	// Commit-goroutine-private scratch, reused across groups. spare is the
 	// queue's other buffer: the commit loop swaps it for the queue.
@@ -387,8 +395,9 @@ func (in *ingest) runSyncResolver() {
 
 // shutdown flushes and stops ingest: refuse new writes, stop accepting
 // connections, commit everything queued, release or degrade gated acks, then
-// close the remaining connections (whose writer goroutines are by then
-// unblocked). Idempotent; called from Server.Drain before the final
+// cut every connection's reads and wait until each has written its last
+// acks and closed. A connection is never closed under acks its writer has
+// yet to write. Idempotent; called from Server.Drain before the final
 // checkpoint, so that checkpoint covers every accepted write.
 func (in *ingest) shutdown() {
 	in.stopOnce.Do(func() {
@@ -403,13 +412,22 @@ func (in *ingest) shutdown() {
 			close(in.syncQuit)
 			<-in.syncDone
 		}
+		// A read deadline in the past ends each reader's loop without
+		// touching the writer; the write deadline bounds a peer that no
+		// longer reads.
 		in.connMu.Lock()
 		for c := range in.conns {
-			c.Close()
+			c.SetReadDeadline(time.Now())
+			c.SetWriteDeadline(time.Now().Add(drainAckGrace))
 		}
 		in.connMu.Unlock()
+		in.live.Wait()
 	})
 }
+
+// drainCut reports whether a read failed because shutdown cut the
+// connection: the end of the stream, not a bad frame.
+func drainCut(err error) bool { return errors.Is(err, os.ErrDeadlineExceeded) }
 
 // ServeBinary accepts binary-protocol ingest connections on ln until the
 // listener closes (or Drain begins) and blocks for the duration — run it on
@@ -444,20 +462,29 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 func (in *ingest) handleConn(c net.Conn) {
 	s := in.s
 	in.connMu.Lock()
+	if in.isClosed() { // accepted as drain began: shutdown will not cut it
+		in.connMu.Unlock()
+		c.Close()
+		return
+	}
 	in.conns[c] = struct{}{}
+	in.live.Add(1)
 	in.connMu.Unlock()
 	defer func() {
 		in.connMu.Lock()
 		delete(in.conns, c)
 		in.connMu.Unlock()
 		c.Close()
+		in.live.Done()
 	}()
 	s.h.binConns.Inc()
 
 	br := bufio.NewReaderSize(c, 64<<10)
 	var hello [len(BinHello2)]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil || string(hello[:]) != BinHello2 {
-		s.h.binBadFrames.Inc()
+		if !drainCut(err) {
+			s.h.binBadFrames.Inc()
+		}
 		return
 	}
 	if s.isFollower() {
@@ -480,7 +507,7 @@ func (in *ingest) handleConn(c net.Conn) {
 		var err error
 		ups, payload, sid, seq, err = ReadBinFrameSession(br, ups[:0], payload)
 		if err != nil {
-			if err != io.EOF {
+			if err != io.EOF && !drainCut(err) {
 				// Malformed frame or torn read: the stream is desynced. Ack
 				// the failure, behind every frame still pending, so the client
 				// can tell; then close.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -395,6 +396,19 @@ func TestIngestDrainCommitsAccepted(t *testing.T) {
 	}
 	if covered, _, _, err := resilience.ReadCheckpointMeta(cfg.CheckpointPath); err != nil || covered != want {
 		t.Fatalf("final checkpoint covers %d (%v), want %d", covered, err, want)
+	}
+	// The frame committed during the drain, so its ack reaches the client
+	// before the server closes the connection — and the drain's close is no
+	// bad frame.
+	if a := bc.recv(); a.Status != BinStatusOK || a.Accepted != uint32(len(frame)) {
+		t.Fatalf("held frame's ack %+v, want OK with %d accepted", a, len(frame))
+	}
+	bc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadBinAck(bc.br); err != io.EOF {
+		t.Fatalf("after the last ack: %v, want EOF", err)
+	}
+	if n := srv.Counters().Get(CntBinBadFrames); n != 0 {
+		t.Fatalf("the drain counted %d bad frames", n)
 	}
 }
 

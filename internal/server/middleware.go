@@ -50,12 +50,6 @@ func (s *Server) withDeadline(d time.Duration, h http.Handler) http.Handler {
 	})
 }
 
-// limitBody bounds the POST body before JSON decoding; the decoder surfaces
-// *http.MaxBytesError, which handlers map to 413.
-func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-}
-
 // retryAfter stamps the standard backoff hint on 429/503 responses.
 func retryAfter(w http.ResponseWriter, seconds int) {
 	w.Header().Set("Retry-After", strconv.Itoa(seconds))

@@ -77,8 +77,8 @@ func (s *Server) demote(peerEpoch uint64) {
 	s.h.demotions.Inc()
 	s.setLastErr(fmt.Errorf("server: demoted: peer proved epoch %d above ours (%d)", peerEpoch, s.epoch.Load()))
 	go func() {
-		if leader, ok := s.findLeader(peerEpoch); ok {
-			s.setLeader(leader)
+		if leader, ok := leaderAmong(s.probePeers(), peerEpoch); ok {
+			s.setLeader(leader.url)
 		}
 	}()
 }
@@ -145,62 +145,69 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// findLeader probes the configured peer list for a node serving as leader at
-// minEpoch or above, returning the best (highest-epoch) match. Used to
-// re-point after a failover and to avoid split promotion in the watchdog.
-func (s *Server) findLeader(minEpoch uint64) (string, bool) {
+// peerHealth is what one peer's /healthz reports: its role, its epoch and
+// its stream position.
+type peerHealth struct {
+	url     string
+	Role    string `json:"role"`
+	Epoch   uint64 `json:"epoch"`
+	Batches uint64 `json:"batches"`
+}
+
+// probePeers GETs every peer's /healthz but self's once, in list order, and
+// returns the answers of the peers that replied. It is the one peer probe:
+// the watchdog, re-pointing after a failover and the boot fence all read it.
+func probePeers(list []string, self string) []peerHealth {
 	client := &http.Client{Timeout: time.Second}
-	var bestURL string
-	var bestEpoch uint64
-	found := false
-	for _, peer := range s.cfg.Peers {
-		if peer == "" || peer == s.cfg.AdvertiseURL {
+	var peers []peerHealth
+	for _, peer := range list {
+		if peer == "" || peer == self {
 			continue
 		}
 		resp, err := client.Get(peer + "/healthz")
 		if err != nil {
 			continue
 		}
-		var h struct {
-			Role  string `json:"role"`
-			Epoch uint64 `json:"epoch"`
-		}
+		h := peerHealth{url: peer}
 		derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h)
 		resp.Body.Close()
-		if derr != nil || h.Role != "leader" || h.Epoch < minEpoch {
-			continue
-		}
-		if !found || h.Epoch > bestEpoch {
-			bestURL, bestEpoch, found = peer, h.Epoch, true
+		if derr == nil {
+			peers = append(peers, h)
 		}
 	}
-	return bestURL, found
+	return peers
 }
 
-// anyLongerFollower reports whether some peer follower has applied more of
-// the stream than this node. The watchdog defers self-promotion to it —
+func (s *Server) probePeers() []peerHealth { return probePeers(s.cfg.Peers, s.cfg.AdvertiseURL) }
+
+// leaderAmong returns the peer serving as leader at minEpoch or above with
+// the highest epoch (the first in peer order on a tie). Used to re-point
+// after a failover and to avoid split promotion in the watchdog.
+func leaderAmong(peers []peerHealth, minEpoch uint64) (best peerHealth, ok bool) {
+	for _, p := range peers {
+		if p.Role == "leader" && p.Epoch >= minEpoch && (!ok || p.Epoch > best.Epoch) {
+			best, ok = p, true
+		}
+	}
+	return best, ok
+}
+
+// ProbeLeader asks every peer but self who it is and returns the
+// highest-epoch node serving as leader. Unreachable peers are skipped.
+func ProbeLeader(peers []string, self string) (url string, epoch uint64, ok bool) {
+	p, ok := leaderAmong(probePeers(peers, self), 0)
+	return p.url, p.Epoch, ok
+}
+
+// longerFollower reports whether some peer follower has applied more of the
+// stream than mine. The watchdog defers self-promotion to it —
 // longest-log-wins, the Raft vote restriction in miniature: with
 // SyncFollowers=k an acked update is only guaranteed durable on k followers,
 // so promoting a shorter log could discard updates the dead leader acked.
 // The longest follower never defers, so exactly one node acts.
-func (s *Server) anyLongerFollower() bool {
-	client := &http.Client{Timeout: time.Second}
-	mine := s.applied.Load()
-	for _, peer := range s.cfg.Peers {
-		if peer == "" || peer == s.cfg.AdvertiseURL {
-			continue
-		}
-		resp, err := client.Get(peer + "/healthz")
-		if err != nil {
-			continue
-		}
-		var h struct {
-			Role    string `json:"role"`
-			Batches uint64 `json:"batches"`
-		}
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h)
-		resp.Body.Close()
-		if derr == nil && h.Role == "follower" && h.Batches > mine {
+func longerFollower(peers []peerHealth, mine uint64) bool {
+	for _, p := range peers {
+		if p.Role == "follower" && p.Batches > mine {
 			return true
 		}
 	}
@@ -263,15 +270,17 @@ func (s *Server) runPromotionWatchdog(ctx context.Context) {
 		}
 		// Before grabbing leadership, check whether a better-ranked peer beat
 		// us to it — repointing is always cheaper than a competing epoch.
-		if leader, ok := s.findLeader(s.Epoch() + 1); ok {
-			s.setLeader(leader)
+		mine := s.applied.Load()
+		peers := s.probePeers()
+		if leader, ok := leaderAmong(peers, s.Epoch()+1); ok {
+			s.setLeader(leader.url)
 			if s.tail != nil {
-				s.tail.Repoint(leader)
+				s.tail.Repoint(leader.url)
 			}
 			lostSince = time.Time{}
 			continue
 		}
-		if s.anyLongerFollower() {
+		if longerFollower(peers, mine) {
 			continue // it holds acked records we might not; let it act first
 		}
 		if _, promoted, err := s.Promote(); err != nil {

@@ -55,7 +55,7 @@ const (
 	CntInflightShed = "srv_inflight_shed"
 	// CntRequestTimeouts counts requests killed by the per-endpoint deadline.
 	CntRequestTimeouts = "srv_request_timeouts"
-	// CntBodyTooLarge counts POSTs refused with 413 (body over MaxBodyBytes).
+	// CntBodyTooLarge counts POSTs refused with 413 (body over maxBodyBytes).
 	CntBodyTooLarge = "srv_body_too_large"
 	// CntBatchesDroppedDegraded / CntUpdatesDroppedDegraded count batches
 	// (and the updates inside them) discarded because the disk breaker was
@@ -375,7 +375,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 			promotions:         cnt.Handle(CntPromotions),
 			demotions:          cnt.Handle(CntDemotions),
 		},
-		gate: make(inflightGate, cfg.MaxInFlight),
+		gate: make(inflightGate, maxInFlight),
 	}
 	s.applied.Store(through)
 	s.edges.Store(int64(g.NumEdges()))
@@ -582,10 +582,10 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/updates", v1(s.handleUpdates))
 	s.mux.Handle("POST /v1/query", v1(s.handleQuery))
 	s.mux.Handle("GET /v1/answers", v1(s.handleAnswers))
-	// /v1/watch streams (SSE) or parks (long-poll), so like the replication
-	// tail it must not run under the buffering TimeoutHandler or occupy an
-	// in-flight-gate slot for its whole lifetime; it bounds itself via the
-	// MaxWatchers cap, per-subscriber queues, and the request context.
+	// /v1/watch streams SSE, so like the replication tail it must not run
+	// under the buffering TimeoutHandler or occupy an in-flight-gate slot
+	// for its whole lifetime; it bounds itself via the maxWatchers cap,
+	// per-subscriber queues, and the request context.
 	s.mux.Handle("GET /v1/watch", http.HandlerFunc(s.handleWatch))
 	// Observability endpoints bypass the gate: a saturated or degraded
 	// server must stay observable. They still run under the deadline.
@@ -819,7 +819,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			"degraded: durable writes failing ("+s.brk.Reason()+"), retry later")
 		return
 	}
-	s.limitBody(w, r)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes) // the decoder surfaces *http.MaxBytesError: 413
 	req := updatesReqPool.Get().(*updatesRequest)
 	defer func() {
 		req.Updates = req.Updates[:0]
@@ -902,7 +902,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfTooStale(w, r) {
 		return
 	}
-	s.limitBody(w, r)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes) // the decoder surfaces *http.MaxBytesError: 413
 	var req queryRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -1087,100 +1087,75 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics renders every counter — the server's own stats.Handle cells
-// plus the engine counters — in Prometheus text exposition format.
+// family is one /metrics family beside the counter set: its name, type and
+// help, and its sample read at scrape time — the labels and value written
+// after the name. A family whose source this node lacks (no WAL, not a
+// follower) is absent, never zero-filled.
+type family struct {
+	name, typ, help string
+	present         func(s *Server) bool // nil: on every node
+	sample          func(s *Server) string
+}
+
+// num renders a plain integer sample.
+func num[T int | int64 | uint64](read func(s *Server) T) func(s *Server) string {
+	return func(s *Server) string { return " " + fmt.Sprint(read(s)) }
+}
+
+// bit renders a boolean as a 0/1 sample.
+func bit(read func(s *Server) bool) func(s *Server) string {
+	return func(s *Server) string {
+		if read(s) {
+			return " 1"
+		}
+		return " 0"
+	}
+}
+
+func hasWAL(s *Server) bool  { return s.wal != nil }
+func hasTail(s *Server) bool { return s.isFollower() && s.tail != nil }
+
+// families is the /metrics exposition after the counter set, in order.
+var families = []family{
+	{"cisgraph_ingest_pending", "gauge", "Updates queued but not yet applied.", nil, num(func(s *Server) int { return s.in.queuedUpdates() })},
+	{"cisgraph_batches_applied", "counter", "Sanitized batches applied since stream start.", nil, num(func(s *Server) uint64 { return s.applied.Load() })},
+	{"cisgraph_edges", "gauge", "Current edge count of the authoritative topology.", nil, num(func(s *Server) int64 { return s.edges.Load() })},
+	{"cisgraph_queries", "gauge", "Registered pairwise queries.", nil, num(func(s *Server) int { return s.pool.NumQueries() })},
+	{"cisgraph_state_bytes", "gauge", "Resident source-group state (one per distinct source).", nil, num(func(s *Server) int64 { return s.pool.StateBytes() })},
+	{"cisgraph_wal_segments", "gauge", "Live WAL segment files (sealed + active).", hasWAL, num(func(s *Server) int { return s.wal.Segments() })},
+	{"cisgraph_wal_bytes", "gauge", "Total bytes across live WAL segments.", hasWAL, num(func(s *Server) int64 { return s.wal.Bytes() })},
+	{"cisgraph_watch_subscribers", "gauge", "Active /v1/watch subscriptions.", nil, num(func(s *Server) int64 { return s.hub.Subscribers() })},
+	{"cisgraph_watch_deltas", "counter", "Delta messages enqueued to watch subscribers.", nil, num(func(s *Server) uint64 { return s.hub.Delivered() })},
+	{"cisgraph_watch_drops", "counter", "Watch messages dropped on slow consumers.", nil, num(func(s *Server) uint64 { return s.hub.Dropped() })},
+	{"cisgraph_watch_resyncs", "counter", "Resync markers enqueued to watch subscribers.", nil, num(func(s *Server) uint64 { return s.hub.Resynced() })},
+	{"cisgraph_role", "gauge", "1 for the node's replication role.", nil, func(s *Server) string { return "{role=" + strconv.Quote(s.Role()) + "} 1" }},
+	{"cisgraph_epoch", "gauge", "Leadership epoch (fencing token); bumped by every promotion.", nil, num(func(s *Server) uint64 { return s.Epoch() })},
+	{"cisgraph_dedup_sessions", "gauge", "Live exactly-once ingest sessions in the dedup table.", nil, num(func(s *Server) int { return s.dedup.size() })},
+	{"cisgraph_repl_lag_batches", "gauge", "Leader batches not yet applied by this follower.", (*Server).isFollower, num((*Server).ReplLagBatches)},
+	{"cisgraph_repl_staleness_seconds", "gauge", "Time since this follower last confirmed it was caught up.", (*Server).isFollower, func(s *Server) string { return " " + strconv.FormatFloat(s.Staleness().Seconds(), 'f', 3, 64) }},
+	{"cisgraph_repl_connected", "gauge", "1 while the WAL tail connection to the leader is healthy.", (*Server).isFollower, bit(func(s *Server) bool { return s.replConnected.Load() })},
+	{"cisgraph_repl_reconnects", "counter", "Tail reconnect attempts after transport failures.", hasTail, num(func(s *Server) uint64 { return s.tail.Reconnects.Load() })},
+	{"cisgraph_repl_rebootstraps", "counter", "Checkpoint re-bootstraps forced by retention races or leader resets.", hasTail, num(func(s *Server) uint64 { return s.tail.Rebootstraps.Load() })},
+	{"cisgraph_repl_records", "counter", "WAL records applied from the leader.", hasTail, num(func(s *Server) uint64 { return s.tail.Records.Load() })},
+	{"cisgraph_repl_repoints", "counter", "Leader-URL changes (421 handoffs and watchdog discoveries).", hasTail, num(func(s *Server) uint64 { return s.tail.Repoints.Load() })},
+	{"cisgraph_degraded", "gauge", "1 while the disk breaker is open (durable writes failing) or replication staleness exceeds its budget.", nil, bit(func(s *Server) bool { return s.brk.Open() || s.replDegraded() })},
+	{"cisgraph_disk_breaker_trips", "counter", "Times the disk breaker opened.", nil, num(func(s *Server) int64 { return s.brk.Trips() })},
+	{"cisgraph_disk_breaker_probes", "counter", "Disk probes attempted while degraded.", nil, num(func(s *Server) int64 { return s.brk.Probes() })},
+}
+
+// handleMetrics renders the counter set — the server's own stats.Handle
+// cells plus the engine counters — and then every family, in Prometheus
+// text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP cisgraph_counter Cumulative event counters (server + engine).\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_counter counter\n")
+	fmt.Fprintf(w, "# HELP cisgraph_counter Cumulative event counters (server + engine).\n# TYPE cisgraph_counter counter\n")
 	writeCounterFamily(w, "server", s.cnt.Snapshot())
 	writeCounterFamily(w, "engine", s.pool.Counters().Snapshot())
-	fmt.Fprintf(w, "# HELP cisgraph_ingest_pending Updates queued but not yet applied.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_ingest_pending gauge\n")
-	fmt.Fprintf(w, "cisgraph_ingest_pending %d\n", s.in.queuedUpdates())
-	fmt.Fprintf(w, "# HELP cisgraph_batches_applied Sanitized batches applied since stream start.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_batches_applied counter\n")
-	fmt.Fprintf(w, "cisgraph_batches_applied %d\n", s.applied.Load())
-	fmt.Fprintf(w, "# HELP cisgraph_edges Current edge count of the authoritative topology.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_edges gauge\n")
-	fmt.Fprintf(w, "cisgraph_edges %d\n", s.edges.Load())
-	fmt.Fprintf(w, "# HELP cisgraph_queries Registered pairwise queries.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_queries gauge\n")
-	fmt.Fprintf(w, "cisgraph_queries %d\n", s.pool.NumQueries())
-	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident source-group state (one per distinct source).\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_state_bytes gauge\n")
-	fmt.Fprintf(w, "cisgraph_state_bytes %d\n", s.pool.StateBytes())
-	if s.wal != nil {
-		fmt.Fprintf(w, "# HELP cisgraph_wal_segments Live WAL segment files (sealed + active).\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_wal_segments gauge\n")
-		fmt.Fprintf(w, "cisgraph_wal_segments %d\n", s.wal.Segments())
-		fmt.Fprintf(w, "# HELP cisgraph_wal_bytes Total bytes across live WAL segments.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_wal_bytes gauge\n")
-		fmt.Fprintf(w, "cisgraph_wal_bytes %d\n", s.wal.Bytes())
-	}
-	fmt.Fprintf(w, "# HELP cisgraph_watch_subscribers Active /v1/watch subscriptions.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_subscribers gauge\n")
-	fmt.Fprintf(w, "cisgraph_watch_subscribers %d\n", s.hub.Subscribers())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_deltas Delta messages enqueued to watch subscribers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_deltas counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_deltas %d\n", s.hub.Delivered())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_drops Watch messages dropped on slow consumers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_drops counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_drops %d\n", s.hub.Dropped())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_resyncs Resync markers enqueued to watch subscribers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_resyncs counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_resyncs %d\n", s.hub.Resynced())
-	fmt.Fprintf(w, "# HELP cisgraph_role 1 for the node's replication role.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_role gauge\n")
-	fmt.Fprintf(w, "cisgraph_role{role=%q} 1\n", s.Role())
-	fmt.Fprintf(w, "# HELP cisgraph_epoch Leadership epoch (fencing token); bumped by every promotion.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_epoch gauge\n")
-	fmt.Fprintf(w, "cisgraph_epoch %d\n", s.Epoch())
-	fmt.Fprintf(w, "# HELP cisgraph_dedup_sessions Live exactly-once ingest sessions in the dedup table.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_dedup_sessions gauge\n")
-	fmt.Fprintf(w, "cisgraph_dedup_sessions %d\n", s.dedup.size())
-	if s.isFollower() {
-		connected := 0
-		if s.replConnected.Load() {
-			connected = 1
-		}
-		fmt.Fprintf(w, "# HELP cisgraph_repl_lag_batches Leader batches not yet applied by this follower.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_lag_batches gauge\n")
-		fmt.Fprintf(w, "cisgraph_repl_lag_batches %d\n", s.ReplLagBatches())
-		fmt.Fprintf(w, "# HELP cisgraph_repl_staleness_seconds Time since this follower last confirmed it was caught up.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_staleness_seconds gauge\n")
-		fmt.Fprintf(w, "cisgraph_repl_staleness_seconds %.3f\n", s.Staleness().Seconds())
-		fmt.Fprintf(w, "# HELP cisgraph_repl_connected 1 while the WAL tail connection to the leader is healthy.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_connected gauge\n")
-		fmt.Fprintf(w, "cisgraph_repl_connected %d\n", connected)
-		if s.tail != nil {
-			fmt.Fprintf(w, "# HELP cisgraph_repl_reconnects Tail reconnect attempts after transport failures.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_reconnects counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_reconnects %d\n", s.tail.Reconnects.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_rebootstraps Checkpoint re-bootstraps forced by retention races or leader resets.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_rebootstraps counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_rebootstraps %d\n", s.tail.Rebootstraps.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_records WAL records applied from the leader.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_records counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_records %d\n", s.tail.Records.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_repoints Leader-URL changes (421 handoffs and watchdog discoveries).\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_repoints counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_repoints %d\n", s.tail.Repoints.Load())
+	for _, f := range families {
+		if f.present == nil || f.present(s) {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s%s\n", f.name, f.help, f.name, f.typ, f.name, f.sample(s))
 		}
 	}
-	degraded := 0
-	if s.brk.Open() || s.replDegraded() {
-		degraded = 1
-	}
-	fmt.Fprintf(w, "# HELP cisgraph_degraded 1 while the disk breaker is open (durable writes failing) or replication staleness exceeds its budget.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_degraded gauge\n")
-	fmt.Fprintf(w, "cisgraph_degraded %d\n", degraded)
-	fmt.Fprintf(w, "# HELP cisgraph_disk_breaker_trips Times the disk breaker opened.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_disk_breaker_trips counter\n")
-	fmt.Fprintf(w, "cisgraph_disk_breaker_trips %d\n", s.brk.Trips())
-	fmt.Fprintf(w, "# HELP cisgraph_disk_breaker_probes Disk probes attempted while degraded.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_disk_breaker_probes counter\n")
-	fmt.Fprintf(w, "cisgraph_disk_breaker_probes %d\n", s.brk.Probes())
 }
 
 func writeCounterFamily(w http.ResponseWriter, layer string, snap map[string]int64) {

@@ -102,11 +102,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining, not accepting subscriptions")
 		return
 	}
-	if int(s.hub.Subscribers()) >= s.cfg.MaxWatchers {
+	if s.hub.Subscribers() >= maxWatchers {
 		s.h.watchRejected.Inc()
 		retryAfter(w, 1)
 		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("watch subscriber limit %d reached", s.cfg.MaxWatchers))
+			fmt.Sprintf("watch subscriber limit %d reached", maxWatchers))
 		return
 	}
 	filter, perr := s.watchFilter(r)
@@ -129,7 +129,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// read and the subscription would otherwise be lost. The inverse order
 	// (subscribe, then read) at worst delivers a delta the init position
 	// already covers, which the client de-duplicates by pos.
-	sub := s.hub.Subscribe(s.cfg.WatchQueue, filter)
+	sub := s.hub.Subscribe(watchQueue, filter)
 	if sub == nil {
 		s.h.watchRejected.Inc()
 		httpError(w, http.StatusServiceUnavailable, "draining, not accepting subscriptions")

@@ -62,9 +62,6 @@ const (
 	CntDropBadWeight  = "drop_bad_weight"
 	CntDropDupAdd     = "drop_dup_add"
 	CntDropAbsentDel  = "drop_absent_del"
-	// CntBatchRejected counts whole batches refused under the reject/strict
-	// sanitize policies.
-	CntBatchRejected = "batch_rejected"
 	// CntQueryPanic counts panics recovered inside a MultiCISO source
 	// group's processing (once per group, whatever its member count).
 	CntQueryPanic = "query_panic"

@@ -38,9 +38,8 @@ go build -o "$WORK/loadgen" ./cmd/loadgen
 echo "== generate dataset + stream (~1.1k updates across 64 batches)"
 "$WORK/datagen" -gen rmat -scale 9 -out "$WORK/g.bel" -split -batches 64 -seed 7
 
-echo "== start cisgraphd with watch limits (-request-timeout 1s => HTTP WriteTimeout 6s)"
+echo "== start cisgraphd (-request-timeout 1s => HTTP WriteTimeout 6s)"
 "$WORK/cisgraphd" -addr "$ADDR" -file "$WORK/g.bel.initial" \
-    -watch-queue 32 -max-watchers 64 \
     -request-timeout 1s &
 DAEMON_PID=$!
 
@@ -89,5 +88,5 @@ CURL_PID=""
 grep -q '^event: bye' "$WORK/sse_drain.txt" \
     || { echo "FAIL: drained stream ended without a bye event"; cat "$WORK/sse_drain.txt"; exit 1; }
 
-echo "== OK: watch deltas match polled answers, resync/limits/metrics live, drain clean"
+echo "== OK: watch deltas match polled answers, resync/metrics live, drain clean"
 echo "   report: $WORK/loadgen.json"
