@@ -13,15 +13,16 @@ import "fmt"
 // walks *out*-neighbors.
 //
 // A per-edge position index (idx) makes HasEdge, AddEdge and RemoveEdge
-// O(1) amortized instead of O(degree): idx maps the packed (u,v) pair to
-// the edge's slot in out[u] and in[v]. Deletion swap-deletes both adjacency
-// slots and repairs the index entry of whichever edge was moved into the
-// hole, so the index never needs a rebuild (DESIGN.md §9).
+// O(1) amortized instead of O(degree): idx is an open-addressed table from
+// the packed (u,v) pair to the edge's slot in out[u] and in[v] (Table).
+// Deletion swap-deletes both adjacency slots and repairs, in place, the
+// index entry of whichever edge was moved into the hole, so the index never
+// needs a rebuild (DESIGN.md §9.1).
 type Dynamic struct {
-	out [][]Edge           // out[u] = edges u→·
-	in  [][]Edge           // in[v]  = edges ·→v, stored as Edge{To: from, W: w}
-	idx map[uint64]edgePos // key(u,v) → adjacency slots of edge u→v
-	m   int                // current edge count
+	out [][]Edge       // out[u] = edges u→·
+	in  [][]Edge       // in[v]  = edges ·→v, stored as Edge{To: from, W: w}
+	idx Table[edgePos] // key(u,v) → adjacency slots of edge u→v
+	m   int            // current edge count
 }
 
 // edgePos locates one edge in both adjacency directions. int32 slots keep
@@ -36,33 +37,32 @@ func NewDynamic(n int) *Dynamic {
 	return &Dynamic{
 		out: make([][]Edge, n),
 		in:  make([][]Edge, n),
-		idx: make(map[uint64]edgePos),
+		idx: NewTable[edgePos](0),
 	}
 }
 
 // FromEdgeList builds a Dynamic containing every arc of e. Duplicate
 // (from,to) pairs keep the first weight. The result equals an AddEdge loop
 // over e.Arcs — same adjacency order, index slots and edge count — built
-// without regrowth: a counting pass sizes the index and every adjacency,
-// and the adjacencies are carved from two arenas as in Clone.
+// without regrowth: the index is presized to len(e.Arcs), a counting pass
+// fills it and sizes every adjacency, and the adjacencies are carved from
+// two arenas as in Clone.
 func FromEdgeList(e *EdgeList) *Dynamic {
 	n := e.N
 	g := &Dynamic{
 		out: make([][]Edge, n),
 		in:  make([][]Edge, n),
-		idx: make(map[uint64]edgePos, len(e.Arcs)),
+		idx: NewTable[edgePos](len(e.Arcs)),
 	}
 	// Counting pass: index each pair's first arc at the slots AddEdge would
 	// give it, and note the duplicates (in arc order) for the fill to skip.
 	outDeg, inDeg := make([]int32, n), make([]int32, n)
 	var dups []int
 	for i, a := range e.Arcs {
-		k := key(a.From, a.To)
-		if _, ok := g.idx[k]; ok {
+		if !g.idx.Insert(key(a.From, a.To), edgePos{out: outDeg[a.From], in: inDeg[a.To]}) {
 			dups = append(dups, i)
 			continue
 		}
-		g.idx[k] = edgePos{out: outDeg[a.From], in: inDeg[a.To]}
 		outDeg[a.From]++
 		inDeg[a.To]++
 	}
@@ -118,22 +118,20 @@ func (g *Dynamic) InDegree(v VertexID) int { return len(g.in[v]) }
 
 // HasEdge reports whether u→v exists and returns its weight.
 func (g *Dynamic) HasEdge(u, v VertexID) (w float64, ok bool) {
-	pos, ok := g.idx[key(u, v)]
+	i, ok := g.idx.find(key(u, v))
 	if !ok {
 		return 0, false
 	}
-	return g.out[u][pos.out].W, true
+	return g.out[u][g.idx.slots[i].v.out].W, true
 }
 
 // AddEdge inserts u→v with weight w. It reports whether the edge was newly
 // inserted; an existing edge is left untouched (and false returned), keeping
 // the graph free of parallel edges.
 func (g *Dynamic) AddEdge(u, v VertexID, w float64) bool {
-	k := key(u, v)
-	if _, ok := g.idx[k]; ok {
+	if !g.idx.Insert(key(u, v), edgePos{out: int32(len(g.out[u])), in: int32(len(g.in[v]))}) {
 		return false
 	}
-	g.idx[k] = edgePos{out: int32(len(g.out[u])), in: int32(len(g.in[v]))}
 	g.out[u] = append(g.out[u], Edge{To: v, W: w})
 	g.in[v] = append(g.in[v], Edge{To: u, W: w})
 	g.m++
@@ -144,19 +142,18 @@ func (g *Dynamic) AddEdge(u, v VertexID, w float64) bool {
 // adjacency slots are filled by swapping in the last element; the moved
 // edge's index entry is repaired in place.
 func (g *Dynamic) RemoveEdge(u, v VertexID) (w float64, ok bool) {
-	k := key(u, v)
-	pos, ok := g.idx[k]
+	i, ok := g.idx.find(key(u, v))
 	if !ok {
 		return 0, false
 	}
+	pos := g.idx.slots[i].v
 	outs := g.out[u]
 	w = outs[pos.out].W
 	if last := int32(len(outs) - 1); pos.out != last {
 		moved := outs[last]
 		outs[pos.out] = moved
-		mp := g.idx[key(u, moved.To)]
-		mp.out = pos.out
-		g.idx[key(u, moved.To)] = mp
+		j, _ := g.idx.find(key(u, moved.To))
+		g.idx.slots[j].v.out = pos.out
 	}
 	g.out[u] = outs[:len(outs)-1]
 
@@ -164,13 +161,13 @@ func (g *Dynamic) RemoveEdge(u, v VertexID) (w float64, ok bool) {
 	if last := int32(len(ins) - 1); pos.in != last {
 		moved := ins[last] // moved.To is the source of the moved in-edge
 		ins[pos.in] = moved
-		mp := g.idx[key(moved.To, v)]
-		mp.in = pos.in
-		g.idx[key(moved.To, v)] = mp
+		j, _ := g.idx.find(key(moved.To, v))
+		g.idx.slots[j].v.in = pos.in
 	}
 	g.in[v] = ins[:len(ins)-1]
 
-	delete(g.idx, k)
+	// The repairs above rewrote values only, so slot i still holds u→v.
+	g.idx.deleteAt(i)
 	g.m--
 	return w, true
 }
@@ -193,44 +190,40 @@ func (g *Dynamic) Apply(batch []Update) int {
 	return changed
 }
 
-// Clone returns a deep copy of the graph. Engines that must not disturb the
-// shared snapshot (e.g. Cold-Start re-runs) clone before mutating.
+// Clone returns a deep copy of the graph: engines that must not disturb a
+// shared snapshot (the daemon's query pool at start-up, the offline
+// experiments) clone before mutating.
 //
 // All edges are copied into two contiguous arenas (one per direction) and
-// the per-vertex adjacencies are sub-sliced from them, so the allocation
-// count is independent of the vertex count — cold-start engines clone per
-// batch, so this matters. The sub-slices are capacity-clipped: an AddEdge on
-// the clone re-allocates that vertex's slice instead of growing into its
-// arena neighbor.
+// the per-vertex adjacencies are sub-sliced from them; the index is one
+// slice copy, since slot positions carry over verbatim. The allocation count
+// is therefore independent of the vertex and edge counts. The sub-slices are
+// capacity-clipped: an AddEdge on the clone re-allocates that vertex's slice
+// instead of growing into its arena neighbor.
 func (g *Dynamic) Clone() *Dynamic {
 	c := &Dynamic{
 		out: make([][]Edge, len(g.out)),
 		in:  make([][]Edge, len(g.in)),
-		idx: make(map[uint64]edgePos, len(g.idx)),
+		idx: g.idx.clone(),
 		m:   g.m,
 	}
-	outArena := make([]Edge, 0, g.m)
-	for i, es := range g.out {
-		if len(es) == 0 {
-			continue
-		}
-		start := len(outArena)
-		outArena = append(outArena, es...)
-		c.out[i] = outArena[start:len(outArena):len(outArena)]
-	}
-	inArena := make([]Edge, 0, g.m)
-	for i, es := range g.in {
-		if len(es) == 0 {
-			continue
-		}
-		start := len(inArena)
-		inArena = append(inArena, es...)
-		c.in[i] = inArena[start:len(inArena):len(inArena)]
-	}
-	for k, pos := range g.idx {
-		c.idx[k] = pos // slots are copied verbatim, so positions carry over
-	}
+	copyArena(c.out, g.out, g.m)
+	copyArena(c.in, g.in, g.m)
 	return c
+}
+
+// copyArena copies every adjacency of src into one arena of m edges and
+// points dst at capacity-clipped windows of it.
+func copyArena(dst, src [][]Edge, m int) {
+	arena := make([]Edge, 0, m)
+	for v, es := range src {
+		if len(es) == 0 {
+			continue
+		}
+		start := len(arena)
+		arena = append(arena, es...)
+		dst[v] = arena[start:len(arena):len(arena)]
+	}
 }
 
 // EdgeList materialises the current topology as an edge list (arcs ordered

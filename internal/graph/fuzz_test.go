@@ -72,3 +72,58 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDynamicOps decodes bytes into AddEdge/RemoveEdge/HasEdge calls on a
+// small vertex range (two bytes an op: opcode and weight in the first,
+// endpoints in the second) and checks after every op that the results
+// agree with a Go-map model, that the index holds exactly NumEdges entries,
+// and that every adjacency entry is indexed at its own slot.
+func FuzzDynamicOps(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x01, 0x01, 0x02, 0x01, 0x00, 0x12, 0x01, 0x10})
+	f.Add(bytes.Repeat([]byte{0x00, 0x12, 0x30, 0x21, 0x01, 0x12, 0x02, 0x21}, 8))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 8
+		g := NewDynamic(n)
+		model := map[uint64]float64{}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, w := data[i]%3, float64(data[i]>>2)
+			u, v := VertexID(data[i+1]>>4)%n, VertexID(data[i+1]&0xf)%n
+			k := key(u, v)
+			mw, had := model[k]
+			switch op {
+			case 0:
+				if g.AddEdge(u, v, w) == had {
+					t.Fatalf("op %d: AddEdge(%d,%d) disagrees with the model (had %v)", i/2, u, v, had)
+				}
+				if !had {
+					model[k] = w
+				}
+			case 1:
+				gw, ok := g.RemoveEdge(u, v)
+				if ok != had || gw != mw {
+					t.Fatalf("op %d: RemoveEdge(%d,%d) = %v,%v, model %v,%v", i/2, u, v, gw, ok, mw, had)
+				}
+				delete(model, k)
+			case 2:
+				if gw, ok := g.HasEdge(u, v); ok != had || gw != mw {
+					t.Fatalf("op %d: HasEdge(%d,%d) = %v,%v, model %v,%v", i/2, u, v, gw, ok, mw, had)
+				}
+			}
+			if g.NumEdges() != len(model) || g.idx.n != g.NumEdges() {
+				t.Fatalf("op %d: %d edges, %d index entries, model %d", i/2, g.NumEdges(), g.idx.n, len(model))
+			}
+			for x := VertexID(0); x < n; x++ {
+				for s, e := range g.Out(x) {
+					if p, ok := g.idx.Get(key(x, e.To)); !ok || int(p.out) != s {
+						t.Fatalf("op %d: out-edge %d->%d at slot %d indexed at %v,%v", i/2, x, e.To, s, p, ok)
+					}
+				}
+				for s, e := range g.In(x) {
+					if p, ok := g.idx.Get(key(e.To, x)); !ok || int(p.in) != s {
+						t.Fatalf("op %d: in-edge %d->%d at slot %d indexed at %v,%v", i/2, e.To, x, s, p, ok)
+					}
+				}
+			}
+		}
+	})
+}

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -283,16 +282,16 @@ func TestSanitizerRefusalLeavesNoTrace(t *testing.T) {
 			t.Fatalf("stream=%v: kept %v, want %v", stream, got, want)
 		}
 		pass(t, san, g, stream, graph.Add(0, 1, 2), graph.Del(6, 7, 1), graph.Add(3, 3, 1), graph.Add(9, 1, 1))
-		if len(san.overlay) != 0 {
-			t.Fatalf("stream=%v: a pass of refusals left %d overlay keys", stream, len(san.overlay))
+		if san.overlay.Len() != 0 {
+			t.Fatalf("stream=%v: a pass of refusals left %d overlay keys", stream, san.overlay.Len())
 		}
 	}
 }
 
 // TestSanitizerDropsOutgrownOverlay: a pass may be far larger than the
 // steady state (a 10k-update body); the pass after it still validates
-// correctly, on a fresh map instead of clearing the outgrown one, while a
-// pass within overlayKeep hands its map on.
+// correctly, on a fresh table instead of clearing the outgrown one, while a
+// pass of 4,096 keys hands its slots on (graph.Table's Reset rule).
 func TestSanitizerDropsOutgrownOverlay(t *testing.T) {
 	g := graph.NewDynamic(128)
 	var big []graph.Update
@@ -303,28 +302,28 @@ func TestSanitizerDropsOutgrownOverlay(t *testing.T) {
 			}
 		}
 	}
-	mapID := func(m map[uint64]bool) uintptr { return reflect.ValueOf(m).Pointer() }
+	const keep = 4096
 	for _, stream := range []bool{true, false} {
 		san := NewSanitizer(PolicyDrop, nil)
-		if got := pass(t, san, g, stream, big[:overlayKeep]...); len(got) != overlayKeep {
-			t.Fatalf("stream=%v: kept %d of %d", stream, len(got), overlayKeep)
+		if got := pass(t, san, g, stream, big[:keep]...); len(got) != keep {
+			t.Fatalf("stream=%v: kept %d of %d", stream, len(got), keep)
 		}
-		kept := mapID(san.overlay)
+		kept := san.overlay.Cap()
+		if got := pass(t, san, g, stream, big[0]); len(got) != 1 || san.overlay.Cap() != kept {
+			t.Fatalf("stream=%v: a pass after one of %d keys did not reuse the %d slots (now %d)", stream, keep, kept, san.overlay.Cap())
+		}
 		if got := pass(t, san, g, stream, big...); len(got) != len(big) {
 			t.Fatalf("stream=%v: kept %d of %d", stream, len(got), len(big))
 		}
-		if mapID(san.overlay) != kept {
-			t.Fatalf("stream=%v: a pass after one of %d keys did not reuse the map", stream, overlayKeep)
+		if san.overlay.Len() != len(big) {
+			t.Fatalf("stream=%v: overlay holds %d keys after a %d-update pass", stream, san.overlay.Len(), len(big))
 		}
-		if len(san.overlay) != len(big) {
-			t.Fatalf("stream=%v: overlay holds %d keys after a %d-update pass", stream, len(san.overlay), len(big))
-		}
-		outgrown := mapID(san.overlay)
+		outgrown := san.overlay.Cap()
 		if got := pass(t, san, g, stream, big[0]); len(got) != 1 {
 			t.Fatalf("stream=%v: the pass after a big one refused %v", stream, big[0])
 		}
-		if mapID(san.overlay) == outgrown || len(san.overlay) != 1 {
-			t.Fatalf("stream=%v: the outgrown overlay was kept (%d keys)", stream, len(san.overlay))
+		if san.overlay.Cap() >= outgrown || san.overlay.Len() != 1 {
+			t.Fatalf("stream=%v: the outgrown overlay was kept (%d slots, %d keys)", stream, san.overlay.Cap(), san.overlay.Len())
 		}
 	}
 }

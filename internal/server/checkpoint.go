@@ -38,6 +38,27 @@ import (
 
 var srvStateHeader = []byte("CGSRVS2\n")
 
+// freeVertices is how many vertices a checkpoint may name without paying
+// for them in payload bytes. Every vertex beyond it costs one byte: a
+// payload of L bytes may name at most freeVertices + L vertices
+// (checkVertexCount). Building the topology costs ~56 B a vertex, so a
+// payload can make decodeState allocate at most ~56·(2^20 + L) bytes — not
+// 240 GB on a 28-byte payload that names 2^32−1 vertices. Any topology with
+// at least one edge per 16 vertices passes, since an edge is 16 payload
+// bytes.
+const freeVertices = 1 << 20
+
+// checkVertexCount applies the freeVertices rule to a vertex count n named
+// by a payload of payloadLen bytes. decodeState refuses a payload that
+// breaks it, and writeCheckpointLocked refuses to write one, so every
+// checkpoint the daemon writes restores.
+func checkVertexCount(n, payloadLen int) error {
+	if n > freeVertices+payloadLen {
+		return fmt.Errorf("server: checkpoint payload: vertex count %d exceeds %d + payload length %d", n, freeVertices, payloadLen)
+	}
+	return nil
+}
+
 // encodeState serializes the topology, query set, and exactly-once session
 // table.
 func encodeState(g *graph.Dynamic, queries []core.Query, sessions []dedupSession) []byte {
@@ -100,6 +121,9 @@ func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, 
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: %w", err)
 	}
 	n := int(binary.LittleEndian.Uint32(scratch[:4]))
+	if err := checkVertexCount(n, len(payload)); err != nil {
+		return nil, nil, nil, err
+	}
 	if _, err := io.ReadFull(r, scratch[:8]); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: checkpoint payload: %w", err)
 	}

@@ -469,7 +469,13 @@ func (s *Server) writeCheckpointLocked() error {
 		return nil
 	}
 	through := s.applied.Load()
-	payload := encodeState(s.pool.Topology(), s.pool.QueriesSnapshot(), s.dedup.snapshot())
+	g := s.pool.Topology()
+	payload := encodeState(g, s.pool.QueriesSnapshot(), s.dedup.snapshot())
+	if err := checkVertexCount(g.NumVertices(), len(payload)); err != nil {
+		// The WAL keeps every record the last good checkpoint does not
+		// cover, so refusing leaves the stream durable.
+		return err
+	}
 	if err := resilience.WriteCheckpointMetaFS(s.cfg.FS, s.cfg.CheckpointPath, through, s.Epoch(), payload); err != nil {
 		s.brk.Trip(err)
 		return fmt.Errorf("server: %w", err)

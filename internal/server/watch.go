@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -102,13 +103,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining, not accepting subscriptions")
 		return
 	}
-	if s.hub.Subscribers() >= maxWatchers {
-		s.h.watchRejected.Inc()
-		retryAfter(w, 1)
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("watch subscriber limit %d reached", maxWatchers))
-		return
-	}
 	filter, perr := s.watchFilter(r)
 	if perr != "" {
 		httpError(w, http.StatusBadRequest, perr)
@@ -129,9 +123,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// read and the subscription would otherwise be lost. The inverse order
 	// (subscribe, then read) at worst delivers a delta the init position
 	// already covers, which the client de-duplicates by pos.
-	sub := s.hub.Subscribe(watchQueue, filter)
-	if sub == nil {
+	sub, err := s.hub.SubscribeMax(maxWatchers, watchQueue, filter)
+	if err != nil {
 		s.h.watchRejected.Inc()
+		if errors.Is(err, watch.ErrFull) {
+			retryAfter(w, 1)
+			httpError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("watch subscriber limit %d reached", maxWatchers))
+			return
+		}
 		httpError(w, http.StatusServiceUnavailable, "draining, not accepting subscriptions")
 		return
 	}

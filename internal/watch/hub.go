@@ -19,6 +19,7 @@
 package watch
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -82,21 +83,41 @@ func New() *Hub {
 	return &Hub{subs: make(map[*Sub]struct{})}
 }
 
-// Subscribe registers a subscriber with a queue of buf messages (min 1).
-// filter selects the query ids this subscriber cares about; nil means all.
-// Returns nil when the hub is closed (server draining).
-func (h *Hub) Subscribe(buf int, filter func(id int) bool) *Sub {
+// Subscription refusals.
+var (
+	ErrClosed = errors.New("watch: hub closed")
+	ErrFull   = errors.New("watch: subscriber limit reached")
+)
+
+// SubscribeMax registers a subscriber with a queue of buf messages (min 1)
+// unless the hub already holds limit subscribers (limit ≤ 0: no cap). filter
+// selects the query ids this subscriber cares about; nil means all. The cap
+// is checked and the subscriber counted in one step under h.mu, so
+// concurrent callers cannot overshoot it. It fails with ErrClosed once the
+// hub is closed (server draining) and with ErrFull at the cap.
+func (h *Hub) SubscribeMax(limit, buf int, filter func(id int) bool) (*Sub, error) {
 	if buf < 1 {
 		buf = 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil
+		return nil, ErrClosed
+	}
+	if limit > 0 && len(h.subs) >= limit {
+		return nil, ErrFull
 	}
 	s := &Sub{C: make(chan Msg, buf), hub: h, filter: filter}
 	h.subs[s] = struct{}{}
 	h.nSubs.Add(1)
+	return s, nil
+}
+
+// Subscribe is SubscribeMax with no cap: it returns nil when the hub is
+// closed. The daemon's /v1/watch handler subscribes through SubscribeMax;
+// the benchmark's stage replay (benchmark/stage.go) uses this form.
+func (h *Hub) Subscribe(buf int, filter func(id int) bool) *Sub {
+	s, _ := h.SubscribeMax(0, buf, filter)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -271,4 +272,70 @@ func hubFanoutRun(t *testing.T) (p50, p99 time.Duration) {
 		t.Fatalf("p99 fan-out latency %v implausibly slow", p99)
 	}
 	return p50, p99
+}
+
+// Many goroutines race for the last few slots under a small cap: exactly
+// the free slots are won, every other caller gets ErrFull, and the
+// subscriber count never exceeds the cap, also while the winners leave
+// and the next round races for their slots.
+func TestHubSubscribeCapRace(t *testing.T) {
+	const limit, held, racers, rounds = 8, 5, 32, 20
+	h := New()
+	for i := 0; i < held; i++ {
+		if _, err := h.SubscribeMax(limit, 1, nil); err != nil {
+			t.Fatalf("filling slot %d: %v", i, err)
+		}
+	}
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if n := h.Subscribers(); n > limit {
+				t.Errorf("%d subscribers past a cap of %d", n, limit)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		won := make(chan *Sub, racers)
+		var wg sync.WaitGroup
+		for g := 0; g < racers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s, err := h.SubscribeMax(limit, 1, nil)
+				switch {
+				case err == nil:
+					won <- s
+				case !errors.Is(err, ErrFull):
+					t.Errorf("SubscribeMax: %v, want nil or ErrFull", err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(won)
+		if len(won) != limit-held {
+			t.Fatalf("round %d: %d callers won %d free slots", r, len(won), limit-held)
+		}
+		for s := range won {
+			s.Cancel()
+		}
+	}
+	close(stop)
+	<-watched
+	if n := h.Subscribers(); n != held {
+		t.Fatalf("%d subscribers after every winner left, want %d", n, held)
+	}
+	h.Close()
+	if _, err := h.SubscribeMax(limit, 1, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubscribeMax on a closed hub: %v, want ErrClosed", err)
+	}
 }

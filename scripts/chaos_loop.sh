@@ -13,18 +13,28 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 CYCLES="${1:-5}"
-WORK="${2:-$(mktemp -d)}"
+WORK="${2:-}"
+KEEP_WORK="$WORK" # a work directory the caller named is never removed
+[[ -n "$WORK" ]] || WORK="$(mktemp -d)"
 mkdir -p "$WORK"
 ADDR="127.0.0.1:${CHAOS_PORT:-8373}"
 DAEMON_PID=""
 LOADGEN_PID=""
 
 cleanup() {
+    local status=$?
     for pid in "$DAEMON_PID" "$LOADGEN_PID"; do
         if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
             kill -9 "$pid" 2>/dev/null || true
         fi
     done
+    # A passing run removes the directory it made; a failing one keeps it
+    # for inspection.
+    if [[ $status -eq 0 && -z "$KEEP_WORK" ]]; then
+        rm -rf "$WORK"
+    else
+        echo "work directory kept: $WORK" >&2
+    fi
 }
 trap cleanup EXIT
 

@@ -14,7 +14,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 CYCLES="${1:-5}"
-WORK="${2:-$(mktemp -d)}"
+WORK="${2:-}"
+KEEP_WORK="$WORK" # a work directory the caller named is never removed
+[[ -n "$WORK" ]] || WORK="$(mktemp -d)"
 mkdir -p "$WORK"
 BASE_PORT="${CHAOS_REPL_PORT:-8378}"
 LEADER="127.0.0.1:$BASE_PORT"
@@ -26,12 +28,20 @@ PROXY_PID=""
 PIDS=()
 
 cleanup() {
+    local status=$?
     for pid in "$LEADER_PID" "$PROXY_PID" "${PIDS[@]:-}"; do
         if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
             kill -CONT "$pid" 2>/dev/null || true
             kill -9 "$pid" 2>/dev/null || true
         fi
     done
+    # A passing run removes the directory it made; a failing one keeps it
+    # for inspection.
+    if [[ $status -eq 0 && -z "$KEEP_WORK" ]]; then
+        rm -rf "$WORK"
+    else
+        echo "work directory kept: $WORK" >&2
+    fi
 }
 trap cleanup EXIT
 

@@ -15,18 +15,28 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-WORK="${1:-$(mktemp -d)}"
+WORK="${1:-}"
+KEEP_WORK="$WORK" # a work directory the caller named is never removed
+[[ -n "$WORK" ]] || WORK="$(mktemp -d)"
 mkdir -p "$WORK"
 ADDR="127.0.0.1:${SMOKE_PORT:-8372}"
 DAEMON_PID=""
 CURL_PID=""
 
 cleanup() {
+    local status=$?
     for pid in "$CURL_PID" "$DAEMON_PID"; do
         if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
             kill -9 "$pid" 2>/dev/null || true
         fi
     done
+    # A passing run removes the directory it made; a failing one keeps it
+    # for inspection.
+    if [[ $status -eq 0 && -z "$KEEP_WORK" ]]; then
+        rm -rf "$WORK"
+    else
+        echo "work directory kept: $WORK" >&2
+    fi
 }
 trap cleanup EXIT
 
