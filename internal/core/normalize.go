@@ -1,6 +1,10 @@
 package core
 
-import "cisgraph/internal/graph"
+import (
+	"slices"
+
+	"cisgraph/internal/graph"
+)
 
 // NormalizedBatch is a batch reduced to its net per-edge effect against a
 // concrete topology. Engines that process additions and deletions in
@@ -58,7 +62,10 @@ type edgeTrack struct {
 
 func (n *normalizer) normalize(g *graph.Dynamic, batch []graph.Update) NormalizedBatch {
 	n.idx.Reset(len(batch))
-	tracks := n.tracks[:0]
+	// Each buffer grows at most once per batch, to what the batch needs,
+	// rather than doubling up to it from a fresh engine's empty slices (a
+	// restore's first group is 65,536 updates).
+	tracks := slices.Grow(n.tracks[:0], len(batch))
 	for _, up := range batch {
 		k := uint64(up.From)<<32 | uint64(up.To)
 		i, ok := n.idx.Get(k)
@@ -76,7 +83,21 @@ func (n *normalizer) normalize(g *graph.Dynamic, batch []graph.Update) Normalize
 		}
 	}
 	n.tracks = tracks
-	out := NormalizedBatch{Adds: n.out.Adds[:0], Dels: n.out.Dels[:0], Reweights: n.out.Reweights[:0]}
+	adds, dels := 0, 0
+	for i := range tracks {
+		if tr := &tracks[i]; tr.present != tr.present0 {
+			if tr.present {
+				adds++
+			} else {
+				dels++
+			}
+		}
+	}
+	out := NormalizedBatch{
+		Adds:      slices.Grow(n.out.Adds[:0], adds),
+		Dels:      slices.Grow(n.out.Dels[:0], dels),
+		Reweights: n.out.Reweights[:0],
+	}
 	for _, tr := range tracks {
 		switch {
 		case !tr.present0 && tr.present:

@@ -22,9 +22,9 @@ func allocatedBy(f func()) uint64 {
 }
 
 // frameAllocSlack is the constant in FuzzReadFrame's allocation bound: one
-// payloadChunk before any payload byte arrives, plus the decoder's fixed
-// costs.
-const frameAllocSlack = payloadChunk + 16<<10
+// resilience.PayloadChunk before any payload byte arrives, plus the
+// decoder's fixed costs.
+const frameAllocSlack = resilience.PayloadChunk + 16<<10
 
 // FuzzReadFrame: no input panics the frame reader, and reading a stream of
 // frames allocates at most 8 bytes per input byte plus frameAllocSlack —

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"cisgraph/internal/resilience"
 )
@@ -63,10 +62,6 @@ const (
 	// detect a deposed peer and refuse to serve or apply across the fence.
 	HeaderEpoch = "X-CISGraph-Epoch"
 )
-
-// payloadChunk is the most ReadFrame allocates for a payload before any of
-// its bytes have arrived.
-const payloadChunk = 64 << 10
 
 // maxFramePayload mirrors the WAL's record bound so a corrupt or hostile
 // length field cannot drive a huge allocation on the follower.
@@ -110,7 +105,7 @@ func ReadFrame(br *bufio.Reader) (resilience.Record, error) {
 	if plen > maxFramePayload {
 		return resilience.Record{}, fmt.Errorf("%w: payload length %d", ErrCorruptFrame, plen)
 	}
-	payload, err := readPayload(br, int(plen))
+	payload, err := resilience.ReadPayload(br, nil, int(plen))
 	if err != nil {
 		return resilience.Record{}, ErrTornFrame
 	}
@@ -122,23 +117,4 @@ func ReadFrame(br *bufio.Reader) (resilience.Record, error) {
 		return resilience.Record{}, fmt.Errorf("%w: record %d payload undecodable", ErrCorruptFrame, idx)
 	}
 	return resilience.Record{Index: idx, Batch: batch, SID: sid, Seq: seq}, nil
-}
-
-// readPayload reads an n-byte payload, allocating as the bytes arrive: the
-// buffer starts at payloadChunk and at most doubles per refill, so a header
-// that claims more than the stream holds costs at most twice what arrived
-// plus one chunk, not the claimed length.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, payloadChunk))
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
-		}
-		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
-		buf = buf[:len(buf)+k]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

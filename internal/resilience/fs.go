@@ -28,15 +28,17 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// ReadDir is os.ReadDir (segment discovery).
 	ReadDir(name string) ([]os.DirEntry, error)
-	// ReadFile is os.ReadFile (replay, checkpoint load).
+	// ReadFile is os.ReadFile (the replication source's checkpoint).
 	ReadFile(name string) ([]byte, error)
 	// Stat is os.Stat (existence and size checks).
 	Stat(name string) (os.FileInfo, error)
 }
 
-// File is the slice of *os.File the durability writers use.
+// File is the slice of *os.File the durability layer uses: the writers,
+// and the log reader's positioned reads.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Closer
 	Sync() error
 	Truncate(size int64) error

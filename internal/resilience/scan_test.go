@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cisgraph/internal/graph"
@@ -438,5 +440,255 @@ func TestReadFromTailAllocs(t *testing.T) {
 	t.Logf("ReadFrom of the last %d of %d records: %.0f allocs", tail, n, allocs)
 	if limit := float64(16 + 2*tail); allocs > limit {
 		t.Fatalf("ReadFrom of the last %d of %d records allocates %.0f times, want <= %.0f", tail, n, allocs, limit)
+	}
+}
+
+// countingFS counts the bytes read through the FS seam.
+type countingFS struct {
+	OsFS
+	read atomic.Int64
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.OsFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+func (c *countingFS) ReadFile(name string) ([]byte, error) {
+	data, err := c.OsFS.ReadFile(name)
+	c.read.Add(int64(len(data)))
+	return data, err
+}
+
+type countingFile struct {
+	File
+	fs *countingFS
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.fs.read.Add(int64(n))
+	return n, err
+}
+
+// TestReadFromTailReadsWhatItReturns: a tail read of the last 4 records of a
+// full 4 MiB segment of one-update records reads, through the FS seam, only
+// the records from the nearest offset-index entry on — at most
+// indexStride-1 records before the first it returns — and so validates no
+// more than those. It holds for the active segment, indexed by the appender
+// or by the scan that opens the log, and for a sealed one.
+func TestReadFromTailReadsWhatItReturns(t *testing.T) {
+	const recSize, tail, group = 37, 4, 4096 // 16-byte header, count, one update
+	fsys := &countingFS{}
+	dir := filepath.Join(t.TempDir(), "log")
+	w, err := CreateSegmentedWAL(dir, SegWALOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := (4<<20 - segHeaderLen) / recSize
+	recs := make([]Record, 0, group)
+	for i := 0; i < n; i += group {
+		recs = recs[:0]
+		for k := i; k < min(n, i+group); k++ {
+			recs = append(recs, Record{Batch: segBatch(k)})
+		}
+		if _, err := w.AppendRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.first != 0 || w.good != segHeaderLen+int64(n)*recSize {
+		t.Fatalf("segment %d holds %d bytes, want one segment of %d", w.first, w.good, segHeaderLen+n*recSize)
+	}
+	limit := int64(indexStride-1+tail) * recSize
+	readTail := func(what string, w *SegmentedWAL) int64 {
+		t.Helper()
+		next := w.NextIndex()
+		before := fsys.read.Load()
+		got, err := w.ReadFrom(next-tail, 0)
+		read := fsys.read.Load() - before
+		if err != nil || len(got) != tail || got[0].Index != next-tail || !reflect.DeepEqual(got[tail-1].Batch, segBatch(n-1)) {
+			t.Fatalf("%s: ReadFrom(%d): %d records from %v (%v)", what, next-tail, len(got), got, err)
+		}
+		t.Logf("%s: the last %d of %d records cost %d bytes read, %d records validated", what, tail, n, read, read/recSize)
+		return read
+	}
+	if read := readTail("active, appender's index", w); read > limit {
+		t.Fatalf("read %d bytes, want <= %d", read, limit)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = OpenSegmentedWAL(dir, SegWALOptions{FS: fsys}); err != nil {
+		t.Fatal(err)
+	}
+	if read := readTail("active, open's index", w); read > limit {
+		t.Fatalf("read %d bytes, want <= %d", read, limit)
+	}
+	// Seal it (BumpEpoch rolls) and reopen: the open reads each segment once,
+	// and a tail read of the sealed one then costs what it returns.
+	if err := w.BumpEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	before := fsys.read.Load()
+	if w, err = OpenSegmentedWAL(dir, SegWALOptions{FS: fsys}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	size := segHeaderLen + int64(n)*recSize
+	if read := fsys.read.Load() - before; read != size+segHeaderLen {
+		t.Fatalf("open read %d bytes, want the sealed segment's %d and the new one's header once", read, size)
+	}
+	if read := readTail("sealed", w); read > limit {
+		t.Fatalf("read %d bytes, want <= %d", read, limit)
+	}
+}
+
+// TestResumeReadsEachSegmentOnce: Resume reads every byte of the log exactly
+// once, and the log it opens keeps the replay's validation: reading it all
+// back reads each segment once more, with no second validation pass.
+func TestResumeReadsEachSegmentOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	seededLog(t, dir, rand.New(rand.NewSource(7)), 256, 300)
+	firsts, err := listSegments(OsFS{}, dir)
+	if err != nil || len(firsts) < 4 {
+		t.Fatalf("%d segments (%v), want several", len(firsts), err)
+	}
+	var total int64
+	for _, f := range firsts {
+		total += int64(len(readFile(t, filepath.Join(dir, segName(f)))))
+	}
+	fsys := &countingFS{}
+	got := 0
+	w, err := Resume(dir, SegWALOptions{SegmentBytes: 256, FS: fsys}, 150, 64, func(recs []Record, _ []graph.Update) error {
+		got += len(recs)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if read := fsys.read.Load(); got != 150 || read != total || w.NextIndex() != 300 {
+		t.Fatalf("replayed %d records reading %d bytes, resuming at %d; want 150 records, %d bytes, 300",
+			got, read, w.NextIndex(), total)
+	}
+	all, err := w.ReadFrom(0, 0)
+	if err != nil || len(all) != 300 {
+		t.Fatalf("ReadFrom(0): %d records (%v)", len(all), err)
+	}
+	if read := fsys.read.Load() - total; read > total {
+		t.Fatalf("reading the log back read %d bytes, more than its %d", read, total)
+	}
+}
+
+// TestReplayGroupsMatchCollector: the replay's groups, joined, are exactly
+// the collector's records, each group holds at most max updates unless it is
+// one record, a group ends only where the next record would overflow it, and
+// ups is the group's updates back to back.
+func TestReplayGroupsMatchCollector(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	seededLog(t, dir, rand.New(rand.NewSource(3)), 200, 120)
+	for _, from := range []uint64{0, 37, 119, 200} {
+		want, err := ReplaySegmentedFS(OsFS{}, dir, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, max := range []int{0, 1, 2, 5, 1 << 20} {
+			var got []Record
+			var groupEnd []int // len(got) after each group
+			_, err := replay(OsFS{}, dir, from, max, func(recs []Record, ups []graph.Update) error {
+				var joined []graph.Update
+				for _, rec := range recs {
+					joined = append(joined, rec.Batch...)
+					rec.Batch = append([]graph.Update{}, rec.Batch...)
+					got = append(got, rec)
+				}
+				if len(recs) > 1 && len(ups) > max {
+					t.Fatalf("from %d, max %d: a group of %d records holds %d updates", from, max, len(recs), len(ups))
+				}
+				if !reflect.DeepEqual(joined, ups) && len(ups) > 0 {
+					t.Fatalf("from %d, max %d: ups %v, batches %v", from, max, ups, joined)
+				}
+				groupEnd = append(groupEnd, len(got))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, end := range groupEnd {
+				start := 0
+				if g > 0 {
+					start = groupEnd[g-1]
+				}
+				n := 0
+				for _, rec := range got[start:end] {
+					n += len(rec.Batch)
+				}
+				if end < len(got) && n+len(got[end].Batch) <= max {
+					t.Fatalf("from %d, max %d: a group of %d updates ended before a record of %d", from, max, n, len(got[end].Batch))
+				}
+			}
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("from %d, max %d: groups give %d records, the collector %d", from, max, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestReadFromBesideAppends: tail readers share the active segment's offset
+// index with the appender, which extends it (and rolls segments) while they
+// read; every read returns a contiguous run of exactly the records appended.
+func TestReadFromBesideAppends(t *testing.T) {
+	w, err := CreateSegmentedWAL(filepath.Join(t.TempDir(), "log"), SegWALOptions{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const n = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i += 10 {
+			recs := make([]Record, 10)
+			for k := range recs {
+				recs[k].Batch = segBatch(i + k)
+			}
+			if _, err := w.AppendRecords(recs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for from := uint64(r); ; from = (from*7 + 13) % n {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := w.ReadFrom(from, 4<<10)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, rec := range got {
+					if rec.Index != from+uint64(k) || !reflect.DeepEqual(rec.Batch, segBatch(int(rec.Index))) {
+						t.Errorf("ReadFrom(%d)[%d] = %+v", from, k, rec)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got, err := w.ReadFrom(0, 0); err != nil || len(got) != n {
+		t.Fatalf("ReadFrom(0) after the appends: %d records (%v), want %d", len(got), err, n)
 	}
 }

@@ -132,10 +132,18 @@ func (o SegWALOptions) withDefaults() SegWALOptions {
 	return o
 }
 
-// segMeta describes one sealed (read-only) segment.
+// segMeta describes one segment, as one full validation of it found it: by
+// the appender, for a segment this log wrote, else by the scan that opened
+// or replayed the log.
 type segMeta struct {
 	first uint64 // index of the first record
 	size  int64
+	good  int64   // file offset where the valid record prefix ends
+	next  uint64  // index after its last valid record
+	offs  []int64 // offs[j]: file offset of record first + j·indexStride
+	err   error   // what every read of the segment fails with
+	epoch uint64  // its header's
+	torn  bool    // a torn header: a crash mid-create
 }
 
 // SegmentedWAL is an append-only write-ahead log split across fixed-size
@@ -158,6 +166,8 @@ type SegmentedWAL struct {
 	epoch  uint64    // leadership epoch stamped into new segments
 	closed bool      // Close was called; AppendRecords/Probe refuse
 	buf    []byte    // AppendRecords' encode buffer, reused across groups
+	offs   []int64   // the active segment's offset index (segMeta.offs)
+	actErr error     // what every read of the active segment fails with
 
 	// liveSegs and liveBytes mirror the live segment count and total size for
 	// Segments/Bytes; every mutator republishes them before unlocking.
@@ -167,59 +177,97 @@ type SegmentedWAL struct {
 
 // OpenSegmentedWAL opens (or creates) the segmented WAL at dir, resuming
 // after a crash: the last segment's torn tail is truncated, and the next
-// index is recovered from the surviving records.
+// index is recovered from the surviving records. Every segment is read and
+// validated once, here; what that found (offset index, valid length, an
+// error) serves every later read of it.
 func OpenSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 	opt = opt.withDefaults()
-	w := &SegmentedWAL{dir: dir, opt: opt, fs: opt.FS}
-	if err := w.fs.MkdirAll(dir, 0o755); err != nil {
+	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	firsts, err := listSegments(w.fs, dir)
+	firsts, err := listSegments(opt.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(firsts) == 0 {
-		w.epoch = opt.Epoch
-		if err := w.createSegment(opt.StartIndex); err != nil {
+	var (
+		segs []segMeta
+		s    segScan
+	)
+	for _, first := range firsts {
+		s = segScan{from: math.MaxUint64, buf: s.buf} // each segment on its own
+		meta, err := scanSegment(opt.FS, filepath.Join(dir, segName(first)), first, &s, nil)
+		if err != nil {
 			return nil, err
 		}
-		w.publish()
-		return w, nil
+		segs = append(segs, meta)
 	}
-	for _, first := range firsts[:len(firsts)-1] {
-		st, err := w.fs.Stat(filepath.Join(dir, segName(first)))
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
+	if n := len(segs); n > 0 && segs[n-1].err != nil && segs[n-1].good == 0 {
+		return nil, segs[n-1].err // not a segment header
+	}
+	return openWAL(dir, opt, segs)
+}
+
+// openWAL opens the log at dir for appends over its segments, each
+// scanned whole. The newest becomes the active segment — its torn tail past
+// the valid prefix truncated, appends resuming after its last record — or,
+// when its header never made it to disk (crash during roll), is rebuilt
+// empty under its own name, at the newest epoch still on disk (the last
+// sealed segment's; a lower epoch must never follow a higher one in the
+// same log). Without segments, the log's first one is created.
+func openWAL(dir string, opt SegWALOptions, segs []segMeta) (*SegmentedWAL, error) {
+	w := &SegmentedWAL{dir: dir, opt: opt, fs: opt.FS, epoch: opt.Epoch}
+	var err error
+	if len(segs) == 0 {
+		err = w.createSegment(opt.StartIndex)
+	} else if w.sealed = segs[:len(segs)-1]; segs[len(segs)-1].torn {
+		if n := len(w.sealed); n > 0 {
+			if prev := w.sealed[n-1]; prev.err != nil && prev.good == 0 {
+				return nil, prev.err // not a segment header: no epoch to take
+			}
+			w.epoch = w.sealed[n-1].epoch
 		}
-		w.sealed = append(w.sealed, segMeta{first: first, size: st.Size()})
+		err = w.createSegment(segs[len(segs)-1].first)
+	} else {
+		err = w.resume(segs[len(segs)-1])
 	}
-	err = w.openActive(firsts[len(firsts)-1])
+	if err != nil {
+		return nil, err
+	}
 	w.publish()
-	return w, err
+	return w, nil
+}
+
+// resume makes the segment seg describes the active one: its torn tail
+// truncated, appends resuming after its last valid record.
+func (w *SegmentedWAL) resume(seg segMeta) error {
+	f, err := w.fs.OpenFile(filepath.Join(w.dir, segName(seg.first)), os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := f.Truncate(seg.good); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: truncate torn tail: %w", err)
+	}
+	if _, err := f.Seek(seg.good, io.SeekStart); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: %w", err)
+	}
+	w.active, w.first, w.size, w.good = f, seg.first, seg.good, seg.good
+	w.epoch, w.next, w.offs, w.actErr = seg.epoch, seg.next, seg.offs, seg.err
+	return nil
 }
 
 // CreateSegmentedWAL starts a fresh segmented WAL at dir, removing any
 // previous segments (truncate-on-create).
 func CreateSegmentedWAL(dir string, opt SegWALOptions) (*SegmentedWAL, error) {
 	opt = opt.withDefaults()
-	fsys := opt.FS
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	firsts, err := listSegments(fsys, dir)
-	if err != nil {
+	w := &SegmentedWAL{dir: dir, opt: opt, fs: opt.FS}
+	if err := w.ResetTo(opt.StartIndex, opt.Epoch); err != nil {
 		return nil, err
 	}
-	for _, first := range firsts {
-		if err := fsys.Remove(filepath.Join(dir, segName(first))); err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-	}
-	w := &SegmentedWAL{dir: dir, opt: opt, fs: fsys, epoch: opt.Epoch}
-	if err := w.createSegment(opt.StartIndex); err != nil {
-		return nil, err
-	}
-	w.publish()
 	return w, nil
 }
 
@@ -243,70 +291,6 @@ func listSegments(fsys FS, dir string) ([]uint64, error) {
 	return firsts, nil
 }
 
-// openActive opens the newest segment for appending: validate its record
-// prefix (decoding nothing — only the good length and the next index are
-// needed), truncate the torn tail, seek to the end. A segment whose header
-// never made it to disk (crash during roll) is rebuilt empty; a foreign
-// header fails the open and leaves the file as it is.
-func (w *SegmentedWAL) openActive(first uint64) error {
-	path := filepath.Join(w.dir, segName(first))
-	data, err := w.fs.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	epoch, torn, err := segEpoch(path, data)
-	if err != nil {
-		return err
-	}
-	if torn {
-		// Rebuild under its own name at the newest epoch still on disk (the
-		// last sealed segment's; a lower epoch must never follow a higher one
-		// in the same log).
-		if w.epoch, err = w.sealedEpoch(); err != nil {
-			return err
-		}
-		return w.createSegment(first)
-	}
-	s := recScan{from: math.MaxUint64, body: data[segHeaderLen:]}
-	for _, ok := s.next(); ok; _, ok = s.next() {
-	}
-	good := segHeaderLen + s.off
-	f, err := w.fs.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.active, w.first, w.size, w.good = f, first, good, good
-	w.epoch = epoch
-	w.next = first
-	if s.seen {
-		w.next = s.last + 1
-	}
-	return nil
-}
-
-// sealedEpoch reads the newest sealed segment's header epoch (0 when there
-// are no sealed segments). Single-threaded setup, like open.
-func (w *SegmentedWAL) sealedEpoch() (uint64, error) {
-	if len(w.sealed) == 0 {
-		return 0, nil
-	}
-	path := filepath.Join(w.dir, segName(w.sealed[len(w.sealed)-1].first))
-	data, err := w.fs.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	epoch, _, err := segEpoch(path, data)
-	return epoch, err
-}
-
 // createSegment starts a new active segment whose first record will be idx,
 // stamped with the log's current epoch.
 func (w *SegmentedWAL) createSegment(idx uint64) error {
@@ -326,6 +310,7 @@ func (w *SegmentedWAL) createSegment(idx uint64) error {
 	w.size, w.good = segHeaderLen, segHeaderLen
 	w.dirty = false
 	w.next = idx
+	w.offs, w.actErr = nil, nil
 	return nil
 }
 
@@ -344,7 +329,7 @@ func (w *SegmentedWAL) roll() error {
 		if err := w.active.Close(); err != nil {
 			return fmt.Errorf("wal: seal close: %w", err)
 		}
-		w.sealed = append(w.sealed, segMeta{first: w.first, size: w.good})
+		w.sealed = append(w.sealed, w.activeMeta())
 		w.active = nil
 	}
 	next := w.next
@@ -405,8 +390,13 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	}
 	first := w.next
 	buf := w.buf[:0]
+	// The group's records join the offset index only once they are durable.
+	indexed := len(w.offs)
 	for i, rec := range recs {
 		start := len(buf)
+		if (first+uint64(i)-w.first)%indexStride == 0 {
+			w.offs = append(w.offs, w.size+int64(start))
+		}
 		buf = append(buf, make([]byte, 16)...)
 		buf = appendRecordPayload(buf, rec)
 		payload := buf[start+16:]
@@ -418,6 +408,7 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	if n, err := w.active.Write(buf); err != nil {
 		w.size += int64(n)
 		w.dirty = true
+		w.offs = w.offs[:indexed]
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += int64(len(buf))
@@ -425,6 +416,7 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 		// Durability of the whole group is unknown; treat it as not appended
 		// and truncate it on the next write.
 		w.dirty = true
+		w.offs = w.offs[:indexed]
 		return 0, fmt.Errorf("wal: sync: %w", err)
 	}
 	w.good = w.size
@@ -542,93 +534,31 @@ func (w *SegmentedWAL) SegmentInfos() []SegmentInfo {
 	return infos
 }
 
-// ReadFrom returns durable records with index >= from, reading the segment
-// files through the log's filesystem seam while appends continue — records
-// are fsynced before they are acknowledged, so the scanner's valid prefix
-// of the active segment is always trustworthy (a torn in-flight append just
-// ends this read; the record is served once durable). maxBytes bounds the
-// summed payload size of the result (0 = unbounded); the cut lands on a
-// record boundary. Returns ErrCompacted when `from` predates the oldest
-// retained segment, including the race where retention deletes a segment
-// between the snapshot and the file read.
-func (w *SegmentedWAL) ReadFrom(from uint64, maxBytes int64) ([]Record, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("wal: closed")
-	}
-	firsts := make([]uint64, 0, len(w.sealed)+1)
-	for _, s := range w.sealed {
-		firsts = append(firsts, s.first)
-	}
-	if w.active != nil {
-		firsts = append(firsts, w.first)
-	}
-	next := w.next
-	dir, fsys := w.dir, w.fs
-	w.mu.Unlock()
+// activeMeta describes the active segment as a reader sees it: validated,
+// up to its durable length. Called with w.mu held.
+func (w *SegmentedWAL) activeMeta() segMeta {
+	return segMeta{first: w.first, size: w.good, good: w.good, next: w.next, offs: w.offs, err: w.actErr, epoch: w.epoch}
+}
 
-	if from >= next || len(firsts) == 0 {
-		return nil, nil
-	}
-	if from < firsts[0] {
-		return nil, ErrCompacted
-	}
+// segmentsFromLocked returns the live segments a read from `from` touches:
+// the last one whose first record is at or below from (the oldest when
+// none is), and every later one, the active last. Called with w.mu held.
+func (w *SegmentedWAL) segmentsFromLocked(from uint64) []segMeta {
 	start := 0
-	for i, f := range firsts {
-		if f > from {
+	for i := range w.sealed {
+		if w.sealed[i].first > from {
 			break
 		}
 		start = i
 	}
-	var (
-		out      []Record
-		expected uint64
-		total    int64
-	)
-	for i := start; i < len(firsts); i++ {
-		path := filepath.Join(dir, segName(firsts[i]))
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, ErrCompacted // retention race: segment deleted under us
-			}
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if i > start && firsts[i] != expected {
-			return nil, fmt.Errorf("wal: segment gap: records [%d,%d) missing before %s",
-				expected, firsts[i], segName(firsts[i]))
-		}
-		// Records below from are validated, not decoded: a tail near the end
-		// of a large active segment decodes only what it returns. Each
-		// segment is scanned on its own; across segments the names carry the
-		// contiguity (checked just above).
-		s := recScan{from: from}
-		base, err := s.segment(path, data)
-		if err != nil {
-			return nil, err
-		}
-		expected = firsts[i]
-		for rec, ok := s.next(); ok; rec, ok = s.next() {
-			if s.count == 1 && rec.Index != firsts[i] {
-				return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
-					segName(firsts[i]), rec.Index)
-			}
-			expected = rec.Index + 1
-			if rec.Index < from {
-				continue
-			}
-			out = append(out, rec)
-			total += int64(17*len(rec.Batch)) + 20
-			if maxBytes > 0 && total >= maxBytes {
-				return out, nil
-			}
-		}
-		if base+s.off < int64(len(data)) {
-			break // torn tail: later bytes (an in-flight append) are not yet durable
-		}
+	if w.active != nil && w.first <= from {
+		start = len(w.sealed)
 	}
-	return out, nil
+	segs := append(make([]segMeta, 0, len(w.sealed)-start+1), w.sealed[start:]...)
+	if w.active != nil {
+		segs = append(segs, w.activeMeta())
+	}
+	return segs
 }
 
 // Dir returns the log's directory path.
@@ -733,100 +663,4 @@ func (w *SegmentedWAL) Close() error {
 	}
 	w.active = nil
 	return err
-}
-
-// segment checks the header of the segment file at path and points the
-// scan at its body, keeping the contiguity context. It returns the file
-// offset the body starts at — segHeaderLen, or 0 for a torn header, whose
-// body is empty — so the valid prefix ends at that plus s.off. A foreign
-// header is an error.
-func (s *recScan) segment(path string, data []byte) (int64, error) {
-	s.body, s.off, s.count = nil, 0, 0
-	_, torn, err := segEpoch(path, data)
-	if err != nil || torn {
-		return 0, err
-	}
-	s.body = data[segHeaderLen:]
-	return segHeaderLen, nil
-}
-
-// ReplaySegmented reads every valid record from the segmented WAL at dir,
-// in index order across segments. A torn or checksum-failing record in the
-// newest segment ends the replay silently (the crash-recovery contract). A
-// missing path yields no records; anything at the path that is not a
-// directory of CGWALOG3 segments is an error.
-func ReplaySegmented(dir string) ([]Record, error) {
-	return ReplaySegmentedFS(OsFS{}, dir, 0)
-}
-
-// ReplaySegmentedFS is ReplaySegmented through an explicit filesystem seam,
-// returning only the records at or after from. Every record is validated as
-// ReplaySegmented validates it — a record below from can still end the log
-// or fail the replay — but only the returned ones are decoded: a restore
-// positioned by a checkpoint decodes just the suffix it replays.
-func ReplaySegmentedFS(fsys FS, dir string, from uint64) ([]Record, error) {
-	st, err := fsys.Stat(dir)
-	switch {
-	case os.IsNotExist(err):
-		return nil, nil
-	case err != nil:
-		return nil, fmt.Errorf("wal: %w", err)
-	case !st.IsDir():
-		return nil, fmt.Errorf("wal: %s is not a WAL directory", dir)
-	}
-	firsts, err := listSegments(fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	// The torn-tail redo rule applies only to the LAST segment: appends only
-	// ever run there, and roll seals (repairs + fsyncs) a segment before the
-	// next one is created. Anything else — a missing middle segment, a torn
-	// record inside a sealed segment, a name that disagrees with its
-	// contents — is not a crash artefact but lost acknowledged data, and
-	// replaying past it would silently serve a shorter history than was
-	// acked. Fail loudly with the gap range instead.
-	var recs []Record
-	s := recScan{from: from}
-	for i, first := range firsts {
-		path := filepath.Join(dir, segName(first))
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if i > 0 {
-			expected := firsts[i-1]
-			if s.seen {
-				expected = s.last + 1
-			}
-			if first != expected {
-				return nil, fmt.Errorf("wal: missing segment(s): records [%d,%d) lost between %s and %s",
-					expected, first, segName(firsts[i-1]), segName(first))
-			}
-		}
-		base, err := s.segment(path, data)
-		if err != nil {
-			return nil, err
-		}
-		for rec, ok := s.next(); ok; rec, ok = s.next() {
-			if s.count == 1 && rec.Index != first {
-				return nil, fmt.Errorf("wal: segment %s disagrees with its contents (first record %d)",
-					segName(first), rec.Index)
-			}
-			if rec.Index >= from {
-				recs = append(recs, rec)
-			}
-		}
-		if base+s.off < int64(len(data)) {
-			if i < len(firsts)-1 {
-				lost := first
-				if s.seen {
-					lost = s.last + 1
-				}
-				return nil, fmt.Errorf("wal: sealed segment %s corrupt mid-log: records from %d lost (next segment %s still present)",
-					segName(first), lost, segName(firsts[i+1]))
-			}
-			break // torn tail in the newest segment ends the trustworthy log
-		}
-	}
-	return recs, nil
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"slices"
 
 	"cisgraph/internal/graph"
 )
@@ -46,58 +48,6 @@ type Record struct {
 	Batch []graph.Update
 	SID   uint64
 	Seq   uint64
-}
-
-// recScan walks the valid record prefix of segment bodies, one record at a
-// time. Every record gets every check — header, torn tail, CRC, payload
-// shape and index contiguity with the record before it (seen/last carry
-// that context from one segment to the next) — but only one at or after
-// from is decoded into a batch: below it the scan validates and steps over,
-// which is all a reader positioned past those records needs.
-type recScan struct {
-	from  uint64 // records below it are validated, not decoded
-	body  []byte // the rest of the current segment body
-	off   int64  // bytes of valid records consumed from the current body
-	last  uint64 // index of the last valid record, when seen
-	seen  bool
-	count int // valid records in the current body
-}
-
-// next validates the next record of the body and advances past it. It
-// returns the record — its batch decoded only when its index is at or after
-// s.from — and false at the end of the valid prefix: a torn tail, a
-// checksum failure, a malformed payload or an index that does not follow the
-// previous record's.
-func (s *recScan) next() (Record, bool) {
-	if len(s.body) < 16 {
-		return Record{}, false
-	}
-	idx := binary.LittleEndian.Uint64(s.body[0:8])
-	plen := binary.LittleEndian.Uint32(s.body[8:12])
-	want := binary.LittleEndian.Uint32(s.body[12:16])
-	if plen > maxWALRecord || len(s.body) < 16+int(plen) {
-		return Record{}, false // torn tail
-	}
-	payload := s.body[16 : 16+plen]
-	if crc32.ChecksumIEEE(payload) != want {
-		return Record{}, false // bit flip: end of trustworthy log
-	}
-	n, sid, seq, ok := payloadShape(payload)
-	if !ok {
-		return Record{}, false
-	}
-	if s.seen && idx != s.last+1 {
-		return Record{}, false // non-contiguous index: treat as corruption
-	}
-	rec := Record{Index: idx, SID: sid, Seq: seq}
-	if idx >= s.from {
-		rec.Batch = decodeBatch(payload, n)
-	}
-	s.last, s.seen = idx, true
-	s.count++
-	s.body = s.body[16+plen:]
-	s.off += 16 + int64(plen)
-	return rec, true
 }
 
 // EncodeRecordPayload encodes a record's payload including its session
@@ -142,7 +92,7 @@ func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64,
 	if !ok {
 		return nil, 0, 0, false
 	}
-	return decodeBatch(payload, n), sid, seq, true
+	return appendBatch(make([]graph.Update, 0, n), payload, n), sid, seq, true
 }
 
 // payloadShape checks a record payload's shape without decoding it: the
@@ -172,9 +122,10 @@ func payloadShape(payload []byte) (n uint32, sid, seq uint64, ok bool) {
 	return n, sid, seq, true
 }
 
-// decodeBatch decodes the n updates of a payload payloadShape accepted.
-func decodeBatch(payload []byte, n uint32) []graph.Update {
-	batch := make([]graph.Update, 0, n)
+// appendBatch appends the n updates of a payload payloadShape accepted to
+// batch.
+func appendBatch(batch []graph.Update, payload []byte, n uint32) []graph.Update {
+	batch = slices.Grow(batch, int(n))
 	rest := payload[4:]
 	for i := uint32(0); i < n; i++ {
 		rec := rest[17*i : 17*i+17]
@@ -185,6 +136,37 @@ func decodeBatch(payload []byte, n uint32) []graph.Update {
 		batch = append(batch, up)
 	}
 	return batch
+}
+
+// PayloadChunk is the most ReadPayload allocates before any payload byte
+// has arrived.
+const PayloadChunk = 64 << 10
+
+// ReadPayload reads an n-byte payload from r into buf's memory when it has
+// room for it, else into memory allocated as the bytes arrive: the buffer
+// starts at PayloadChunk and at most doubles per refill, so a header that
+// claims more than the stream holds costs at most twice what arrived plus
+// one chunk, not the claimed length. Every decoder of a length-prefixed wire
+// payload reads through it: replication frames, CGBIN/2 frames and the
+// checkpoint a follower fetches.
+func ReadPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = make([]byte, 0, min(n, PayloadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Checkpoint files pair a snapshot with the WAL position it covers and the
@@ -201,12 +183,20 @@ var ckptMagic = []byte("CGRC")
 
 const ckptHeaderLen = 32
 
+// MaxCheckpointPayload bounds a checkpoint's payload at 1 GiB:
+// WriteCheckpointMetaFS refuses to write a larger one, and ReadCheckpoint
+// refuses a header that declares one before reading any of it.
+const MaxCheckpointPayload = 1 << 30
+
 // WriteCheckpointMetaFS atomically persists a snapshot covering the first
 // `through` stream positions, stamped with the writer's epoch: the envelope
 // goes to <path>.tmp, is fsynced, and renamed over path, so a crash
 // mid-write never destroys the previous good checkpoint. Single-writer: the
 // callers serialize checkpoints.
 func WriteCheckpointMetaFS(fsys FS, path string, through, epoch uint64, payload []byte) error {
+	if len(payload) > MaxCheckpointPayload {
+		return fmt.Errorf("checkpoint: payload of %d bytes is over the %d-byte bound", len(payload), MaxCheckpointPayload)
+	}
 	buf := make([]byte, ckptHeaderLen, ckptHeaderLen+len(payload))
 	copy(buf, ckptMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], ckptVersion)
@@ -246,35 +236,48 @@ func WriteCheckpointMetaFS(fsys FS, path string, through, epoch uint64, payload 
 // leadership epoch it was written under, and the snapshot bytes. Any
 // truncation or bit flip is a clean error.
 func ReadCheckpointMeta(path string) (through, epoch uint64, payload []byte, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	return DecodeCheckpointMeta(data)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return ReadCheckpoint(f, make([]byte, 0, max(st.Size()-ckptHeaderLen, 0)))
 }
 
-// DecodeCheckpointMeta parses a checkpoint envelope already in memory — the
-// replication bootstrap path ships the leader's checkpoint file over HTTP
-// and the follower validates it here, CRC and all, before trusting a byte.
-func DecodeCheckpointMeta(data []byte) (through, epoch uint64, payload []byte, err error) {
-	if len(data) < 8 || !bytes.Equal(data[:4], ckptMagic) {
+// ReadCheckpoint reads one checkpoint envelope, the whole of what r holds —
+// a file, or the body of the leader's checkpoint a follower bootstraps
+// from — and verifies it, CRC and all, before trusting a byte. It reads the
+// header first and refuses a declared payload over MaxCheckpointPayload,
+// then reads the payload into buf by the ReadPayload rule, so a header that
+// claims more than r holds fails having allocated about what arrived.
+func ReadCheckpoint(r io.Reader, buf []byte) (through, epoch uint64, payload []byte, err error) {
+	var hdr [ckptHeaderLen]byte
+	n, _ := io.ReadFull(r, hdr[:])
+	switch {
+	case n < 8 || !bytes.Equal(hdr[:4], ckptMagic):
 		return 0, 0, nil, fmt.Errorf("checkpoint: bad header")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != ckptVersion {
-		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, ckptVersion)
-	}
-	if len(data) < ckptHeaderLen {
+	case binary.LittleEndian.Uint32(hdr[4:8]) != ckptVersion:
+		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", binary.LittleEndian.Uint32(hdr[4:8]), ckptVersion)
+	case n < ckptHeaderLen:
 		return 0, 0, nil, fmt.Errorf("checkpoint: truncated header")
 	}
-	through = binary.LittleEndian.Uint64(data[8:16])
-	epoch = binary.LittleEndian.Uint64(data[16:24])
-	plen := binary.LittleEndian.Uint32(data[24:28])
-	want := binary.LittleEndian.Uint32(data[28:32])
-	payload = data[ckptHeaderLen:]
-	if uint64(len(payload)) != uint64(plen) {
-		return 0, 0, nil, fmt.Errorf("checkpoint: truncated (payload %d bytes, header says %d)", len(payload), plen)
+	through = binary.LittleEndian.Uint64(hdr[8:16])
+	epoch = binary.LittleEndian.Uint64(hdr[16:24])
+	plen := binary.LittleEndian.Uint32(hdr[24:28])
+	if plen > MaxCheckpointPayload {
+		return 0, 0, nil, fmt.Errorf("checkpoint: header declares a %d-byte payload, over the %d-byte bound", plen, MaxCheckpointPayload)
 	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	if payload, err = ReadPayload(r, buf, int(plen)); err != nil {
+		return 0, 0, nil, fmt.Errorf("checkpoint: truncated (header says %d payload bytes)", plen)
+	}
+	if n, _ := io.ReadFull(r, hdr[:1]); n > 0 {
+		return 0, 0, nil, fmt.Errorf("checkpoint: bytes past the %d-byte payload its header declares", plen)
+	}
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[28:32]); got != want {
 		return 0, 0, nil, fmt.Errorf("checkpoint: payload checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	return through, epoch, payload, nil

@@ -86,7 +86,7 @@ func TestAdmissionBesideLongApply(t *testing.T) {
 	go func() {
 		defer applying.Store(false)
 		for _, b := range backlogBodies {
-			srv.commit(fromClient, []resilience.Record{{Batch: b}}, nil)
+			srv.commit(fromClient, []resilience.Record{{Batch: b}}, nil, nil)
 		}
 	}()
 	client := ts.Client()

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
 
 // Binary framed ingest protocol, CGBIN/2 (DESIGN.md §14, §17). A persistent
@@ -109,14 +110,12 @@ func AppendBinFrameSession(buf []byte, sid, seq uint64, ups []graph.Update) []by
 
 // readBinPayload reads and CRC-verifies one frame payload of plen bytes,
 // bounding the allocation: plen comes off the wire, so it is validated by
-// the caller against the protocol maximum BEFORE any buffer is sized from
-// it. The reusable payloadBuf caps steady-state allocation at one frame.
+// the caller against the protocol maximum, and a payloadBuf too small for it
+// grows as the bytes arrive (resilience.ReadPayload). The reusable
+// payloadBuf caps steady-state allocation at one frame.
 func readBinPayload(r io.Reader, payloadBuf []byte, plen, wantCRC uint32) ([]byte, error) {
-	if cap(payloadBuf) < int(plen) {
-		payloadBuf = make([]byte, plen)
-	}
-	payload := payloadBuf[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := resilience.ReadPayload(r, payloadBuf, int(plen))
+	if err != nil {
 		return payloadBuf, fmt.Errorf("binproto: torn frame payload: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {

@@ -6,11 +6,21 @@ import (
 	"testing"
 
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
+
+// binFrameAllocBound is FuzzBinFrame's allocation bound for a stream of l
+// bytes: a payload buffer grown as its bytes arrive (at most twice what
+// arrived plus one resilience.PayloadChunk) and ~1.4 B of decoded update per
+// byte, doubled by regrowth, plus 16 KiB for the decoder's fixed costs.
+func binFrameAllocBound(l int) uint64 {
+	return 8*uint64(l) + resilience.PayloadChunk + 16<<10
+}
 
 // FuzzBinFrame throws arbitrary byte streams at the CGBIN/2 decoder — hello,
 // len|crc framing, session prefix, record parse — asserting it never panics,
-// never allocates past the protocol bound, and that whatever it accepts
+// never allocates past the protocol bound nor past binFrameAllocBound,
+// whatever lengths its headers claim, and that whatever it accepts
 // re-encodes to a byte-stable frame (decode∘encode is the identity on the
 // decoder's image, NaN weights included).
 func FuzzBinFrame(f *testing.F) {
@@ -40,10 +50,18 @@ func FuzzBinFrame(f *testing.F) {
 		}
 		var ups []graph.Update
 		var payloadBuf []byte
+		var decoded uint64
+		defer func() {
+			if limit := binFrameAllocBound(len(data)); decoded > limit {
+				t.Fatalf("%d input bytes allocated %d bytes decoding, over %d", len(data), decoded, limit)
+			}
+		}()
 		for i := 0; i < 64; i++ {
 			var err error
 			var sid, seq uint64
-			ups, payloadBuf, sid, seq, err = ReadBinFrameSession(r, ups[:0], payloadBuf)
+			decoded += allocatedBy(func() {
+				ups, payloadBuf, sid, seq, err = ReadBinFrameSession(r, ups[:0], payloadBuf)
+			})
 			if err != nil {
 				return // decoder refused; the connection would close
 			}

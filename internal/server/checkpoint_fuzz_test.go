@@ -2,11 +2,15 @@ package server
 
 import (
 	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
 
 // allocatedBy returns the bytes the heap handed out while f ran.
@@ -76,5 +80,41 @@ func TestDecodeCheckpointRefusesUnpaidVertices(t *testing.T) {
 	}
 	if err := checkVertexCount(freeVertices+29, 28); err == nil {
 		t.Fatal("the rule admits one vertex past its limit")
+	}
+}
+
+// A follower reads the leader's checkpoint through the envelope's bounds: a
+// header that claims a 1 GiB payload (the bound itself) but sends a few
+// bytes fails with < 1 MiB allocated, and one that claims more than the
+// bound is refused before any payload byte is read.
+func TestFetchCheckpointReadsThroughLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plen uint32
+		want string
+	}{
+		{"claims the bound", resilience.MaxCheckpointPayload, "truncated"},
+		{"claims past the bound", resilience.MaxCheckpointPayload + 1, "bound"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := append([]byte("CGRC"), 2, 0, 0, 0)
+			body = binary.LittleEndian.AppendUint64(body, 7) // through
+			body = binary.LittleEndian.AppendUint64(body, 0) // epoch
+			body = binary.LittleEndian.AppendUint32(body, tc.plen)
+			body = binary.LittleEndian.AppendUint32(body, 0) // CRC
+			body = append(body, make([]byte, 100)...)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(body) }))
+			defer ts.Close()
+			client := ts.Client()
+			var err error
+			got := allocatedBy(func() { _, _, _, _, _, err = fetchCheckpoint(client, ts.URL) })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("fetchCheckpoint: %v, want an error saying %q", err, tc.want)
+			}
+			if got >= 1<<20 {
+				t.Fatalf("fetching it allocated %d bytes, want < 1 MiB", got)
+			}
+			t.Logf("%v, %d bytes allocated", err, got)
+		})
 	}
 }

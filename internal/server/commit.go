@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
 )
 
@@ -57,9 +58,11 @@ type commitResult struct {
 // (pool.ApplyBatch). There is one topology: sanitize validates against the
 // pool's own graph, which holds the pre-commit topology until the pool
 // apply mutates it. Every applied record is one stream position, so a
-// position is a WAL record on every path. verdicts, when non-nil, receives
-// each client record's fate (the binary front's acks).
-func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) commitResult {
+// position is a WAL record on every path. Leader and log records come with
+// ups, their updates back to back, which the engine applies as they are
+// (client records pass nil: sanitize builds theirs). verdicts, when
+// non-nil, receives each client record's fate (the binary front's acks).
+func (s *Server) commit(o origin, recs []resilience.Record, ups []graph.Update, verdicts []verdict) commitResult {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	switch o {
@@ -129,13 +132,11 @@ func (s *Server) commit(o origin, recs []resilience.Record, verdicts []verdict) 
 		if !shared {
 			s.out = out
 		}
+		s.clean = clean
 	} else {
 		// Leader and log records were sanitized before they were logged.
-		for _, rec := range recs {
-			clean = append(clean, rec.Batch...)
-		}
+		clean = ups
 	}
-	s.clean = clean
 	if len(out) == 0 {
 		return commitResult{status: BinStatusOK, pos: s.applied.Load()}
 	}

@@ -361,7 +361,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		env = binary.LittleEndian.AppendUint32(env, uint32(len(payload)))
 		env = binary.LittleEndian.AppendUint32(env, crc32.ChecksumIEEE(payload))
 		env = append(env, payload...)
-		if _, _, _, err := resilience.DecodeCheckpointMeta(env); err == nil || !strings.Contains(err.Error(), "version 1") {
+		if _, _, _, err := resilience.ReadCheckpoint(bytes.NewReader(env), nil); err == nil || !strings.Contains(err.Error(), "version 1") {
 			t.Fatalf("v1 checkpoint envelope: err %v, want an unsupported-version error", err)
 		}
 	})

@@ -390,7 +390,7 @@ func TestRegisterAfterRestoreReportsPosition(t *testing.T) {
 	pairs := w.QueryPairsConnected(2)
 	srv.Pool().Register(core.Query{S: pairs[0][0], D: pairs[0][1]})
 	for i := 0; i < 5; i++ {
-		srv.commit(fromClient, []resilience.Record{{Batch: w.NextBatch()}}, nil)
+		srv.commit(fromClient, []resilience.Record{{Batch: w.NextBatch()}}, nil, nil)
 	}
 	if err := srv.Drain(); err != nil { // the final checkpoint covers all five
 		t.Fatal(err)

@@ -48,7 +48,10 @@ func StartFollower(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, er
 	if err != nil {
 		return nil, err
 	}
-	s, err := build(g, a, queries, through, cfg, false, epoch)
+	s, err := build(g, a, queries, through, cfg, epoch)
+	if err == nil {
+		s, err = s.start(s.createWAL)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +119,7 @@ func fetchBootstrap(client *http.Client, leader string, init func() (*graph.Dyna
 			if ierr != nil {
 				return nil, nil, nil, 0, 0, ierr
 			}
-			return g, nil, nil, 0, epoch, nil
+			return g.Clone(), nil, nil, 0, epoch, nil // the server owns its topology
 		}
 		if time.Now().After(deadline) {
 			return nil, nil, nil, 0, 0, fmt.Errorf("server: bootstrap from %s: %w", leader, err)
@@ -147,11 +150,9 @@ func fetchCheckpoint(client *http.Client, leader string) (*graph.Dynamic, []core
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return nil, nil, nil, 0, 0, fmt.Errorf("checkpoint fetch: leader answered %s", resp.Status)
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, nil, 0, 0, err
-	}
-	through, ckptEpoch, payload, err := resilience.DecodeCheckpointMeta(data)
+	// The body is read through the envelope's bounds: header first, then a
+	// payload allocated as its bytes arrive.
+	through, ckptEpoch, payload, err := resilience.ReadCheckpoint(resp.Body, nil)
 	if err != nil {
 		return nil, nil, nil, 0, 0, err
 	}
@@ -173,7 +174,7 @@ func fetchCheckpoint(client *http.Client, leader string) (*graph.Dynamic, []core
 // it durable here, which is exactly what the leader's sync-ack gate relies
 // on.
 func (s *Server) applyReplicated(rec resilience.Record) error {
-	return s.commit(fromLeader, []resilience.Record{rec}, nil).err
+	return s.commit(fromLeader, []resilience.Record{rec}, rec.Batch, nil).err
 }
 
 // rebootstrapFromLeader reloads follower state from the leader's current

@@ -255,7 +255,7 @@ func (in *ingest) commitGroup(entries []*entry) {
 		in.verdicts = make([]verdict, len(recs))
 	}
 	verdicts := in.verdicts[:len(recs)]
-	res := s.commit(fromClient, recs, verdicts)
+	res := s.commit(fromClient, recs, nil, verdicts)
 	s.h.cutSize.Add(bodies)
 
 	// Acks carry each frame's cumulative commit position; the snapshot is

@@ -114,7 +114,7 @@ var metricsHead = []string{
 	"# HELP cisgraph_ingest_pending Updates queued but not yet applied.",
 	"# TYPE cisgraph_ingest_pending gauge",
 	"cisgraph_ingest_pending{} int",
-	"# HELP cisgraph_batches_applied Sanitized batches applied since stream start.",
+	"# HELP cisgraph_batches_applied Stream position: WAL records applied since stream start (one per JSON body, one per CGBIN/2 update).",
 	"# TYPE cisgraph_batches_applied counter",
 	"cisgraph_batches_applied{} int",
 	"# HELP cisgraph_edges Current edge count of the authoritative topology.",

@@ -68,8 +68,13 @@ var ErrQueryLimit = fmt.Errorf("server: query limit %d reached", maxQueries)
 // benchmark/stage.go passes them; they go with ROADMAP item 3's benchmark
 // change. Any extra options are passed through to the engine.
 func NewQueryPool(g *graph.Dynamic, a algo.Algorithm, _, workers int, _ core.StoreKind, _ bool, extra ...core.MultiOption) *QueryPool {
+	return newQueryPool(g.Clone(), a, workers, extra...)
+}
+
+// newQueryPool is NewQueryPool taking ownership of g.
+func newQueryPool(g *graph.Dynamic, a algo.Algorithm, workers int, extra ...core.MultiOption) *QueryPool {
 	p := &QueryPool{a: a, eng: core.NewMultiCISO(append([]core.MultiOption{core.WithWorkers(workers)}, extra...)...)}
-	p.eng.Reset(g.Clone(), a, nil)
+	p.eng.Reset(g, a, nil)
 	p.snap.Store(&Snapshot{})
 	return p
 }

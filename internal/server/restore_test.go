@@ -106,14 +106,14 @@ func TestRestoreDifferential(t *testing.T) {
 			for step := 0; step < 8; step++ {
 				batch := w.NextBatch()
 				if step%2 == 0 {
-					srv.commit(fromClient, []resilience.Record{{Batch: batch}}, nil)
+					srv.commit(fromClient, []resilience.Record{{Batch: batch}}, nil, nil)
 				} else {
 					recs := make([]resilience.Record, len(batch))
 					for i := range batch {
 						recs[i] = resilience.Record{Batch: batch[i : i+1], SID: sid, Seq: uint64(len(session) + 1)}
 						session = append(session, recs[i])
 					}
-					srv.commit(fromClient, recs, make([]verdict, len(recs)))
+					srv.commit(fromClient, recs, nil, make([]verdict, len(recs)))
 				}
 				if step == sh.ckptAt {
 					if err := srv.writeCheckpoint(); err != nil {
@@ -189,7 +189,7 @@ func TestRestoreDifferential(t *testing.T) {
 			// Replaying the session's records must change nothing.
 			pos := srv2.Applied()
 			verdicts := make([]verdict, len(session))
-			srv2.commit(fromClient, session, verdicts)
+			srv2.commit(fromClient, session, nil, verdicts)
 			for i, v := range verdicts {
 				if v != vDuplicate {
 					t.Fatalf("replayed session record %d: verdict %d, want a duplicate", i, v)

@@ -225,19 +225,24 @@ type srvHandles struct {
 // WAL is created (truncating any previous one — use Restore to continue a
 // previous stream).
 func New(g *graph.Dynamic, a algo.Algorithm, cfg Config) (*Server, error) {
-	return build(g, a, nil, 0, cfg, false, 0)
+	s, err := build(g.Clone(), a, nil, 0, cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	return s.start(s.createWAL)
 }
 
 // Restore rebuilds a server from the durable artefacts of a previous run —
 // the drain (or periodic) checkpoint plus the WAL suffix it does not cover.
 // init supplies the initial topology when no
 // usable checkpoint exists (nil init makes a missing checkpoint fatal).
-// Each job is done once: the log is read once and only the suffix is
-// decoded, the suffix is replayed into the topology while the engine holds
-// no queries, and only then are the checkpoint's queries re-armed — one cold
-// start per source, on the final topology. Their answers are the unique
-// least fixpoint of that topology, so they are identical to the pre-restart
-// ones.
+// Each job is done once: the log is read once, streamed through the
+// commit stage one group at a time (only the suffix is decoded), into the
+// topology while the engine holds no queries; the log opens for appends
+// where that read ended; and only then are the checkpoint's queries
+// re-armed — one cold start per source, on the final topology. Their
+// answers are the unique least fixpoint of that topology, so they are
+// identical to the pre-restart ones.
 func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	var (
@@ -272,47 +277,46 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 		if g, err = init(); err != nil {
 			return nil, err
 		}
+		g = g.Clone() // the server owns its topology
 		through = 0
-	}
-	// Read the WAL suffix the checkpoint does not cover: indices below
-	// `through` are already inside the restored topology, so they are
-	// validated but not decoded. The scan returns contiguous records, so only
-	// the first can leave a gap.
-	var replay []resilience.Record
-	if cfg.WALPath != "" {
-		var err error
-		if replay, err = resilience.ReplaySegmentedFS(cfg.FS, cfg.WALPath, through); err != nil {
-			return nil, fmt.Errorf("server: restore: %w", err)
-		}
-		if len(replay) > 0 && replay[0].Index != through {
-			return nil, fmt.Errorf("server: restore: WAL gap (record %d, expected %d)",
-				replay[0].Index, through)
-		}
 	}
 	// The queries are re-armed only after the replay, so they are admitted
 	// now, before anything is built (the vertex count never changes).
 	if err := admitQueries(g.NumVertices(), 0, queries); err != nil {
 		return nil, err
 	}
-	s, err := build(g, a, nil, through, cfg, true, epoch)
+	s, err := build(g, a, nil, through, cfg, epoch)
 	if err != nil {
 		return nil, err
 	}
 	// The exactly-once session table rebuilds exactly as it was: checkpoint
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
-	// The replay front: the suffix goes through the commit stage in groups
-	// bounded like the ingest queue's — records, whatever their shape, up to
-	// groupMax updates; a record that would overflow a group starts the next
-	// — one position per record.
-	for i := 0; i < len(replay); {
-		j, n := i+1, len(replay[i].Batch)
-		for j < len(replay) && n+len(replay[j].Batch) <= groupMax {
-			n += len(replay[j].Batch)
-			j++
+	// The replay front: the WAL suffix at or after through goes through the
+	// commit stage in groups bounded like the ingest queue's — records,
+	// whatever their shape, up to groupMax updates; a record that would
+	// overflow a group starts the next — one position per record. Each group
+	// is decoded into the replay's reused memory and committed before the
+	// next is read, so the suffix is never held whole; the engine applies the
+	// group's updates where they were decoded, and nothing keeps them past
+	// the commit. Then the log opens for appends where the replay ended.
+	replay := func(opt resilience.SegWALOptions) (*resilience.SegmentedWAL, error) {
+		wal, err := resilience.Resume(cfg.WALPath, opt, through, groupMax, func(group []resilience.Record, ups []graph.Update) error {
+			// The replay returns contiguous records, so only the first can
+			// leave a gap.
+			if s.applied.Load() == through && group[0].Index != through {
+				return fmt.Errorf("WAL gap (record %d, expected %d)", group[0].Index, through)
+			}
+			s.commit(fromLog, group, ups, nil)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("server: restore: %w", err)
 		}
-		s.commit(fromLog, replay[i:j], nil)
-		i = j
+		return wal, nil
+	}
+	if s, err = s.start(replay); err != nil {
+		return nil, err
 	}
 	// The engine held no source groups through the replay, so each group
 	// only normalized and mutated the topology; now every checkpoint query
@@ -325,13 +329,12 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	return s, nil
 }
 
-// build assembles the server around an already-positioned topology.
-// resumeWAL keeps an existing WAL and appends to it (the Restore path —
-// truncating would discard the very records just replayed); a fresh start
-// truncates. bootEpoch seeds the leadership epoch (checkpoint stamp on
-// restore, the leader's epoch on follower bootstrap); an existing WAL's
-// segment-header epoch wins when higher.
-func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uint64, cfg Config, resumeWAL bool, bootEpoch uint64) (*Server, error) {
+// build assembles the server around an already-positioned topology, which
+// it takes ownership of, with no log and nothing running yet: start opens
+// the log and starts serving.
+// bootEpoch seeds the leadership epoch (checkpoint stamp on restore, the
+// leader's epoch on follower bootstrap).
+func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uint64, cfg Config, bootEpoch uint64) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -340,7 +343,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 	s := &Server{
 		cfg:  cfg,
 		a:    a,
-		pool: NewQueryPool(g, a, 1, engineBudget(), core.StoreDense, true),
+		pool: newQueryPool(g, a, engineBudget()),
 		san:  resilience.NewSanitizer(resilience.PolicyDrop, cnt),
 		cnt:  cnt,
 		hub:  watch.New(),
@@ -388,22 +391,20 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		return nil, err
 	}
 	s.h.registered.Add(int64(len(queries)))
-	if cfg.WALPath != "" {
-		opts := resilience.SegWALOptions{
-			SegmentBytes: cfg.WALSegmentBytes,
-			FS:           cfg.FS,
-			Epoch:        bootEpoch,
-			StartIndex:   through,
-		}
-		var (
-			wal *resilience.SegmentedWAL
-			err error
-		)
-		if resumeWAL {
-			wal, err = resilience.OpenSegmentedWAL(cfg.WALPath, opts)
-		} else {
-			wal, err = resilience.CreateSegmentedWAL(cfg.WALPath, opts)
-		}
+	return s, nil
+}
+
+// start opens the server's log, when it has one, through open — positioned
+// at the server's stream position and stamped with its epoch — and starts
+// the breaker, the ingest queue and the routes.
+func (s *Server) start(open func(resilience.SegWALOptions) (*resilience.SegmentedWAL, error)) (*Server, error) {
+	if s.cfg.WALPath != "" {
+		wal, err := open(resilience.SegWALOptions{
+			SegmentBytes: s.cfg.WALSegmentBytes,
+			FS:           s.cfg.FS,
+			Epoch:        s.epoch.Load(),
+			StartIndex:   s.applied.Load(),
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -415,10 +416,16 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 			s.epoch.Store(we)
 		}
 	}
-	s.brk = newDiskBreaker(s.probeDisk, cfg.DiskRetryBase, cfg.DiskRetryMax)
+	s.brk = newDiskBreaker(s.probeDisk, s.cfg.DiskRetryBase, s.cfg.DiskRetryMax)
 	s.in = newIngest(s)
 	s.routes()
 	return s, nil
+}
+
+// createWAL starts a fresh log at the configured path, removing any previous
+// one: a new stream (use Restore to continue a previous one).
+func (s *Server) createWAL(opt resilience.SegWALOptions) (*resilience.SegmentedWAL, error) {
+	return resilience.CreateSegmentedWAL(s.cfg.WALPath, opt)
 }
 
 // probeDisk is the breaker's health check: verify the durability path can
@@ -1124,7 +1131,7 @@ func hasTail(s *Server) bool { return s.isFollower() && s.tail != nil }
 // families is the /metrics exposition after the counter set, in order.
 var families = []family{
 	{"cisgraph_ingest_pending", "gauge", "Updates queued but not yet applied.", nil, num(func(s *Server) int { return s.in.queuedUpdates() })},
-	{"cisgraph_batches_applied", "counter", "Sanitized batches applied since stream start.", nil, num(func(s *Server) uint64 { return s.applied.Load() })},
+	{"cisgraph_batches_applied", "counter", "Stream position: WAL records applied since stream start (one per JSON body, one per CGBIN/2 update).", nil, num(func(s *Server) uint64 { return s.applied.Load() })},
 	{"cisgraph_edges", "gauge", "Current edge count of the authoritative topology.", nil, num(func(s *Server) int64 { return s.edges.Load() })},
 	{"cisgraph_queries", "gauge", "Registered pairwise queries.", nil, num(func(s *Server) int { return s.pool.NumQueries() })},
 	{"cisgraph_state_bytes", "gauge", "Resident source-group state (one per distinct source).", nil, num(func(s *Server) int64 { return s.pool.StateBytes() })},

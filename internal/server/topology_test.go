@@ -201,7 +201,10 @@ func testOneTopology(t *testing.T) {
 	// The follower front: the leader's records, one commit each.
 	fcfg := config(t.TempDir())
 	fcfg.FollowURL = "http://leader.test" // never dialled: records are fed directly
-	fol, err := build(g0.Clone(), a, nil, 0, fcfg, false, 0)
+	fol, err := build(g0.Clone(), a, nil, 0, fcfg, 0)
+	if err == nil {
+		fol, err = fol.start(fol.createWAL)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

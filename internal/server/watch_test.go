@@ -335,7 +335,7 @@ func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 		}
 	}
 	for i, c := range chunks {
-		srv.commit(fromClient, []resilience.Record{{Batch: c}}, nil)
+		srv.commit(fromClient, []resilience.Record{{Batch: c}}, nil, nil)
 		if got, want := readBody(), coldBody(); !bytes.Equal(got, want) {
 			t.Fatalf("chunk %d: /v1/answers bodies diverged\nserved: %s\ncold:   %s", i, got, want)
 		}
