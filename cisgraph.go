@@ -54,8 +54,6 @@ type (
 	EdgeList = graph.EdgeList
 	// Dynamic is the mutable streaming graph.
 	Dynamic = graph.Dynamic
-	// CSR is an immutable compressed-sparse-row snapshot.
-	CSR = graph.CSR
 	// RMATParams configures the R-MAT generator.
 	RMATParams = graph.RMATParams
 	// StandIn names the paper's dataset stand-ins (OR, LJ, UK).
@@ -81,8 +79,6 @@ var (
 	NewDynamic = graph.NewDynamic
 	// FromEdgeList builds a Dynamic from a dataset.
 	FromEdgeList = graph.FromEdgeList
-	// BuildCSR freezes a Dynamic into a CSR snapshot.
-	BuildCSR = graph.BuildCSR
 	// RMAT, Uniform, Crawl and Grid are the deterministic generators.
 	RMAT    = graph.RMAT
 	Uniform = graph.Uniform
@@ -110,14 +106,7 @@ var (
 	// DefaultStreamConfig mirrors the paper's ratios (50% load, ~0.12%
 	// of edges added and deleted per batch).
 	DefaultStreamConfig = stream.DefaultConfig
-	// NewUpdateBuffer accumulates individually arriving updates and emits
-	// threshold-sized batches (the paper's §II-A ingestion model).
-	NewUpdateBuffer = stream.NewBuffer
 )
-
-// UpdateBuffer is the batching seam between an update source and the
-// engines.
-type UpdateBuffer = stream.Buffer
 
 // Algorithm is a monotonic pairwise graph algorithm (paper Table II).
 type Algorithm = algo.Algorithm

@@ -1,12 +1,18 @@
 // Package graph provides the streaming-graph substrate shared by every
 // CISGraph engine and by the hardware model: a mutable adjacency structure
-// (Dynamic) that absorbs batched edge additions and deletions, immutable CSR
-// snapshots consumed by the accelerator model, deterministic synthetic
-// dataset generators standing in for the paper's Orkut / LiveJournal /
-// UK-2002 crawls, and simple edge-list I/O.
+// (Dynamic) that absorbs batched edge additions and deletions,
+// deterministic synthetic dataset generators standing in for the paper's
+// Orkut / LiveJournal / UK-2002 crawls, simple edge-list I/O, and the one
+// byte layout of an arc and of an update that every file and wire format
+// shares.
 package graph
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // VertexID identifies a vertex. Graphs are dense: vertices are 0..N-1.
 type VertexID = uint32
@@ -55,6 +61,73 @@ func (u Update) String() string {
 		op = "-"
 	}
 	return fmt.Sprintf("%s%d->%d(%g)", op, u.From, u.To, u.W)
+}
+
+// The byte layouts of an Arc and an Update, little-endian, shared by every
+// format that carries one: the .bel snapshot and the checkpoint hold arcs,
+// the WAL, the replication tail and CGBIN/2 frames hold updates.
+//
+//	arc     uint32 from | uint32 to | uint64 weight bits (IEEE-754)
+//	update  uint8 op (0 add, 1 del) | arc
+const (
+	ArcSize    = 16
+	UpdateSize = 1 + ArcSize
+)
+
+// AppendArc appends a's encoding to buf.
+func AppendArc(buf []byte, a Arc) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, a.From)
+	buf = binary.LittleEndian.AppendUint32(buf, a.To)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.W))
+}
+
+// DecodeArc decodes the arc encoded in the first ArcSize bytes of b.
+func DecodeArc(b []byte) Arc {
+	_ = b[ArcSize-1]
+	return Arc{
+		From: binary.LittleEndian.Uint32(b[0:4]),
+		To:   binary.LittleEndian.Uint32(b[4:8]),
+		W:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
+	}
+}
+
+// AppendUpdates appends the encodings of ups to buf, back to back.
+func AppendUpdates(buf []byte, ups []Update) []byte {
+	for _, u := range ups {
+		op := byte(0)
+		if u.Del {
+			op = 1
+		}
+		buf = AppendArc(append(buf, op), u.Arc)
+	}
+	return buf
+}
+
+// ValidUpdates reports whether b is whole updates back to back, every op
+// byte 0 or 1 — what DecodeUpdates accepts.
+func ValidUpdates(b []byte) bool {
+	if len(b)%UpdateSize != 0 {
+		return false
+	}
+	for off := 0; off < len(b); off += UpdateSize {
+		if b[off] > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// DecodeUpdates appends the updates encoded back to back in b to ups. It
+// appends nothing and reports false unless ValidUpdates(b).
+func DecodeUpdates(ups []Update, b []byte) ([]Update, bool) {
+	if !ValidUpdates(b) {
+		return ups, false
+	}
+	ups = slices.Grow(ups, len(b)/UpdateSize)
+	for off := 0; off < len(b); off += UpdateSize {
+		ups = append(ups, Update{Arc: DecodeArc(b[off+1:]), Del: b[off] == 1})
+	}
+	return ups, true
 }
 
 // EdgeList is a dataset: a vertex count and a list of directed weighted

@@ -83,63 +83,47 @@ func ReadText(r io.Reader) (*EdgeList, error) {
 
 // WriteBinary writes the edge list in the binary format.
 func WriteBinary(w io.Writer, e *EdgeList) error {
-	bw := bufio.NewWriter(w)
 	name := nameOrDefault(e)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	hdr := []any{
-		uint32(binVersion),
-		uint32(len(name)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(e.N)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(e.Arcs))); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, min(len(binMagic)+8+len(name)+16+ArcSize*len(e.Arcs), 64<<10))
+	buf = append(buf, binMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, binVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.N))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.Arcs)))
 	for _, a := range e.Arcs {
-		if err := binary.Write(bw, binary.LittleEndian, a.From); err != nil {
-			return err
+		if len(buf)+ArcSize > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		if err := binary.Write(bw, binary.LittleEndian, a.To); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, a.W); err != nil {
-			return err
-		}
+		buf = AppendArc(buf, a)
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadBinary parses the binary format.
 func ReadBinary(r io.Reader) (*EdgeList, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var hdr [16]byte
+	if _, err := io.ReadFull(br, hdr[:len(binMagic)]); err != nil {
 		return nil, fmt.Errorf("read magic: %w", err)
 	}
-	if string(magic) != binMagic {
+	if magic := hdr[:len(binMagic)]; string(magic) != binMagic {
 		return nil, fmt.Errorf("not a cisgraph binary edge list (magic %q)", magic)
 	}
-	var version, nameLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 		return nil, err
 	}
-	if version != binVersion {
+	if version := binary.LittleEndian.Uint32(hdr[:4]); version != binVersion {
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
+	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 		return nil, err
 	}
+	nameLen := binary.LittleEndian.Uint32(hdr[:4])
 	if nameLen > 4096 {
 		return nil, fmt.Errorf("implausible name length %d", nameLen)
 	}
@@ -147,33 +131,24 @@ func ReadBinary(r io.Reader) (*EdgeList, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, err
 	}
-	var n, m uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	if _, err := io.ReadFull(br, hdr[:16]); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
+	n, m := binary.LittleEndian.Uint64(hdr[0:8]), binary.LittleEndian.Uint64(hdr[8:16])
 	if n > maxSaneSize || m > maxSaneSize {
 		return nil, fmt.Errorf("implausible counts N=%d M=%d", n, m)
 	}
-	pre := m
-	if pre > maxPrealloc {
-		pre = maxPrealloc
-	}
-	el := &EdgeList{Name: string(name), N: int(n), Arcs: make([]Arc, 0, pre)}
-	for i := uint64(0); i < m; i++ {
-		var a Arc
-		if err := binary.Read(br, binary.LittleEndian, &a.From); err != nil {
-			return nil, fmt.Errorf("arc %d: %w", i, err)
+	el := &EdgeList{Name: string(name), N: int(n), Arcs: make([]Arc, 0, min(m, maxPrealloc))}
+	chunk := make([]byte, min(m, 4096)*ArcSize)
+	for i := uint64(0); i < m; {
+		k := min(m-i, 4096) * ArcSize
+		if got, err := io.ReadFull(br, chunk[:k]); err != nil {
+			return nil, fmt.Errorf("arc %d: %w", i+uint64(got/ArcSize), err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &a.To); err != nil {
-			return nil, fmt.Errorf("arc %d: %w", i, err)
+		for off := uint64(0); off < k; off += ArcSize {
+			el.Arcs = append(el.Arcs, DecodeArc(chunk[off:]))
 		}
-		if err := binary.Read(br, binary.LittleEndian, &a.W); err != nil {
-			return nil, fmt.Errorf("arc %d: %w", i, err)
-		}
-		el.Arcs = append(el.Arcs, a)
+		i += k / ArcSize
 	}
 	return el, el.Validate()
 }

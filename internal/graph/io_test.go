@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -155,5 +156,27 @@ func TestReadBinaryVersionAndNameGuards(t *testing.T) {
 	raw[4] = 0xFF
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bad version accepted")
+	}
+}
+
+// The update codec round-trips every op and weight bit pattern, and refuses
+// an op byte other than 0 (add) or 1 (delete), or a partial update, having
+// decoded nothing.
+func TestUpdateCodec(t *testing.T) {
+	ups := []Update{Add(0, 1, 0.5), Del(math.MaxUint32, 7, math.Inf(-1)), Add(3, 4, math.Float64frombits(0x7ff8_0000_dead_beef))}
+	b := AppendUpdates(nil, ups)
+	if len(b) != len(ups)*UpdateSize || !ValidUpdates(b) {
+		t.Fatalf("%d bytes for %d updates, valid %v", len(b), len(ups), ValidUpdates(b))
+	}
+	back, ok := DecodeUpdates(nil, b)
+	if !ok || !bytes.Equal(AppendUpdates(nil, back), b) {
+		t.Fatalf("round trip: %v, %v", back, ok)
+	}
+	b[UpdateSize] = 2
+	if got, ok := DecodeUpdates(ups[:1], b); ok || len(got) != 1 || ValidUpdates(b) {
+		t.Fatalf("op byte 2 decoded: %v, %v", got, ok)
+	}
+	if _, ok := DecodeUpdates(nil, b[:UpdateSize-1]); ok {
+		t.Fatal("a partial update decoded")
 	}
 }

@@ -34,52 +34,55 @@ func waitCond(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	}
 }
 
-// Frames round-trip byte-exactly through the codec, and a stream of several
-// frames decodes in order with a clean io.EOF at the end.
+// Records round-trip through the tail's codec (resilience.AppendRecord,
+// resilience.ReadRecord), and a stream of several decodes in order with a
+// clean io.EOF at the end.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 5; i++ {
-		buf = AppendFrame(buf, resilience.Record{Index: uint64(i), Batch: frameBatch(i)})
+		buf = resilience.AppendRecord(buf, resilience.Record{Index: uint64(i), Batch: frameBatch(i)})
 	}
 	br := bufio.NewReader(bytes.NewReader(buf))
+	var scratch []byte
 	for i := 0; i < 5; i++ {
-		rec, err := ReadFrame(br)
+		rec, next, err := resilience.ReadRecord(br, scratch)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("record %d: %v", i, err)
 		}
-		if rec.Index != uint64(i) || len(rec.Batch) != 1 || rec.Batch[0].From != uint32(i) {
-			t.Fatalf("frame %d decoded as %+v", i, rec)
+		scratch = next
+		if rec.Index != uint64(i) || len(rec.Batch) != 1 || rec.Batch[0] != frameBatch(i)[0] {
+			t.Fatalf("record %d decoded as %+v", i, rec)
 		}
 	}
-	if _, err := ReadFrame(br); err != io.EOF {
+	if _, _, err := resilience.ReadRecord(br, scratch); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }
 
-// A truncated response tears the last frame: the prefix decodes, the tear is
-// ErrTornFrame (the tailer refetches), never a bogus record.
+// A truncated response tears the last record: the prefix decodes, the tear
+// is io.ErrUnexpectedEOF (the tailer refetches), never a bogus record.
 func TestFrameTornStream(t *testing.T) {
 	var buf []byte
-	buf = AppendFrame(buf, resilience.Record{Index: 0, Batch: frameBatch(0)})
+	buf = resilience.AppendRecord(buf, resilience.Record{Index: 0, Batch: frameBatch(0)})
 	whole := len(buf)
-	buf = AppendFrame(buf, resilience.Record{Index: 1, Batch: frameBatch(1)})
+	buf = resilience.AppendRecord(buf, resilience.Record{Index: 1, Batch: frameBatch(1)})
 	for cut := whole + 1; cut < len(buf); cut++ {
 		br := bufio.NewReader(bytes.NewReader(buf[:cut]))
-		if _, err := ReadFrame(br); err != nil {
-			t.Fatalf("cut %d: first frame: %v", cut, err)
+		if _, _, err := resilience.ReadRecord(br, nil); err != nil {
+			t.Fatalf("cut %d: first record: %v", cut, err)
 		}
-		if _, err := ReadFrame(br); !errors.Is(err, ErrTornFrame) {
-			t.Fatalf("cut %d: torn frame decoded with err=%v, want ErrTornFrame", cut, err)
+		if _, _, err := resilience.ReadRecord(br, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut %d: torn record decoded with err=%v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }
 
 // A flipped payload bit fails CRC verification — corruption is never applied.
 func TestFrameCorruptPayload(t *testing.T) {
-	buf := AppendFrame(nil, resilience.Record{Index: 3, Batch: frameBatch(3)})
+	buf := resilience.AppendRecord(nil, resilience.Record{Index: 3, Batch: frameBatch(3)})
 	buf[len(buf)-1] ^= 0x40
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf))); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("corrupt frame decoded with err=%v, want ErrCorruptFrame", err)
+	if _, _, err := resilience.ReadRecord(bufio.NewReader(bytes.NewReader(buf)), nil); !errors.Is(err, resilience.ErrBadRecord) {
+		t.Fatalf("corrupt record decoded with err=%v, want ErrBadRecord", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,9 +26,6 @@ type Source struct {
 	// LongPoll bounds how long ServeTail parks a caught-up follower before
 	// answering 204. Defaults to 10s.
 	LongPoll time.Duration
-	// MaxBatchBytes bounds one tail response (record payload bytes).
-	// Defaults to 4 MiB; a lagging follower catches up over several polls.
-	MaxBatchBytes int64
 	// Draining, if set, short-circuits long polls during shutdown.
 	Draining func() bool
 	// Epoch reports this node's leadership epoch; stamped on every
@@ -44,6 +42,10 @@ type Source struct {
 	// the follower by the host of its remote address.
 	OnTailFrom func(peer string, from uint64)
 }
+
+// tailMaxBytes bounds one tail response's record payload bytes; a lagging
+// follower catches up over several polls.
+const tailMaxBytes = 4 << 20
 
 // epoch returns the node's current leadership epoch.
 func (s *Source) epoch() uint64 {
@@ -127,10 +129,11 @@ func (s *Source) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// ServeTail answers GET /v1/repl/tail?from=N with a stream of CRC-framed
-// records starting at N. Responses:
+// ServeTail answers GET /v1/repl/tail?from=N with the records starting at
+// N, encoded by resilience.AppendRecord. Responses:
 //
-//	200  frames from N up to the byte budget, flushed as written
+//	200  records from N up to tailMaxBytes, written through one buffer
+//	     flushed once per response
 //	204  caught up — the request long-polled LongPoll without new records
 //	409  from > next: the follower is ahead of this leader's log
 //	410  records at N were deleted by retention — re-bootstrap
@@ -138,8 +141,7 @@ func (s *Source) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 //
 // Every response carries X-CISGraph-Repl-Next and X-CISGraph-Epoch. The
 // handler bounds itself (long-poll deadline + request context); mount it
-// WITHOUT a buffering timeout wrapper or flushes will not reach the
-// follower.
+// WITHOUT a timeout wrapper, whose deadline a long poll would outlast.
 func (s *Source) ServeTail(w http.ResponseWriter, r *http.Request) {
 	if !s.fence(w, r) {
 		return
@@ -186,11 +188,7 @@ func (s *Source) ServeTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	maxBytes := s.MaxBatchBytes
-	if maxBytes <= 0 {
-		maxBytes = 4 << 20
-	}
-	recs, err := s.WAL.ReadFrom(from, maxBytes)
+	recs, err := s.WAL.ReadFrom(from, tailMaxBytes)
 	if err != nil {
 		if errors.Is(err, resilience.ErrCompacted) {
 			http.Error(w, err.Error(), http.StatusGone)
@@ -206,17 +204,15 @@ func (s *Source) ServeTail(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 0, 64<<10)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var buf []byte
 	for _, rec := range recs {
-		buf = AppendFrame(buf[:0], rec)
-		if _, err := w.Write(buf); err != nil {
+		buf = resilience.AppendRecord(buf[:0], rec)
+		if _, err := bw.Write(buf); err != nil {
 			return // follower went away; it will reconnect
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
+	_ = bw.Flush() // a failed write means the follower went away; it reconnects
 }
 
 func (s *Source) fs() resilience.FS {

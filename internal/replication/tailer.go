@@ -292,16 +292,18 @@ func (t *Tailer) poll(ctx context.Context, from uint64) (uint64, error) {
 	}
 
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	var buf []byte
 	for {
-		rec, err := ReadFrame(br)
+		var rec resilience.Record
+		rec, buf, err = resilience.ReadRecord(br, buf)
 		if err == io.EOF {
 			t.notify(Status{LeaderNext: leaderNext, LeaderEpoch: leaderEpoch, Connected: true})
 			return from, nil
 		}
 		if err != nil {
-			// Torn or corrupt frame: everything before it was verified and
+			// Torn or bad record: everything before it was verified and
 			// applied; reconnect and re-fetch from the unverified suffix.
-			return from, err
+			return from, fmt.Errorf("repl: tail: %w", err)
 		}
 		if rec.Index < from {
 			continue // duplicate after reconnect — already applied

@@ -3,6 +3,7 @@ package resilience
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -154,6 +155,11 @@ func FuzzRecScan(f *testing.F) {
 	binary.LittleEndian.PutUint64(gap[starts[2]:], 5) // index gap at the third record
 	f.Add(gap, uint8(0))
 	f.Add(good[:9], uint8(0)) // torn header
+	op2 := append([]byte(nil), good...)
+	starts = recordStarts(op2)
+	op2[starts[1]+16+4] = 2 // an op byte that is neither add nor delete, under a matching CRC
+	binary.LittleEndian.PutUint32(op2[starts[1]+12:], crc32.ChecksumIEEE(op2[starts[1]+16:starts[2]]))
+	f.Add(op2, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, from uint8) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segName(0))

@@ -30,13 +30,13 @@ func TestInjectorDeterminism(t *testing.T) {
 	cfg := InjectorConfig{Seed: 7, CorruptP: 0.5, DupP: 0.5, ReorderP: 0.5, DropP: 0.2}
 	a := NewInjector(cfg).Mangle(16, batch)
 	b := NewInjector(cfg).Mangle(16, batch)
-	// Compare via the WAL encoding: byte-exact, and NaN-safe (DeepEqual
+	// Compare via the update encoding: byte-exact, and NaN-safe (DeepEqual
 	// treats NaN ≠ NaN).
-	if !bytes.Equal(EncodeRecordPayload(Record{Batch: a}), EncodeRecordPayload(Record{Batch: b})) {
+	if !bytes.Equal(graph.AppendUpdates(nil, a), graph.AppendUpdates(nil, b)) {
 		t.Fatalf("same seed, different streams:\n%v\n%v", a, b)
 	}
 	c := NewInjector(InjectorConfig{Seed: 8, CorruptP: 0.5, DupP: 0.5, ReorderP: 0.5, DropP: 0.2}).Mangle(16, batch)
-	if bytes.Equal(EncodeRecordPayload(Record{Batch: a}), EncodeRecordPayload(Record{Batch: c})) {
+	if bytes.Equal(graph.AppendUpdates(nil, a), graph.AppendUpdates(nil, c)) {
 		t.Fatal("different seeds produced identical streams (suspicious)")
 	}
 }

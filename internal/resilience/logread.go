@@ -2,10 +2,8 @@ package resilience
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -112,24 +110,20 @@ func (s *segScan) fill(n int) bool {
 // checksum failure, a malformed payload, an index that does not follow the
 // previous record's, or a failed read (s.err).
 func (s *segScan) next() (Record, bool) {
-	if !s.fill(16) {
+	if !s.fill(recHeaderLen) {
 		return Record{}, false
 	}
-	h := s.buf[s.lo : s.lo+16]
-	idx := binary.LittleEndian.Uint64(h[0:8])
-	plen := binary.LittleEndian.Uint32(h[8:12])
-	want := binary.LittleEndian.Uint32(h[12:16])
-	if plen > maxWALRecord || !s.fill(16+int(plen)) {
+	h, ok := parseRecHeader(s.buf[s.lo:s.hi])
+	size := recHeaderLen + int(h.plen)
+	if !ok || !s.fill(size) {
 		return Record{}, false // torn tail
 	}
-	payload := s.buf[s.lo+16 : s.lo+16+int(plen)]
-	if crc32.ChecksumIEEE(payload) != want {
-		return Record{}, false // bit flip: end of trustworthy log
+	payload := s.buf[s.lo+recHeaderLen : s.lo+size]
+	n, sid, seq, ok := h.check(payload)
+	if !ok || (s.seen && h.index != s.last+1) {
+		return Record{}, false // bit flip, malformed, or a non-contiguous index
 	}
-	n, sid, seq, ok := payloadShape(payload)
-	if !ok || (s.seen && idx != s.last+1) {
-		return Record{}, false // malformed, or a non-contiguous index
-	}
+	idx := h.index
 	rec := Record{Index: idx, SID: sid, Seq: seq}
 	if idx >= s.from {
 		if s.arena == nil { // an empty batch is an empty slice, never nil
@@ -144,8 +138,8 @@ func (s *segScan) next() (Record, bool) {
 	}
 	s.last, s.seen = idx, true
 	s.count++
-	s.lo += 16 + int(plen)
-	s.off += 16 + int64(plen)
+	s.lo += size
+	s.off += int64(size)
 	return rec, true
 }
 

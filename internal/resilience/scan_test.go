@@ -37,10 +37,11 @@ func refScanRecords(data []byte, recs []Record) ([]Record, int64) {
 		if crc32.ChecksumIEEE(payload) != want {
 			break
 		}
-		batch, sid, seq, ok := DecodeRecordPayload(payload)
+		n, sid, seq, ok := recHeader{crc: want}.check(payload)
 		if !ok {
 			break
 		}
+		batch := appendBatch(make([]graph.Update, 0, n), payload, n)
 		if len(recs) > 0 && idx != recs[len(recs)-1].Index+1 {
 			break
 		}

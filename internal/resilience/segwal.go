@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -393,16 +392,11 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	// The group's records join the offset index only once they are durable.
 	indexed := len(w.offs)
 	for i, rec := range recs {
-		start := len(buf)
 		if (first+uint64(i)-w.first)%indexStride == 0 {
-			w.offs = append(w.offs, w.size+int64(start))
+			w.offs = append(w.offs, w.size+int64(len(buf)))
 		}
-		buf = append(buf, make([]byte, 16)...)
-		buf = appendRecordPayload(buf, rec)
-		payload := buf[start+16:]
-		binary.LittleEndian.PutUint64(buf[start:], first+uint64(i))
-		binary.LittleEndian.PutUint32(buf[start+8:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+12:], crc32.ChecksumIEEE(payload))
+		rec.Index = first + uint64(i)
+		buf = AppendRecord(buf, rec)
 	}
 	w.buf = buf
 	if n, err := w.active.Write(buf); err != nil {

@@ -3,10 +3,10 @@ package resilience
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 
@@ -17,20 +17,22 @@ import (
 // stream durable: after a crash, the surviving state is the latest
 // checkpoint plus the WAL suffix, and replaying that suffix reproduces the
 // exact pre-crash engine. The log itself is the segmented one (segwal.go);
-// this file holds the record codec it, the replication wire and the
-// checkpoint envelope share.
+// this file holds the one record codec — AppendRecord to write a record,
+// parseRecHeader and recHeader.check to read one — that the log's appender,
+// its scan and the replication tail share, and the checkpoint envelope.
 //
 // Record layout (all integers little-endian):
 //
 //	record  uint64 index | uint32 payload length | uint32 CRC-32 (IEEE, of
 //	        the payload) | payload
-//	payload uint32 count, then per update: uint8 op (0 add, 1 del) |
-//	        uint32 from | uint32 to | uint64 weight bits (IEEE-754), then the
-//	        optional 20-byte session trailer
+//	payload uint32 count, then count updates in graph's 17-byte layout
+//	        (uint8 op, 0 add, 1 del | uint32 from | uint32 to | uint64
+//	        weight bits), then the optional 20-byte session trailer
 //
-// Records carry consecutive indices — one per stream position. A torn or
-// bit-flipped record fails its checksum; readers treat the first bad record
-// as the end of the log (the standard redo-log recovery rule).
+// Records carry consecutive indices — one per stream position. A torn,
+// bit-flipped or malformed record (an op byte other than 0 or 1, a count
+// that disagrees with the length) fails its checks; readers treat the first
+// bad record as the end of the log (the standard redo-log recovery rule).
 
 // maxWALRecord bounds a single record's payload (17 bytes per update plus
 // the count; 1<<28 ≈ 15.8M updates) so a corrupt length field cannot drive
@@ -50,11 +52,6 @@ type Record struct {
 	Seq   uint64
 }
 
-// EncodeRecordPayload encodes a record's payload including its session
-// trailer (when tagged), so replication frames stay byte-identical to the
-// on-disk record and followers inherit the dedup tags the leader fsynced.
-func EncodeRecordPayload(rec Record) []byte { return appendRecordPayload(nil, rec) }
-
 // Session trailer: an optional 20-byte suffix on a record payload binding
 // the batch to an ingest session — magic "CGSS" | uint64 session id |
 // uint64 sequence. The count disambiguates: a payload is either exactly
@@ -63,47 +60,57 @@ var sessTrailerMagic = []byte("CGSS")
 
 const sessTrailerSize = 20
 
-// appendRecordPayload appends rec's payload to buf — the one encoder, so a
-// group append encodes straight into the log's reused write buffer.
-func appendRecordPayload(buf []byte, rec Record) []byte {
+// recHeaderLen is a record's header: index, payload length and CRC.
+const recHeaderLen = 16
+
+// AppendRecord appends rec's record — header and payload, the bytes the log
+// holds and the replication tail ships — to buf. It is the one encoder of
+// the record layout.
+func AppendRecord(buf []byte, rec Record) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recHeaderLen)...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Batch)))
-	for _, up := range rec.Batch {
-		op := byte(0)
-		if up.Del {
-			op = 1
-		}
-		buf = append(buf, op)
-		buf = binary.LittleEndian.AppendUint32(buf, up.From)
-		buf = binary.LittleEndian.AppendUint32(buf, up.To)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(up.W))
-	}
+	buf = graph.AppendUpdates(buf, rec.Batch)
 	if rec.SID != 0 {
 		buf = append(buf, sessTrailerMagic...)
 		buf = binary.LittleEndian.AppendUint64(buf, rec.SID)
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
 	}
+	payload := buf[start+recHeaderLen:]
+	binary.LittleEndian.PutUint64(buf[start:], rec.Index)
+	binary.LittleEndian.PutUint32(buf[start+8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+12:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
-// DecodeRecordPayload is the inverse of EncodeRecordPayload; ok is false
-// when the payload is malformed.
-func DecodeRecordPayload(payload []byte) (batch []graph.Update, sid, seq uint64, ok bool) {
-	n, sid, seq, ok := payloadShape(payload)
-	if !ok {
-		return nil, 0, 0, false
-	}
-	return appendBatch(make([]graph.Update, 0, n), payload, n), sid, seq, true
+// recHeader is a record's parsed header.
+type recHeader struct {
+	index     uint64
+	plen, crc uint32
 }
 
-// payloadShape checks a record payload's shape without decoding it: the
-// count, then exactly that many updates and, optionally, a session trailer
-// with a nonzero id. It returns the update count and the session tag.
-func payloadShape(payload []byte) (n uint32, sid, seq uint64, ok bool) {
-	if len(payload) < 4 {
+// parseRecHeader parses the header in the first recHeaderLen bytes of b; ok
+// is false when it declares a payload over maxWALRecord.
+func parseRecHeader(b []byte) (h recHeader, ok bool) {
+	h = recHeader{
+		index: binary.LittleEndian.Uint64(b[0:8]),
+		plen:  binary.LittleEndian.Uint32(b[8:12]),
+		crc:   binary.LittleEndian.Uint32(b[12:16]),
+	}
+	return h, h.plen <= maxWALRecord
+}
+
+// check verifies the payload h announced without decoding it: its CRC,
+// then its shape — the count, exactly that many updates with valid op bytes
+// and, optionally, a session trailer with a nonzero id. It returns the
+// update count and the session tag. With parseRecHeader it is the one check
+// of a record, for the log scan and the tail reader alike.
+func (h recHeader) check(payload []byte) (n uint32, sid, seq uint64, ok bool) {
+	if len(payload) < 4 || crc32.ChecksumIEEE(payload) != h.crc {
 		return 0, 0, 0, false
 	}
 	n = binary.LittleEndian.Uint32(payload)
-	base := 4 + 17*uint64(n)
+	base := 4 + graph.UpdateSize*uint64(n)
 	switch uint64(len(payload)) {
 	case base:
 	case base + sessTrailerSize:
@@ -119,23 +126,50 @@ func payloadShape(payload []byte) (n uint32, sid, seq uint64, ok bool) {
 	default:
 		return 0, 0, 0, false
 	}
+	if !graph.ValidUpdates(payload[4:base]) {
+		return 0, 0, 0, false
+	}
 	return n, sid, seq, true
 }
 
-// appendBatch appends the n updates of a payload payloadShape accepted to
-// batch.
+// appendBatch appends the n updates of a payload recHeader.check accepted
+// to batch.
 func appendBatch(batch []graph.Update, payload []byte, n uint32) []graph.Update {
-	batch = slices.Grow(batch, int(n))
-	rest := payload[4:]
-	for i := uint32(0); i < n; i++ {
-		rec := rest[17*i : 17*i+17]
-		up := graph.Update{Del: rec[0] == 1}
-		up.From = binary.LittleEndian.Uint32(rec[1:5])
-		up.To = binary.LittleEndian.Uint32(rec[5:9])
-		up.W = math.Float64frombits(binary.LittleEndian.Uint64(rec[9:17]))
-		batch = append(batch, up)
-	}
+	batch, _ = graph.DecodeUpdates(batch, payload[4:4+graph.UpdateSize*int(n)])
 	return batch
+}
+
+// ErrBadRecord reports a record that fails its checks: a length over the
+// bound, a checksum mismatch or a malformed payload.
+var ErrBadRecord = errors.New("wal: record fails its checks")
+
+// ReadRecord reads one record from r — the replication tail's stream — and
+// checks it as the log scan does. io.EOF marks a clean end between records,
+// io.ErrUnexpectedEOF a record cut short, and ErrBadRecord one that fails
+// a check. The payload is read through ReadPayload into buf's memory when
+// it has room; ReadRecord returns the buffer for the next call, and the
+// record's batch never aliases it.
+func ReadRecord(r io.Reader, buf []byte) (Record, []byte, error) {
+	var hb [recHeaderLen]byte
+	if _, err := io.ReadFull(r, hb[:]); err != nil {
+		return Record{}, buf, err
+	}
+	h, ok := parseRecHeader(hb[:])
+	if !ok {
+		return Record{}, buf, fmt.Errorf("%w: record %d declares a %d-byte payload", ErrBadRecord, h.index, h.plen)
+	}
+	payload, err := ReadPayload(r, buf, int(h.plen))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return Record{}, buf, err
+	}
+	n, sid, seq, ok := h.check(payload)
+	if !ok {
+		return Record{}, payload, fmt.Errorf("%w: record %d", ErrBadRecord, h.index)
+	}
+	return Record{Index: h.index, Batch: appendBatch(make([]graph.Update, 0, n), payload, n), SID: sid, Seq: seq}, payload, nil
 }
 
 // PayloadChunk is the most ReadPayload allocates before any payload byte
@@ -147,7 +181,7 @@ const PayloadChunk = 64 << 10
 // starts at PayloadChunk and at most doubles per refill, so a header that
 // claims more than the stream holds costs at most twice what arrived plus
 // one chunk, not the claimed length. Every decoder of a length-prefixed wire
-// payload reads through it: replication frames, CGBIN/2 frames and the
+// payload reads through it: tail records, CGBIN/2 frames and the
 // checkpoint a follower fetches.
 func ReadPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	if cap(buf) >= n {

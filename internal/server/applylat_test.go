@@ -148,13 +148,16 @@ func TestApplyLatencyHealthz(t *testing.T) {
 		postJSON(t, tsS.Client(), tsS.URL+"/v1/query", queryRequest{S: uint32(q.S), D: uint32(q.D)})
 		postJSON(t, tsP.Client(), tsP.URL+"/v1/query", queryRequest{S: uint32(q.S), D: uint32(q.D)})
 	}
+	// One body per commit: a body posted while the last one is still
+	// committing joins it in one group, which records one apply latency for
+	// both, so each body waits for the one before it.
 	for i := 0; i < 3; i++ {
 		batch := w.NextBatch()
 		postUpdatesHTTP(t, tsS.Client(), tsS.URL, batch)
 		postUpdatesHTTP(t, tsP.Client(), tsP.URL, batch)
+		waitQuiescedSrv(t, srvS)
+		waitQuiescedSrv(t, srvP)
 	}
-	waitQuiescedSrv(t, srvS)
-	waitQuiescedSrv(t, srvP)
 
 	// The answer lists, not the whole body: the batch count depends on how
 	// each server's window cut the same posts.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"cisgraph/internal/graph"
 	"cisgraph/internal/resilience"
@@ -25,9 +24,9 @@ import (
 //	uint64 session id (nonzero) | uint64 seq of the frame's FIRST update |
 //	n × 17-byte update records
 //
-// and each update record is the exact per-update layout of WAL record
-// payloads (op | src | dst | weight, little-endian), so a frame's updates
-// are re-framed into WAL records without transcoding:
+// and each update record is graph's one update layout (graph.AppendUpdates
+// writes it, graph.DecodeUpdates reads it, refusing an op byte other than 0
+// or 1), the layout WAL record payloads hold too:
 //
 //	op(1: 0=add, 1=del) | src(4) | dst(4) | weight(8, IEEE-754 bits)
 //
@@ -44,16 +43,16 @@ import (
 // flight; acks always arrive in frame order.
 //
 // All integers are little-endian, matching the WAL. A malformed frame
-// (oversized, torn length, CRC mismatch, session id 0) desynchronizes the
-// stream, so the server acks it with BinStatusBadFrame and closes the
-// connection; any other hello (including the retired "CGBIN/1\n") closes it
-// at once.
+// (oversized, torn length, CRC mismatch, session id 0, a bad op byte)
+// desynchronizes the stream, so the server acks it with BinStatusBadFrame
+// and closes the connection; any other hello (including the retired
+// "CGBIN/1\n") closes it at once.
 
 // BinHello2 is the connection preamble.
 const BinHello2 = "CGBIN/2\n"
 
-// BinUpdateSize is the wire size of one update record.
-const BinUpdateSize = 17
+// BinUpdateSize is the wire size of one update record, graph's update layout.
+const BinUpdateSize = graph.UpdateSize
 
 // BinSessionOverhead is the per-frame session prefix (sid + seq).
 const BinSessionOverhead = 16
@@ -89,19 +88,10 @@ type BinAck struct {
 // returns the extended slice.
 func AppendBinFrameSession(buf []byte, sid, seq uint64, ups []graph.Update) []byte {
 	start := len(buf)
-	buf = append(buf, make([]byte, 8+BinSessionOverhead)...)
-	binary.LittleEndian.PutUint64(buf[start+8:start+16], sid)
-	binary.LittleEndian.PutUint64(buf[start+16:start+24], seq)
-	for _, up := range ups {
-		var rec [BinUpdateSize]byte
-		if up.Del {
-			rec[0] = 1
-		}
-		binary.LittleEndian.PutUint32(rec[1:5], up.From)
-		binary.LittleEndian.PutUint32(rec[5:9], up.To)
-		binary.LittleEndian.PutUint64(rec[9:17], math.Float64bits(up.W))
-		buf = append(buf, rec[:]...)
-	}
+	buf = append(buf, make([]byte, 8)...)
+	buf = binary.LittleEndian.AppendUint64(buf, sid)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = graph.AppendUpdates(buf, ups)
 	payload := buf[start+8:]
 	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
@@ -122,25 +112,6 @@ func readBinPayload(r io.Reader, payloadBuf []byte, plen, wantCRC uint32) ([]byt
 		return payloadBuf, fmt.Errorf("binproto: frame CRC mismatch (got %08x, want %08x)", got, wantCRC)
 	}
 	return payload, nil
-}
-
-// decodeBinUpdates appends the 17-byte update records in payload to ups.
-func decodeBinUpdates(ups []graph.Update, payload []byte) ([]graph.Update, error) {
-	for off := 0; off < len(payload); off += BinUpdateSize {
-		rec := payload[off : off+BinUpdateSize]
-		if rec[0] > 1 {
-			return ups, fmt.Errorf("binproto: bad op byte %d", rec[0])
-		}
-		ups = append(ups, graph.Update{
-			Arc: graph.Arc{
-				From: binary.LittleEndian.Uint32(rec[1:5]),
-				To:   binary.LittleEndian.Uint32(rec[5:9]),
-				W:    math.Float64frombits(binary.LittleEndian.Uint64(rec[9:17])),
-			},
-			Del: rec[0] == 1,
-		})
-	}
-	return ups, nil
 }
 
 // readBinHeader reads the 8-byte frame header. A clean EOF before any byte
@@ -182,8 +153,11 @@ func ReadBinFrameSession(r io.Reader, ups []graph.Update, payloadBuf []byte) ([]
 	if sid == 0 {
 		return ups, payloadBuf, 0, 0, fmt.Errorf("binproto: session id 0 is reserved")
 	}
-	ups, err = decodeBinUpdates(ups, payload[BinSessionOverhead:])
-	return ups, payloadBuf, sid, seq, err
+	ups, ok := graph.DecodeUpdates(ups, payload[BinSessionOverhead:])
+	if !ok {
+		return ups, payloadBuf, 0, 0, fmt.Errorf("binproto: bad op byte (an update's op is 0 or 1)")
+	}
+	return ups, payloadBuf, sid, seq, nil
 }
 
 // AppendBinAck appends a's wire encoding to buf.

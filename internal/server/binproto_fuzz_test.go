@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -41,6 +43,10 @@ func FuzzBinFrame(f *testing.F) {
 	bad := append([]byte{}, ok...)                                             // corrupt one payload byte → CRC
 	bad[len(bad)-1] ^= 0x40
 	f.Add(bad)
+	op2 := append([]byte(BinHello2), AppendBinFrameSession(nil, 1, 1, []graph.Update{graph.Del(1, 2, 3)})...)
+	op2[len(BinHello2)+8+BinSessionOverhead] = 2 // neither add nor delete, under a matching CRC
+	binary.LittleEndian.PutUint32(op2[len(BinHello2)+4:], crc32.ChecksumIEEE(op2[len(BinHello2)+8:]))
+	f.Add(op2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

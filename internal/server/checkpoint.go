@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
@@ -62,38 +60,26 @@ func checkVertexCount(n, payloadLen int) error {
 // encodeState serializes the topology, query set, and exactly-once session
 // table.
 func encodeState(g *graph.Dynamic, queries []core.Query, sessions []dedupSession) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	w.Write(srvStateHeader)
-	var scratch [16]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(g.NumVertices()))
-	w.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(g.NumEdges()))
-	w.Write(scratch[:8])
+	buf := make([]byte, 0, len(srvStateHeader)+12+graph.ArcSize*g.NumEdges()+4+8*len(queries)+4+16*len(sessions))
+	buf = append(buf, srvStateHeader...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.NumVertices()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
 	for u := 0; u < g.NumVertices(); u++ {
 		for _, e := range g.Out(graph.VertexID(u)) {
-			binary.LittleEndian.PutUint32(scratch[0:4], uint32(u))
-			binary.LittleEndian.PutUint32(scratch[4:8], e.To)
-			binary.LittleEndian.PutUint64(scratch[8:16], math.Float64bits(e.W))
-			w.Write(scratch[:16])
+			buf = graph.AppendArc(buf, graph.Arc{From: graph.VertexID(u), To: e.To, W: e.W})
 		}
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(queries)))
-	w.Write(scratch[:4])
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(queries)))
 	for _, q := range queries {
-		binary.LittleEndian.PutUint32(scratch[0:4], q.S)
-		binary.LittleEndian.PutUint32(scratch[4:8], q.D)
-		w.Write(scratch[:8])
+		buf = binary.LittleEndian.AppendUint32(buf, q.S)
+		buf = binary.LittleEndian.AppendUint32(buf, q.D)
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(sessions)))
-	w.Write(scratch[:4])
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sessions)))
 	for _, s := range sessions {
-		binary.LittleEndian.PutUint64(scratch[0:8], s.SID)
-		binary.LittleEndian.PutUint64(scratch[8:16], s.Seq)
-		w.Write(scratch[:16])
+		buf = binary.LittleEndian.AppendUint64(buf, s.SID)
+		buf = binary.LittleEndian.AppendUint64(buf, s.Seq)
 	}
-	w.Flush()
-	return buf.Bytes()
+	return buf
 }
 
 // DecodeCheckpointState parses a server checkpoint payload (the bytes inside
@@ -133,16 +119,14 @@ func decodeState(payload []byte) (*graph.Dynamic, []core.Query, []dedupSession, 
 	}
 	arcs := make([]graph.Arc, m)
 	for i := range arcs {
-		if _, err := io.ReadFull(r, scratch[:16]); err != nil {
+		if _, err := io.ReadFull(r, scratch[:graph.ArcSize]); err != nil {
 			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge %d: %w", i, err)
 		}
-		from := binary.LittleEndian.Uint32(scratch[0:4])
-		to := binary.LittleEndian.Uint32(scratch[4:8])
-		w := math.Float64frombits(binary.LittleEndian.Uint64(scratch[8:16]))
-		if int(from) >= n || int(to) >= n {
-			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge %d (%d->%d) out of range N=%d", i, from, to, n)
+		a := graph.DecodeArc(scratch[:])
+		if int(a.From) >= n || int(a.To) >= n {
+			return nil, nil, nil, fmt.Errorf("server: checkpoint payload: edge %d (%d->%d) out of range N=%d", i, a.From, a.To, n)
 		}
-		arcs[i] = graph.Arc{From: from, To: to, W: w}
+		arcs[i] = a
 	}
 	g := graph.FromEdgeList(&graph.EdgeList{N: n, Arcs: arcs})
 	if _, err := io.ReadFull(r, scratch[:4]); err != nil {

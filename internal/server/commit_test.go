@@ -291,11 +291,7 @@ func TestFastCommitAllocs(t *testing.T) {
 // walRecord frames one record the way every log generation did: uint64
 // index | uint32 length | uint32 CRC | payload.
 func walRecord(idx uint64, batch []graph.Update) []byte {
-	payload := resilience.EncodeRecordPayload(resilience.Record{Batch: batch})
-	rec := binary.LittleEndian.AppendUint64(nil, idx)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+	return resilience.AppendRecord(nil, resilience.Record{Index: idx, Batch: batch})
 }
 
 // TestRetiredFormatsRejected: every superseded on-disk and wire generation

@@ -217,8 +217,13 @@ func TestMetricsSurfacePinned(t *testing.T) {
 	}
 
 	want := slices.Concat(metricsHead, metricsWAL, metricsMid("leader"), gaugeTail)
-	if got := metricsShape(t, scrapeMetrics(t, client, lsrv.URL)); !slices.Equal(got, want) {
+	body := scrapeMetrics(t, client, lsrv.URL)
+	if got := metricsShape(t, body); !slices.Equal(got, want) {
 		t.Fatalf("leader /metrics shape:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// The /v1/answers body cache and its two counters are gone.
+	if strings.Contains(body, "srv_answers_cache") {
+		t.Fatal("leader /metrics still names srv_answers_cache_*")
 	}
 
 	fol, err := StartFollower(a, followerConfig(lsrv.URL), func() (*graph.Dynamic, error) {

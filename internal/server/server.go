@@ -86,10 +86,6 @@ const (
 	// CntWatchRejected counts /v1/watch subscriptions shed (MaxWatchers cap
 	// or draining).
 	CntWatchRejected = "srv_watch_rejected"
-	// CntAnswersCacheHits / CntAnswersCacheMisses count /v1/answers full
-	// listings served from (or rebuilding) the per-position encoded body.
-	CntAnswersCacheHits   = "srv_answers_cache_hits"
-	CntAnswersCacheMisses = "srv_answers_cache_misses"
 	// CntDedupHits counts fast-path updates recognized as duplicates of
 	// already-accepted (session, seq) records and skipped — the exactly-once
 	// resume path absorbing a client replay (DESIGN.md §17).
@@ -178,22 +174,7 @@ type Server struct {
 	// /v1/answers on a resync marker can never miss a published change.
 	hub *watch.Hub
 
-	// ansCache memoizes the encoded /v1/answers full-listing body for the
-	// current (snapshot, position, quiesced) triple; any commit, query
-	// registration or re-bootstrap changes the triple and so invalidates it.
-	ansCache atomic.Pointer[ansCacheEntry]
-
 	mux *http.ServeMux
-}
-
-// ansCacheEntry is one memoized /v1/answers body, keyed by the exact state
-// it was rendered from. The snapshot pointer (not just the position) is part
-// of the key: a re-bootstrap can rebuild answers at an already-seen position.
-type ansCacheEntry struct {
-	snap     *Snapshot
-	pos      uint64
-	quiesced bool
-	body     []byte
 }
 
 // srvHandles pre-resolves the serving hot-path counters (DESIGN.md §9):
@@ -213,8 +194,6 @@ type srvHandles struct {
 	binConns, binFrames         stats.Handle
 	binBadFrames                stats.Handle
 	watchConns, watchRejected   stats.Handle
-	ansCacheHits                stats.Handle
-	ansCacheMisses              stats.Handle
 	dedupHits                   stats.Handle
 	syncAckTimeouts             stats.Handle
 	promotions, demotions       stats.Handle
@@ -371,8 +350,6 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 			binBadFrames:       cnt.Handle(CntBinBadFrames),
 			watchConns:         cnt.Handle(CntWatchConns),
 			watchRejected:      cnt.Handle(CntWatchRejected),
-			ansCacheHits:       cnt.Handle(CntAnswersCacheHits),
-			ansCacheMisses:     cnt.Handle(CntAnswersCacheMisses),
 			dedupHits:          cnt.Handle(CntDedupHits),
 			syncAckTimeouts:    cnt.Handle(CntSyncAckTimeouts),
 			promotions:         cnt.Handle(CntPromotions),
@@ -978,25 +955,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		writeJSONBody(w, http.StatusOK, appendAnswers(nil, pos, quiesced, snap, id, id+1))
 		return
 	}
-	// Full listing: serve the memoized body when nothing that feeds it has
-	// moved since the last render. Between commits every poller hits the
-	// cache, so polling cost no longer scales with Q × poll rate; any
-	// commit, registration or re-bootstrap changes the key.
-	var sizeHint int
-	if e := s.ansCache.Load(); e != nil {
-		if e.snap == snap && e.pos == pos && e.quiesced == quiesced {
-			s.h.ansCacheHits.Inc()
-			writeJSONBody(w, http.StatusOK, e.body)
-			return
-		}
-		sizeHint = len(e.body) + 64
-	}
-	s.h.ansCacheMisses.Inc()
-	// The cached body is shared with in-flight responses, so each render
-	// takes a fresh buffer, sized from the last one.
-	body := appendAnswers(make([]byte, 0, sizeHint), pos, quiesced, snap, 0, len(snap.Values))
-	s.ansCache.Store(&ansCacheEntry{snap: snap, pos: pos, quiesced: quiesced, body: body})
-	writeJSONBody(w, http.StatusOK, body)
+	writeJSONBody(w, http.StatusOK, appendAnswers(nil, pos, quiesced, snap, 0, len(snap.Values)))
 }
 
 // appendAnswers appends the /v1/answers body for answers [lo, hi) of snap:

@@ -458,8 +458,9 @@ func TestFollowerWatchDeltasAndRebootstrapResync(t *testing.T) {
 	}
 }
 
-// The /v1/answers body cache serves identical bytes between commits and
-// invalidates on registration and commit.
+// /v1/answers is fresh: an idle re-read serves identical bytes, and a
+// registration and a commit show in the next read. (The body was once
+// memoized per position, hence the name; it is rendered per request now.)
 func TestAnswersBodyCache(t *testing.T) {
 	w := testWorkload(t)
 	srv, err := New(w.Initial(), testAlgo(t), Config{})
@@ -484,9 +485,6 @@ func TestAnswersBodyCache(t *testing.T) {
 	b1, b2 := read(), read()
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("idle re-read changed body:\n%s\n%s", b1, b2)
-	}
-	if hits := srv.Counters().Get(CntAnswersCacheHits); hits < 1 {
-		t.Errorf("%s=%d, want >=1", CntAnswersCacheHits, hits)
 	}
 
 	// Registration invalidates (new query must appear immediately).

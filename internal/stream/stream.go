@@ -271,46 +271,3 @@ func (w *Workload) NextTargetedBatch(focus []bool, fraction float64) []graph.Upd
 	}
 	return batch
 }
-
-// Buffer accumulates individually arriving updates and emits a batch each
-// time the configured threshold is reached — the paper's ingestion model
-// ("buffers the continuous arriving updates until reaching an assigned
-// threshold, e.g. 100K", §II-A). Engines consume the emitted batches; the
-// Buffer is the seam between an update source (Kafka, socket, file tail)
-// and the batched incremental computation.
-type Buffer struct {
-	threshold int
-	pending   []graph.Update
-}
-
-// NewBuffer returns a Buffer emitting batches of the given threshold
-// (minimum 1).
-func NewBuffer(threshold int) *Buffer {
-	if threshold < 1 {
-		threshold = 1
-	}
-	return &Buffer{threshold: threshold}
-}
-
-// Offer appends one arriving update; when the threshold is reached it
-// returns the full batch and resets (nil otherwise).
-func (b *Buffer) Offer(up graph.Update) []graph.Update {
-	b.pending = append(b.pending, up)
-	if len(b.pending) < b.threshold {
-		return nil
-	}
-	batch := b.pending
-	b.pending = nil
-	return batch
-}
-
-// Flush returns whatever is buffered (possibly empty) and resets — used at
-// stream end or on a timeout policy.
-func (b *Buffer) Flush() []graph.Update {
-	batch := b.pending
-	b.pending = nil
-	return batch
-}
-
-// Pending reports the number of buffered updates.
-func (b *Buffer) Pending() int { return len(b.pending) }

@@ -286,68 +286,3 @@ func TestTargetedBatchStillValidUpdates(t *testing.T) {
 		}
 	}
 }
-
-func TestBufferThreshold(t *testing.T) {
-	b := NewBuffer(3)
-	if got := b.Offer(graph.Add(0, 1, 1)); got != nil {
-		t.Fatal("emitted below threshold")
-	}
-	if got := b.Offer(graph.Add(1, 2, 1)); got != nil {
-		t.Fatal("emitted below threshold")
-	}
-	batch := b.Offer(graph.Del(0, 1, 1))
-	if len(batch) != 3 {
-		t.Fatalf("batch = %v", batch)
-	}
-	if b.Pending() != 0 {
-		t.Fatal("buffer not reset after emit")
-	}
-	// Order preserved.
-	if batch[2].Del != true || batch[0].From != 0 {
-		t.Fatalf("order lost: %v", batch)
-	}
-}
-
-func TestBufferFlushAndMinimum(t *testing.T) {
-	b := NewBuffer(0) // clamped to 1: every Offer emits
-	if got := b.Offer(graph.Add(0, 1, 1)); len(got) != 1 {
-		t.Fatalf("threshold-1 buffer must emit immediately: %v", got)
-	}
-	b2 := NewBuffer(10)
-	b2.Offer(graph.Add(0, 1, 1))
-	if got := b2.Flush(); len(got) != 1 {
-		t.Fatalf("flush = %v", got)
-	}
-	if got := b2.Flush(); len(got) != 0 {
-		t.Fatal("double flush must be empty")
-	}
-}
-
-// TestBufferDrivesEngine: feeding an engine through the Buffer produces the
-// same final answer as direct batch application.
-func TestBufferDrivesEngine(t *testing.T) {
-	ds := graph.RMAT("buf", 7, 700, graph.DefaultRMAT, 8, 33)
-	w, _ := New(ds, Config{LoadFraction: 0.5, AddsPerBatch: 25, DelsPerBatch: 25, Seed: 33})
-	batches := w.Batches(3)
-	var flat []graph.Update
-	for _, b := range batches {
-		flat = append(flat, b...)
-	}
-	buf := NewBuffer(17) // deliberately misaligned with batch boundaries
-	var rebatched [][]graph.Update
-	for _, up := range flat {
-		if out := buf.Offer(up); out != nil {
-			rebatched = append(rebatched, out)
-		}
-	}
-	if tail := buf.Flush(); len(tail) > 0 {
-		rebatched = append(rebatched, tail)
-	}
-	total := 0
-	for _, b := range rebatched {
-		total += len(b)
-	}
-	if total != len(flat) {
-		t.Fatalf("rebatching lost updates: %d of %d", total, len(flat))
-	}
-}
